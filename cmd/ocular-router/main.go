@@ -86,7 +86,7 @@ func main() {
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
 		itemsMeta = flag.String("items-meta", "", "item name/tag table for boost stages (item,name,tag,... lines; needs -model)")
 
-		shardWire     = flag.String("shard-wire", "json", "wire format for shard scatter calls: json (POST /v1/shard/topm) or binary (POST /v2/shard/topm frames; shards serve it unless started with -binary-batch=false)")
+		shardWire     = flag.String("shard-wire", "json", "wire format for shard scatter calls: json (POST /v1/shard/topm) or binary (POST /v2/shard/topm frames)")
 		maxFanout     = flag.Int("max-fanout", 0, "concurrent shard calls per request (0 = all shards)")
 		timeout       = flag.Duration("timeout", 2*time.Second, "per-attempt shard call deadline")
 		hedge         = flag.Duration("hedge", 0, "launch a second attempt against a slow shard after this delay (0 = off)")

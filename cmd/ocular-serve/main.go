@@ -36,8 +36,7 @@
 // A format-v2 model file (what ocular -save writes) is mmapped and served
 // in place: reload cost is O(1) in the model size, and when the file
 // carries a float32 factor section (ocular -save-f32, the default) the
-// hot scoring loop runs at half the memory traffic. Legacy v1 files are
-// loaded through the copying reader.
+// hot scoring loop runs at half the memory traffic.
 //
 // SIGHUP (or POST /v1/reload) re-reads -model and atomically swaps it in
 // without dropping in-flight requests; SIGINT/SIGTERM drain connections and
@@ -54,8 +53,8 @@
 //
 // With -shard-lo/-shard-hi the process becomes one shard of the sharded
 // serving tier: it mmaps only its item range of the model and serves
-// POST /v1/shard/topm partials (plus /v1/reload, /healthz, /metrics) for
-// cmd/ocular-router to scatter-gather. -shard-hi -1 means "through the
+// POST /v1/shard/topm partials (/v2/shard/topm as frames; plus
+// /v1/reload, /healthz, /metrics) for cmd/ocular-router to scatter-gather. -shard-hi -1 means "through the
 // end of the catalogue". See the README's "Sharded serving" section.
 package main
 
@@ -113,8 +112,6 @@ func main() {
 		shardLo = flag.Int("shard-lo", 0, "shard mode: first item (inclusive) of the served partition")
 		shardHi = flag.Int("shard-hi", 0, "shard mode: item upper bound (exclusive; -1 = end of catalogue; 0 = full-catalogue mode)")
 
-		binaryBatch = flag.Bool("binary-batch", true, "serve the binary columnar batch endpoint POST /v2/batch (POST /v2/shard/topm in shard mode)")
-
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: concurrent data-plane requests (0 = unbounded)")
 		maxQueue    = flag.Int("max-queue", 0, "admission control: waiters beyond -max-inflight before shedding 429 (0 = 2x max-inflight)")
 		queueWait   = flag.Duration("queue-wait", 0, "admission control: how long a queued request may wait for a slot (0 = 100ms)")
@@ -149,11 +146,8 @@ func main() {
 		MaxInFlight:     *maxInFlight,
 		MaxQueue:        *maxQueue,
 		QueueWait:       *queueWait,
-		// The flag reads positively ("serve the binary endpoint?"), the
-		// config negatively (zero value = enabled).
-		DisableBinaryBatch: !*binaryBatch,
-		TraceRing:          *traceRing,
-		TraceSlow:          *traceSlow,
+		TraceRing:       *traceRing,
+		TraceSlow:       *traceSlow,
 	}
 	if *pprofAddr != "" {
 		ln, err := obs.StartPprof(*pprofAddr)
@@ -240,11 +234,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		mode := "copy (legacy v1 file; re-save with ocular -save for O(1) reloads)"
-		if mapped, f32 := srv.ServingMode(); mapped && f32 {
+		mode := "mmap, float64 scoring"
+		if _, f32 := srv.ServingMode(); f32 {
 			mode = "mmap, float32 scoring"
-		} else if mapped {
-			mode = "mmap, float64 scoring"
 		}
 		log.Printf("serving %v on %s (%s)", srv.Model(), *addr, mode)
 	}
@@ -304,21 +296,15 @@ func main() {
 	fmt.Println("bye")
 }
 
-// modelNumItems reads the catalogue size out of a model file, preferring
-// the O(1) mmap header over the copying v1 reader. For a v2 file (the
-// default save format) this costs one header validation; the short-lived
-// mapping is released by GC. Only a legacy v1 file pays a second full
-// read before serve.NewFromFile loads it for real.
+// modelNumItems reads the catalogue size out of a model file's header:
+// one O(1) mmap and header validation, the short-lived mapping released
+// by GC.
 func modelNumItems(path string) (int, error) {
-	if mapped, err := ocular.OpenMappedModel(path); err == nil {
-		n := mapped.NumItems()
-		return n, nil
-	}
-	model, err := ocular.LoadModelFile(path)
+	mapped, err := ocular.OpenMappedModel(path)
 	if err != nil {
 		return 0, err
 	}
-	return model.NumItems(), nil
+	return mapped.NumItems(), nil
 }
 
 // runServer serves until SIGINT/SIGTERM, then drains: readiness flips

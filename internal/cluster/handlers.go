@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rank"
 	"repro/internal/serve"
 )
@@ -21,24 +19,17 @@ var routerEndpointNames = []string{
 	"recommend", "batch", "batch_binary", "flip", "healthz", "readyz", "metrics", "debug_traces",
 }
 
-// metrics counts the router's activity. Cache counters live in the
-// shared rank.Stats (the ListCache feeds them).
+// metrics counts the router's scatter-side activity. Request, error and
+// per-endpoint counters live in the serve.Edge both binaries share; cache
+// counters in the shared rank.Stats (the ListCache feeds them).
 type metrics struct {
 	start       time.Time
-	requests    expvar.Int
-	errors      expvar.Int
 	degraded    expvar.Int
 	scatters    expvar.Int
 	shardCalls  expvar.Int
 	shardErrors expvar.Int
 	hedges      expvar.Int
 	flips       expvar.Int
-	// endpoints holds one log-scale latency histogram per instrumented
-	// endpoint (obs.Histogram: coherent snapshots, interpolated
-	// percentiles), same shape as the serve tier's.
-	endpoints map[string]*obs.Histogram
-	// writeErrors counts failed response writes (client gone mid-write).
-	writeErrors expvar.Int
 	// Resilience counters (PR 7): hedges refused by the retry budget,
 	// requests answered 504 on deadline exhaustion, and the prober's
 	// activity — probes run, probes failed, shards marked down, shards
@@ -49,26 +40,6 @@ type metrics struct {
 	probeFailures expvar.Int
 	marksDown     expvar.Int
 	repairs       expvar.Int
-	// batchBinary tracks the binary columnar transport (/v2/batch):
-	// requests, summed user fan-out, frame bytes written, and frames
-	// refused by the wire decoder.
-	batchBinary struct {
-		requests      expvar.Int
-		users         expvar.Int
-		bytesOut      expvar.Int
-		decodeRejects expvar.Int
-	}
-}
-
-func newMetrics() *metrics {
-	m := &metrics{
-		start:     time.Now(),
-		endpoints: make(map[string]*obs.Histogram, len(routerEndpointNames)),
-	}
-	for _, name := range routerEndpointNames {
-		m.endpoints[name] = &obs.Histogram{}
-	}
-	return m
 }
 
 // Handler returns the HTTP handler serving the router API: the
@@ -88,124 +59,17 @@ func (rt *Router) Gate() *serve.Gate { return rt.gate }
 func (rt *Router) buildMux() *http.ServeMux {
 	// The data path sits behind the admission gate (nil gate = no-op);
 	// flip, health, readiness and metrics are never shed.
+	e := rt.edge
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", rt.instrument("recommend", rt.gate.Wrap(rt.handleRecommend)))
-	mux.HandleFunc("POST /v1/batch", rt.instrument("batch", rt.gate.Wrap(rt.handleBatch)))
-	mux.HandleFunc("POST /v2/batch", rt.instrument("batch_binary", rt.gate.Wrap(rt.handleBatchBinary)))
-	mux.HandleFunc("POST /v1/admin/flip", rt.instrument("flip", rt.handleFlip))
-	mux.HandleFunc("GET /healthz", rt.instrument("healthz", rt.handleHealthz))
-	mux.HandleFunc("GET /readyz", rt.instrument("readyz", rt.handleReadyz))
-	mux.HandleFunc("GET /metrics", rt.instrument("metrics", rt.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", rt.instrument("debug_traces", rt.handleDebugTraces))
+	mux.HandleFunc("POST /v1/recommend", e.Instrument("recommend", rt.gate.Wrap(rt.handleRecommend)))
+	mux.HandleFunc("POST /v1/batch", e.Instrument("batch", rt.gate.Wrap(rt.handleBatch)))
+	mux.HandleFunc("POST /v2/batch", e.Instrument("batch_binary", rt.gate.Wrap(rt.handleBatchFrame)))
+	mux.HandleFunc("POST /v1/admin/flip", e.Instrument("flip", rt.handleFlip))
+	mux.HandleFunc("GET /healthz", e.Instrument("healthz", rt.handleHealthz))
+	mux.HandleFunc("GET /readyz", e.Instrument("readyz", rt.handleReadyz))
+	mux.HandleFunc("GET /metrics", e.Instrument("metrics", rt.handleMetrics))
+	mux.HandleFunc("GET /debug/traces", e.Instrument("debug_traces", e.HandleDebugTraces))
 	return mux
-}
-
-// routerUntraced mirrors the serve tier's policy: probes and scrapes
-// never occupy the trace ring.
-var routerUntraced = map[string]bool{
-	"healthz": true, "readyz": true, "metrics": true, "debug_traces": true,
-}
-
-// countingWriter counts failed response writes, once per request.
-type countingWriter struct {
-	http.ResponseWriter
-	errs   *expvar.Int
-	failed bool
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.ResponseWriter.Write(p)
-	if err != nil && !cw.failed {
-		cw.failed = true
-		cw.errs.Add(1)
-	}
-	return n, err
-}
-
-// instrument wraps a router handler with the request/error counters,
-// the endpoint's latency histogram, failed-write counting, and — on
-// the data endpoints — request tracing: the edge mints (or adopts) the
-// trace ID, echoes it, and propagates it to every shard call.
-func (rt *Router) instrument(name string, h func(w http.ResponseWriter, r *http.Request) int) http.HandlerFunc {
-	em := rt.m.endpoints[name]
-	traced := !routerUntraced[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.m.requests.Add(1)
-		var act *obs.Active
-		if traced {
-			if act = rt.tracer.Start(name, r.Header.Get(obs.TraceHeader)); act != nil {
-				r = r.WithContext(obs.WithActive(r.Context(), act))
-				w.Header().Set(obs.TraceHeader, act.ID())
-			}
-		}
-		cw := &countingWriter{ResponseWriter: w, errs: &rt.m.writeErrors}
-		start := time.Now()
-		status := http.StatusInternalServerError
-		defer func() {
-			em.Observe(time.Since(start), status >= 400)
-			rt.tracer.Finish(act, status)
-			if status >= 400 {
-				rt.m.errors.Add(1)
-			}
-		}()
-		status = h(cw, r)
-	}
-}
-
-// handleDebugTraces serves the recent-traces ring, oldest first (empty
-// when tracing is disabled).
-func (rt *Router) handleDebugTraces(w http.ResponseWriter, r *http.Request) int {
-	return writeJSON(w, http.StatusOK, map[string]any{"traces": rt.tracer.Traces()})
-}
-
-// decode mirrors serve.Server's body handling: size cap, unknown fields
-// rejected, exactly one JSON value.
-func (rt *Router) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return errors.New("request body must be a single JSON value (trailing data rejected)")
-	}
-	return nil
-}
-
-func (rt *Router) clampM(m int) (int, error) {
-	switch {
-	case m == 0:
-		if rt.cfg.MaxM < 10 {
-			return rt.cfg.MaxM, nil
-		}
-		return 10, nil
-	case m < 0:
-		return 0, fmt.Errorf("m must be positive, got %d", m)
-	case m > rt.cfg.MaxM:
-		return 0, fmt.Errorf("m=%d exceeds the router cap of %d", m, rt.cfg.MaxM)
-	}
-	return m, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-	return status
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) int {
-	return writeJSON(w, status, map[string]string{"error": msg})
 }
 
 // loadTable returns the current route table, or a 503 requestError
@@ -219,15 +83,19 @@ func (rt *Router) loadTable() (*routeTable, error) {
 	return tbl, nil
 }
 
-// validate checks user and exclusion ids against the route table's
+// validateUser and validateExclude check ids against the route table's
 // catalogue, mirroring the single-process server's rejections.
-func (tbl *routeTable) validate(user int, exclude []int) error {
+func (tbl *routeTable) validateUser(user int) error {
 	if user < 0 || user >= tbl.users {
-		return fmt.Errorf("user %d out of range (%d users)", user, tbl.users)
+		return badRequest(fmt.Errorf("user %d out of range (%d users)", user, tbl.users))
 	}
+	return nil
+}
+
+func (tbl *routeTable) validateExclude(exclude []int) error {
 	for _, i := range exclude {
 		if i < 0 || i >= tbl.items {
-			return fmt.Errorf("exclude item %d out of range (%d items)", i, tbl.items)
+			return badRequest(fmt.Errorf("exclude item %d out of range (%d items)", i, tbl.items))
 		}
 	}
 	return nil
@@ -248,19 +116,22 @@ type RecommendResponse struct {
 
 func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) int {
 	var req serve.RecommendRequest
-	if err := rt.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	if err := rt.edge.DecodeJSON(w, r, &req); err != nil {
+		return serve.WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	m, err := rt.clampM(req.M)
+	m, err := rt.edge.ClampM(req.M)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return serve.WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	tbl, err := rt.loadTable()
+	if err == nil {
+		err = tbl.validateUser(req.User)
+	}
+	if err == nil {
+		err = tbl.validateExclude(req.ExcludeItems)
+	}
 	if err != nil {
 		return rt.writeFailure(w, err)
-	}
-	if err := tbl.validate(req.User, req.ExcludeItems); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
 	}
 	ctx, cancel := rt.requestContext(r)
 	defer cancel()
@@ -268,13 +139,9 @@ func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return rt.writeFailure(w, err)
 	}
-	scored := make([]serve.ScoredItem, len(items))
-	for n := range items {
-		scored[n] = serve.ScoredItem{Item: items[n], Score: scores[n]}
-	}
-	return writeJSON(w, http.StatusOK, RecommendResponse{
+	return serve.WriteJSON(w, http.StatusOK, RecommendResponse{
 		User:       req.User,
-		Items:      scored,
+		Items:      serve.ZipScored(items, scores),
 		Cached:     cached,
 		RouteEpoch: tbl.epoch,
 		Degraded:   degraded,
@@ -300,16 +167,16 @@ func (rt *Router) requestContext(r *http.Request) (context.Context, context.Canc
 func (rt *Router) writeFailure(w http.ResponseWriter, err error) int {
 	var reqErr *requestError
 	if errors.As(err, &reqErr) {
-		return writeError(w, reqErr.status, reqErr.msg)
+		return serve.WriteError(w, reqErr.status, reqErr.msg)
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		rt.m.deadline504s.Add(1)
-		return writeJSON(w, http.StatusGatewayTimeout, map[string]string{
+		return serve.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{
 			"error": err.Error(),
 			"code":  "deadline_exceeded",
 		})
 	}
-	return writeError(w, http.StatusBadGateway, err.Error())
+	return serve.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
 // recommendOne serves one user's merged list through the fingerprint
@@ -325,44 +192,42 @@ func (rt *Router) recommendOne(ctx context.Context, tbl *routeTable, user, m int
 	stages := rt.cfg.Stages
 	act := obs.ActiveFrom(ctx)
 	shardReq := serve.ShardTopMRequest{User: user, M: rank.StagesOverFetch(m, stages), ExcludeItems: exclude, Filter: spec}
-	compute := func() ([]int, []float64, bool, error) {
-		parts, err := rt.scatter(ctx, tbl, shardReq)
-		if err != nil {
-			var reqErr *requestError
-			if errors.As(err, &reqErr) || !rt.cfg.AllowDegraded {
-				return nil, nil, false, err
-			}
-			survivors := parts[:0:0]
-			for _, p := range parts {
-				if p != nil {
-					survivors = append(survivors, p)
-				}
-			}
-			if len(survivors) == 0 {
-				return nil, nil, false, err
-			}
-			// Degraded merge: serve what survived, mark it, and keep it
-			// out of the cache and away from coalesced waiters — a
-			// truncated list must never outlive the outage that caused it.
-			degraded = true
-			rt.m.degraded.Add(1)
-			flat := make([]rank.Partial, len(survivors))
-			for n, p := range survivors {
-				flat[n] = *p
-			}
-			mstart := time.Now()
-			items, scores := rank.MergeTopMStaged(m, stages, flat...)
-			act.Record("merge", mstart, time.Since(mstart), "degraded")
-			return items, scores, false, nil
-		}
+	merge := func(parts []*rank.Partial, note string) ([]int, []float64) {
 		flat := make([]rank.Partial, len(parts))
 		for n, p := range parts {
 			flat[n] = *p
 		}
 		mstart := time.Now()
 		items, scores := rank.MergeTopMStaged(m, stages, flat...)
-		act.Record("merge", mstart, time.Since(mstart), "")
-		return items, scores, true, nil
+		act.Record("merge", mstart, time.Since(mstart), note)
+		return items, scores
+	}
+	compute := func() ([]int, []float64, bool, error) {
+		parts, err := rt.scatter(ctx, tbl, shardReq)
+		if err == nil {
+			items, scores := merge(parts, "")
+			return items, scores, true, nil
+		}
+		var reqErr *requestError
+		if errors.As(err, &reqErr) || !rt.cfg.AllowDegraded {
+			return nil, nil, false, err
+		}
+		survivors := parts[:0:0]
+		for _, p := range parts {
+			if p != nil {
+				survivors = append(survivors, p)
+			}
+		}
+		if len(survivors) == 0 {
+			return nil, nil, false, err
+		}
+		// Degraded merge: serve what survived, mark it, and keep it out of
+		// the cache and away from coalesced waiters — a truncated list must
+		// never outlive the outage that caused it.
+		degraded = true
+		rt.m.degraded.Add(1)
+		items, scores := merge(survivors, "degraded")
+		return items, scores, false, nil
 	}
 	fp, cacheable := fingerprintFor(tbl.epoch, exclude, spec, stages)
 	if !cacheable {
@@ -375,77 +240,6 @@ func (rt *Router) recommendOne(ctx context.Context, tbl *routeTable, user, m int
 		act.Record("cache", cstart, time.Since(cstart), "hit")
 	}
 	return items, scores, cached, degraded, err
-}
-
-// BatchResult is one user's slot in a router batch response.
-type BatchResult struct {
-	User     int                `json:"user"`
-	Items    []serve.ScoredItem `json:"items,omitempty"`
-	Cached   bool               `json:"cached,omitempty"`
-	Degraded bool               `json:"degraded,omitempty"`
-	Error    string             `json:"error,omitempty"`
-}
-
-// BatchResponse carries one result per requested user, in request order.
-type BatchResponse struct {
-	Results    []BatchResult `json:"results"`
-	RouteEpoch uint64        `json:"route_epoch"`
-}
-
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) int {
-	var req serve.BatchRequest
-	if err := rt.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	if len(req.Users) == 0 {
-		return writeError(w, http.StatusBadRequest, "users must be non-empty")
-	}
-	if len(req.Users) > rt.cfg.MaxBatch {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d users exceeds the router cap of %d", len(req.Users), rt.cfg.MaxBatch))
-	}
-	m, err := rt.clampM(req.M)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	tbl, err := rt.loadTable()
-	if err != nil {
-		return rt.writeFailure(w, err)
-	}
-	for _, i := range req.ExcludeItems {
-		if i < 0 || i >= tbl.items {
-			return writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("exclude item %d out of range (%d items)", i, tbl.items))
-		}
-	}
-	ctx, cancel := rt.requestContext(r)
-	defer cancel()
-	results := make([]BatchResult, len(req.Users))
-	serveUser := func(n int) {
-		u := req.Users[n]
-		if u < 0 || u >= tbl.users {
-			results[n] = BatchResult{User: u, Error: fmt.Sprintf("user %d out of range (%d users)", u, tbl.users)}
-			return
-		}
-		items, scores, cached, degraded, err := rt.recommendOne(ctx, tbl, u, m, req.ExcludeItems, req.Filter)
-		if err != nil {
-			results[n] = BatchResult{User: u, Error: err.Error()}
-			return
-		}
-		scored := make([]serve.ScoredItem, len(items))
-		for i := range items {
-			scored[i] = serve.ScoredItem{Item: items[i], Score: scores[i]}
-		}
-		results[n] = BatchResult{User: u, Items: scored, Cached: cached, Degraded: degraded}
-	}
-	if len(req.Users) == 1 {
-		serveUser(0)
-	} else {
-		parallel.For(len(req.Users), rt.cfg.Workers, func(n int, _ *parallel.Scratch) {
-			serveUser(n)
-		})
-	}
-	return writeJSON(w, http.StatusOK, BatchResponse{Results: results, RouteEpoch: tbl.epoch})
 }
 
 // ShardStatus is one shard's row in flip and health responses.
@@ -468,16 +262,16 @@ func (rt *Router) handleFlip(w http.ResponseWriter, r *http.Request) int {
 	// No parameters, but the body is still drained under the cap (see the
 	// same guard on serve's /v1/reload).
 	if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)); err != nil {
-		return writeError(w, http.StatusBadRequest,
+		return serve.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
 	}
 	if _, err := rt.Refresh(r.Context()); err != nil {
 		// The old table — if any — keeps serving; a failed flip changes
 		// nothing.
-		return writeError(w, http.StatusBadGateway, err.Error())
+		return serve.WriteError(w, http.StatusBadGateway, err.Error())
 	}
 	tbl := rt.table.Load()
-	return writeJSON(w, http.StatusOK, FlipResponse{
+	return serve.WriteJSON(w, http.StatusOK, FlipResponse{
 		Epoch:  tbl.epoch,
 		Users:  tbl.users,
 		Items:  tbl.items,
@@ -496,13 +290,13 @@ func (tbl *routeTable) statuses() []ShardStatus {
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	tbl := rt.table.Load()
 	if tbl == nil {
-		return writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		return serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":        "no_route_table",
 			"shards":        rt.cfg.Shards,
 			"shards_health": rt.healthRows(),
 		})
 	}
-	return writeJSON(w, http.StatusOK, map[string]any{
+	return serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"epoch":          tbl.epoch,
 		"users":          tbl.users,
@@ -519,40 +313,34 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // traffic.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	if rt.draining.Load() {
-		return writeJSON(w, http.StatusServiceUnavailable,
+		return serve.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "draining"})
 	}
 	tbl := rt.table.Load()
 	if tbl == nil {
-		return writeJSON(w, http.StatusServiceUnavailable,
+		return serve.WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "no route table yet"})
 	}
-	return writeJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": tbl.epoch})
+	return serve.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": tbl.epoch})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	eps := make(map[string]map[string]any, len(rt.m.endpoints))
-	for name, h := range rt.m.endpoints {
-		eps[name] = obs.EndpointSnapshot(h)
-	}
 	shardLat := make(map[string]map[string]any, len(rt.shardLat))
 	for url, h := range rt.shardLat {
 		shardLat[url] = obs.EndpointSnapshot(h)
 	}
 	out := map[string]any{
-		"uptime_seconds":        time.Since(rt.m.start).Seconds(),
-		"requests":              rt.m.requests.Value(),
-		"errors":                rt.m.errors.Value(),
-		"response_write_errors": rt.m.writeErrors.Value(),
-		"degraded":              rt.m.degraded.Value(),
-		"scatters":              rt.m.scatters.Value(),
-		"shard_calls":           rt.m.shardCalls.Value(),
-		"shard_errors":          rt.m.shardErrors.Value(),
-		"hedges":                rt.m.hedges.Value(),
-		"hedges_denied":         rt.m.hedgesDenied.Value(),
-		"deadline_504s":         rt.m.deadline504s.Value(),
-		"table_flips":           rt.m.flips.Value(),
-		"endpoints":             obs.Labeled{Label: "endpoint", Rows: eps},
+		"uptime_seconds": time.Since(rt.m.start).Seconds(),
+		"requests":       rt.edge.Requests(),
+		"errors":         rt.edge.Errors(),
+		"degraded":       rt.m.degraded.Value(),
+		"scatters":       rt.m.scatters.Value(),
+		"shard_calls":    rt.m.shardCalls.Value(),
+		"shard_errors":   rt.m.shardErrors.Value(),
+		"hedges":         rt.m.hedges.Value(),
+		"hedges_denied":  rt.m.hedgesDenied.Value(),
+		"deadline_504s":  rt.m.deadline504s.Value(),
+		"table_flips":    rt.m.flips.Value(),
 		// shard_latency observes whole callShard calls (hedges included)
 		// per shard URL — the per-shard view that pinpoints a slow or
 		// flapping partition.
@@ -564,12 +352,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 			"repairs":    rt.m.repairs.Value(),
 		},
 		"shards_health": obs.LabeledList{Label: "shard", Key: "url", Rows: rt.healthRows()},
-		"batch_binary": map[string]any{
-			"requests":       rt.m.batchBinary.requests.Value(),
-			"users":          rt.m.batchBinary.users.Value(),
-			"bytes_out":      rt.m.batchBinary.bytesOut.Value(),
-			"decode_rejects": rt.m.batchBinary.decodeRejects.Value(),
-		},
 		"cache": map[string]any{
 			"hits":      rt.stats.Hits(),
 			"misses":    rt.stats.Misses(),
@@ -578,6 +360,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 			"entries":   rt.cache.Len(),
 		},
 	}
+	rt.edge.Snapshot(out)
 	if rb := rt.budget; rb != nil {
 		out["retry_budget_denied"] = rb.deniedTotal()
 	}
@@ -591,5 +374,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if r.URL.Query().Get("format") == "prometheus" {
 		return obs.WriteExposition(w, out)
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return serve.WriteJSON(w, http.StatusOK, out)
 }

@@ -49,6 +49,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rank"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // Config tunes a Router. Shards is required; everything else defaults.
@@ -140,9 +141,7 @@ type Config struct {
 	// ShardWire selects the wire format of the scatter's shard calls:
 	// "json" (the default) posts /v1/shard/topm, "binary" posts the
 	// columnar frames of internal/wire to /v2/shard/topm — same partials,
-	// same validation, no JSON marshalling on the hot path. The shards
-	// must serve the binary endpoints (they do unless started with
-	// -binary-batch=false).
+	// same validation, no JSON marshalling on the hot path.
 	ShardWire string
 	// HTTPClient overrides the client used for shard calls (tests;
 	// custom transports). Nil means a client with no overall timeout —
@@ -245,8 +244,11 @@ type Router struct {
 	// draining flips at the start of graceful shutdown: /readyz answers
 	// 503 while the data path keeps serving.
 	draining atomic.Bool
-	// tracer records per-request span timelines (nil when disabled).
-	tracer *obs.Tracer
+	// edge is the HTTP plumbing shared with the serve tier: body decoding,
+	// clamping, response writers, instrumentation and the request tracer.
+	edge *serve.Edge
+	// wire is the shard-call body codec Config.ShardWire selects.
+	wire *shardWire
 	// shardLat holds one latency histogram per shard URL, observing whole
 	// callShard calls (hedges and retries included). Built at
 	// construction, never mutated.
@@ -315,7 +317,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		cache:  rank.NewListCache(cfg.CacheSize, cfg.CacheShards, stats),
 		stats:  stats,
-		m:      newMetrics(),
+		m:      &metrics{start: time.Now()},
 		health: make(map[string]*shardHealthState, len(cfg.Shards)),
 		gate:   serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 	}
@@ -326,11 +328,11 @@ func New(cfg Config) (*Router, error) {
 	for _, u := range cfg.Shards {
 		rt.shardLat[u] = &obs.Histogram{}
 	}
-	if ring := cfg.TraceRing; ring >= 0 {
-		if ring == 0 {
-			ring = 256
-		}
-		rt.tracer = obs.NewTracer(ring, cfg.TraceSlow, cfg.TraceLog)
+	rt.edge = serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
+		serve.NewTracer(cfg.TraceRing, cfg.TraceSlow, cfg.TraceLog), routerEndpointNames)
+	rt.wire = &jsonShardWire
+	if cfg.ShardWire == "binary" {
+		rt.wire = &frameShardWire
 	}
 	if cfg.BreakerThreshold > 0 {
 		rt.breakers = make(map[string]*breaker, len(cfg.Shards))
@@ -432,6 +434,10 @@ type requestError struct {
 }
 
 func (e *requestError) Error() string { return e.msg }
+
+func badRequest(err error) error {
+	return &requestError{status: http.StatusBadRequest, msg: err.Error()}
+}
 
 var (
 	// errShardDown fails a shard call fast because the health prober has
@@ -634,12 +640,104 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 	}
 }
 
-// postShard performs one shard attempt over the configured wire format.
+// shardWire is one body codec of the shard call: where it posts, how the
+// request is laid out, and how the answer reads back into a partial plus
+// the claims validatePartial checks.
+type shardWire struct {
+	path, contentType string
+	encode            func(req *serve.ShardTopMRequest) ([]byte, error)
+	decode            func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error)
+}
+
+var jsonShardWire = shardWire{
+	path: "/v1/shard/topm", contentType: "application/json",
+	encode: func(req *serve.ShardTopMRequest) ([]byte, error) { return json.Marshal(req) },
+	decode: func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error) {
+		var out serve.ShardTopMResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			return p, 0, 0, 0, err
+		}
+		p = rank.Partial{Items: make([]int, len(out.Items)), Scores: make([]float64, len(out.Items))}
+		for n, it := range out.Items {
+			p.Items[n], p.Scores[n] = it.Item, it.Score
+		}
+		return p, out.ModelVersion, out.ShardLo, out.ShardHi, nil
+	},
+}
+
+// frameShardWire speaks the columnar frames of internal/wire: the request
+// frame carries the user, the over-fetched m, the shared filters and the
+// version pin; the response frame must be a single-user shard partial.
+var frameShardWire = shardWire{
+	path: "/v2/shard/topm", contentType: serve.FrameContentType,
+	encode: func(req *serve.ShardTopMRequest) ([]byte, error) {
+		wreq := wire.BatchRequest{
+			M:             uint32(req.M),
+			ExpectVersion: req.ExpectVersion,
+			Users:         []uint32{uint32(req.User)},
+		}
+		for _, e := range req.ExcludeItems {
+			wreq.Exclude = append(wreq.Exclude, uint32(e))
+		}
+		if req.Filter != nil {
+			wreq.AllowTags, wreq.DenyTags = req.Filter.AllowTags, req.Filter.DenyTags
+		}
+		return wire.AppendBatchRequest(nil, &wreq)
+	},
+	decode: func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error) {
+		var out wire.BatchResponse
+		switch err := wire.DecodeBatchResponse(data, &out); {
+		case err != nil:
+			return p, 0, 0, 0, fmt.Errorf("bad shard frame: %w", err)
+		case out.Flags&wire.FlagShardPartial == 0:
+			return p, 0, 0, 0, errors.New("shard frame is not marked as a partition partial")
+		case len(out.Counts) != 1:
+			return p, 0, 0, 0, fmt.Errorf("shard frame carries %d users, want 1", len(out.Counts))
+		case out.Status[0]&wire.StatusError != 0:
+			return p, 0, 0, 0, errors.New("shard frame marks the user failed")
+		}
+		p = rank.Partial{Items: make([]int, len(out.Items)), Scores: make([]float64, len(out.Items))}
+		for n, it := range out.Items {
+			p.Items[n], p.Scores[n] = int(it), out.Scores[n]
+		}
+		return p, out.ModelVersion, int(out.ShardLo), int(out.ShardHi), nil
+	},
+}
+
+// postShard performs one shard attempt over the configured wire format
+// and validates the partial (see validatePartial) before it may merge.
 func (rt *Router) postShard(ctx context.Context, sh shardRoute, req serve.ShardTopMRequest) (rank.Partial, error) {
-	if rt.cfg.ShardWire == "binary" {
-		return rt.postShardTopMBinary(ctx, sh, req)
+	rt.m.shardCalls.Add(1)
+	body, err := rt.wire.encode(&req)
+	if err != nil {
+		return rank.Partial{}, err
 	}
-	return rt.postShardTopM(ctx, sh, req)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+rt.wire.path, bytes.NewReader(body))
+	if err != nil {
+		return rank.Partial{}, err
+	}
+	hreq.Header.Set("Content-Type", rt.wire.contentType)
+	serve.StampShardCall(ctx, hreq.Header)
+	resp, err := rt.cfg.HTTPClient.Do(hreq)
+	if err != nil {
+		return rank.Partial{}, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		return rank.Partial{}, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return rank.Partial{}, shardHTTPError(rt.wire.path, resp.StatusCode, data)
+	}
+	p, version, lo, hi, err := rt.wire.decode(data)
+	if err == nil {
+		err = validatePartial(sh, p, version, lo, hi, req.ExpectVersion)
+	}
+	if err != nil {
+		return rank.Partial{}, err
+	}
+	return p, nil
 }
 
 // shardHTTPError maps a shard's non-200 answer (always a JSON error
@@ -699,59 +797,6 @@ func validatePartial(sh shardRoute, p rank.Partial, version uint64, lo, hi int, 
 		}
 	}
 	return nil
-}
-
-// postShardTopM performs one /v1/shard/topm attempt and validates the
-// partial (see validatePartial).
-func (rt *Router) postShardTopM(ctx context.Context, sh shardRoute, req serve.ShardTopMRequest) (rank.Partial, error) {
-	rt.m.shardCalls.Add(1)
-	body, err := json.Marshal(req)
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+"/v1/shard/topm", bytes.NewReader(body))
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	// Propagate the attempt's remaining deadline budget; ctx carries
-	// min(per-attempt timeout, overall request deadline), so the shard
-	// can shed scoring work whose caller will have given up.
-	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			hreq.Header.Set(serve.DeadlineHeader, strconv.FormatInt(ms, 10))
-		}
-	}
-	// Propagate the trace ID alongside the deadline, so the shard's span
-	// records join this request's timeline under one ID.
-	if id := obs.ActiveFrom(ctx).ID(); id != "" {
-		hreq.Header.Set(obs.TraceHeader, id)
-	}
-	resp, err := rt.cfg.HTTPClient.Do(hreq)
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return rank.Partial{}, shardHTTPError("/v1/shard/topm", resp.StatusCode, data)
-	}
-	var out serve.ShardTopMResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return rank.Partial{}, err
-	}
-	p := rank.Partial{Items: make([]int, len(out.Items)), Scores: make([]float64, len(out.Items))}
-	for n, it := range out.Items {
-		p.Items[n] = it.Item
-		p.Scores[n] = it.Score
-	}
-	if err := validatePartial(sh, p, out.ModelVersion, out.ShardLo, out.ShardHi, req.ExpectVersion); err != nil {
-		return rank.Partial{}, err
-	}
-	return p, nil
 }
 
 // fingerprintFor canonicalizes a request's filter surface into the cache

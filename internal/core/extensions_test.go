@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -309,19 +311,15 @@ func TestReadModelRejectsCorruption(t *testing.T) {
 }
 
 func TestReadModelRejectsOversizedHeader(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(modelMagic)
 	// K, users, items huge but individually under the dim cap is still
 	// caught by the product guard.
-	for _, v := range []uint64{1 << 20, 1 << 27, 4, 0} {
-		b := make([]byte, 8)
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		buf.Write(b)
+	hdr := make([]byte, v2HeaderSize)
+	copy(hdr, magicV2)
+	for n, v := range []uint64{1 << 20, 1 << 27, 4, 0} {
+		binary.LittleEndian.PutUint64(hdr[8+8*n:], v)
 	}
-	if _, err := ReadModel(&buf); err == nil {
-		t.Fatal("oversized product accepted")
+	if _, err := ReadModel(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "size guard") {
+		t.Fatalf("oversized product: got %v, want the size guard's rejection", err)
 	}
 }
 

@@ -31,10 +31,9 @@ var (
 	_ Scorer = (*MappedModel)(nil)
 )
 
-// ErrLegacyFormat reports that a model file holds the v1 stream format,
-// which has no section layout to map. Callers that can afford a full copy
-// fall back to LoadModelFile.
-var ErrLegacyFormat = errors.New("legacy v1 model format (use ReadModel)")
+// ErrLegacyFormat reports that a model file holds the retired v1 stream
+// format, which no reader loads any more.
+var ErrLegacyFormat = errors.New("legacy v1 model format is no longer supported (retrain and save as v2)")
 
 // MappedModel is a model served directly out of an mmapped v2 file. Open
 // cost is O(1) in the model size: the 128-byte header is parsed and
@@ -86,7 +85,7 @@ func OpenMappedModel(path string) (*MappedModel, error) {
 	size := st.Size()
 	if size < v2HeaderSize {
 		// Could still be a tiny legacy v1 file; classify by magic so
-		// callers get the fallback sentinel rather than a size error.
+		// callers get the legacy sentinel rather than a size error.
 		magic := make([]byte, 8)
 		if _, err := io.ReadFull(f, magic); err == nil && string(magic) == magicV1 {
 			return nil, fmt.Errorf("core: mapping model %s: %w", path, ErrLegacyFormat)

@@ -76,29 +76,6 @@ func TestOpenMappedModelRangeRejectsCorruption(t *testing.T) {
 		}
 	}
 
-	// A legacy v1 file classifies as ErrLegacyFormat, like the full open.
-	var v1 []byte
-	{
-		path := filepath.Join(dir, "v1")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := model.WriteToV1(f); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		v1raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1 = v1raw
-	}
-	_ = v1
-	if _, err := OpenMappedModelRange(filepath.Join(dir, "v1"), 0, items); err == nil {
-		t.Fatal("v1 file accepted by range open")
-	}
-
 	// The pristine file opens for every valid range shape.
 	for _, r := range [][2]int{{0, items}, {0, 1}, {items - 1, items}, {items / 3, 2 * items / 3}} {
 		rr, err := OpenMappedModelRange(goodPath, r[0], r[1])

@@ -18,9 +18,9 @@ import (
 // The serialized model format is versioned through the trailing magic
 // digit.
 //
-// v1 ("OCuLaR:1") is a plain stream: magic, four uint64 dimensions, then
-// the factor (and bias) arrays back to back. It can only be consumed by
-// copying every byte through ReadModel.
+// v1 ("OCuLaR:1") was a plain stream: magic, four uint64 dimensions, then
+// the factor (and bias) arrays back to back. Nothing writes it any more;
+// readers recognise its magic only to reject it with ErrLegacyFormat.
 //
 // v2 ("OCuLaR:2") is the mappable format: a fixed 128-byte header followed
 // by page-aligned little-endian sections, optionally including a
@@ -42,9 +42,6 @@ import (
 const (
 	magicV1 = "OCuLaR:1"
 	magicV2 = "OCuLaR:2"
-
-	// modelMagic is the legacy name of the v1 magic, retained for tests.
-	modelMagic = magicV1
 
 	v2HeaderSize = 128
 	v2Align      = 4096 // section alignment; matches common page sizes
@@ -169,12 +166,12 @@ func parseV2Header(hdr []byte) (v2Header, error) {
 	return h, nil
 }
 
-type countingWriter struct {
+type byteCounter struct {
 	w io.Writer
 	n int64
 }
 
-func (c *countingWriter) Write(p []byte) (int, error) {
+func (c *byteCounter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
 	return n, err
@@ -193,7 +190,7 @@ func (m *Model) WriteToV2(w io.Writer, opts SaveOptions) (int64, error) {
 	bias := m.bu != nil
 	l := layoutV2(uint64(m.k), uint64(m.users), uint64(m.items), bias, opts.Float32)
 
-	cw := &countingWriter{w: w}
+	cw := &byteCounter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<16)
 	le := binary.LittleEndian
 
@@ -276,41 +273,6 @@ func (m *Model) WriteToV2(w io.Writer, opts SaveOptions) (int64, error) {
 	}
 	err := bw.Flush()
 	return cw.n, err
-}
-
-// WriteToV1 serializes the model in the legacy v1 stream format. New code
-// saves v2; this writer exists so compatibility tests (and tooling that
-// must feed v1-only consumers) can still produce v1 bytes.
-func (m *Model) WriteToV1(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	count := func(k int, err error) error {
-		n += int64(k)
-		return err
-	}
-	if err := count(bw.WriteString(magicV1)); err != nil {
-		return n, err
-	}
-	hasBias := uint64(0)
-	if m.bu != nil {
-		hasBias = 1
-	}
-	for _, v := range []uint64{uint64(m.k), uint64(m.users), uint64(m.items), hasBias} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return n, err
-		}
-		n += 8
-	}
-	for _, arr := range [][]float64{m.fu, m.fi, m.bu, m.bi} {
-		if arr == nil {
-			continue
-		}
-		if err := binary.Write(bw, binary.LittleEndian, arr); err != nil {
-			return n, err
-		}
-		n += int64(8 * len(arr))
-	}
-	return n, bw.Flush()
 }
 
 // SaveModelFile writes the model to path atomically in format v2, without
@@ -429,12 +391,12 @@ func LoadModelFile(path string) (*Model, error) {
 	return ReadModel(f)
 }
 
-// ReadModel deserializes a model written by WriteTo/WriteToV2 (format v2)
-// or WriteToV1 (the legacy format), validating the header and rejecting
-// non-finite or negative factors (which no trained model can contain, so
-// they indicate corruption). A v2 float32 section is checked against the
-// float64 factors and then discarded — the in-memory Model always holds
-// the exact float64 factors.
+// ReadModel deserializes a model written by WriteTo/WriteToV2,
+// validating the header and rejecting non-finite or negative factors
+// (which no trained model can contain, so they indicate corruption). The
+// float32 section is checked against the float64 factors and then
+// discarded — the in-memory Model always holds the exact float64 factors.
+// A legacy v1 stream is refused with an error wrapping ErrLegacyFormat.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 8)
@@ -443,11 +405,11 @@ func ReadModel(r io.Reader) (*Model, error) {
 	}
 	switch string(magic) {
 	case magicV1:
-		return readModelV1(br)
+		return nil, fmt.Errorf("core: reading model: %w", ErrLegacyFormat)
 	case magicV2:
 		return readModelV2(br)
 	}
-	return nil, fmt.Errorf("core: bad model magic %q (want %q or %q)", magic, magicV1, magicV2)
+	return nil, fmt.Errorf("core: bad model magic %q (want %q)", magic, magicV2)
 }
 
 // checkFactors rejects values outside the model domain: factors and
@@ -459,52 +421,6 @@ func checkFactors(arr []float64) error {
 		}
 	}
 	return nil
-}
-
-func readModelV1(br *bufio.Reader) (*Model, error) {
-	var dims [4]uint64
-	for i := range dims {
-		if err := binary.Read(br, binary.LittleEndian, &dims[i]); err != nil {
-			return nil, fmt.Errorf("core: reading model header: %w", err)
-		}
-	}
-	k, users, items, hasBias := dims[0], dims[1], dims[2], dims[3]
-	switch {
-	case k == 0 || k > maxModelDim:
-		return nil, fmt.Errorf("core: implausible K=%d in model header", k)
-	case users > maxModelDim || items > maxModelDim:
-		return nil, fmt.Errorf("core: implausible shape %dx%d in model header", users, items)
-	case hasBias > 1:
-		return nil, fmt.Errorf("core: bad bias flag %d in model header", hasBias)
-	case users*k > maxModelDim || items*k > maxModelDim:
-		return nil, fmt.Errorf("core: model %dx%d with K=%d exceeds size guard", users, items, k)
-	}
-	m := &Model{
-		k:     int(k),
-		users: int(users),
-		items: int(items),
-		fu:    make([]float64, users*k),
-		fi:    make([]float64, items*k),
-	}
-	arrays := [][]float64{m.fu, m.fi}
-	if hasBias == 1 {
-		m.bu = make([]float64, users)
-		m.bi = make([]float64, items)
-		arrays = append(arrays, m.bu, m.bi)
-	}
-	for _, arr := range arrays {
-		if err := binary.Read(br, binary.LittleEndian, arr); err != nil {
-			return nil, fmt.Errorf("core: reading model factors: %w", err)
-		}
-		if err := checkFactors(arr); err != nil {
-			return nil, err
-		}
-	}
-	// A well-formed stream ends exactly here.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("core: trailing bytes after model payload")
-	}
-	return m, nil
 }
 
 func readModelV2(br *bufio.Reader) (*Model, error) {

@@ -43,54 +43,34 @@ func sameFactorBits(t *testing.T, a, b *Model) {
 	}
 }
 
-// TestV1FallbackReader checks that legacy v1 streams and files still load
-// through ReadModel/LoadModelFile, and that a v1 → v2 re-save round-trip
-// is bit-exact on the float64 sections.
-func TestV1FallbackReader(t *testing.T) {
-	for _, bias := range []bool{false, true} {
-		orig := trainedModel(t, bias)
+// v1Fixture is a stream of n bytes carrying the retired v1 magic. Readers
+// classify by the magic alone, so the payload is zeros.
+func v1Fixture(n int) []byte {
+	return append([]byte(magicV1), make([]byte, n-len(magicV1))...)
+}
 
-		var v1 bytes.Buffer
-		n, err := orig.WriteToV1(&v1)
-		if err != nil {
-			t.Fatal(err)
+// TestV1Rejected: the v1 format has no reader any more, but its magic is
+// still recognised — every entry point refuses a v1 stream or file with
+// ErrLegacyFormat rather than a bad-magic or size error, whether or not
+// the file is big enough to hold a v2 header.
+func TestV1Rejected(t *testing.T) {
+	for _, size := range []int{40, 4 * v2HeaderSize} {
+		v1 := v1Fixture(size)
+		if _, err := ReadModel(bytes.NewReader(v1)); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("ReadModel, %d-byte v1 stream: got %v, want ErrLegacyFormat", size, err)
 		}
-		if n != int64(v1.Len()) {
-			t.Fatalf("WriteToV1 reported %d bytes, wrote %d", n, v1.Len())
-		}
-		fromV1, err := ReadModel(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("bias=%v: v1 stream rejected: %v", bias, err)
-		}
-		sameFactorBits(t, orig, fromV1)
-
-		// A v1 file on disk loads through LoadModelFile.
 		path := filepath.Join(t.TempDir(), "v1.bin")
-		if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fromFile, err := LoadModelFile(path)
-		if err != nil {
-			t.Fatalf("bias=%v: v1 file rejected: %v", bias, err)
+		if _, err := LoadModelFile(path); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("LoadModelFile, %d-byte v1 file: got %v, want ErrLegacyFormat", size, err)
 		}
-		sameFactorBits(t, orig, fromFile)
-
-		// v1 → v2 re-save keeps the float64 bits, with and without the
-		// float32 section.
-		for _, f32 := range []bool{false, true} {
-			var v2 bytes.Buffer
-			n, err := fromV1.WriteToV2(&v2, SaveOptions{Float32: f32})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != int64(v2.Len()) {
-				t.Fatalf("WriteToV2 reported %d bytes, wrote %d", n, v2.Len())
-			}
-			fromV2, err := ReadModel(bytes.NewReader(v2.Bytes()))
-			if err != nil {
-				t.Fatalf("bias=%v f32=%v: v2 stream rejected: %v", bias, f32, err)
-			}
-			sameFactorBits(t, orig, fromV2)
+		if _, err := OpenMappedModel(path); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("OpenMappedModel, %d-byte v1 file: got %v, want ErrLegacyFormat", size, err)
+		}
+		if _, err := OpenMappedModelRange(path, 0, 1); !errors.Is(err, ErrLegacyFormat) {
+			t.Errorf("OpenMappedModelRange, %d-byte v1 file: got %v, want ErrLegacyFormat", size, err)
 		}
 	}
 }
@@ -105,18 +85,13 @@ func v2Bytes(t testing.TB, m *Model, f32 bool) []byte {
 	return buf.Bytes()
 }
 
-// TestReadModelCorruptionBothVersions is the corruption table across both
-// format versions: bad magic, dimension overflow, truncated headers and
-// factor sections, trailing bytes, out-of-domain factors, and (v2 only)
-// tampered offset tables, flags, reserved bytes and float32 sections.
-func TestReadModelCorruptionBothVersions(t *testing.T) {
+// TestReadModelCorruption is the corruption table: bad magic, dimension
+// overflow, truncated headers and factor sections, trailing bytes,
+// out-of-domain factors, tampered offset tables, flags, reserved bytes
+// and float32 sections.
+func TestReadModelCorruption(t *testing.T) {
 	model := trainedModel(t, true)
 
-	var v1buf bytes.Buffer
-	if _, err := model.WriteToV1(&v1buf); err != nil {
-		t.Fatal(err)
-	}
-	v1 := v1buf.Bytes()
 	v2 := v2Bytes(t, model, true)
 	v2plain := v2Bytes(t, model, false)
 
@@ -140,14 +115,8 @@ func TestReadModelCorruptionBothVersions(t *testing.T) {
 	fu32Off := int(layoutV2(5, 20, 15, true, true).off[4])
 
 	cases := map[string][]byte{
-		"v1 empty":            {},
-		"v1 bad magic":        mutate(v1, 0, 'X'),
-		"v1 truncated header": v1[:20],
-		"v1 truncated body":   v1[:len(v1)-9],
-		"v1 trailing bytes":   append(append([]byte{}, v1...), 0),
-		"v1 negative factor":  mutate(v1, len(v1)-1, 0xC0),
-		"v1 implausible K":    le64(v1, 8, 1<<40),
-		"v1 dim product":      le64(le64(v1, 8, 1<<20), 16, 1<<27),
+		"empty":           {},
+		"truncated magic": v2[:5],
 
 		"v2 bad magic":          mutate(v2, 7, 'X'),
 		"v2 truncated header":   v2[:64],
@@ -175,7 +144,7 @@ func TestReadModelCorruptionBothVersions(t *testing.T) {
 	}
 
 	// Sanity: the uncorrupted baselines load.
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2, "v2 plain": v2plain} {
+	for name, data := range map[string][]byte{"v2": v2, "v2 plain": v2plain} {
 		if _, err := ReadModel(bytes.NewReader(data)); err != nil {
 			t.Errorf("%s baseline rejected: %v", name, err)
 		}
@@ -184,8 +153,7 @@ func TestReadModelCorruptionBothVersions(t *testing.T) {
 
 // TestOpenMappedModel checks the O(1) open path: header-validated views,
 // scores bit-identical to the copying loader on the float64 path, the
-// documented error bound on the float32 path, the fold-in view, and the
-// v1 fallback sentinel.
+// documented error bound on the float32 path, and the fold-in view.
 func TestOpenMappedModel(t *testing.T) {
 	for _, bias := range []bool{false, true} {
 		for _, f32 := range []bool{false, true} {
@@ -240,22 +208,6 @@ func TestOpenMappedModel(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-
-	// A v1 file must yield the legacy sentinel so callers can fall back.
-	model := trainedModel(t, false)
-	var v1 bytes.Buffer
-	if _, err := model.WriteToV1(&v1); err != nil {
-		t.Fatal(err)
-	}
-	v1path := filepath.Join(t.TempDir(), "v1.bin")
-	if err := os.WriteFile(v1path, v1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMappedModel(v1path); err == nil {
-		t.Fatal("OpenMappedModel accepted a v1 file")
-	} else if !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("v1 file error does not wrap ErrLegacyFormat: %v", err)
 	}
 }
 
@@ -552,30 +504,6 @@ func BenchmarkScoreUserF32(b *testing.B) {
 			mm.ScoreUser(i%model.NumUsers(), dst)
 		}
 	})
-}
-
-// TestOpenMappedModelTinyV1Fallback: a legacy v1 file smaller than the v2
-// header must still yield ErrLegacyFormat (not a size error), so serve's
-// fallback to the copying loader keeps working for tiny models.
-func TestOpenMappedModelTinyV1Fallback(t *testing.T) {
-	tiny := &Model{k: 1, users: 2, items: 2, fu: []float64{0.1, 0.2}, fi: []float64{0.3, 0.4}}
-	var buf bytes.Buffer
-	if _, err := tiny.WriteToV1(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() >= v2HeaderSize {
-		t.Fatalf("fixture not tiny: %d bytes", buf.Len())
-	}
-	path := filepath.Join(t.TempDir(), "tiny-v1.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenMappedModel(path); !errors.Is(err, ErrLegacyFormat) {
-		t.Fatalf("tiny v1 file: got %v, want ErrLegacyFormat", err)
-	}
-	if _, err := LoadModelFile(path); err != nil {
-		t.Fatalf("tiny v1 file must load through the copying reader: %v", err)
-	}
 }
 
 // TestMappedModelVerify: Verify runs the factor-domain and float32

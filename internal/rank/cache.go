@@ -162,36 +162,53 @@ func (c *ListCache) Len() int { return c.cache.len() }
 // a silently incomplete list. Errors are likewise never cached; the
 // returned slices are shared with the cache and must not be modified.
 func (c *ListCache) GetOrCompute(user, m int, fp string, compute func() (items []int, scores []float64, cacheable bool, err error)) (items []int, scores []float64, cached bool, err error) {
-	run := func() ([]int, []float64, bool, error) {
+	items, scores, cached, _, err = c.getOrCompute(requestKey{user: user, m: m, filters: fp}, func() ([]int, []float64, bool, error) {
 		c.stats.ranked.Add(1)
 		return compute()
-	}
+	})
+	return items, scores, cached, err
+}
+
+// getOrCompute is the cache-and-coalesce sequence itself — hit, share an
+// in-flight leader's result, or lead and publish — behind both
+// GetOrCompute and Engine.topM. coalesced tells a shared in-flight result
+// from a cache hit (both report cached). Counting a computation as ranked
+// is compute's business: the engine counts inside its rank pass.
+func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64, cacheable bool, err error)) (items []int, scores []float64, cached, coalesced bool, err error) {
 	if c.cache == nil {
 		c.stats.misses.Add(1)
-		items, scores, _, err = run()
-		return items, scores, false, err
+		items, scores, _, err = compute()
+		return items, scores, false, false, err
 	}
-	key := requestKey{user: user, m: m, filters: fp}
 	if items, scores, ok := c.cache.get(key); ok {
 		c.stats.hits.Add(1)
-		return items, scores, true, nil
+		return items, scores, true, false, nil
 	}
 	call, leader := c.flight.join(key)
 	if !leader {
 		<-call.done
 		if call.ok {
 			c.stats.coalesced.Add(1)
-			return call.items, call.scores, true, nil
+			return call.items, call.scores, true, true, nil
 		}
-		// The leader failed or produced an unshareable (degraded) result;
-		// compute independently.
+		// The leader failed, panicked or produced an unshareable (degraded)
+		// result; compute independently rather than inheriting its failure.
 		c.stats.misses.Add(1)
 		var cacheable bool
-		items, scores, cacheable, err = run()
+		items, scores, cacheable, err = compute()
 		if err == nil && cacheable {
 			c.cache.put(key, items, scores)
 		}
-		return items, scores, false, err
+		return items, scores, false, false, err
+	}
+	// A straggler can miss the cache, lose the CPU, and join only after
+	// the previous leader filled the cache and retired its call — it then
+	// leads a call nobody needs. Look again before computing, so one key is
+	// computed once however the scheduler interleaves its requests.
+	if items, scores, ok := c.cache.get(key); ok {
+		c.stats.hits.Add(1)
+		c.flight.publish(key, call, items, scores)
+		return items, scores, true, false, nil
 	}
 	c.stats.misses.Add(1)
 	published := false
@@ -201,14 +218,14 @@ func (c *ListCache) GetOrCompute(user, m int, fp string, compute func() (items [
 		}
 	}()
 	var cacheable bool
-	items, scores, cacheable, err = run()
+	items, scores, cacheable, err = compute()
 	if err != nil || !cacheable {
-		return items, scores, false, err
+		return items, scores, false, false, err
 	}
 	c.cache.put(key, items, scores)
 	c.flight.publish(key, call, items, scores)
 	published = true
-	return items, scores, false, nil
+	return items, scores, false, false, nil
 }
 
 // len returns the total number of cached entries.

@@ -79,9 +79,7 @@ func (s *Stats) Ranked() int64 { return s.ranked.Load() }
 // cache invalidation wholesale and race-free.
 type Engine struct {
 	scorer Scorer
-	cache  *topCache
-	flight flightGroup
-	stats  *Stats
+	lists  ListCache // cache, singleflight and counters of the ranked lists
 	bufs   sync.Pool // *[]float64 of length scorer.NumItems()
 }
 
@@ -93,16 +91,15 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	}
 	return &Engine{
 		scorer: scorer,
-		cache:  newTopCache(cfg.CacheSize, cfg.CacheShards),
-		stats:  stats,
+		lists:  ListCache{cache: newTopCache(cfg.CacheSize, cfg.CacheShards), stats: stats},
 	}
 }
 
 // Stats returns the engine's counters.
-func (e *Engine) Stats() *Stats { return e.stats }
+func (e *Engine) Stats() *Stats { return e.lists.stats }
 
 // CacheLen returns the number of cached top-M lists.
-func (e *Engine) CacheLen() int { return e.cache.len() }
+func (e *Engine) CacheLen() int { return e.lists.Len() }
 
 // TopM returns the top-m items for user u, with their scores, among the
 // candidates surviving the filters — the cached, coalesced entry point of
@@ -132,48 +129,19 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 	flat := flatten(filters)
 	score := func(dst []float64) { e.scorer.ScoreUser(u, dst) }
 	fp, cacheable := fingerprintStaged(flat, stages)
-	if !cacheable || e.cache == nil {
-		e.stats.misses.Add(1)
+	if !cacheable {
+		e.lists.stats.misses.Add(1)
 		items, scores = e.rankStaged(score, m, flat, stages, tm)
 		return items, scores, false
 	}
-	key := requestKey{user: u, m: m, filters: fp}
-	if items, scores, ok := e.cache.get(key); ok {
-		e.stats.hits.Add(1)
-		if tm != nil {
-			tm.Cached = true
-		}
-		return items, scores, true
+	items, scores, cached, coalesced, _ := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64, bool, error) {
+		items, scores := e.rankStaged(score, m, flat, stages, tm)
+		return items, scores, true, nil
+	})
+	if tm != nil && cached {
+		tm.Cached, tm.Coalesced = true, coalesced
 	}
-	c, leader := e.flight.join(key)
-	if !leader {
-		<-c.done
-		if c.ok {
-			e.stats.coalesced.Add(1)
-			if tm != nil {
-				tm.Cached, tm.Coalesced = true, true
-			}
-			return c.items, c.scores, true
-		}
-		// The leader failed to publish (it panicked); fall back to an
-		// uncoalesced computation rather than propagating its failure.
-		e.stats.misses.Add(1)
-		items, scores = e.rankStaged(score, m, flat, stages, tm)
-		e.cache.put(key, items, scores)
-		return items, scores, false
-	}
-	e.stats.misses.Add(1)
-	published := false
-	defer func() {
-		if !published {
-			e.flight.abandon(key, c)
-		}
-	}()
-	items, scores = e.rankStaged(score, m, flat, stages, tm)
-	e.cache.put(key, items, scores)
-	e.flight.publish(key, c, items, scores)
-	published = true
-	return items, scores, false
+	return items, scores, cached
 }
 
 // Rank runs the pipeline with a caller-supplied scoring function — the
@@ -197,7 +165,7 @@ func (e *Engine) RankStaged(score func(dst []float64), m int, stages []Stage, fi
 // non-nil tm receives the score and (fused) filter+select wall times;
 // nil skips the clock reads entirely.
 func (e *Engine) rank(score func(dst []float64), m int, flat []Filter, tm *Timings) ([]int, []float64) {
-	e.stats.ranked.Add(1)
+	e.lists.stats.ranked.Add(1)
 	buf := e.getBuf()
 	var t0 time.Time
 	if tm != nil {

@@ -124,7 +124,7 @@ func (g *Gate) Wrap(h func(http.ResponseWriter, *http.Request) int) func(http.Re
 		release, ok := g.Acquire(r.Context())
 		if !ok {
 			w.Header().Set("Retry-After", "1")
-			return writeError(w, http.StatusTooManyRequests, "overloaded: admission queue full")
+			return WriteError(w, http.StatusTooManyRequests, "overloaded: admission queue full")
 		}
 		defer release()
 		return h(w, r)

@@ -316,20 +316,6 @@ func TestBatchBinaryMetricsCounters(t *testing.T) {
 	}
 }
 
-// TestBatchBinaryDisabled: -binary-batch=false removes the endpoint
-// entirely; the JSON surface is untouched.
-func TestBatchBinaryDisabled(t *testing.T) {
-	_, ts, _, _ := newTestServer(t, Config{DisableBinaryBatch: true})
-	st, _, _ := postFrame(t, ts.URL+"/v2/batch", &wire.BatchRequest{M: 5, Users: []uint32{1}})
-	if st != http.StatusNotFound {
-		t.Fatalf("disabled endpoint: status %d, want 404", st)
-	}
-	var js BatchResponse
-	if st := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Users: []int{1}, M: 5}, &js); st != 200 {
-		t.Fatalf("JSON batch with binary disabled: status %d", st)
-	}
-}
-
 // TestShardTopMBinaryMatchesJSON: the binary shard endpoint returns the
 // JSON shard partial bit-identically — items rebased to global ids,
 // shard range and model version in the header — and enforces the same

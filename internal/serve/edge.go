@@ -1,0 +1,329 @@
+package serve
+
+import (
+	"encoding/json"
+	"errors"
+	"expvar"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/wire"
+)
+
+// The HTTP edge: the plumbing ocular-serve and ocular-router run
+// identically, written once and mounted by both. It owns body decoding
+// for both codecs (JSON with the size / unknown-field / single-value
+// rules, frames with recompute-and-reject), the list-length clamp, the
+// response writers, and the per-endpoint instrumentation. Endpoints are a
+// codec-agnostic pipeline function between an edge decode and an edge
+// write; error responses are JSON on both codecs, only 200s carry frames.
+
+// FrameContentType identifies a binary batch frame in an HTTP body.
+const FrameContentType = "application/x-ocular-frame"
+
+// Edge carries the limits and counters of one binary's HTTP surface.
+type Edge struct {
+	who     string // names the limits' owner in rejections: "server", "router"
+	maxBody int64
+	maxM    int
+	tracer  *obs.Tracer // nil when tracing is disabled
+	// endpoints holds one log-scale latency histogram per instrumented
+	// endpoint: count, error count, sum and buckets all read from the same
+	// drained cell, so the derived mean and the interpolated p50/p95/p99
+	// can never mix a fresh count with a stale sum mid-burst.
+	endpoints map[string]*obs.Histogram
+	inFlight  expvar.Int
+	requests  expvar.Int
+	errors    expvar.Int
+	// writeErrors counts response writes that failed (client gone, broken
+	// pipe) — the encoder errors WriteJSON and WriteFrame otherwise discard.
+	writeErrors expvar.Int
+	// frames tracks the binary columnar transport separately from the
+	// per-endpoint histograms, so the JSON/binary split is observable:
+	// users is the summed batch fan-out, bytesOut the frame bytes written,
+	// and decodeRejects the frames refused (bad magic, version, flags,
+	// layout, or fields the endpoint does not take) — the counter to watch
+	// when a client upgrade goes wrong.
+	frames struct {
+		requests      expvar.Int
+		users         expvar.Int
+		bytesOut      expvar.Int
+		decodeRejects expvar.Int
+	}
+}
+
+// NewEdge builds the edge of one binary. maxBody and maxM must already be
+// defaulted and positive; every name later passed to Instrument must be
+// listed in endpoints.
+func NewEdge(who string, maxBody int64, maxM int, tracer *obs.Tracer, endpoints []string) *Edge {
+	e := &Edge{who: who, maxBody: maxBody, maxM: maxM, tracer: tracer,
+		endpoints: make(map[string]*obs.Histogram, len(endpoints))}
+	for _, name := range endpoints {
+		e.endpoints[name] = &obs.Histogram{}
+	}
+	return e
+}
+
+// NewTracer builds the recent-traces ring from the TraceRing/TraceSlow/
+// TraceLog config triple both binaries expose: ring 0 means 256, negative
+// disables tracing (nil tracer).
+func NewTracer(ring int, slow time.Duration, log *slog.Logger) *obs.Tracer {
+	if ring == 0 {
+		ring = 256
+	}
+	return obs.NewTracer(ring, slow, log)
+}
+
+// Requests and Errors count instrumented requests and those answered
+// with a status >= 400; InFlight is the number currently in a handler.
+func (e *Edge) Requests() int64 { return e.requests.Value() }
+func (e *Edge) Errors() int64   { return e.errors.Value() }
+func (e *Edge) InFlight() int64 { return e.inFlight.Value() }
+
+// Snapshot adds the edge's rows to a /metrics tree. obs.Labeled keeps
+// the JSON view identical while naming the endpoint label for the
+// Prometheus exposition.
+func (e *Edge) Snapshot(out map[string]any) {
+	eps := make(map[string]map[string]any, len(e.endpoints))
+	for name, h := range e.endpoints {
+		eps[name] = obs.EndpointSnapshot(h)
+	}
+	out["endpoints"] = obs.Labeled{Label: "endpoint", Rows: eps}
+	out["response_write_errors"] = e.writeErrors.Value()
+	out["batch_binary"] = map[string]any{
+		"requests":       e.frames.requests.Value(),
+		"users":          e.frames.users.Value(),
+		"bytes_out":      e.frames.bytesOut.Value(),
+		"decode_rejects": e.frames.decodeRejects.Value(),
+	}
+}
+
+// untraced endpoints never produce trace records: health probes and
+// metrics scrapes would otherwise flush every interesting trace out of
+// the ring within one scrape interval.
+var untraced = map[string]bool{
+	"healthz": true, "readyz": true, "metrics": true, "debug_traces": true,
+}
+
+// countingWriter wraps the response writer to count failed writes —
+// once per request, however many Write calls the encoder makes.
+type countingWriter struct {
+	http.ResponseWriter
+	errs   *expvar.Int
+	failed bool
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.ResponseWriter.Write(p)
+	if err != nil && !cw.failed {
+		cw.failed = true
+		cw.errs.Add(1)
+	}
+	return n, err
+}
+
+// Instrument wraps an endpoint handler with request and error counting,
+// latency observation, in-flight tracking, failed-write counting and —
+// for the data endpoints — request tracing: the trace header is adopted
+// or minted, echoed in the response, and the recorder rides the request
+// context so pipeline hooks can attach spans (and the router propagates
+// the ID to every shard call).
+func (e *Edge) Instrument(name string, h func(w http.ResponseWriter, r *http.Request) int) http.HandlerFunc {
+	em := e.endpoints[name]
+	traced := !untraced[name]
+	return func(w http.ResponseWriter, r *http.Request) {
+		e.requests.Add(1)
+		e.inFlight.Add(1)
+		var act *obs.Active
+		if traced {
+			if act = e.tracer.Start(name, r.Header.Get(obs.TraceHeader)); act != nil {
+				r = r.WithContext(obs.WithActive(r.Context(), act))
+				w.Header().Set(obs.TraceHeader, act.ID())
+			}
+		}
+		cw := &countingWriter{ResponseWriter: w, errs: &e.writeErrors}
+		start := time.Now()
+		// net/http recovers handler panics per-connection; the deferred
+		// observation keeps the in-flight gauge, histogram and trace ring
+		// honest even then (a panic is recorded as a 500).
+		status := http.StatusInternalServerError
+		defer func() {
+			em.Observe(time.Since(start), status >= 400)
+			e.tracer.Finish(act, status)
+			if status >= 400 {
+				e.errors.Add(1)
+			}
+			e.inFlight.Add(-1)
+		}()
+		status = h(cw, r)
+	}
+}
+
+// HandleDebugTraces serves the recent-traces ring, oldest first. With
+// tracing disabled the list is empty rather than the route missing, so
+// operators can tell "off" from "no traffic".
+func (e *Edge) HandleDebugTraces(w http.ResponseWriter, r *http.Request) int {
+	return WriteJSON(w, http.StatusOK, map[string]any{"traces": e.tracer.Traces()})
+}
+
+// bodyError names a failed body read: a tripped size cap keeps its own
+// message, whatever the decoder was doing when it hit.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
+	}
+	return fmt.Errorf("bad request body: %v", err)
+}
+
+// DecodeJSON reads the request body as JSON into v, enforcing the body
+// size cap, rejecting unknown fields (catching misspelled parameters
+// early), and requiring the body to be exactly one JSON value: a
+// concatenated second request would otherwise be silently ignored,
+// masking client framing bugs.
+func (e *Edge) DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, e.maxBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return bodyError(err)
+	}
+	// Only io.EOF here proves the first value consumed the whole body
+	// (trailing whitespace aside); anything else is trailing data — except
+	// a tripped size cap.
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return bodyError(err)
+		}
+		return errors.New("request body must be a single JSON value (trailing data rejected)")
+	}
+	return nil
+}
+
+// ClampM applies the default and ceiling to a requested list length.
+func (e *Edge) ClampM(m int) (int, error) {
+	switch {
+	case m == 0:
+		return min(10, e.maxM), nil
+	case m < 0:
+		return 0, fmt.Errorf("m must be positive, got %d", m)
+	case m > e.maxM:
+		return 0, fmt.Errorf("m=%d exceeds the %s cap of %d", m, e.who, e.maxM)
+	}
+	return m, nil
+}
+
+// WriteJSON encodes v with status code, reporting the status back to the
+// instrumentation wrapper. Write failures are counted by the
+// instrumentation's response writer rather than inspected here.
+func WriteJSON(w http.ResponseWriter, status int, v any) int {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(v)
+	return status
+}
+
+// WriteError encodes {"error": msg} with the given status.
+func WriteError(w http.ResponseWriter, status int, msg string) int {
+	return WriteJSON(w, status, map[string]string{"error": msg})
+}
+
+// WriteErrorCode encodes {"code": code, "error": msg} — the
+// machine-readable error shape (e.g. "unknown_tenant", "bad_frame"), so
+// clients branch on a stable code, not a message.
+func WriteErrorCode(w http.ResponseWriter, status int, code, msg string) int {
+	return WriteJSON(w, status, map[string]string{"code": code, "error": msg})
+}
+
+// FrameScratch is the pooled workspace of one frame request: the body
+// read, the decoded frame (aliasing the body), its translation into the
+// JSON handlers' request shape, and the encoded response all live here,
+// so a warm frame request allocates only what the ranking itself does.
+type FrameScratch struct {
+	body    []byte
+	Req     wire.BatchRequest
+	users   []int
+	exclude []int
+	spec    FilterSpec
+	batch   BatchRequest
+	out     []byte
+}
+
+// ReadFrame reads and decodes one request frame under the body cap,
+// reporting rejects to the decode counter. On !ok the rejection has
+// already been written to w, with its status returned.
+func (e *Edge) ReadFrame(w http.ResponseWriter, r *http.Request, fs *FrameScratch) (status int, ok bool) {
+	body, err := wire.AppendAll(fs.body[:0], http.MaxBytesReader(w, r.Body, e.maxBody))
+	fs.body = body
+	if err != nil {
+		return WriteError(w, http.StatusBadRequest, bodyError(err).Error()), false
+	}
+	if err := wire.DecodeBatchRequest(body, &fs.Req); err != nil {
+		return e.BadFrame(w, err.Error()), false
+	}
+	return 0, true
+}
+
+// BadFrame refuses a frame — one failing wire validation, or a valid one
+// carrying fields the endpoint does not take — with the stable error code
+// "bad_frame", and counts it.
+func (e *Edge) BadFrame(w http.ResponseWriter, msg string) int {
+	e.frames.decodeRejects.Add(1)
+	return WriteErrorCode(w, http.StatusBadRequest, "bad_frame", msg)
+}
+
+// BatchRequest translates the decoded frame into the request shape the
+// JSON codec decodes into — the one type the batch pipelines take —
+// reusing the scratch. ExpectVersion has no place in it; /v2/batch
+// refuses a frame that sets it.
+func (fs *FrameScratch) BatchRequest() *BatchRequest {
+	fs.users = fs.users[:0]
+	for _, u := range fs.Req.Users {
+		fs.users = append(fs.users, int(u))
+	}
+	exclude, filter := fs.excludeAndFilter()
+	fs.batch = BatchRequest{Users: fs.users, M: int(fs.Req.M), ExcludeItems: exclude, Filter: filter, Tenant: fs.Req.Tenant}
+	return &fs.batch
+}
+
+// ShardRequest translates a decoded one-user frame into the request the
+// JSON shard codec decodes into; the caller has checked len(Req.Users).
+func (fs *FrameScratch) ShardRequest() ShardTopMRequest {
+	exclude, filter := fs.excludeAndFilter()
+	return ShardTopMRequest{
+		User: int(fs.Req.Users[0]), M: int(fs.Req.M),
+		ExcludeItems: exclude, Filter: filter, ExpectVersion: fs.Req.ExpectVersion,
+	}
+}
+
+// excludeAndFilter is the part of a frame both request shapes share.
+func (fs *FrameScratch) excludeAndFilter() ([]int, *FilterSpec) {
+	fs.exclude = fs.exclude[:0]
+	for _, x := range fs.Req.Exclude {
+		fs.exclude = append(fs.exclude, int(x))
+	}
+	if len(fs.Req.AllowTags) == 0 && len(fs.Req.DenyTags) == 0 {
+		return fs.exclude, nil
+	}
+	fs.spec = FilterSpec{AllowTags: fs.Req.AllowTags, DenyTags: fs.Req.DenyTags}
+	return fs.exclude, &fs.spec
+}
+
+// WriteFrame encodes resp into the pooled output buffer, feeds the
+// transport counters and writes the frame in one Write call.
+func (e *Edge) WriteFrame(w http.ResponseWriter, fs *FrameScratch, resp *wire.BatchResponse) int {
+	fs.out = wire.AppendBatchResponse(fs.out[:0], resp)
+	e.frames.requests.Add(1)
+	e.frames.users.Add(int64(len(resp.Counts)))
+	e.frames.bytesOut.Add(int64(len(fs.out)))
+	w.Header().Set("Content-Type", FrameContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(fs.out)
+	return http.StatusOK
+}

@@ -8,13 +8,11 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/explain"
 	"repro/internal/feed"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rank"
 )
 
@@ -29,68 +27,44 @@ func (s *Server) buildMux() *http.ServeMux {
 	// control-plane endpoints (ingest, reload, health, metrics) are never
 	// shed — an overloaded server must stay observable and reloadable.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", s.metrics.instrument("recommend", s.gate.Wrap(s.handleRecommend)))
-	mux.HandleFunc("POST /v1/foldin", s.metrics.instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
-	mux.HandleFunc("POST /v1/explain", s.metrics.instrument("explain", s.gate.Wrap(s.handleExplain)))
-	mux.HandleFunc("POST /v1/batch", s.metrics.instrument("batch", s.gate.Wrap(s.handleBatch)))
-	if !s.cfg.DisableBinaryBatch {
-		mux.HandleFunc("POST /v2/batch", s.metrics.instrument("batch_binary", s.gate.Wrap(s.handleBatchBinary)))
-	}
-	mux.HandleFunc("POST /v1/ingest", s.metrics.instrument("ingest", s.handleIngest))
-	mux.HandleFunc("POST /v1/reload", s.metrics.instrument("reload", s.handleReload))
-	mux.HandleFunc("GET /healthz", s.metrics.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.metrics.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET /metrics", s.metrics.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.metrics.instrument("debug_traces", s.handleDebugTraces))
+	mux.HandleFunc("POST /v1/recommend", s.edge.Instrument("recommend", s.gate.Wrap(s.handleRecommend)))
+	mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
+	mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.gate.Wrap(s.handleExplain)))
+	mux.HandleFunc("POST /v1/batch", s.edge.Instrument("batch", s.gate.Wrap(s.handleBatch)))
+	mux.HandleFunc("POST /v2/batch", s.edge.Instrument("batch_binary", s.gate.Wrap(s.handleBatchFrame)))
+	mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))
+	s.mountControl(mux)
 	return mux
 }
 
-// decode reads the request body as JSON into v, enforcing the body size cap,
-// rejecting unknown fields (catching misspelled parameters early), and
-// requiring the body to be exactly one JSON value: a concatenated second
-// request would otherwise be silently ignored, masking client framing bugs.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return fmt.Errorf("bad request body: %v", err)
-	}
-	// Only io.EOF here proves the first value consumed the whole body
-	// (trailing whitespace aside); anything else is trailing data — except
-	// a tripped size cap, which keeps its own message.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
-		}
-		return errors.New("request body must be a single JSON value (trailing data rejected)")
-	}
-	return nil
+// mountControl mounts the control-plane endpoints full and shard servers
+// share. None is gated: reload, health, readiness and metrics must keep
+// working on an overloaded process.
+func (s *Server) mountControl(mux *http.ServeMux) {
+	mux.HandleFunc("POST /v1/reload", s.edge.Instrument("reload", s.handleReload))
+	mux.HandleFunc("GET /healthz", s.edge.Instrument("healthz", s.handleHealthz))
+	mux.HandleFunc("GET /readyz", s.edge.Instrument("readyz", s.handleReadyz))
+	mux.HandleFunc("GET /metrics", s.edge.Instrument("metrics", s.handleMetrics))
+	mux.HandleFunc("GET /debug/traces", s.edge.Instrument("debug_traces", s.edge.HandleDebugTraces))
 }
 
-// clampM applies the default and ceiling to a requested list length.
-// Construction (newServer) guarantees MaxM >= 1; the guard below keeps a
-// future misconfiguration from silently serving empty lists with HTTP 200.
-func (s *Server) clampM(m int) (int, error) {
-	if s.cfg.MaxM <= 0 {
-		return 0, fmt.Errorf("server misconfigured: MaxM=%d", s.cfg.MaxM)
+// apiError is a rejection a pipeline function hands back to its codec.
+// Both codecs answer it the same way: error responses are always JSON.
+type apiError struct {
+	status int
+	code   string // stable machine-readable code; empty for plain errors
+	msg    string
+}
+
+func badRequest(err error) *apiError {
+	return &apiError{status: http.StatusBadRequest, msg: err.Error()}
+}
+
+func (e *apiError) write(w http.ResponseWriter) int {
+	if e.code != "" {
+		return WriteErrorCode(w, e.status, e.code, e.msg)
 	}
-	switch {
-	case m == 0:
-		if s.cfg.MaxM < 10 {
-			return s.cfg.MaxM, nil
-		}
-		return 10, nil
-	case m < 0:
-		return 0, fmt.Errorf("m must be positive, got %d", m)
-	case m > s.cfg.MaxM:
-		return 0, fmt.Errorf("m=%d exceeds the server cap of %d", m, s.cfg.MaxM)
-	}
-	return m, nil
+	return WriteError(w, e.status, e.msg)
 }
 
 // ScoredItem is one ranked recommendation.
@@ -99,7 +73,8 @@ type ScoredItem struct {
 	Score float64 `json:"score"`
 }
 
-func zipScored(items []int, scores []float64) []ScoredItem {
+// ZipScored pairs a ranked list's parallel item and score slices.
+func ZipScored(items []int, scores []float64) []ScoredItem {
 	out := make([]ScoredItem, len(items))
 	for n := range items {
 		out[n] = ScoredItem{Item: items[n], Score: scores[n]}
@@ -187,42 +162,28 @@ type RecommendResponse struct {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) int {
 	var req RecommendRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	m, err := s.clampM(req.M)
+	m, err := s.edge.ClampM(req.M)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	rt, err := s.resolve(req.Tenant, req.User)
 	if err != nil {
-		return writeErrorCode(w, http.StatusNotFound, "unknown_tenant", err.Error())
+		return WriteErrorCode(w, http.StatusNotFound, "unknown_tenant", err.Error())
 	}
 	extra, err := s.requestFilters(rt.sn, req.ExcludeItems, req.Filter)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	resp, err := s.recommendOne(obs.ActiveFrom(r.Context()), rt, req.User, m, extra)
+	items, scores, cached, err := s.rankOne(obs.ActiveFrom(r.Context()), rt, req.User, m, extra)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-// recommendOne serves one user's top-m list through the routed snapshot's
-// ranking engine, composing the user's training-row exclusion with the
-// request's extra filters and the snapshot's stage config; m must already
-// be clamped. On tenant-routed requests it also feeds the arm's counters
-// and, when the user is in the tenant's shadow sample, launches the
-// off-path shadow comparison.
-func (s *Server) recommendOne(act *obs.Active, rt route, user, m int, extra []rank.Filter) (RecommendResponse, error) {
-	items, scores, cached, err := s.rankOne(act, rt, user, m, extra)
-	if err != nil {
-		return RecommendResponse{}, err
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	resp := RecommendResponse{
-		User:         user,
-		Items:        zipScored(items, scores),
+		User:         req.User,
+		Items:        ZipScored(items, scores),
 		Cached:       cached,
 		ModelVersion: rt.sn.version,
 	}
@@ -232,34 +193,36 @@ func (s *Server) recommendOne(act *obs.Active, rt route, user, m int, extra []ra
 		resp.Arm = a.name
 		resp.Model = a.model.name
 	}
-	return resp, nil
+	return WriteJSON(w, http.StatusOK, resp)
 }
 
-// rankOne is the transport-agnostic core of recommendOne: rank one routed
-// user and return the engine's cache-shared slices (read-only for the
-// caller), leaving response shaping — JSON structs or binary columns —
-// to the transport. Arm counters and the shadow sample fire here so both
-// transports feed the same observability. A non-nil act (the request is
-// traced) records the rank pipeline's per-stage spans.
+// rankOne is the one rank call under every known-user endpoint — single
+// and batch, either codec, full server, registry arm or shard: rank one
+// routed user through the snapshot's engine and stage config (m must
+// already be clamped) and return the engine's cache-shared slices
+// (read-only for the caller), leaving response shaping to the codec. On
+// tenant-routed requests it feeds the arm's counters and, when the user
+// is in the tenant's shadow sample, launches the off-path shadow
+// comparison — here, so every transport feeds the same observability. A non-nil act (the request is traced) records the rank
+// pipeline's per-stage spans.
 func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Filter) (items []int, scores []float64, cached bool, err error) {
 	sn := rt.sn
-	if user < 0 || user >= sn.model.NumUsers() {
+	if user < 0 || user >= sn.numUsers() {
 		if rt.arm != nil {
 			rt.arm.errors.Add(1)
 		}
-		return nil, nil, false, fmt.Errorf("user %d out of range (%d users)", user, sn.model.NumUsers())
+		return nil, nil, false, fmt.Errorf("user %d out of range (%d users)", user, sn.numUsers())
 	}
-	filters := make([]rank.Filter, 0, len(extra)+1)
-	filters = append(filters, rank.TrainRow(sn.train, user))
-	filters = append(filters, extra...)
+	var (
+		timings rank.Timings
+		tm      *rank.Timings // nil = untimed: no clock reads on the hot path
+		start   time.Time
+	)
 	if act != nil {
-		var tm rank.Timings
-		start := time.Now()
-		items, scores, cached = sn.engine.TopMStagedTimed(user, m, sn.stages, &tm, filters...)
-		recordRankSpans(act, start, &tm)
-	} else {
-		items, scores, cached = sn.engine.TopMStaged(user, m, sn.stages, filters...)
+		tm, start = &timings, time.Now()
 	}
+	items, scores, cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, userFilters(sn, user, extra)...)
+	recordRankSpans(act, start, tm)
 	if a := rt.arm; a != nil {
 		a.requests.Add(1)
 		if sh := rt.tenant.shadow; sh != nil {
@@ -267,6 +230,23 @@ func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Fi
 		}
 	}
 	return items, scores, cached, nil
+}
+
+// userFilters composes one user's filter stack: the training-row
+// exclusion (the offline evaluation protocol, kept on shards too) plus
+// the request's extra filters — on a shard, rebased into the partition's
+// local index space.
+func userFilters(sn *snapshot, user int, extra []rank.Filter) []rank.Filter {
+	filters := make([]rank.Filter, 0, len(extra)+1)
+	filters = append(filters, rank.TrainRow(sn.train, user))
+	filters = append(filters, extra...)
+	if sn.rng != nil {
+		lo, hi := sn.rng.ItemLo(), sn.rng.ItemHi()
+		for n, f := range filters {
+			filters[n] = rank.OffsetRange(f, lo, hi)
+		}
+	}
+	return filters
 }
 
 // FoldInRequest asks for cold-start recommendations: the item history of a
@@ -326,33 +306,33 @@ func canonicalHistory(items []int, numItems int) ([]int, error) {
 
 func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) int {
 	var req FoldInRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	m, err := s.clampM(req.M)
+	m, err := s.edge.ClampM(req.M)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	if len(req.Items) == 0 {
-		return writeError(w, http.StatusBadRequest, "items must be a non-empty item history")
+		return WriteError(w, http.StatusBadRequest, "items must be a non-empty item history")
 	}
 	sn := s.snap.Load()
 	history, err := canonicalHistory(req.Items, sn.model.NumItems())
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	if len(history) == 0 {
-		return writeError(w, http.StatusBadRequest, fmt.Sprintf(
+		return WriteError(w, http.StatusBadRequest, fmt.Sprintf(
 			"no history item is within the served catalogue of %d items (a zero-signal fold-in would score every item identically)",
 			sn.model.NumItems()))
 	}
 	filters, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	factor, bias, err := sn.model.FoldInUser(history, s.cfg.FoldIn)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	// The history is excluded through an engine filter (its sorted walk),
 	// not a one-row sparse matrix built per request.
@@ -360,10 +340,10 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) int {
 	items, scores := sn.engine.Rank(func(dst []float64) {
 		sn.scorer.ScoreWithFactor(factor, bias, dst)
 	}, m, filters...)
-	return writeJSON(w, http.StatusOK, FoldInResponse{
+	return WriteJSON(w, http.StatusOK, FoldInResponse{
 		Factor:       factor,
 		Bias:         bias,
-		Items:        zipScored(items, scores),
+		Items:        ZipScored(items, scores),
 		ModelVersion: sn.version,
 	})
 }
@@ -396,20 +376,20 @@ type ExplainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) int {
 	var req ExplainRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	sn := s.snap.Load()
 	if req.User < 0 || req.User >= sn.model.NumUsers() {
-		return writeError(w, http.StatusBadRequest,
+		return WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("user %d out of range (%d users)", req.User, sn.model.NumUsers()))
 	}
 	if req.Item < 0 || req.Item >= sn.model.NumItems() {
-		return writeError(w, http.StatusBadRequest,
+		return WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("item %d out of range (%d items)", req.Item, sn.model.NumItems()))
 	}
 	if req.MaxPeers < 0 {
-		return writeError(w, http.StatusBadRequest, "max_peers must be non-negative")
+		return WriteError(w, http.StatusBadRequest, "max_peers must be non-negative")
 	}
 	ex := explain.Explain(sn.model, sn.train, req.User, req.Item,
 		explain.Options{MaxPeers: req.MaxPeers})
@@ -428,163 +408,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) int {
 			SharedItems:  reason.SharedItems,
 		}
 	}
-	return writeJSON(w, http.StatusOK, resp)
-}
-
-// BatchRequest asks for top-M lists of many users in one round trip.
-// ExcludeItems and Filter apply to every user in the batch. Tenant routes
-// the whole batch through the registry; each user still resolves to its
-// own arm (deterministic per-user hashing splits a batch across arms
-// exactly like single requests).
-type BatchRequest struct {
-	Users        []int       `json:"users"`
-	M            int         `json:"m,omitempty"`
-	ExcludeItems []int       `json:"exclude_items,omitempty"`
-	Filter       *FilterSpec `json:"filter,omitempty"`
-	Tenant       string      `json:"tenant,omitempty"`
-}
-
-// BatchResponse carries one result per requested user, in request order.
-// A user that fails validation gets an Error and an empty list; the other
-// users are still served.
-type BatchResponse struct {
-	Results      []BatchResult `json:"results"`
-	ModelVersion uint64        `json:"model_version"`
-}
-
-// BatchResult is one user's slot in a batch response. Arm and
-// ArmModelVersion appear only on tenant-routed batches, where different
-// users of one batch may land on different arms (so the top-level
-// ModelVersion — the default model's — does not describe them).
-type BatchResult struct {
-	User            int          `json:"user"`
-	Items           []ScoredItem `json:"items,omitempty"`
-	Cached          bool         `json:"cached,omitempty"`
-	Error           string       `json:"error,omitempty"`
-	Arm             string       `json:"arm,omitempty"`
-	ArmModelVersion uint64       `json:"arm_model_version,omitempty"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) int {
-	var req BatchRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	if len(req.Users) == 0 {
-		return writeError(w, http.StatusBadRequest, "users must be non-empty")
-	}
-	if len(req.Users) > s.cfg.MaxBatch {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d users exceeds the server cap of %d", len(req.Users), s.cfg.MaxBatch))
-	}
-	m, err := s.clampM(req.M)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	// Tenant validity is user-independent; reject an unknown tenant once,
-	// before fanning out (per-user resolve below then cannot fail).
-	defRt, err := s.resolve(req.Tenant, 0)
-	if err != nil {
-		return writeErrorCode(w, http.StatusNotFound, "unknown_tenant", err.Error())
-	}
-	sn := defRt.sn
-	var extra []rank.Filter
-	if req.Tenant == "" {
-		// Validate the shared filters once; the batch shares the result
-		// across users (filters are immutable and safe for concurrent use).
-		extra, err = s.requestFilters(sn, req.ExcludeItems, req.Filter)
-		if err != nil {
-			return writeError(w, http.StatusBadRequest, err.Error())
-		}
-	}
-	// Response structs and per-user item slices come from a pooled
-	// scratch: one flat ScoredItem buffer carved into per-user windows
-	// (disjoint, so the parallel fan-out below stays race-free), reused
-	// across requests so the steady-state batch path allocates neither
-	// results nor item slices.
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	results := sc.results(len(req.Users))
-	flat := sc.items(len(req.Users) * m)
-	// Per-user spans would drown a trace (and the ring's span cap) at
-	// batch sizes; the whole fan-out becomes one aggregate span instead,
-	// recorded below. rankOne therefore gets a nil recorder here.
-	serveUser := func(n int) {
-		u := req.Users[n]
-		rt, filters := defRt, extra
-		if req.Tenant != "" {
-			// Arms may serve different catalogues, so the filter set is
-			// validated against each user's own arm snapshot.
-			rt, _ = s.resolve(req.Tenant, u)
-			var ferr error
-			filters, ferr = s.requestFilters(rt.sn, req.ExcludeItems, req.Filter)
-			if ferr != nil {
-				results[n] = BatchResult{User: u, Error: ferr.Error(), Arm: rt.arm.name}
-				return
-			}
-		}
-		items, scores, cached, err := s.rankOne(nil, rt, u, m, filters)
-		if err != nil {
-			results[n] = BatchResult{User: u, Error: err.Error()}
-			if rt.arm != nil {
-				results[n].Arm = rt.arm.name
-			}
-			return
-		}
-		dst := flat[n*m : n*m : (n+1)*m]
-		for i := range items {
-			dst = append(dst, ScoredItem{Item: items[i], Score: scores[i]})
-		}
-		results[n] = BatchResult{User: u, Items: dst, Cached: cached}
-		if rt.arm != nil {
-			results[n].Arm = rt.arm.name
-			results[n].ArmModelVersion = rt.sn.version
-		}
-	}
-	act := obs.ActiveFrom(r.Context())
-	var bstart time.Time
-	if act != nil {
-		bstart = time.Now()
-	}
-	if len(req.Users) == 1 {
-		// Worker spin-up dominates a single-user batch; serve it inline.
-		serveUser(0)
-	} else {
-		parallel.For(len(req.Users), s.cfg.Workers, func(n int, _ *parallel.Scratch) {
-			serveUser(n)
-		})
-	}
-	if act != nil {
-		act.Record("batch_rank", bstart, time.Since(bstart), fmt.Sprintf("users=%d", len(req.Users)))
-	}
-	return writeJSON(w, http.StatusOK, BatchResponse{Results: results, ModelVersion: s.snap.Load().version})
-}
-
-// batchScratch is the pooled per-request backing store of a JSON batch
-// response: the result slots plus one flat ScoredItem buffer the slots'
-// item slices are carved from. Returned to the pool only after writeJSON
-// has serialized the response.
-type batchScratch struct {
-	res  []BatchResult
-	flat []ScoredItem
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (sc *batchScratch) results(n int) []BatchResult {
-	if cap(sc.res) < n {
-		sc.res = make([]BatchResult, n)
-	}
-	sc.res = sc.res[:n]
-	return sc.res
-}
-
-func (sc *batchScratch) items(n int) []ScoredItem {
-	if cap(sc.flat) < n {
-		sc.flat = make([]ScoredItem, n)
-	}
-	sc.flat = sc.flat[:n]
-	return sc.flat
+	return WriteJSON(w, http.StatusOK, resp)
 }
 
 // IngestEvent is one new positive example to append to the interaction
@@ -627,8 +451,8 @@ type IngestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	var req IngestRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	// Resolve the target feed first: the default log, or the tenant's own
 	// partition. Tagging events with the tenant happens by construction —
@@ -637,21 +461,21 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	fl := s.cfg.Feed
 	if req.Tenant != "" {
 		if s.registry == nil || s.registry.tenants[req.Tenant] == nil {
-			return writeErrorCode(w, http.StatusNotFound, "unknown_tenant",
+			return WriteErrorCode(w, http.StatusNotFound, "unknown_tenant",
 				unknownTenantError{tenant: req.Tenant}.Error())
 		}
 		fl = s.registry.tenants[req.Tenant].feed
 		if fl == nil {
-			return writeError(w, http.StatusServiceUnavailable,
+			return WriteError(w, http.StatusServiceUnavailable,
 				fmt.Sprintf("tenant %q has no feed partition (set feed_dir in the registry)", req.Tenant))
 		}
 	}
 	if fl == nil {
-		return writeError(w, http.StatusServiceUnavailable,
+		return WriteError(w, http.StatusServiceUnavailable,
 			"no interaction feed configured (start the server with -feed)")
 	}
 	if len(req.Items) > 0 && req.User == nil {
-		return writeError(w, http.StatusBadRequest, "items given without a user to attribute them to")
+		return WriteError(w, http.StatusBadRequest, "items given without a user to attribute them to")
 	}
 	// New ids may exceed the served catalogue — they name users and items
 	// the next retrained model will cover — but only within the growth
@@ -676,24 +500,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	}
 	for _, i := range req.Items {
 		if err := add(*req.User, i); err != nil {
-			return writeError(w, http.StatusBadRequest, err.Error())
+			return WriteError(w, http.StatusBadRequest, err.Error())
 		}
 	}
 	for _, e := range req.Events {
 		if e.User == nil || e.Item == nil {
-			return writeError(w, http.StatusBadRequest, "event missing user or item")
+			return WriteError(w, http.StatusBadRequest, "event missing user or item")
 		}
 		if err := add(*e.User, *e.Item); err != nil {
-			return writeError(w, http.StatusBadRequest, err.Error())
+			return WriteError(w, http.StatusBadRequest, err.Error())
 		}
 	}
 	if len(events) == 0 {
-		return writeError(w, http.StatusBadRequest, "no positives: pass items (with user) and/or events")
+		return WriteError(w, http.StatusBadRequest, "no positives: pass items (with user) and/or events")
 	}
 	if err := fl.Append(events...); err != nil {
-		return writeError(w, http.StatusInternalServerError, err.Error())
+		return WriteError(w, http.StatusInternalServerError, err.Error())
 	}
-	return writeJSON(w, http.StatusOK, IngestResponse{
+	return WriteJSON(w, http.StatusOK, IngestResponse{
 		Appended:      len(events),
 		FeedPositives: fl.Count(),
 		FeedSegments:  fl.Segments(),
@@ -727,7 +551,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	// stream an unbounded payload.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
-		return writeError(w, http.StatusBadRequest,
+		return WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
 	}
 	var req ReloadRequest
@@ -735,7 +559,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&req); err != nil {
-			return writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+			return WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		}
 	}
 	if req.Model != "" {
@@ -743,34 +567,31 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 		if err != nil {
 			var unknown unknownModelError
 			if errors.As(err, &unknown) {
-				return writeErrorCode(w, http.StatusNotFound, "unknown_model", err.Error())
+				return WriteErrorCode(w, http.StatusNotFound, "unknown_model", err.Error())
 			}
-			return writeError(w, http.StatusInternalServerError, err.Error())
+			return WriteError(w, http.StatusInternalServerError, err.Error())
 		}
-		sn := s.registry.models[req.Model].base.Load()
-		return writeJSON(w, http.StatusOK, ReloadResponse{
-			ModelVersion: version,
-			Model:        sn.model.String(),
-			Mapped:       sn.mapped != nil,
-			Float32:      sn.mapped != nil && sn.mapped.HasFloat32(),
-			Name:         req.Model,
-		})
+		resp := ReloadResponse{ModelVersion: version, Name: req.Model}
+		resp.Model, resp.Mapped, resp.Float32 = s.registry.models[req.Model].base.Load().servingMode()
+		return WriteJSON(w, http.StatusOK, resp)
 	}
 	if err := s.ReloadFromFile(); err != nil {
-		return writeError(w, http.StatusInternalServerError, err.Error())
+		return WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 	sn := s.snap.Load()
 	resp := ReloadResponse{ModelVersion: sn.version}
+	resp.Model, resp.Mapped, resp.Float32 = sn.servingMode()
+	return WriteJSON(w, http.StatusOK, resp)
+}
+
+// servingMode describes how a snapshot is served: the model's shape
+// string, whether it is scored straight out of an mmap, and whether
+// through the float32 section. Shard snapshots always are mapped.
+func (sn *snapshot) servingMode() (model string, mapped, float32Scoring bool) {
 	if sn.rng != nil {
-		resp.Model = sn.rng.String()
-		resp.Mapped = true
-		resp.Float32 = sn.rng.HasFloat32()
-	} else {
-		resp.Model = sn.model.String()
-		resp.Mapped = sn.mapped != nil
-		resp.Float32 = sn.mapped != nil && sn.mapped.HasFloat32()
+		return sn.rng.String(), true, sn.rng.HasFloat32()
 	}
-	return writeJSON(w, http.StatusOK, resp)
+	return sn.model.String(), sn.mapped != nil, sn.mapped != nil && sn.mapped.HasFloat32()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
@@ -780,13 +601,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		"model_version": sn.version,
 		"loaded_at":     sn.loadedAt.UTC().Format(time.RFC3339),
 	}
+	health["model"], health["mapped"], health["float32"] = sn.servingMode()
 	if sn.rng != nil {
 		// Shard health carries everything the router's Refresh needs to
 		// build its route table: catalogue shape, the item partition this
 		// shard owns, and the version history it can still serve.
-		health["model"] = sn.rng.String()
-		health["mapped"] = true
-		health["float32"] = sn.rng.HasFloat32()
 		health["users"] = sn.rng.NumUsers()
 		health["items"] = sn.rng.NumItems()
 		health["shard_lo"] = sn.rng.ItemLo()
@@ -794,10 +613,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		if prev := s.prev.Load(); prev != nil {
 			health["prev_version"] = prev.version
 		}
-	} else {
-		health["model"] = sn.model.String()
-		health["mapped"] = sn.mapped != nil
-		health["float32"] = sn.mapped != nil && sn.mapped.HasFloat32()
 	}
 	if s.cfg.Feed != nil {
 		health["feed_positives"] = s.cfg.Feed.Count()
@@ -807,7 +622,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		health["models"] = models
 		health["tenants"] = tenants
 	}
-	return writeJSON(w, http.StatusOK, health)
+	return WriteJSON(w, http.StatusOK, health)
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
@@ -818,12 +633,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // the router's prober can check the route table's pin against it.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
-		return writeJSON(w, http.StatusServiceUnavailable,
+		return WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "draining"})
 	}
 	sn := s.snap.Load()
 	if sn == nil {
-		return writeJSON(w, http.StatusServiceUnavailable,
+		return WriteJSON(w, http.StatusServiceUnavailable,
 			map[string]any{"ready": false, "reason": "no model installed yet"})
 	}
 	out := map[string]any{"ready": true, "model_version": sn.version}
@@ -834,7 +649,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 			out["prev_version"] = prev.version
 		}
 	}
-	return writeJSON(w, http.StatusOK, out)
+	return WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
@@ -848,12 +663,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if r.URL.Query().Get("format") == "prometheus" {
 		return obs.WriteExposition(w, out)
 	}
-	return writeJSON(w, http.StatusOK, out)
-}
-
-// handleDebugTraces serves the recent-traces ring, oldest first. With
-// tracing disabled the list is empty rather than the route missing, so
-// operators can tell "off" from "no traffic".
-func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) int {
-	return writeJSON(w, http.StatusOK, map[string]any{"traces": s.tracer.Traces()})
+	return WriteJSON(w, http.StatusOK, out)
 }

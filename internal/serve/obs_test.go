@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/rank"
 )
 
 // TestInstrumentPanicPath: a handler panic must still record a 500 in
@@ -19,8 +18,8 @@ import (
 // net/http recovers per connection, so a leaking gauge would drift up
 // forever on a flaky handler.
 func TestInstrumentPanicPath(t *testing.T) {
-	m := newMetrics([]string{"recommend"}, &rank.Stats{})
-	h := m.instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
+	m := NewEdge("server", 1<<20, 1000, nil, []string{"recommend"})
+	h := m.Instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
 		panic("boom")
 	})
 	func() {
@@ -48,11 +47,11 @@ func (f *failingWriter) WriteHeader(int)           {}
 func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
 
 func TestResponseWriteErrorsCounted(t *testing.T) {
-	m := newMetrics([]string{"recommend"}, &rank.Stats{})
-	h := m.instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
+	m := NewEdge("server", 1<<20, 1000, nil, []string{"recommend"})
+	h := m.Instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
 		// Two writes (the JSON encoder may flush repeatedly): the failed
 		// request must count once, not once per write.
-		return writeJSON(w, http.StatusOK, map[string]any{"a": strings.Repeat("x", 100)})
+		return WriteJSON(w, http.StatusOK, map[string]any{"a": strings.Repeat("x", 100)})
 	})
 	h(&failingWriter{h: http.Header{}}, httptest.NewRequest("POST", "/v1/recommend", nil))
 	h(&failingWriter{h: http.Header{}}, httptest.NewRequest("POST", "/v1/recommend", nil))

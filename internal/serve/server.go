@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,13 +27,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feed"
-	"repro/internal/obs"
 	"repro/internal/rank"
 	"repro/internal/sparse"
 )
 
 // Config tunes a Server. The zero value serves with defaults (cache of
-// 4096 lists, all-core batch fan-out, no exclusion matrix).
+// 4096 lists, no per-batch fan-out, no exclusion matrix).
 type Config struct {
 	// ModelPath is the serialized model file re-read by Reload and the
 	// /v1/reload endpoint. Empty disables file reloads (the initial model
@@ -67,7 +65,9 @@ type Config struct {
 	// power of two). 0 means 16.
 	CacheShards int
 	// Workers bounds the per-request fan-out of /v1/batch. 0 means all
-	// cores.
+	// cores. /v2/batch, the small-batch hot transport, fans out only when
+	// Workers > 1 (at 0 it ranks on the request's goroutine: a fan-out per
+	// frame measured +11 B/user against a 5% allocation bound).
 	Workers int
 	// MaxM caps the requested list length m. 0 means 1000.
 	MaxM int
@@ -123,11 +123,6 @@ type Config struct {
 	// (the router owns the fingerprint cache) and take no Feed.
 	ShardLo int
 	ShardHi int
-	// DisableBinaryBatch removes the binary columnar batch endpoints
-	// (POST /v2/batch, and POST /v2/shard/topm in shard mode) from the
-	// mux. The zero value serves them: the binary transport changes no
-	// JSON semantics and costs nothing when unused.
-	DisableBinaryBatch bool
 	// TraceRing is the capacity of the recent-traces ring behind
 	// GET /debug/traces. 0 means 256; negative disables request tracing
 	// entirely (the endpoint then serves an empty list).
@@ -238,19 +233,21 @@ type Server struct {
 	// shadows. The maps are immutable after construction; per-model and
 	// per-arm snapshots swap atomically under reloadMu.
 	registry *registry
-	// tracer records per-request traces for /debug/traces; nil when
-	// Config.TraceRing is negative (tracing disabled).
-	tracer *obs.Tracer
+	// edge is the HTTP plumbing shared with the router: body decoding,
+	// clamping, response writers, per-endpoint instrumentation and the
+	// request tracer (disabled when Config.TraceRing is negative).
+	edge *Edge
 }
 
-// newTracer builds the server's tracer from the config: default ring
-// of 256, negative TraceRing disables.
-func newTracer(cfg Config) *obs.Tracer {
-	ring := cfg.TraceRing
-	if ring == 0 {
-		ring = 256
-	}
-	return obs.NewTracer(ring, cfg.TraceSlow, cfg.TraceLog)
+// newBase builds the parts full and shard servers share — admission
+// gate, edge, metrics — around a configuration checkLimits has passed.
+func newBase(cfg Config) *Server {
+	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
+	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
+	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM,
+		NewTracer(cfg.TraceRing, cfg.TraceSlow, cfg.TraceLog), endpointNames)
+	s.metrics = &Metrics{start: time.Now(), edge: s.edge, rank: s.rankStats}
+	return s
 }
 
 // New builds a Server serving model. The model must match cfg.Train's
@@ -285,7 +282,7 @@ func checkLimits(cfg Config) (Config, error) {
 	}
 	cfg = cfg.withDefaults()
 	// withDefaults must leave every limit usable; a zero that slipped
-	// through would serve empty lists with HTTP 200 (see clampM).
+	// through would serve empty lists with HTTP 200 (see Edge.ClampM).
 	if cfg.MaxM <= 0 || cfg.MaxBatch <= 0 || cfg.MaxBodyBytes <= 0 {
 		return cfg, fmt.Errorf("serve: internal error: limits not defaulted (MaxM=%d MaxBatch=%d MaxBodyBytes=%d)",
 			cfg.MaxM, cfg.MaxBatch, cfg.MaxBodyBytes)
@@ -301,11 +298,7 @@ func newServer(model *core.Model, mapped *core.MappedModel, cfg Config) (*Server
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
-	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
-	s.metrics = newMetrics(endpointNames, s.rankStats)
-	s.tracer = newTracer(cfg)
-	s.metrics.tracer = s.tracer
+	s := newBase(cfg)
 	if err := s.install(model, mapped); err != nil {
 		return nil, err
 	}
@@ -318,10 +311,9 @@ func newServer(model *core.Model, mapped *core.MappedModel, cfg Config) (*Server
 	return s, nil
 }
 
-// NewFromFile builds a Server from the serialized model at cfg.ModelPath.
-// A v2 model file is mmapped and served in place (float32 scoring when
-// the file carries that section); a v1 file falls back to the copying
-// loader.
+// NewFromFile builds a Server from the serialized model at cfg.ModelPath:
+// the file is mmapped and served in place (float32 scoring when it carries
+// that section).
 func NewFromFile(cfg Config) (*Server, error) {
 	if cfg.ModelPath == "" {
 		return nil, fmt.Errorf("serve: NewFromFile needs Config.ModelPath")
@@ -333,19 +325,14 @@ func NewFromFile(cfg Config) (*Server, error) {
 	return newServer(model, mapped, cfg)
 }
 
-// openModelFile maps a v2 model file in O(1), falling back to the
-// copying, fully-validating reader for legacy v1 files. For mapped
-// models it returns both the zero-copy float64 view and the mapping.
+// openModelFile maps a model file in O(1), returning both the zero-copy
+// float64 view and the mapping.
 func openModelFile(path string) (*core.Model, *core.MappedModel, error) {
 	mapped, err := core.OpenMappedModel(path)
-	if err == nil {
-		return mapped.Model(), mapped, nil
+	if err != nil {
+		return nil, nil, err
 	}
-	if errors.Is(err, core.ErrLegacyFormat) {
-		model, err := core.LoadModelFile(path)
-		return model, nil, err
-	}
-	return nil, nil, err
+	return mapped.Model(), mapped, nil
 }
 
 // install validates model against the configuration and atomically swaps
@@ -455,12 +442,7 @@ func (s *Server) ReloadFromFile() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if s.cfg.shardMode() {
-		rng, err := core.OpenMappedModelRange(s.cfg.ModelPath, s.cfg.ShardLo, s.cfg.ShardHi)
-		if err != nil {
-			return err
-		}
-		if err := s.installShard(rng); err != nil {
-			_ = rng.Close()
+		if err := s.openShard(); err != nil {
 			return err
 		}
 		s.metrics.reloads.Add(1)
@@ -482,8 +464,8 @@ func (s *Server) Model() *core.Model { return s.snap.Load().model }
 // ServingMode reports whether the current snapshot serves out of an
 // mmapped v2 file, and whether it scores through the float32 section.
 func (s *Server) ServingMode() (mapped, float32Scoring bool) {
-	sn := s.snap.Load()
-	return sn.mapped != nil, sn.mapped != nil && sn.mapped.HasFloat32()
+	_, mapped, float32Scoring = s.snap.Load().servingMode()
+	return mapped, float32Scoring
 }
 
 // Version returns the current snapshot version (1 for the initial model,

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,28 +10,16 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/rank"
+	"repro/internal/wire"
 )
-
-// shardRank is the shard paths' shared rank call (JSON and binary):
-// the engine's partition top-M, with per-stage spans recorded when the
-// request is traced.
-func (s *Server) shardRank(act *obs.Active, sn *snapshot, user, m int, filters []rank.Filter) (items []int, scores []float64, cached bool) {
-	if act == nil {
-		return sn.engine.TopM(user, m, filters...)
-	}
-	var tm rank.Timings
-	start := time.Now()
-	items, scores, cached = sn.engine.TopMTimed(user, m, &tm, filters...)
-	recordRankSpans(act, start, &tm)
-	return items, scores, cached
-}
 
 // Shard mode: one serve process owning an item partition of the catalogue.
 //
 // A shard mmaps only its item-range slice of the v2 model file (full user
-// sections, item rows [lo, hi)) and answers POST /v1/shard/topm with its
-// partition's top-min(m, partition size) items under the engine's tie
-// rule, item ids translated back to global. Because every item's score
+// sections, item rows [lo, hi)) and answers POST /v1/shard/topm (JSON)
+// and POST /v2/shard/topm (frames) — one pipeline, shardPartial, under
+// two codecs — with its partition's top-min(m, partition size) items
+// under the engine's tie rule, item ids translated back to global. Because every item's score
 // depends only on that item's factor row and the user's factor, partition
 // scores are bit-identical to the corresponding entries of a
 // full-catalogue scoring pass — so a router merging shard partials with
@@ -72,21 +61,26 @@ func NewShardFromFile(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
-	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
-	s.metrics = newMetrics(endpointNames, s.rankStats)
-	s.tracer = newTracer(cfg)
-	s.metrics.tracer = s.tracer
-	rng, err := core.OpenMappedModelRange(cfg.ModelPath, cfg.ShardLo, cfg.ShardHi)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.installShard(rng); err != nil {
-		_ = rng.Close()
+	s := newBase(cfg)
+	if err := s.openShard(); err != nil {
 		return nil, err
 	}
 	s.mux = s.buildShardMux()
 	return s, nil
+}
+
+// openShard maps the configured item range of the model file and installs
+// it. Guarded by reloadMu, or single-threaded at construction.
+func (s *Server) openShard() error {
+	rng, err := core.OpenMappedModelRange(s.cfg.ModelPath, s.cfg.ShardLo, s.cfg.ShardHi)
+	if err != nil {
+		return err
+	}
+	if err := s.installShard(rng); err != nil {
+		_ = rng.Close()
+		return err
+	}
+	return nil
 }
 
 // installShard swaps in a fresh shard snapshot, retiring the current one
@@ -144,18 +138,11 @@ func (sn *snapshot) numItems() int {
 }
 
 func (s *Server) buildShardMux() *http.ServeMux {
-	// Only the data path is gated; reload, health, readiness and metrics
-	// must keep working on an overloaded shard.
+	// Only the data path is gated.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/shard/topm", s.metrics.instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
-	if !s.cfg.DisableBinaryBatch {
-		mux.HandleFunc("POST /v2/shard/topm", s.metrics.instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMBinary)))
-	}
-	mux.HandleFunc("POST /v1/reload", s.metrics.instrument("reload", s.handleReload))
-	mux.HandleFunc("GET /healthz", s.metrics.instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.metrics.instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET /metrics", s.metrics.instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.metrics.instrument("debug_traces", s.handleDebugTraces))
+	mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
+	mux.HandleFunc("POST /v2/shard/topm", s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame)))
+	s.mountControl(mux)
 	return mux
 }
 
@@ -166,20 +153,42 @@ func (s *Server) buildShardMux() *http.ServeMux {
 // stopped listening. Absent or malformed, no deadline applies.
 const DeadlineHeader = "X-Ocular-Deadline-Ms"
 
+// StampShardCall sets the headers every outgoing shard call carries: the
+// remaining deadline budget of ctx (min(per-attempt timeout, overall
+// request deadline), so the shard can shed scoring work whose caller will
+// have given up) and the request's trace ID (so the shard's span records
+// join the caller's timeline under one ID).
+func StampShardCall(ctx context.Context, h http.Header) {
+	if dl, ok := ctx.Deadline(); ok {
+		if ms := time.Until(dl).Milliseconds(); ms > 0 {
+			h.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+		}
+	}
+	if id := obs.ActiveFrom(ctx).ID(); id != "" {
+		h.Set(obs.TraceHeader, id)
+	}
+}
+
 // deadlineFromHeader resolves the propagated budget to an absolute local
-// deadline at arrival time. Network transit already spent part of the
-// budget the router computed, so the resolved deadline errs late — the
-// check is a work-shedding optimization, never a correctness gate.
-func deadlineFromHeader(r *http.Request) (time.Time, bool) {
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
-		return time.Time{}, false
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
+// deadline at arrival time; the zero time means none applies. Network
+// transit already spent part of the budget the router computed, so the
+// resolved deadline errs late — the check is a work-shedding
+// optimization, never a correctness gate.
+func deadlineFromHeader(r *http.Request) time.Time {
+	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
 	if err != nil {
-		return time.Time{}, false
+		return time.Time{}
 	}
-	return time.Now().Add(time.Duration(ms) * time.Millisecond), true
+	return time.Now().Add(time.Duration(ms) * time.Millisecond)
+}
+
+// expired answers 504 (and counts the abort) once deadline has passed.
+func (s *Server) expired(deadline time.Time) *apiError {
+	if deadline.IsZero() || time.Now().Before(deadline) {
+		return nil
+	}
+	s.metrics.deadlineAborts.Add(1)
+	return &apiError{status: http.StatusGatewayTimeout, msg: "deadline budget expired before scoring"}
 }
 
 // ShardTopMRequest asks a shard for its partition's contribution to one
@@ -206,70 +215,123 @@ type ShardTopMResponse struct {
 	Items        []ScoredItem `json:"items"`
 }
 
-func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
-	deadline, hasDeadline := deadlineFromHeader(r)
-	var req ShardTopMRequest
-	if err := s.decode(w, r, &req); err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
+// partial is one ranked partition partial: the snapshot that ranked, the
+// clamped m, and the engine's partition-local list (cache-shared,
+// read-only).
+type partial struct {
+	sn     *snapshot
+	m      int
+	items  []int
+	scores []float64
+}
+
+// shardPartial is the one partition-partial pipeline: deadline → clamp →
+// pin-or-409 → range-check → filters → deadline → rank. deadline was
+// resolved at arrival, before the body read.
+func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *ShardTopMRequest) (p partial, aerr *apiError) {
 	// First budget check after the body read: a slow client (or a router
 	// whose attempt budget was nearly gone when it sent) should not get a
 	// scoring pass it can no longer use.
-	if hasDeadline && !time.Now().Before(deadline) {
-		s.metrics.deadlineAborts.Add(1)
-		return writeError(w, http.StatusGatewayTimeout, "deadline budget expired before scoring")
+	if aerr := s.expired(deadline); aerr != nil {
+		return p, aerr
 	}
-	m, err := s.clampM(req.M)
-	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
+	var err error
+	if p.m, err = s.edge.ClampM(req.M); err != nil {
+		return p, badRequest(err)
 	}
-	sn := s.snap.Load()
-	if req.ExpectVersion != 0 && sn.version != req.ExpectVersion {
+	p.sn = s.snap.Load()
+	if req.ExpectVersion != 0 && p.sn.version != req.ExpectVersion {
 		// Mid-rollout window: this shard already reloaded but the router
 		// still pins the old version until the whole quorum confirmed.
 		// Serve the pinned version from the two-deep history; refuse
 		// anything else — a 409 here is what makes merging partials of
 		// mixed model versions impossible rather than merely unlikely.
-		if prev := s.prev.Load(); prev != nil && prev.version == req.ExpectVersion {
-			sn = prev
-		} else {
-			return writeError(w, http.StatusConflict, fmt.Sprintf(
-				"shard serves model version %d, not the requested %d", sn.version, req.ExpectVersion))
+		prev := s.prev.Load()
+		if prev == nil || prev.version != req.ExpectVersion {
+			return p, &apiError{status: http.StatusConflict, msg: fmt.Sprintf(
+				"shard serves model version %d, not the requested %d", p.sn.version, req.ExpectVersion)}
 		}
+		p.sn = prev
 	}
-	if req.User < 0 || req.User >= sn.numUsers() {
-		return writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("user %d out of range (%d users)", req.User, sn.numUsers()))
+	if req.User < 0 || req.User >= p.sn.numUsers() {
+		return p, badRequest(fmt.Errorf("user %d out of range (%d users)", req.User, p.sn.numUsers()))
 	}
-	extra, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
+	extra, err := s.requestFilters(p.sn, req.ExcludeItems, req.Filter)
 	if err != nil {
-		return writeError(w, http.StatusBadRequest, err.Error())
-	}
-	// Same filter stack as recommendOne, rebased into partition-local
-	// index space; the training-row exclusion keeps the offline protocol
-	// on shards too.
-	lo, hi := sn.rng.ItemLo(), sn.rng.ItemHi()
-	filters := make([]rank.Filter, 0, len(extra)+1)
-	filters = append(filters, rank.OffsetRange(rank.TrainRow(sn.train, req.User), lo, hi))
-	for _, f := range extra {
-		filters = append(filters, rank.OffsetRange(f, lo, hi))
+		return p, badRequest(err)
 	}
 	// Second check on the brink of the expensive part — the full
 	// partition scoring pass is the work worth shedding.
-	if hasDeadline && !time.Now().Before(deadline) {
-		s.metrics.deadlineAborts.Add(1)
-		return writeError(w, http.StatusGatewayTimeout, "deadline budget expired before scoring")
+	if aerr := s.expired(deadline); aerr != nil {
+		return p, aerr
 	}
-	items, scores, _ := s.shardRank(obs.ActiveFrom(r.Context()), sn, req.User, m, filters)
-	scored := make([]ScoredItem, len(items))
-	for n := range items {
-		scored[n] = ScoredItem{Item: items[n] + lo, Score: scores[n]}
+	if p.items, p.scores, _, err = s.rankOne(act, route{sn: p.sn}, req.User, p.m, extra); err != nil {
+		return p, badRequest(err)
 	}
-	return writeJSON(w, http.StatusOK, ShardTopMResponse{
+	return p, nil
+}
+
+func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
+	deadline := deadlineFromHeader(r)
+	var req ShardTopMRequest
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	p, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &req)
+	if aerr != nil {
+		return aerr.write(w)
+	}
+	lo := p.sn.rng.ItemLo()
+	scored := ZipScored(p.items, p.scores)
+	for n := range scored {
+		scored[n].Item += lo
+	}
+	return WriteJSON(w, http.StatusOK, ShardTopMResponse{
 		User:         req.User,
 		ShardLo:      lo,
-		ShardHi:      hi,
-		ModelVersion: sn.version,
+		ShardHi:      p.sn.rng.ItemHi(),
+		ModelVersion: p.sn.version,
 		Items:        scored,
+	})
+}
+
+// handleShardTopMFrame speaks the batch frames with exactly one user:
+// expect_version rides the request header, the partial is marked
+// FlagShardPartial and carries its range and model version.
+func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) int {
+	deadline := deadlineFromHeader(r)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	if status, ok := s.edge.ReadFrame(w, r, &sc.FrameScratch); !ok {
+		return status
+	}
+	if len(sc.Req.Users) != 1 || sc.Req.Tenant != "" {
+		return s.edge.BadFrame(w, "shard frames carry exactly one user and no tenant")
+	}
+	req := sc.ShardRequest()
+	p, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &req)
+	if aerr != nil {
+		return aerr.write(w)
+	}
+	// Translate partition-local ids back to global while laying out the
+	// items column; the scores column is the engine's slice as-is.
+	lo := p.sn.rng.ItemLo()
+	cols := &sc.cols
+	cols.Reset()
+	cols.Counts = append(cols.Counts, uint32(len(p.items)))
+	for _, it := range p.items {
+		cols.Items = append(cols.Items, uint32(it+lo))
+	}
+	sc.status = append(sc.status[:0], 0)
+	return s.edge.WriteFrame(w, &sc.FrameScratch, &wire.BatchResponse{
+		Flags:        wire.FlagShardPartial,
+		M:            uint32(p.m),
+		ShardLo:      uint32(lo),
+		ShardHi:      uint32(p.sn.rng.ItemHi()),
+		ModelVersion: p.sn.version,
+		Status:       sc.status,
+		Counts:       cols.Counts,
+		Items:        cols.Items,
+		Scores:       p.scores,
 	})
 }

@@ -180,9 +180,9 @@ type MappedModel = core.MappedModel
 // Scorer is the scoring surface shared by *Model and *MappedModel.
 type Scorer = core.Scorer
 
-// OpenMappedModel maps the v2 model file at path in O(1). A legacy v1
-// file yields an error wrapping core.ErrLegacyFormat; load those with
-// LoadModelFile.
+// OpenMappedModel maps the v2 model file at path in O(1). The retired v1
+// format is refused (by every reader) with an error wrapping
+// core.ErrLegacyFormat.
 func OpenMappedModel(path string) (*MappedModel, error) { return core.OpenMappedModel(path) }
 
 // MappedModelRange is an item-partitioned slice of an mmapped v2 model:
