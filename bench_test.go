@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -247,6 +248,10 @@ func BenchmarkServeRecommend(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	modelPath := filepath.Join(b.TempDir(), "model.bin")
+	if err := res.Model.SaveModelFile(modelPath); err != nil {
+		b.Fatal(err)
+	}
 	for _, bc := range []struct {
 		name      string
 		cacheSize int
@@ -256,7 +261,7 @@ func BenchmarkServeRecommend(b *testing.B) {
 		{"miss", -1, d.Users()},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			srv, err := serve.New(res.Model, serve.Config{Train: d.R, CacheSize: bc.cacheSize})
+			srv, err := serve.NewFromFile(serve.Config{ModelPath: modelPath, Train: d.R, CacheSize: bc.cacheSize})
 			if err != nil {
 				b.Fatal(err)
 			}

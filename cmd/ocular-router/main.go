@@ -75,12 +75,11 @@ func main() {
 		shards = flag.String("shards", "", "comma-separated shard base URLs (required)")
 		addr   = flag.String("addr", ":8080", "listen address")
 
-		cacheSize   = flag.Int("cache", 4096, "cached merged top-M lists (negative disables)")
-		cacheShards = flag.Int("cache-shards", 0, "cache shard count, rounded up to a power of two (0 = 16)")
-		workers     = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
-		maxM        = flag.Int("max-m", 1000, "cap on requested list length m (must not exceed the shards' -max-m)")
-		maxBatch    = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
-		maxBody     = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
+		cacheSize = flag.Int("cache", 4096, "cached merged top-M lists (negative disables)")
+		workers   = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
+		maxM      = flag.Int("max-m", 1000, "cap on requested list length m (must not exceed the shards' -max-m)")
+		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
+		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
 
 		stages    = flag.String("stages", "", "staged re-rank pipeline applied once after the merge, e.g. \"floor=0.1,boost=0.5:promoted\"")
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
@@ -136,7 +135,6 @@ func main() {
 		MaxBatch:         *maxBatch,
 		MaxBodyBytes:     *maxBody,
 		CacheSize:        *cacheSize,
-		CacheShards:      *cacheShards,
 		Workers:          *workers,
 		ShardWire:        *shardWire,
 		MaxFanout:        *maxFanout,

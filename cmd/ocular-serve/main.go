@@ -100,14 +100,13 @@ func main() {
 		registry  = flag.String("registry", "", "multi-model registry config (JSON: named models, tenants, experiments, shadows)")
 		shadowLog = flag.String("shadow-log", "", "append shadow-comparison diff records (JSON lines) to this file")
 
-		cacheSize   = flag.Int("cache", 4096, "cached top-M lists (negative disables)")
-		cacheShards = flag.Int("cache-shards", 0, "top-M cache shard count, rounded up to a power of two (0 = 16)")
-		workers     = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
-		maxM        = flag.Int("max-m", 1000, "cap on requested list length m")
-		maxBatch    = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
-		maxBody     = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
-		lambda      = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
-		relative    = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")
+		cacheSize = flag.Int("cache", 4096, "cached top-M lists (negative disables)")
+		workers   = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
+		maxM      = flag.Int("max-m", 1000, "cap on requested list length m")
+		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
+		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
+		lambda    = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
+		relative  = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")
 
 		shardLo = flag.Int("shard-lo", 0, "shard mode: first item (inclusive) of the served partition")
 		shardHi = flag.Int("shard-hi", 0, "shard mode: item upper bound (exclusive; -1 = end of catalogue; 0 = full-catalogue mode)")
@@ -137,7 +136,6 @@ func main() {
 		ModelPath:       *modelPath,
 		FoldIn:          ocular.Config{Lambda: *lambda, Relative: *relative},
 		CacheSize:       *cacheSize,
-		CacheShards:     *cacheShards,
 		Workers:         *workers,
 		MaxM:            *maxM,
 		MaxBatch:        *maxBatch,

@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -70,9 +69,6 @@ type Config struct {
 	// CacheSize is the approximate total number of cached merged lists; 0
 	// means 4096, negative disables caching.
 	CacheSize int
-	// CacheShards is the cache's shard count (rounded up to a power of
-	// two). 0 means 16.
-	CacheShards int
 	// Workers bounds the per-request user fan-out of /v1/batch. 0 means
 	// all cores.
 	Workers int
@@ -156,8 +152,6 @@ type Config struct {
 	// TraceSlow, when > 0, logs a "slow request" line for every traced
 	// request at or above this duration.
 	TraceSlow time.Duration
-	// TraceLog receives the slow-request lines. Nil means slog.Default().
-	TraceLog *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
@@ -315,7 +309,7 @@ func New(cfg Config) (*Router, error) {
 	stats := &rank.Stats{}
 	rt := &Router{
 		cfg:    cfg,
-		cache:  rank.NewListCache(cfg.CacheSize, cfg.CacheShards, stats),
+		cache:  rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
 		stats:  stats,
 		m:      &metrics{start: time.Now()},
 		health: make(map[string]*shardHealthState, len(cfg.Shards)),
@@ -329,7 +323,7 @@ func New(cfg Config) (*Router, error) {
 		rt.shardLat[u] = &obs.Histogram{}
 	}
 	rt.edge = serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
-		serve.NewTracer(cfg.TraceRing, cfg.TraceSlow, cfg.TraceLog), routerEndpointNames)
+		serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames)
 	rt.wire = &jsonShardWire
 	if cfg.ShardWire == "binary" {
 		rt.wire = &frameShardWire

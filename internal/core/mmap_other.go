@@ -2,17 +2,14 @@
 
 package core
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
-// mmapFile on platforms without a usable mmap reads the whole file into
-// memory. OpenMappedModel then behaves like a copying loader with
+// mmapFileAt on platforms without a usable mmap reads the window into
+// memory. OpenMappedModelRange then behaves like a copying loader with
 // header-only validation — correct everywhere, O(1) reload only on unix.
-func mmapFile(f *os.File, size int) ([]byte, error) {
-	data := make([]byte, size)
-	if _, err := io.ReadFull(f, data); err != nil {
+func mmapFileAt(f *os.File, off int64, length int) ([]byte, error) {
+	data := make([]byte, length)
+	if _, err := f.ReadAt(data, off); err != nil {
 		return nil, err
 	}
 	return data, nil
@@ -20,14 +17,4 @@ func mmapFile(f *os.File, size int) ([]byte, error) {
 
 func munmapFile(data []byte) error {
 	return nil
-}
-
-// mmapFileAt on platforms without a usable mmap reads the window into
-// memory, mirroring mmapFile's fallback semantics.
-func mmapFileAt(f *os.File, off int64, length int) ([]byte, error) {
-	data := make([]byte, length)
-	if _, err := f.ReadAt(data, off); err != nil {
-		return nil, err
-	}
-	return data, nil
 }

@@ -7,21 +7,15 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only. The mapping outlives f's file
-// descriptor, and — because the mapping pins the inode — also survives
-// the file being renamed over or unlinked, which is exactly the atomic
-// model-swap discipline of SaveModelFile.
-func mmapFile(f *os.File, size int) ([]byte, error) {
-	return syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+// mmapFileAt maps length bytes of f read-only, starting at the
+// page-aligned byte offset off — one window of a model range. The mapping
+// outlives f's file descriptor, and — because the mapping pins the inode —
+// also survives the file being renamed over or unlinked, which is exactly
+// the atomic model-swap discipline of SaveModelFile.
+func mmapFileAt(f *os.File, off int64, length int) ([]byte, error) {
+	return syscall.Mmap(int(f.Fd()), off, length, syscall.PROT_READ, syscall.MAP_SHARED)
 }
 
 func munmapFile(data []byte) error {
 	return syscall.Munmap(data)
-}
-
-// mmapFileAt maps length bytes of f starting at the page-aligned byte
-// offset off — the partial-map primitive of the sharded serving tier,
-// which maps only a shard's item-range slice of each factor section.
-func mmapFileAt(f *os.File, off int64, length int) ([]byte, error) {
-	return syscall.Mmap(int(f.Fd()), off, length, syscall.PROT_READ, syscall.MAP_SHARED)
 }

@@ -36,6 +36,10 @@ type Model struct {
 	// bu, bi are the optional non-negative biases of Section IV-A; both
 	// nil unless the model was trained with Config.Bias.
 	bu, bi []float64
+	// pin is the mapping the factor slices alias when the model is the
+	// zero-copy view of an mmapped file (MappedModelRange.Model): holding
+	// the view keeps the mapping alive. nil for heap models.
+	pin *MappedModelRange
 }
 
 // K returns the number of co-clusters.
@@ -111,13 +115,7 @@ func (m *Model) ScoreUser(u int, dst []float64) {
 // ScoreWithFactor scores every item against an explicit user factor (and
 // bias), which FoldInUser produces for users unseen at training time.
 func (m *Model) ScoreWithFactor(fu []float64, bias float64, dst []float64) {
-	for i := 0; i < m.items; i++ {
-		z := linalg.Dot(fu, m.ItemFactor(i)) + bias
-		if m.bi != nil {
-			z += m.bi[i]
-		}
-		dst[i] = 1 - math.Exp(-z)
-	}
+	linalg.Score(dst[:m.items], fu, m.fi, m.bi, bias)
 }
 
 // String describes the model shape.

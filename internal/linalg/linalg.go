@@ -39,6 +39,28 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// Score is the float64 sibling of ScoreF32, the one scoring loop behind
+// every exact (training-precision) score: heap models, mapped models
+// without a float32 section, and fold-in. z_i is evaluated as
+// (⟨fu, fi_i⟩ + userBias) + bi[i] — reassociating that chain would break
+// the bit-identity the shard merge and the transport property tests pin.
+func Score(dst []float64, fu, fi, bi []float64, userBias float64) {
+	k := len(fu)
+	if len(fi) != len(dst)*k {
+		panic("linalg: Score factor shape mismatch")
+	}
+	if bi != nil && len(bi) != len(dst) {
+		panic("linalg: Score bias length mismatch")
+	}
+	for i := range dst {
+		z := Dot(fu, fi[i*k:(i+1)*k]) + userBias
+		if bi != nil {
+			z += bi[i]
+		}
+		dst[i] = 1 - math.Exp(-z)
+	}
+}
+
 // Axpy computes y += alpha*x in place. It panics if lengths differ. The body
 // is unrolled 4-wide; per-element results are unchanged (no reduction).
 func Axpy(alpha float64, x, y []float64) {

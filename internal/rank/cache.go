@@ -51,15 +51,17 @@ type cacheShard struct {
 	byKey map[requestKey]*list.Element
 }
 
+// CacheShards is the shard count of every serving cache: the engine's and
+// the router's. Only tests pick another (one shard makes LRU order
+// observable).
+const CacheShards = 16
+
 // newTopCache builds a cache holding about capacity entries total across
-// shards shards (rounded up to a power of two, default 16). capacity <= 0
-// returns nil — a nil *topCache is a valid always-miss cache.
+// shards shards (rounded up to a power of two). capacity <= 0 returns nil
+// — a nil *topCache is a valid always-miss cache.
 func newTopCache(capacity, shards int) *topCache {
 	if capacity <= 0 {
 		return nil
-	}
-	if shards <= 0 {
-		shards = 16
 	}
 	n := 1
 	for n < shards {
@@ -135,9 +137,9 @@ type ListCache struct {
 }
 
 // NewListCache builds a list cache of about capacity entries across
-// shards shards (see Config for the conventions; capacity <= 0 disables
-// caching, leaving only the compute path). A nil stats allocates private
-// counters.
+// shards shards (see newTopCache for the conventions; capacity <= 0
+// disables caching, leaving only the compute path). A nil stats allocates
+// private counters.
 func NewListCache(capacity, shards int, stats *Stats) *ListCache {
 	if stats == nil {
 		stats = &Stats{}

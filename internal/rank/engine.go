@@ -40,9 +40,6 @@ type Config struct {
 	// CacheSize is the approximate total number of cached top-M lists
 	// across shards; <= 0 disables the cache.
 	CacheSize int
-	// CacheShards is the cache's shard count (rounded up to a power of
-	// two). 0 means 16.
-	CacheShards int
 	// Stats, when non-nil, receives the engine's counters. Sharing one
 	// Stats across successive engines (the serving layer rebuilds the
 	// engine on every model reload) keeps the counters cumulative.
@@ -91,7 +88,7 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	}
 	return &Engine{
 		scorer: scorer,
-		lists:  ListCache{cache: newTopCache(cfg.CacheSize, cfg.CacheShards), stats: stats},
+		lists:  ListCache{cache: newTopCache(cfg.CacheSize, CacheShards), stats: stats},
 	}
 }
 

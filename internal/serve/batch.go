@@ -145,8 +145,8 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		}
 		sn.engine.TopMBatch(req.Users, m, workers, sn.stages, func(i int) ([]rank.Filter, bool) {
 			u := req.Users[i]
-			if u < 0 || u >= sn.numUsers() {
-				slots[i].err = fmt.Sprintf("user %d out of range (%d users)", u, sn.numUsers())
+			if u < 0 || u >= sn.rng.NumUsers() {
+				slots[i].err = fmt.Sprintf("user %d out of range (%d users)", u, sn.rng.NumUsers())
 				return nil, false
 			}
 			return userFilters(sn, u, extra), true

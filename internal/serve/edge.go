@@ -68,14 +68,14 @@ func NewEdge(who string, maxBody int64, maxM int, tracer *obs.Tracer, endpoints 
 	return e
 }
 
-// NewTracer builds the recent-traces ring from the TraceRing/TraceSlow/
-// TraceLog config triple both binaries expose: ring 0 means 256, negative
-// disables tracing (nil tracer).
-func NewTracer(ring int, slow time.Duration, log *slog.Logger) *obs.Tracer {
+// NewTracer builds the recent-traces ring from the TraceRing/TraceSlow
+// config pair both binaries expose: ring 0 means 256, negative disables
+// tracing (nil tracer). Slow-request lines go to slog.Default().
+func NewTracer(ring int, slow time.Duration) *obs.Tracer {
 	if ring == 0 {
 		ring = 256
 	}
-	return obs.NewTracer(ring, slow, log)
+	return obs.NewTracer(ring, slow, slog.Default())
 }
 
 // Requests and Errors count instrumented requests and those answered

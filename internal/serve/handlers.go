@@ -22,30 +22,31 @@ var endpointNames = []string{
 	"shard_topm", "shard_topm_binary", "debug_traces",
 }
 
+// buildMux mounts the route set of the server's role: the partial top-M
+// pair on a shard, the full API otherwise — a full server has no shard
+// endpoint and a shard nothing of the full API.
 func (s *Server) buildMux() *http.ServeMux {
 	// Query endpoints sit behind the admission gate (nil gate = no-op);
 	// control-plane endpoints (ingest, reload, health, metrics) are never
 	// shed — an overloaded server must stay observable and reloadable.
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", s.edge.Instrument("recommend", s.gate.Wrap(s.handleRecommend)))
-	mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
-	mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.gate.Wrap(s.handleExplain)))
-	mux.HandleFunc("POST /v1/batch", s.edge.Instrument("batch", s.gate.Wrap(s.handleBatch)))
-	mux.HandleFunc("POST /v2/batch", s.edge.Instrument("batch_binary", s.gate.Wrap(s.handleBatchFrame)))
-	mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))
-	s.mountControl(mux)
-	return mux
-}
-
-// mountControl mounts the control-plane endpoints full and shard servers
-// share. None is gated: reload, health, readiness and metrics must keep
-// working on an overloaded process.
-func (s *Server) mountControl(mux *http.ServeMux) {
+	if s.cfg.shardMode() {
+		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
+		mux.HandleFunc("POST /v2/shard/topm", s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame)))
+	} else {
+		mux.HandleFunc("POST /v1/recommend", s.edge.Instrument("recommend", s.gate.Wrap(s.handleRecommend)))
+		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
+		mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.gate.Wrap(s.handleExplain)))
+		mux.HandleFunc("POST /v1/batch", s.edge.Instrument("batch", s.gate.Wrap(s.handleBatch)))
+		mux.HandleFunc("POST /v2/batch", s.edge.Instrument("batch_binary", s.gate.Wrap(s.handleBatchFrame)))
+		mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))
+	}
 	mux.HandleFunc("POST /v1/reload", s.edge.Instrument("reload", s.handleReload))
 	mux.HandleFunc("GET /healthz", s.edge.Instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /readyz", s.edge.Instrument("readyz", s.handleReadyz))
 	mux.HandleFunc("GET /metrics", s.edge.Instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /debug/traces", s.edge.Instrument("debug_traces", s.edge.HandleDebugTraces))
+	return mux
 }
 
 // apiError is a rejection a pipeline function hands back to its codec.
@@ -99,8 +100,8 @@ func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) (
 	var filters []rank.Filter
 	if len(exclude) > 0 {
 		for _, i := range exclude {
-			if i < 0 || i >= sn.numItems() {
-				return nil, fmt.Errorf("exclude item %d out of range (%d items)", i, sn.numItems())
+			if i < 0 || i >= sn.rng.NumItems() {
+				return nil, fmt.Errorf("exclude item %d out of range (%d items)", i, sn.rng.NumItems())
 			}
 		}
 		filters = append(filters, rank.ExcludeItems(exclude))
@@ -207,11 +208,11 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) int {
 // pipeline's per-stage spans.
 func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Filter) (items []int, scores []float64, cached bool, err error) {
 	sn := rt.sn
-	if user < 0 || user >= sn.numUsers() {
+	if user < 0 || user >= sn.rng.NumUsers() {
 		if rt.arm != nil {
 			rt.arm.errors.Add(1)
 		}
-		return nil, nil, false, fmt.Errorf("user %d out of range (%d users)", user, sn.numUsers())
+		return nil, nil, false, fmt.Errorf("user %d out of range (%d users)", user, sn.rng.NumUsers())
 	}
 	var (
 		timings rank.Timings
@@ -234,13 +235,15 @@ func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Fi
 
 // userFilters composes one user's filter stack: the training-row
 // exclusion (the offline evaluation protocol, kept on shards too) plus
-// the request's extra filters — on a shard, rebased into the partition's
-// local index space.
+// the request's extra filters — on a partition, rebased into its local
+// index space. A whole-catalogue range must not rebase: OffsetRange
+// results are unkeyed, so every request would turn uncacheable (and pay
+// an allocation per filter).
 func userFilters(sn *snapshot, user int, extra []rank.Filter) []rank.Filter {
 	filters := make([]rank.Filter, 0, len(extra)+1)
 	filters = append(filters, rank.TrainRow(sn.train, user))
 	filters = append(filters, extra...)
-	if sn.rng != nil {
+	if sn.model == nil {
 		lo, hi := sn.rng.ItemLo(), sn.rng.ItemHi()
 		for n, f := range filters {
 			filters[n] = rank.OffsetRange(f, lo, hi)
@@ -338,7 +341,7 @@ func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) int {
 	// not a one-row sparse matrix built per request.
 	filters = append(filters, rank.ExcludeItems(history))
 	items, scores := sn.engine.Rank(func(dst []float64) {
-		sn.scorer.ScoreWithFactor(factor, bias, dst)
+		sn.model.ScoreWithFactor(factor, bias, dst)
 	}, m, filters...)
 	return WriteJSON(w, http.StatusOK, FoldInResponse{
 		Factor:       factor,
@@ -562,36 +565,41 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 			return WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		}
 	}
+	var sn *snapshot
 	if req.Model != "" {
-		version, err := s.ReloadNamed(req.Model)
-		if err != nil {
-			var unknown unknownModelError
-			if errors.As(err, &unknown) {
-				return WriteErrorCode(w, http.StatusNotFound, "unknown_model", err.Error())
-			}
-			return WriteError(w, http.StatusInternalServerError, err.Error())
-		}
-		resp := ReloadResponse{ModelVersion: version, Name: req.Model}
-		resp.Model, resp.Mapped, resp.Float32 = s.registry.models[req.Model].base.Load().servingMode()
-		return WriteJSON(w, http.StatusOK, resp)
+		sn, err = s.reloadNamed(req.Model)
+	} else {
+		sn, err = s.reload()
 	}
-	if err := s.ReloadFromFile(); err != nil {
+	if err != nil {
+		var unknown unknownModelError
+		if errors.As(err, &unknown) {
+			return WriteErrorCode(w, http.StatusNotFound, "unknown_model", err.Error())
+		}
 		return WriteError(w, http.StatusInternalServerError, err.Error())
 	}
-	sn := s.snap.Load()
-	resp := ReloadResponse{ModelVersion: sn.version}
-	resp.Model, resp.Mapped, resp.Float32 = sn.servingMode()
-	return WriteJSON(w, http.StatusOK, resp)
+	return WriteJSON(w, http.StatusOK, reloadResponse(sn, req.Model))
 }
 
-// servingMode describes how a snapshot is served: the model's shape
-// string, whether it is scored straight out of an mmap, and whether
-// through the float32 section. Shard snapshots always are mapped.
+// reloadResponse describes sn, the snapshot one reload installed — not
+// whatever is current by the time the response is shaped: an overlapping
+// reload (SIGHUP, another trainer) must not leak its version into this
+// caller's rollout record.
+func reloadResponse(sn *snapshot, name string) ReloadResponse {
+	resp := ReloadResponse{ModelVersion: sn.version, Name: name}
+	resp.Model, resp.Mapped, resp.Float32 = sn.servingMode()
+	return resp
+}
+
+// servingMode describes how a snapshot is served: the shape string of the
+// model (of the range, on a partition), that it is scored straight out of
+// an mmap — every snapshot is — and whether through the float32 section.
 func (sn *snapshot) servingMode() (model string, mapped, float32Scoring bool) {
-	if sn.rng != nil {
-		return sn.rng.String(), true, sn.rng.HasFloat32()
+	model = sn.rng.String()
+	if sn.model != nil {
+		model = sn.model.String()
 	}
-	return sn.model.String(), sn.mapped != nil, sn.mapped != nil && sn.mapped.HasFloat32()
+	return model, true, sn.rng.HasFloat32()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
@@ -602,7 +610,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 		"loaded_at":     sn.loadedAt.UTC().Format(time.RFC3339),
 	}
 	health["model"], health["mapped"], health["float32"] = sn.servingMode()
-	if sn.rng != nil {
+	if s.cfg.shardMode() {
 		// Shard health carries everything the router's Refresh needs to
 		// build its route table: catalogue shape, the item partition this
 		// shard owns, and the version history it can still serve.
@@ -642,7 +650,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 			map[string]any{"ready": false, "reason": "no model installed yet"})
 	}
 	out := map[string]any{"ready": true, "model_version": sn.version}
-	if sn.rng != nil {
+	if s.cfg.shardMode() {
 		out["shard_lo"] = sn.rng.ItemLo()
 		out["shard_hi"] = sn.rng.ItemHi()
 		if prev := s.prev.Load(); prev != nil {

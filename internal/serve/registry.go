@@ -256,10 +256,9 @@ type registry struct {
 // rank stats, and the arms and shadows serving from it (rebuilt when the
 // model reloads).
 type namedModel struct {
-	name    string
-	path    string
-	stats   *rank.Stats
-	version atomic.Uint64
+	name  string
+	path  string
+	stats *rank.Stats
 	// base is the stage-less snapshot of the model — shadow scoring and
 	// health reporting go through it.
 	base    atomic.Pointer[snapshot]
@@ -481,7 +480,7 @@ func (s *Server) buildRegistry() (err error) {
 	sort.Strings(reg.tenantNames)
 	s.registry = reg
 	for _, name := range reg.modelNames {
-		if err := s.loadNamedLocked(reg.models[name]); err != nil {
+		if _, err := s.loadNamedLocked(reg.models[name]); err != nil {
 			return err
 		}
 	}
@@ -496,53 +495,31 @@ func (s *Server) buildRegistry() (err error) {
 }
 
 // loadNamedLocked (re)opens a named model file and rebuilds the serving
-// state of every arm bound to it. All validation and stage building
-// happens before any pointer is stored, so a failed reload leaves every
-// arm on the previous version — never a mix. Caller holds reloadMu (or is
-// the single-threaded constructor).
-func (s *Server) loadNamedLocked(nm *namedModel) error {
-	model, mapped, err := openModelFile(nm.path)
+// state of every arm bound to it: the base snapshot through Server.open,
+// each arm a copy of it with the arm's own engine (own cache, own stats)
+// and stage list — one open, so every arm serves the same mapping. All
+// validation and stage building happens before any pointer is stored, so
+// a failed reload leaves every arm on the previous version — never a mix.
+// Caller holds reloadMu (or is the single-threaded constructor).
+func (s *Server) loadNamedLocked(nm *namedModel) (*snapshot, error) {
+	base, err := s.open(nm.path, 0, -1, nm.base.Load(), nm.stats, nil)
 	if err != nil {
-		return fmt.Errorf("serve: registry model %q: %w", nm.name, err)
+		return nil, fmt.Errorf("serve: registry model %q: %w", nm.name, err)
 	}
-	if tags := s.cfg.ItemTags; tags != nil && tags.NumItems() > model.NumItems() {
-		return fmt.Errorf("serve: registry model %q: item tag table covers %d items but the model has %d",
-			nm.name, tags.NumItems(), model.NumItems())
-	}
-	train, err := s.trainFor(model.NumUsers(), model.NumItems())
-	if err != nil {
-		return fmt.Errorf("serve: registry model %q: %w", nm.name, err)
-	}
-	armStages := make([][]rank.Stage, len(nm.arms))
+	arms := make([]*snapshot, len(nm.arms))
 	for i, a := range nm.arms {
-		st, err := BuildStages(a.specs, s.cfg.ItemTags, model)
-		if err != nil {
-			return fmt.Errorf("serve: tenant %q arm %q: %w", a.tenant, a.name, err)
+		arm := *base
+		if arm.stages, err = BuildStages(a.specs, s.cfg.ItemTags, base.model); err != nil {
+			return nil, fmt.Errorf("serve: tenant %q arm %q: %w", a.tenant, a.name, err)
 		}
-		armStages[i] = st
+		arm.engine = s.newEngine(base.rng, a.stats)
+		arms[i] = &arm
 	}
-	scorer := core.Scorer(model)
-	if mapped != nil {
-		scorer = mapped
-	}
-	version := nm.version.Add(1)
-	now := time.Now()
-	engineCfg := func(stats *rank.Stats) rank.Config {
-		return rank.Config{CacheSize: s.cfg.CacheSize, CacheShards: s.cfg.CacheShards, Stats: stats}
-	}
-	nm.base.Store(&snapshot{
-		model: model, scorer: scorer, mapped: mapped, train: train,
-		version: version, loadedAt: now,
-		engine: rank.NewEngine(scorer, engineCfg(nm.stats)),
-	})
+	nm.base.Store(base)
 	for i, a := range nm.arms {
-		a.snap.Store(&snapshot{
-			model: model, scorer: scorer, mapped: mapped, train: train,
-			version: version, loadedAt: now, stages: armStages[i],
-			engine: rank.NewEngine(scorer, engineCfg(a.stats)),
-		})
+		a.snap.Store(arms[i])
 	}
-	return nil
+	return base, nil
 }
 
 // rebuildShadowStages rebuilds the tenant's shadow-side stage lists
@@ -572,34 +549,32 @@ func (e unknownModelError) Error() string {
 	return fmt.Sprintf("unknown registry model %q", e.model)
 }
 
-// ReloadNamed re-reads one named registry model from its file and swaps
-// it into every arm and shadow serving from it — the registry-aware form
-// of ReloadFromFile, behind POST /v1/reload {"model": name}. It returns
-// the model's new version (each named model has its own version counter,
+// reloadNamed re-maps one named registry model from its file and swaps it
+// into every arm and shadow serving from it — the registry-aware form of
+// reload, behind POST /v1/reload {"model": name}. It returns the base
+// snapshot it installed (each named model has its own version sequence,
 // independent of the default model's).
-func (s *Server) ReloadNamed(name string) (uint64, error) {
+func (s *Server) reloadNamed(name string) (*snapshot, error) {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	if s.registry == nil {
-		return 0, unknownModelError{model: name}
+	if s.registry == nil || s.registry.models[name] == nil {
+		return nil, unknownModelError{model: name}
 	}
 	nm := s.registry.models[name]
-	if nm == nil {
-		return 0, unknownModelError{model: name}
-	}
-	if err := s.loadNamedLocked(nm); err != nil {
-		return 0, err
+	base, err := s.loadNamedLocked(nm)
+	if err != nil {
+		return nil, err
 	}
 	for _, tname := range s.registry.tenantNames {
 		t := s.registry.tenants[tname]
 		if t.shadow != nil && t.shadow.model == nm {
 			if err := s.rebuildShadowStages(t); err != nil {
-				return 0, err
+				return nil, err
 			}
 		}
 	}
 	s.metrics.reloads.Add(1)
-	return nm.version.Load(), nil
+	return base, nil
 }
 
 // Close releases resources the server opened itself: the registry's
@@ -634,10 +609,11 @@ func (r *registry) healthTree() (models, tenants map[string]any) {
 	for _, name := range r.modelNames {
 		nm := r.models[name]
 		sn := nm.base.Load()
+		desc, mapped, _ := sn.servingMode()
 		models[name] = map[string]any{
-			"model":         sn.model.String(),
+			"model":         desc,
 			"model_version": sn.version,
-			"mapped":        sn.mapped != nil,
+			"mapped":        mapped,
 			"loaded_at":     sn.loadedAt.UTC().Format(time.RFC3339),
 		}
 	}

@@ -119,10 +119,13 @@ func TestGateWrapShedsWith429(t *testing.T) {
 			t.Fatal("fillers never reached the handler")
 		}
 	}
-	for i := 0; i < 4; i++ {
+	const overflow = 4
+	shedDone := make(chan struct{}, overflow)
+	for i := 0; i < overflow; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() { shedDone <- struct{}{} }()
 			resp, err := http.Get(ts.URL)
 			if err != nil {
 				t.Error(err)
@@ -133,7 +136,16 @@ func TestGateWrapShedsWith429(t *testing.T) {
 			retryAfter <- resp.Header.Get("Retry-After")
 		}()
 	}
-	time.Sleep(150 * time.Millisecond) // past QueueWait: overflow shed
+	// The overflow is shed by the full queue or by QueueWait, never by the
+	// release: wait for all four answers while the fillers still hold
+	// every slot, so a late arrival cannot be admitted into a freed one.
+	for i := 0; i < overflow; i++ {
+		select {
+		case <-shedDone:
+		case <-time.After(5 * time.Second):
+			t.Fatal("overflow requests were not shed while the slots were held")
+		}
+	}
 	close(release)
 	wg.Wait()
 	close(statuses)
@@ -150,8 +162,8 @@ func TestGateWrapShedsWith429(t *testing.T) {
 			t.Errorf("unexpected status %d", st)
 		}
 	}
-	if ok200 != maxInFlight || shed != 4 {
-		t.Fatalf("got %d ok / %d shed, want %d / 4", ok200, shed, maxInFlight)
+	if ok200 != maxInFlight || shed != overflow {
+		t.Fatalf("got %d ok / %d shed, want %d / %d", ok200, shed, maxInFlight, overflow)
 	}
 	for ra := range retryAfter {
 		if ra != "1" {

@@ -176,12 +176,15 @@ func TestShardPartialCodecSeam(t *testing.T) {
 // TestBatchReportsRankingSnapshotVersion: a batch is labelled with the
 // version of the snapshot that ranked it, not of whatever is installed by
 // the time the response is shaped. The pipeline's ranking half runs here
-// against a snapshot a Reload has already retired — deterministically the
+// against a snapshot a reload has already retired — deterministically the
 // state a reload landing mid-batch leaves a request in.
 func TestBatchReportsRankingSnapshotVersion(t *testing.T) {
 	srv, _, _, train := newTestServer(t, Config{})
 	retired := srv.snap.Load()
-	if err := srv.Reload(trainSmall(t, train, 99)); err != nil {
+	if err := trainSmall(t, train, 99).SaveModelFile(srv.cfg.ModelPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ReloadFromFile(); err != nil {
 		t.Fatal(err)
 	}
 	if cur := srv.Version(); cur != retired.version+1 {

@@ -442,7 +442,13 @@ func TestConcurrentLoadWithReloads(t *testing.T) {
 			if n%2 == 1 {
 				m = alt2
 			}
-			if err := srv.Reload(m); err != nil {
+			// The rollout the trainer performs: rename a fresh file over
+			// the served path, then reload. In-flight requests keep the
+			// old inode through their snapshot's mapping.
+			if err := m.SaveModelFile(srv.cfg.ModelPath); err != nil {
+				errc <- err
+			}
+			if err := srv.ReloadFromFile(); err != nil {
 				errc <- err
 			}
 		}
@@ -816,21 +822,37 @@ func TestConcurrentFilteredReloads(t *testing.T) {
 
 func TestServerRejectsShapeMismatch(t *testing.T) {
 	train := dataset.SyntheticSmall(1).Dataset.R
-	model := trainSmall(t, train, 3)
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := trainSmall(t, train, 3).SaveModelFile(path); err != nil {
+		t.Fatal(err)
+	}
 	// A model over a different item count than the exclusion matrix.
 	bigger := sparse.NewBuilder(train.Rows(), train.Cols()+1).Build()
-	if _, err := New(model, Config{Train: bigger}); err == nil {
-		t.Error("New accepted a model/train shape mismatch")
+	if _, err := NewFromFile(Config{ModelPath: path, Train: bigger}); err == nil {
+		t.Error("NewFromFile accepted a model/train shape mismatch")
 	}
-	if _, err := New(nil, Config{}); err == nil {
-		t.Error("New accepted a nil model")
+	if _, err := NewFromFile(Config{Train: train}); err == nil {
+		t.Error("NewFromFile accepted a config without ModelPath")
 	}
-	srv, err := New(model, Config{})
+	// A reload must refuse the same mismatch and keep serving.
+	srv, err := NewFromFile(Config{ModelPath: path, Train: train})
 	if err != nil {
 		t.Fatal(err)
 	}
+	narrow := sparse.NewBuilder(train.Rows(), train.Cols()-1)
+	train.Each(func(r, c int) {
+		if c < train.Cols()-1 {
+			narrow.Add(r, c)
+		}
+	})
+	if err := trainSmall(t, narrow.Build(), 3).SaveModelFile(path); err != nil {
+		t.Fatal(err)
+	}
 	if err := srv.ReloadFromFile(); err == nil {
-		t.Error("ReloadFromFile without ModelPath did not error")
+		t.Error("ReloadFromFile accepted a model smaller than the train matrix")
+	}
+	if v := srv.Version(); v != 1 {
+		t.Errorf("a refused reload left version %d, want 1", v)
 	}
 }
 
@@ -839,17 +861,20 @@ func TestServerRejectsShapeMismatch(t *testing.T) {
 // (MaxM), rejecting all batches (MaxBatch), or panicking under load.
 func TestNewRejectsBadConfig(t *testing.T) {
 	train := dataset.SyntheticSmall(1).Dataset.R
-	model := trainSmall(t, train, 3)
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := trainSmall(t, train, 3).SaveModelFile(path); err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]Config{
 		"negative MaxM":         {MaxM: -1},
 		"negative MaxBatch":     {MaxBatch: -5},
 		"negative MaxBodyBytes": {MaxBodyBytes: -1},
 		"negative Workers":      {Workers: -2},
-		"negative CacheShards":  {CacheShards: -1},
 	}
 	for name, cfg := range cases {
-		if _, err := New(model, cfg); err == nil {
-			t.Errorf("%s: New accepted the config", name)
+		cfg.ModelPath = path
+		if _, err := NewFromFile(cfg); err == nil {
+			t.Errorf("%s: NewFromFile accepted the config", name)
 		}
 	}
 }

@@ -2,8 +2,19 @@
 // concurrent HTTP JSON API over a trained, serialized OCuLaR model. It
 // completes the train-once / serve-many lifecycle the paper's production
 // deployment is built around (Section IV-D): cmd/ocular trains and saves a
-// model, cmd/ocular-serve loads it and answers top-M recommendation,
+// model, cmd/ocular-serve maps it and answers top-M recommendation,
 // cold-start fold-in, and co-cluster explanation queries.
+//
+// There is one serving representation: an item range [lo, hi) of an
+// mmapped v2 model file (core.MappedModelRange). Every item's score
+// depends only on that item's factor row, so a shard's scores are
+// bit-identical to a full server's — a full server simply is the range
+// [0, items). What differs is decided from the range itself: a
+// whole-catalogue range carries the zero-copy *core.Model view (fold-in,
+// explanations), a top-M cache, and filters in global item ids; a
+// partition is cacheless and rebases its filters. The route set (full API
+// or /v1|v2/shard/topm) and the shard's two-deep version history follow
+// the constructor, NewFromFile or NewShardFromFile.
 //
 // The handlers are thin transport over the ranking engine of
 // internal/rank: every request shape — known-user top-M, cold-start
@@ -11,15 +22,14 @@
 // call with a different scorer or filter set. The engine owns the pooled
 // score buffers, the sharded top-M cache (keyed by a fingerprint covering
 // user, m and filters), and singleflight coalescing of duplicate misses.
-// The model is hot-swappable: Reload atomically installs a new snapshot
-// (model + fresh engine) without dropping in-flight requests, which keep
-// serving from the snapshot they started with.
+// The model is hot-swappable: ReloadFromFile atomically installs a new
+// snapshot (mapped range + fresh engine) without dropping in-flight
+// requests, which keep serving from the snapshot they started with.
 package serve
 
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -34,9 +44,9 @@ import (
 // Config tunes a Server. The zero value serves with defaults (cache of
 // 4096 lists, no per-batch fan-out, no exclusion matrix).
 type Config struct {
-	// ModelPath is the serialized model file re-read by Reload and the
-	// /v1/reload endpoint. Empty disables file reloads (the initial model
-	// must then be supplied to New directly).
+	// ModelPath is the serialized v2 model file the server maps at
+	// construction and again at every reload (POST /v1/reload, SIGHUP).
+	// Required.
 	ModelPath string
 	// Train, when non-nil, is the training matrix; items a user has a
 	// training positive for are excluded from that user's recommendations,
@@ -61,9 +71,6 @@ type Config struct {
 	// CacheSize is the approximate total number of cached top-M lists.
 	// 0 means the default (4096); negative disables caching.
 	CacheSize int
-	// CacheShards is the shard count of the LRU cache (rounded up to a
-	// power of two). 0 means 16.
-	CacheShards int
 	// Workers bounds the per-request fan-out of /v1/batch. 0 means all
 	// cores. /v2/batch, the small-batch hot transport, fans out only when
 	// Workers > 1 (at 0 it ranks on the request's goroutine: a fan-out per
@@ -119,8 +126,8 @@ type Config struct {
 	// scatter-gather router to merge — see internal/cluster. ShardHi == -1
 	// means "through the end of the catalogue", re-resolved at every
 	// reload, so the tail shard of a partition follows catalogue growth.
-	// Shard servers are built with NewShardFromFile; they are cacheless
-	// (the router owns the fingerprint cache) and take no Feed.
+	// Shard servers are built with NewShardFromFile and take no Feed; a
+	// partition is cacheless (the router owns the fingerprint cache).
 	ShardLo int
 	ShardHi int
 	// TraceRing is the capacity of the recent-traces ring behind
@@ -131,8 +138,6 @@ type Config struct {
 	// (log/slog) for any traced request at or above the threshold,
 	// carrying the trace ID that ties it to the shard spans behind it.
 	TraceSlow time.Duration
-	// TraceLog receives the slow-request lines; nil means slog.Default().
-	TraceLog *slog.Logger
 }
 
 // shardMode reports whether the configuration selects shard mode.
@@ -157,29 +162,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// snapshot is one immutable serving state: a model, its exclusion matrix,
-// its top-M cache and its score-buffer pool. Handlers load the snapshot
-// pointer once per request, so a concurrent reload never mixes state.
+// snapshot is one immutable serving state: a mapped item range of a model
+// file, its exclusion matrix, its top-M cache and its score-buffer pool.
+// Handlers load the snapshot pointer once per request, so a concurrent
+// reload never mixes state.
 //
-// For models served from an mmapped v2 file, the snapshot pins the
-// mapping: mapped (and the model view sharing its storage) stays
-// reachable exactly as long as the snapshot does, so the mapping of a
-// replaced model is released by GC only after the last in-flight request
-// against that snapshot finishes. The server never munmaps eagerly.
+// The snapshot pins the mapping: rng (and the model view sharing its
+// storage) stays reachable exactly as long as the snapshot does, so the
+// mapping of a replaced model is released by GC only after the last
+// in-flight request against that snapshot finishes. The server never
+// munmaps eagerly.
 type snapshot struct {
-	model *core.Model // full precision; fold-in, explanations, health
-	// scorer is the hot-path scorer: the mapped model when serving from
-	// an mmap (float32 section when present), otherwise model itself.
-	scorer core.Scorer
-	mapped *core.MappedModel // non-nil when serving straight from an mmap
-	// rng is the item-range mapping of shard mode; model, scorer and
-	// mapped are nil then — a shard answers only partial top-M queries,
-	// never fold-in or explanations.
-	rng      *core.MappedModelRange
+	// rng is the served item range [ItemLo, ItemHi) of the mmapped file:
+	// the whole catalogue on a full server, a partition on a shard. Its
+	// NumUsers and NumItems are always the FULL catalogue shape — request
+	// validation (user ids, exclude lists, tag tables) speaks global ids
+	// on shards too.
+	rng *core.MappedModelRange
+	// model is rng's zero-copy full-precision view (fold-in, explanations,
+	// stage kernels). It exists on a whole-catalogue range only; nil marks
+	// a partition, which answers only partial top-M queries, is cacheless
+	// and ranks in partition-local item ids.
+	model    *core.Model
 	train    *sparse.Matrix // never nil; empty matrix when no exclusions
 	version  uint64
 	loadedAt time.Time
-	// engine ranks this snapshot's scorer: it owns the pooled score
+	// engine ranks this snapshot's range: it owns the pooled score
 	// buffers, the top-M cache and miss coalescing. One engine per
 	// snapshot makes cache invalidation on reload wholesale and race-free.
 	engine *rank.Engine
@@ -203,7 +211,6 @@ type Server struct {
 	// zero-downtime. Requests naming any other version are refused (409),
 	// so a merge of mixed versions is impossible by construction.
 	prev    atomic.Pointer[snapshot]
-	version atomic.Uint64
 	metrics *Metrics
 	// rankStats is shared across the snapshots' engines so cache and
 	// coalescing counters stay cumulative over reloads.
@@ -225,7 +232,7 @@ type Server struct {
 	// model's shape, transpose materialized) across reloads: once the
 	// trainer grows the catalogue, every reload would otherwise rebuild
 	// the padded matrix and its O(nnz) transpose even though the shape
-	// rarely changes between rollouts. Guarded by reloadMu (install runs
+	// rarely changes between rollouts. Guarded by reloadMu (open runs
 	// under it, or single-threaded at construction).
 	paddedTrain *sparse.Matrix
 	// registry is the multi-model platform state (nil without
@@ -237,23 +244,6 @@ type Server struct {
 	// clamping, response writers, per-endpoint instrumentation and the
 	// request tracer (disabled when Config.TraceRing is negative).
 	edge *Edge
-}
-
-// newBase builds the parts full and shard servers share — admission
-// gate, edge, metrics — around a configuration checkLimits has passed.
-func newBase(cfg Config) *Server {
-	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
-	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
-	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM,
-		NewTracer(cfg.TraceRing, cfg.TraceSlow, cfg.TraceLog), endpointNames)
-	s.metrics = &Metrics{start: time.Now(), edge: s.edge, rank: s.rankStats}
-	return s
-}
-
-// New builds a Server serving model. The model must match cfg.Train's
-// shape when an exclusion matrix is configured.
-func New(model *core.Model, cfg Config) (*Server, error) {
-	return newServer(model, nil, cfg)
 }
 
 // checkLimits validates and defaults the numeric limits shared by full and
@@ -271,8 +261,6 @@ func checkLimits(cfg Config) (Config, error) {
 		return cfg, fmt.Errorf("serve: MaxBodyBytes must be >= 0, got %d", cfg.MaxBodyBytes)
 	case cfg.Workers < 0:
 		return cfg, fmt.Errorf("serve: Workers must be >= 0, got %d", cfg.Workers)
-	case cfg.CacheShards < 0:
-		return cfg, fmt.Errorf("serve: CacheShards must be >= 0, got %d", cfg.CacheShards)
 	case cfg.MaxIngestGrowth < 0:
 		return cfg, fmt.Errorf("serve: MaxIngestGrowth must be >= 0, got %d", cfg.MaxIngestGrowth)
 	case cfg.MaxInFlight < 0:
@@ -290,16 +278,23 @@ func checkLimits(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-func newServer(model *core.Model, mapped *core.MappedModel, cfg Config) (*Server, error) {
-	if cfg.shardMode() {
-		return nil, fmt.Errorf("serve: shard servers are built with NewShardFromFile")
+// newServer is the one construction path under NewFromFile and
+// NewShardFromFile: limits, admission gate, edge and metrics, the first
+// snapshot over the configured item range, then registry and routes.
+func newServer(cfg Config) (*Server, error) {
+	if cfg.ModelPath == "" {
+		return nil, fmt.Errorf("serve: Config.ModelPath is required (servers serve from an mmapped v2 file)")
 	}
 	cfg, err := checkLimits(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := newBase(cfg)
-	if err := s.install(model, mapped); err != nil {
+	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
+	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
+	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM,
+		NewTracer(cfg.TraceRing, cfg.TraceSlow), endpointNames)
+	s.metrics = &Metrics{start: time.Now(), edge: s.edge, rank: s.rankStats}
+	if _, err := s.install(); err != nil {
 		return nil, err
 	}
 	if cfg.Registry != nil {
@@ -311,74 +306,105 @@ func newServer(model *core.Model, mapped *core.MappedModel, cfg Config) (*Server
 	return s, nil
 }
 
-// NewFromFile builds a Server from the serialized model at cfg.ModelPath:
-// the file is mmapped and served in place (float32 scoring when it carries
-// that section).
+// NewFromFile builds a full Server — the whole-catalogue range — from the
+// serialized model at cfg.ModelPath: the file is mmapped and served in
+// place (float32 scoring when it carries that section).
 func NewFromFile(cfg Config) (*Server, error) {
-	if cfg.ModelPath == "" {
-		return nil, fmt.Errorf("serve: NewFromFile needs Config.ModelPath")
+	if cfg.shardMode() {
+		return nil, fmt.Errorf("serve: shard servers are built with NewShardFromFile")
 	}
-	model, mapped, err := openModelFile(cfg.ModelPath)
+	return newServer(cfg)
+}
+
+// open maps the item range [lo, hi) of the v2 model file at path into the
+// snapshot succeeding old (nil for a first load) — the one place a
+// snapshot is built: the default model, every registry model and every
+// shard come through here. Whatever distinguishes a full server's
+// snapshot from a partition's is read off the opened range (see
+// snapshot.model). Guarded by reloadMu, or single-threaded at
+// construction.
+func (s *Server) open(path string, lo, hi int, old *snapshot, stats *rank.Stats, specs []StageSpec) (sn *snapshot, err error) {
+	rng, err := core.OpenMappedModelRange(path, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	return newServer(model, mapped, cfg)
-}
-
-// openModelFile maps a model file in O(1), returning both the zero-copy
-// float64 view and the mapping.
-func openModelFile(path string) (*core.Model, *core.MappedModel, error) {
-	mapped, err := core.OpenMappedModel(path)
+	defer func() {
+		if err != nil {
+			_ = rng.Close()
+		}
+	}()
+	train, err := s.trainFor(rng.NumUsers(), rng.NumItems())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return mapped.Model(), mapped, nil
-}
-
-// install validates model against the configuration and atomically swaps
-// in a fresh snapshot (new cache, new buffer pool, bumped version).
-func (s *Server) install(model *core.Model, mapped *core.MappedModel) error {
-	if model == nil {
-		return fmt.Errorf("serve: nil model")
+	if tags := s.cfg.ItemTags; tags != nil && tags.NumItems() > rng.NumItems() {
+		return nil, fmt.Errorf("serve: item tag table covers %d items but the model has %d",
+			tags.NumItems(), rng.NumItems())
 	}
-	train, err := s.trainFor(model.NumUsers(), model.NumItems())
+	stages, err := BuildStages(specs, s.cfg.ItemTags, rng.Model())
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("serve: default stages: %w", err)
 	}
-	if tags := s.cfg.ItemTags; tags != nil && tags.NumItems() > model.NumItems() {
-		return fmt.Errorf("serve: item tag table covers %d items but the model has %d",
-			tags.NumItems(), model.NumItems())
-	}
-	stages, err := BuildStages(s.cfg.Stages, s.cfg.ItemTags, model)
-	if err != nil {
-		return fmt.Errorf("serve: default stages: %w", err)
-	}
-	scorer := core.Scorer(model)
-	if mapped != nil {
-		scorer = mapped
-	}
-	sn := &snapshot{
-		model:    model,
-		scorer:   scorer,
-		mapped:   mapped,
+	sn = &snapshot{
+		rng:      rng,
+		model:    rng.Model(),
 		train:    train,
-		version:  s.version.Add(1),
+		version:  1,
 		loadedAt: time.Now(),
 		stages:   stages,
-		engine: rank.NewEngine(scorer, rank.Config{
-			CacheSize:   s.cfg.CacheSize,
-			CacheShards: s.cfg.CacheShards,
-			Stats:       s.rankStats,
-		}),
+		engine:   s.newEngine(rng, stats),
+	}
+	if old != nil {
+		sn.version = old.version + 1
+	}
+	return sn, nil
+}
+
+// newEngine builds an engine ranking rng, counting into stats. A
+// whole-catalogue range gets the configured top-M cache; a partition is
+// cacheless by design — the router caches merged lists under its own
+// epoch-qualified fingerprints.
+func (s *Server) newEngine(rng *core.MappedModelRange, stats *rank.Stats) *rank.Engine {
+	cfg := rank.Config{CacheSize: -1, Stats: stats}
+	if rng.Model() != nil {
+		cfg.CacheSize = s.cfg.CacheSize
+	}
+	return rank.NewEngine(rangeScorer{rng}, cfg)
+}
+
+// rangeScorer adapts the item-range mapping to the engine's Scorer: the
+// engine sees a catalogue of Len() range-local items.
+type rangeScorer struct{ rng *core.MappedModelRange }
+
+func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) }
+func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
+
+// install opens the configured item range of Config.ModelPath and
+// atomically swaps in the fresh snapshot (new cache, new buffer pool,
+// bumped version); a shard retires the current one into its two-deep
+// history (see Server.prev). Guarded by reloadMu, or single-threaded at
+// construction.
+func (s *Server) install() (*snapshot, error) {
+	lo, hi := 0, -1
+	if s.cfg.shardMode() {
+		lo, hi = s.cfg.ShardLo, s.cfg.ShardHi
+	}
+	old := s.snap.Load()
+	sn, err := s.open(s.cfg.ModelPath, lo, hi, old, s.rankStats, s.cfg.Stages)
+	if err != nil {
+		return nil, err
+	}
+	if old != nil && s.cfg.shardMode() {
+		s.prev.Store(old)
 	}
 	s.snap.Store(sn)
-	return nil
+	return sn, nil
 }
 
 // trainFor returns the configured exclusion matrix padded to the served
 // catalogue shape (users × items), transpose materialized, behind the
-// shape-keyed per-server cache. Guarded by reloadMu (install runs under
-// it, or single-threaded at construction).
+// shape-keyed per-server cache. Guarded by reloadMu (open runs under it,
+// or single-threaded at construction).
 func (s *Server) trainFor(users, items int) (*sparse.Matrix, error) {
 	train := s.cfg.Train
 	if train != nil && (train.Rows() > users || train.Cols() > items) {
@@ -410,59 +436,41 @@ func (s *Server) trainFor(users, items int) (*sparse.Matrix, error) {
 	return train, nil
 }
 
-// Reload atomically replaces the served model. In-flight requests finish
-// against the snapshot they started with; new requests see the new model
-// and an empty cache.
-func (s *Server) Reload(model *core.Model) error {
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	return s.reloadLocked(model, nil)
+// ReloadFromFile re-maps Config.ModelPath and installs the result — the
+// SIGHUP path of cmd/ocular-serve. In-flight requests finish against the
+// snapshot they started with; new requests see the new model and an empty
+// cache. This is O(1) regardless of model size: re-mmap, validate the
+// 128-byte header, swap the snapshot pointer. No factor byte is copied or
+// scanned; the old mapping is released by GC once the last request pinned
+// to the old snapshot finishes.
+func (s *Server) ReloadFromFile() error {
+	_, err := s.reload()
+	return err
 }
 
-func (s *Server) reloadLocked(model *core.Model, mapped *core.MappedModel) error {
-	if err := s.install(model, mapped); err != nil {
-		return err
+// reload is ReloadFromFile handing back the snapshot it installed, so that
+// POST /v1/reload reports its own reload even when another one overlaps.
+// The file open happens under the reload lock so concurrent reloads
+// cannot install their models out of read order.
+func (s *Server) reload() (*snapshot, error) {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	sn, err := s.install()
+	if err != nil {
+		return nil, err
 	}
 	s.metrics.reloads.Add(1)
-	return nil
+	return sn, nil
 }
 
-// ReloadFromFile re-reads Config.ModelPath and installs the result — the
-// handler behind POST /v1/reload and the SIGHUP path of cmd/ocular-serve.
-// For a v2 file this is O(1) regardless of model size: re-mmap, validate
-// the 128-byte header, swap the snapshot pointer. No factor byte is
-// copied or scanned; the old mapping is released by GC once the last
-// request pinned to the old snapshot finishes. The file open happens
-// under the reload lock so concurrent reloads cannot install their models
-// out of read order.
-func (s *Server) ReloadFromFile() error {
-	if s.cfg.ModelPath == "" {
-		return fmt.Errorf("serve: no ModelPath configured for reload")
-	}
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	if s.cfg.shardMode() {
-		if err := s.openShard(); err != nil {
-			return err
-		}
-		s.metrics.reloads.Add(1)
-		return nil
-	}
-	model, mapped, err := openModelFile(s.cfg.ModelPath)
-	if err != nil {
-		return err
-	}
-	return s.reloadLocked(model, mapped)
-}
-
-// Model returns the currently served model (for mapped models, the
-// zero-copy full-precision view). The view stays valid while the server
-// lives; callers must not retain it across process teardown of the
-// server.
+// Model returns the currently served model: the zero-copy full-precision
+// view of the mapping, nil on a shard serving a partition. The view stays
+// valid while the server lives; callers must not retain it across process
+// teardown of the server.
 func (s *Server) Model() *core.Model { return s.snap.Load().model }
 
-// ServingMode reports whether the current snapshot serves out of an
-// mmapped v2 file, and whether it scores through the float32 section.
+// ServingMode reports that the current snapshot serves out of an mmapped
+// v2 file (always), and whether it scores through the float32 section.
 func (s *Server) ServingMode() (mapped, float32Scoring bool) {
 	_, mapped, float32Scoring = s.snap.Load().servingMode()
 	return mapped, float32Scoring

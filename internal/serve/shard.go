@@ -7,46 +7,38 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/rank"
 	"repro/internal/wire"
 )
 
 // Shard mode: one serve process owning an item partition of the catalogue.
 //
-// A shard mmaps only its item-range slice of the v2 model file (full user
-// sections, item rows [lo, hi)) and answers POST /v1/shard/topm (JSON)
-// and POST /v2/shard/topm (frames) — one pipeline, shardPartial, under
-// two codecs — with its partition's top-min(m, partition size) items
-// under the engine's tie rule, item ids translated back to global. Because every item's score
+// A shard is the same server over a narrower range: it mmaps only its
+// item-range slice of the v2 model file (full user sections, item rows
+// [lo, hi)) and answers POST /v1/shard/topm (JSON) and POST /v2/shard/topm
+// (frames) — one pipeline, shardPartial, under two codecs — with its
+// partition's top-min(m, partition size) items under the engine's tie
+// rule, item ids translated back to global. Because every item's score
 // depends only on that item's factor row and the user's factor, partition
 // scores are bit-identical to the corresponding entries of a
 // full-catalogue scoring pass — so a router merging shard partials with
 // rank.MergeTopM reproduces single-process serving exactly (same items,
 // same float64 bits). See internal/cluster for the router.
 //
-// Shards are deliberately cacheless and stateless: the router owns the
-// fingerprint cache and the singleflight, so a shard ranks every request
-// it sees. They serve /v1/reload and /healthz for the trainer's quorum
-// rollout, and nothing else of the full API — a shard cannot fold in,
-// explain, or ingest.
+// Partitions are deliberately cacheless and stateless: the router owns
+// the fingerprint cache and the singleflight, so a shard ranks every
+// request it sees. Shards serve /v1/reload and /healthz for the trainer's
+// quorum rollout, and nothing else of the full API — a partition cannot
+// fold in, explain, or ingest.
 
 // NewShardFromFile builds a shard-mode server serving the item range
 // [cfg.ShardLo, cfg.ShardHi) of the v2 model at cfg.ModelPath.
 // cfg.ShardHi == -1 means "through the end of the catalogue", re-resolved
-// at every reload. Shard mode requires a v2 model file (the range mmap has
-// no copying fallback) and refuses a Feed: ingest belongs on a full
+// at every reload. Shard mode refuses a Feed: ingest belongs on a full
 // server or the router, not on a partition.
 func NewShardFromFile(cfg Config) (*Server, error) {
 	if !cfg.shardMode() {
 		return nil, fmt.Errorf("serve: NewShardFromFile needs a shard range (ShardHi != 0)")
-	}
-	if cfg.ModelPath == "" {
-		return nil, fmt.Errorf("serve: shard mode needs Config.ModelPath (shards serve from an mmapped v2 file)")
-	}
-	if cfg.ShardLo < 0 || (cfg.ShardHi != -1 && cfg.ShardHi <= cfg.ShardLo) {
-		return nil, fmt.Errorf("serve: invalid shard range [%d,%d)", cfg.ShardLo, cfg.ShardHi)
 	}
 	if cfg.Feed != nil {
 		return nil, fmt.Errorf("serve: shard mode takes no Feed (run ingest on a full server)")
@@ -57,93 +49,7 @@ func NewShardFromFile(cfg Config) (*Server, error) {
 	if cfg.Registry != nil {
 		return nil, fmt.Errorf("serve: shard mode takes no Registry (run the multi-model platform on full servers)")
 	}
-	cfg, err := checkLimits(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := newBase(cfg)
-	if err := s.openShard(); err != nil {
-		return nil, err
-	}
-	s.mux = s.buildShardMux()
-	return s, nil
-}
-
-// openShard maps the configured item range of the model file and installs
-// it. Guarded by reloadMu, or single-threaded at construction.
-func (s *Server) openShard() error {
-	rng, err := core.OpenMappedModelRange(s.cfg.ModelPath, s.cfg.ShardLo, s.cfg.ShardHi)
-	if err != nil {
-		return err
-	}
-	if err := s.installShard(rng); err != nil {
-		_ = rng.Close()
-		return err
-	}
-	return nil
-}
-
-// installShard swaps in a fresh shard snapshot, retiring the current one
-// into the two-deep history (see Server.prev). Guarded by reloadMu, or
-// single-threaded at construction.
-func (s *Server) installShard(rng *core.MappedModelRange) error {
-	train, err := s.trainFor(rng.NumUsers(), rng.NumItems())
-	if err != nil {
-		return err
-	}
-	if tags := s.cfg.ItemTags; tags != nil && tags.NumItems() > rng.NumItems() {
-		return fmt.Errorf("serve: item tag table covers %d items but the model has %d",
-			tags.NumItems(), rng.NumItems())
-	}
-	sn := &snapshot{
-		rng:      rng,
-		train:    train,
-		version:  s.version.Add(1),
-		loadedAt: time.Now(),
-		// CacheSize -1 disables the engine cache: shards are cacheless by
-		// design — the router caches merged lists under its own
-		// epoch-qualified fingerprints.
-		engine: rank.NewEngine(rangeScorer{rng}, rank.Config{CacheSize: -1, Stats: s.rankStats}),
-	}
-	if old := s.snap.Load(); old != nil {
-		s.prev.Store(old)
-	}
-	s.snap.Store(sn)
-	return nil
-}
-
-// rangeScorer adapts the item-range mapping to the engine's Scorer: the
-// engine sees a catalogue of Len() partition-local items.
-type rangeScorer struct{ rng *core.MappedModelRange }
-
-func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) }
-func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
-
-// numUsers and numItems read the served catalogue shape in either mode —
-// shard snapshots carry no *core.Model. numItems is always the FULL
-// catalogue size, not the partition's: request validation (user ids,
-// exclude lists, tag tables) speaks global ids on shards too.
-func (sn *snapshot) numUsers() int {
-	if sn.rng != nil {
-		return sn.rng.NumUsers()
-	}
-	return sn.model.NumUsers()
-}
-
-func (sn *snapshot) numItems() int {
-	if sn.rng != nil {
-		return sn.rng.NumItems()
-	}
-	return sn.model.NumItems()
-}
-
-func (s *Server) buildShardMux() *http.ServeMux {
-	// Only the data path is gated.
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
-	mux.HandleFunc("POST /v2/shard/topm", s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame)))
-	s.mountControl(mux)
-	return mux
+	return newServer(cfg)
 }
 
 // DeadlineHeader carries the caller's remaining deadline budget in
@@ -253,8 +159,8 @@ func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *ShardTop
 		}
 		p.sn = prev
 	}
-	if req.User < 0 || req.User >= p.sn.numUsers() {
-		return p, badRequest(fmt.Errorf("user %d out of range (%d users)", req.User, p.sn.numUsers()))
+	if req.User < 0 || req.User >= p.sn.rng.NumUsers() {
+		return p, badRequest(fmt.Errorf("user %d out of range (%d users)", req.User, p.sn.rng.NumUsers()))
 	}
 	extra, err := s.requestFilters(p.sn, req.ExcludeItems, req.Filter)
 	if err != nil {
