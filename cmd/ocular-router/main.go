@@ -9,17 +9,20 @@
 // Endpoints (JSON request/response):
 //
 //	POST /v1/recommend   {"user": 3, "m": 10}  top-M, bit-identical to one full server
-//	POST /v1/batch       {"users": [1,2,3]}    many users, worker-pool fan-out
+//	POST /v1/batch       {"users": [1,2,3]}    many users, still one round trip per shard (/v2/batch: the same as frames)
 //	POST /v1/admin/flip                         re-read shard versions/ranges (trainer rollout)
 //	GET  /healthz                               route table: epoch, shard versions, ranges, breaker/health states
 //	GET  /readyz                                readiness (503 until the first route table, and while draining)
 //	GET  /metrics                               scatter, hedge, breaker, prober, admission and cache counters
 //
 // The router owns the top-M cache and singleflight (shards are
-// cacheless); every scatter pins each shard to the model version in the
-// current route table, so partials of different model versions can never
-// be merged — during a trainer rollout, shards serve pinned requests
-// from their previous snapshot until the trainer flips the table.
+// cacheless). A request, single or batch, costs one round trip per shard:
+// the users the cache cannot answer travel together in one binary frame to
+// each shard's /v2/shard/topm. Every scatter pins each shard to the model
+// version in the current route table, so partials of different model
+// versions can never be merged — during a trainer rollout, shards serve
+// pinned requests from their previous snapshot until the trainer flips the
+// table.
 //
 // Shard failures fail requests closed (502) by default; -allow-degraded
 // instead merges the surviving shards' partials and marks the response
@@ -76,16 +79,14 @@ func main() {
 		addr   = flag.String("addr", ":8080", "listen address")
 
 		cacheSize = flag.Int("cache", 4096, "cached merged top-M lists (negative disables)")
-		workers   = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
 		maxM      = flag.Int("max-m", 1000, "cap on requested list length m (must not exceed the shards' -max-m)")
-		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
+		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request (must not exceed the shards' -max-batch)")
 		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
 
 		stages    = flag.String("stages", "", "staged re-rank pipeline applied once after the merge, e.g. \"floor=0.1,boost=0.5:promoted\"")
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
 		itemsMeta = flag.String("items-meta", "", "item name/tag table for boost stages (item,name,tag,... lines; needs -model)")
 
-		shardWire     = flag.String("shard-wire", "json", "wire format for shard scatter calls: json (POST /v1/shard/topm) or binary (POST /v2/shard/topm frames)")
 		maxFanout     = flag.Int("max-fanout", 0, "concurrent shard calls per request (0 = all shards)")
 		timeout       = flag.Duration("timeout", 2*time.Second, "per-attempt shard call deadline")
 		hedge         = flag.Duration("hedge", 0, "launch a second attempt against a slow shard after this delay (0 = off)")
@@ -135,8 +136,6 @@ func main() {
 		MaxBatch:         *maxBatch,
 		MaxBodyBytes:     *maxBody,
 		CacheSize:        *cacheSize,
-		Workers:          *workers,
-		ShardWire:        *shardWire,
 		MaxFanout:        *maxFanout,
 		Timeout:          *timeout,
 		HedgeDelay:       *hedge,

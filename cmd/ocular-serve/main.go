@@ -53,9 +53,12 @@
 //
 // With -shard-lo/-shard-hi the process becomes one shard of the sharded
 // serving tier: it mmaps only its item range of the model and serves
-// POST /v1/shard/topm partials (/v2/shard/topm as frames; plus
-// /v1/reload, /healthz, /metrics) for cmd/ocular-router to scatter-gather. -shard-hi -1 means "through the
-// end of the catalogue". See the README's "Sharded serving" section.
+// partials for cmd/ocular-router to scatter-gather — POST /v2/shard/topm,
+// frames carrying every user of a router batch in one call, is what the
+// router speaks; POST /v1/shard/topm is its one-user JSON twin — plus
+// /v1/reload, /healthz and /metrics. -max-m and -max-batch must cover the
+// router's. -shard-hi -1 means "through the end of the catalogue". See
+// the README's "Sharded serving" section.
 package main
 
 import (
@@ -103,7 +106,7 @@ func main() {
 		cacheSize = flag.Int("cache", 4096, "cached top-M lists (negative disables)")
 		workers   = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
 		maxM      = flag.Int("max-m", 1000, "cap on requested list length m")
-		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request")
+		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request (and per router batch, on a shard)")
 		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
 		lambda    = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
 		relative  = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")

@@ -1,0 +1,320 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/chaos"
+	"repro/internal/serve"
+	"repro/internal/wire"
+)
+
+// The batch-shaped scatter: whatever a request holds — one user or many,
+// hits, repeats, bad ids — the users that need ranking reach each shard
+// in ONE frame, and every slot comes back in request order.
+
+// counters reads the router-side counters the shape is asserted on.
+func (tr *tier) counters() (merged, shardCalls, scatters int64) {
+	return tr.router.stats.Ranked(), tr.router.m.shardCalls.Value(), tr.router.m.scatters.Value()
+}
+
+// TestBatchScattersOncePerShard: a batch mixing a cached user, a repeated
+// user, an out-of-range user and cold users costs one call per shard; the
+// repeat is merged once; only the bad slot fails; every served slot is
+// bit-identical to the reference, in request order.
+func TestBatchScattersOncePerShard(t *testing.T) {
+	for _, nParts := range []int{2, 3} {
+		t.Run(fmt.Sprintf("shards=%d", nParts), func(t *testing.T) {
+			tr := newTier(t, nParts, Config{})
+			const m = 7
+			exclude := []int{3, 17}
+			// Warm user 42 into the cache, under the batch's own filter surface.
+			if st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
+				serve.RecommendRequest{User: 42, M: m, ExcludeItems: exclude}, nil); st != 200 {
+				t.Fatalf("warm-up: status %d", st)
+			}
+			merged0, calls0, scatters0 := tr.counters()
+
+			users := []int{5, 42, 9000, 7, 5, 119, 7}
+			var batch BatchResponse
+			if st := postJSON(t, tr.routerTS.URL+"/v1/batch",
+				serve.BatchRequest{Users: users, M: m, ExcludeItems: exclude}, &batch); st != 200 {
+				t.Fatalf("batch status %d", st)
+			}
+			merged, calls, scatters := tr.counters()
+			if got := calls - calls0; got != int64(nParts) {
+				t.Errorf("the batch cost %d shard calls, want one per shard = %d", got, nParts)
+			}
+			if got := scatters - scatters0; got != 1 {
+				t.Errorf("the batch ran %d scatters, want 1", got)
+			}
+			if got := merged - merged0; got != 3 {
+				t.Errorf("the batch merged %d lists, want 3 (users 5, 7, 119 — each once)", got)
+			}
+			if len(batch.Results) != len(users) {
+				t.Fatalf("%d results for %d users", len(batch.Results), len(users))
+			}
+			seen := map[int]bool{}
+			for n, res := range batch.Results {
+				u := users[n]
+				if res.User != u {
+					t.Fatalf("slot %d answers for user %d, asked about %d", n, res.User, u)
+				}
+				if u == 9000 {
+					if res.Error == "" || len(res.Items) != 0 {
+						t.Errorf("out-of-range user served: %+v", res)
+					}
+					continue
+				}
+				if res.Error != "" || res.Degraded {
+					t.Fatalf("slot %d (user %d): error %q degraded %v", n, u, res.Error, res.Degraded)
+				}
+				// The warmed user is a hit, the second sight of a user shares
+				// the first's merge, a first sight is neither.
+				if want := u == 42 || seen[u]; res.Cached != want {
+					t.Errorf("slot %d (user %d): cached=%v, want %v", n, u, res.Cached, want)
+				}
+				seen[u] = true
+				var want serve.RecommendResponse
+				postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: u, M: m, ExcludeItems: exclude}, &want)
+				sameLists(t, fmt.Sprintf("slot %d (user %d)", n, u), res.Items, want.Items)
+			}
+
+			// Everything the batch merged is now cached: the same batch again
+			// scatters nothing.
+			if st := postJSON(t, tr.routerTS.URL+"/v1/batch",
+				serve.BatchRequest{Users: users, M: m, ExcludeItems: exclude}, &batch); st != 200 {
+				t.Fatalf("second batch status %d", st)
+			}
+			if _, again, _ := tr.counters(); again != calls {
+				t.Errorf("a fully cached batch made %d shard calls", again-calls)
+			}
+		})
+	}
+}
+
+// TestOverlappingBatchesMergeEachKeyOnce: two batches sharing half their
+// users, in flight together (the shards are slowed so neither can finish
+// before the other has looked its users up) and walking the shared users
+// in opposite orders, so each ends up waiting on flights the other leads.
+// Neither may deadlock, every key is merged exactly once between them,
+// and every slot is the reference's list. Run under -race in CI.
+func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
+	ct := chaos.NewTransport(nil, 1)
+	tr := newTier(t, 2, Config{HTTPClient: &http.Client{Transport: ct}})
+	ct.Set(&chaos.Fault{Path: shardPath, Latency: 40 * time.Millisecond})
+	for round := 0; round < 5; round++ {
+		base := round * 24
+		var a, b []int
+		for u := 0; u < 16; u++ {
+			a = append(a, base+u)    // base .. base+15, ascending
+			b = append(b, base+23-u) // base+23 .. base+8, descending
+		}
+		merged0, _, _ := tr.counters()
+		shared0 := tr.router.stats.Coalesced() + tr.router.stats.Hits()
+		var wg sync.WaitGroup
+		results := make([]BatchResponse, 2)
+		for i, users := range [][]int{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if st := postJSON(t, tr.routerTS.URL+"/v1/batch", serve.BatchRequest{Users: users, M: 5}, &results[i]); st != 200 {
+					t.Errorf("round %d batch %d: status %d", round, i, st)
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("round %d: overlapping batches deadlocked", round)
+		}
+		if merged, _, _ := tr.counters(); merged-merged0 != 24 {
+			t.Errorf("round %d: %d merges for 24 distinct users across two overlapping batches", round, merged-merged0)
+		}
+		// The other sight of each shared user waited on the flight its peer
+		// led (or, had a batch been held up past the peer's scatter, hit).
+		if shared := tr.router.stats.Coalesced() + tr.router.stats.Hits() - shared0; shared != 8 {
+			t.Errorf("round %d: %d shared lookups, want one per user both batches named = 8", round, shared)
+		}
+		for i, users := range [][]int{a, b} {
+			for n, res := range results[i].Results {
+				if res.Error != "" {
+					t.Fatalf("round %d batch %d slot %d: %s", round, i, n, res.Error)
+				}
+				var want serve.RecommendResponse
+				postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: users[n], M: 5}, &want)
+				sameLists(t, fmt.Sprintf("round %d batch %d user %d", round, i, users[n]), res.Items, want.Items)
+			}
+		}
+	}
+}
+
+// TestBatchWithShardDown: one shard gone, a batch of one cached user and
+// two cold ones. Either policy still serves the hit in full. Failing
+// closed, every miss fails and the batch still answers 200; allowing
+// degraded merges, every miss is served from the surviving range, marked,
+// and never cached — the same batch again degrades again.
+func TestBatchWithShardDown(t *testing.T) {
+	tr := newTier(t, 2, Config{})
+	deg, err := New(Config{Shards: []string{tr.shardTS[0].URL, tr.shardTS[1].URL}, AllowDegraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deg.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	degTS := httptest.NewServer(deg.Handler())
+	defer degTS.Close()
+	hi := tr.train.Cols() / 2 // shard 1 owns [items/2, items)
+
+	var full serve.RecommendResponse
+	postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: 4, M: 10}, &full)
+	for _, url := range []string{tr.routerTS.URL, degTS.URL} {
+		if st := postJSON(t, url+"/v1/recommend", serve.RecommendRequest{User: 4, M: 10}, nil); st != 200 {
+			t.Fatalf("warm-up on %s: status %d", url, st)
+		}
+	}
+	tr.shardTS[1].Close() // the outage
+
+	req := serve.BatchRequest{Users: []int{4, 5, 6}, M: 10}
+	var closed BatchResponse
+	if st := postJSON(t, tr.routerTS.URL+"/v1/batch", req, &closed); st != 200 {
+		t.Fatalf("fail-closed batch: status %d, want 200 with failed slots", st)
+	}
+	for n, res := range closed.Results {
+		switch {
+		case n == 0:
+			if res.Error != "" || !res.Cached || res.Degraded {
+				t.Errorf("fail-closed: the cached user was not served from the cache: %+v", res)
+			}
+			sameLists(t, "fail-closed hit", res.Items, full.Items)
+		case res.Error == "" || len(res.Items) != 0 || res.Degraded:
+			t.Errorf("fail-closed slot %d: served %+v, want a failed slot", n, res)
+		}
+	}
+
+	for round := 0; round < 2; round++ {
+		var got BatchResponse
+		if st := postJSON(t, degTS.URL+"/v1/batch", req, &got); st != 200 {
+			t.Fatalf("degraded batch round %d: status %d", round, st)
+		}
+		for n, res := range got.Results {
+			if res.Error != "" {
+				t.Fatalf("round %d slot %d: %s", round, n, res.Error)
+			}
+			if n == 0 {
+				if !res.Cached || res.Degraded {
+					t.Errorf("round %d: the cached user came back cached=%v degraded=%v", round, res.Cached, res.Degraded)
+				}
+				sameLists(t, "degraded-router hit", res.Items, full.Items)
+				continue
+			}
+			if !res.Degraded || res.Cached || len(res.Items) == 0 {
+				t.Errorf("round %d slot %d: degraded=%v cached=%v items=%d, want a fresh degraded merge",
+					round, n, res.Degraded, res.Cached, len(res.Items))
+			}
+			for _, it := range res.Items {
+				if it.Item >= hi {
+					t.Fatalf("round %d slot %d: item %d from the dead shard's range [%d,…)", round, n, it.Item, hi)
+				}
+			}
+		}
+	}
+	if n := deg.cache.Len(); n != 1 {
+		t.Errorf("the degraded router caches %d lists, want only the one warmed before the outage", n)
+	}
+	if got := deg.m.degraded.Value(); got != 4 {
+		t.Errorf("degraded counter %d, want 4 (two misses, two rounds)", got)
+	}
+}
+
+// fakeShard answers like a shard owning the whole of a 100,000-item
+// catalogue at model version 1, every user's partial being the first
+// m+extra items in rank order — a stand-in for lists longer than the
+// synthetic catalogue can produce.
+func fakeShard(t testing.TB, extra int) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
+		serve.WriteJSON(w, 200, map[string]any{"model_version": 1, "users": 5000, "items": 100000, "shard_lo": 0, "shard_hi": 100000})
+	})
+	mux.HandleFunc("POST "+shardPath, func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		var req wire.BatchRequest
+		if err := wire.DecodeBatchRequest(body, &req); err != nil {
+			t.Errorf("fake shard: %v", err)
+		}
+		n := int(req.M) + extra
+		resp := wire.BatchResponse{Flags: wire.FlagShardPartial, M: req.M, ShardHi: 100000, ModelVersion: req.ExpectVersion}
+		for range req.Users {
+			resp.Status = append(resp.Status, 0)
+			resp.Counts = append(resp.Counts, uint32(n))
+			for i := 0; i < n; i++ {
+				resp.Items = append(resp.Items, uint32(i))
+				resp.Scores = append(resp.Scores, 1/float64(i+1))
+			}
+		}
+		w.Header().Set("Content-Type", serve.FrameContentType)
+		w.Write(wire.AppendBatchResponse(nil, &resp))
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestShardAnswerReadBound: the router reads a shard's answer under the
+// size the request implies, not under a constant. The largest batch the
+// defaults admit (1,024 users × m=1,000, about 12 MB of partials per
+// shard) is read whole and served; a shard answering with more than was
+// asked for is cut off one byte past the bound and treated as failed.
+func TestShardAnswerReadBound(t *testing.T) {
+	route := func(extra int) string {
+		rt, err := New(Config{Shards: []string{fakeShard(t, extra).URL}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(rt.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	users := make([]uint32, 1024)
+	for i := range users {
+		users[i] = uint32(i)
+	}
+	st, body := postFrame(t, route(0)+"/v2/batch", &wire.BatchRequest{M: 1000, Users: users})
+	if st != 200 {
+		t.Fatalf("largest legal batch: status %d: %.200s", st, body)
+	}
+	var out wire.BatchResponse
+	if err := wire.DecodeBatchResponse(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(body) < 8<<20 {
+		t.Fatalf("the batch's answer is only %d bytes; the case must exceed the old 8 MiB read cap", len(body))
+	}
+	for i := range users {
+		if out.Status[i] != 0 || out.Counts[i] != 1000 {
+			t.Fatalf("slot %d: status %#x, %d items, want a served list of 1000", i, out.Status[i], out.Counts[i])
+		}
+	}
+
+	var errResp struct{ Error string }
+	if st := postJSON(t, route(1)+"/v1/recommend", serve.RecommendRequest{User: 1, M: 1000}, &errResp); st != http.StatusBadGateway {
+		t.Fatalf("shard answering past the bound: status %d, want 502", st)
+	}
+	if !strings.Contains(errResp.Error, "exceeds") {
+		t.Errorf("error %q does not name the overrun", errResp.Error)
+	}
+}

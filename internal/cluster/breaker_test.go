@@ -5,6 +5,20 @@ import (
 	"time"
 )
 
+// awaitTrial polls the breaker until its cooldown lets a half-open trial
+// through: the rendezvous is the breaker's own answer, not a guess at how
+// long the cooldown takes on this machine.
+func awaitTrial(t *testing.T, b *breaker) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "the cooldown to admit a half-open trial", func() bool {
+		proceed, trial := b.tryAcquire()
+		if proceed && !trial {
+			t.Fatal("an open breaker admitted an ordinary call")
+		}
+		return proceed
+	})
+}
+
 func TestBreakerStateMachine(t *testing.T) {
 	b := newBreaker(3, 50*time.Millisecond)
 
@@ -44,11 +58,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 	// After the cooldown exactly one trial goes through; concurrent
 	// calls keep failing fast while it is out.
-	time.Sleep(60 * time.Millisecond)
-	proceed, trial := b.tryAcquire()
-	if !proceed || !trial {
-		t.Fatalf("post-cooldown: tryAcquire = (%v,%v), want trial", proceed, trial)
-	}
+	awaitTrial(t, b)
 	if proceed, _ := b.tryAcquire(); proceed {
 		t.Fatal("second call admitted while the trial is in flight")
 	}
@@ -58,10 +68,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if got := b.stateName(); got != "open" {
 		t.Fatalf("failed trial: state %q", got)
 	}
-	time.Sleep(60 * time.Millisecond)
-	if proceed, trial := b.tryAcquire(); !proceed || !trial {
-		t.Fatalf("second trial not admitted: (%v,%v)", proceed, trial)
-	}
+	awaitTrial(t, b)
 	b.onResult(true, true)
 	if got := b.stateName(); got != "closed" {
 		t.Fatalf("successful trial: state %q", got)
@@ -147,8 +154,5 @@ func TestRetryBudgetWindowRolls(t *testing.T) {
 	if rb.allowRetry() {
 		t.Fatal("budget not exhausted")
 	}
-	time.Sleep(15 * time.Millisecond)
-	if !rb.allowRetry() {
-		t.Fatal("budget did not refill after the window rolled")
-	}
+	waitFor(t, 5*time.Second, "the budget to refill once the window rolls", rb.allowRetry)
 }

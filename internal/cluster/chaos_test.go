@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/serve"
+	"repro/internal/wire"
 )
 
 // The chaos suite proves the self-healing behaviors end to end against
@@ -31,7 +33,9 @@ func hostOf(t testing.TB, rawURL string) string {
 	return u.Host
 }
 
-// waitFor polls cond until it holds or the deadline passes.
+// waitFor polls cond until it holds or the deadline passes — the
+// rendezvous every wait in this package goes through instead of sleeping
+// for a guessed duration.
 func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -39,7 +43,7 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out after %v waiting for %s", d, what)
 		}
-		time.Sleep(10 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond) // the poll interval, not a wait for anything
 	}
 }
 
@@ -206,7 +210,7 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 	})
 	// Every shard call takes ~100ms: admitted requests hold their slot
 	// long enough that a 10× burst must overflow the queue.
-	ct.Set(&chaos.Fault{Path: "/v1/shard/topm", Latency: 100 * time.Millisecond})
+	ct.Set(&chaos.Fault{Path: shardPath, Latency: 100 * time.Millisecond})
 
 	const n = 10 * maxInFlight
 	type outcome struct {
@@ -314,7 +318,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 	}
 
 	// Every third shard call dies with a 500 for the whole test.
-	ct.Set(&chaos.Fault{Path: "/v1/shard/topm", Status: 500, EveryN: 3})
+	ct.Set(&chaos.Fault{Path: shardPath, Status: 500, EveryN: 3})
 
 	matches := func(got, want []serve.ScoredItem) bool {
 		if len(got) != len(want) {
@@ -329,7 +333,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var served, failed int64
+	var served, servedNew, failed int64
 	var mu sync.Mutex
 	for _, u := range users {
 		wg.Add(1)
@@ -352,6 +356,9 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 				mu.Lock()
 				if resp.StatusCode == 200 && decErr == nil {
 					served++
+					if rr.RouteEpoch > 1 {
+						servedNew++
+					}
 					if !matches(rr.Items, v1[u]) && !matches(rr.Items, v2[u]) {
 						t.Errorf("user %d: a 200 list matches neither model version (epoch %d, degraded %v) — versions were mixed",
 							u, rr.RouteEpoch, rr.Degraded)
@@ -376,7 +383,11 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 	waitFor(t, 10*time.Second, "the flip to land mid-chaos", func() bool {
 		return postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil) == 200
 	})
-	time.Sleep(300 * time.Millisecond) // serve across the new epoch too
+	waitFor(t, 10*time.Second, "lists served across the new epoch too", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return servedNew >= int64(2*len(users))
+	})
 	close(stop)
 	wg.Wait()
 	if served == 0 {
@@ -521,35 +532,28 @@ func TestRouterMapsShardTimeoutTo504(t *testing.T) {
 
 // TestShardDeadlineHeader: a shard aborts scoring whose propagated
 // deadline budget already expired, with a 504 the router folds into its
-// own deadline accounting.
+// own deadline accounting — on the frame route the router calls.
 func TestShardDeadlineHeader(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	body := `{"user":1,"m":5,"expect_version":1}`
-	req, err := http.NewRequest(http.MethodPost, tr.shardTS[0].URL+"/v1/shard/topm", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(serve.DeadlineHeader, "0") // already spent
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("expired-budget shard call: status %d, want 504", resp.StatusCode)
-	}
-	// A generous budget serves normally.
-	req2, _ := http.NewRequest(http.MethodPost, tr.shardTS[0].URL+"/v1/shard/topm", strings.NewReader(body))
-	req2.Header.Set("Content-Type", "application/json")
-	req2.Header.Set(serve.DeadlineHeader, "5000")
-	resp2, err := http.DefaultClient.Do(req2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != 200 {
-		t.Fatalf("healthy-budget shard call: status %d", resp2.StatusCode)
+	frame := mustFrame(t, &wire.BatchRequest{M: 5, Users: []uint32{1, 2}, ExpectVersion: 1})
+	for budget, want := range map[string]int{
+		"0":    http.StatusGatewayTimeout, // already spent
+		"5000": http.StatusOK,             // a generous budget serves normally
+	} {
+		req, err := http.NewRequest(http.MethodPost, tr.shardTS[0].URL+shardPath, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", serve.FrameContentType)
+		req.Header.Set(serve.DeadlineHeader, budget)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("shard call with a %s ms budget: status %d, want %d", budget, resp.StatusCode, want)
+		}
 	}
 }
 

@@ -544,13 +544,13 @@ func TestRouterCacheAndEpochFingerprint(t *testing.T) {
 // immediately (fast-failure hedge), and the request still succeeds.
 func TestHedgedRetry(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	// A flaky proxy in front of shard 0: the first /v1/shard/topm attempt
+	// A flaky proxy in front of shard 0: the first /v2/shard/topm attempt
 	// answers 500, everything else passes through.
 	target, _ := url.Parse(tr.shardTS[0].URL)
 	proxy := httputil.NewSingleHostReverseProxy(target)
 	var failed atomic.Bool
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/shard/topm" && failed.CompareAndSwap(false, true) {
+		if r.URL.Path == shardPath && failed.CompareAndSwap(false, true) {
 			http.Error(w, `{"error": "transient"}`, http.StatusInternalServerError)
 			return
 		}

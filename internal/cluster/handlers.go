@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/rank"
 	"repro/internal/serve"
 )
 
@@ -114,37 +113,31 @@ type RecommendResponse struct {
 	Degraded   bool               `json:"degraded,omitempty"`
 }
 
+// handleRecommend is the batch pipeline with one user: the same gather,
+// the same cache, one frame per shard when the list is not cached.
 func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) int {
 	var req serve.RecommendRequest
 	if err := rt.edge.DecodeJSON(w, r, &req); err != nil {
 		return serve.WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	m, err := rt.edge.ClampM(req.M)
-	if err != nil {
-		return serve.WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	tbl, err := rt.loadTable()
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer sc.release()
+	_, tbl, err := rt.batch(r, &serve.BatchRequest{
+		Users: []int{req.User}, M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter, Tenant: req.Tenant,
+	}, sc)
 	if err == nil {
-		err = tbl.validateUser(req.User)
-	}
-	if err == nil {
-		err = tbl.validateExclude(req.ExcludeItems)
+		err = sc.res[0].Err
 	}
 	if err != nil {
 		return rt.writeFailure(w, err)
 	}
-	ctx, cancel := rt.requestContext(r)
-	defer cancel()
-	items, scores, cached, degraded, err := rt.recommendOne(ctx, tbl, req.User, m, req.ExcludeItems, req.Filter)
-	if err != nil {
-		return rt.writeFailure(w, err)
-	}
+	res := &sc.res[0]
 	return serve.WriteJSON(w, http.StatusOK, RecommendResponse{
 		User:       req.User,
-		Items:      serve.ZipScored(items, scores),
-		Cached:     cached,
+		Items:      serve.ZipScored(res.Items, res.Scores),
+		Cached:     res.Cached,
 		RouteEpoch: tbl.epoch,
-		Degraded:   degraded,
+		Degraded:   res.NoShare,
 	})
 }
 
@@ -177,69 +170,6 @@ func (rt *Router) writeFailure(w http.ResponseWriter, err error) int {
 		})
 	}
 	return serve.WriteError(w, http.StatusBadGateway, err.Error())
-}
-
-// recommendOne serves one user's merged list through the fingerprint
-// cache. Validation must have happened; m must be clamped; ctx carries
-// the request's end-to-end deadline (requestContext).
-//
-// With Config.Stages set, each shard is asked for the over-fetched
-// length rank.StagesOverFetch(m, stages) and the pipeline runs exactly
-// once, on the merged list — the same candidate pool and the same
-// arithmetic as a single staged process, so the staged tier stays
-// bit-identical to single-process staged serving.
-func (rt *Router) recommendOne(ctx context.Context, tbl *routeTable, user, m int, exclude []int, spec *serve.FilterSpec) (items []int, scores []float64, cached, degraded bool, err error) {
-	stages := rt.cfg.Stages
-	act := obs.ActiveFrom(ctx)
-	shardReq := serve.ShardTopMRequest{User: user, M: rank.StagesOverFetch(m, stages), ExcludeItems: exclude, Filter: spec}
-	merge := func(parts []*rank.Partial, note string) ([]int, []float64) {
-		flat := make([]rank.Partial, len(parts))
-		for n, p := range parts {
-			flat[n] = *p
-		}
-		mstart := time.Now()
-		items, scores := rank.MergeTopMStaged(m, stages, flat...)
-		act.Record("merge", mstart, time.Since(mstart), note)
-		return items, scores
-	}
-	compute := func() ([]int, []float64, bool, error) {
-		parts, err := rt.scatter(ctx, tbl, shardReq)
-		if err == nil {
-			items, scores := merge(parts, "")
-			return items, scores, true, nil
-		}
-		var reqErr *requestError
-		if errors.As(err, &reqErr) || !rt.cfg.AllowDegraded {
-			return nil, nil, false, err
-		}
-		survivors := parts[:0:0]
-		for _, p := range parts {
-			if p != nil {
-				survivors = append(survivors, p)
-			}
-		}
-		if len(survivors) == 0 {
-			return nil, nil, false, err
-		}
-		// Degraded merge: serve what survived, mark it, and keep it out of
-		// the cache and away from coalesced waiters — a truncated list must
-		// never outlive the outage that caused it.
-		degraded = true
-		rt.m.degraded.Add(1)
-		items, scores := merge(survivors, "degraded")
-		return items, scores, false, nil
-	}
-	fp, cacheable := fingerprintFor(tbl.epoch, exclude, spec, stages)
-	if !cacheable {
-		items, scores, _, err = compute()
-		return items, scores, false, degraded, err
-	}
-	cstart := time.Now()
-	items, scores, cached, err = rt.cache.GetOrCompute(user, m, fp, compute)
-	if cached {
-		act.Record("cache", cstart, time.Since(cstart), "hit")
-	}
-	return items, scores, cached, degraded, err
 }
 
 // ShardStatus is one shard's row in flip and health responses.

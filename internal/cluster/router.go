@@ -2,12 +2,15 @@
 // front-end that answers the single-process /v1/recommend and /v1/batch
 // API by fanning each request out to item-partitioned shard processes
 // (serve.NewShardFromFile), merging the per-shard top-M partials with
-// rank.MergeTopM, and caching the merged lists. Because per-item scores
-// are independent of the rest of the catalogue, the merged lists are
-// bit-identical — same items, same float64 score bits — to what one
-// process serving the whole model would return. A configured re-rank
-// pipeline (Config.Stages) runs exactly once, after the merge, over a
-// scatter over-fetched to the stages' candidate pool — so staged
+// rank.MergeTopM, and caching the merged lists. A request — one user or a
+// batch — costs one round trip per shard: the users its cache cannot
+// answer travel together in one frame of internal/wire (POST
+// /v2/shard/topm), and every shard answers one frame of partials. Because
+// per-item scores are independent of the rest of the catalogue, the
+// merged lists are bit-identical — same items, same float64 score bits —
+// to what one process serving the whole model would return. A configured
+// re-rank pipeline (Config.Stages) runs exactly once, after the merge,
+// over a scatter over-fetched to the stages' candidate pool — so staged
 // routing stays bit-identical to single-process staged serving too.
 //
 // The router owns the fingerprint cache and the singleflight; shards stay
@@ -42,6 +45,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,16 +66,15 @@ type Config struct {
 	// router forwards m verbatim without stages, over-fetched with them.
 	MaxM int
 	// MaxBatch caps the number of users in one /v1/batch request. 0 means
-	// 1024.
+	// 1024. The shards' own MaxBatch must cover it, as their MaxM must
+	// cover MaxM: a batch's cache misses reach every shard as one request,
+	// never chunked, and a shard's 400 surfaces as the router's.
 	MaxBatch int
 	// MaxBodyBytes caps request body size. 0 means 1 MiB.
 	MaxBodyBytes int64
 	// CacheSize is the approximate total number of cached merged lists; 0
 	// means 4096, negative disables caching.
 	CacheSize int
-	// Workers bounds the per-request user fan-out of /v1/batch. 0 means
-	// all cores.
-	Workers int
 	// MaxFanout bounds how many shard calls one scatter runs
 	// concurrently. 0 means all shards at once.
 	MaxFanout int
@@ -134,11 +137,6 @@ type Config struct {
 	// never share cache entries. Stages must be deterministic and every
 	// stage must declare a non-empty CacheKey. Nil entries are dropped.
 	Stages []rank.Stage
-	// ShardWire selects the wire format of the scatter's shard calls:
-	// "json" (the default) posts /v1/shard/topm, "binary" posts the
-	// columnar frames of internal/wire to /v2/shard/topm — same partials,
-	// same validation, no JSON marshalling on the hot path.
-	ShardWire string
 	// HTTPClient overrides the client used for shard calls (tests;
 	// custom transports). Nil means a client with no overall timeout —
 	// per-attempt deadlines come from Timeout.
@@ -184,9 +182,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBudget == 0 {
 		c.RetryBudget = 0.2
-	}
-	if c.ShardWire == "" {
-		c.ShardWire = "json"
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{}
@@ -241,8 +236,6 @@ type Router struct {
 	// edge is the HTTP plumbing shared with the serve tier: body decoding,
 	// clamping, response writers, instrumentation and the request tracer.
 	edge *serve.Edge
-	// wire is the shard-call body codec Config.ShardWire selects.
-	wire *shardWire
 	// shardLat holds one latency histogram per shard URL, observing whole
 	// callShard calls (hedges and retries included). Built at
 	// construction, never mutated.
@@ -273,8 +266,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: MaxBatch must be >= 0, got %d", cfg.MaxBatch)
 	case cfg.MaxBodyBytes < 0:
 		return nil, fmt.Errorf("cluster: MaxBodyBytes must be >= 0, got %d", cfg.MaxBodyBytes)
-	case cfg.Workers < 0:
-		return nil, fmt.Errorf("cluster: Workers must be >= 0, got %d", cfg.Workers)
 	case cfg.MaxFanout < 0:
 		return nil, fmt.Errorf("cluster: MaxFanout must be >= 0, got %d", cfg.MaxFanout)
 	case cfg.Timeout < 0 || cfg.HedgeDelay < 0:
@@ -287,9 +278,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: MaxInFlight must be >= 0, got %d", cfg.MaxInFlight)
 	case cfg.QueueWait < 0:
 		return nil, fmt.Errorf("cluster: QueueWait must be >= 0, got %v", cfg.QueueWait)
-	}
-	if w := cfg.ShardWire; w != "" && w != "json" && w != "binary" {
-		return nil, fmt.Errorf("cluster: ShardWire must be \"json\" or \"binary\", got %q", w)
 	}
 	stages := cfg.Stages[:0:0]
 	for _, st := range cfg.Stages {
@@ -324,10 +312,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	rt.edge = serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
 		serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames)
-	rt.wire = &jsonShardWire
-	if cfg.ShardWire == "binary" {
-		rt.wire = &frameShardWire
-	}
 	if cfg.BreakerThreshold > 0 {
 		rt.breakers = make(map[string]*breaker, len(cfg.Shards))
 		for _, u := range cfg.Shards {
@@ -467,44 +451,72 @@ func countsAgainstBreaker(err error) bool {
 	return true
 }
 
-// scatter fans req out to every shard of tbl (bounded by MaxFanout,
-// hedged per HedgeDelay) and returns the partials in shard order, nil
-// for shards that failed, plus the first failure. The caller decides
-// whether failures are fatal (fail-closed) or degrade the merge.
-func (rt *Router) scatter(ctx context.Context, tbl *routeTable, req serve.ShardTopMRequest) ([]*rank.Partial, error) {
+// shardPath is the shard endpoint every scatter posts its frame to.
+const shardPath = "/v2/shard/topm"
+
+// shardReply is one shard's validated answer to one scatter: the decoded
+// frame, its item column widened for the merge, and the raw body it was
+// decoded from. Replies are pooled per attempt, not per request — a
+// hedged attempt that lost the race may still be reading its body after
+// the scatter returned — and the winner's goes back once its lists are
+// merged.
+type shardReply struct {
+	raw   []byte
+	resp  wire.BatchResponse
+	items []int
+	at    int // where the next user's partial starts; see next
+}
+
+var shardReplyPool = sync.Pool{New: func() any { return new(shardReply) }}
+
+// next returns the partial of the next user of the frame, in request order.
+func (rp *shardReply) next(user int) rank.Partial {
+	end := rp.at + int(rp.resp.Counts[user])
+	p := rank.Partial{Items: rp.items[rp.at:end], Scores: rp.resp.Scores[rp.at:end]}
+	rp.at = end
+	return p
+}
+
+// scatter sends frame — one request carrying the nUsers users of a batch
+// that need ranking, encoded once — to every shard of tbl (bounded by
+// MaxFanout, hedged per HedgeDelay), each copy patched with that shard's
+// version pin. It returns the replies in shard order, nil for shards that
+// failed, plus the first failure. The caller decides whether failures are
+// fatal (fail-closed) or degrade the merges, and releases the replies.
+func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nUsers, m int) ([]*shardReply, error) {
 	rt.m.scatters.Add(1)
 	act := obs.ActiveFrom(ctx)
-	parts := make([]*rank.Partial, len(tbl.shards))
+	replies := make([]*shardReply, len(tbl.shards))
 	errs := make([]error, len(tbl.shards))
+	// The per-shard bodies are never pooled: net/http may still be reading
+	// a request body after the call that sent it has returned.
+	bodies := make([]byte, len(tbl.shards)*len(frame))
 	sem := make(chan struct{}, rt.cfg.MaxFanout)
-	done := make(chan int, len(tbl.shards))
+	var wg sync.WaitGroup
 	for i := range tbl.shards {
+		body := bodies[i*len(frame) : (i+1)*len(frame)]
+		copy(body, frame)
+		wire.SetExpectVersion(body, tbl.shards[i].version)
+		wg.Add(1)
 		go func(i int) {
 			sem <- struct{}{}
-			defer func() { <-sem; done <- i }()
+			defer func() { <-sem; wg.Done() }()
 			start := time.Now()
-			p, err := rt.callShard(ctx, tbl.shards[i], req)
+			replies[i], errs[i] = rt.callShard(ctx, tbl.shards[i], body, nUsers, m)
 			d := time.Since(start)
 			if h := rt.shardLat[tbl.shards[i].url]; h != nil {
-				h.Observe(d, err != nil)
+				h.Observe(d, errs[i] != nil)
 			}
 			if act != nil {
 				note := tbl.shards[i].url
-				if err != nil {
-					note += " error: " + err.Error()
+				if errs[i] != nil {
+					note += " error: " + errs[i].Error()
 				}
 				act.Record("shard_call", start, d, note)
 			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			parts[i] = &p
 		}(i)
 	}
-	for range tbl.shards {
-		<-done
-	}
+	wg.Wait()
 	var firstErr error
 	for i, err := range errs {
 		if err == nil {
@@ -515,15 +527,15 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, req serve.ShardT
 		var reqErr *requestError
 		if errors.As(err, &reqErr) {
 			// Invalid-request rejections outrank outages: they are
-			// deterministic, so "degrading around" them would serve a
-			// silently mis-filtered list.
-			return parts, err
+			// deterministic, so "degrading around" them would serve
+			// silently mis-filtered lists.
+			return replies, err
 		}
 		if firstErr == nil {
 			firstErr = fmt.Errorf("shard %s: %w", tbl.shards[i].url, err)
 		}
 	}
-	return parts, firstErr
+	return replies, firstErr
 }
 
 // callShard runs one shard call behind the shard's health overlay and
@@ -532,16 +544,16 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, req serve.ShardT
 // after a fast failure) when the retry budget allows, and the first
 // success wins. At most two attempts — a shard that fails both is
 // reported failed, and the aggregate outcome feeds the breaker.
-func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardTopMRequest) (rank.Partial, error) {
+func (rt *Router) callShard(ctx context.Context, sh shardRoute, body []byte, nUsers, m int) (*shardReply, error) {
 	if hs := rt.healthFor(sh.url); hs != nil && hs.down.Load() {
-		return rank.Partial{}, errShardDown
+		return nil, errShardDown
 	}
 	br := rt.breakers[sh.url]
 	trial := false
 	if br != nil {
 		proceed, tr := br.tryAcquire()
 		if !proceed {
-			return rank.Partial{}, errBreakerOpen
+			return nil, errBreakerOpen
 		}
 		trial = tr
 	}
@@ -549,7 +561,7 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 	// call's aggregate outcome is the shard-sickness verdict. Failures
 	// that carry no verdict (cancellation, version skew) release a trial
 	// without re-tripping.
-	finish := func(p rank.Partial, err error) (rank.Partial, error) {
+	finish := func(rp *shardReply, err error) (*shardReply, error) {
 		if br != nil {
 			switch {
 			case err == nil:
@@ -560,19 +572,18 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 				br.abandon(trial)
 			}
 		}
-		return p, err
+		return rp, err
 	}
-	req.ExpectVersion = sh.version
 	type result struct {
-		p   rank.Partial
+		rp  *shardReply
 		err error
 	}
 	ch := make(chan result, 2)
 	attempt := func() {
 		actx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
 		defer cancel()
-		p, err := rt.postShard(actx, sh, req)
-		ch <- result{p, err}
+		rp, err := rt.postShard(actx, sh, body, nUsers, m)
+		ch <- result{rp, err}
 	}
 	pending := 1
 	if rt.budget != nil {
@@ -605,7 +616,7 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 		case r := <-ch:
 			pending--
 			if r.err == nil {
-				return finish(r.p, nil)
+				return finish(r.rp, nil)
 			}
 			if firstErr == nil {
 				firstErr = r.err
@@ -613,7 +624,7 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 			var reqErr *requestError
 			if errors.As(r.err, &reqErr) {
 				// Deterministic rejection: a hedge would hit the same wall.
-				return finish(rank.Partial{}, r.err)
+				return finish(nil, r.err)
 			}
 			if hedgeC != nil {
 				// The primary failed before the hedge timer fired; hedge
@@ -622,128 +633,65 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, req serve.ShardT
 				launchHedge()
 			}
 			if pending == 0 {
-				return finish(rank.Partial{}, firstErr)
+				return finish(nil, firstErr)
 			}
 		case <-hedgeC:
 			// The primary is still pending here (its return either exits
 			// or disarms hedgeC), so a denied hedge leaves it awaited.
 			launchHedge()
 		case <-ctx.Done():
-			return finish(rank.Partial{}, ctx.Err())
+			return finish(nil, ctx.Err())
 		}
 	}
 }
 
-// shardWire is one body codec of the shard call: where it posts, how the
-// request is laid out, and how the answer reads back into a partial plus
-// the claims validatePartial checks.
-type shardWire struct {
-	path, contentType string
-	encode            func(req *serve.ShardTopMRequest) ([]byte, error)
-	decode            func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error)
-}
-
-var jsonShardWire = shardWire{
-	path: "/v1/shard/topm", contentType: "application/json",
-	encode: func(req *serve.ShardTopMRequest) ([]byte, error) { return json.Marshal(req) },
-	decode: func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error) {
-		var out serve.ShardTopMResponse
-		if err := json.Unmarshal(data, &out); err != nil {
-			return p, 0, 0, 0, err
-		}
-		p = rank.Partial{Items: make([]int, len(out.Items)), Scores: make([]float64, len(out.Items))}
-		for n, it := range out.Items {
-			p.Items[n], p.Scores[n] = it.Item, it.Score
-		}
-		return p, out.ModelVersion, out.ShardLo, out.ShardHi, nil
-	},
-}
-
-// frameShardWire speaks the columnar frames of internal/wire: the request
-// frame carries the user, the over-fetched m, the shared filters and the
-// version pin; the response frame must be a single-user shard partial.
-var frameShardWire = shardWire{
-	path: "/v2/shard/topm", contentType: serve.FrameContentType,
-	encode: func(req *serve.ShardTopMRequest) ([]byte, error) {
-		wreq := wire.BatchRequest{
-			M:             uint32(req.M),
-			ExpectVersion: req.ExpectVersion,
-			Users:         []uint32{uint32(req.User)},
-		}
-		for _, e := range req.ExcludeItems {
-			wreq.Exclude = append(wreq.Exclude, uint32(e))
-		}
-		if req.Filter != nil {
-			wreq.AllowTags, wreq.DenyTags = req.Filter.AllowTags, req.Filter.DenyTags
-		}
-		return wire.AppendBatchRequest(nil, &wreq)
-	},
-	decode: func(data []byte) (p rank.Partial, version uint64, lo, hi int, err error) {
-		var out wire.BatchResponse
-		switch err := wire.DecodeBatchResponse(data, &out); {
-		case err != nil:
-			return p, 0, 0, 0, fmt.Errorf("bad shard frame: %w", err)
-		case out.Flags&wire.FlagShardPartial == 0:
-			return p, 0, 0, 0, errors.New("shard frame is not marked as a partition partial")
-		case len(out.Counts) != 1:
-			return p, 0, 0, 0, fmt.Errorf("shard frame carries %d users, want 1", len(out.Counts))
-		case out.Status[0]&wire.StatusError != 0:
-			return p, 0, 0, 0, errors.New("shard frame marks the user failed")
-		}
-		p = rank.Partial{Items: make([]int, len(out.Items)), Scores: make([]float64, len(out.Items))}
-		for n, it := range out.Items {
-			p.Items[n], p.Scores[n] = int(it), out.Scores[n]
-		}
-		return p, out.ModelVersion, int(out.ShardLo), int(out.ShardHi), nil
-	},
-}
-
-// postShard performs one shard attempt over the configured wire format
-// and validates the partial (see validatePartial) before it may merge.
-func (rt *Router) postShard(ctx context.Context, sh shardRoute, req serve.ShardTopMRequest) (rank.Partial, error) {
+// postShard performs one shard attempt: post the frame, read the answer
+// under the size the request implies, decode it and validate every user's
+// partial (see shardReply.decode) before any of them may merge.
+func (rt *Router) postShard(ctx context.Context, sh shardRoute, body []byte, nUsers, m int) (*shardReply, error) {
 	rt.m.shardCalls.Add(1)
-	body, err := rt.wire.encode(&req)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+shardPath, bytes.NewReader(body))
 	if err != nil {
-		return rank.Partial{}, err
+		return nil, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, sh.url+rt.wire.path, bytes.NewReader(body))
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	hreq.Header.Set("Content-Type", rt.wire.contentType)
+	hreq.Header.Set("Content-Type", serve.FrameContentType)
 	serve.StampShardCall(ctx, hreq.Header)
 	resp, err := rt.cfg.HTTPClient.Do(hreq)
 	if err != nil {
-		return rank.Partial{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	// The largest legal answer is nUsers full lists of m; an error answer is
+	// a short JSON body. One byte past the bound proves an overrun.
+	limit := max(wire.MaxResponseLen(nUsers, m), 4<<10)
+	rp := shardReplyPool.Get().(*shardReply)
+	rp.raw, err = wire.AppendAll(rp.raw[:0], io.LimitReader(resp.Body, int64(limit)+1))
+	switch {
+	case err != nil:
+	case resp.StatusCode != http.StatusOK:
+		err = shardHTTPError(resp.StatusCode, rp.raw)
+	case len(rp.raw) > limit:
+		err = fmt.Errorf("shard answer exceeds the %d bytes %d lists of %d items can take", limit, nUsers, m)
+	default:
+		err = rp.decode(sh, nUsers)
+	}
 	if err != nil {
-		return rank.Partial{}, err
+		shardReplyPool.Put(rp)
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return rank.Partial{}, shardHTTPError(rt.wire.path, resp.StatusCode, data)
-	}
-	p, version, lo, hi, err := rt.wire.decode(data)
-	if err == nil {
-		err = validatePartial(sh, p, version, lo, hi, req.ExpectVersion)
-	}
-	if err != nil {
-		return rank.Partial{}, err
-	}
-	return p, nil
+	return rp, nil
 }
 
 // shardHTTPError maps a shard's non-200 answer (always a JSON error
-// body, on either wire format) to the scatter's typed errors:
+// body) to the scatter's typed errors:
 // deterministic 400s become requestErrors (they outrank outages), 409 is
 // the rollout-window version skew the breaker must never count, 504 is
 // deadline exhaustion, and everything else a shard-side failure.
-func shardHTTPError(endpoint string, status int, data []byte) error {
+func shardHTTPError(status int, data []byte) error {
 	var e struct {
 		Error string `json:"error"`
 	}
-	msg := fmt.Sprintf("%s: HTTP %d", endpoint, status)
+	msg := fmt.Sprintf("%s: HTTP %d", shardPath, status)
 	if json.Unmarshal(data, &e) == nil && e.Error != "" {
 		msg = e.Error
 	}
@@ -765,20 +713,48 @@ func shardHTTPError(endpoint string, status int, data []byte) error {
 	return errors.New(msg)
 }
 
-// validatePartial enforces the merge preconditions shared by both wire
-// formats: the version pin held, the shard answered for its route-table
-// range, every item is inside that range, and the list follows the tie
-// rule (descending score, ties by ascending item). A partial failing
-// validation is treated as a shard failure — merging it could silently
-// corrupt the global list.
-func validatePartial(sh shardRoute, p rank.Partial, version uint64, lo, hi int, pin uint64) error {
-	if version != pin {
-		return fmt.Errorf("shard answered for model version %d, pinned %d", version, pin)
-	}
-	if lo != sh.lo || hi != sh.hi {
+// decode parses rp.raw and enforces the merge preconditions before any
+// list of the frame may merge: it is a partition partial for exactly the
+// users asked about, the version pin held, the shard answered for its
+// route-table range, and every user's list passes validatePartial. A frame
+// failing any of them is a shard failure — merging it could silently
+// corrupt the global lists.
+func (rp *shardReply) decode(sh shardRoute, nUsers int) error {
+	out := &rp.resp
+	switch err := wire.DecodeBatchResponse(rp.raw, out); {
+	case err != nil:
+		return fmt.Errorf("bad shard frame: %w", err)
+	case out.Flags&wire.FlagShardPartial == 0:
+		return errors.New("shard frame is not marked as a partition partial")
+	case len(out.Counts) != nUsers:
+		return fmt.Errorf("shard frame carries %d users, want %d", len(out.Counts), nUsers)
+	case out.ModelVersion != sh.version:
+		return fmt.Errorf("shard answered for model version %d, pinned %d", out.ModelVersion, sh.version)
+	case int(out.ShardLo) != sh.lo || int(out.ShardHi) != sh.hi:
 		return fmt.Errorf("shard owns [%d,%d) but the route table says [%d,%d) — stale table, re-flip",
-			lo, hi, sh.lo, sh.hi)
+			out.ShardLo, out.ShardHi, sh.lo, sh.hi)
 	}
+	rp.items = rp.items[:0]
+	for _, it := range out.Items {
+		rp.items = append(rp.items, int(it))
+	}
+	rp.at = 0
+	for u := range out.Counts {
+		if out.Status[u]&wire.StatusError != 0 {
+			return fmt.Errorf("shard frame marks user slot %d failed", u)
+		}
+		if err := validatePartial(sh, rp.next(u)); err != nil {
+			return err
+		}
+	}
+	rp.at = 0
+	return nil
+}
+
+// validatePartial checks one user's list: every item inside the shard's
+// range, and the order the tie rule demands (descending score, ties by
+// ascending item).
+func validatePartial(sh shardRoute, p rank.Partial) error {
 	for n, it := range p.Items {
 		if it < sh.lo || it >= sh.hi {
 			return fmt.Errorf("shard returned item %d outside its range [%d,%d)", it, sh.lo, sh.hi)

@@ -38,6 +38,10 @@ func TestRouterBatchCodecSeam(t *testing.T) {
 		{"exclude out of range", serve.BatchRequest{Users: []int{1}, ExcludeItems: []int{99999}},
 			wire.BatchRequest{Users: []uint32{1}, Exclude: []uint32{99999}},
 			400, "exclude item 99999 out of range"},
+		// The router serves the default path only; naming a tenant is refused
+		// by the pipeline, so neither codec can silently serve another model.
+		{"tenant named", serve.BatchRequest{Users: []int{1}, Tenant: "acme"}, wire.BatchRequest{Users: []uint32{1}, Tenant: "acme"},
+			400, "tenant must be empty"},
 	} {
 		var jsErr struct{ Error string }
 		jst := postJSON(t, tr.routerTS.URL+"/v1/batch", tc.json, &jsErr)
@@ -54,6 +58,12 @@ func TestRouterBatchCodecSeam(t *testing.T) {
 				t.Errorf("%s over %s: status %d error %q; want %d …%s…", tc.name, codec, got.status, got.msg, tc.status, tc.message)
 			}
 		}
+	}
+
+	// /v1/recommend is the same pipeline with one user, and refuses the same.
+	var recErr struct{ Error string }
+	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 1, Tenant: "acme"}, &recErr); st != 400 || !strings.Contains(recErr.Error, "tenant must be empty") {
+		t.Errorf("/v1/recommend naming a tenant: status %d error %q; want 400 …tenant must be empty…", st, recErr.Error)
 	}
 
 	// An out-of-range user is not a refusal of the batch: both codecs

@@ -3,11 +3,9 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/serve"
@@ -43,41 +41,13 @@ func postRaw(t testing.TB, url string, body []byte) (int, []byte) {
 	return resp.StatusCode, data
 }
 
-// TestRouterBinaryShardWire: with Config.ShardWire "binary" the scatter
-// speaks frames to the shards, and every merged list the router serves is
-// still bit-identical to the single-process reference — the transport
-// swap must be invisible to clients on either router surface.
-func TestRouterBinaryShardWire(t *testing.T) {
-	for _, nParts := range []int{2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", nParts), func(t *testing.T) {
-			tr := newTier(t, nParts, Config{ShardWire: "binary"})
-			for _, c := range compareCases {
-				tr.compare(t, c.name, c.req)
-			}
-		})
-	}
-}
-
-// TestRouterBinaryShardWireStaged: the binary scatter composes with the
-// router's staged re-rank pipeline exactly like the JSON scatter.
-func TestRouterBinaryShardWireStaged(t *testing.T) {
-	specs := []serve.StageSpec{
-		{Type: "floor", Min: 0.02},
-		{Type: "boost", Delta: 0.3, Tags: []string{"rare"}},
-	}
-	tr := newStagedTier(t, 2, Config{ShardWire: "binary"}, specs)
-	for _, c := range compareCases {
-		tr.compare(t, c.name, c.req)
-	}
-}
-
 // TestRouterBatchBinary: the router's own POST /v2/batch merges
 // bit-identically to the reference server's JSON batch, carries the
 // route epoch under FlagRouterMerge, and rejects malformed or
 // out-of-contract frames with the stable bad_frame code.
 func TestRouterBatchBinary(t *testing.T) {
-	tr := newTier(t, 2, Config{ShardWire: "binary"})
-	users := []int{0, 7, 42, 119, 3, 7} // duplicate coalesces, like JSON
+	tr := newTier(t, 2, Config{})
+	users := []int{0, 7, 42, 119, 3, 7} // the duplicate shares one merge, like JSON
 	exclude := []int{2, 40}
 
 	var ref serve.BatchResponse
@@ -149,7 +119,6 @@ func TestRouterBatchBinary(t *testing.T) {
 	// with the stable code, counted as decode rejects.
 	badCases := [][]byte{
 		[]byte("{\"users\":[1]}"),
-		mustFrame(t, &wire.BatchRequest{M: 5, Users: []uint32{1}, Tenant: "acme"}),
 		mustFrame(t, &wire.BatchRequest{M: 5, Users: []uint32{1}, ExpectVersion: 3}),
 	}
 	for i, body := range badCases {
@@ -179,35 +148,5 @@ func TestRouterBatchBinary(t *testing.T) {
 	}
 	if got := bb["requests"].(float64); got != 2 {
 		t.Errorf("batch_binary.requests = %v, want 2", got)
-	}
-}
-
-// TestRouterShardWireValidated: New refuses an unknown wire name.
-func TestRouterShardWireValidated(t *testing.T) {
-	_, err := New(Config{Shards: []string{"http://localhost:1"}, ShardWire: "protobuf"})
-	if err == nil {
-		t.Fatal("New accepted ShardWire \"protobuf\"")
-	}
-}
-
-// BenchmarkRouterScatterGatherBinary is BenchmarkRouterScatterGather
-// with the scatter speaking frames instead of JSON — the shard-hop
-// transport saving under identical merge work.
-func BenchmarkRouterScatterGatherBinary(b *testing.B) {
-	for _, nParts := range []int{2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", nParts), func(b *testing.B) {
-			tr := newTier(b, nParts, Config{CacheSize: -1, ShardWire: "binary"})
-			body, _ := json.Marshal(serve.RecommendRequest{User: 42, M: 10})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader(body))
-				w := httptest.NewRecorder()
-				tr.router.Handler().ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
-				}
-			}
-		})
 	}
 }

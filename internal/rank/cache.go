@@ -154,28 +154,156 @@ func (c *ListCache) Stats() *Stats { return c.stats }
 // Len returns the number of cached lists.
 func (c *ListCache) Len() int { return c.cache.len() }
 
-// GetOrCompute returns the list cached under (user, m, fp), running
-// compute on a miss. Concurrent misses for the same key coalesce: one
-// caller computes, the rest wait and share its published result (cached
-// reports either a cache hit or a coalesced share). compute additionally
-// reports whether its result may be cached and shared — a degraded merge
-// assembled from surviving shards must be served to its own caller but
-// never published or cached, so waiters recompute instead of inheriting
-// a silently incomplete list. Errors are likewise never cached; the
-// returned slices are shared with the cache and must not be modified.
-func (c *ListCache) GetOrCompute(user, m int, fp string, compute func() (items []int, scores []float64, cacheable bool, err error)) (items []int, scores []float64, cached bool, err error) {
-	items, scores, cached, _, err = c.getOrCompute(requestKey{user: user, m: m, filters: fp}, func() ([]int, []float64, bool, error) {
-		c.stats.ranked.Add(1)
-		return compute()
-	})
-	return items, scores, cached, err
+// ListEntry is one user's slot in a GetOrComputeBatch call: the list (shared
+// with the cache, read-only) or why there is none.
+type ListEntry struct {
+	Items  []int
+	Scores []float64
+	// Cached reports a cache hit or a share of another computation.
+	Cached bool
+	// NoShare, set by compute, marks a result that may be served to its own
+	// request but never cached or handed to waiters — the router's degraded
+	// merges, assembled from the surviving shards only.
+	NoShare bool
+	// Err, set by the caller before the call, skips the slot (a user that
+	// failed validation); set by compute, it fails the slot. Errors are
+	// never cached.
+	Err error
 }
 
-// getOrCompute is the cache-and-coalesce sequence itself — hit, share an
-// in-flight leader's result, or lead and publish — behind both
-// GetOrCompute and Engine.topM. coalesced tells a shared in-flight result
-// from a cache hit (both report cached). Counting a computation as ranked
-// is compute's business: the engine counts inside its rank pass.
+// shareable reports whether compute left a result that may be cached and
+// handed to other requests.
+func (e *ListEntry) shareable() bool { return e.Err == nil && !e.NoShare }
+
+// GetOrComputeBatch fills out[i] with the list cached under (users[i], m,
+// fp) for every slot the caller has not failed, running compute over the
+// slots that miss. compute receives the indices it must fill (Items and
+// Scores, or Err, plus NoShare) and is called at most twice: once for the
+// keys this call leads, and once more for keys whose foreign leader
+// failed. A user repeated in the batch is computed once and its later
+// slots copy the first.
+//
+// One key is computed once across concurrent calls (single or batch): a
+// miss either joins the flight another call leads, or leads its own. A
+// batch publishes or abandons every flight it leads before it waits on a
+// foreign one, so two overlapping batches can never wait on each other.
+// With cacheable false (an oversized fingerprint) or the cache disabled,
+// every live slot is a miss and is computed.
+func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable bool, out []ListEntry, compute func(idx []int)) {
+	run := func(idx []int) {
+		c.stats.misses.Add(int64(len(idx)))
+		c.stats.ranked.Add(int64(len(idx)))
+		compute(idx)
+	}
+	var lead, wait []int
+	if c.cache == nil || !cacheable {
+		for i := range out {
+			if out[i].Err == nil {
+				lead = append(lead, i)
+			}
+		}
+		if len(lead) > 0 {
+			run(lead)
+		}
+		return
+	}
+	key := func(i int) requestKey { return requestKey{user: users[i], m: m, filters: fp} }
+	var calls []*flightCall // per slot, the flight it leads or waits on; nil while every slot hits
+	var first map[int]int   // user -> the slot leading its flight in this batch
+	var dups []int
+	for i := range out {
+		if out[i].Err != nil {
+			continue
+		}
+		if items, scores, ok := c.cache.get(key(i)); ok {
+			c.stats.hits.Add(1)
+			out[i] = ListEntry{Items: items, Scores: scores, Cached: true}
+			continue
+		}
+		if _, ok := first[users[i]]; ok {
+			dups = append(dups, i)
+			continue
+		}
+		call, leader := c.flight.join(key(i))
+		if calls == nil {
+			calls = make([]*flightCall, len(users))
+		}
+		calls[i] = call
+		if !leader {
+			wait = append(wait, i)
+			continue
+		}
+		// The straggler rule of getOrCompute: the previous leader may have
+		// filled the cache and retired between our miss and our join.
+		if items, scores, ok := c.cache.get(key(i)); ok {
+			c.stats.hits.Add(1)
+			c.flight.publish(key(i), call, items, scores)
+			out[i] = ListEntry{Items: items, Scores: scores, Cached: true}
+			continue
+		}
+		if first == nil {
+			first = make(map[int]int)
+		}
+		first[users[i]] = i
+		lead = append(lead, i)
+	}
+	if len(lead) > 0 {
+		settled := false
+		defer func() {
+			if !settled { // compute panicked: waiters recompute for themselves
+				for _, i := range lead {
+					c.flight.abandon(key(i), calls[i])
+				}
+			}
+		}()
+		run(lead)
+		for _, i := range lead {
+			if e := &out[i]; e.shareable() {
+				c.cache.put(key(i), e.Items, e.Scores)
+				c.flight.publish(key(i), calls[i], e.Items, e.Scores)
+			} else {
+				c.flight.abandon(key(i), calls[i])
+			}
+		}
+		settled = true
+	}
+	for _, i := range dups {
+		out[i] = out[first[users[i]]]
+		if e := &out[i]; e.shareable() {
+			e.Cached = true
+			c.stats.coalesced.Add(1)
+		} else {
+			c.stats.misses.Add(1)
+		}
+	}
+	var retry []int
+	for _, i := range wait {
+		<-calls[i].done
+		if call := calls[i]; call.ok {
+			c.stats.coalesced.Add(1)
+			out[i] = ListEntry{Items: call.items, Scores: call.scores, Cached: true}
+		} else {
+			// The leader failed, panicked or produced an unshareable result;
+			// compute independently rather than inheriting its failure.
+			retry = append(retry, i)
+		}
+	}
+	if len(retry) > 0 {
+		run(retry)
+		for _, i := range retry {
+			if e := &out[i]; e.shareable() {
+				c.cache.put(key(i), e.Items, e.Scores)
+			}
+		}
+	}
+}
+
+// getOrCompute is the single-key cache-and-coalesce sequence — hit, share
+// an in-flight leader's result, or lead and publish — behind Engine.topM;
+// GetOrComputeBatch is its many-key sibling over the same cache and
+// flights. coalesced tells a shared in-flight result from a cache hit
+// (both report cached). Counting a computation as ranked is compute's
+// business: the engine counts inside its rank pass.
 func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64, cacheable bool, err error)) (items []int, scores []float64, cached, coalesced bool, err error) {
 	if c.cache == nil {
 		c.stats.misses.Add(1)

@@ -3,9 +3,11 @@ package rank
 import (
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // partitionSelect runs Select over one item partition [lo, hi) of scores
@@ -163,6 +165,17 @@ type predicateFilter map[int]bool
 
 func (p predicateFilter) Excluded(item int) bool { return p[item] }
 
+// getOrCompute1 drives ListCache's batch entry with a single user, in the
+// one-key shape the tests below were written against.
+func getOrCompute1(c *ListCache, user, m int, fp string, compute func() ([]int, []float64, bool, error)) ([]int, []float64, bool, error) {
+	out := make([]ListEntry, 1)
+	c.GetOrComputeBatch([]int{user}, m, fp, true, out, func([]int) {
+		items, scores, cacheable, err := compute()
+		out[0] = ListEntry{Items: items, Scores: scores, NoShare: !cacheable, Err: err}
+	})
+	return out[0].Items, out[0].Scores, out[0].Cached, out[0].Err
+}
+
 func TestListCacheHitMissCoalesce(t *testing.T) {
 	stats := &Stats{}
 	c := NewListCache(64, 4, stats)
@@ -172,16 +185,16 @@ func TestListCacheHitMissCoalesce(t *testing.T) {
 		calls++
 		return []int{1, 2}, []float64{0.9, 0.8}, true, nil
 	}
-	items, _, cached, err := c.GetOrCompute(3, 10, "fp", compute)
+	items, _, cached, err := getOrCompute1(c, 3, 10, "fp", compute)
 	if err != nil || cached || len(items) != 2 {
 		t.Fatalf("first call: items=%v cached=%v err=%v", items, cached, err)
 	}
-	items, _, cached, err = c.GetOrCompute(3, 10, "fp", compute)
+	items, _, cached, err = getOrCompute1(c, 3, 10, "fp", compute)
 	if err != nil || !cached || len(items) != 2 || calls != 1 {
 		t.Fatalf("second call: cached=%v calls=%d err=%v", cached, calls, err)
 	}
 	// A different fingerprint (e.g. a new route epoch) misses.
-	_, _, cached, _ = c.GetOrCompute(3, 10, "fp2", compute)
+	_, _, cached, _ = getOrCompute1(c, 3, 10, "fp2", compute)
 	if cached || calls != 2 {
 		t.Fatalf("epoch-qualified fingerprint hit a stale entry (cached=%v calls=%d)", cached, calls)
 	}
@@ -203,7 +216,7 @@ func TestListCacheHitMissCoalesce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _, err := c2.GetOrCompute(1, 5, "x", func() ([]int, []float64, bool, error) {
+			_, _, _, err := getOrCompute1(c2, 1, 5, "x", func() ([]int, []float64, bool, error) {
 				computations.Add(1)
 				entered <- struct{}{}
 				<-release
@@ -235,7 +248,7 @@ func TestListCacheUncacheableAndErrors(t *testing.T) {
 		return []int{9}, []float64{0.1}, false, nil
 	}
 	for i := 0; i < 3; i++ {
-		items, _, cached, err := c.GetOrCompute(1, 5, "d", degraded)
+		items, _, cached, err := getOrCompute1(c, 1, 5, "d", degraded)
 		if err != nil || cached || len(items) != 1 {
 			t.Fatalf("degraded call %d: items=%v cached=%v err=%v", i, items, cached, err)
 		}
@@ -249,13 +262,13 @@ func TestListCacheUncacheableAndErrors(t *testing.T) {
 
 	// Errors propagate and are not cached.
 	boom := fmt.Errorf("scatter failed")
-	_, _, _, err := c.GetOrCompute(1, 5, "e", func() ([]int, []float64, bool, error) {
+	_, _, _, err := getOrCompute1(c, 1, 5, "e", func() ([]int, []float64, bool, error) {
 		return nil, nil, true, boom
 	})
 	if err != boom {
 		t.Fatalf("error not propagated: %v", err)
 	}
-	items, _, cached, err := c.GetOrCompute(1, 5, "e", func() ([]int, []float64, bool, error) {
+	items, _, cached, err := getOrCompute1(c, 1, 5, "e", func() ([]int, []float64, bool, error) {
 		return []int{2}, []float64{0.7}, true, nil
 	})
 	if err != nil || cached || len(items) != 1 {
@@ -264,10 +277,119 @@ func TestListCacheUncacheableAndErrors(t *testing.T) {
 
 	// Disabled cache still computes.
 	off := NewListCache(0, 0, nil)
-	items, _, cached, err = off.GetOrCompute(1, 5, "x", func() ([]int, []float64, bool, error) {
+	items, _, cached, err = getOrCompute1(off, 1, 5, "x", func() ([]int, []float64, bool, error) {
 		return []int{3}, []float64{0.2}, true, nil
 	})
 	if err != nil || cached || len(items) != 1 || off.Len() != 0 {
 		t.Fatalf("disabled cache: items=%v cached=%v err=%v len=%d", items, cached, err, off.Len())
+	}
+}
+
+// TestListCacheBatch: one call over a batch's users answers hits from the
+// cache, skips slots the caller already failed, computes every other
+// distinct user in ONE compute call, and gives a repeated user's later
+// slots the first's list.
+func TestListCacheBatch(t *testing.T) {
+	stats := &Stats{}
+	c := NewListCache(64, 4, stats)
+	list := func(u int) ([]int, []float64) { return []int{u, u + 1}, []float64{0.5, 0.25} }
+	getOrCompute1(c, 42, 5, "fp", func() ([]int, []float64, bool, error) {
+		items, scores := list(42)
+		return items, scores, true, nil
+	})
+	users := []int{5, 42, 9000, 7, 5, 7}
+	out := make([]ListEntry, len(users))
+	bad := fmt.Errorf("user 9000 out of range")
+	out[2].Err = bad
+	var computed [][]int
+	c.GetOrComputeBatch(users, 5, "fp", true, out, func(idx []int) {
+		computed = append(computed, append([]int(nil), idx...))
+		for _, i := range idx {
+			out[i].Items, out[i].Scores = list(users[i])
+		}
+	})
+	if len(computed) != 1 || len(computed[0]) != 2 || computed[0][0] != 0 || computed[0][1] != 3 {
+		t.Fatalf("compute calls %v, want one call over slots [0 3]", computed)
+	}
+	for i, u := range users {
+		e := out[i]
+		if u == 9000 {
+			if e.Err != bad || e.Items != nil {
+				t.Errorf("the failed slot was touched: %+v", e)
+			}
+			continue
+		}
+		if e.Err != nil || len(e.Items) != 2 || e.Items[0] != u {
+			t.Errorf("slot %d (user %d): %+v", i, u, e)
+		}
+		if want := i == 1 || i >= 4; e.Cached != want {
+			t.Errorf("slot %d (user %d): cached=%v, want %v", i, u, e.Cached, want)
+		}
+	}
+	// 1 warm-up miss + 2 led misses; 1 hit; 2 repeats shared; 3 computations.
+	if stats.Misses() != 3 || stats.Hits() != 1 || stats.Coalesced() != 2 || stats.Ranked() != 3 {
+		t.Errorf("misses=%d hits=%d coalesced=%d ranked=%d, want 3/1/2/3",
+			stats.Misses(), stats.Hits(), stats.Coalesced(), stats.Ranked())
+	}
+	// All of it is cached now; an unshareable or failed result never is.
+	c.GetOrComputeBatch(users, 5, "fp", true, out, func(idx []int) { t.Errorf("recomputed %v", idx) })
+	for round := 0; round < 2; round++ {
+		two := make([]ListEntry, 2)
+		c.GetOrComputeBatch([]int{1, 2}, 5, "fp", true, two, func(idx []int) {
+			two[0] = ListEntry{Items: []int{1}, Scores: []float64{1}, NoShare: true}
+			two[1].Err = bad
+		})
+		if two[0].Cached || !two[0].NoShare || two[1].Err != bad {
+			t.Fatalf("round %d: %+v", round, two)
+		}
+	}
+	if c.Len() != 3 {
+		t.Errorf("cache holds %d lists, want 3 (users 42, 5, 7)", c.Len())
+	}
+}
+
+// TestListCacheOverlappingBatches: concurrent batches naming the same users
+// in opposite orders lead some of each other's flights. Each publishes what
+// it leads before it waits on what it does not, so they cannot deadlock,
+// and between them every key is computed exactly once.
+func TestListCacheOverlappingBatches(t *testing.T) {
+	const n, rounds = 12, 200
+	c := NewListCache(rounds*n*2, 4, nil)
+	for round := 0; round < rounds; round++ {
+		fwd, rev := make([]int, n), make([]int, n)
+		for i := range fwd {
+			fwd[i], rev[n-1-i] = round*n+i, round*n+i
+		}
+		var computations atomic.Int32
+		var wg sync.WaitGroup
+		for _, users := range [][]int{fwd, rev, fwd} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := make([]ListEntry, n)
+				c.GetOrComputeBatch(users, 5, "fp", true, out, func(idx []int) {
+					computations.Add(int32(len(idx)))
+					runtime.Gosched() // let the other batches reach their lookups
+					for _, i := range idx {
+						out[i].Items, out[i].Scores = []int{users[i]}, []float64{1}
+					}
+				})
+				for i, e := range out {
+					if e.Err != nil || len(e.Items) != 1 || e.Items[0] != users[i] {
+						t.Errorf("round %d user %d: %+v", round, users[i], e)
+					}
+				}
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("round %d: overlapping batches deadlocked", round)
+		}
+		if got := computations.Load(); got != n {
+			t.Fatalf("round %d: %d computations for %d distinct users", round, got, n)
+		}
 	}
 }

@@ -97,15 +97,8 @@ func grown[T any](s []T, n int) []T {
 // workers goroutines (<= 1: the caller's). It returns the clamped m and
 // the model version the response reports.
 func (s *Server) batch(act *obs.Active, req *BatchRequest, workers int, sc *batchScratch) (m int, version uint64, aerr *apiError) {
-	if len(req.Users) == 0 {
-		return 0, 0, badRequest(errors.New("users must be non-empty"))
-	}
-	if len(req.Users) > s.cfg.MaxBatch {
-		return 0, 0, badRequest(fmt.Errorf("batch of %d users exceeds the server cap of %d", len(req.Users), s.cfg.MaxBatch))
-	}
-	m, err := s.edge.ClampM(req.M)
-	if err != nil {
-		return 0, 0, badRequest(err)
+	if m, aerr = s.batchLimits(req); aerr != nil {
+		return 0, 0, aerr
 	}
 	// Tenant validity is user-independent; reject an unknown tenant once,
 	// before fanning out (per-user resolve in rankBatch then cannot fail).
@@ -115,6 +108,22 @@ func (s *Server) batch(act *obs.Active, req *BatchRequest, workers int, sc *batc
 	}
 	version, aerr = s.rankBatch(act, rt, req, m, workers, sc)
 	return m, version, aerr
+}
+
+// batchLimits holds an n-user request (a batch, or a shard's partial
+// request) to the server's caps and returns the clamped m.
+func (s *Server) batchLimits(req *BatchRequest) (m int, aerr *apiError) {
+	if len(req.Users) == 0 {
+		return 0, badRequest(errors.New("users must be non-empty"))
+	}
+	if len(req.Users) > s.cfg.MaxBatch {
+		return 0, badRequest(fmt.Errorf("batch of %d users exceeds the server cap of %d", len(req.Users), s.cfg.MaxBatch))
+	}
+	m, err := s.edge.ClampM(req.M)
+	if err != nil {
+		return 0, badRequest(err)
+	}
+	return m, nil
 }
 
 // rankBatch is batch's ranking half, against an already resolved route

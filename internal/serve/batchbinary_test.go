@@ -360,11 +360,16 @@ func TestShardTopMBinaryMatchesJSON(t *testing.T) {
 		if st != http.StatusConflict || ct != "application/json" {
 			t.Errorf("shard %d pin: status %d Content-Type %q (%s), want 409 JSON", si, st, ct, data)
 		}
-		// Multi-user frames are a shard-path protocol error.
-		st, _, data = postFrame(t, sts.URL+"/v2/shard/topm",
-			&wire.BatchRequest{M: 5, Users: []uint32{1, 2}})
-		if st != http.StatusBadRequest {
-			t.Errorf("shard %d multi-user: status %d (%s), want 400", si, st, data)
+		// A frame may carry any number of users but not none, and never a
+		// tenant; one user out of range refuses the whole frame.
+		for name, bad := range map[string]*wire.BatchRequest{
+			"no users":          {M: 5},
+			"tenant":            {M: 5, Users: []uint32{1}, Tenant: "acme"},
+			"user out of range": {M: 5, Users: []uint32{1, 99999, 2}},
+		} {
+			if st, _, data := postFrame(t, sts.URL+"/v2/shard/topm", bad); st != http.StatusBadRequest {
+				t.Errorf("shard %d, %s: status %d (%s), want 400", si, name, st, data)
+			}
 		}
 	}
 }

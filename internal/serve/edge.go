@@ -279,40 +279,24 @@ func (e *Edge) BadFrame(w http.ResponseWriter, msg string) int {
 }
 
 // BatchRequest translates the decoded frame into the request shape the
-// JSON codec decodes into — the one type the batch pipelines take —
-// reusing the scratch. ExpectVersion has no place in it; /v2/batch
-// refuses a frame that sets it.
+// JSON codec decodes into — the one type the n-user pipelines take —
+// reusing the scratch. ExpectVersion has no place in it: /v2/batch refuses
+// a frame that sets it, /v2/shard/topm passes it beside the request.
 func (fs *FrameScratch) BatchRequest() *BatchRequest {
 	fs.users = fs.users[:0]
 	for _, u := range fs.Req.Users {
 		fs.users = append(fs.users, int(u))
 	}
-	exclude, filter := fs.excludeAndFilter()
-	fs.batch = BatchRequest{Users: fs.users, M: int(fs.Req.M), ExcludeItems: exclude, Filter: filter, Tenant: fs.Req.Tenant}
-	return &fs.batch
-}
-
-// ShardRequest translates a decoded one-user frame into the request the
-// JSON shard codec decodes into; the caller has checked len(Req.Users).
-func (fs *FrameScratch) ShardRequest() ShardTopMRequest {
-	exclude, filter := fs.excludeAndFilter()
-	return ShardTopMRequest{
-		User: int(fs.Req.Users[0]), M: int(fs.Req.M),
-		ExcludeItems: exclude, Filter: filter, ExpectVersion: fs.Req.ExpectVersion,
-	}
-}
-
-// excludeAndFilter is the part of a frame both request shapes share.
-func (fs *FrameScratch) excludeAndFilter() ([]int, *FilterSpec) {
 	fs.exclude = fs.exclude[:0]
 	for _, x := range fs.Req.Exclude {
 		fs.exclude = append(fs.exclude, int(x))
 	}
-	if len(fs.Req.AllowTags) == 0 && len(fs.Req.DenyTags) == 0 {
-		return fs.exclude, nil
+	fs.batch = BatchRequest{Users: fs.users, M: int(fs.Req.M), ExcludeItems: fs.exclude, Tenant: fs.Req.Tenant}
+	if len(fs.Req.AllowTags) > 0 || len(fs.Req.DenyTags) > 0 {
+		fs.spec = FilterSpec{AllowTags: fs.Req.AllowTags, DenyTags: fs.Req.DenyTags}
+		fs.batch.Filter = &fs.spec
 	}
-	fs.spec = FilterSpec{AllowTags: fs.Req.AllowTags, DenyTags: fs.Req.DenyTags}
-	return fs.exclude, &fs.spec
+	return &fs.batch
 }
 
 // WriteFrame encodes resp into the pooled output buffer, feeds the

@@ -74,12 +74,14 @@ type Config struct {
 	// Workers bounds the per-request fan-out of /v1/batch. 0 means all
 	// cores. /v2/batch, the small-batch hot transport, fans out only when
 	// Workers > 1 (at 0 it ranks on the request's goroutine: a fan-out per
-	// frame measured +11 B/user against a 5% allocation bound).
+	// frame measured +11 B/user against a 5% allocation bound); a shard
+	// ranks the users of a /v2/shard/topm frame by the same rule.
 	Workers int
 	// MaxM caps the requested list length m. 0 means 1000.
 	MaxM int
-	// MaxBatch caps the number of users in one /v1/batch request. 0 means
-	// 1024.
+	// MaxBatch caps the number of users in one /v1/batch request — on a
+	// shard, in one /v2/shard/topm frame, so it must cover the router's
+	// MaxBatch. 0 means 1024.
 	MaxBatch int
 	// MaxBodyBytes caps request body size. 0 means 1 MiB.
 	MaxBodyBytes int64
@@ -122,7 +124,7 @@ type Config struct {
 	ShadowLog io.Writer
 	// ShardLo, ShardHi select shard mode (ShardHi != 0): the server mmaps
 	// only the item range [ShardLo, ShardHi) of the v2 model at ModelPath
-	// and serves per-shard top-M partials on /v1/shard/topm for a
+	// and serves per-shard top-M partials on /v1|v2/shard/topm for a
 	// scatter-gather router to merge — see internal/cluster. ShardHi == -1
 	// means "through the end of the catalogue", re-resolved at every
 	// reload, so the tail shard of a partition follows catalogue growth.

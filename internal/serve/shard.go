@@ -15,9 +15,10 @@ import (
 //
 // A shard is the same server over a narrower range: it mmaps only its
 // item-range slice of the v2 model file (full user sections, item rows
-// [lo, hi)) and answers POST /v1/shard/topm (JSON) and POST /v2/shard/topm
-// (frames) — one pipeline, shardPartial, under two codecs — with its
-// partition's top-min(m, partition size) items under the engine's tie
+// [lo, hi)) and answers POST /v1/shard/topm (JSON, one user) and POST
+// /v2/shard/topm (frames, one or more users: a whole router batch in one
+// call) — one pipeline, shardPartial, under two codecs — with, per user,
+// its partition's top-min(m, partition size) items under the engine's tie
 // rule, item ids translated back to global. Because every item's score
 // depends only on that item's factor row and the user's factor, partition
 // scores are bit-identical to the corresponding entries of a
@@ -98,7 +99,8 @@ func (s *Server) expired(deadline time.Time) *apiError {
 }
 
 // ShardTopMRequest asks a shard for its partition's contribution to one
-// user's top-M. ExpectVersion pins the model version the partial must be
+// user's top-M — the JSON codec's request; a frame carries the same fields
+// for n users. ExpectVersion pins the model version the partial must be
 // computed against: a shard serving neither that version currently nor as
 // its immediate predecessor answers 409, so a router can never merge
 // partials from different model versions. 0 disables the pin (debugging).
@@ -121,89 +123,87 @@ type ShardTopMResponse struct {
 	Items        []ScoredItem `json:"items"`
 }
 
-// partial is one ranked partition partial: the snapshot that ranked, the
-// clamped m, and the engine's partition-local list (cache-shared,
-// read-only).
-type partial struct {
-	sn     *snapshot
-	m      int
-	items  []int
-	scores []float64
-}
-
-// shardPartial is the one partition-partial pipeline: deadline → clamp →
-// pin-or-409 → range-check → filters → deadline → rank. deadline was
-// resolved at arrival, before the body read.
-func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *ShardTopMRequest) (p partial, aerr *apiError) {
-	// First budget check after the body read: a slow client (or a router
-	// whose attempt budget was nearly gone when it sent) should not get a
-	// scoring pass it can no longer use.
+// shardPartial is the one partition-partial pipeline, for the n >= 1 users
+// of one request: deadline → batch limits and clamp → pin-or-409 → rank
+// (rankBatch: shared filters validated once, the columnar engine entry on
+// the pinned snapshot) → ids rebased to global in sc.cols. deadline was
+// resolved at arrival, before the body read. A user out of
+// range refuses the whole request: the router validates users against its
+// route table before it scatters, so a bad one here is a caller bug, not a
+// slot to fail.
+func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchRequest, pin uint64, workers int, sc *batchScratch) (sn *snapshot, m int, aerr *apiError) {
+	// The budget check sits after the body read, on the brink of the
+	// scoring passes: a slow client (or a router whose attempt budget was
+	// nearly gone when it sent) should not get work it can no longer use.
 	if aerr := s.expired(deadline); aerr != nil {
-		return p, aerr
+		return nil, 0, aerr
 	}
-	var err error
-	if p.m, err = s.edge.ClampM(req.M); err != nil {
-		return p, badRequest(err)
+	if m, aerr = s.batchLimits(req); aerr != nil {
+		return nil, 0, aerr
 	}
-	p.sn = s.snap.Load()
-	if req.ExpectVersion != 0 && p.sn.version != req.ExpectVersion {
+	sn = s.snap.Load()
+	if pin != 0 && sn.version != pin {
 		// Mid-rollout window: this shard already reloaded but the router
 		// still pins the old version until the whole quorum confirmed.
 		// Serve the pinned version from the two-deep history; refuse
 		// anything else — a 409 here is what makes merging partials of
 		// mixed model versions impossible rather than merely unlikely.
 		prev := s.prev.Load()
-		if prev == nil || prev.version != req.ExpectVersion {
-			return p, &apiError{status: http.StatusConflict, msg: fmt.Sprintf(
-				"shard serves model version %d, not the requested %d", p.sn.version, req.ExpectVersion)}
+		if prev == nil || prev.version != pin {
+			return nil, 0, &apiError{status: http.StatusConflict, msg: fmt.Sprintf(
+				"shard serves model version %d, not the requested %d", sn.version, pin)}
 		}
-		p.sn = prev
+		sn = prev
 	}
-	if req.User < 0 || req.User >= p.sn.rng.NumUsers() {
-		return p, badRequest(fmt.Errorf("user %d out of range (%d users)", req.User, p.sn.rng.NumUsers()))
+	if _, aerr := s.rankBatch(act, route{sn: sn}, req, m, workers, sc); aerr != nil {
+		return nil, 0, aerr
 	}
-	extra, err := s.requestFilters(p.sn, req.ExcludeItems, req.Filter)
-	if err != nil {
-		return p, badRequest(err)
+	for i := range sc.slots {
+		if msg := sc.slots[i].err; msg != "" {
+			return nil, 0, &apiError{status: http.StatusBadRequest, msg: msg}
+		}
 	}
-	// Second check on the brink of the expensive part — the full
-	// partition scoring pass is the work worth shedding.
-	if aerr := s.expired(deadline); aerr != nil {
-		return p, aerr
+	// Partition-local ids back to global, in place; the scores column is
+	// the engine's as ranked.
+	lo := uint32(sn.rng.ItemLo())
+	for i := range sc.cols.Items {
+		sc.cols.Items[i] += lo
 	}
-	if p.items, p.scores, _, err = s.rankOne(act, route{sn: p.sn}, req.User, p.m, extra); err != nil {
-		return p, badRequest(err)
-	}
-	return p, nil
+	return sn, m, nil
 }
 
+// handleShardTopM is the JSON codec: one user per request.
 func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 	deadline := deadlineFromHeader(r)
 	var req ShardTopMRequest
 	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	p, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &req)
+	sc := batchScratchPool.Get().(*batchScratch)
+	defer batchScratchPool.Put(sc)
+	breq := BatchRequest{Users: []int{req.User}, M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter}
+	sn, _, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &breq, req.ExpectVersion, 1, sc)
 	if aerr != nil {
 		return aerr.write(w)
 	}
-	lo := p.sn.rng.ItemLo()
-	scored := ZipScored(p.items, p.scores)
-	for n := range scored {
-		scored[n].Item += lo
+	scored := make([]ScoredItem, len(sc.cols.Items))
+	for n, it := range sc.cols.Items {
+		scored[n] = ScoredItem{Item: int(it), Score: sc.cols.Scores[n]}
 	}
 	return WriteJSON(w, http.StatusOK, ShardTopMResponse{
 		User:         req.User,
-		ShardLo:      lo,
-		ShardHi:      p.sn.rng.ItemHi(),
-		ModelVersion: p.sn.version,
+		ShardLo:      sn.rng.ItemLo(),
+		ShardHi:      sn.rng.ItemHi(),
+		ModelVersion: sn.version,
 		Items:        scored,
 	})
 }
 
-// handleShardTopMFrame speaks the batch frames with exactly one user:
-// expect_version rides the request header, the partial is marked
-// FlagShardPartial and carries its range and model version.
+// handleShardTopMFrame is the frame codec, the one the router speaks: the
+// users of a whole router batch in one request, ranked with
+// Config.Workers exactly as /v2/batch ranks (serial at 0). expect_version
+// rides the request header; the answer is marked FlagShardPartial and
+// carries the range and the model version every list was ranked under.
 func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) int {
 	deadline := deadlineFromHeader(r)
 	sc := batchScratchPool.Get().(*batchScratch)
@@ -211,33 +211,24 @@ func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) in
 	if status, ok := s.edge.ReadFrame(w, r, &sc.FrameScratch); !ok {
 		return status
 	}
-	if len(sc.Req.Users) != 1 || sc.Req.Tenant != "" {
-		return s.edge.BadFrame(w, "shard frames carry exactly one user and no tenant")
+	if sc.Req.Tenant != "" {
+		return s.edge.BadFrame(w, "shard frames carry no tenant")
 	}
-	req := sc.ShardRequest()
-	p, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &req)
+	sn, m, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, sc.BatchRequest(), sc.Req.ExpectVersion, s.cfg.Workers, sc)
 	if aerr != nil {
 		return aerr.write(w)
 	}
-	// Translate partition-local ids back to global while laying out the
-	// items column; the scores column is the engine's slice as-is.
-	lo := p.sn.rng.ItemLo()
-	cols := &sc.cols
-	cols.Reset()
-	cols.Counts = append(cols.Counts, uint32(len(p.items)))
-	for _, it := range p.items {
-		cols.Items = append(cols.Items, uint32(it+lo))
-	}
-	sc.status = append(sc.status[:0], 0)
+	sc.status = grown(sc.status, len(sc.slots))
+	clear(sc.status)
 	return s.edge.WriteFrame(w, &sc.FrameScratch, &wire.BatchResponse{
 		Flags:        wire.FlagShardPartial,
-		M:            uint32(p.m),
-		ShardLo:      uint32(lo),
-		ShardHi:      uint32(p.sn.rng.ItemHi()),
-		ModelVersion: p.sn.version,
+		M:            uint32(m),
+		ShardLo:      uint32(sn.rng.ItemLo()),
+		ShardHi:      uint32(sn.rng.ItemHi()),
+		ModelVersion: sn.version,
 		Status:       sc.status,
-		Counts:       cols.Counts,
-		Items:        cols.Items,
-		Scores:       p.scores,
+		Counts:       sc.cols.Counts,
+		Items:        sc.cols.Items,
+		Scores:       sc.cols.Scores,
 	})
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/rank"
 	"repro/internal/sparse"
+	"repro/internal/wire"
 )
 
 // newShardTier trains one model, saves it, and serves it both ways: a
@@ -176,6 +178,77 @@ func TestShardVersionPinning(t *testing.T) {
 	}
 	if st := postJSON(t, ts.URL+"/v1/shard/topm", ShardTopMRequest{User: 1, M: 5, ExpectVersion: 1}, nil); st != http.StatusConflict {
 		t.Fatalf("pin two versions back: status %d, want 409", st)
+	}
+}
+
+// TestShardFrameManyUsersMidRollout: the frame route ranks every user of a
+// frame — a whole router batch — against ONE snapshot. Mid-rollout (the
+// shard reloaded, the router still pins the old version) that is the
+// pinned version out of the two-deep history, for every user; a pin the
+// history no longer holds is a 409 for the frame; and each user's slot is
+// bit-identical to what /v1/shard/topm answers for that user alone, on a
+// serial shard and on one that fans its frames out.
+func TestShardFrameManyUsersMidRollout(t *testing.T) {
+	train := dataset.SyntheticSmall(1).Dataset.R
+	path := filepath.Join(t.TempDir(), "model.bin")
+	if err := trainSmall(t, train, 3).SaveModelFile(path); err != nil {
+		t.Fatal(err)
+	}
+	users := []uint32{7, 0, 119, 7, 42}
+	exclude := []int{41, 3, 60}
+	for _, workers := range []int{0, 3} {
+		lo := train.Cols() / 2
+		srv, err := NewShardFromFile(Config{ModelPath: path, Train: train, ShardLo: lo, ShardHi: -1, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if workers == 0 { // the second server finds the retrained file already in place
+			if err := trainSmall(t, train, 99).SaveModelFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); st != 200 {
+			t.Fatalf("reload: status %d", st)
+		}
+		wreq := &wire.BatchRequest{M: 6, Users: users, Exclude: []uint32{41, 3, 60}}
+		for _, pin := range []uint64{1, 2} {
+			wreq.ExpectVersion = pin
+			st, _, data := postFrame(t, ts.URL+"/v2/shard/topm", wreq)
+			if st != 200 {
+				t.Fatalf("workers=%d pin %d: status %d: %s", workers, pin, st, data)
+			}
+			bin := decodeFrame(t, data)
+			if bin.Flags&wire.FlagShardPartial == 0 || bin.ModelVersion != pin || int(bin.ShardLo) != lo || int(bin.ShardHi) != train.Cols() {
+				t.Fatalf("workers=%d pin %d: header %+v", workers, pin, bin)
+			}
+			if len(bin.Counts) != len(users) {
+				t.Fatalf("workers=%d pin %d: %d slots for %d users", workers, pin, len(bin.Counts), len(users))
+			}
+			off := 0
+			for i, u := range users {
+				var one ShardTopMResponse
+				if st := postJSON(t, ts.URL+"/v1/shard/topm",
+					ShardTopMRequest{User: int(u), M: 6, ExcludeItems: exclude, ExpectVersion: pin}, &one); st != 200 {
+					t.Fatalf("single user %d pin %d: status %d", u, pin, st)
+				}
+				if bin.Status[i] != 0 || int(bin.Counts[i]) != len(one.Items) {
+					t.Fatalf("workers=%d pin %d slot %d: status %#x, %d items, alone %d", workers, pin, i, bin.Status[i], bin.Counts[i], len(one.Items))
+				}
+				for r, it := range one.Items {
+					if int(bin.Items[off+r]) != it.Item || math.Float64bits(bin.Scores[off+r]) != math.Float64bits(it.Score) {
+						t.Errorf("workers=%d pin %d slot %d rank %d: frame (%d, %v), alone (%d, %v)",
+							workers, pin, i, r, bin.Items[off+r], bin.Scores[off+r], it.Item, it.Score)
+					}
+				}
+				off += len(one.Items)
+			}
+		}
+		wreq.ExpectVersion = 7
+		if st, ct, data := postFrame(t, ts.URL+"/v2/shard/topm", wreq); st != http.StatusConflict || ct != "application/json" {
+			t.Errorf("workers=%d unknown pin: status %d Content-Type %q (%s), want a JSON 409", workers, st, ct, data)
+		}
 	}
 }
 

@@ -30,6 +30,28 @@ func FuzzDecodeBatchFrame(f *testing.F) {
 		Items:        []uint32{5, 6, 9},
 		Scores:       []float64{0.9, 0.5, 0.4},
 	}))
+	// The router's scatter: a pinned request frame carrying a whole batch's
+	// users to a shard, and the shard's answer — one partial per user, an
+	// empty one (a user whose partition candidates were all filtered) among
+	// them, so the counts column and the 8-byte score alignment both matter.
+	f.Add(mustAppend(f, nil, &BatchRequest{
+		M:             3,
+		ExpectVersion: 7,
+		Users:         []uint32{4, 9, 4000, 17, 2},
+		Exclude:       []uint32{1, 2},
+		DenyTags:      []string{"kids"},
+	}))
+	f.Add(AppendBatchResponse(nil, &BatchResponse{
+		Flags:        FlagShardPartial,
+		M:            3,
+		ShardLo:      3000,
+		ShardHi:      6000,
+		ModelVersion: 7,
+		Status:       []uint8{0, 0, 0, 0, 0},
+		Counts:       []uint32{3, 0, 2, 3, 1},
+		Items:        []uint32{3001, 5999, 3002, 4000, 4001, 3000, 3001, 3002, 5000},
+		Scores:       []float64{0.9, 0.9, 0.1, 0.5, 0.25, 1, 0.75, 0.5, 0.125},
+	}))
 	// Torn tail: a valid response frame with the final score sheared off
 	// mid-word, as a broken proxy or truncated read would produce it.
 	torn := AppendBatchResponse(nil, &BatchResponse{

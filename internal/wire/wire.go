@@ -13,7 +13,8 @@
 // fail closed. Both decoders reuse the caller's column slices, so a
 // serving loop decodes and encodes without allocating once warm.
 //
-// Request frame (POST /v2/batch, /v2/shard/topm):
+// Request frame (POST /v2/batch; POST /v2/shard/topm: one or more users,
+// which is how the router sends a whole batch to a shard in one call):
 //
 //	off  size  field
 //	0     8    magic "OCuLaRq1" (the trailing "1" is the format version)
@@ -161,6 +162,21 @@ func responseLen(nUsers, t int) (itemsOff, scoresOff, total int) {
 	itemsOff = countsOff + 4*nUsers
 	scoresOff = align8(itemsOff + 4*t)
 	return itemsOff, scoresOff, scoresOff + 8*t
+}
+
+// MaxResponseLen is the length of the largest response frame a request for
+// nUsers lists of at most m items each can legally draw — what a client
+// bounds its read by, instead of a constant.
+func MaxResponseLen(nUsers, m int) int {
+	_, _, total := responseLen(nUsers, nUsers*m)
+	return total
+}
+
+// SetExpectVersion rewrites the version pin of an encoded request frame in
+// place. It is the one field in which the per-shard copies of a scatter
+// differ, so a router encodes the frame once and patches each copy.
+func SetExpectVersion(frame []byte, version uint64) {
+	binary.LittleEndian.PutUint64(frame[40:], version)
 }
 
 // AppendBatchRequest appends req as one request frame to dst and returns

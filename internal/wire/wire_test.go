@@ -284,3 +284,34 @@ func BenchmarkDecodeBatchResponse(b *testing.B) {
 		}
 	}
 }
+
+// TestScatterHelpers pins the two things a router needs beyond the codecs:
+// patching the pin of an encoded request leaves exactly the frame a fresh
+// encode with that pin produces, and MaxResponseLen is the length of the
+// fullest response — so a read bounded by it never cuts a legal one.
+func TestScatterHelpers(t *testing.T) {
+	req := BatchRequest{M: 7, Users: []uint32{3, 1, 4}, Exclude: []uint32{9}, DenyTags: []string{"kids"}}
+	patched := mustAppend(t, nil, &req)
+	SetExpectVersion(patched, 41)
+	req.ExpectVersion = 41
+	if want := mustAppend(t, nil, &req); !bytes.Equal(patched, want) {
+		t.Errorf("patched frame differs from one encoded with the pin:\n%x\n%x", patched, want)
+	}
+
+	for _, c := range []struct{ users, m int }{{1, 1}, {3, 7}, {32, 20}, {5, 0}} {
+		resp := BatchResponse{Status: make([]uint8, c.users)}
+		for u := 0; u < c.users; u++ {
+			resp.Counts = append(resp.Counts, uint32(c.m))
+			for i := 0; i < c.m; i++ {
+				resp.Items = append(resp.Items, uint32(i))
+				resp.Scores = append(resp.Scores, 0.5)
+			}
+		}
+		if got, full := MaxResponseLen(c.users, c.m), len(AppendBatchResponse(nil, &resp)); got != full {
+			t.Errorf("MaxResponseLen(%d, %d) = %d, the fullest response is %d bytes", c.users, c.m, got, full)
+		}
+	}
+	if MaxResponseLen(1024, 1000) > MaxFrameLen {
+		t.Error("the largest default batch does not fit the decoder's frame cap")
+	}
+}
