@@ -7,15 +7,9 @@ package ocular_test
 
 import (
 	"fmt"
-	"io"
-	"net/http/httptest"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	ocular "repro"
-
-	"repro/internal/serve"
 )
 
 // BenchmarkFig1Toy measures the end-to-end toy pipeline: train K=3 on the
@@ -233,58 +227,5 @@ func BenchmarkFig10Rationale(b *testing.B) {
 			ex := ocular.ExplainPair(res.Model, d.R, u, recs[0])
 			ex.Render(d.Dataset)
 		}
-	}
-}
-
-// BenchmarkServeRecommend measures end-to-end HTTP serving throughput of
-// the online subsystem (internal/serve) on SyntheticSmall — the baseline
-// for later scaling PRs. The "hit" variant replays a small set of users so
-// nearly every request is answered from the sharded top-M cache; the
-// "miss" variant disables the cache so every request pays the full
-// ScoreUser + TopM ranking.
-func BenchmarkServeRecommend(b *testing.B) {
-	d := ocular.SyntheticSmall(1)
-	res, err := ocular.Train(d.R, ocular.Config{K: 8, Lambda: 2, MaxIter: 60, Seed: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	modelPath := filepath.Join(b.TempDir(), "model.bin")
-	if err := res.Model.SaveModelFile(modelPath); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name      string
-		cacheSize int
-		users     int // distinct users cycled through
-	}{
-		{"hit", 4096, 4},
-		{"miss", -1, d.Users()},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv, err := serve.NewFromFile(serve.Config{ModelPath: modelPath, Train: d.R, CacheSize: bc.cacheSize})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			client := ts.Client()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				body := fmt.Sprintf(`{"user": %d, "m": 10}`, i%bc.users)
-				resp, err := client.Post(ts.URL+"/v1/recommend", "application/json", strings.NewReader(body))
-				if err != nil {
-					b.Fatal(err)
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != 200 {
-					b.Fatalf("status %d", resp.StatusCode)
-				}
-			}
-			b.StopTimer()
-			if bc.name == "hit" && b.N > bc.users && srv.Metrics().CacheHitRate() == 0 {
-				b.Fatal("repeated-user benchmark saw zero cache hit rate")
-			}
-		})
 	}
 }

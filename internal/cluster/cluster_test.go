@@ -797,25 +797,3 @@ func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
 	close(stop)
 	rollouts.Wait()
 }
-
-// BenchmarkRouterScatterGather measures one uncached scatter-gather
-// through the router handler (shard HTTP round-trips included) at 2 and
-// 4 in-process shards.
-func BenchmarkRouterScatterGather(b *testing.B) {
-	for _, nParts := range []int{2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", nParts), func(b *testing.B) {
-			tr := newTier(b, nParts, Config{CacheSize: -1}) // uncached: every iteration scatters
-			body, _ := json.Marshal(serve.RecommendRequest{User: 42, M: 10})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				req := httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader(body))
-				w := httptest.NewRecorder()
-				tr.router.Handler().ServeHTTP(w, req)
-				if w.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
-				}
-			}
-		})
-	}
-}

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -127,26 +125,8 @@ func (rt *Router) probeReadyz(ctx context.Context, base string) (readyState, err
 	var st readyState
 	pctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(pctx, http.MethodGet, base+"/readyz", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := rt.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return st, err
-	}
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return st, fmt.Errorf("/readyz: HTTP %d", resp.StatusCode)
-	}
-	if err := json.Unmarshal(data, &st); err != nil {
-		return st, fmt.Errorf("/readyz: %w", err)
-	}
-	return st, nil
+	err := rt.getJSON(pctx, base, "/readyz", &st, http.StatusServiceUnavailable)
+	return st, err
 }
 
 // healthRows renders the overlay (and breakers) per shard for /healthz

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -344,8 +345,8 @@ func (rt *Router) Refresh(ctx context.Context) (epoch uint64, err error) {
 	var users, items int
 	sorted := make([]shardRoute, len(rt.cfg.Shards))
 	for i, u := range rt.cfg.Shards {
-		h, err := rt.shardHealthz(ctx, u)
-		if err != nil {
+		var h shardHealth
+		if err := rt.getJSON(ctx, u, "/healthz", &h); err != nil {
 			return 0, fmt.Errorf("cluster: refresh: shard %s: %w", u, err)
 		}
 		if h.ShardHi == nil {
@@ -382,25 +383,31 @@ func (rt *Router) Refresh(ctx context.Context) (epoch uint64, err error) {
 	return epoch, nil
 }
 
-// shardHealthz reads one shard's /healthz.
-func (rt *Router) shardHealthz(ctx context.Context, base string) (shardHealth, error) {
-	var h shardHealth
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+// getJSON is the router's control-plane read of a shard: GET base+path,
+// at most 1 MiB of body, decoded into out. A status other than 200 is an
+// error unless the caller lists it in alsoOK, in which case its body is
+// decoded just the same.
+func (rt *Router) getJSON(ctx context.Context, base, path string, out any, alsoOK ...int) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 	if err != nil {
-		return h, err
+		return err
 	}
 	resp, err := rt.cfg.HTTPClient.Do(req)
 	if err != nil {
-		return h, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return h, fmt.Errorf("/healthz: HTTP %d", resp.StatusCode)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return err
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		return h, err
+	if resp.StatusCode != http.StatusOK && !slices.Contains(alsoOK, resp.StatusCode) {
+		return fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
 	}
-	return h, nil
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 // requestError carries a client-visible HTTP status through the scatter

@@ -443,16 +443,6 @@ func TestModelString(t *testing.T) {
 	}
 }
 
-func BenchmarkTrainIteration(b *testing.B) {
-	d := dataset.SyntheticSmall(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Train(d.R, Config{K: 10, Lambda: 5, MaxIter: 1, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestModelGrow(t *testing.T) {
 	m := smallMatrix(44, 12, 9, 60)
 	res, err := Train(m, Config{K: 4, Lambda: 1, MaxIter: 10, Seed: 5, Bias: true})

@@ -31,7 +31,7 @@ func TestFusedMatchesReferenceTraces(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						cfg.Reference = true
+						cfg.reference = true
 						ref, err := Train(m, cfg)
 						if err != nil {
 							t.Fatal(err)
@@ -64,7 +64,7 @@ func TestFusedMatchesReferenceGradSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Reference = true
+	cfg.reference = true
 	ref, err := Train(m, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func BenchmarkTrainSweep(b *testing.B) {
 		{"reference/parallel", parallel.DefaultWorkers(), true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			cfg := Config{K: 10, Lambda: 5, Seed: 1, Workers: bc.workers, Reference: bc.reference}.withDefaults()
+			cfg := Config{K: 10, Lambda: 5, Seed: 1, Workers: bc.workers, reference: bc.reference}.withDefaults()
 			tr := newTrainer(d.R, cfg)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -181,7 +181,7 @@ func BenchmarkTrainSweep(b *testing.B) {
 
 // BenchmarkTrainObjective isolates the per-iteration convergence check —
 // the ObjectiveWeighted pass with the trainer's cached weight table — so
-// BENCH trajectories can attribute wins to sweep versus check.
+// a change in iteration time can be attributed to sweep versus check.
 func BenchmarkTrainObjective(b *testing.B) {
 	d := dataset.SyntheticSmall(1)
 	for _, workers := range []int{1, parallel.DefaultWorkers()} {

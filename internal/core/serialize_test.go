@@ -460,52 +460,6 @@ func TestSaveModelFileSyncsDir(t *testing.T) {
 	}
 }
 
-// BenchmarkScoreUserF32 compares the serving score loop across the three
-// storage paths: heap float64 model, mapped float64 section, and mapped
-// float32 section (the half-bandwidth path).
-func BenchmarkScoreUserF32(b *testing.B) {
-	d := dataset.SyntheticNetflix(1, 0.05)
-	res, err := Train(d.R, Config{K: 50, Lambda: 5, MaxIter: 1, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	model := res.Model
-	dir := b.TempDir()
-	open := func(f32 bool) *MappedModel {
-		path := filepath.Join(dir, "model.bin")
-		if err := model.SaveModelFileOpts(path, SaveOptions{Float32: f32}); err != nil {
-			b.Fatal(err)
-		}
-		mm, err := OpenMappedModel(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return mm
-	}
-	dst := make([]float64, model.NumItems())
-	b.Run("heap64", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			model.ScoreUser(i%model.NumUsers(), dst)
-		}
-	})
-	b.Run("mmap64", func(b *testing.B) {
-		mm := open(false)
-		defer mm.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mm.ScoreUser(i%model.NumUsers(), dst)
-		}
-	})
-	b.Run("mmap32", func(b *testing.B) {
-		mm := open(true)
-		defer mm.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			mm.ScoreUser(i%model.NumUsers(), dst)
-		}
-	})
-}
-
 // TestMappedModelVerify: Verify runs the factor-domain and float32
 // agreement scan the O(1) open skips, catching section corruption the
 // header cannot see.

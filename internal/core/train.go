@@ -60,15 +60,11 @@ type Config struct {
 	// fixed-block deterministic tree, so parallel and serial paths produce
 	// bit-identical models.
 	Workers int
-	// Reference selects the unfused reference kernels: separate objective
-	// and gradient passes and a full O(|pos|·K) re-evaluation per
-	// backtracking candidate. The default fused kernels (kernels.go) compute
-	// the same quantities in one pass with an incremental line search; they
-	// reorder floating-point sums, so the two paths agree to rounding
-	// (objective traces within 1e-9 relative) rather than bitwise. The
-	// reference path is retained for equivalence testing and benchmarking
-	// the fusion win.
-	Reference bool
+	// reference selects the unfused kernels (updateFactorRef) that
+	// kernels_test.go holds the fused ones to: same quantities, sums in a
+	// different order, so objective traces agree within 1e-9 relative, not
+	// bitwise. Only tests in this package can set it.
+	reference bool
 	// OnIteration, when non-nil, is called after every outer iteration with
 	// the iteration index (from 0) and the objective value — progress
 	// reporting for long trainings and the hook behind cmd/ocular -v.
@@ -248,7 +244,7 @@ func (t *trainer) run() *Result {
 	// objective, from which the full Q is assembled for free. The bias
 	// extension moves the biases after those partials are computed, so
 	// bias runs (like the reference path) pay the explicit objective pass.
-	fusedTrace := !t.cfg.Reference && !t.cfg.Bias
+	fusedTrace := !t.cfg.reference && !t.cfg.Bias
 	if fusedTrace {
 		t.qRow = make([]float64, t.m.users)
 	}
@@ -387,11 +383,11 @@ func (s *sideCtx) bias(idx int32) float64 {
 // updateFactor performs the projected-gradient-with-backtracking update of
 // Section IV-D on factor f (length K); GradSteps > 1 repeats the step to
 // approximate an exact subproblem solve. It dispatches to the fused
-// one-pass kernels (kernels.go) unless Config.Reference asks for the
-// unfused reference implementation below. Both return the partial
-// objective (eq. 5) at the factor left in f.
+// one-pass kernels (kernels.go) unless a test asked for the unfused
+// reference implementation below. Both return the partial objective
+// (eq. 5) at the factor left in f.
 func (t *trainer) updateFactor(f []float64, side sideCtx, scratch *parallel.Scratch) float64 {
-	if t.cfg.Reference {
+	if t.cfg.reference {
 		return t.updateFactorRef(f, side, scratch)
 	}
 	return t.updateFactorFused(f, side, scratch)

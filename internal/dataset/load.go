@@ -29,10 +29,6 @@ type LoadOptions struct {
 // ("userID::movieID::rating::timestamp") with the paper's >=3 binarization.
 func MovieLensOptions() LoadOptions { return LoadOptions{Sep: "::", Threshold: 3} }
 
-// NetflixOptions are the options for a flattened Netflix triple file
-// ("userID,movieID,rating") with the paper's >=3 binarization.
-func NetflixOptions() LoadOptions { return LoadOptions{Sep: ",", Threshold: 3} }
-
 // LoadRatings parses a ratings stream into a Dataset named name. Each line
 // holds at least user and item fields and, unless the file is one-class, a
 // rating field. User and item identifiers are arbitrary strings and are

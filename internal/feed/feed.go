@@ -10,11 +10,23 @@
 // Appends are batched through a buffered writer and flushed to the OS on
 // every Append call (so same-machine readers see them immediately);
 // durability points are segment rotation, Sync and Close, which fsync.
-// A crash can therefore tear only the tail of the active segment, and
-// only past the last Sync: Open scans the last segment and truncates the
-// tail at the first short or checksum-failing record. Sealed segments
-// (everything but the last) were fsynced by rotation, so a malformed
-// record in one is reported as corruption, not repaired.
+// A crash can therefore tear only the tail of the active (last) segment,
+// and only past the last Sync; sealed segments (everything but the last)
+// were fsynced by rotation.
+//
+// One walker (walkSegment) reads every segment, and what it finds sorts a
+// segment into exactly one of three outcomes:
+//
+//   - good: the file ends on a record boundary and every record's
+//     checksum holds. Nothing to do.
+//   - repaired: the ACTIVE segment has a short, checksum-failing or
+//     missing-magic tail. That is what a crash or a failed write leaves,
+//     so a reader stops at the last intact record and the writer (Open,
+//     and the next operation after a failed Append) truncates the tail
+//     there — or recreates the file if not even its magic survived.
+//   - refused: a SEALED segment with any of the same damage. Rotation
+//     promised durability, so this is corruption, not a crash artifact:
+//     Open and Replay return an error and change nothing.
 //
 // Replay is idempotent by construction downstream: records are (user,
 // item) positives, and the training matrix builder deduplicates, so
@@ -126,43 +138,50 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.count += n
+		l.countSealed += n
 		l.sealed++
 	}
-	l.countSealed = l.count
-	// The last segment may have a torn tail; scan and truncate.
-	last := segs[len(segs)-1]
-	path := filepath.Join(dir, last.name)
-	good, n, err := scanSegment(path)
-	if err != nil {
+	if err := l.recoverActive(segs[len(segs)-1].seq); err != nil {
 		return nil, err
 	}
-	if good < magicSize {
-		// The crash tore the segment's own magic (created but never
-		// synced); recreate it from scratch.
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("feed: recreating torn segment %s: %w", last.name, err)
-		}
-		if err := l.startSegment(last.seq); err != nil {
-			return nil, err
-		}
-		return l, nil
-	}
-	if good < last.size {
-		if err := os.Truncate(path, good); err != nil {
-			return nil, fmt.Errorf("feed: truncating torn tail of %s: %w", last.name, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return nil, fmt.Errorf("feed: %w", err)
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.size = good
-	l.seq = last.seq
-	l.count += n
 	return l, nil
+}
+
+// recoverActive is the "repaired" outcome of the package comment, run by
+// Open on the last segment and by repairLocked after a failed write: walk
+// segment seq, cut whatever follows its last intact record (recreating
+// the file if not even the magic survived), reopen it for append and set
+// the counters from what the walk found. Caller holds l.mu (or the log is
+// not yet shared).
+func (l *Log) recoverActive(seq int) error {
+	path := filepath.Join(l.dir, segName(seq))
+	good, n, clean, err := walkSegment(path, nil)
+	if err != nil {
+		return err
+	}
+	if good < magicSize {
+		// The magic write itself is only fsynced with the first Sync or
+		// rotation, so a crash can leave a created-but-empty segment.
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("feed: recreating torn segment %s: %w", segName(seq), err)
+		}
+		if err := l.startSegment(seq); err != nil {
+			return err
+		}
+	} else {
+		if !clean {
+			if err := os.Truncate(path, good); err != nil {
+				return fmt.Errorf("feed: truncating torn tail of %s: %w", segName(seq), err)
+			}
+		}
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			return fmt.Errorf("feed: %w", err)
+		}
+		l.f, l.w, l.size, l.seq = f, bufio.NewWriterSize(f, 1<<16), good, seq
+	}
+	l.count = l.countSealed + n
+	return nil
 }
 
 // startSegment creates segment seq and installs it as the active one.
@@ -249,42 +268,16 @@ func (l *Log) Append(events ...Event) error {
 }
 
 // repairLocked recovers a writer marked broken: it abandons the current
-// handle, rescans the active segment exactly like Open does (truncating
-// any torn tail the failed writes left), reopens it for append and
-// recomputes the counters. Caller holds l.mu.
+// handle and recovers the active segment exactly like Open does. Caller
+// holds l.mu.
 func (l *Log) repairLocked() error {
 	if !l.broken {
 		return nil
 	}
 	l.f.Close() // best effort; the handle is being abandoned either way
-	path := filepath.Join(l.dir, segName(l.seq))
-	good, n, err := scanSegment(path)
-	if err != nil {
+	if err := l.recoverActive(l.seq); err != nil {
 		return fmt.Errorf("feed: repairing after write failure: %w", err)
 	}
-	if good < magicSize {
-		// Even the magic is gone; recreate the segment wholesale.
-		if err := os.Remove(path); err != nil {
-			return fmt.Errorf("feed: repairing after write failure: %w", err)
-		}
-		if err := l.startSegment(l.seq); err != nil {
-			return err
-		}
-		l.count = l.countSealed
-		l.broken = false
-		return nil
-	}
-	if err := os.Truncate(path, good); err != nil {
-		return fmt.Errorf("feed: repairing after write failure: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return fmt.Errorf("feed: repairing after write failure: %w", err)
-	}
-	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
-	l.size = good
-	l.count = l.countSealed + n
 	l.broken = false
 	return nil
 }
@@ -309,20 +302,8 @@ func (l *Log) Sync() error {
 	return nil
 }
 
-// Rotate seals the active segment (flush, fsync, close) and starts the
-// next one. Appends after a crash can then only tear the new segment.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("feed: log is closed")
-	}
-	if err := l.repairLocked(); err != nil {
-		return err
-	}
-	return l.rotateLocked()
-}
-
+// rotateLocked seals the active segment (flush, fsync, close) and starts
+// the next one. Appends after a crash can then only tear the new segment.
 func (l *Log) rotateLocked() error {
 	if err := l.w.Flush(); err != nil {
 		l.broken = true
@@ -339,18 +320,16 @@ func (l *Log) rotateLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		// The new segment is installed regardless: the old one is synced,
-		// and abandoning the fresh segment over a close error would lose
-		// more than it saves.
-		l.f, l.w, l.size, l.seq = f, w, magicSize, l.seq+1
-		l.sealed++
-		l.countSealed = l.count
-		return fmt.Errorf("feed: closing sealed segment: %w", err)
-	}
+	// The new segment is installed even if closing the old one fails: the
+	// old one is synced, and abandoning the fresh segment over a close
+	// error would lose more than it saves.
+	cerr := l.f.Close()
 	l.f, l.w, l.size, l.seq = f, w, magicSize, l.seq+1
 	l.sealed++
 	l.countSealed = l.count
+	if cerr != nil {
+		return fmt.Errorf("feed: closing sealed segment: %w", cerr)
+	}
 	return nil
 }
 
@@ -393,29 +372,6 @@ func (l *Log) Segments() int {
 	return l.sealed + 1
 }
 
-// Dir returns the feed directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Replay flushes the writer's buffer and replays every record in the log
-// in append order. It is the in-process variant of the package-level
-// Replay.
-func (l *Log) Replay(fn func(Event) error) (int64, error) {
-	l.mu.Lock()
-	if !l.closed {
-		if err := l.repairLocked(); err != nil {
-			l.mu.Unlock()
-			return 0, err
-		}
-		if err := l.w.Flush(); err != nil {
-			l.broken = true
-			l.mu.Unlock()
-			return 0, fmt.Errorf("feed: %w", err)
-		}
-	}
-	l.mu.Unlock()
-	return Replay(l.dir, fn)
-}
-
 // --- Package-level readers (cross-process: the trainer) -----------------
 
 type segInfo struct {
@@ -454,9 +410,9 @@ func segments(dir string) ([]segInfo, error) {
 
 func segName(seq int) string { return fmt.Sprintf("%08d%s", seq, segSuffix) }
 
-// sealedCount validates the framing of a sealed segment and returns its
-// record count. Sealed segments were fsynced before the next was started,
-// so a short or misaligned one is corruption, not a crash artifact.
+// sealedCount is Open's cheap check of a sealed segment: its size must
+// frame whole records behind an intact magic, or the segment is refused.
+// It reads no records; Replay is the reader that verifies checksums.
 func sealedCount(path string, size int64) (int64, error) {
 	if size < magicSize || (size-magicSize)%recordSize != 0 {
 		return 0, fmt.Errorf("feed: sealed segment %s has torn size %d", filepath.Base(path), size)
@@ -466,48 +422,49 @@ func sealedCount(path string, size int64) (int64, error) {
 		return 0, fmt.Errorf("feed: %w", err)
 	}
 	defer f.Close()
-	if err := checkMagic(f, path); err != nil {
-		return 0, err
+	var magic [magicSize]byte
+	if _, err := io.ReadFull(f, magic[:]); err != nil {
+		return 0, fmt.Errorf("feed: reading magic of %s: %w", filepath.Base(path), err)
+	}
+	if string(magic[:]) != segMagic {
+		return 0, fmt.Errorf("feed: %s is not a feed segment (magic %q)", filepath.Base(path), magic)
 	}
 	return (size - magicSize) / recordSize, nil
 }
 
-func checkMagic(f *os.File, path string) error {
-	var magic [magicSize]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return fmt.Errorf("feed: reading magic of %s: %w", filepath.Base(path), err)
-	}
-	if string(magic[:]) != segMagic {
-		return fmt.Errorf("feed: %s is not a feed segment (magic %q)", filepath.Base(path), magic)
-	}
-	return nil
-}
-
-// scanSegment walks the active segment verifying record checksums and
-// returns the byte offset just past the last intact record plus the
-// intact record count. Records after a tear (short write or checksum
-// mismatch) are ignored; a missing or mangled magic counts as a tear at
-// offset zero, since the magic write itself is only fsynced with the
-// first Sync or rotation.
-func scanSegment(path string) (good int64, records int64, err error) {
+// walkSegment is the one reader of segment bytes: the magic, then records
+// up to the first that is short or fails its checksum, each intact one
+// handed to fn (nil to only measure; an error from fn aborts the walk).
+// It returns the offset just past the last intact record — 0 when the
+// magic itself is missing or mangled — the intact count, and whether the
+// file ended cleanly on that record boundary. What an unclean segment
+// means (repair or refuse, see the package comment) is the caller's call.
+func walkSegment(path string, fn func(Event) error) (good, records int64, clean bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, fmt.Errorf("feed: %w", err)
+		return 0, 0, false, fmt.Errorf("feed: %w", err)
 	}
 	defer f.Close()
-	var magic [magicSize]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
-		return 0, 0, nil
-	}
 	br := bufio.NewReaderSize(f, 1<<16)
-	good = magicSize
 	var rec [recordSize]byte
+	if _, err := io.ReadFull(br, rec[:magicSize]); err != nil || string(rec[:magicSize]) != segMagic {
+		return 0, 0, false, nil
+	}
+	good = magicSize
 	for {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return good, records, nil // short tail (or clean EOF): tear here
+			return good, records, err == io.EOF, nil // clean end, or a short tail
 		}
 		if crc32.ChecksumIEEE(rec[:8]) != binary.LittleEndian.Uint32(rec[8:]) {
-			return good, records, nil // checksum tear
+			return good, records, false, nil
+		}
+		if fn != nil {
+			if err := fn(Event{
+				User: binary.LittleEndian.Uint32(rec[0:]),
+				Item: binary.LittleEndian.Uint32(rec[4:]),
+			}); err != nil {
+				return good, records, false, err
+			}
 		}
 		good += recordSize
 		records++
@@ -517,8 +474,8 @@ func scanSegment(path string) (good int64, records int64, err error) {
 // Replay reads every record of the feed at dir in append order, calling
 // fn for each; a non-nil error from fn aborts the replay. The torn tail
 // of the last segment (a writer crash, or a writer racing the read) is
-// skipped; a torn record in a sealed segment is an error. Returns the
-// number of records delivered.
+// skipped; a sealed segment that does not end cleanly is an error.
+// Returns the number of records delivered.
 func Replay(dir string, fn func(Event) error) (int64, error) {
 	segs, err := segments(dir)
 	if err != nil {
@@ -526,56 +483,16 @@ func Replay(dir string, fn func(Event) error) (int64, error) {
 	}
 	var total int64
 	for si, s := range segs {
-		last := si == len(segs)-1
-		n, err := replaySegment(filepath.Join(dir, s.name), s.size, last, fn)
+		good, n, clean, err := walkSegment(filepath.Join(dir, s.name), fn)
 		total += n
 		if err != nil {
 			return total, err
 		}
+		if !clean && si < len(segs)-1 {
+			return total, fmt.Errorf("feed: sealed segment %s is torn or corrupt at offset %d", s.name, good)
+		}
 	}
 	return total, nil
-}
-
-func replaySegment(path string, size int64, last bool, fn func(Event) error) (int64, error) {
-	if !last && (size < magicSize || (size-magicSize)%recordSize != 0) {
-		return 0, fmt.Errorf("feed: sealed segment %s has torn size %d", filepath.Base(path), size)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("feed: %w", err)
-	}
-	defer f.Close()
-	var magic [magicSize]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || string(magic[:]) != segMagic {
-		if last {
-			return 0, nil // the active segment's magic write itself tore
-		}
-		return 0, fmt.Errorf("feed: %s is not a feed segment", filepath.Base(path))
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
-	var n int64
-	var rec [recordSize]byte
-	for {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			if err == io.EOF || last {
-				return n, nil
-			}
-			return n, fmt.Errorf("feed: torn record in sealed segment %s", filepath.Base(path))
-		}
-		if crc32.ChecksumIEEE(rec[:8]) != binary.LittleEndian.Uint32(rec[8:]) {
-			if last {
-				return n, nil
-			}
-			return n, fmt.Errorf("feed: checksum mismatch in sealed segment %s", filepath.Base(path))
-		}
-		if err := fn(Event{
-			User: binary.LittleEndian.Uint32(rec[0:]),
-			Item: binary.LittleEndian.Uint32(rec[4:]),
-		}); err != nil {
-			return n, err
-		}
-		n++
-	}
 }
 
 // Events replays the feed at dir into a slice.

@@ -293,27 +293,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkFeedAppend measures the batched append path (64 events per
-// call, flush-per-batch, no fsync), the cost /v1/ingest pays per request.
-func BenchmarkFeedAppend(b *testing.B) {
-	l, err := Open(b.TempDir(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	batch := make([]Event, 64)
-	for i := range batch {
-		batch[i] = Event{uint32(i), uint32(i)}
-	}
-	b.SetBytes(int64(len(batch)) * recordSize)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if err := l.Append(batch...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestWriterRepairsAfterFailedAppend: a transient write failure (bufio's
 // sticky error) must not brick the log for the life of the process — the
 // next operation rescans the active segment, truncates whatever partial

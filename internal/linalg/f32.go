@@ -59,16 +59,12 @@ func ScoreF32(dst []float64, fu, fi []float32, bi []float32, userBias float64) {
 	// bit-identical; reassociating that chain would break the binary/JSON
 	// transport property tests, which compare math.Float64bits.
 	//
-	// Note on the mmap32-vs-heap64 gap in BenchmarkScoreUserF32: the
-	// -benchtime 1x smoke numbers measure page touch, not compute. mmap64
-	// runs the heap64 float64 code on the same machine yet trails it
-	// 1.5–3× at 1x (e.g. 41µs vs 26µs; the committed ledger recorded 81µs
-	// vs 25µs), and converges to within a few percent at -benchtime 200x
-	// once the mapping is resident. mmap32's residual steady-state gap
-	// (~23µs vs ~13µs at K=50) is this kernel, not residency: per item it
-	// streams half the bytes but still performs the dot in float32 lanes
-	// that the compiler does not vectorize as aggressively as the float64
-	// loop. The reslice hints above recover ~10% of that.
+	// Note on core.score_f32_us against core.score_us (bench/README.md):
+	// the first pass over a fresh mapping measures page touch, not
+	// compute. Once resident, the float32 path streams half the bytes per
+	// item but is not twice as fast: it still performs the dot in float32
+	// lanes that the compiler does not vectorize as aggressively as the
+	// float64 loop. The reslice hints above recover ~10% of that.
 	row := fi
 	if bi == nil {
 		for i := range dst {

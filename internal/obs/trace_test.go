@@ -137,6 +137,9 @@ func TestSlowRequestLog(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	tr := NewTracer(2, time.Nanosecond, logger)
 	a := tr.Start("recommend", "")
+	// Wall time is the thing under test: the request must outlast the
+	// 1 ns slow threshold on the tracer's own clock, and a sleep makes it
+	// do so by six orders of magnitude whatever the clock's resolution.
 	time.Sleep(time.Millisecond)
 	tr.Finish(a, 200)
 	out := buf.String()

@@ -17,7 +17,7 @@ type benchScorer struct {
 func (s *benchScorer) ScoreUser(_ int, dst []float64) { copy(dst, s.scores) }
 func (s *benchScorer) NumItems() int                  { return len(s.scores) }
 
-func newBenchSetup(b *testing.B, ni int) (*benchScorer, *sparse.Matrix, []int, *TagTable) {
+func newBenchSetup(b *testing.B, ni int) (*benchScorer, *sparse.Matrix, []int) {
 	b.Helper()
 	r := rng.New(11)
 	scores := make([]float64, ni)
@@ -34,58 +34,7 @@ func newBenchSetup(b *testing.B, ni int) (*benchScorer, *sparse.Matrix, []int, *
 	for n := range exclude {
 		exclude[n] = r.Intn(ni)
 	}
-	tags := testTagTable(b, ni)
-	return &benchScorer{scores: scores}, tb.Build(), exclude, tags
-}
-
-// BenchmarkRankFiltered measures a full filtered ranking — training-row
-// walk + 100-item exclusion list + tag deny-list + top-50 heap selection —
-// with the cache disabled, i.e. the cost of every filtered cache miss.
-func BenchmarkRankFiltered(b *testing.B) {
-	const ni = 17000
-	scorer, train, exclude, tags := newBenchSetup(b, ni)
-	e := NewEngine(scorer, Config{CacheSize: -1})
-	deny, err := tags.Deny("third")
-	if err != nil {
-		b.Fatal(err)
-	}
-	row := TrainRow(train, 0)
-	ex := ExcludeItems(exclude)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items, _, _ := e.TopM(0, 50, row, ex, deny)
-		if len(items) != 50 {
-			b.Fatalf("got %d items", len(items))
-		}
-	}
-}
-
-// BenchmarkRerankStages measures a full staged cache miss: rank the 17k
-// catalogue, then run the three-stage pipeline (score floor, tag boost
-// with 2x over-fetch, MMR diversification at 4x) over the over-fetched
-// candidate pool — the cost ceiling of a staged arm's request.
-func BenchmarkRerankStages(b *testing.B) {
-	const ni = 17000
-	scorer, train, _, tags := newBenchSetup(b, ni)
-	e := NewEngine(scorer, Config{CacheSize: -1})
-	boost, err := tags.Boost(0.25, 2, "rare")
-	if err != nil {
-		b.Fatal(err)
-	}
-	div, err := Diversify(0.7, 4, gridVectors{8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stages := []Stage{ScoreFloor(0.05), boost, div}
-	row := TrainRow(train, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		items, _, _ := e.TopMStaged(0, 50, stages, row)
-		if len(items) == 0 {
-			b.Fatal("empty staged list")
-		}
-	}
+	return &benchScorer{scores: scores}, tb.Build(), exclude
 }
 
 // BenchmarkRankCoalesced measures the duplicate-miss hot path: parallel
@@ -95,7 +44,7 @@ func BenchmarkRerankStages(b *testing.B) {
 // without coalescing and caching it would be 1.0.
 func BenchmarkRankCoalesced(b *testing.B) {
 	const ni = 17000
-	scorer, train, exclude, _ := newBenchSetup(b, ni)
+	scorer, train, exclude := newBenchSetup(b, ni)
 	stats := &Stats{}
 	e := NewEngine(scorer, Config{CacheSize: 64, Stats: stats})
 	row := TrainRow(train, 0)

@@ -151,12 +151,6 @@ func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (item
 	return e.rank(score, m, flatten(filters), nil)
 }
 
-// RankStaged is Rank followed by the request's re-rank stages — the
-// fold-in path of a staged arm. Like Rank it never consults the cache.
-func (e *Engine) RankStaged(score func(dst []float64), m int, stages []Stage, filters ...Filter) (items []int, scores []float64) {
-	return e.rankStaged(score, m, flatten(filters), compactStages(stages), nil)
-}
-
 // rank is the shared score → filter → select execution over a pooled
 // buffer, compacting the survivors' scores alongside the items. A
 // non-nil tm receives the score and (fused) filter+select wall times;

@@ -106,11 +106,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Uniform returns a uniformly random float64 in [lo, hi).
-func (r *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // NormFloat64 returns a standard normal variate using the Box-Muller
 // transform. Two variates are produced per transform; one is cached.
 func (r *RNG) NormFloat64() float64 {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/wire"
@@ -372,56 +371,4 @@ func TestShardTopMBinaryMatchesJSON(t *testing.T) {
 			}
 		}
 	}
-}
-
-// benchBatch drives one transport's batch endpoint through the full HTTP
-// handler with a warm cache, so the measured difference between the two
-// benchmarks is transport cost (decode, response assembly, encode), not
-// ranking.
-func benchBatch(b *testing.B, path string, body []byte, nUsers int) {
-	srv, _, _, _ := newTestServer(b, Config{})
-	h := srv.Handler()
-	run := func() *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		return w
-	}
-	if w := run(); w.Code != 200 {
-		b.Fatalf("warmup: status %d: %s", w.Code, w.Body.Bytes())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w := run(); w.Code != 200 {
-			b.Fatalf("status %d", w.Code)
-		}
-	}
-	b.ReportMetric(float64(nUsers)*float64(b.N)/b.Elapsed().Seconds(), "users/sec")
-}
-
-func benchUsers() []int {
-	users := make([]int, 256)
-	for i := range users {
-		users[i] = i % 120
-	}
-	return users
-}
-
-func BenchmarkBatchJSON(b *testing.B) {
-	users := benchUsers()
-	body, err := json.Marshal(BatchRequest{Users: users, M: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchBatch(b, "/v1/batch", body, len(users))
-}
-
-func BenchmarkBatchBinary(b *testing.B) {
-	users := benchUsers()
-	req := wire.BatchRequest{M: 10}
-	for _, u := range users {
-		req.Users = append(req.Users, uint32(u))
-	}
-	benchBatch(b, "/v2/batch", mustFrame(b, &req), len(users))
 }

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -247,35 +246,4 @@ func TestTracingDisabled(t *testing.T) {
 	if out := getTraces(t, ts.URL); len(out.Traces) != 0 {
 		t.Fatalf("disabled tracer has %d traces", len(out.Traces))
 	}
-}
-
-// benchTraceRecommend drives the cache-hit recommend path through the
-// full handler so the measured difference between on and off is the
-// whole tracing tax: mint/adopt, context attach, span records, ring
-// publish.
-func benchTraceRecommend(b *testing.B, ring int) {
-	srv, _, _, _ := newTestServer(b, Config{TraceRing: ring})
-	h := srv.Handler()
-	body := []byte(`{"user": 3, "m": 10}`)
-	run := func() *httptest.ResponseRecorder {
-		r := httptest.NewRequest(http.MethodPost, "/v1/recommend", bytes.NewReader(body))
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		return w
-	}
-	if w := run(); w.Code != 200 {
-		b.Fatalf("warmup: status %d: %s", w.Code, w.Body.Bytes())
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w := run(); w.Code != 200 {
-			b.Fatalf("status %d", w.Code)
-		}
-	}
-}
-
-func BenchmarkTraceOverhead(b *testing.B) {
-	b.Run("off", func(b *testing.B) { benchTraceRecommend(b, -1) })
-	b.Run("on", func(b *testing.B) { benchTraceRecommend(b, 0) })
 }

@@ -1086,42 +1086,6 @@ func TestConcurrentFileReloadsV2(t *testing.T) {
 	}
 }
 
-// BenchmarkReload measures ReloadFromFile across model scales. The v2
-// mmap path re-maps and validates only the 128-byte header, so ns/op must
-// stay flat as the model grows ~50x — compare the sub-benchmarks.
-func BenchmarkReload(b *testing.B) {
-	for _, bench := range []struct {
-		name  string
-		train *sparse.Matrix
-		k     int
-	}{
-		{"small", dataset.SyntheticSmall(1).Dataset.R, 8},
-		{"large", dataset.SyntheticNetflix(1, 0.25).R, 32},
-	} {
-		b.Run(bench.name, func(b *testing.B) {
-			res, err := core.Train(bench.train, core.Config{K: bench.k, Lambda: 2, MaxIter: 1, Seed: 3})
-			if err != nil {
-				b.Fatal(err)
-			}
-			path := filepath.Join(b.TempDir(), "model.bin")
-			if err := res.Model.SaveModelFileOpts(path, core.SaveOptions{Float32: true}); err != nil {
-				b.Fatal(err)
-			}
-			srv, err := NewFromFile(Config{ModelPath: path, Train: bench.train})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Model.NumUsers()*res.Model.K()+res.Model.NumItems()*res.Model.K()), "factors")
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := srv.ReloadFromFile(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Continuous-training pipeline: ingest, reload handshake, grown models ---
 
 // TestIngestAppendsToFeed: /v1/ingest writes through to the configured

@@ -496,8 +496,5 @@ func (s *Server) Gate() *Gate { return s.gate }
 // test pins.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Handler returns the HTTP handler serving the v1 API.
 func (s *Server) Handler() http.Handler { return s.mux }

@@ -512,28 +512,15 @@ func (t *Trainer) rolloutQuorum(ctx context.Context, cy *Cycle) error {
 // routerEpoch reads the router's current route-table epoch from
 // /healthz; a router that has no table yet (HTTP 503) is epoch 0.
 func (t *Trainer) routerEpoch(ctx context.Context) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, t.cfg.RouterURL+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := t.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusServiceUnavailable {
-		return 0, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("/healthz: HTTP %d", resp.StatusCode)
-	}
 	var health struct {
 		Epoch uint64 `json:"epoch"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
-		return 0, err
+	err := t.getJSON(ctx, t.cfg.RouterURL, "/healthz", &health)
+	var se *httpStatusError
+	if errors.As(err, &se) && se.status == http.StatusServiceUnavailable {
+		return 0, nil
 	}
-	return health.Epoch, nil
+	return health.Epoch, err
 }
 
 // reloadResponse mirrors serve.ReloadResponse.
@@ -578,25 +565,13 @@ func (t *Trainer) pushReload(ctx context.Context, base string) (reloadResponse, 
 // Config.ModelName, the named model's own counter from the registry's
 // models tree.
 func (t *Trainer) serverVersion(ctx context.Context, base string) (uint64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := t.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("/healthz: HTTP %d", resp.StatusCode)
-	}
 	var health struct {
 		ModelVersion uint64 `json:"model_version"`
 		Models       map[string]struct {
 			ModelVersion uint64 `json:"model_version"`
 		} `json:"models"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&health); err != nil {
+	if err := t.getJSON(ctx, base, "/healthz", &health); err != nil {
 		return 0, err
 	}
 	if name := t.cfg.ModelName; name != "" {
@@ -690,8 +665,7 @@ type httpStatusError struct {
 func (e *httpStatusError) Error() string { return e.msg }
 
 // postJSON POSTs body (nil for empty) to base+path and decodes the
-// response into out, surfacing the server's {"error": ...} payload on
-// non-200 statuses.
+// response into out.
 func (t *Trainer) postJSON(ctx context.Context, base, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -701,11 +675,26 @@ func (t *Trainer) postJSON(ctx context.Context, base, path string, body, out any
 		}
 		rd = bytes.NewReader(b)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, rd)
+	return t.doJSON(ctx, http.MethodPost, base, path, rd, out)
+}
+
+// getJSON GETs base+path and decodes the response into out.
+func (t *Trainer) getJSON(ctx context.Context, base, path string, out any) error {
+	return t.doJSON(ctx, http.MethodGet, base, path, nil, out)
+}
+
+// doJSON is the one control-plane call to the serve tier: it reads at
+// most 1 MiB of the response, decodes a 200 into out, and turns any
+// other status into an httpStatusError carrying the server's
+// {"error": ...} payload when there is one.
+func (t *Trainer) doJSON(ctx context.Context, method, base, path string, body io.Reader, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	resp, err := t.cfg.HTTPClient.Do(req)
 	if err != nil {
 		return err

@@ -547,11 +547,15 @@ func TestRunTriggers(t *testing.T) {
 
 	quick := testTrainCfg
 	quick.MaxIter = 2
+	const maxInterval = 250 * time.Millisecond
+	metrics := NewMetrics()
+	created := time.Now() // no later than the trainer's own MaxInterval origin
 	tr, err := New(Config{
 		FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath,
 		MinNewPositives: 3,
-		MaxInterval:     250 * time.Millisecond,
+		MaxInterval:     maxInterval,
 		PollInterval:    20 * time.Millisecond,
+		Metrics:         metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -570,22 +574,41 @@ func TestRunTriggers(t *testing.T) {
 	orig := mtimeAt()
 
 	// One positive: below the count threshold, within MaxInterval — the
-	// immediate polls must not retrain.
+	// immediate polls must not retrain. Rendezvous on the trainer's own
+	// poll instead of sleeping: Run publishes the backlog gauge before
+	// every trigger evaluation, so once a poll has shown the backlog of 1,
+	// plant a sentinel and wait for the NEXT poll to overwrite it. That
+	// poll only runs after the one before it evaluated the trigger and
+	// came back, and it shows 1 again only if that evaluation declined (a
+	// cycle would have consumed the backlog and moved the file).
 	if err := l.Append(feed.Event{User: 1, Item: 1}); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
-	if got := mtimeAt(); !got.Equal(orig) {
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(5 * time.Millisecond) // the poll interval, not a wait for anything
+		}
+	}
+	waitFor("a poll that sees the positive", func() bool { return metrics.backlog.Load() == 1 })
+	metrics.backlog.Store(-1)
+	waitFor("the poll after it", func() bool { return metrics.backlog.Load() != -1 })
+	backlog, mtime := metrics.backlog.Load(), mtimeAt()
+	// Read the clock last: if MaxInterval had not passed by now, it had not
+	// passed when the two values above were read either.
+	if time.Since(created) >= maxInterval {
+		// A stalled machine let MaxInterval pass first: retraining was
+		// correct, so there is nothing negative left to assert.
+		t.Log("two polls took longer than MaxInterval; skipping the must-not-retrain check")
+	} else if backlog != 1 || !mtime.Equal(orig) {
 		t.Fatal("retrained below both triggers")
 	}
 	// ...but the elapsed-time trigger eventually picks the trickle up.
-	deadline := time.Now().Add(5 * time.Second)
-	for mtimeAt().Equal(orig) {
-		if time.Now().After(deadline) {
-			t.Fatal("MaxInterval trigger never fired")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor("the MaxInterval trigger to fire", func() bool { return !mtimeAt().Equal(orig) })
 
 	// A burst beyond MinNewPositives retrains without waiting out the
 	// interval.
@@ -593,45 +616,11 @@ func TestRunTriggers(t *testing.T) {
 	if err := l.Append(feed.Event{User: 2, Item: 1}, feed.Event{User: 2, Item: 2}, feed.Event{User: 2, Item: 3}); err != nil {
 		t.Fatal(err)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	for mtimeAt().Equal(after) {
-		if time.Now().After(deadline) {
-			t.Fatal("count trigger never fired")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitFor("the count trigger to fire", func() bool { return !mtimeAt().Equal(after) })
 
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("Run returned %v after cancel", err)
-	}
-}
-
-// BenchmarkWarmStartRetrain measures one full warm-started trainer cycle
-// (replay, fold, grow, train, save) without a server — the steady-state
-// cost of the pipeline per rollout.
-func BenchmarkWarmStartRetrain(b *testing.B) {
-	base := dataset.SyntheticSmall(1).Dataset.R
-	dir := b.TempDir()
-	modelPath := filepath.Join(dir, "model.bin")
-	seedModel(b, base, modelPath)
-	feedDir := filepath.Join(dir, "feed")
-	events := make([]feed.Event, 200)
-	for i := range events {
-		events[i] = feed.Event{User: uint32(i % (base.Rows() + 8)), Item: uint32(i % base.Cols())}
-	}
-	writeFeed(b, feedDir, events...)
-	quick := testTrainCfg
-	quick.MaxIter = 5
-	tr, err := New(Config{FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		if _, err := tr.RunOnce(context.Background()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -255,36 +255,6 @@ func equalU32(a, b []uint32) bool {
 	return true
 }
 
-// BenchmarkAppendBatchResponse pins the steady-state encode cost the
-// serving handlers pay per frame: appending into a warm buffer must not
-// allocate at all (the 0 allocs/op here is an acceptance number — see
-// TestEncodeZeroAlloc for the hard assertion).
-func BenchmarkAppendBatchResponse(b *testing.B) {
-	resp := sampleResponse()
-	buf := AppendBatchResponse(nil, resp)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = AppendBatchResponse(buf[:0], resp)
-	}
-}
-
-// BenchmarkDecodeBatchResponse is the router-side counterpart: decoding
-// a shard frame into warm scratch columns.
-func BenchmarkDecodeBatchResponse(b *testing.B) {
-	data := AppendBatchResponse(nil, sampleResponse())
-	var out BatchResponse
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := DecodeBatchResponse(data, &out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestScatterHelpers pins the two things a router needs beyond the codecs:
 // patching the pin of an encoded request leaves exactly the frame a fresh
 // encode with that pin produces, and MaxResponseLen is the length of the
