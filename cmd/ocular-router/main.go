@@ -54,19 +54,16 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/rank"
 	"repro/internal/serve"
 )
@@ -112,12 +109,7 @@ func main() {
 	if *shards == "" {
 		log.Fatal("pass -shards URL1,URL2,... (start shards with: ocular-serve -model model.bin -shard-lo L -shard-hi H)")
 	}
-	var urls []string
-	for _, u := range strings.Split(*shards, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
+	urls := cliutil.SplitURLs(*shards)
 
 	var rtStages []rank.Stage
 	if *stages != "" {
@@ -155,14 +147,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *pprofAddr != "" {
-		ln, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ln.Close()
-		log.Printf("pprof on %s", ln.Addr())
+	stopPprof, err := cliutil.StartPprof(*pprofAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopPprof()
 
 	// Retry the initial refresh so shards and router may start in any
 	// order; serving 503s past -startup would only hide a dead tier.
@@ -192,24 +181,7 @@ func main() {
 		rt.StartProber(ctx)
 	}
 
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	rt.BeginDrain()
-	log.Printf("shutting down (/readyz now 503; draining for %v before closing)", *drainWait)
-	time.Sleep(*drainWait)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := cliutil.Serve(ctx, *addr, rt.Handler(), rt.BeginDrain, *drainWait); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("bye")

@@ -63,11 +63,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -77,7 +75,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/feed"
-	"repro/internal/obs"
 	"repro/internal/rank"
 	"repro/internal/serve"
 )
@@ -150,14 +147,11 @@ func main() {
 		TraceRing:       *traceRing,
 		TraceSlow:       *traceSlow,
 	}
-	if *pprofAddr != "" {
-		ln, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ln.Close()
-		log.Printf("pprof on %s", ln.Addr())
+	stopPprof, err := cliutil.StartPprof(*pprofAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopPprof()
 	if *dataPath != "" || *preset != "" {
 		d, err := cliutil.LoadData(*dataPath, *sep, *threshold, *preset, *seed)
 		if err != nil {
@@ -222,7 +216,6 @@ func main() {
 	}
 
 	var srv *serve.Server
-	var err error
 	if shardMode {
 		cfg.ShardLo, cfg.ShardHi = *shardLo, *shardHi
 		srv, err = serve.NewShardFromFile(cfg)
@@ -240,12 +233,6 @@ func main() {
 			mode = "mmap, float32 scoring"
 		}
 		log.Printf("serving %v on %s (%s)", srv.Model(), *addr, mode)
-	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
 	}
 
 	// SIGHUP hot-swaps the model; SIGINT/SIGTERM drain and exit.
@@ -266,7 +253,9 @@ func main() {
 		}
 	}()
 
-	err = runServer(httpSrv, srv, *drainWait)
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	err = cliutil.Serve(ctx, *addr, srv.Handler(), srv.BeginDrain, *drainWait)
 	// The feed writer buffers appends; a drained shutdown must not lose
 	// the tail of the interaction log, so sync and close it explicitly
 	// before deciding the exit status (log.Fatal would skip deferred
@@ -306,30 +295,4 @@ func modelNumItems(path string) (int, error) {
 		return 0, err
 	}
 	return mapped.NumItems(), nil
-}
-
-// runServer serves until SIGINT/SIGTERM, then drains: readiness flips
-// to 503 first so load balancers stop routing here, the data path keeps
-// serving stragglers for drainWait, and only then are connections shut
-// down. It returns instead of exiting so the caller can flush state
-// (the feed writer) whatever the outcome.
-func runServer(httpSrv *http.Server, srv *serve.Server, drainWait time.Duration) error {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	srv.BeginDrain()
-	log.Printf("shutting down (/readyz now 503; draining for %v before closing)", drainWait)
-	time.Sleep(drainWait)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		return err
-	}
-	return nil
 }

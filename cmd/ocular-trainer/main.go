@@ -51,7 +51,6 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/trainer"
 )
 
@@ -109,7 +108,7 @@ func main() {
 		MaxGrowth:       *maxGrowth,
 		ServerURL:       *server,
 		ModelName:       *modelName,
-		ShardURLs:       splitURLs(*shards),
+		ShardURLs:       cliutil.SplitURLs(*shards),
 		RouterURL:       strings.TrimRight(*router, "/"),
 		MinNewPositives: *minNew,
 		MaxInterval:     *interval,
@@ -138,14 +137,11 @@ func main() {
 		}()
 		log.Printf("metrics on %s", *metricsAddr)
 	}
-	if *pprofAddr != "" {
-		ln, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ln.Close()
-		log.Printf("pprof on %s", ln.Addr())
+	stopPprof, err := cliutil.StartPprof(*pprofAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopPprof()
 
 	tr, err := trainer.New(cfg)
 	if err != nil {
@@ -176,16 +172,4 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Print("bye")
-}
-
-// splitURLs parses a comma-separated URL list, dropping empty entries
-// and trailing slashes (so -shards "a/,b," works as expected).
-func splitURLs(s string) []string {
-	var urls []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, strings.TrimRight(u, "/"))
-		}
-	}
-	return urls
 }

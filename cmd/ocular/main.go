@@ -19,7 +19,6 @@ import (
 	ocular "repro"
 
 	"repro/internal/cliutil"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -51,14 +50,11 @@ func main() {
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address while training (empty disables)")
 	)
 	flag.Parse()
-	if *pprofAddr != "" {
-		ln, err := obs.StartPprof(*pprofAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer ln.Close()
-		log.Printf("pprof on %s", ln.Addr())
+	stopPprof, err := cliutil.StartPprof(*pprofAddr)
+	if err != nil {
+		log.Fatal(err)
 	}
+	defer stopPprof()
 
 	d, err := cliutil.LoadData(*dataPath, *sep, *threshold, *preset, *seed)
 	if err != nil {

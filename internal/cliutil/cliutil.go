@@ -1,14 +1,21 @@
-// Package cliutil holds the flag-parsing helpers shared by the command-line
-// tools: dataset resolution from -data/-preset flags and list parsing.
+// Package cliutil holds what the command-line tools share: dataset
+// resolution from -data/-preset flags, list parsing, the -pprof-addr side
+// listener and the serving daemons' listen-drain-shutdown skeleton.
 package cliutil
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"log"
+	"net/http"
 	"os"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 )
 
@@ -87,4 +94,57 @@ func ParseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// SplitURLs parses a comma-separated base-URL list, dropping empty entries
+// and trailing slashes (so -shards "a/,b," works as expected).
+func SplitURLs(s string) []string {
+	var urls []string
+	for _, u := range strings.Split(s, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, strings.TrimRight(u, "/"))
+		}
+	}
+	return urls
+}
+
+// StartPprof serves net/http/pprof on the -pprof-addr side listener, off
+// the serving port, until the returned stop is called; an empty addr
+// starts nothing.
+func StartPprof(addr string) (stop func(), err error) {
+	if addr == "" {
+		return func() {}, nil
+	}
+	ln, err := obs.StartPprof(addr)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("pprof on %s", ln.Addr())
+	return func() { ln.Close() }, nil
+}
+
+// Serve listens on addr and serves h until ctx is done — SIGINT/SIGTERM,
+// through the caller's signal.NotifyContext — then drains: beginDrain flips
+// readiness to 503 first so load balancers stop routing here, the data
+// path keeps serving stragglers for drainWait, and only then are
+// connections shut down, with 30s to finish. It returns instead of exiting
+// so the caller can flush state whatever the outcome.
+func Serve(ctx context.Context, addr string, h http.Handler, beginDrain func(), drainWait time.Duration) error {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	beginDrain()
+	log.Printf("shutting down (/readyz now 503; draining for %v before closing)", drainWait)
+	time.Sleep(drainWait)
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return nil
 }

@@ -1,8 +1,12 @@
 package cliutil
 
 import (
+	"context"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/sparse"
@@ -89,5 +93,44 @@ func TestParseLists(t *testing.T) {
 	}
 	if _, err := ParseFloats("1,,2"); err == nil {
 		t.Error("empty float accepted")
+	}
+}
+
+func TestSplitURLs(t *testing.T) {
+	if got, want := SplitURLs(" http://a/ ,,http://b,"), []string{"http://a", "http://b"}; !slices.Equal(got, want) {
+		t.Errorf("SplitURLs = %q, want %q", got, want)
+	}
+	if got := SplitURLs(""); got != nil {
+		t.Errorf("SplitURLs of nothing = %q", got)
+	}
+}
+
+// TestServe: a daemon drains — readiness first, then the listener — when
+// its context ends, and a listener that cannot start is an error, not a
+// drain.
+func TestServe(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	drained := make(chan struct{})
+	done := make(chan error, 1)
+	go func() { done <- Serve(ctx, "127.0.0.1:0", http.NotFoundHandler(), func() { close(drained) }, 0) }()
+	cancel()
+	<-drained
+	if err := <-done; err != nil {
+		t.Errorf("drained Serve returned %v", err)
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	err = Serve(context.Background(), ln.Addr().String(), http.NotFoundHandler(), func() { t.Error("drained a daemon that never listened") }, 0)
+	if err == nil {
+		t.Error("Serve on a taken address returned nil")
+	}
+	if stop, err := StartPprof(""); err != nil {
+		t.Errorf("no -pprof-addr: %v", err)
+	} else {
+		stop()
 	}
 }

@@ -29,11 +29,10 @@ type metrics struct {
 	shardErrors expvar.Int
 	hedges      expvar.Int
 	flips       expvar.Int
-	// Resilience counters (PR 7): hedges refused by the retry budget,
-	// requests answered 504 on deadline exhaustion, and the prober's
-	// activity — probes run, probes failed, shards marked down, shards
-	// repaired back into rotation.
-	hedgesDenied  expvar.Int
+	// Resilience counters (PR 7): requests answered 504 on deadline
+	// exhaustion, and the prober's activity — probes run, probes failed,
+	// shards marked down, shards repaired back into rotation. Hedges the
+	// retry budget refused are counted by the budget itself.
 	deadline504s  expvar.Int
 	probes        expvar.Int
 	probeFailures expvar.Int
@@ -164,10 +163,7 @@ func (rt *Router) writeFailure(w http.ResponseWriter, err error) int {
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		rt.m.deadline504s.Add(1)
-		return serve.WriteJSON(w, http.StatusGatewayTimeout, map[string]string{
-			"error": err.Error(),
-			"code":  "deadline_exceeded",
-		})
+		return serve.WriteErrorCode(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
 	}
 	return serve.WriteError(w, http.StatusBadGateway, err.Error())
 }
@@ -195,45 +191,52 @@ func (rt *Router) handleFlip(w http.ResponseWriter, r *http.Request) int {
 		return serve.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxBodyBytes))
 	}
-	if _, err := rt.Refresh(r.Context()); err != nil {
+	tbl, err := rt.flip(r.Context())
+	if err != nil {
 		// The old table — if any — keeps serving; a failed flip changes
 		// nothing.
 		return serve.WriteError(w, http.StatusBadGateway, err.Error())
 	}
-	tbl := rt.table.Load()
-	return serve.WriteJSON(w, http.StatusOK, FlipResponse{
-		Epoch:  tbl.epoch,
-		Users:  tbl.users,
-		Items:  tbl.items,
-		Shards: tbl.statuses(),
-	})
+	return serve.WriteJSON(w, http.StatusOK, tbl.flipResponse())
 }
 
-func (tbl *routeTable) statuses() []ShardStatus {
-	out := make([]ShardStatus, len(tbl.shards))
+// flipResponse describes tbl — in a flip's answer the table that flip
+// installed, not whatever is current by the time the answer is shaped.
+func (tbl *routeTable) flipResponse() FlipResponse {
+	resp := FlipResponse{Epoch: tbl.epoch, Users: tbl.users, Items: tbl.items, Shards: make([]ShardStatus, len(tbl.shards))}
 	for n, s := range tbl.shards {
-		out[n] = ShardStatus{URL: s.url, Version: s.version, Lo: s.lo, Hi: s.hi}
+		resp.Shards[n] = ShardStatus{URL: s.url, Version: s.version, Lo: s.lo, Hi: s.hi}
 	}
-	return out
+	return resp
+}
+
+// Health is the body of the router's GET /healthz: the current route
+// table, or — 503, Status "no_route_table" — that there is none yet. The
+// keys only a table has are absent without one.
+type Health struct {
+	Status string `json:"status"`
+	Epoch  uint64 `json:"epoch,omitempty"`
+	Users  int    `json:"users,omitempty"`
+	Items  int    `json:"items,omitempty"`
+	// Shards is the table's []ShardStatus; before the first table, the
+	// configured URLs, a []string.
+	Shards any `json:"shards"`
+	// ShardsHealth are the prober's and the breakers' per-shard rows, the
+	// very rows of /metrics: operator context no program reads.
+	ShardsHealth  []map[string]any `json:"shards_health"`
+	AllowDegraded *bool            `json:"allow_degraded,omitempty"`
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	tbl := rt.table.Load()
 	if tbl == nil {
-		return serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status":        "no_route_table",
-			"shards":        rt.cfg.Shards,
-			"shards_health": rt.healthRows(),
-		})
+		return serve.WriteJSON(w, http.StatusServiceUnavailable,
+			Health{Status: "no_route_table", Shards: rt.cfg.Shards, ShardsHealth: rt.healthRows()})
 	}
-	return serve.WriteJSON(w, http.StatusOK, map[string]any{
-		"status":         "ok",
-		"epoch":          tbl.epoch,
-		"users":          tbl.users,
-		"items":          tbl.items,
-		"shards":         tbl.statuses(),
-		"shards_health":  rt.healthRows(),
-		"allow_degraded": rt.cfg.AllowDegraded,
+	table := tbl.flipResponse()
+	return serve.WriteJSON(w, http.StatusOK, Health{
+		Status: "ok", Epoch: table.Epoch, Users: table.Users, Items: table.Items, Shards: table.Shards,
+		ShardsHealth: rt.healthRows(), AllowDegraded: &rt.cfg.AllowDegraded,
 	})
 }
 
@@ -243,15 +246,13 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 // traffic.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	if rt.draining.Load() {
-		return serve.WriteJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ready": false, "reason": "draining"})
+		return serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Ready{Reason: "draining"})
 	}
 	tbl := rt.table.Load()
 	if tbl == nil {
-		return serve.WriteJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ready": false, "reason": "no route table yet"})
+		return serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Ready{Reason: "no route table yet"})
 	}
-	return serve.WriteJSON(w, http.StatusOK, map[string]any{"ready": true, "epoch": tbl.epoch})
+	return serve.WriteJSON(w, http.StatusOK, serve.Ready{Ready: true, Epoch: tbl.epoch})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
@@ -268,7 +269,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		"shard_calls":    rt.m.shardCalls.Value(),
 		"shard_errors":   rt.m.shardErrors.Value(),
 		"hedges":         rt.m.hedges.Value(),
-		"hedges_denied":  rt.m.hedgesDenied.Value(),
+		"hedges_denied":  int64(0),
 		"deadline_504s":  rt.m.deadline504s.Value(),
 		"table_flips":    rt.m.flips.Value(),
 		// shard_latency observes whole callShard calls (hedges included)
@@ -292,7 +293,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	}
 	rt.edge.Snapshot(out)
 	if rb := rt.budget; rb != nil {
-		out["retry_budget_denied"] = rb.deniedTotal()
+		// One event under two keys: every hedge refused is the budget's.
+		denied := rb.deniedTotal()
+		out["hedges_denied"], out["retry_budget_denied"] = denied, denied
 	}
 	if adm := rt.gate.Snapshot(); adm != nil {
 		out["admission"] = adm
@@ -300,9 +303,5 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if tbl := rt.table.Load(); tbl != nil {
 		out["epoch"] = tbl.epoch
 	}
-	// Same snapshot tree behind both views — they can never disagree.
-	if r.URL.Query().Get("format") == "prometheus" {
-		return obs.WriteExposition(w, out)
-	}
-	return serve.WriteJSON(w, http.StatusOK, out)
+	return obs.WriteMetrics(w, r, out)
 }

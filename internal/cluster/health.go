@@ -1,11 +1,14 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // shardHealthState is one shard's slot in the mutable health overlay the
@@ -21,16 +24,9 @@ type shardHealthState struct {
 	lastErr   atomic.Pointer[string]
 }
 
-// readyState is the subset of a shard's /readyz the prober routes by.
-type readyState struct {
-	Ready        bool   `json:"ready"`
-	Reason       string `json:"reason"`
-	ModelVersion uint64 `json:"model_version"`
-	PrevVersion  uint64 `json:"prev_version"`
-}
-
 // healthFor returns the overlay slot of a shard URL; the map is built at
-// construction and never mutated, so lookups are lock-free.
+// construction — one slot per configured shard — and never mutated, so
+// lookups are lock-free.
 func (rt *Router) healthFor(url string) *shardHealthState {
 	return rt.health[url]
 }
@@ -61,18 +57,14 @@ func (rt *Router) StartProber(ctx context.Context) {
 }
 
 func (rt *Router) probeAll(ctx context.Context) {
-	tbl := rt.table.Load()
-	for _, u := range rt.cfg.Shards {
-		var pin uint64
-		if tbl != nil {
-			for _, s := range tbl.shards {
-				if s.url == u {
-					pin = s.version
-					break
-				}
-			}
+	pins := map[string]uint64{} // stays empty without a table: plain readiness decides
+	if tbl := rt.table.Load(); tbl != nil {
+		for _, s := range tbl.shards {
+			pins[s.url] = s.version
 		}
-		rt.probeOne(ctx, u, pin)
+	}
+	for _, u := range rt.cfg.Shards {
+		rt.probeOne(ctx, u, pins[u])
 	}
 }
 
@@ -81,11 +73,11 @@ func (rt *Router) probeAll(ctx context.Context) {
 // table yet — then plain readiness decides).
 func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
 	hs := rt.healthFor(url)
-	if hs == nil {
-		return
-	}
 	rt.m.probes.Add(1)
-	st, err := rt.probeReadyz(ctx, url)
+	// A 503 with a parseable body is a successful probe of an unready
+	// shard, not a probe error.
+	var st serve.Ready
+	err := rt.readShard(ctx, url, "/readyz", &st, http.StatusServiceUnavailable)
 	healthy := err == nil && st.Ready
 	if healthy && pin != 0 && st.ModelVersion != pin && st.PrevVersion != pin {
 		// Ready but unable to serve the pinned version: every data call
@@ -104,11 +96,9 @@ func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
 		return
 	}
 	rt.m.probeFailures.Add(1)
-	reason := "not ready"
+	reason := cmp.Or(st.Reason, "not ready")
 	if err != nil {
 		reason = err.Error()
-	} else if st.Reason != "" {
-		reason = st.Reason
 	}
 	hs.lastErr.Store(&reason)
 	if hs.down.CompareAndSwap(false, true) {
@@ -118,33 +108,20 @@ func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
 	}
 }
 
-// probeReadyz reads one shard's /readyz under the per-attempt timeout.
-// A 503 with a parseable body is a successful probe of an unready shard,
-// not a probe error.
-func (rt *Router) probeReadyz(ctx context.Context, base string) (readyState, error) {
-	var st readyState
-	pctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
-	defer cancel()
-	err := rt.getJSON(pctx, base, "/readyz", &st, http.StatusServiceUnavailable)
-	return st, err
-}
-
 // healthRows renders the overlay (and breakers) per shard for /healthz
 // and /metrics.
 func (rt *Router) healthRows() []map[string]any {
 	rows := make([]map[string]any, 0, len(rt.cfg.Shards))
 	for _, u := range rt.cfg.Shards {
-		row := map[string]any{"url": u}
-		if hs := rt.healthFor(u); hs != nil {
-			down := hs.down.Load()
-			row["down"] = down
-			if down {
-				if ns := hs.downSince.Load(); ns != 0 {
-					row["down_since"] = time.Unix(0, ns).UTC().Format(time.RFC3339)
-				}
-				if msg := hs.lastErr.Load(); msg != nil {
-					row["last_error"] = *msg
-				}
+		hs := rt.healthFor(u)
+		down := hs.down.Load()
+		row := map[string]any{"url": u, "down": down}
+		if down {
+			if ns := hs.downSince.Load(); ns != 0 {
+				row["down_since"] = time.Unix(0, ns).UTC().Format(time.RFC3339)
+			}
+			if msg := hs.lastErr.Load(); msg != nil {
+				row["last_error"] = *msg
 			}
 		}
 		if b := rt.breakers[u]; b != nil {

@@ -36,16 +36,14 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -216,10 +214,17 @@ type routeTable struct {
 type Router struct {
 	cfg   Config
 	table atomic.Pointer[routeTable]
-	cache *rank.ListCache
-	stats *rank.Stats
-	m     *metrics
-	mux   *http.ServeMux
+	// flipMu serializes route-table flips from poll to store: without it,
+	// two overlapping flips could each compute their epoch from the same
+	// old table and install two tables under one epoch — and the epoch is
+	// all that keeps a stale cache entry unreachable — or store in the
+	// opposite order they polled in, leaving older version pins under the
+	// newer epoch.
+	flipMu sync.Mutex
+	cache  *rank.ListCache
+	stats  *rank.Stats
+	m      *metrics
+	mux    *http.ServeMux
 	// breakers holds one circuit breaker per shard URL (nil map when
 	// Config.BreakerThreshold < 0). Built at construction, never mutated.
 	breakers map[string]*breaker
@@ -297,25 +302,23 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	stats := &rank.Stats{}
 	rt := &Router{
-		cfg:    cfg,
-		cache:  rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
-		stats:  stats,
-		m:      &metrics{start: time.Now()},
-		health: make(map[string]*shardHealthState, len(cfg.Shards)),
-		gate:   serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
+		cfg:      cfg,
+		cache:    rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
+		stats:    stats,
+		m:        &metrics{start: time.Now()},
+		health:   make(map[string]*shardHealthState, len(cfg.Shards)),
+		shardLat: make(map[string]*obs.Histogram, len(cfg.Shards)),
+		gate:     serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
+		edge: serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
+			serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames),
+	}
+	if cfg.BreakerThreshold > 0 {
+		rt.breakers = make(map[string]*breaker, len(cfg.Shards))
 	}
 	for _, u := range cfg.Shards {
 		rt.health[u] = &shardHealthState{}
-	}
-	rt.shardLat = make(map[string]*obs.Histogram, len(cfg.Shards))
-	for _, u := range cfg.Shards {
 		rt.shardLat[u] = &obs.Histogram{}
-	}
-	rt.edge = serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
-		serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames)
-	if cfg.BreakerThreshold > 0 {
-		rt.breakers = make(map[string]*breaker, len(cfg.Shards))
-		for _, u := range cfg.Shards {
+		if rt.breakers != nil {
 			rt.breakers[u] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 		}
 	}
@@ -326,15 +329,6 @@ func New(cfg Config) (*Router, error) {
 	return rt, nil
 }
 
-// shardHealth is the subset of a shard's /healthz the router routes by.
-type shardHealth struct {
-	ModelVersion uint64 `json:"model_version"`
-	Users        int    `json:"users"`
-	Items        int    `json:"items"`
-	ShardLo      int    `json:"shard_lo"`
-	ShardHi      *int   `json:"shard_hi"`
-}
-
 // Refresh polls every shard's /healthz and installs a new route table:
 // per-shard model versions (the versions scatters will pin), the
 // catalogue shape, and a bumped epoch. It fails — leaving the current
@@ -342,72 +336,75 @@ type shardHealth struct {
 // shape, and their item ranges exactly partition [0, items). The trainer
 // drives it through POST /v1/admin/flip after its quorum reload.
 func (rt *Router) Refresh(ctx context.Context) (epoch uint64, err error) {
-	var users, items int
-	sorted := make([]shardRoute, len(rt.cfg.Shards))
+	tbl, err := rt.flip(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return tbl.epoch, nil
+}
+
+// flip is Refresh handing back the table it installed, so that POST
+// /v1/admin/flip reports its own flip even when another one overlaps.
+func (rt *Router) flip(ctx context.Context) (*routeTable, error) {
+	rt.flipMu.Lock()
+	defer rt.flipMu.Unlock()
+	tbl, err := rt.poll(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if old := rt.table.Load(); old != nil {
+		tbl.epoch = old.epoch + 1
+	}
+	rt.table.Store(tbl)
+	rt.m.flips.Add(1)
+	rt.cfg.Logf("route table epoch %d: %d shards over %dx%d", tbl.epoch, len(tbl.shards), tbl.users, tbl.items)
+	return tbl, nil
+}
+
+// poll reads every shard's /healthz and assembles the route table they
+// describe, refusing one that is not an exact partition of one catalogue.
+// The table carries epoch 1, a first table's; flip advances it.
+func (rt *Router) poll(ctx context.Context) (*routeTable, error) {
+	tbl := &routeTable{epoch: 1, shards: make([]shardRoute, len(rt.cfg.Shards))}
 	for i, u := range rt.cfg.Shards {
-		var h shardHealth
-		if err := rt.getJSON(ctx, u, "/healthz", &h); err != nil {
-			return 0, fmt.Errorf("cluster: refresh: shard %s: %w", u, err)
+		var h serve.Health
+		if err := rt.readShard(ctx, u, "/healthz", &h); err != nil {
+			return nil, fmt.Errorf("cluster: refresh: shard %s: %w", u, err)
 		}
-		if h.ShardHi == nil {
-			return 0, fmt.Errorf("cluster: refresh: %s is not a shard server (no shard_hi in /healthz)", u)
+		if h.ShardHealth == nil {
+			return nil, fmt.Errorf("cluster: refresh: %s is not a shard server (no shard_hi in /healthz)", u)
 		}
 		if i == 0 {
-			users, items = h.Users, h.Items
-		} else if h.Users != users || h.Items != items {
-			return 0, fmt.Errorf("cluster: refresh: shard %s serves a %dx%d catalogue, shard %s a %dx%d one",
-				u, h.Users, h.Items, rt.cfg.Shards[0], users, items)
+			tbl.users, tbl.items = h.Users, h.Items
+		} else if h.Users != tbl.users || h.Items != tbl.items {
+			return nil, fmt.Errorf("cluster: refresh: shard %s serves a %dx%d catalogue, shard %s a %dx%d one",
+				u, h.Users, h.Items, rt.cfg.Shards[0], tbl.users, tbl.items)
 		}
-		sorted[i] = shardRoute{url: u, version: h.ModelVersion, lo: h.ShardLo, hi: *h.ShardHi}
+		tbl.shards[i] = shardRoute{url: u, version: h.ModelVersion, lo: h.ShardLo, hi: h.ShardHi}
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].lo < sorted[j].lo })
+	sort.Slice(tbl.shards, func(i, j int) bool { return tbl.shards[i].lo < tbl.shards[j].lo })
 	at := 0
-	for _, s := range sorted {
+	for _, s := range tbl.shards {
 		if s.lo != at {
-			return 0, fmt.Errorf("cluster: refresh: shard ranges do not partition the catalogue: gap or overlap at item %d (shard %s owns [%d,%d))",
+			return nil, fmt.Errorf("cluster: refresh: shard ranges do not partition the catalogue: gap or overlap at item %d (shard %s owns [%d,%d))",
 				at, s.url, s.lo, s.hi)
 		}
 		at = s.hi
 	}
-	if at != items {
-		return 0, fmt.Errorf("cluster: refresh: shard ranges cover [0,%d) but the catalogue has %d items", at, items)
+	if at != tbl.items {
+		return nil, fmt.Errorf("cluster: refresh: shard ranges cover [0,%d) but the catalogue has %d items", at, tbl.items)
 	}
-	old := rt.table.Load()
-	epoch = 1
-	if old != nil {
-		epoch = old.epoch + 1
-	}
-	rt.table.Store(&routeTable{epoch: epoch, shards: sorted, users: users, items: items})
-	rt.m.flips.Add(1)
-	rt.cfg.Logf("route table epoch %d: %d shards over %dx%d", epoch, len(sorted), users, items)
-	return epoch, nil
+	return tbl, nil
 }
 
-// getJSON is the router's control-plane read of a shard: GET base+path,
-// at most 1 MiB of body, decoded into out. A status other than 200 is an
-// error unless the caller lists it in alsoOK, in which case its body is
-// decoded just the same.
-func (rt *Router) getJSON(ctx context.Context, base, path string, out any, alsoOK ...int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := rt.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK && !slices.Contains(alsoOK, resp.StatusCode) {
-		return fmt.Errorf("%s: HTTP %d", path, resp.StatusCode)
-	}
-	if err := json.Unmarshal(data, out); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
+// readShard is the router's control-plane read of one shard, behind both
+// the refresh poll and the prober: one serve.Call under the per-attempt
+// timeout, so a shard that accepts the connection and never answers costs
+// Config.Timeout, not the caller's patience.
+func (rt *Router) readShard(ctx context.Context, base, path string, out any, alsoOK ...int) error {
+	ctx, cancel := context.WithTimeout(ctx, rt.cfg.Timeout)
+	defer cancel()
+	return serve.Call(ctx, rt.cfg.HTTPClient, http.MethodGet, base, path, nil, out, alsoOK...)
 }
 
 // requestError carries a client-visible HTTP status through the scatter
@@ -610,7 +607,6 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, body []byte, nUs
 		hedgeC = nil
 		if rt.budget != nil && !rt.budget.allowRetry() {
 			// Budget spent: this window has already hedged its share.
-			rt.m.hedgesDenied.Add(1)
 			return
 		}
 		pending++
@@ -695,13 +691,8 @@ func (rt *Router) postShard(ctx context.Context, sh shardRoute, body []byte, nUs
 // the rollout-window version skew the breaker must never count, 504 is
 // deadline exhaustion, and everything else a shard-side failure.
 func shardHTTPError(status int, data []byte) error {
-	var e struct {
-		Error string `json:"error"`
-	}
-	msg := fmt.Sprintf("%s: HTTP %d", shardPath, status)
-	if json.Unmarshal(data, &e) == nil && e.Error != "" {
-		msg = e.Error
-	}
+	se := serve.NewStatusError(shardPath, status, data)
+	msg := cmp.Or(se.Text, se.Error())
 	switch status {
 	case http.StatusBadRequest:
 		return &requestError{status: http.StatusBadRequest, msg: msg}
@@ -776,75 +767,19 @@ func validatePartial(sh shardRoute, p rank.Partial) error {
 	return nil
 }
 
-// fingerprintFor canonicalizes a request's filter surface into the cache
-// fingerprint, folding in the route-table epoch (which is what makes
-// stale-epoch cache hits impossible). Exclusion lists are sorted and
-// deduplicated, tag lists sorted and quoted — both order-independent in
-// meaning, so canonicalization only widens cache sharing. Stage cache
-// keys are appended after a "|s|" marker, each length-prefixed so
-// adjacent keys can never alias across stage boundaries (mirroring the
-// rank engine's own staged fingerprints); an empty stage key makes the
-// request uncacheable. Oversized fingerprints make the request
-// uncacheable instead of unbounded.
+// fingerprintFor is the cache fingerprint of a request's filter surface:
+// rank.RequestKey — the key the engine's own filters and stages would
+// carry, canonical and capped there — behind the route-table epoch, which
+// is what makes a stale-epoch cache hit impossible.
 func fingerprintFor(epoch uint64, exclude []int, spec *serve.FilterSpec, stages []rank.Stage) (string, bool) {
-	const maxLen = 4096
-	var b strings.Builder
-	b.WriteString("e")
-	b.WriteString(strconv.FormatUint(epoch, 10))
-	if len(exclude) > 0 {
-		ex := make([]int, len(exclude))
-		copy(ex, exclude)
-		sort.Ints(ex)
-		b.WriteString("|ex:")
-		for n, i := range ex {
-			if n > 0 && i == ex[n-1] {
-				continue
-			}
-			b.WriteString(strconv.Itoa(i))
-			b.WriteByte(',')
-			if b.Len() > maxLen {
-				return "", false
-			}
-		}
-	}
-	writeTags := func(label string, tags []string) bool {
-		if len(tags) == 0 {
-			return true
-		}
-		ts := make([]string, len(tags))
-		copy(ts, tags)
-		sort.Strings(ts)
-		b.WriteString(label)
-		for n, t := range ts {
-			if n > 0 && t == ts[n-1] {
-				continue
-			}
-			b.WriteString(strconv.Quote(t))
-			if b.Len() > maxLen {
-				return false
-			}
-		}
-		return true
-	}
+	var allow, deny []string
 	if spec != nil {
-		if !writeTags("|allow:", spec.AllowTags) || !writeTags("|deny:", spec.DenyTags) {
-			return "", false
-		}
+		allow, deny = spec.AllowTags, spec.DenyTags
 	}
-	if len(stages) > 0 {
-		b.WriteString("|s|")
-		for _, st := range stages {
-			key := st.CacheKey()
-			if key == "" {
-				return "", false
-			}
-			b.WriteString(strconv.Itoa(len(key)))
-			b.WriteByte(':')
-			b.WriteString(key)
-			if b.Len() > maxLen {
-				return "", false
-			}
-		}
+	fp, cacheable := rank.RequestKey(exclude, allow, deny, stages)
+	if !cacheable {
+		return "", false
 	}
-	return b.String(), true
+	var buf [24]byte
+	return string(strconv.AppendUint(append(buf[:0], 'e'), epoch, 10)) + "|" + fp, true
 }

@@ -244,12 +244,19 @@ func escapeLabel(s string) string {
 	return string(out)
 }
 
-// WriteExposition renders tree onto w with the exposition content
-// type, returning the HTTP status for instrumented handlers.
-func WriteExposition(w http.ResponseWriter, tree map[string]any) int {
-	b := AppendExposition(nil, "ocular", tree)
-	w.Header().Set("Content-Type", ContentType)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
+// WriteMetrics answers a GET /metrics from one snapshot tree, so the two
+// views can never disagree: Prometheus text exposition when the query
+// says format=prometheus, JSON — the default — otherwise. It returns the
+// HTTP status for instrumented handlers.
+func WriteMetrics(w http.ResponseWriter, r *http.Request, tree map[string]any) int {
+	if r.URL.Query().Get("format") == "prometheus" {
+		w.Header().Set("Content-Type", ContentType)
+		_, _ = w.Write(AppendExposition(nil, "ocular", tree))
+		return http.StatusOK
+	}
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(tree)
 	return http.StatusOK
 }

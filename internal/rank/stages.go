@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // Stage is a post-selection re-rank step, extending the pipeline from
@@ -129,6 +130,36 @@ func fingerprintStaged(flat []Filter, stages []Stage) (fp string, cacheable bool
 		b = append(b, key...)
 	}
 	return string(b), true
+}
+
+// RequestKey canonicalizes a request's raw filter surface into exactly the
+// fingerprint an engine derives from the filters and stages built of that
+// surface — ExcludeItems(exclude), TagTable.Allow(allowTags...) and
+// Deny(denyTags...), in that order — for a front end that keys a cache of
+// its own without holding the tag table: the router, which puts its route
+// epoch in front. An empty list contributes nothing. A tag holding a comma
+// can be in no table (LoadTagTable splits its lines on them): the request
+// is about to be refused, and is kept out of the cache instead of aliasing
+// the two-tag list its key would spell.
+func RequestKey(exclude []int, allowTags, denyTags []string, stages []Stage) (fp string, cacheable bool) {
+	var flat []Filter
+	if len(exclude) > 0 {
+		flat = append(flat, ExcludeItems(exclude))
+	}
+	for _, l := range [...]struct {
+		label string
+		tags  []string
+	}{{allowLabel, allowTags}, {denyLabel, denyTags}} {
+		if len(l.tags) == 0 {
+			continue
+		}
+		canon, key := canonTags(l.tags)
+		if strings.Count(key, ",") >= len(canon) { // more commas than joints
+			return "", false
+		}
+		flat = append(flat, tagFilter{key: l.label + key})
+	}
+	return fingerprintStaged(flat, compactStages(stages))
 }
 
 // ScoreFloor returns a stage that drops every item scoring below min,

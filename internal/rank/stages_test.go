@@ -237,6 +237,46 @@ func TestFingerprintStagedAliasing(t *testing.T) {
 	}
 }
 
+// TestRequestKey: the exported key builder spells a raw filter surface
+// exactly as the engine fingerprints the filters and stages built of it —
+// one canonical form, whoever keys the cache — and refuses to key a tag no
+// table can hold.
+func TestRequestKey(t *testing.T) {
+	tab := testTagTable(t, 12)
+	allow, _ := tab.Allow("even", "third")
+	deny, _ := tab.Deny("rare")
+	stages := []Stage{ScoreFloor(0.25), nil, keyStage{"a"}}
+	for name, c := range map[string]struct {
+		exclude     []int
+		allow, deny []string
+		stages      []Stage
+		filters     []Filter
+	}{
+		"nothing":    {},
+		"exclude":    {exclude: []int{7, 2, 7}, filters: []Filter{ExcludeItems([]int{2, 7})}},
+		"tags":       {allow: []string{"third", "even", "third"}, deny: []string{"rare"}, filters: []Filter{allow, deny}},
+		"stages":     {stages: stages},
+		"everything": {exclude: []int{3}, allow: []string{"even", "third"}, deny: []string{"rare"}, stages: stages, filters: []Filter{ExcludeItems([]int{3}), allow, deny}},
+	} {
+		got, ok := RequestKey(c.exclude, c.allow, c.deny, c.stages)
+		want, wantOK := fingerprintStaged(flatten(c.filters), compactStages(c.stages))
+		if !ok || !wantOK || got != want {
+			t.Errorf("%s: RequestKey = %q (%v), the engine's fingerprint %q (%v)", name, got, ok, want, wantOK)
+		}
+	}
+	// ["a,b"] would spell the key of ["a","b"]: a front end that cannot
+	// validate tags must not answer the one from the other's cache entry.
+	if fp, ok := RequestKey(nil, []string{"a,b"}, nil, nil); ok {
+		t.Errorf("a tag holding a comma was keyed %q", fp)
+	}
+	if _, ok := RequestKey(nil, nil, []string{"b", ",", "a"}, nil); ok {
+		t.Error("a comma tag among others was keyed")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { RequestKey(nil, nil, nil, nil) }); allocs != 0 {
+		t.Errorf("the plain request's key costs %v allocations, want 0", allocs)
+	}
+}
+
 // TestMergeTopMStagedMatchesSingleProcess proves the router-side stage
 // hook bit-identical to single-process staged serving: partials built by
 // Select over disjoint partitions of one score vector, merged and staged

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,7 +125,7 @@ func (t *TagTable) Allow(tags ...string) (Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tagFilter{set: set, invert: true, key: "allow:" + key}, nil
+	return tagFilter{set: set, invert: true, key: allowLabel + key}, nil
 }
 
 // Deny returns a filter excluding every item carrying at least one of the
@@ -134,28 +135,30 @@ func (t *TagTable) Deny(tags ...string) (Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tagFilter{set: set, invert: false, key: "deny:" + key}, nil
+	return tagFilter{set: set, invert: false, key: denyLabel + key}, nil
 }
 
-// union ORs the bitsets of tags into a fresh set and builds the canonical
-// (sorted, deduplicated) key spelling, so {a,b} and {b,a,b} share a cache
-// entry.
+// allowLabel and denyLabel head the cache keys of the two tag filters.
+const allowLabel, denyLabel = "allow:", "deny:"
+
+// canonTags returns tags sorted and deduplicated, and the key spelling of
+// that set — so {a,b} and {b,a,b} share a cache entry.
+func canonTags(tags []string) (canon []string, key string) {
+	canon = slices.Clone(tags)
+	sort.Strings(canon)
+	canon = slices.Compact(canon)
+	return canon, strings.Join(canon, ",")
+}
+
+// union ORs the bitsets of tags into a fresh set, keyed by canonTags.
 func (t *TagTable) union(tags []string) (tagSet, string, error) {
 	if len(tags) == 0 {
 		return tagSet{}, "", fmt.Errorf("rank: empty tag list")
 	}
-	canon := make([]string, len(tags))
-	copy(canon, tags)
-	sort.Strings(canon)
+	canon, key := canonTags(tags)
 	words := (t.numItems + 63) / 64
 	u := tagSet{bits: make([]uint64, words)}
-	prev := ""
-	key := make([]string, 0, len(canon))
-	for n, tag := range canon {
-		if n > 0 && tag == prev {
-			continue
-		}
-		prev = tag
+	for _, tag := range canon {
 		s, ok := t.tags[tag]
 		if !ok {
 			return tagSet{}, "", fmt.Errorf("rank: unknown tag %q", tag)
@@ -163,12 +166,11 @@ func (t *TagTable) union(tags []string) (tagSet, string, error) {
 		for w := range s.bits {
 			u.bits[w] |= s.bits[w]
 		}
-		key = append(key, tag)
 	}
 	for _, w := range u.bits {
 		u.count += bits.OnesCount64(w)
 	}
-	return u, strings.Join(key, ","), nil
+	return u, key, nil
 }
 
 // tagFilter excludes by bitset membership: invert=false denies the set's

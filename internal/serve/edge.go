@@ -177,7 +177,7 @@ func bodyError(err error) error {
 	if errors.As(err, &tooLarge) {
 		return fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
 	}
-	return fmt.Errorf("bad request body: %v", err)
+	return fmt.Errorf("bad request body: %w", err)
 }
 
 // DecodeJSON reads the request body as JSON into v, enforcing the body
@@ -231,14 +231,14 @@ func WriteJSON(w http.ResponseWriter, status int, v any) int {
 
 // WriteError encodes {"error": msg} with the given status.
 func WriteError(w http.ResponseWriter, status int, msg string) int {
-	return WriteJSON(w, status, map[string]string{"error": msg})
+	return WriteErrorCode(w, status, "", msg)
 }
 
 // WriteErrorCode encodes {"code": code, "error": msg} — the
 // machine-readable error shape (e.g. "unknown_tenant", "bad_frame"), so
 // clients branch on a stable code, not a message.
 func WriteErrorCode(w http.ResponseWriter, status int, code, msg string) int {
-	return WriteJSON(w, status, map[string]string{"code": code, "error": msg})
+	return WriteJSON(w, status, ErrorBody{Code: code, Error: msg})
 }
 
 // FrameScratch is the pooled workspace of one frame request: the body

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,10 +60,7 @@ func badRequest(err error) *apiError {
 }
 
 func (e *apiError) write(w http.ResponseWriter) int {
-	if e.code != "" {
-		return WriteErrorCode(w, e.status, e.code, e.msg)
-	}
-	return WriteError(w, e.status, e.msg)
+	return WriteErrorCode(w, e.status, e.code, e.msg)
 }
 
 // ScoredItem is one ranked recommendation.
@@ -527,50 +522,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	})
 }
 
-// ReloadRequest optionally names a registry model to reload. An empty
-// body (or empty model) reloads the default Config.ModelPath exactly as
-// before — the wire format trainers rely on is unchanged.
-type ReloadRequest struct {
-	Model string `json:"model,omitempty"`
-}
-
-// ReloadResponse reports the snapshot installed by a reload: the new
-// model version plus the serving mode (mmapped? float32 scoring?), so a
-// trainer pushing a rollout confirms the swap landed — and how it is
-// being served — from the reload response alone, without a second
-// /healthz round trip. Name echoes the registry model on a named reload.
-type ReloadResponse struct {
-	ModelVersion uint64 `json:"model_version"`
-	Model        string `json:"model"`
-	Mapped       bool   `json:"mapped"`
-	Float32      bool   `json:"float32"`
-	Name         string `json:"name,omitempty"`
-}
-
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	// The body is optional ({"model": name} targets a registry model;
-	// empty reloads the default path) but always capped — an unread body
-	// is still received by the kernel, and without the cap a client could
-	// stream an unbounded payload.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		return WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes))
-	}
+	// empty reloads the default path) but always read under the cap — an
+	// unread body is still received by the kernel, and without the cap a
+	// client could stream an unbounded payload.
 	var req ReloadRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			return WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		}
+	if err := s.edge.DecodeJSON(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	var sn *snapshot
-	if req.Model != "" {
-		sn, err = s.reloadNamed(req.Model)
-	} else {
-		sn, err = s.reload()
-	}
+	sn, err := s.reloadNamed(req.Model)
 	if err != nil {
 		var unknown unknownModelError
 		if errors.As(err, &unknown) {
@@ -604,60 +565,50 @@ func (sn *snapshot) servingMode() (model string, mapped, float32Scoring bool) {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	sn := s.snap.Load()
-	health := map[string]any{
-		"status":        "ok",
-		"model_version": sn.version,
-		"loaded_at":     sn.loadedAt.UTC().Format(time.RFC3339),
-	}
-	health["model"], health["mapped"], health["float32"] = sn.servingMode()
-	if s.cfg.shardMode() {
-		// Shard health carries everything the router's Refresh needs to
-		// build its route table: catalogue shape, the item partition this
-		// shard owns, and the version history it can still serve.
-		health["users"] = sn.rng.NumUsers()
-		health["items"] = sn.rng.NumItems()
-		health["shard_lo"] = sn.rng.ItemLo()
-		health["shard_hi"] = sn.rng.ItemHi()
-		if prev := s.prev.Load(); prev != nil {
-			health["prev_version"] = prev.version
-		}
+	h := Health{Status: "ok", ModelVersion: sn.version, LoadedAt: sn.loadedAt.UTC().Format(time.RFC3339)}
+	h.Model, h.Mapped, h.Float32 = sn.servingMode()
+	if rng, prev := s.shardState(sn); rng != nil {
+		h.ShardHealth = &ShardHealth{Users: sn.rng.NumUsers(), Items: sn.rng.NumItems(), ShardRange: *rng}
+		h.PrevVersion = prev
 	}
 	if s.cfg.Feed != nil {
-		health["feed_positives"] = s.cfg.Feed.Count()
+		n := s.cfg.Feed.Count()
+		h.FeedPositives = &n
 	}
 	if s.registry != nil {
-		models, tenants := s.registry.healthTree()
-		health["models"] = models
-		health["tenants"] = tenants
+		h.Models, h.Tenants = s.registry.health()
 	}
-	return WriteJSON(w, http.StatusOK, health)
+	return WriteJSON(w, http.StatusOK, h)
+}
+
+// shardState reports what a shard adds to its health and readiness: the
+// partition sn serves and, after the first reload, the version its
+// two-deep history still answers. A full server has neither.
+func (s *Server) shardState(sn *snapshot) (rng *ShardRange, prevVersion uint64) {
+	if !s.cfg.shardMode() {
+		return nil, 0
+	}
+	if prev := s.prev.Load(); prev != nil {
+		prevVersion = prev.version
+	}
+	return &ShardRange{ShardLo: sn.rng.ItemLo(), ShardHi: sn.rng.ItemHi()}, prevVersion
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
 // it answers 503 before a model is installed and during graceful drain,
 // so load balancers and the router's prober stop routing traffic here
 // while the process itself is still alive (and, when draining, still
-// finishing in-flight work). Shard mode reports its version history so
-// the router's prober can check the route table's pin against it.
+// finishing in-flight work).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	if s.draining.Load() {
-		return WriteJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ready": false, "reason": "draining"})
+		return WriteJSON(w, http.StatusServiceUnavailable, Ready{Reason: "draining"})
 	}
 	sn := s.snap.Load()
 	if sn == nil {
-		return WriteJSON(w, http.StatusServiceUnavailable,
-			map[string]any{"ready": false, "reason": "no model installed yet"})
+		return WriteJSON(w, http.StatusServiceUnavailable, Ready{Reason: "no model installed yet"})
 	}
-	out := map[string]any{"ready": true, "model_version": sn.version}
-	if s.cfg.shardMode() {
-		out["shard_lo"] = sn.rng.ItemLo()
-		out["shard_hi"] = sn.rng.ItemHi()
-		if prev := s.prev.Load(); prev != nil {
-			out["prev_version"] = prev.version
-		}
-	}
-	return WriteJSON(w, http.StatusOK, out)
+	rng, prev := s.shardState(sn)
+	return WriteJSON(w, http.StatusOK, Ready{Ready: true, ModelVersion: sn.version, PrevVersion: prev, ShardRange: rng})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
@@ -666,10 +617,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	if s.registry != nil {
 		out["tenants"] = s.registry.metricsTree()
 	}
-	// Both views render the same snapshot tree, so they can never
-	// disagree; JSON stays the default.
-	if r.URL.Query().Get("format") == "prometheus" {
-		return obs.WriteExposition(w, out)
-	}
-	return WriteJSON(w, http.StatusOK, out)
+	return obs.WriteMetrics(w, r, out)
 }

@@ -553,8 +553,12 @@ func (e unknownModelError) Error() string {
 // into every arm and shadow serving from it — the registry-aware form of
 // reload, behind POST /v1/reload {"model": name}. It returns the base
 // snapshot it installed (each named model has its own version sequence,
-// independent of the default model's).
+// independent of the default model's). The empty name is the default
+// model, as in the request: reload.
 func (s *Server) reloadNamed(name string) (*snapshot, error) {
+	if name == "" {
+		return s.reload()
+	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	if s.registry == nil || s.registry.models[name] == nil {
@@ -601,47 +605,42 @@ func (s *Server) Close() error {
 	return first
 }
 
-// healthTree reports the registry's per-model and per-tenant state for
-// /healthz: model versions (what a registry-aware trainer reads before
-// and after a named rollout) and each tenant's experiment topology.
-func (r *registry) healthTree() (models, tenants map[string]any) {
-	models = make(map[string]any, len(r.models))
-	for _, name := range r.modelNames {
-		nm := r.models[name]
+// health reports the registry's per-model and per-tenant state for
+// /healthz.
+func (r *registry) health() (models map[string]ModelHealth, tenants map[string]TenantHealth) {
+	models = make(map[string]ModelHealth, len(r.models))
+	tenants = make(map[string]TenantHealth, len(r.tenants))
+	for name, nm := range r.models {
 		sn := nm.base.Load()
 		desc, mapped, _ := sn.servingMode()
-		models[name] = map[string]any{
-			"model":         desc,
-			"model_version": sn.version,
-			"mapped":        mapped,
-			"loaded_at":     sn.loadedAt.UTC().Format(time.RFC3339),
+		models[name] = ModelHealth{
+			Model:        desc,
+			ModelVersion: sn.version,
+			Mapped:       mapped,
+			LoadedAt:     sn.loadedAt.UTC().Format(time.RFC3339),
 		}
 	}
-	tenants = make(map[string]any, len(r.tenants))
-	for _, name := range r.tenantNames {
-		t := r.tenants[name]
-		tt := map[string]any{}
+	for name, t := range r.tenants {
+		var th TenantHealth
 		if t.exp != nil {
-			arms := make([]map[string]any, len(t.exp.arms))
-			for i, a := range t.exp.arms {
-				arms[i] = map[string]any{
-					"arm":           a.name,
-					"model":         a.model.name,
-					"model_version": a.snap.Load().version,
-					"weight":        a.weight,
-				}
+			th.Experiment = t.exp.name
+			for _, a := range t.exp.arms {
+				th.Arms = append(th.Arms, ArmHealth{
+					Arm:          a.name,
+					Model:        a.model.name,
+					ModelVersion: a.snap.Load().version,
+					Weight:       a.weight,
+				})
 			}
-			tt["experiment"] = t.exp.name
-			tt["arms"] = arms
 		}
 		if t.shadow != nil {
-			tt["shadow_model"] = t.shadow.model.name
-			tt["shadow_sample"] = t.shadow.sample
+			th.ShadowModel, th.ShadowSample = t.shadow.model.name, &t.shadow.sample
 		}
 		if t.feed != nil {
-			tt["feed_positives"] = t.feed.Count()
+			n := t.feed.Count()
+			th.FeedPositives = &n
 		}
-		tenants[name] = tt
+		tenants[name] = th
 	}
 	return models, tenants
 }

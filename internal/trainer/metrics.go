@@ -1,8 +1,6 @@
 package trainer
 
 import (
-	"encoding/json"
-	"expvar"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -18,14 +16,13 @@ import (
 // mounts it under -metrics-addr). All methods are nil-safe, so the
 // trainer threads it unconditionally.
 type Metrics struct {
-	start       time.Time
-	backlog     atomic.Int64
-	cycles      expvar.Int
-	cycleErrors expvar.Int
+	start   time.Time
+	backlog atomic.Int64
 
 	// One histogram per cycle phase plus the whole cycle; a phase a
 	// cycle skipped (e.g. train on the rollout-retry path) records
-	// nothing.
+	// nothing. Every cycle, failed ones included, lands in cycle: its
+	// count and errors are the cycle counters.
 	replay, train, save, rollout, warm, cycle obs.Histogram
 
 	mu           sync.Mutex
@@ -46,31 +43,28 @@ func (m *Metrics) SetBacklog(n int64) {
 	m.backlog.Store(n)
 }
 
-// ObserveCycle records one RunOnce outcome: the per-phase durations of
-// cy (when non-nil) and whether the cycle succeeded.
+// ObserveCycle records one RunOnce outcome: the cycle, whether it
+// succeeded, and the duration of every phase it ran (none for a nil cy).
 func (m *Metrics) ObserveCycle(cy *Cycle, err error) {
 	if m == nil {
 		return
 	}
-	m.cycles.Add(1)
-	if err != nil {
-		m.cycleErrors.Add(1)
+	if cy == nil {
+		cy = &Cycle{}
 	}
-	if cy != nil {
-		for _, ph := range []struct {
-			h *obs.Histogram
-			d time.Duration
-		}{
-			{&m.replay, cy.ReplayDur},
-			{&m.train, cy.TrainDur},
-			{&m.save, cy.SaveDur},
-			{&m.rollout, cy.RolloutDur},
-			{&m.warm, cy.WarmDur},
-			{&m.cycle, cy.Duration},
-		} {
-			if ph.d > 0 {
-				ph.h.Observe(ph.d, err != nil)
-			}
+	m.cycle.Observe(cy.Duration, err != nil)
+	for _, ph := range []struct {
+		h *obs.Histogram
+		d time.Duration
+	}{
+		{&m.replay, cy.ReplayDur},
+		{&m.train, cy.TrainDur},
+		{&m.save, cy.SaveDur},
+		{&m.rollout, cy.RolloutDur},
+		{&m.warm, cy.WarmDur},
+	} {
+		if ph.d > 0 {
+			ph.h.Observe(ph.d, err != nil)
 		}
 	}
 	m.mu.Lock()
@@ -96,8 +90,8 @@ func (m *Metrics) snapshot() map[string]any {
 	out := map[string]any{
 		"uptime_seconds": time.Since(m.start).Seconds(),
 		"feed_backlog":   m.backlog.Load(),
-		"cycles":         m.cycles.Value(),
-		"cycle_errors":   m.cycleErrors.Value(),
+		"cycles":         phases["cycle"]["requests"],
+		"cycle_errors":   phases["cycle"]["errors"],
 		"phases":         obs.Labeled{Label: "phase", Rows: phases},
 	}
 	m.mu.Lock()
@@ -118,13 +112,5 @@ func (m *Metrics) snapshot() map[string]any {
 // ServeHTTP answers GET /metrics: JSON by default,
 // ?format=prometheus for text exposition — both from one snapshot.
 func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	out := m.snapshot()
-	if r.URL.Query().Get("format") == "prometheus" {
-		obs.WriteExposition(w, out)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
+	obs.WriteMetrics(w, r, m.snapshot())
 }

@@ -28,19 +28,18 @@
 package trainer
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/feed"
+	"repro/internal/serve"
 	"repro/internal/sparse"
 )
 
@@ -286,17 +285,19 @@ func New(cfg Config) (*Trainer, error) {
 // RunOnce executes one unconditional retraining cycle: replay, fold,
 // warm-start, train, save, and — when a server is configured — roll out
 // and warm its cache. Triggers are not consulted; Run is the loop that
-// consults them.
+// consults them. Beside an error it returns the cycle as far as it got.
 func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
-	start := time.Now()
-	defer func() { t.cfg.Metrics.ObserveCycle(cy, err) }()
+	cy, start := &Cycle{}, time.Now()
+	defer func() {
+		cy.Duration = time.Since(start)
+		t.cfg.Metrics.ObserveCycle(cy, err)
+	}()
 	// Snapshot the trigger estimator before the replay: lastCount must be
 	// in feed.Count's units (so a torn-but-counted record cannot leave a
 	// phantom backlog) and from before training starts (so events
 	// arriving mid-cycle still show as backlog at the next poll instead
 	// of being silently absorbed untrained).
 	estimate, estErr := feed.Count(t.cfg.FeedDir)
-	cy = &Cycle{}
 
 	if t.rolloutPending && t.last != nil && estErr == nil && estimate == t.savedEstimate {
 		// The artifact at ModelPath already covers this feed (nothing was
@@ -314,7 +315,7 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		rstart := time.Now()
 		events, err := feed.Events(t.cfg.FeedDir)
 		if err != nil {
-			return nil, err
+			return cy, err
 		}
 		cy.FeedPositives = int64(len(events))
 		cy.NewPositives = int64(len(events)) - t.lastCount
@@ -322,7 +323,7 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		m, skipped := t.buildMatrix(events)
 		cy.ReplayDur = time.Since(rstart)
 		if m.Rows() == 0 || m.Cols() == 0 {
-			return nil, fmt.Errorf("trainer: nothing to train on (no base matrix, empty feed)")
+			return cy, fmt.Errorf("trainer: nothing to train on (no base matrix, empty feed)")
 		}
 		cy.Users, cy.Items, cy.NNZ, cy.SkippedEvents = m.Rows(), m.Cols(), m.NNZ(), skipped
 		if skipped > 0 {
@@ -333,7 +334,7 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		if t.last != nil {
 			warm, err := t.last.Grow(m.Rows(), m.Cols())
 			if err != nil {
-				return nil, fmt.Errorf("trainer: warm start: %w", err)
+				return cy, fmt.Errorf("trainer: warm start: %w", err)
 			}
 			cy.WarmStarted = true
 			cy.Grown = warm != t.last
@@ -344,13 +345,13 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		res, err := core.Train(m, trainCfg)
 		cy.TrainDur = time.Since(tstart)
 		if err != nil {
-			return nil, fmt.Errorf("trainer: %w", err)
+			return cy, fmt.Errorf("trainer: %w", err)
 		}
 		cy.Iterations, cy.Converged = res.Iterations(), res.Converged
 
 		sstart := time.Now()
 		if err := res.Model.SaveModelFileOpts(t.cfg.ModelPath, t.cfg.Save); err != nil {
-			return nil, err
+			return cy, err
 		}
 		cy.SaveDur = time.Since(sstart)
 		t.last = res.Model
@@ -382,9 +383,8 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		t.lastCount = cy.FeedPositives
 	}
 	t.lastCycle = time.Now()
-	cy.Duration = time.Since(start)
 	t.cfg.Logf("cycle done in %v: %v, %d iterations (converged=%v), server version %d, %d cache lists warmed",
-		cy.Duration.Round(time.Millisecond), t.last, cy.Iterations, cy.Converged, cy.ServerVersion, cy.CacheWarmed)
+		time.Since(start).Round(time.Millisecond), t.last, cy.Iterations, cy.Converged, cy.ServerVersion, cy.CacheWarmed)
 	return cy, nil
 }
 
@@ -494,10 +494,8 @@ func (t *Trainer) rolloutQuorum(ctx context.Context, cy *Cycle) error {
 	if err != nil {
 		return fmt.Errorf("trainer: quorum rollout: reading router epoch: %w", err)
 	}
-	var flip struct {
-		Epoch uint64 `json:"epoch"`
-	}
-	if err := t.postJSON(ctx, t.cfg.RouterURL, "/v1/admin/flip", nil, &flip); err != nil {
+	var flip cluster.FlipResponse
+	if err := serve.Call(ctx, t.cfg.HTTPClient, http.MethodPost, t.cfg.RouterURL, "/v1/admin/flip", nil, &flip); err != nil {
 		return fmt.Errorf("trainer: quorum rollout: router flip: %w", err)
 	}
 	if flip.Epoch <= before {
@@ -512,23 +510,13 @@ func (t *Trainer) rolloutQuorum(ctx context.Context, cy *Cycle) error {
 // routerEpoch reads the router's current route-table epoch from
 // /healthz; a router that has no table yet (HTTP 503) is epoch 0.
 func (t *Trainer) routerEpoch(ctx context.Context) (uint64, error) {
-	var health struct {
-		Epoch uint64 `json:"epoch"`
-	}
-	err := t.getJSON(ctx, t.cfg.RouterURL, "/healthz", &health)
-	var se *httpStatusError
-	if errors.As(err, &se) && se.status == http.StatusServiceUnavailable {
+	var health cluster.Health
+	err := serve.Call(ctx, t.cfg.HTTPClient, http.MethodGet, t.cfg.RouterURL, "/healthz", nil, &health)
+	var se *serve.StatusError
+	if errors.As(err, &se) && se.Status == http.StatusServiceUnavailable {
 		return 0, nil
 	}
 	return health.Epoch, err
-}
-
-// reloadResponse mirrors serve.ReloadResponse.
-type reloadResponse struct {
-	ModelVersion uint64 `json:"model_version"`
-	Model        string `json:"model"`
-	Mapped       bool   `json:"mapped"`
-	Float32      bool   `json:"float32"`
 }
 
 // pushReload runs the versioned reload handshake against one serve
@@ -540,17 +528,17 @@ type reloadResponse struct {
 // across cycles) keeps the handshake correct when the serve process
 // restarts and its version counter resets. With Config.ModelName the
 // same handshake runs against that named model's own version counter.
-func (t *Trainer) pushReload(ctx context.Context, base string) (reloadResponse, error) {
+func (t *Trainer) pushReload(ctx context.Context, base string) (serve.ReloadResponse, error) {
 	before, err := t.serverVersion(ctx, base)
 	if err != nil {
-		return reloadResponse{}, err
+		return serve.ReloadResponse{}, err
 	}
-	var body any
+	var body any // empty: the default model
 	if t.cfg.ModelName != "" {
-		body = map[string]string{"model": t.cfg.ModelName}
+		body = serve.ReloadRequest{Model: t.cfg.ModelName}
 	}
-	var out reloadResponse
-	if err := t.postJSON(ctx, base, "/v1/reload", body, &out); err != nil {
+	var out serve.ReloadResponse
+	if err := serve.Call(ctx, t.cfg.HTTPClient, http.MethodPost, base, "/v1/reload", body, &out); err != nil {
 		return out, err
 	}
 	if out.ModelVersion <= before {
@@ -565,13 +553,8 @@ func (t *Trainer) pushReload(ctx context.Context, base string) (reloadResponse, 
 // Config.ModelName, the named model's own counter from the registry's
 // models tree.
 func (t *Trainer) serverVersion(ctx context.Context, base string) (uint64, error) {
-	var health struct {
-		ModelVersion uint64 `json:"model_version"`
-		Models       map[string]struct {
-			ModelVersion uint64 `json:"model_version"`
-		} `json:"models"`
-	}
-	if err := t.getJSON(ctx, base, "/healthz", &health); err != nil {
+	var health serve.Health
+	if err := serve.Call(ctx, t.cfg.HTTPClient, http.MethodGet, base, "/healthz", nil, &health); err != nil {
 		return 0, err
 	}
 	if name := t.cfg.ModelName; name != "" {
@@ -611,12 +594,12 @@ func (t *Trainer) warmCache(ctx context.Context) (int, error) {
 				Error string `json:"error"`
 			} `json:"results"`
 		}
-		if err := t.postJSON(ctx, base, "/v1/batch", req, &resp); err != nil {
+		if err := serve.Call(ctx, t.cfg.HTTPClient, http.MethodPost, base, "/v1/batch", req, &resp); err != nil {
 			// 429 is the serve tier's admission control shedding our
 			// warm-up in favor of organic traffic. That is backpressure
 			// working, not a rollout failure: the cache fills organically.
-			var se *httpStatusError
-			if errors.As(err, &se) && se.status == http.StatusTooManyRequests {
+			var se *serve.StatusError
+			if errors.As(err, &se) && se.Status == http.StatusTooManyRequests {
 				t.cfg.Logf("cache warm shed by admission control after %d/%d users; backing off", warmed, len(users))
 				return warmed, nil
 			}
@@ -652,68 +635,6 @@ func hottestUsers(m *sparse.Matrix, n int) []int {
 		users = users[:n]
 	}
 	return users
-}
-
-// httpStatusError is a non-200 response from the serve tier, carrying
-// the status so callers can distinguish backpressure (429) from real
-// failures.
-type httpStatusError struct {
-	status int
-	msg    string
-}
-
-func (e *httpStatusError) Error() string { return e.msg }
-
-// postJSON POSTs body (nil for empty) to base+path and decodes the
-// response into out.
-func (t *Trainer) postJSON(ctx context.Context, base, path string, body, out any) error {
-	var rd io.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(b)
-	}
-	return t.doJSON(ctx, http.MethodPost, base, path, rd, out)
-}
-
-// getJSON GETs base+path and decodes the response into out.
-func (t *Trainer) getJSON(ctx context.Context, base, path string, out any) error {
-	return t.doJSON(ctx, http.MethodGet, base, path, nil, out)
-}
-
-// doJSON is the one control-plane call to the serve tier: it reads at
-// most 1 MiB of the response, decodes a 200 into out, and turns any
-// other status into an httpStatusError carrying the server's
-// {"error": ...} payload when there is one.
-func (t *Trainer) doJSON(ctx context.Context, method, base, path string, body io.Reader, out any) error {
-	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
-	if err != nil {
-		return err
-	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := t.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			return &httpStatusError{resp.StatusCode, fmt.Sprintf("%s: %s (HTTP %d)", path, e.Error, resp.StatusCode)}
-		}
-		return &httpStatusError{resp.StatusCode, fmt.Sprintf("%s: HTTP %d", path, resp.StatusCode)}
-	}
-	return json.Unmarshal(data, out)
 }
 
 // Run polls the feed every PollInterval and retrains when a trigger

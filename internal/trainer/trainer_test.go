@@ -273,8 +273,8 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// The wired Metrics saw the cycle: each phase that ran landed one
 	// observation in its histogram.
-	if mets.cycles.Value() != 1 || mets.cycleErrors.Value() != 0 {
-		t.Fatalf("metrics cycles=%d errors=%d, want 1/0", mets.cycles.Value(), mets.cycleErrors.Value())
+	if c := mets.cycle.Snapshot(); c.Count != 1 || c.Errors != 0 {
+		t.Fatalf("metrics cycles=%d errors=%d, want 1/0", c.Count, c.Errors)
 	}
 	for name, h := range map[string]uint64{
 		"replay":  mets.replay.Snapshot().Count,
