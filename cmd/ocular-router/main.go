@@ -84,7 +84,6 @@ func main() {
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
 		itemsMeta = flag.String("items-meta", "", "item name/tag table for boost stages (item,name,tag,... lines; needs -model)")
 
-		maxFanout     = flag.Int("max-fanout", 0, "concurrent shard calls per request (0 = all shards)")
 		timeout       = flag.Duration("timeout", 2*time.Second, "per-attempt shard call deadline")
 		hedge         = flag.Duration("hedge", 0, "launch a second attempt against a slow shard after this delay (0 = off)")
 		allowDegraded = flag.Bool("allow-degraded", false, "serve from surviving shards when others fail (responses marked \"degraded\") instead of failing closed")
@@ -128,7 +127,6 @@ func main() {
 		MaxBatch:         *maxBatch,
 		MaxBodyBytes:     *maxBody,
 		CacheSize:        *cacheSize,
-		MaxFanout:        *maxFanout,
 		Timeout:          *timeout,
 		HedgeDelay:       *hedge,
 		AllowDegraded:    *allowDegraded,

@@ -1,17 +1,18 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/ranktest"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -27,27 +28,20 @@ func (tr *tier) counters() (merged, shardCalls, scatters int64) {
 
 // TestBatchScattersOncePerShard: a batch mixing a cached user, a repeated
 // user, an out-of-range user and cold users costs one call per shard; the
-// repeat is merged once; only the bad slot fails; every served slot is
-// bit-identical to the reference, in request order.
+// repeat is merged once; only the bad slot fails; every served slot is the
+// reference's, in request order.
 func TestBatchScattersOncePerShard(t *testing.T) {
 	for _, nParts := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", nParts), func(t *testing.T) {
 			tr := newTier(t, nParts, Config{})
-			const m = 7
-			exclude := []int{3, 17}
+			batch := &ranktest.Case{Name: "batch", Users: []int{5, 42, 9000, 7, 5, 119, 7}, M: 7, Exclude: []int{3, 17}}
 			// Warm user 42 into the cache, under the batch's own filter surface.
-			if st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
-				serve.RecommendRequest{User: 42, M: m, ExcludeItems: exclude}, nil); st != 200 {
-				t.Fatalf("warm-up: status %d", st)
-			}
+			warm := *batch
+			warm.Users = []int{42}
+			tr.fx.Check(t, "warm-up", tr.ranker(ranktest.Recommend), tr.fx.Cur, &warm)
 			merged0, calls0, scatters0 := tr.counters()
 
-			users := []int{5, 42, 9000, 7, 5, 119, 7}
-			var batch BatchResponse
-			if st := postJSON(t, tr.routerTS.URL+"/v1/batch",
-				serve.BatchRequest{Users: users, M: m, ExcludeItems: exclude}, &batch); st != 200 {
-				t.Fatalf("batch status %d", st)
-			}
+			ans := tr.fx.Check(t, "batch", tr.ranker(ranktest.BatchJSON), tr.fx.Cur, batch)
 			merged, calls, scatters := tr.counters()
 			if got := calls - calls0; got != int64(nParts) {
 				t.Errorf("the batch cost %d shard calls, want one per shard = %d", got, nParts)
@@ -58,41 +52,20 @@ func TestBatchScattersOncePerShard(t *testing.T) {
 			if got := merged - merged0; got != 3 {
 				t.Errorf("the batch merged %d lists, want 3 (users 5, 7, 119 — each once)", got)
 			}
-			if len(batch.Results) != len(users) {
-				t.Fatalf("%d results for %d users", len(batch.Results), len(users))
-			}
 			seen := map[int]bool{}
-			for n, res := range batch.Results {
-				u := users[n]
-				if res.User != u {
-					t.Fatalf("slot %d answers for user %d, asked about %d", n, res.User, u)
-				}
-				if u == 9000 {
-					if res.Error == "" || len(res.Items) != 0 {
-						t.Errorf("out-of-range user served: %+v", res)
-					}
-					continue
-				}
-				if res.Error != "" || res.Degraded {
-					t.Fatalf("slot %d (user %d): error %q degraded %v", n, u, res.Error, res.Degraded)
-				}
+			for n, l := range ans.Lists {
 				// The warmed user is a hit, the second sight of a user shares
 				// the first's merge, a first sight is neither.
-				if want := u == 42 || seen[u]; res.Cached != want {
-					t.Errorf("slot %d (user %d): cached=%v, want %v", n, u, res.Cached, want)
+				u := batch.Users[n]
+				if want := u == 42 || seen[u]; l.Err == "" && l.Cached != want {
+					t.Errorf("slot %d (user %d): cached=%v, want %v", n, u, l.Cached, want)
 				}
 				seen[u] = true
-				var want serve.RecommendResponse
-				postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: u, M: m, ExcludeItems: exclude}, &want)
-				sameLists(t, fmt.Sprintf("slot %d (user %d)", n, u), res.Items, want.Items)
 			}
 
 			// Everything the batch merged is now cached: the same batch again
 			// scatters nothing.
-			if st := postJSON(t, tr.routerTS.URL+"/v1/batch",
-				serve.BatchRequest{Users: users, M: m, ExcludeItems: exclude}, &batch); st != 200 {
-				t.Fatalf("second batch status %d", st)
-			}
+			tr.fx.Check(t, "second batch", tr.ranker(ranktest.BatchJSON), tr.fx.Cur, batch)
 			if _, again, _ := tr.counters(); again != calls {
 				t.Errorf("a fully cached batch made %d shard calls", again-calls)
 			}
@@ -110,6 +83,7 @@ func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
 	ct := chaos.NewTransport(nil, 1)
 	tr := newTier(t, 2, Config{HTTPClient: &http.Client{Transport: ct}})
 	ct.Set(&chaos.Fault{Path: shardPath, Latency: 40 * time.Millisecond})
+	batch := tr.ranker(ranktest.BatchJSON)
 	for round := 0; round < 5; round++ {
 		base := round * 24
 		var a, b []int
@@ -120,14 +94,12 @@ func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
 		merged0, _, _ := tr.counters()
 		shared0 := tr.router.stats.Coalesced() + tr.router.stats.Hits()
 		var wg sync.WaitGroup
-		results := make([]BatchResponse, 2)
+		results := make([]ranktest.Answer, 2)
 		for i, users := range [][]int{a, b} {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if st := postJSON(t, tr.routerTS.URL+"/v1/batch", serve.BatchRequest{Users: users, M: 5}, &results[i]); st != 200 {
-					t.Errorf("round %d batch %d: status %d", round, i, st)
-				}
+				results[i] = batch.Rank(t, &ranktest.Case{Users: users, M: 5})
 			}()
 		}
 		done := make(chan struct{})
@@ -146,14 +118,7 @@ func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
 			t.Errorf("round %d: %d shared lookups, want one per user both batches named = 8", round, shared)
 		}
 		for i, users := range [][]int{a, b} {
-			for n, res := range results[i].Results {
-				if res.Error != "" {
-					t.Fatalf("round %d batch %d slot %d: %s", round, i, n, res.Error)
-				}
-				var want serve.RecommendResponse
-				postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: users[n], M: 5}, &want)
-				sameLists(t, fmt.Sprintf("round %d batch %d user %d", round, i, users[n]), res.Items, want.Items)
-			}
+			tr.fx.Compare(t, fmt.Sprintf("round %d batch %d", round, i), batch, tr.fx.Cur, &ranktest.Case{Users: users, M: 5}, results[i])
 		}
 	}
 }
@@ -165,21 +130,19 @@ func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
 // and never cached — the same batch again degrades again.
 func TestBatchWithShardDown(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	deg, err := New(Config{Shards: []string{tr.shardTS[0].URL, tr.shardTS[1].URL}, AllowDegraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := deg.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	degTS := httptest.NewServer(deg.Handler())
-	defer degTS.Close()
-	hi := tr.train.Cols() / 2 // shard 1 owns [items/2, items)
+	deg, degTS := startRouter(t, Config{Shards: ranktest.URLs(tr.shardTS), AllowDegraded: true})
+	hi := tr.fx.Train.Cols() / 2 // shard 1 owns [items/2, items)
 
-	var full serve.RecommendResponse
-	postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: 4, M: 10}, &full)
+	// What the cached user's slot must hold, outage or not.
+	full := tr.fx.Want(t, tr.fx.Cur, &ranktest.Ranker{}, &ranktest.Case{Users: []int{4}, M: 10})[0]
+	sameLists := func(label string, got []serve.ScoredItem) {
+		t.Helper()
+		if want := serve.ZipScored(full.Items, full.Scores); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: served %v, reference %v", label, got, want)
+		}
+	}
 	for _, url := range []string{tr.routerTS.URL, degTS.URL} {
-		if st := postJSON(t, url+"/v1/recommend", serve.RecommendRequest{User: 4, M: 10}, nil); st != 200 {
+		if st := ranktest.PostJSON(t, url+"/v1/recommend", serve.RecommendRequest{User: 4, M: 10}, nil); st != 200 {
 			t.Fatalf("warm-up on %s: status %d", url, st)
 		}
 	}
@@ -187,7 +150,7 @@ func TestBatchWithShardDown(t *testing.T) {
 
 	req := serve.BatchRequest{Users: []int{4, 5, 6}, M: 10}
 	var closed BatchResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/batch", req, &closed); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/batch", req, &closed); st != 200 {
 		t.Fatalf("fail-closed batch: status %d, want 200 with failed slots", st)
 	}
 	for n, res := range closed.Results {
@@ -196,7 +159,7 @@ func TestBatchWithShardDown(t *testing.T) {
 			if res.Error != "" || !res.Cached || res.Degraded {
 				t.Errorf("fail-closed: the cached user was not served from the cache: %+v", res)
 			}
-			sameLists(t, "fail-closed hit", res.Items, full.Items)
+			sameLists("fail-closed hit", res.Items)
 		case res.Error == "" || len(res.Items) != 0 || res.Degraded:
 			t.Errorf("fail-closed slot %d: served %+v, want a failed slot", n, res)
 		}
@@ -204,7 +167,7 @@ func TestBatchWithShardDown(t *testing.T) {
 
 	for round := 0; round < 2; round++ {
 		var got BatchResponse
-		if st := postJSON(t, degTS.URL+"/v1/batch", req, &got); st != 200 {
+		if st := ranktest.PostJSON(t, degTS.URL+"/v1/batch", req, &got); st != 200 {
 			t.Fatalf("degraded batch round %d: status %d", round, st)
 		}
 		for n, res := range got.Results {
@@ -215,7 +178,7 @@ func TestBatchWithShardDown(t *testing.T) {
 				if !res.Cached || res.Degraded {
 					t.Errorf("round %d: the cached user came back cached=%v degraded=%v", round, res.Cached, res.Degraded)
 				}
-				sameLists(t, "degraded-router hit", res.Items, full.Items)
+				sameLists("degraded-router hit", res.Items)
 				continue
 			}
 			if !res.Degraded || res.Cached || len(res.Items) == 0 {
@@ -278,22 +241,16 @@ func fakeShard(t testing.TB, extra int) *httptest.Server {
 // asked for is cut off one byte past the bound and treated as failed.
 func TestShardAnswerReadBound(t *testing.T) {
 	route := func(extra int) string {
-		rt, err := New(Config{Shards: []string{fakeShard(t, extra).URL}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rt.Refresh(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(rt.Handler())
-		t.Cleanup(ts.Close)
+		// Under -race the fake shard needs about 2 s to build 12 MB of
+		// partials: the default per-attempt Timeout would fail every slot.
+		_, ts := startRouter(t, Config{Shards: []string{fakeShard(t, extra).URL}, Timeout: time.Minute})
 		return ts.URL
 	}
 	users := make([]uint32, 1024)
 	for i := range users {
 		users[i] = uint32(i)
 	}
-	st, body := postFrame(t, route(0)+"/v2/batch", &wire.BatchRequest{M: 1000, Users: users})
+	st, _, body := ranktest.PostFrame(t, route(0)+"/v2/batch", &wire.BatchRequest{M: 1000, Users: users})
 	if st != 200 {
 		t.Fatalf("largest legal batch: status %d: %.200s", st, body)
 	}
@@ -311,7 +268,7 @@ func TestShardAnswerReadBound(t *testing.T) {
 	}
 
 	var errResp struct{ Error string }
-	if st := postJSON(t, route(1)+"/v1/recommend", serve.RecommendRequest{User: 1, M: 1000}, &errResp); st != http.StatusBadGateway {
+	if st := ranktest.PostJSON(t, route(1)+"/v1/recommend", serve.RecommendRequest{User: 1, M: 1000}, &errResp); st != http.StatusBadGateway {
 		t.Fatalf("shard answering past the bound: status %d, want 502", st)
 	}
 	if !strings.Contains(errResp.Error, "exceeds") {

@@ -6,14 +6,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/ranktest"
 	"repro/internal/serve"
 	"repro/internal/wire"
 )
@@ -70,7 +72,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 	// timeout on the hung shard and comes back degraded.
 	for i := 0; i < 3; i++ {
 		var resp RecommendResponse
-		if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 {
+		if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 {
 			t.Fatalf("request %d during hang: status %d", i, st)
 		}
 		if !resp.Degraded {
@@ -87,7 +89,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 	start := time.Now()
 	for i := 0; i < 5; i++ {
 		var resp RecommendResponse
-		if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
+		if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
 			t.Fatalf("fail-fast request %d: status %d degraded=%v", i, st, resp.Degraded)
 		}
 	}
@@ -97,19 +99,17 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 
 	// Phase 3: recovery. Clear the fault; after the cooldown the next
 	// request runs a half-open trial, closes the breaker, and merges go
-	// back to bit-identical — compare() also asserts not-degraded.
+	// back to bit-identical — conforms also asserts not-degraded.
 	ct.Set()
 	waitFor(t, 10*time.Second, "breaker to close after the fault cleared", func() bool {
 		var resp RecommendResponse
-		postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp)
+		ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp)
 		return !resp.Degraded
 	})
 	if got := tr.router.breakers[hung].stateName(); got != "closed" {
 		t.Fatalf("breaker after recovery is %q, want closed", got)
 	}
-	for _, c := range compareCases {
-		tr.compare(t, "healed/"+c.name, c.req)
-	}
+	tr.conforms(t, "healed")
 }
 
 // TestProbeDrivenRouteRepair: a partitioned shard is marked down by the
@@ -139,7 +139,7 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 	// and fast even though nothing is cached.
 	start := time.Now()
 	var resp RecommendResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 9, M: 10}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 9, M: 10}, &resp); st != 200 {
 		t.Fatalf("status %d with shard down", st)
 	}
 	if !resp.Degraded {
@@ -151,9 +151,7 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 
 	ct.Set()
 	waitFor(t, 5*time.Second, "prober to repair the healed shard", func() bool { return !hs.down.Load() })
-	for _, c := range compareCases {
-		tr.compare(t, "repaired/"+c.name, c.req)
-	}
+	tr.conforms(t, "repaired")
 	if tr.router.m.repairs.Value() < 1 || tr.router.m.marksDown.Value() < 1 {
 		t.Errorf("prober counters: marks_down=%d repairs=%d, want >= 1 each",
 			tr.router.m.marksDown.Value(), tr.router.m.repairs.Value())
@@ -177,7 +175,7 @@ func TestProbeMarksVersionSkewDown(t *testing.T) {
 
 	// Two reloads push shard 0's history to {3, 2}; the table pins 1.
 	for i := 0; i < 2; i++ {
-		if st := postJSON(t, tr.shardTS[0].URL+"/v1/reload", nil, nil); st != 200 {
+		if st := ranktest.PostJSON(t, tr.shardTS[0].URL+"/v1/reload", nil, nil); st != 200 {
 			t.Fatalf("reload %d: status %d", i, st)
 		}
 	}
@@ -186,7 +184,7 @@ func TestProbeMarksVersionSkewDown(t *testing.T) {
 
 	// A flip re-pins each shard to its current version; the prober puts
 	// the shard back without anyone touching the overlay by hand.
-	if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 		t.Fatalf("flip: status %d", st)
 	}
 	waitFor(t, 5*time.Second, "prober to repair after the flip re-pinned", func() bool { return !hs.down.Load() })
@@ -293,28 +291,17 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 		CacheSize:        -1,
 		HTTPClient:       &http.Client{Transport: ct},
 	})
+	// The rollout target is a genuinely different model, so a mixed-version
+	// merge cannot masquerade as either list.
 	users := []int{0, 7, 42, 119}
-	listFromRef := func(u int) []serve.ScoredItem {
-		var resp serve.RecommendResponse
-		if st := postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: u, M: 10}, &resp); st != 200 {
-			t.Fatalf("reference user %d: status %d", u, st)
-		}
-		return resp.Items
-	}
-	v1 := make(map[int][]serve.ScoredItem, len(users))
+	v1, v2 := map[int][]serve.ScoredItem{}, map[int][]serve.ScoredItem{}
 	for _, u := range users {
-		v1[u] = listFromRef(u)
+		c := &ranktest.Case{Users: []int{u}, M: 10}
+		old, next := tr.fx.Want(t, tr.fx.Cur, &ranktest.Ranker{}, c)[0], tr.fx.Want(t, tr.fx.Next, &ranktest.Ranker{}, c)[0]
+		v1[u], v2[u] = serve.ZipScored(old.Items, old.Scores), serve.ZipScored(next.Items, next.Scores)
 	}
-	// Retrain with a different seed into the same file: the rollout
-	// target is a genuinely different model, so a mixed-version merge
-	// cannot masquerade as either list.
-	trainAndSave(t, tr.train, 99, tr.modelPath)
-	if err := tr.ref.ReloadFromFile(); err != nil {
+	if err := tr.fx.Install(tr.fx.Next); err != nil {
 		t.Fatal(err)
-	}
-	v2 := make(map[int][]serve.ScoredItem, len(users))
-	for _, u := range users {
-		v2[u] = listFromRef(u)
 	}
 
 	// Every third shard call dies with a 500 for the whole test.
@@ -376,12 +363,12 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 	// doesn't: /healthz is outside the faulted path, but client load can
 	// still slow it).
 	for _, ts := range tr.shardTS {
-		if st := postJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
+		if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
 			t.Fatalf("shard reload: status %d", st)
 		}
 	}
 	waitFor(t, 10*time.Second, "the flip to land mid-chaos", func() bool {
-		return postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil) == 200
+		return ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil) == 200
 	})
 	waitFor(t, 10*time.Second, "lists served across the new epoch too", func() bool {
 		mu.Lock()
@@ -398,7 +385,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 	// After the storm: heal and verify the tier converged on v2.
 	ct.Set()
 	var rr RecommendResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 42, M: 10}, &rr); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 42, M: 10}, &rr); st != 200 {
 		t.Fatalf("post-chaos: status %d", st)
 	}
 	if !matches(rr.Items, v2[42]) {
@@ -420,7 +407,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 	// A second router routes shard 0 through the proxy (Pass mode while
 	// Refresh discovers the partition).
 	tport := &http.Transport{}
-	rt, err := New(Config{
+	_, rts := startRouter(t, Config{
 		Shards:           []string{proxy.URL(), tr.shardTS[1].URL},
 		Timeout:          200 * time.Millisecond,
 		BreakerThreshold: -1, // the deadline alone must free the slot
@@ -428,17 +415,9 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 		CacheSize:        -1,
 		HTTPClient:       &http.Client{Transport: tport},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	// The proxy latches its mode per connection; drop the keep-alive
 	// conns Refresh opened so the trickle applies to fresh ones.
 	tport.CloseIdleConnections()
-	rts := httptest.NewServer(rt.Handler())
-	defer rts.Close()
 
 	// ~20ms per response byte: a response held to the trickle would take
 	// many seconds. The router must cut it off at its 200ms deadline.
@@ -447,7 +426,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		start := time.Now()
 		var resp RecommendResponse
-		if st := postJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: i, M: 10}, &resp); st != 200 {
+		if st := ranktest.PostJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: i, M: 10}, &resp); st != 200 {
 			t.Fatalf("request %d: status %d", i, st)
 		}
 		if !resp.Degraded {
@@ -460,7 +439,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 	proxy.SetMode(chaos.ModePass)
 	waitFor(t, 5*time.Second, "full merges once the loris relents", func() bool {
 		var resp RecommendResponse
-		return postJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: 3, M: 10}, &resp) == 200 &&
+		return ranktest.PostJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: 3, M: 10}, &resp) == 200 &&
 			!resp.Degraded
 	})
 }
@@ -477,7 +456,7 @@ func TestDeterministic4xxDoesNotTripBreaker(t *testing.T) {
 	bad := serve.RecommendRequest{User: 1, M: 5,
 		Filter: &serve.FilterSpec{AllowTags: []string{"no-such-tag"}}}
 	for i := 0; i < 5; i++ {
-		if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", bad, nil); st != 400 {
+		if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", bad, nil); st != 400 {
 			t.Fatalf("bad-tag request %d: status %d, want 400", i, st)
 		}
 	}
@@ -490,7 +469,7 @@ func TestDeterministic4xxDoesNotTripBreaker(t *testing.T) {
 			t.Fatalf("breaker for %s opened %d times on 4xx", ts.URL, opens)
 		}
 	}
-	tr.compare(t, "after-4xx-storm", serve.RecommendRequest{User: 1, M: 5})
+	tr.conforms(t, "after-4xx-storm")
 }
 
 // TestRouterMapsShardTimeoutTo504 pins the satellite bugfix: deadline
@@ -530,15 +509,64 @@ func TestRouterMapsShardTimeoutTo504(t *testing.T) {
 	}
 }
 
+// deadlineSpy records the largest deadline budget, in ms, a call through
+// it to host carried, and passes every call on.
+type deadlineSpy struct {
+	next http.RoundTripper
+	host string
+	max  atomic.Int64
+}
+
+func (s *deadlineSpy) RoundTrip(r *http.Request) (*http.Response, error) {
+	if ms, err := strconv.ParseInt(r.Header.Get(serve.DeadlineHeader), 10, 64); err == nil && r.URL.Host == s.host {
+		s.max.Store(max(s.max.Load(), ms))
+	}
+	return s.next.RoundTrip(r)
+}
+
+// TestRequestTimeoutBoundsTheRequest pins the README's "Deadlines": with
+// -request-timeout far below the per-attempt -timeout (2 s by default) and
+// one shard hung, the request is over — 504 deadline_exceeded, counted —
+// long before an attempt would have timed out, and the healthy shard was
+// granted no more than the request's budget.
+func TestRequestTimeoutBoundsTheRequest(t *testing.T) {
+	const budget = 150 * time.Millisecond
+	ct := chaos.NewTransport(nil, 1)
+	spy := &deadlineSpy{next: ct}
+	tr := newTier(t, 2, Config{RequestTimeout: budget, BreakerThreshold: -1, CacheSize: -1,
+		HTTPClient: &http.Client{Transport: spy}})
+	spy.host = hostOf(t, tr.shardTS[1].URL)
+	ct.Set(&chaos.Fault{Host: hostOf(t, tr.shardTS[0].URL), Path: shardPath, Hang: true})
+
+	start := time.Now()
+	var body serve.ErrorBody
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 3, M: 5}, &body); st != http.StatusGatewayTimeout || body.Code != "deadline_exceeded" {
+		t.Fatalf("status %d code %q, want 504 deadline_exceeded", st, body.Code)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Errorf("the request took %v: held to the per-attempt timeout, not to its own %v", el, budget)
+	}
+	if got := spy.max.Load(); got <= 0 || got > budget.Milliseconds() {
+		t.Errorf("the healthy shard was granted %d ms, want a budget within the request's %d", got, budget.Milliseconds())
+	}
+	if got := tr.router.m.deadline504s.Value(); got != 1 {
+		t.Errorf("deadline_504s = %d, want 1", got)
+	}
+}
+
 // TestShardDeadlineHeader: a shard aborts scoring whose propagated
 // deadline budget already expired, with a 504 the router folds into its
 // own deadline accounting — on the frame route the router calls.
 func TestShardDeadlineHeader(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	frame := mustFrame(t, &wire.BatchRequest{M: 5, Users: []uint32{1, 2}, ExpectVersion: 1})
+	frame := ranktest.Frame(t, &wire.BatchRequest{M: 5, Users: []uint32{1, 2}, ExpectVersion: 1})
 	for budget, want := range map[string]int{
 		"0":    http.StatusGatewayTimeout, // already spent
 		"5000": http.StatusOK,             // a generous budget serves normally
+		// An effectively unlimited budget is no deadline: these two used to
+		// wrap time.Duration negative and shed the request.
+		"9223372036854775807": http.StatusOK,
+		"9300000000000":       http.StatusOK,
 	} {
 		req, err := http.NewRequest(http.MethodPost, tr.shardTS[0].URL+shardPath, bytes.NewReader(frame))
 		if err != nil {
@@ -573,14 +601,14 @@ func BenchmarkRouterShardDown(b *testing.B) {
 	ct.Set(&chaos.Fault{Host: hostOf(b, tr.shardTS[0].URL), Hang: true})
 	// One sacrificial request burns the timeout and trips the breaker.
 	var warm RecommendResponse
-	if st := postJSON(b, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 0, M: 10}, &warm); st != 200 || !warm.Degraded {
+	if st := ranktest.PostJSON(b, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 0, M: 10}, &warm); st != 200 || !warm.Degraded {
 		b.Fatalf("warm-up: status %d degraded=%v", st, warm.Degraded)
 	}
 	req := serve.RecommendRequest{User: 17, M: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var resp RecommendResponse
-		if st := postJSON(b, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
+		if st := ranktest.PostJSON(b, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
 			b.Fatalf("status %d degraded=%v", st, resp.Degraded)
 		}
 	}

@@ -1,140 +1,65 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
-	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/rank"
+	"repro/internal/ranktest"
 	"repro/internal/serve"
-	"repro/internal/sparse"
 )
 
-var testTrainCfg = core.Config{K: 6, Lambda: 2, MaxIter: 40, Seed: 3}
-
-// tier is a full sharded deployment on httptest listeners: a reference
-// single-process server over the whole model, nParts shard servers
-// partitioning its catalogue, and a Router in front of the shards. The
-// reference and the shards serve the same model file, so the router's
-// merges must be bit-identical to the reference's lists.
+// tier is a sharded deployment on httptest listeners over the conformance
+// fixture: nParts shard servers partitioning its catalogue and a Router in
+// front of them. The fixture's reference ranks the whole model in one
+// process, so the router's merges must be bit-identical to it.
 type tier struct {
-	modelPath string
-	train     *sparse.Matrix
-	ref       *serve.Server
-	refTS     *httptest.Server
-	shards    []*serve.Server
-	shardTS   []*httptest.Server
-	router    *Router
-	routerTS  *httptest.Server
+	fx       *ranktest.Fixture
+	shardTS  []*httptest.Server
+	router   *Router
+	routerTS *httptest.Server
 }
 
-// testItemTags tags the synthetic catalogue: "even" marks even items,
-// "low" the first half, "rare" items 1 and numItems-1 — the same shape
-// the serve-layer filter tests use.
-func testItemTags(t testing.TB, numItems int) *rank.TagTable {
-	t.Helper()
-	var b strings.Builder
-	for i := 0; i < numItems; i++ {
-		fmt.Fprintf(&b, "%d,item-%d", i, i)
-		if i%2 == 0 {
-			b.WriteString(",even")
-		}
-		if i < numItems/2 {
-			b.WriteString(",low")
-		}
-		if i == 1 || i == numItems-1 {
-			b.WriteString(",rare")
-		}
-		b.WriteByte('\n')
-	}
-	tab, err := rank.LoadTagTable(strings.NewReader(b.String()), numItems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
-func trainAndSave(t testing.TB, train *sparse.Matrix, seed uint64, path string) *core.Model {
-	t.Helper()
-	cfg := testTrainCfg
-	cfg.Seed = seed
-	res, err := core.Train(train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Model.SaveModelFileOpts(path, core.SaveOptions{Float32: true}); err != nil {
-		t.Fatal(err)
-	}
-	return res.Model
-}
-
+// newTier builds a tier whose router runs under cfg (Config.Stages
+// included: the shards stay stage-less either way, they serve raw
+// partials) over shards with default limits, which cover any the router
+// is given.
 func newTier(t testing.TB, nParts int, cfg Config) *tier {
-	return newStagedTier(t, nParts, cfg, nil)
+	t.Helper()
+	return newTierOver(t, ranktest.New(t, ranktest.Variant{F32: true}), nParts, cfg)
 }
 
-// newStagedTier is newTier with a staged re-rank pipeline on both sides
-// of the comparison: the reference server re-ranks through
-// serve.Config.Stages, the router through Config.Stages built from the
-// same specs, tag table and model artifact — exactly the wiring
-// cmd/ocular-router's -stages/-model/-items-meta flags perform. The
-// shards stay stage-less either way (they serve raw partials).
-func newStagedTier(t testing.TB, nParts int, cfg Config, specs []serve.StageSpec) *tier {
+func newTierOver(t testing.TB, fx *ranktest.Fixture, nParts int, cfg Config) *tier {
 	t.Helper()
-	tr := &tier{train: dataset.SyntheticSmall(1).Dataset.R}
-	tr.modelPath = filepath.Join(t.TempDir(), "model.bin")
-	model := trainAndSave(t, tr.train, 3, tr.modelPath)
-	tags := testItemTags(t, model.NumItems())
-	if len(specs) > 0 {
-		stages, err := serve.BuildStages(specs, tags, model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Stages = stages
-	}
-
-	ref, err := serve.NewFromFile(serve.Config{
-		ModelPath: tr.modelPath, Train: tr.train, ItemTags: tags, Stages: specs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.ref = ref
-	tr.refTS = httptest.NewServer(ref.Handler())
-	t.Cleanup(tr.refTS.Close)
-
-	items := model.NumItems()
-	for p := 0; p < nParts; p++ {
-		lo, hi := p*items/nParts, (p+1)*items/nParts
-		if p == nParts-1 {
-			hi = -1
-		}
+	tr := &tier{fx: fx}
+	tr.shardTS = fx.Shards(t, nParts, func(lo, hi int) http.Handler {
 		srv, err := serve.NewShardFromFile(serve.Config{
-			ModelPath: tr.modelPath, Train: tr.train, ItemTags: tags, ShardLo: lo, ShardHi: hi,
-		})
+			ModelPath: fx.Path, Train: fx.Train, ItemTags: fx.Tags, ShardLo: lo, ShardHi: hi})
 		if err != nil {
-			t.Fatalf("shard %d [%d,%d): %v", p, lo, hi, err)
+			t.Fatalf("shard [%d,%d): %v", lo, hi, err)
 		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		tr.shards = append(tr.shards, srv)
-		tr.shardTS = append(tr.shardTS, ts)
-		cfg.Shards = append(cfg.Shards, ts.URL)
-	}
+		return srv.Handler()
+	})
+	cfg.Shards = ranktest.URLs(tr.shardTS)
+	tr.router, tr.routerTS = startRouter(t, cfg)
+	return tr
+}
 
+// startRouter builds a router under cfg, installs its first route table
+// and serves it until t ends.
+func startRouter(t testing.TB, cfg Config) (*Router, *httptest.Server) {
+	t.Helper()
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -142,241 +67,105 @@ func newStagedTier(t testing.TB, nParts int, cfg Config, specs []serve.StageSpec
 	if _, err := rt.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	tr.router = rt
-	tr.routerTS = httptest.NewServer(rt.Handler())
-	t.Cleanup(tr.routerTS.Close)
-	return tr
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return rt, ts
 }
 
-func postJSON(t testing.TB, url string, body, out any) int {
+// ranker is the router behind one public codec, as the suite sees it.
+func (tr *tier) ranker(codec ranktest.Codec) *ranktest.Ranker {
+	r := &ranktest.Ranker{Rank: codec.Client(tr.routerTS.URL), Roll: tr.roll, Single: codec.Single, Cache: true,
+		Stages: tr.router.cfg.Stages, Who: "router", Refusals: []ranktest.Refusal{{
+			// The router serves the default path only, on every codec.
+			Case:   ranktest.Case{Name: "tenant named", Users: []int{1}, Tenant: "acme"},
+			Status: 400, Message: "tenant must be empty"}, ranktest.ExcludeOutOfRange}}
+	if codec.Single {
+		// The tag table is the shards'; their 400 is the router's for one
+		// user, and fails every slot of a batch.
+		r.Refusals = append(r.Refusals, ranktest.UnknownTag)
+	}
+	return r
+}
+
+// roll is the quorum rollout of the file the fixture installed: every
+// shard reloads while the route table still pins version 1 — the router
+// keeps serving the OLD model from the shards' snapshot history — then the
+// flip re-pins every shard under a new epoch.
+func (tr *tier) roll(t testing.TB, flip bool) {
 	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
+	if !flip {
+		for _, ts := range tr.shardTS {
+			if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
+				t.Fatalf("shard reload: status %d", st)
+			}
+		}
+		return
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
+	var fl FlipResponse
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, &fl); st != 200 || fl.Epoch != 2 {
+		t.Fatalf("flip: status %d epoch %d, want 200 at epoch 2", st, fl.Epoch)
 	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("POST %s: decoding: %v", url, err)
+	for _, sh := range fl.Shards {
+		if sh.Version != 2 {
+			t.Fatalf("flipped table pins %s to version %d, want 2", sh.URL, sh.Version)
 		}
 	}
-	return resp.StatusCode
 }
 
-// sameLists fails unless the router's list equals the reference's —
-// same items, same float64 score bits, same length.
-func sameLists(t testing.TB, label string, got []serve.ScoredItem, want []serve.ScoredItem) {
+// conforms holds /v1/recommend to the reference on every single-user case
+// — what a healed tier must be back to, nothing degraded.
+func (tr *tier) conforms(t testing.TB, label string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: router merged %d items, reference served %d", label, len(got), len(want))
-	}
-	for n := range want {
-		if got[n].Item != want[n].Item {
-			t.Errorf("%s rank %d: router item %d, reference %d", label, n, got[n].Item, want[n].Item)
-		}
-		if got[n].Score != want[n].Score {
-			t.Errorf("%s rank %d: router score %v, reference %v (must be bit-identical)",
-				label, n, got[n].Score, want[n].Score)
+	r := tr.ranker(ranktest.Recommend)
+	for i := range ranktest.Cases {
+		if c := &ranktest.Cases[i]; len(c.Users) == 1 {
+			tr.fx.Check(t, label+"/"+c.Name, r, tr.fx.Cur, c)
 		}
 	}
 }
 
-// compare runs one request against both the router and the reference and
-// requires bit-identical answers.
-func (tr *tier) compare(t testing.TB, label string, req serve.RecommendRequest) {
-	t.Helper()
-	var want serve.RecommendResponse
-	if st := postJSON(t, tr.refTS.URL+"/v1/recommend", req, &want); st != 200 {
-		t.Fatalf("%s: reference status %d", label, st)
-	}
-	var got RecommendResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &got); st != 200 {
-		t.Fatalf("%s: router status %d", label, st)
-	}
-	if got.Degraded {
-		t.Fatalf("%s: healthy tier answered degraded", label)
-	}
-	sameLists(t, label, got.Items, want.Items)
-}
-
-var compareCases = []struct {
-	name string
-	req  serve.RecommendRequest
-}{
-	{"plain", serve.RecommendRequest{User: 0, M: 10}},
-	{"m1", serve.RecommendRequest{User: 7, M: 1}},
-	{"deep", serve.RecommendRequest{User: 42, M: 25}},
-	{"exclude", serve.RecommendRequest{User: 119, M: 10, ExcludeItems: []int{0, 3, 17, 40, 41, 59}}},
-	{"overlong", serve.RecommendRequest{User: 3, M: 1000}},
-	{"filtered", serve.RecommendRequest{User: 11, M: 8,
-		Filter: &serve.FilterSpec{AllowTags: []string{"low", "even"}, DenyTags: []string{"rare"}}}},
-	{"exclude+filter", serve.RecommendRequest{User: 64, M: 12, ExcludeItems: []int{2, 4},
-		Filter: &serve.FilterSpec{DenyTags: []string{"even"}}}},
-}
-
-// TestRouterBitIdenticalAcrossRollout is the subsystem's acceptance
-// test: the router's merged lists are bit-identical (items AND scores)
-// to a single process serving the full model — across shard counts,
-// exclusion lists and tag filters, and across a mid-test quorum rollout:
-// after the shards reload a new model the router still serves the OLD
-// version bit-identically (pinned requests, snapshot history) until the
-// table flips, after which it serves the NEW version bit-identically.
-func TestRouterBitIdenticalAcrossRollout(t *testing.T) {
+// conformRouter registers the router behind each codec with the
+// conformance suite, over 2 and 3 shards, across a quorum rollout. Staged,
+// the router re-ranks once after the merge over partials over-fetched to
+// the stages' candidate pool, and must equal staged single-process ranking.
+func conformRouter(t *testing.T, staged bool, codecs ...ranktest.Codec) {
 	for _, nParts := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", nParts), func(t *testing.T) {
-			tr := newTier(t, nParts, Config{})
-			for _, c := range compareCases {
-				tr.compare(t, c.name, c.req)
-			}
-
-			// Quorum rollout, step 1: a new model lands and every shard
-			// reloads. The route table still pins version 1, so the router
-			// must keep serving the OLD model — bit-identical to the
-			// not-yet-reloaded reference — from the shards' snapshot history.
-			trainAndSave(t, tr.train, 99, tr.modelPath)
-			for _, ts := range tr.shardTS {
-				if st := postJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
-					t.Fatalf("shard reload: status %d", st)
-				}
-			}
-			for _, c := range compareCases {
-				tr.compare(t, c.name+"/pre-flip", c.req)
-			}
-
-			// Step 2: the flip. Now the router serves the NEW model —
-			// bit-identical to the reloaded reference.
-			var flip FlipResponse
-			if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, &flip); st != 200 {
-				t.Fatalf("flip: status %d", st)
-			}
-			if flip.Epoch != 2 {
-				t.Fatalf("flip epoch %d, want 2", flip.Epoch)
-			}
-			for _, sh := range flip.Shards {
-				if sh.Version != 2 {
-					t.Fatalf("flipped table pins %s to version %d, want 2", sh.URL, sh.Version)
-				}
-			}
-			if err := tr.ref.ReloadFromFile(); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range compareCases {
-				tr.compare(t, c.name+"/post-flip", c.req)
+			for _, codec := range codecs {
+				t.Run(codec.Name, func(t *testing.T) {
+					fx := ranktest.New(t, ranktest.Variant{F32: !staged})
+					cfg := Config{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}
+					if staged {
+						cfg.Stages = fx.Stages
+					}
+					tr := newTierOver(t, fx, nParts, cfg)
+					ranktest.Conformance(t, fx, tr.ranker(codec))
+				})
 			}
 		})
 	}
 }
 
-// TestRouterStagedBitIdenticalAcrossRollout extends the rollout
-// acceptance test to the staged pipeline: with the same floor+boost
-// stage specs on the router and on the single-process reference, the
-// router's post-merge re-ranking (over-fetched shard partials, stages
-// applied exactly once after the merge) stays bit-identical to staged
-// single-process serving — before a quorum rollout, while the route
-// table still pins the old version, and after the flip. The stages here
-// are deliberately model-independent (floor, tag boost): the router
-// builds its pipeline once from the initial artifact, so a model-bound
-// stage (diversify) would legitimately diverge from a reference that
-// rebuilds stages per reload. Diversify's merge equivalence is covered
-// single-process in rank's TestMergeTopMStagedMatchesSingleProcess.
+// TestRouterBitIdenticalAcrossRollout is the subsystem's acceptance test:
+// the router's merged lists are the reference's, items AND score bits,
+// before a rollout, while the table still pins the old version, and after
+// the flip.
+func TestRouterBitIdenticalAcrossRollout(t *testing.T) { conformRouter(t, false, ranktest.Recommend) }
+
+// TestRouterStagedBitIdenticalAcrossRollout: the same with the staged
+// pipeline, on every codec.
 func TestRouterStagedBitIdenticalAcrossRollout(t *testing.T) {
-	specs := []serve.StageSpec{
-		{Type: "floor", Min: 0.02},
-		{Type: "boost", Delta: 0.25, Tags: []string{"rare"}, OverFetch: 2},
-	}
-	// compareCases minus "overlong": the boost stage over-fetches 2m from
-	// each shard, and 2*1000 would trip the shards' own m cap — the same
-	// reason ocular-router's -max-m must leave over-fetch headroom below
-	// the shards' -max-m when stages are configured.
-	var cases []struct {
-		name string
-		req  serve.RecommendRequest
-	}
-	for _, c := range compareCases {
-		if c.req.M*2 <= 1000 {
-			cases = append(cases, c)
-		}
-	}
-	for _, nParts := range []int{2, 3} {
-		t.Run(fmt.Sprintf("shards=%d", nParts), func(t *testing.T) {
-			tr := newStagedTier(t, nParts, Config{}, specs)
-			for _, c := range cases {
-				tr.compare(t, c.name, c.req)
-			}
-
-			// Quorum rollout step 1: shards reload, table still pins the
-			// old version — staged merges keep serving the OLD model.
-			trainAndSave(t, tr.train, 99, tr.modelPath)
-			for _, ts := range tr.shardTS {
-				if st := postJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
-					t.Fatalf("shard reload: status %d", st)
-				}
-			}
-			for _, c := range cases {
-				tr.compare(t, c.name+"/pre-flip", c.req)
-			}
-
-			// Step 2: flip, reload the reference, and the staged tier is
-			// bit-identical on the NEW model.
-			var flip FlipResponse
-			if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, &flip); st != 200 {
-				t.Fatalf("flip: status %d", st)
-			}
-			if flip.Epoch != 2 {
-				t.Fatalf("flip epoch %d, want 2", flip.Epoch)
-			}
-			if err := tr.ref.ReloadFromFile(); err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range cases {
-				tr.compare(t, c.name+"/post-flip", c.req)
-			}
-		})
-	}
+	conformRouter(t, true, ranktest.Codecs...)
 }
 
-// TestRouterStagedCacheAndValidation: staged and unstaged routers must
-// not share cache entries for the same request (the stage config is part
-// of the fingerprint — checked here end to end through two routers over
-// one shard tier), and New rejects stages whose empty CacheKey would
-// poison the shared cache.
+// TestRouterBatchMatchesRecommend: /v1/batch merges through the same path
+// and cache as /v1/recommend.
+func TestRouterBatchMatchesRecommend(t *testing.T) { conformRouter(t, false, ranktest.BatchJSON) }
+
+// TestRouterStagedCacheAndValidation: New rejects stages whose empty
+// CacheKey would poison the shared cache. (That a staged router applies its
+// stages is conformRouter's; that they key its cache, TestFingerprintFor's.)
 func TestRouterStagedCacheAndValidation(t *testing.T) {
-	tr := newStagedTier(t, 2, Config{}, []serve.StageSpec{{Type: "floor", Min: 0.5}})
-	// A second, unstaged router over the same shards.
-	plain, err := New(Config{Shards: append([]string(nil), tr.router.cfg.Shards...)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	plainTS := httptest.NewServer(plain.Handler())
-	defer plainTS.Close()
-
-	req := serve.RecommendRequest{User: 5, M: 10}
-	var staged, unstaged RecommendResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &staged); st != 200 {
-		t.Fatalf("staged router status %d", st)
-	}
-	if st := postJSON(t, plainTS.URL+"/v1/recommend", req, &unstaged); st != 200 {
-		t.Fatalf("plain router status %d", st)
-	}
-	// floor=0.5 on synthetic probabilities truncates the list; the plain
-	// router must serve the full one.
-	if len(staged.Items) >= len(unstaged.Items) {
-		t.Fatalf("floor stage kept %d of %d items — staged list should be shorter",
-			len(staged.Items), len(unstaged.Items))
-	}
-	for _, it := range staged.Items {
-		if it.Score < 0.5 {
-			t.Errorf("staged router served item %d with score %v below the floor", it.Item, it.Score)
-		}
-	}
-
 	if _, err := New(Config{Shards: []string{"http://x"}, Stages: []rank.Stage{badStage{}}}); err == nil {
 		t.Fatal("New accepted a stage with an empty CacheKey")
 	}
@@ -394,36 +183,6 @@ func (badStage) Apply(m int, items []int, scores []float64) ([]int, []float64) {
 	return items, scores
 }
 
-// TestRouterBatchMatchesRecommend: /v1/batch merges through the same
-// path and cache as /v1/recommend, per-user results bit-identical to the
-// reference, out-of-range users rejected per slot.
-func TestRouterBatchMatchesRecommend(t *testing.T) {
-	tr := newTier(t, 2, Config{})
-	users := []int{0, 5, 9000, 42, 7}
-	var batch BatchResponse
-	if st := postJSON(t, tr.routerTS.URL+"/v1/batch",
-		map[string]any{"users": users, "m": 6}, &batch); st != 200 {
-		t.Fatalf("batch status %d", st)
-	}
-	if len(batch.Results) != len(users) {
-		t.Fatalf("%d results for %d users", len(batch.Results), len(users))
-	}
-	for n, res := range batch.Results {
-		if users[n] == 9000 {
-			if res.Error == "" {
-				t.Error("out-of-range user served")
-			}
-			continue
-		}
-		if res.Error != "" {
-			t.Fatalf("user %d: %s", users[n], res.Error)
-		}
-		var want serve.RecommendResponse
-		postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: users[n], M: 6}, &want)
-		sameLists(t, fmt.Sprintf("batch user %d", users[n]), res.Items, want.Items)
-	}
-}
-
 // TestMixedVersionMergeRejected pins the version-pin protocol end to
 // end: when a shard no longer holds the route table's pinned version in
 // its snapshot history (two reloads behind the pin), its 409 fails the
@@ -432,16 +191,18 @@ func TestMixedVersionMergeRejected(t *testing.T) {
 	tr := newTier(t, 2, Config{})
 	// Shard 0 reloads twice; its history is now {3, 2} while the route
 	// table pins version 1.
-	trainAndSave(t, tr.train, 99, tr.modelPath)
+	if err := tr.fx.Install(tr.fx.Next); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2; i++ {
-		if st := postJSON(t, tr.shardTS[0].URL+"/v1/reload", nil, nil); st != 200 {
+		if st := ranktest.PostJSON(t, tr.shardTS[0].URL+"/v1/reload", nil, nil); st != 200 {
 			t.Fatalf("reload %d: status %d", i, st)
 		}
 	}
 	var errResp struct {
 		Error string `json:"error"`
 	}
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 		serve.RecommendRequest{User: 1, M: 5}, &errResp); st != http.StatusBadGateway {
 		t.Fatalf("status %d, want 502 (fail closed on a version conflict)", st)
 	}
@@ -449,11 +210,11 @@ func TestMixedVersionMergeRejected(t *testing.T) {
 		t.Errorf("error %q does not name the version conflict", errResp.Error)
 	}
 	// A flip re-pins to the shards' current versions and service resumes.
-	if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 		t.Fatal("flip after re-reload failed")
 	}
 	// Shard 1 is two reloads behind shard 0 now; bring it level first.
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 		serve.RecommendRequest{User: 1, M: 5}, nil); st != 200 {
 		// Shard 1 still serves version 1 == its pin, shard 0 version 3 ==
 		// its pin: per-shard pins make the mixed-history tier servable.
@@ -468,27 +229,19 @@ func TestMixedVersionMergeRejected(t *testing.T) {
 func TestDegradedMode(t *testing.T) {
 	tr := newTier(t, 2, Config{})
 	// A second router over the same shards, refreshed while both live.
-	deg, err := New(Config{Shards: []string{tr.shardTS[0].URL, tr.shardTS[1].URL}, AllowDegraded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := deg.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	degTS := httptest.NewServer(deg.Handler())
-	defer degTS.Close()
-	hi := tr.train.Cols() / 2 // shard 1 owns [items/2, items)
+	deg, degTS := startRouter(t, Config{Shards: ranktest.URLs(tr.shardTS), AllowDegraded: true})
+	hi := tr.fx.Train.Cols() / 2 // shard 1 owns [items/2, items)
 
 	tr.shardTS[1].Close() // the outage
 
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 		serve.RecommendRequest{User: 4, M: 10}, nil); st != http.StatusBadGateway {
 		t.Fatalf("fail-closed router: status %d, want 502", st)
 	}
 
 	for round := 0; round < 2; round++ {
 		var got RecommendResponse
-		if st := postJSON(t, degTS.URL+"/v1/recommend",
+		if st := ranktest.PostJSON(t, degTS.URL+"/v1/recommend",
 			serve.RecommendRequest{User: 4, M: 10}, &got); st != 200 {
 			t.Fatalf("degraded router round %d: status %d, want 200", round, st)
 		}
@@ -519,19 +272,21 @@ func TestRouterCacheAndEpochFingerprint(t *testing.T) {
 	tr := newTier(t, 2, Config{})
 	req := serve.RecommendRequest{User: 33, M: 9, ExcludeItems: []int{5, 2, 5}}
 	var first, second RecommendResponse
-	postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &first)
-	postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &second)
+	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &first)
+	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &second)
 	if first.Cached || !second.Cached {
 		t.Fatalf("cached flags %v/%v, want false/true", first.Cached, second.Cached)
 	}
-	sameLists(t, "cache hit", second.Items, first.Items)
+	if !reflect.DeepEqual(second.Items, first.Items) {
+		t.Fatalf("the cache hit served %v, the miss %v", second.Items, first.Items)
+	}
 
 	// Same model, new epoch: the flip alone must invalidate.
-	if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 		t.Fatal("flip failed")
 	}
 	var third RecommendResponse
-	postJSON(t, tr.routerTS.URL+"/v1/recommend", req, &third)
+	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &third)
 	if third.Cached {
 		t.Fatal("request served from a stale-epoch cache entry after the flip")
 	}
@@ -558,26 +313,13 @@ func TestHedgedRetry(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	rt, err := New(Config{Shards: []string{flaky.URL, tr.shardTS[1].URL}, HedgeDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Refresh(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(rt.Handler())
-	defer ts.Close()
-
-	var got RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", serve.RecommendRequest{User: 2, M: 5}, &got); st != 200 {
-		t.Fatalf("status %d, want 200 (hedge should have recovered the flaky shard)", st)
-	}
+	rt, ts := startRouter(t, Config{Shards: []string{flaky.URL, tr.shardTS[1].URL}, HedgeDelay: time.Millisecond})
+	// The hedge recovers the flaky shard: a full, undegraded, reference list.
+	tr.fx.Check(t, "hedged", &ranktest.Ranker{Rank: ranktest.Recommend.Client(ts.URL)}, tr.fx.Cur,
+		&ranktest.Case{Users: []int{2}, M: 5})
 	if rt.m.hedges.Value() < 1 {
 		t.Error("no hedge launched for the failed first attempt")
 	}
-	var want serve.RecommendResponse
-	postJSON(t, tr.refTS.URL+"/v1/recommend", serve.RecommendRequest{User: 2, M: 5}, &want)
-	sameLists(t, "hedged", got.Items, want.Items)
 }
 
 // TestRouterRequestValidation mirrors the single-process server's
@@ -598,7 +340,7 @@ func TestRouterRequestValidation(t *testing.T) {
 		"batch over cap":    {"/v1/batch", map[string]any{"users": []int{1, 2, 3, 4}}, 400},
 		"oversized body":    {"/v1/recommend", map[string]any{"user": 1, "exclude_items": make([]int, 400)}, 400},
 	} {
-		if st := postJSON(t, tr.routerTS.URL+c.path, c.body, nil); st != c.want {
+		if st := ranktest.PostJSON(t, tr.routerTS.URL+c.path, c.body, nil); st != c.want {
 			t.Errorf("%s: status %d, want %d", name, st, c.want)
 		}
 	}
@@ -607,10 +349,8 @@ func TestRouterRequestValidation(t *testing.T) {
 // TestRefreshValidation: a route table only installs over a healthy,
 // exactly-partitioned shard tier; anything else keeps the old table.
 func TestRefreshValidation(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	modelPath := filepath.Join(t.TempDir(), "model.bin")
-	model := trainAndSave(t, train, 3, modelPath)
-	items := model.NumItems()
+	fx := ranktest.New(t, ranktest.Variant{})
+	train, modelPath, items := fx.Train, fx.Path, fx.Train.Cols()
 
 	shardTS := func(lo, hi int) *httptest.Server {
 		srv, err := serve.NewShardFromFile(serve.Config{ModelPath: modelPath, Train: train, ShardLo: lo, ShardHi: hi})
@@ -662,7 +402,7 @@ func TestRefreshValidation(t *testing.T) {
 	}
 	ts := httptest.NewServer(rt.Handler())
 	defer ts.Close()
-	if st := postJSON(t, ts.URL+"/v1/recommend", map[string]any{"user": 1}, nil); st != http.StatusServiceUnavailable {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", map[string]any{"user": 1}, nil); st != http.StatusServiceUnavailable {
 		t.Errorf("no-table request: status %d, want 503", st)
 	}
 }
@@ -674,7 +414,6 @@ func TestRouterConfigValidation(t *testing.T) {
 		"duplicate url":  {Shards: []string{"http://a", "http://a"}},
 		"negative maxm":  {Shards: []string{"http://a"}, MaxM: -1},
 		"negative body":  {Shards: []string{"http://a"}, MaxBodyBytes: -1},
-		"negative fan":   {Shards: []string{"http://a"}, MaxFanout: -1},
 		"negative hedge": {Shards: []string{"http://a"}, HedgeDelay: -time.Second},
 	} {
 		if _, err := New(cfg); err == nil {
@@ -753,14 +492,17 @@ func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
 				return
 			default:
 			}
-			trainAndSave(t, tr.train, uint64(100+i%2), tr.modelPath)
+			if err := tr.fx.Install([]*ranktest.Artifact{tr.fx.Next, tr.fx.Cur}[i%2]); err != nil {
+				t.Errorf("install: %v", err)
+				return
+			}
 			for _, ts := range tr.shardTS {
-				if st := postJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
+				if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", nil, nil); st != 200 {
 					t.Errorf("reload: status %d", st)
 					return
 				}
 			}
-			if st := postJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
+			if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 				t.Errorf("flip: status %d", st)
 				return
 			}
@@ -773,7 +515,7 @@ func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
 			rng := rand.New(rand.NewPCG(uint64(g), 7))
 			for i := 0; i < 60; i++ {
 				var got RecommendResponse
-				st := postJSON(t, tr.routerTS.URL+"/v1/recommend",
+				st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 					serve.RecommendRequest{User: rng.IntN(120), M: 1 + rng.IntN(12)}, &got)
 				switch st {
 				case http.StatusOK:

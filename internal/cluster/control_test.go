@@ -16,8 +16,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/feed"
+	"repro/internal/ranktest"
 	"repro/internal/serve"
 )
 
@@ -79,10 +79,8 @@ func contract(t *testing.T, name, method, url, reqBody string, wantStatus int, m
 
 // TestControlPlaneContract is the table: one row per producer and state.
 func TestControlPlaneContract(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	dir := t.TempDir()
-	modelPath := filepath.Join(dir, "model.bin")
-	model := trainAndSave(t, train, 3, modelPath)
+	fx := ranktest.New(t, ranktest.Variant{F32: true})
+	train, modelPath, model, dir := fx.Train, fx.Path, fx.Cur.Model, t.TempDir()
 	serving := func(srv *serve.Server, err error) (*serve.Server, string) {
 		t.Helper()
 		if err != nil {

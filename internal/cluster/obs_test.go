@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/ranktest"
 	"repro/internal/serve"
 )
 
@@ -129,10 +130,10 @@ func TestTraceAcrossTier(t *testing.T) {
 func TestTraceCacheHitSpan(t *testing.T) {
 	tr := newTier(t, 2, Config{CacheSize: 64})
 	req := serve.RecommendRequest{User: 1, M: 5}
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, nil); st != 200 {
 		t.Fatalf("first status %d", st)
 	}
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", req, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, nil); st != 200 {
 		t.Fatalf("second status %d", st)
 	}
 	dump := dumpTraces(t, tr.routerTS.URL)
@@ -151,7 +152,7 @@ func TestTraceCacheHitSpan(t *testing.T) {
 
 func TestRouterPrometheusExposition(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 4, M: 5}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 4, M: 5}, nil); st != 200 {
 		t.Fatalf("recommend status %d", st)
 	}
 	resp, err := http.Get(tr.routerTS.URL + "/metrics?format=prometheus")
@@ -192,7 +193,7 @@ func TestRouterPrometheusExposition(t *testing.T) {
 // histogram.
 func TestRouterMetricsJSONPercentiles(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	if st := postJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 0, M: 5}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 0, M: 5}, nil); st != 200 {
 		t.Fatalf("recommend status %d", st)
 	}
 	var out struct {

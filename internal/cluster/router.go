@@ -74,9 +74,6 @@ type Config struct {
 	// CacheSize is the approximate total number of cached merged lists; 0
 	// means 4096, negative disables caching.
 	CacheSize int
-	// MaxFanout bounds how many shard calls one scatter runs
-	// concurrently. 0 means all shards at once.
-	MaxFanout int
 	// Timeout is the per-attempt deadline of one shard call. 0 means 2s.
 	Timeout time.Duration
 	// HedgeDelay, when positive, launches a second identical attempt
@@ -163,9 +160,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
-	}
-	if c.MaxFanout == 0 {
-		c.MaxFanout = len(c.Shards)
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 2 * time.Second
@@ -272,8 +266,6 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: MaxBatch must be >= 0, got %d", cfg.MaxBatch)
 	case cfg.MaxBodyBytes < 0:
 		return nil, fmt.Errorf("cluster: MaxBodyBytes must be >= 0, got %d", cfg.MaxBodyBytes)
-	case cfg.MaxFanout < 0:
-		return nil, fmt.Errorf("cluster: MaxFanout must be >= 0, got %d", cfg.MaxFanout)
 	case cfg.Timeout < 0 || cfg.HedgeDelay < 0:
 		return nil, fmt.Errorf("cluster: Timeout and HedgeDelay must be >= 0")
 	case cfg.RequestTimeout < 0:
@@ -482,8 +474,8 @@ func (rp *shardReply) next(user int) rank.Partial {
 }
 
 // scatter sends frame — one request carrying the nUsers users of a batch
-// that need ranking, encoded once — to every shard of tbl (bounded by
-// MaxFanout, hedged per HedgeDelay), each copy patched with that shard's
+// that need ranking, encoded once — to every shard of tbl at once (hedged
+// per HedgeDelay), each copy patched with that shard's
 // version pin. It returns the replies in shard order, nil for shards that
 // failed, plus the first failure. The caller decides whether failures are
 // fatal (fail-closed) or degrade the merges, and releases the replies.
@@ -495,7 +487,6 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 	// The per-shard bodies are never pooled: net/http may still be reading
 	// a request body after the call that sent it has returned.
 	bodies := make([]byte, len(tbl.shards)*len(frame))
-	sem := make(chan struct{}, rt.cfg.MaxFanout)
 	var wg sync.WaitGroup
 	for i := range tbl.shards {
 		body := bodies[i*len(frame) : (i+1)*len(frame)]
@@ -503,8 +494,7 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 		wire.SetExpectVersion(body, tbl.shards[i].version)
 		wg.Add(1)
 		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem; wg.Done() }()
+			defer wg.Done()
 			start := time.Now()
 			replies[i], errs[i] = rt.callShard(ctx, tbl.shards[i], body, nUsers, m)
 			d := time.Since(start)

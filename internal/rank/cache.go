@@ -302,34 +302,33 @@ func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable b
 // an in-flight leader's result, or lead and publish — behind Engine.topM;
 // GetOrComputeBatch is its many-key sibling over the same cache and
 // flights. coalesced tells a shared in-flight result from a cache hit
-// (both report cached). Counting a computation as ranked is compute's
-// business: the engine counts inside its rank pass.
-func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64, cacheable bool, err error)) (items []int, scores []float64, cached, coalesced bool, err error) {
+// (both report cached). compute cannot fail and its result is always
+// shareable: unshareable results and errors are GetOrComputeBatch's
+// business. Counting a computation as ranked is compute's own: the engine
+// counts inside its rank pass.
+func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64)) (items []int, scores []float64, cached, coalesced bool) {
 	if c.cache == nil {
 		c.stats.misses.Add(1)
-		items, scores, _, err = compute()
-		return items, scores, false, false, err
+		items, scores = compute()
+		return items, scores, false, false
 	}
 	if items, scores, ok := c.cache.get(key); ok {
 		c.stats.hits.Add(1)
-		return items, scores, true, false, nil
+		return items, scores, true, false
 	}
 	call, leader := c.flight.join(key)
 	if !leader {
 		<-call.done
 		if call.ok {
 			c.stats.coalesced.Add(1)
-			return call.items, call.scores, true, true, nil
+			return call.items, call.scores, true, true
 		}
-		// The leader failed, panicked or produced an unshareable (degraded)
-		// result; compute independently rather than inheriting its failure.
+		// The leader abandoned its call (it panicked, or it was a batch
+		// whose result could not be shared); compute independently.
 		c.stats.misses.Add(1)
-		var cacheable bool
-		items, scores, cacheable, err = compute()
-		if err == nil && cacheable {
-			c.cache.put(key, items, scores)
-		}
-		return items, scores, false, false, err
+		items, scores = compute()
+		c.cache.put(key, items, scores)
+		return items, scores, false, false
 	}
 	// A straggler can miss the cache, lose the CPU, and join only after
 	// the previous leader filled the cache and retired its call — it then
@@ -338,24 +337,20 @@ func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, sc
 	if items, scores, ok := c.cache.get(key); ok {
 		c.stats.hits.Add(1)
 		c.flight.publish(key, call, items, scores)
-		return items, scores, true, false, nil
+		return items, scores, true, false
 	}
 	c.stats.misses.Add(1)
 	published := false
 	defer func() {
-		if !published {
+		if !published { // compute panicked: waiters recompute for themselves
 			c.flight.abandon(key, call)
 		}
 	}()
-	var cacheable bool
-	items, scores, cacheable, err = compute()
-	if err != nil || !cacheable {
-		return items, scores, false, false, err
-	}
+	items, scores = compute()
 	c.cache.put(key, items, scores)
 	c.flight.publish(key, call, items, scores)
 	published = true
-	return items, scores, false, false, nil
+	return items, scores, false, false
 }
 
 // len returns the total number of cached entries.

@@ -131,9 +131,8 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 		items, scores = e.rankStaged(score, m, flat, stages, tm)
 		return items, scores, false
 	}
-	items, scores, cached, coalesced, _ := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64, bool, error) {
-		items, scores := e.rankStaged(score, m, flat, stages, tm)
-		return items, scores, true, nil
+	items, scores, cached, coalesced := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64) {
+		return e.rankStaged(score, m, flat, stages, tm)
 	})
 	if tm != nil && cached {
 		tm.Cached, tm.Coalesced = true, coalesced

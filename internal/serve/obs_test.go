@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/ranktest"
 )
 
 // TestInstrumentPanicPath: a handler panic must still record a 500 in
@@ -61,8 +62,8 @@ func TestResponseWriteErrorsCounted(t *testing.T) {
 
 func TestMetricsJSONPercentiles(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{})
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
 
 	var out struct {
 		ResponseWriteErrors *int64 `json:"response_write_errors"`
@@ -107,7 +108,7 @@ func TestMetricsJSONPercentiles(t *testing.T) {
 
 func TestMetricsPrometheusExposition(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{})
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
 
 	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
 	if err != nil {
@@ -137,8 +138,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 }
 
 func TestShardPrometheusExposition(t *testing.T) {
-	_, shards, _, _, _ := newShardTier(t, 2)
-	postJSON(t, shards[0].URL+"/v1/shard/topm", ShardTopMRequest{User: 1, M: 5}, nil)
+	shards := newShards(t, ranktest.New(t, ranktest.Variant{}), 2, Config{})
+	ranktest.PostJSON(t, shards[0].URL+"/v1/shard/topm", ShardTopMRequest{User: 1, M: 5}, nil)
 	resp, err := http.Get(shards[0].URL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +210,7 @@ func TestTracedRecommend(t *testing.T) {
 		t.Fatalf("trace header not echoed: %q", got)
 	}
 	// The repeat is a cache hit — its trace must say so.
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
 
 	out := getTraces(t, ts.URL)
 	if len(out.Traces) != 2 {

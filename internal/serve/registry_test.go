@@ -4,20 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/feed"
 	"repro/internal/rank"
+	"repro/internal/ranktest"
 	"repro/internal/sparse"
 )
 
@@ -90,46 +90,30 @@ func baseRegistry(champPath, candPath string) *RegistryConfig {
 
 func newRegistryServer(t testing.TB, cfg Config, mutate func(*RegistryConfig)) *regFixture {
 	t.Helper()
-	train := dataset.SyntheticSmall(1).Dataset.R
-	champion := trainSmall(t, train, 11)
-	candidate := trainSmall(t, train, 22)
-	model := trainSmall(t, train, 3)
+	fx := ranktest.New(t, ranktest.Variant{}) // the default model: newTestServer's
 	dir := t.TempDir()
 	f := &regFixture{
-		champion: champion, candidate: candidate, train: train,
+		champion: ranktest.Train(t, fx.Train, 11), candidate: ranktest.Train(t, fx.Train, 22), train: fx.Train,
 		champPath: filepath.Join(dir, "champion.bin"),
 		candPath:  filepath.Join(dir, "candidate.bin"),
 	}
-	for path, m := range map[string]*core.Model{
-		f.champPath:                     champion,
-		f.candPath:                      candidate,
-		filepath.Join(dir, "model.bin"): model,
-	} {
+	for path, m := range map[string]*core.Model{f.champPath: f.champion, f.candPath: f.candidate} {
 		if err := m.SaveModelFile(path); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rc := baseRegistry(f.champPath, f.candPath)
+	cfg.Registry = baseRegistry(f.champPath, f.candPath)
 	if mutate != nil {
-		mutate(rc)
+		mutate(cfg.Registry)
 	}
-	cfg.Registry = rc
-	cfg.ModelPath = filepath.Join(dir, "model.bin")
-	cfg.Train = train
-	cfg.FoldIn = foldInCfg
-	srv, err := NewFromFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.ModelPath, cfg.Train, cfg.FoldIn = fx.Path, fx.Train, foldInCfg
+	f.srv, f.ts = start(t, NewFromFile, cfg)
 	t.Cleanup(func() {
-		srv.ShadowFlush()
-		if err := srv.Close(); err != nil {
+		f.srv.ShadowFlush()
+		if err := f.srv.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	})
-	f.srv = srv
-	f.ts = httptest.NewServer(srv.Handler())
-	t.Cleanup(f.ts.Close)
 	return f
 }
 
@@ -152,7 +136,7 @@ func TestRegistryABSplit(t *testing.T) {
 	sawControl, sawTreatment := false, false
 	for _, u := range users {
 		var got RecommendResponse
-		if st := postJSON(t, f.ts.URL+"/v1/recommend",
+		if st := ranktest.PostJSON(t, f.ts.URL+"/v1/recommend",
 			RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got); st != 200 {
 			t.Fatalf("user %d: status %d", u, st)
 		}
@@ -184,7 +168,7 @@ func TestRegistryABSplit(t *testing.T) {
 		// Same user, same request → same arm, now served from the arm's
 		// own cache.
 		var again RecommendResponse
-		postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &again)
+		ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &again)
 		if again.Arm != arm || !again.Cached {
 			t.Errorf("user %d repeat: arm=%q cached=%v, want %q/true", u, again.Arm, again.Cached, arm)
 		}
@@ -200,7 +184,7 @@ func TestRegistryBatchSplitsAcrossArms(t *testing.T) {
 	f := newRegistryServer(t, Config{}, nil)
 	users := []int{0, 1, 2, 3, 7}
 	var batch BatchResponse
-	if st := postJSON(t, f.ts.URL+"/v1/batch",
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/batch",
 		BatchRequest{Users: users, M: 5, Tenant: "acme"}, &batch); st != 200 {
 		t.Fatalf("batch status %d", st)
 	}
@@ -211,14 +195,24 @@ func TestRegistryBatchSplitsAcrossArms(t *testing.T) {
 			t.Errorf("user %d: arm=%q version=%d, want %q/1", u, res.Arm, res.ArmModelVersion, arm)
 		}
 		var single RecommendResponse
-		postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 5, Tenant: "acme"}, &single)
+		ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 5, Tenant: "acme"}, &single)
 		if fmt.Sprint(res.Items) != fmt.Sprint(single.Items) {
 			t.Errorf("user %d: batch items %v != single items %v", u, res.Items, single.Items)
 		}
 	}
+	// A frame resolves each user to the arm a JSON batch resolves it to:
+	// the same lists, the same score bits.
+	c := &ranktest.Case{Name: "split batch", Users: users, M: 5, Tenant: "acme"}
+	js, fr := ranktest.BatchJSON.Client(f.ts.URL)(t, c), ranktest.BatchFrame.Client(f.ts.URL)(t, c)
+	for n := range fr.Lists {
+		fr.Lists[n].Cached = js.Lists[n].Cached // the frame came second
+	}
+	if !reflect.DeepEqual(js, fr) {
+		t.Errorf("tenant batch over frames %+v, over JSON %+v", fr, js)
+	}
 	// A failing user reports its arm so the error lands in the right
 	// per-arm readout.
-	postJSON(t, f.ts.URL+"/v1/batch", BatchRequest{Users: []int{1 << 20}, Tenant: "acme"}, &batch)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/batch", BatchRequest{Users: []int{1 << 20}, Tenant: "acme"}, &batch)
 	if batch.Results[0].Error == "" || batch.Results[0].Arm == "" {
 		t.Errorf("out-of-range user: error=%q arm=%q, want both set", batch.Results[0].Error, batch.Results[0].Arm)
 	}
@@ -262,7 +256,7 @@ func TestUnknownTenantRejected(t *testing.T) {
 	// 404 — not the default model under a wrong label.
 	_, ts, _, _ := newTestServer(t, Config{})
 	var out map[string]any
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, Tenant: "acme"}, &out); st != 404 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, Tenant: "acme"}, &out); st != 404 {
 		t.Errorf("registry-less tenant request: status %d, want 404", st)
 	}
 	if out["code"] != "unknown_tenant" {
@@ -277,49 +271,6 @@ func mustMarshal(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestDefaultPathWireFormatUnchanged: with a registry configured, a
-// request without a tenant returns byte-identical JSON to a registry-less
-// server over the same model — the multi-model platform is invisible to
-// existing clients.
-func TestDefaultPathWireFormatUnchanged(t *testing.T) {
-	f := newRegistryServer(t, Config{}, nil)
-	_, plain, _, _ := newTestServer(t, Config{})
-	for _, body := range []string{
-		`{"user":7,"m":10}`,
-		`{"user":42,"m":5,"exclude_items":[1,2]}`,
-		`{"users":[3,1,4],"m":5}`,
-	} {
-		path := "/v1/recommend"
-		if strings.Contains(body, "users") {
-			path = "/v1/batch"
-		}
-		raw := func(base string) []byte {
-			resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if resp.StatusCode != 200 {
-				t.Fatalf("%s %s: status %d (%s)", path, body, resp.StatusCode, data)
-			}
-			return data
-		}
-		got, want := raw(f.ts.URL), raw(plain.URL)
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s %s:\nregistry server: %s\nplain server:    %s", path, body, got, want)
-		}
-		for _, key := range []string{"tenant", "experiment", "arm", `"model"`} {
-			if bytes.Contains(got, []byte(key)) {
-				t.Errorf("%s %s: default-path response leaks %s: %s", path, body, key, got)
-			}
-		}
-	}
 }
 
 // TestRegistryTenantFeedPartition: tenant-tagged ingest events land in
@@ -342,14 +293,14 @@ func TestRegistryTenantFeedPartition(t *testing.T) {
 	})
 
 	var resp IngestResponse
-	if st := postJSON(t, f.ts.URL+"/v1/ingest",
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/ingest",
 		map[string]any{"user": 3, "items": []int{1, 2}, "tenant": "acme"}, &resp); st != 200 {
 		t.Fatalf("tenant ingest status %d", st)
 	}
 	if resp.Appended != 2 || resp.FeedPositives != 2 {
 		t.Fatalf("tenant ingest response %+v, want 2 appended / 2 positives", resp)
 	}
-	if st := postJSON(t, f.ts.URL+"/v1/ingest", map[string]any{"user": 9, "items": []int{4}}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/ingest", map[string]any{"user": 9, "items": []int{4}}, &resp); st != 200 {
 		t.Fatalf("default ingest status %d", st)
 	}
 
@@ -378,7 +329,7 @@ func TestRegistryTenantFeedPartition(t *testing.T) {
 	// A registered tenant without a feed partition is a 503 (operator
 	// mistake), not a silent write to the default feed.
 	var out map[string]string
-	if st := postJSON(t, f.ts.URL+"/v1/ingest",
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/ingest",
 		map[string]any{"user": 1, "items": []int{2}, "tenant": "nofeed"}, &out); st != http.StatusServiceUnavailable {
 		t.Fatalf("feedless tenant ingest: status %d, want 503", st)
 	}
@@ -396,13 +347,13 @@ func TestRegistryTenantFeedPartition(t *testing.T) {
 // {code:"unknown_model"}.
 func TestRegistryNamedReload(t *testing.T) {
 	f := newRegistryServer(t, Config{}, nil)
-	candidate2 := trainSmall(t, f.train, 33)
+	candidate2 := ranktest.Train(t, f.train, 33)
 	if err := candidate2.SaveModelFile(f.candPath); err != nil {
 		t.Fatal(err)
 	}
 
 	var resp ReloadResponse
-	if st := postJSON(t, f.ts.URL+"/v1/reload", ReloadRequest{Model: "candidate"}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/reload", ReloadRequest{Model: "candidate"}, &resp); st != 200 {
 		t.Fatalf("named reload status %d", st)
 	}
 	if resp.ModelVersion != 2 || resp.Name != "candidate" {
@@ -428,7 +379,7 @@ func TestRegistryNamedReload(t *testing.T) {
 	// Treatment users now rank through the new candidate.
 	u := 2 // pinned: bucket 9 → treatment
 	var got RecommendResponse
-	postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got)
 	if got.ModelVersion != 2 {
 		t.Fatalf("treatment model_version %d after reload, want 2", got.ModelVersion)
 	}
@@ -441,7 +392,7 @@ func TestRegistryNamedReload(t *testing.T) {
 
 	// Unknown names fail loudly.
 	var errOut map[string]any
-	if st := postJSON(t, f.ts.URL+"/v1/reload", ReloadRequest{Model: "ghost"}, &errOut); st != 404 {
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/reload", ReloadRequest{Model: "ghost"}, &errOut); st != 404 {
 		t.Fatalf("unknown model reload: status %d, want 404", st)
 	}
 	if errOut["code"] != "unknown_model" {
@@ -451,7 +402,7 @@ func TestRegistryNamedReload(t *testing.T) {
 	// The default reload path (empty body) still works and leaves named
 	// models alone.
 	var defResp ReloadResponse
-	if st := postJSON(t, f.ts.URL+"/v1/reload", struct{}{}, &defResp); st != 200 {
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/reload", struct{}{}, &defResp); st != 200 {
 		t.Fatalf("default reload status %d", st)
 	}
 	if defResp.ModelVersion != 2 || defResp.Name != "" {
@@ -483,7 +434,7 @@ func TestRegistryStagedArm(t *testing.T) {
 	ref := rank.NewEngine(core.Scorer(f.candidate), rank.Config{CacheSize: -1})
 	u := 2 // pinned: treatment
 	var got RecommendResponse
-	if st := postJSON(t, f.ts.URL+"/v1/recommend",
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/recommend",
 		RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
@@ -499,7 +450,7 @@ func TestRegistryStagedArm(t *testing.T) {
 	}
 	// The control arm is unstaged: plain top-M of the champion.
 	u = 0 // pinned: control
-	postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got)
 	want := eval.TopM(f.champion, f.train, u, 10, nil)
 	for n, it := range got.Items {
 		if it.Item != want[n] {
@@ -542,7 +493,7 @@ func TestShadowComparisonLogsDiffs(t *testing.T) {
 	users := []int{0, 1, 3} // pinned: all control, so primary=champion vs shadow=candidate
 	for _, u := range users {
 		var got RecommendResponse
-		if st := postJSON(t, f.ts.URL+"/v1/recommend",
+		if st := ranktest.PostJSON(t, f.ts.URL+"/v1/recommend",
 			RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got); st != 200 {
 			t.Fatalf("user %d: status %d", u, st)
 		}
@@ -609,7 +560,7 @@ func TestShadowSampleZeroNeverLogs(t *testing.T) {
 		rc.Tenants["acme"] = acme
 	})
 	for u := 0; u < 32; u++ {
-		postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 5, Tenant: "acme"}, nil)
+		ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 5, Tenant: "acme"}, nil)
 	}
 	f.srv.ShadowFlush()
 	if got := logW.bytes(); len(got) != 0 {
@@ -629,12 +580,12 @@ func TestRegistryPerArmMetrics(t *testing.T) {
 	f := newRegistryServer(t, Config{}, nil)
 	// user 0 → control twice (miss + hit); user 2 → treatment once; one
 	// out-of-range error lands on whatever arm its hash picks.
-	postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 0, M: 5, Tenant: "acme"}, nil)
-	postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 0, M: 5, Tenant: "acme"}, nil)
-	postJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 2, M: 5, Tenant: "acme"}, nil)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 0, M: 5, Tenant: "acme"}, nil)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 0, M: 5, Tenant: "acme"}, nil)
+	ranktest.PostJSON(t, f.ts.URL+"/v1/recommend", RecommendRequest{User: 2, M: 5, Tenant: "acme"}, nil)
 	badUser := 1 << 20
 	badArm, _ := wantArm(badUser)
-	if st := postJSON(t, f.ts.URL+"/v1/recommend",
+	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/recommend",
 		RecommendRequest{User: badUser, M: 5, Tenant: "acme"}, nil); st != 400 {
 		t.Fatalf("out-of-range user: status %d, want 400", st)
 	}
@@ -692,15 +643,10 @@ func TestRegistryPerArmMetrics(t *testing.T) {
 // TestRegistryConfigValidation: misconfigurations abort construction
 // with errors naming the offending entity.
 func TestRegistryConfigValidation(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	model := trainSmall(t, train, 3)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.bin")
-	if err := model.SaveModelFile(path); err != nil {
-		t.Fatal(err)
-	}
+	fx := ranktest.New(t, ranktest.Variant{})
+	path := fx.Path
 	base := func() Config {
-		return Config{ModelPath: path, Train: train}
+		return Config{ModelPath: path, Train: fx.Train}
 	}
 	cases := map[string]*RegistryConfig{
 		"no models": {Tenants: map[string]TenantSpec{}},

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ranktest"
 )
 
 func TestGateAdmissionBounds(t *testing.T) {
@@ -212,7 +214,7 @@ func TestReadyzDrainOrdering(t *testing.T) {
 	// The data path must keep serving while drained — stragglers and
 	// in-flight requests finish normally.
 	var rec RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, &rec); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, &rec); st != 200 {
 		t.Fatalf("during drain: recommend %d, want 200", st)
 	}
 	if len(rec.Items) != 5 {
@@ -236,7 +238,7 @@ func TestServerGateWiredIntoDataPath(t *testing.T) {
 	if !ok {
 		t.Fatal("could not hold the only slot")
 	}
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil); st != 429 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil); st != 429 {
 		t.Fatalf("data path with gate full: status %d, want 429", st)
 	}
 	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
@@ -250,7 +252,7 @@ func TestServerGateWiredIntoDataPath(t *testing.T) {
 		}
 	}
 	rel()
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil); st != 200 {
 		t.Fatalf("data path after release: status %d", st)
 	}
 }

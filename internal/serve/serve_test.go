@@ -5,132 +5,49 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/eval"
 	"repro/internal/explain"
 	"repro/internal/feed"
-	"repro/internal/linalg"
-	"repro/internal/rank"
+	"repro/internal/ranktest"
 	"repro/internal/sparse"
 )
 
-// trainSmall fits a small model for the serving tests; seed varies the
-// factors so reload tests can install a genuinely different model.
-func trainSmall(t testing.TB, train *sparse.Matrix, seed uint64) *core.Model {
-	t.Helper()
-	res, err := core.Train(train, core.Config{K: 8, Lambda: 2, MaxIter: 60, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.Model
-}
-
 var foldInCfg = core.Config{Lambda: 2}
 
-// newTestServer trains on SyntheticSmall, saves the model to a temp file,
-// and serves it — the full train → save → serve lifecycle.
+// newTestServer serves the conformance fixture's model (SyntheticSmall,
+// trained, saved, mmapped — the full train → save → serve lifecycle) under
+// cfg, for the tests that are about something other than ranking.
 func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *core.Model, *sparse.Matrix) {
 	t.Helper()
-	train := dataset.SyntheticSmall(1).Dataset.R
-	model := trainSmall(t, train, 3)
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := model.SaveModelFile(path); err != nil {
-		t.Fatal(err)
-	}
-	cfg.ModelPath = path
-	cfg.Train = train
-	cfg.FoldIn = foldInCfg
-	srv, err := NewFromFile(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return srv, ts, model, train
+	fx := ranktest.New(t, ranktest.Variant{})
+	cfg.ModelPath, cfg.Train, cfg.FoldIn = fx.Path, fx.Train, foldInCfg
+	srv, ts := start(t, NewFromFile, cfg)
+	return srv, ts, fx.Cur.Model, fx.Train
 }
 
-func postJSON(t testing.TB, url string, body any, out any) (status int) {
-	t.Helper()
-	b, err := json.Marshal(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			t.Fatalf("unmarshaling %q: %v", data, err)
-		}
-	}
-	return resp.StatusCode
-}
-
-func TestRecommendMatchesInProcess(t *testing.T) {
-	_, ts, model, train := newTestServer(t, Config{})
-	for _, u := range []int{0, 7, 42, 119} {
-		var got RecommendResponse
-		if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10}, &got); st != 200 {
-			t.Fatalf("user %d: status %d", u, st)
-		}
-		want := eval.TopM(model, train, u, 10, nil)
-		if len(got.Items) != len(want) {
-			t.Fatalf("user %d: got %d items, want %d", u, len(got.Items), len(want))
-		}
-		for n, it := range got.Items {
-			if it.Item != want[n] {
-				t.Errorf("user %d rank %d: got item %d, want %d", u, n, it.Item, want[n])
-			}
-			if p := model.Predict(u, it.Item); it.Score != p {
-				t.Errorf("user %d item %d: score %v, want %v", u, it.Item, it.Score, p)
-			}
-		}
-		if got.ModelVersion != 1 {
-			t.Errorf("user %d: model_version %d, want 1", u, got.ModelVersion)
-		}
-	}
-}
-
+// TestRecommendCacheHit: a repeat feeds the hit rate operators watch.
 func TestRecommendCacheHit(t *testing.T) {
 	srv, ts, _, _ := newTestServer(t, Config{})
-	var first, second RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, &first)
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, &second)
-	if first.Cached {
-		t.Error("first request reported cached=true")
+	for range 2 {
+		ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, nil)
 	}
-	if !second.Cached {
-		t.Error("repeat request reported cached=false")
-	}
-	if fmt.Sprint(first.Items) != fmt.Sprint(second.Items) {
-		t.Errorf("cached list differs: %v vs %v", first.Items, second.Items)
-	}
-	if hr := srv.Metrics().CacheHitRate(); hr <= 0 {
-		t.Errorf("cache hit rate %v, want > 0", hr)
+	if hr := srv.Metrics().CacheHitRate(); hr != 0.5 {
+		t.Errorf("cache hit rate %v after a miss and its repeat, want 0.5", hr)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{CacheSize: -1})
 	var second RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, nil)
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, &second)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, &second)
 	if second.Cached {
 		t.Error("cache disabled but repeat request reported cached=true")
 	}
@@ -147,7 +64,7 @@ func TestFoldInMatchesFoldInUser(t *testing.T) {
 		t.Fatal("user 17 has no training positives")
 	}
 	var got FoldInResponse
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 10}, &got); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 10}, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
 	factor, bias, err := model.FoldInUser(history, foldInCfg)
@@ -191,10 +108,10 @@ func TestFoldInMatchesFoldInUser(t *testing.T) {
 func TestExplainMatchesInProcess(t *testing.T) {
 	_, ts, model, train := newTestServer(t, Config{})
 	var rec RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 9, M: 1}, &rec)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 9, M: 1}, &rec)
 	item := rec.Items[0].Item
 	var got ExplainResponse
-	if st := postJSON(t, ts.URL+"/v1/explain", ExplainRequest{User: 9, Item: item}, &got); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/explain", ExplainRequest{User: 9, Item: item}, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
 	want := explain.Explain(model, train, 9, item, explain.Options{})
@@ -211,45 +128,6 @@ func TestExplainMatchesInProcess(t *testing.T) {
 		if got.Reasons[n].Contribution != reason.Contribution {
 			t.Errorf("reason %d: contribution %v, want %v", n, got.Reasons[n].Contribution, reason.Contribution)
 		}
-	}
-}
-
-func TestBatchMatchesSingle(t *testing.T) {
-	_, ts, _, _ := newTestServer(t, Config{})
-	users := []int{3, 1, 4, 1, 5, 92, 65}
-	var batch BatchResponse
-	if st := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Users: users, M: 5}, &batch); st != 200 {
-		t.Fatalf("status %d", st)
-	}
-	if len(batch.Results) != len(users) {
-		t.Fatalf("%d results, want %d", len(batch.Results), len(users))
-	}
-	for n, u := range users {
-		var single RecommendResponse
-		postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 5}, &single)
-		if batch.Results[n].User != u {
-			t.Errorf("result %d: user %d, want %d (order must be preserved)", n, batch.Results[n].User, u)
-		}
-		if fmt.Sprint(batch.Results[n].Items) != fmt.Sprint(single.Items) {
-			t.Errorf("result %d: batch items %v != single items %v", n, batch.Results[n].Items, single.Items)
-		}
-	}
-}
-
-func TestBatchPartialFailure(t *testing.T) {
-	_, ts, _, _ := newTestServer(t, Config{})
-	var batch BatchResponse
-	if st := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Users: []int{2, 100000, 3}, M: 5}, &batch); st != 200 {
-		t.Fatalf("status %d", st)
-	}
-	if batch.Results[1].Error == "" {
-		t.Error("out-of-range user in batch did not report an error")
-	}
-	if batch.Results[0].Error != "" || len(batch.Results[0].Items) == 0 {
-		t.Error("valid user 2 was not served alongside the failing one")
-	}
-	if batch.Results[2].Error != "" || len(batch.Results[2].Items) == 0 {
-		t.Error("valid user 3 was not served alongside the failing one")
 	}
 }
 
@@ -324,7 +202,7 @@ func TestErrorPaths(t *testing.T) {
 func TestDefaultMRespectsLowCap(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{MaxM: 3})
 	var got RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1}, &got); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1}, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
 	if len(got.Items) != 3 {
@@ -332,50 +210,31 @@ func TestDefaultMRespectsLowCap(t *testing.T) {
 	}
 }
 
+// TestReloadSwapsModelAndCache: a reload bumps the served version, and one
+// that fails changes nothing. (That a reload swaps the lists and empties
+// the cache is the rollout leg of every server the conformance suite
+// registers.)
 func TestReloadSwapsModelAndCache(t *testing.T) {
-	srv, ts, _, train := newTestServer(t, Config{})
-	// Warm the cache on the initial model.
-	var before RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 11, M: 10}, &before)
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 11, M: 10}, &before)
-	if !before.Cached {
-		t.Fatal("expected warm cache before reload")
-	}
-	// Overwrite the model file with a differently-seeded model and reload.
-	next := trainSmall(t, train, 99)
-	if err := next.SaveModelFile(srv.cfg.ModelPath); err != nil {
-		t.Fatal(err)
-	}
+	srv, ts, _, _ := newTestServer(t, Config{})
 	var rl ReloadResponse
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, &rl); st != 200 {
-		t.Fatalf("reload status %d", st)
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, &rl); st != 200 || rl.ModelVersion != 2 {
+		t.Fatalf("reload status %d version %d, want 200 and 2", st, rl.ModelVersion)
 	}
-	if rl.ModelVersion != 2 {
-		t.Errorf("reload version %d, want 2", rl.ModelVersion)
-	}
-	var after RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 11, M: 10}, &after)
-	if after.Cached {
-		t.Error("cache survived the reload (stale recommendations)")
-	}
-	if after.ModelVersion != 2 {
-		t.Errorf("post-reload model_version %d, want 2", after.ModelVersion)
-	}
-	want := eval.TopM(next, train, 11, 10, nil)
-	for n, it := range after.Items {
-		if it.Item != want[n] {
-			t.Fatalf("post-reload rank %d: item %d, want %d (old model still served?)", n, it.Item, want[n])
-		}
-	}
-	// A corrupt model file must fail the reload but keep serving.
-	if err := writeFile(srv.cfg.ModelPath, []byte("garbage")); err != nil {
+	// A corrupt model file must fail the reload but keep serving. (Renamed
+	// into place like any rollout: the served file is mapped, and truncating
+	// it in place would fault the next uncached request.)
+	garbage := srv.cfg.ModelPath + ".garbage"
+	if err := os.WriteFile(garbage, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); st != 500 {
+	if err := os.Rename(garbage, srv.cfg.ModelPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); st != 500 {
 		t.Errorf("corrupt reload status %d, want 500", st)
 	}
 	var still RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 11, M: 10}, &still); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 11, M: 10}, &still); st != 200 {
 		t.Fatalf("serving broken after failed reload: status %d", st)
 	}
 	if still.ModelVersion != 2 {
@@ -383,69 +242,46 @@ func TestReloadSwapsModelAndCache(t *testing.T) {
 	}
 }
 
-func writeFile(path string, data []byte) error {
-	return os.WriteFile(path, data, 0o644)
-}
-
-// TestConcurrentLoadWithReloads hammers the read endpoints from many
-// goroutines while the model is hot-swapped repeatedly. Every request must
-// succeed — a reload may never drop an in-flight request. Run with -race.
-func TestConcurrentLoadWithReloads(t *testing.T) {
-	srv, ts, _, train := newTestServer(t, Config{CacheSize: 256})
-	alt := trainSmall(t, train, 99)
-
-	const (
-		readers         = 8
-		requestsPerGoro = 40
-		reloads         = 20
-	)
+// hammerDuringReloads fires perReader requests from each of 8 readers —
+// request(u, n) is reader's n-th, about user u — while the model file is
+// re-saved and reloaded underneath reloads times, alternating the
+// fixture's two models and, with f32, the float32 section on and off: the
+// rollout the trainer performs (rename a fresh file over the served path,
+// then reload; in-flight requests keep the old inode through their
+// snapshot's mapping). Every request must answer 200 against a consistent
+// snapshot — a reload may never drop an in-flight request. Run with -race.
+func hammerDuringReloads(t *testing.T, cfg Config, perReader, reloads int, f32 bool, request func(u, n int) (path, body string)) *Server {
+	fx := ranktest.New(t, ranktest.Variant{})
+	cfg.ModelPath, cfg.Train, cfg.FoldIn, cfg.CacheSize = fx.Path, fx.Train, foldInCfg, 256
+	srv, ts := start(t, NewFromFile, cfg)
+	const readers = 8
 	var wg sync.WaitGroup
-	errc := make(chan error, readers*requestsPerGoro+reloads)
-	client := ts.Client()
-	do := func(path, body string) {
-		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			errc <- err
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			errc <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-	}
+	errc := make(chan error, readers*perReader+2*reloads)
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for n := 0; n < requestsPerGoro; n++ {
-				u := (g*31 + n) % 120
-				switch n % 3 {
-				case 0:
-					do("/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10}`, u))
-				case 1:
-					do("/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5}`, u, (u+1)%120))
-				case 2:
-					do("/v1/explain", fmt.Sprintf(`{"user": %d, "item": %d}`, u, u%80))
+			for n := 0; n < perReader; n++ {
+				path, body := request((g*31+n)%120, n)
+				resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+				if err != nil {
+					errc <- err
+					continue
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					errc <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
 				}
 			}
-		}(g)
+		}()
 	}
-	// Trained before the goroutine starts: t.Fatal (via trainSmall) must
-	// not run on a non-test goroutine.
-	alt2 := trainSmall(t, train, 3)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for n := 0; n < reloads; n++ {
-			m := alt
-			if n%2 == 1 {
-				m = alt2
-			}
-			// The rollout the trainer performs: rename a fresh file over
-			// the served path, then reload. In-flight requests keep the
-			// old inode through their snapshot's mapping.
-			if err := m.SaveModelFile(srv.cfg.ModelPath); err != nil {
+			m := []*ranktest.Artifact{fx.Next, fx.Cur}[n%2].Model
+			if err := m.SaveModelFileOpts(fx.Path, core.SaveOptions{Float32: f32 && n%2 == 0}); err != nil {
 				errc <- err
 			}
 			if err := srv.ReloadFromFile(); err != nil {
@@ -458,6 +294,22 @@ func TestConcurrentLoadWithReloads(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
+	return srv
+}
+
+// TestConcurrentLoadWithReloads hammers the read endpoints while the model
+// is hot-swapped repeatedly.
+func TestConcurrentLoadWithReloads(t *testing.T) {
+	const reloads = 20
+	srv := hammerDuringReloads(t, Config{}, 40, reloads, false, func(u, n int) (string, string) {
+		switch n % 3 {
+		case 0:
+			return "/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10}`, u)
+		case 1:
+			return "/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5}`, u, (u+1)%120)
+		}
+		return "/v1/explain", fmt.Sprintf(`{"user": %d, "item": %d}`, u, u%80)
+	})
 	if v := srv.Version(); v != 1+reloads {
 		t.Errorf("version %d after %d reloads, want %d", v, reloads, 1+reloads)
 	}
@@ -481,8 +333,8 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Errorf("healthz = %+v", health)
 	}
 
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil)
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1, M: 5}, nil)
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -521,37 +373,14 @@ func TestHealthzAndMetrics(t *testing.T) {
 	}
 }
 
-// testItemTags tags the 80-item synthetic catalogue: "even" marks the
-// even items, "low" the first half, "rare" items 1 and 79.
-func testItemTags(t testing.TB, numItems int) *rank.TagTable {
-	t.Helper()
-	var b strings.Builder
-	for i := 0; i < numItems; i++ {
-		fmt.Fprintf(&b, "%d,item-%d", i, i)
-		if i%2 == 0 {
-			b.WriteString(",even")
-		}
-		if i < numItems/2 {
-			b.WriteString(",low")
-		}
-		if i == 1 || i == numItems-1 {
-			b.WriteString(",rare")
-		}
-		b.WriteByte('\n')
-	}
-	tab, err := rank.LoadTagTable(strings.NewReader(b.String()), numItems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tab
-}
-
 // TestFilteredRecommend: a /v1/recommend with exclude_items and a tag
 // filter must round-trip with correct results — excluded and deny-tagged
-// items absent, training positives still excluded, scores untouched — and
-// the filtered list must be cacheable under its own fingerprint.
+// items absent, training positives still excluded, scores untouched —
+// against exclusions worked out by hand, not by the rank package. (That a
+// filtered list is cached under its own fingerprint is the conformance
+// suite's: its "plain" and "filtered" cases differ in the filters alone.)
 func TestFilteredRecommend(t *testing.T) {
-	_, ts, model, train := newTestServer(t, Config{ItemTags: testItemTags(t, 80)})
+	_, ts, model, train := newTestServer(t, Config{ItemTags: ranktest.Tags(t, 80)})
 	const user = 7
 	req := RecommendRequest{
 		User:         user,
@@ -560,7 +389,7 @@ func TestFilteredRecommend(t *testing.T) {
 		Filter:       &FilterSpec{DenyTags: []string{"rare"}, AllowTags: []string{"low", "even"}},
 	}
 	var got RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", req, &got); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", req, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
 	if len(got.Items) != 10 {
@@ -595,38 +424,17 @@ func TestFilteredRecommend(t *testing.T) {
 			t.Errorf("ranking not descending at %d", n)
 		}
 	}
-	if got.Cached {
-		t.Error("first filtered request reported cached")
-	}
-	// The filtered request is cacheable under its own key...
-	var again RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", req, &again)
-	if !again.Cached {
-		t.Error("repeat filtered request missed the cache")
-	}
-	if fmt.Sprint(again.Items) != fmt.Sprint(got.Items) {
-		t.Errorf("cached filtered list differs: %v vs %v", again.Items, got.Items)
-	}
-	// ...and never collides with the unfiltered (user, m) entry.
-	var plain RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: user, M: 10}, &plain)
-	if plain.Cached {
-		t.Error("unfiltered request hit the filtered entry")
-	}
-	if fmt.Sprint(plain.Items) == fmt.Sprint(got.Items) {
-		t.Error("unfiltered and filtered lists are identical (filters ignored?)")
-	}
 }
 
 func TestFilteredFoldInAndBatch(t *testing.T) {
-	_, ts, _, train := newTestServer(t, Config{ItemTags: testItemTags(t, 80)})
+	_, ts, _, train := newTestServer(t, Config{ItemTags: ranktest.Tags(t, 80)})
 	history := []int{}
 	for _, i := range train.Row(17) {
 		history = append(history, int(i))
 	}
 	var fr FoldInResponse
 	req := FoldInRequest{Items: history, M: 8, Filter: &FilterSpec{DenyTags: []string{"even"}}}
-	if st := postJSON(t, ts.URL+"/v1/foldin", req, &fr); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", req, &fr); st != 200 {
 		t.Fatalf("foldin status %d", st)
 	}
 	hist := make(map[int]bool)
@@ -641,43 +449,13 @@ func TestFilteredFoldInAndBatch(t *testing.T) {
 			t.Errorf("deny-tagged even item %d served", it.Item)
 		}
 	}
-	// Batch applies the filters to every user.
-	var br BatchResponse
-	breq := BatchRequest{Users: []int{3, 9}, M: 6, ExcludeItems: []int{10, 11}, Filter: &FilterSpec{AllowTags: []string{"low"}}}
-	if st := postJSON(t, ts.URL+"/v1/batch", breq, &br); st != 200 {
-		t.Fatalf("batch status %d", st)
-	}
-	for n, res := range br.Results {
-		if res.Error != "" {
-			t.Fatalf("result %d: %s", n, res.Error)
-		}
-		for _, it := range res.Items {
-			if it.Item == 10 || it.Item == 11 || it.Item >= 40 {
-				t.Errorf("user %d: item %d violates the batch filters", res.User, it.Item)
-			}
-		}
-	}
-	// A single-user batch takes the inline path and must behave the same.
-	var one BatchResponse
-	if st := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Users: []int{3}, M: 6}, &one); st != 200 {
-		t.Fatalf("single-user batch status %d", st)
-	}
-	var single RecommendResponse
-	postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 6}, &single)
-	if fmt.Sprint(one.Results[0].Items) != fmt.Sprint(single.Items) {
-		t.Errorf("single-user batch items %v != recommend items %v", one.Results[0].Items, single.Items)
-	}
 }
 
+// TestFilterErrors: filter mistakes are client errors on every endpoint
+// that takes a filter. (A tag filter with no table configured is
+// TestBatchCodecSeam's.)
 func TestFilterErrors(t *testing.T) {
-	_, tsNoTags, _, _ := newTestServer(t, Config{})
-	// Tag filters without a configured table are a client error, not a
-	// silent no-op.
-	if st := postJSON(t, tsNoTags.URL+"/v1/recommend",
-		RecommendRequest{User: 1, M: 5, Filter: &FilterSpec{AllowTags: []string{"low"}}}, nil); st != 400 {
-		t.Errorf("tag filter without table: status %d, want 400", st)
-	}
-	_, ts, _, _ := newTestServer(t, Config{ItemTags: testItemTags(t, 80)})
+	_, ts, _, _ := newTestServer(t, Config{ItemTags: ranktest.Tags(t, 80)})
 	cases := []struct {
 		name string
 		req  any
@@ -690,7 +468,7 @@ func TestFilterErrors(t *testing.T) {
 		{"batch exclude out of range", BatchRequest{Users: []int{1}, M: 5, ExcludeItems: []int{4000}}, "/v1/batch"},
 	}
 	for _, c := range cases {
-		if st := postJSON(t, ts.URL+c.path, c.req, nil); st != 400 {
+		if st := ranktest.PostJSON(t, ts.URL+c.path, c.req, nil); st != 400 {
 			t.Errorf("%s: status %d, want 400", c.name, st)
 		}
 	}
@@ -747,85 +525,23 @@ func TestCoalescingObservable(t *testing.T) {
 }
 
 // TestConcurrentFilteredReloads fires filtered requests (exclude_items +
-// tag filters) from many goroutines while the model is hot-swapped
-// repeatedly. Every request must succeed against a consistent snapshot.
-// Run with -race.
+// tag filters) while the model is hot-swapped repeatedly.
 func TestConcurrentFilteredReloads(t *testing.T) {
-	srv, ts, _, train := newTestServer(t, Config{CacheSize: 256, ItemTags: testItemTags(t, 80)})
-	alt := trainSmall(t, train, 99)
-
-	const (
-		readers         = 8
-		requestsPerGoro = 30
-		reloads         = 15
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, readers*requestsPerGoro+reloads)
-	client := ts.Client()
-	do := func(path, body string) {
-		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			errc <- err
-			return
+	hammerDuringReloads(t, Config{ItemTags: ranktest.Tags(t, 80)}, 30, 15, true, func(u, n int) (string, string) {
+		switch n % 3 {
+		case 0:
+			return "/v1/recommend", fmt.Sprintf(
+				`{"user": %d, "m": 10, "exclude_items": [%d, %d], "filter": {"deny_tags": ["rare"]}}`, u, u%80, (u+3)%80)
+		case 1:
+			return "/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10, "filter": {"allow_tags": ["low", "even"]}}`, u)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			errc <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-	}
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < requestsPerGoro; n++ {
-				u := (g*31 + n) % 120
-				switch n % 3 {
-				case 0:
-					do("/v1/recommend", fmt.Sprintf(
-						`{"user": %d, "m": 10, "exclude_items": [%d, %d], "filter": {"deny_tags": ["rare"]}}`,
-						u, u%80, (u+3)%80))
-				case 1:
-					do("/v1/recommend", fmt.Sprintf(
-						`{"user": %d, "m": 10, "filter": {"allow_tags": ["low", "even"]}}`, u))
-				case 2:
-					do("/v1/batch", fmt.Sprintf(
-						`{"users": [%d, %d], "m": 5, "exclude_items": [%d]}`, u, (u+1)%120, u%80))
-				}
-			}
-		}(g)
-	}
-	alt2 := trainSmall(t, train, 3)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 0; n < reloads; n++ {
-			m := alt
-			if n%2 == 1 {
-				m = alt2
-			}
-			if err := m.SaveModelFileOpts(srv.cfg.ModelPath, core.SaveOptions{Float32: n%2 == 0}); err != nil {
-				errc <- err
-				return
-			}
-			if err := srv.ReloadFromFile(); err != nil {
-				errc <- err
-			}
-		}
-	}()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
+		return "/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5, "exclude_items": [%d]}`, u, (u+1)%120, u%80)
+	})
 }
 
 func TestServerRejectsShapeMismatch(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := trainSmall(t, train, 3).SaveModelFile(path); err != nil {
-		t.Fatal(err)
-	}
+	fx := ranktest.New(t, ranktest.Variant{})
+	train, path := fx.Train, fx.Path
 	// A model over a different item count than the exclusion matrix.
 	bigger := sparse.NewBuilder(train.Rows(), train.Cols()+1).Build()
 	if _, err := NewFromFile(Config{ModelPath: path, Train: bigger}); err == nil {
@@ -845,7 +561,7 @@ func TestServerRejectsShapeMismatch(t *testing.T) {
 			narrow.Add(r, c)
 		}
 	})
-	if err := trainSmall(t, narrow.Build(), 3).SaveModelFile(path); err != nil {
+	if err := ranktest.Train(t, narrow.Build(), 3).SaveModelFile(path); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.ReloadFromFile(); err == nil {
@@ -860,11 +576,7 @@ func TestServerRejectsShapeMismatch(t *testing.T) {
 // misconfigured server fails fast instead of silently serving empty lists
 // (MaxM), rejecting all batches (MaxBatch), or panicking under load.
 func TestNewRejectsBadConfig(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := trainSmall(t, train, 3).SaveModelFile(path); err != nil {
-		t.Fatal(err)
-	}
+	path := ranktest.New(t, ranktest.Variant{}).Path
 	cases := map[string]Config{
 		"negative MaxM":         {MaxM: -1},
 		"negative MaxBatch":     {MaxBatch: -5},
@@ -899,10 +611,10 @@ func TestFoldInCanonicalizesHistory(t *testing.T) {
 		messy = append(messy, history[n], history[n])
 	}
 	var canonical, fromMessy FoldInResponse
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 10}, &canonical); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 10}, &canonical); st != 200 {
 		t.Fatalf("canonical request: status %d", st)
 	}
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: messy, M: 10}, &fromMessy); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: messy, M: 10}, &fromMessy); st != 200 {
 		t.Fatalf("messy request: status %d", st)
 	}
 	for c := range canonical.Factor {
@@ -929,15 +641,16 @@ func TestFoldInCanonicalizesHistory(t *testing.T) {
 	}
 	// Out-of-range items are rejected before any solver work.
 	for _, bad := range [][]int{{-1}, {1 << 30}, {0, -7, 3}} {
-		if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: bad, M: 5}, nil); st != 400 {
+		if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: bad, M: 5}, nil); st != 400 {
 			t.Errorf("history %v: status %d, want 400", bad, st)
 		}
 	}
 }
 
 // TestServeMapped asserts the serving stack actually runs on the mmap
-// path for a v2 file (the default save format), and that the float32
-// variant serves scores within the documented quantization bound.
+// path for a v2 file (the default save format) and reports the float32
+// section where the file has one. (That the float32 variant ranks within
+// its quantization bound is the conformance suite's, on the F32 fixtures.)
 func TestServeMapped(t *testing.T) {
 	srv, _, _, _ := newTestServer(t, Config{})
 	if mapped, f32 := srv.ServingMode(); !mapped || f32 {
@@ -945,34 +658,11 @@ func TestServeMapped(t *testing.T) {
 	}
 
 	// Save with the float32 section and serve from it.
-	train := dataset.SyntheticSmall(1).Dataset.R
-	model := trainSmall(t, train, 3)
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := model.SaveModelFileOpts(path, core.SaveOptions{Float32: true}); err != nil {
-		t.Fatal(err)
-	}
-	srv32, err := NewFromFile(Config{ModelPath: path, Train: train, FoldIn: foldInCfg})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := ranktest.New(t, ranktest.Variant{F32: true})
+	model, train := fx.Cur.Model, fx.Train
+	srv32, ts := start(t, NewFromFile, Config{ModelPath: fx.Path, Train: train, FoldIn: foldInCfg})
 	if mapped, f32 := srv32.ServingMode(); !mapped || !f32 {
 		t.Fatalf("f32 v2 file: mapped=%v float32=%v, want both true", mapped, f32)
-	}
-	ts := httptest.NewServer(srv32.Handler())
-	defer ts.Close()
-	var got RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 7, M: 10}, &got); st != 200 {
-		t.Fatalf("status %d", st)
-	}
-	if len(got.Items) != 10 {
-		t.Fatalf("got %d items, want 10", len(got.Items))
-	}
-	bound := linalg.ScoreErrorBoundF32(model.K())
-	for _, it := range got.Items {
-		want := model.Predict(7, it.Item)
-		if d := math.Abs(it.Score - want); d > bound {
-			t.Errorf("item %d: f32 score %v vs f64 %v (off by %g, bound %g)", it.Item, it.Score, want, d, bound)
-		}
 	}
 	// healthz reports the serving mode.
 	resp, err := http.Get(ts.URL + "/healthz")
@@ -996,7 +686,7 @@ func TestServeMapped(t *testing.T) {
 		history = append(history, int(i))
 	}
 	var fr FoldInResponse
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 5}, &fr); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: history, M: 5}, &fr); st != 200 {
 		t.Fatalf("foldin status %d", st)
 	}
 	factor, bias, err := model.FoldInUser(history, foldInCfg)
@@ -1015,72 +705,15 @@ func TestServeMapped(t *testing.T) {
 
 // TestConcurrentFileReloadsV2 hammers /v1/recommend and /v1/batch while
 // v2 model files (alternating float32 section on/off) are re-saved and
-// re-mmapped underneath. Every request must succeed against a consistent
-// snapshot; old mappings must stay valid for requests pinned to them.
-// Run with -race.
+// re-mmapped underneath; old mappings must stay valid for requests pinned
+// to them.
 func TestConcurrentFileReloadsV2(t *testing.T) {
-	srv, ts, _, train := newTestServer(t, Config{CacheSize: 256})
-	alt := trainSmall(t, train, 99)
-
-	const (
-		readers         = 8
-		requestsPerGoro = 30
-		reloads         = 15
-	)
-	var wg sync.WaitGroup
-	errc := make(chan error, readers*requestsPerGoro+reloads)
-	client := ts.Client()
-	do := func(path, body string) {
-		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			errc <- err
-			return
+	srv := hammerDuringReloads(t, Config{}, 30, 15, true, func(u, n int) (string, string) {
+		if n%2 == 0 {
+			return "/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10}`, u)
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			errc <- fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-	}
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for n := 0; n < requestsPerGoro; n++ {
-				u := (g*31 + n) % 120
-				if n%2 == 0 {
-					do("/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10}`, u))
-				} else {
-					do("/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5}`, u, (u+1)%120))
-				}
-			}
-		}(g)
-	}
-	// Both models are trained before the goroutines start: t.Fatal (via
-	// trainSmall) must not run on a non-test goroutine.
-	alt2 := trainSmall(t, train, 3)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for n := 0; n < reloads; n++ {
-			m := alt
-			if n%2 == 1 {
-				m = alt2
-			}
-			if err := m.SaveModelFileOpts(srv.cfg.ModelPath, core.SaveOptions{Float32: n%2 == 0}); err != nil {
-				errc <- err
-				return
-			}
-			if err := srv.ReloadFromFile(); err != nil {
-				errc <- err
-			}
-		}
-	}()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
+		return "/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5}`, u, (u+1)%120)
+	})
 	if mapped, _ := srv.ServingMode(); !mapped {
 		t.Error("server not on the mmap path after file reloads")
 	}
@@ -1101,7 +734,7 @@ func TestIngestAppendsToFeed(t *testing.T) {
 	_, ts, model, _ := newTestServer(t, Config{Feed: log})
 
 	var resp IngestResponse
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 3, "items": []int{1, 2}}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 3, "items": []int{1, 2}}, &resp); st != 200 {
 		t.Fatalf("ingest status %d", st)
 	}
 	if resp.Appended != 2 || resp.FeedPositives != 2 {
@@ -1114,7 +747,7 @@ func TestIngestAppendsToFeed(t *testing.T) {
 		{"user": newUser, "item": newItem},
 		{"user": 0, "item": 0},
 	}}
-	if st := postJSON(t, ts.URL+"/v1/ingest", req, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", req, &resp); st != 200 {
 		t.Fatalf("ingest events status %d", st)
 	}
 	if resp.Appended != 2 || resp.FeedPositives != 4 {
@@ -1152,7 +785,7 @@ func TestIngestAppendsToFeed(t *testing.T) {
 		"event missing user":   {"events": []map[string]int{{"item": 61}}}, // must not default to user 0
 		"event missing item":   {"events": []map[string]int{{"user": 61}}},
 	} {
-		if st := postJSON(t, ts.URL+"/v1/ingest", bad, nil); st != 400 {
+		if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", bad, nil); st != 400 {
 			t.Errorf("ingest %s: status %d, want 400", name, st)
 		}
 	}
@@ -1165,7 +798,7 @@ func TestIngestAppendsToFeed(t *testing.T) {
 func TestIngestWithoutFeedRejected(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{})
 	var resp map[string]string
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 1, "items": []int{2}}, &resp); st != http.StatusServiceUnavailable {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 1, "items": []int{2}}, &resp); st != http.StatusServiceUnavailable {
 		t.Fatalf("ingest without feed: status %d, want 503", st)
 	}
 	if !strings.Contains(resp["error"], "feed") {
@@ -1189,12 +822,12 @@ func getJSON(t testing.TB, url string, out any) {
 // new version, serving mode — without a second /healthz round trip.
 func TestReloadHandshake(t *testing.T) {
 	srv, ts, _, train := newTestServer(t, Config{})
-	model2 := trainSmall(t, train, 99)
+	model2 := ranktest.Train(t, train, 99)
 	if err := model2.SaveModelFileOpts(srv.cfg.ModelPath, core.SaveOptions{Float32: true}); err != nil {
 		t.Fatal(err)
 	}
 	var resp ReloadResponse
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
 		t.Fatalf("reload status %d", st)
 	}
 	if resp.ModelVersion != 2 {
@@ -1226,10 +859,10 @@ func TestFoldInUnknownItemsDropped(t *testing.T) {
 	// exactly as if they were never sent.
 	mixed := append([]int{model.NumItems(), model.NumItems() + 7}, valid...)
 	var want, got FoldInResponse
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: valid, M: 5}, &want); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: valid, M: 5}, &want); st != 200 {
 		t.Fatalf("valid history: status %d", st)
 	}
-	if st := postJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: mixed, M: 5}, &got); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: mixed, M: 5}, &got); st != 200 {
 		t.Fatalf("mixed history: status %d", st)
 	}
 	if fmt.Sprint(got.Factor) != fmt.Sprint(want.Factor) || fmt.Sprint(got.Items) != fmt.Sprint(want.Items) {
@@ -1239,7 +872,7 @@ func TestFoldInUnknownItemsDropped(t *testing.T) {
 	// A history with nothing inside the catalogue: 400 with a clear
 	// message, not a silently scored zero vector.
 	var errResp map[string]string
-	st := postJSON(t, ts.URL+"/v1/foldin",
+	st := ranktest.PostJSON(t, ts.URL+"/v1/foldin",
 		FoldInRequest{Items: []int{model.NumItems(), model.NumItems() + 3}, M: 5}, &errResp)
 	if st != 400 {
 		t.Fatalf("all-unknown history: status %d, want 400", st)
@@ -1271,7 +904,7 @@ func TestReloadGrownModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp ReloadResponse
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
 		t.Fatalf("reload of grown model: status %d", st)
 	}
 	if resp.ModelVersion != 2 {
@@ -1279,7 +912,7 @@ func TestReloadGrownModel(t *testing.T) {
 	}
 	// A user beyond the configured matrix serves with no exclusions.
 	var rec RecommendResponse
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: newUser, M: 5}, &rec); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: newUser, M: 5}, &rec); st != 200 {
 		t.Fatalf("recommend for grown user: status %d", st)
 	}
 	if len(rec.Items) != 5 || rec.ModelVersion != 2 {
@@ -1291,7 +924,7 @@ func TestReloadGrownModel(t *testing.T) {
 	for _, i := range train.Row(u) {
 		excluded[int(i)] = true
 	}
-	if st := postJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10}, &rec); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: u, M: 10}, &rec); st != 200 {
 		t.Fatalf("recommend for old user: status %d", st)
 	}
 	for _, it := range rec.Items {
@@ -1302,7 +935,7 @@ func TestReloadGrownModel(t *testing.T) {
 	// Reloading again at the same grown shape reuses the padded matrix
 	// (and its transpose) instead of rebuilding O(nnz) state per reload.
 	padded := srv.snap.Load().train
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, &resp); st != 200 {
 		t.Fatalf("second grown reload: status %d", st)
 	}
 	if srv.snap.Load().train != padded {
@@ -1333,7 +966,7 @@ func TestExplainDuringGrownReloadRace(t *testing.T) {
 					return
 				default:
 				}
-				st := postJSON(t, ts.URL+"/v1/explain",
+				st := ranktest.PostJSON(t, ts.URL+"/v1/explain",
 					ExplainRequest{User: (g*13 + n) % train.Rows(), Item: n % train.Cols()}, nil)
 				if st != 200 {
 					t.Errorf("explain status %d", st)
@@ -1374,16 +1007,16 @@ func TestIngestGrowthHeadroom(t *testing.T) {
 	defer log.Close()
 	_, ts, model, _ := newTestServer(t, Config{Feed: log, MaxIngestGrowth: 8})
 	nu, ni := model.NumUsers(), model.NumItems()
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 7, "items": []int{ni + 7}}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 7, "items": []int{ni + 7}}, nil); st != 200 {
 		t.Errorf("within headroom: status %d, want 200", st)
 	}
 	var errResp map[string]string
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 8, "items": []int{0}}, &errResp); st != 400 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 8, "items": []int{0}}, &errResp); st != 400 {
 		t.Errorf("user beyond headroom: status %d, want 400", st)
 	} else if !strings.Contains(errResp["error"], "headroom") {
 		t.Errorf("error %q does not mention the growth headroom", errResp["error"])
 	}
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 0, "items": []int{ni + 8}}, nil); st != 400 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 0, "items": []int{ni + 8}}, nil); st != 400 {
 		t.Errorf("item beyond headroom: status %d, want 400", st)
 	}
 	if got := log.Count(); got != 1 {
@@ -1418,10 +1051,10 @@ func TestMaxBodyEnforcedEverywhere(t *testing.T) {
 		}
 	}
 	// A small body still reloads fine.
-	if st := postJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/reload", struct{}{}, nil); st != 200 {
 		t.Errorf("small-body reload: status %d, want 200", st)
 	}
-	if st := postJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 1, "items": []int{2}}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 1, "items": []int{2}}, nil); st != 200 {
 		t.Errorf("small-body ingest: status %d, want 200", st)
 	}
 }

@@ -57,7 +57,8 @@ func NewShardFromFile(cfg Config) (*Server, error) {
 // integer milliseconds — the router stamps it on every shard call from
 // the attempt context's deadline. A shard receiving it aborts work whose
 // budget has already expired (504) instead of scoring for a caller that
-// stopped listening. Absent or malformed, no deadline applies.
+// stopped listening. Absent, malformed or above an hour, no deadline
+// applies.
 const DeadlineHeader = "X-Ocular-Deadline-Ms"
 
 // StampShardCall sets the headers every outgoing shard call carries: the
@@ -80,10 +81,13 @@ func StampShardCall(ctx context.Context, h http.Header) {
 // deadline at arrival time; the zero time means none applies. Network
 // transit already spent part of the budget the router computed, so the
 // resolved deadline errs late — the check is a work-shedding
-// optimization, never a correctness gate.
+// optimization, never a correctness gate. A budget above an hour is no
+// deadline at all, like a malformed one: unchecked, anything from about
+// 9.2e12 ms up wraps time.Duration negative and would shed the request of
+// a caller that granted an effectively unlimited budget.
 func deadlineFromHeader(r *http.Request) time.Time {
 	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
-	if err != nil {
+	if err != nil || ms > int64(time.Hour/time.Millisecond) {
 		return time.Time{}
 	}
 	return time.Now().Add(time.Duration(ms) * time.Millisecond)

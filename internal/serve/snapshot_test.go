@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/rank"
+	"repro/internal/ranktest"
 )
 
 // The model seam: every snapshot — the default model, a registry model, a
@@ -21,27 +20,48 @@ import (
 // alone decides (the Model view, the cache, filter rebasing) and what the
 // server's role decides (route set, health keys), on the very file.
 
+// snapshotRanker ranks through rankOne on sn — the one rank call under
+// every endpoint, stripped of every endpoint — with the range's local item
+// ids rebased to global.
+func snapshotRanker(srv *Server, sn *snapshot) ranktest.RankFunc {
+	return func(t testing.TB, c *ranktest.Case) ranktest.Answer {
+		var spec *FilterSpec
+		if len(c.Allow)+len(c.Deny) > 0 {
+			spec = &FilterSpec{AllowTags: c.Allow, DenyTags: c.Deny}
+		}
+		extra, err := srv.requestFilters(sn, c.Exclude, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans := ranktest.Answer{Status: 200}
+		for _, u := range c.Users {
+			items, scores, cached, err := srv.rankOne(nil, route{sn: sn}, u, c.M, extra)
+			l := ranktest.List{Scores: scores, Cached: cached}
+			if err != nil {
+				l.Err = err.Error()
+			}
+			for _, it := range items {
+				l.Items = append(l.Items, it+sn.rng.ItemLo())
+			}
+			ans.Lists = append(ans.Lists, l)
+		}
+		return ans
+	}
+}
+
 // TestOpenSnapshotOverRanges opens one file as [0, items), [0, -1), [a, b)
-// and [a, -1), with and without bias and the float32 section.
+// and [a, -1), with and without bias and the float32 section, and
+// registers every opened range with the conformance suite: a
+// whole-catalogue range ranks the catalogue and answers a repeat from its
+// cache; a partition ranks its own items under rebased filters, cacheless.
 func TestOpenSnapshotOverRanges(t *testing.T) {
-	train := dataset.SyntheticSmall(1).Dataset.R
-	for _, v := range []struct{ bias, f32 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-		t.Run(fmt.Sprintf("bias=%v_f32=%v", v.bias, v.f32), func(t *testing.T) {
-			res, err := core.Train(train, core.Config{K: 8, Lambda: 2, MaxIter: 30, Seed: 3, Bias: v.bias})
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := res.Model
-			path := filepath.Join(t.TempDir(), "model.bin")
-			if err := model.SaveModelFileOpts(path, core.SaveOptions{Float32: v.f32}); err != nil {
-				t.Fatal(err)
-			}
-			tags := testItemTags(t, model.NumItems())
-			srv, err := NewFromFile(Config{ModelPath: path, Train: train, ItemTags: tags, CacheSize: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			deny, err := tags.Deny("rare")
+	for _, v := range ranktest.Variants {
+		t.Run(v.String(), func(t *testing.T) {
+			fx := ranktest.New(t, v)
+			model, train, path := fx.Cur.Model, fx.Train, fx.Path
+			cfg := conformConfig(fx)
+			cfg.CacheSize = 64
+			srv, err := NewFromFile(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,33 +101,25 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 				if r.whole {
 					wantDesc = model.String()
 				}
-				if desc != wantDesc || !mapped || f32 != v.f32 {
-					t.Errorf("%s: servingMode = (%q, %v, %v), want (%q, true, %v)", name, desc, mapped, f32, wantDesc, v.f32)
+				if desc != wantDesc || !mapped || f32 != v.F32 {
+					t.Errorf("%s: servingMode = (%q, %v, %v), want (%q, true, %v)", name, desc, mapped, f32, wantDesc, v.F32)
 				}
-				// Cache and rebasing, on the filter stack of a real request
-				// (training row, exclude list, tag filter): a whole-catalogue
-				// range passes the keyed filters through and answers the
-				// repeat from its cache; a partition rebases them and never
-				// caches.
-				extra := []rank.Filter{rank.ExcludeItems([]int{r.lo, r.wantHi - 1}), deny}
-				first, _, cached := sn.engine.TopM(7, 5, userFilters(sn, 7, extra)...)
-				if cached || len(first) != 5 {
-					t.Fatalf("%s: first ranking: %d items, cached %v", name, len(first), cached)
-				}
-				again, _, cached := sn.engine.TopM(7, 5, userFilters(sn, 7, extra)...)
-				if cached != r.whole || (sn.engine.CacheLen() > 0) != r.whole {
-					t.Errorf("%s: repeat cached = %v with %d cache entries, want cached = %v",
-						name, cached, sn.engine.CacheLen(), r.whole)
-				}
+				t.Run(name, func(t *testing.T) {
+					impl := &ranktest.Ranker{Rank: snapshotRanker(srv, sn), Cache: r.whole}
+					if !r.whole {
+						impl.Lo, impl.Hi = r.lo, r.wantHi
+					}
+					ranktest.Conformance(t, fx, impl)
+					if (sn.engine.CacheLen() > 0) != r.whole {
+						t.Errorf("%d cache entries, want a cache only over the whole catalogue", sn.engine.CacheLen())
+					}
+				})
+				// A whole-catalogue range passes the keyed filters through:
 				// 2 = the stack's slice and the training-row filter; each
 				// OffsetRange wrapper would add to it.
+				extra := []rank.Filter{rank.ExcludeItems([]int{r.lo, r.wantHi - 1})}
 				if allocs := testing.AllocsPerRun(10, func() { userFilters(sn, 7, extra) }); r.whole && allocs > 2 {
 					t.Errorf("%s: the filter stack costs %v allocations, want 2 (no rebasing wrapper)", name, allocs)
-				}
-				for n := range first {
-					if again[n] != first[n] || first[n] < 0 || first[n] >= sn.rng.Len() {
-						t.Errorf("%s: rank %d: item %d then %d, outside the range's %d local ids", name, n, first[n], again[n], sn.rng.Len())
-					}
 				}
 			}
 
@@ -182,7 +194,7 @@ func TestReloadReportsItsOwnSnapshot(t *testing.T) {
 		}
 		// The overlapping reload installs a float32 file, so version and
 		// serving mode both differ from what the first one installed.
-		if err := trainSmall(t, f.train, 99).SaveModelFileOpts(c.path, core.SaveOptions{Float32: true}); err != nil {
+		if err := ranktest.Train(t, f.train, 99).SaveModelFileOpts(c.path, core.SaveOptions{Float32: true}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.reload(); err != nil {
