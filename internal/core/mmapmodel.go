@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sync"
 	"unsafe"
 
 	"repro/internal/linalg"
@@ -52,6 +53,14 @@ var ErrLegacyFormat = errors.New("legacy v1 model format is no longer supported 
 // windows are rounded down to page boundaries, as mmap requires, with the
 // sub-page remainder skipped in the returned views.
 //
+// The one thing a range builds is its support index, and lazily: the first
+// ScoreCandidates call on a model without bias reads the range's item
+// factors once and keeps, per co-cluster, the ids of the items with a
+// positive factor on it — 4 bytes of heap per positive factor entry (under
+// 1 % of the section on a sparse catalogue, a few per cent on a dense one),
+// nothing in the file. A range that is only ever swept (ScoreItems) never
+// builds it.
+//
 // When the file carries a float32 section, ScoreItems streams it instead
 // of the float64 factors — half the memory traffic per scored user, with
 // the reported probability off by at most linalg.ScoreErrorBoundF32(K) =
@@ -86,6 +95,12 @@ type MappedModelRange struct {
 	// the range is the whole catalogue. It points back at the range
 	// (Model.pin), so holding either one keeps the mappings alive.
 	view *Model
+
+	// support is the support index ScoreCandidates merges, built on first
+	// use (supportLists); nil until then, and for good when the range
+	// cannot be ranked from it.
+	supportOnce sync.Once
+	support     [][]int32
 
 	cleanup runtime.Cleanup
 }

@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
@@ -65,5 +67,41 @@ func BenchmarkRankCoalesced(b *testing.B) {
 	if r := reqs.Load(); r > 0 {
 		b.ReportMetric(float64(stats.Ranked())/float64(r), "computes/req")
 		b.ReportMetric(float64(stats.Coalesced())/float64(r), "coalesced/req")
+	}
+}
+
+// BenchmarkRankCandidateShare is where core's maxCandidateShare comes
+// from: one uncached top-20 under the training-row filter, ranked from the
+// support index ("support") and by the full sweep ("sweep"), on the sparse
+// planted catalogue (a user's support reaches about 1 % of the items) and
+// on the dense SyntheticMovieLens preset at K=50 (about a third). swept/op
+// is the share of users the support path declined — those beyond the
+// crossover, whom both rows sweep.
+func BenchmarkRankCandidateShare(b *testing.B) {
+	for _, cat := range []struct {
+		name  string
+		train func() *sparse.Matrix
+		cfg   core.Config
+	}{
+		{"planted_K16", func() *sparse.Matrix { return plantedSparse(b) }, core.Config{K: 16, Lambda: 5, MaxIter: 40, Seed: 1}},
+		{"movielens_K50", func() *sparse.Matrix { return dataset.SyntheticMovieLens(1).R }, core.Config{K: 50, Lambda: 5, MaxIter: 40, Seed: 1}},
+	} {
+		train := cat.train()
+		mapped := trainMapped(b, train, cat.cfg)
+		for _, path := range []struct {
+			name   string
+			scorer Scorer
+		}{{"support", mapped}, {"sweep", SweepOnly{mapped}}} {
+			b.Run(cat.name+"/"+path.name, func(b *testing.B) {
+				e := NewEngine(path.scorer, Config{})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					u := i % train.Rows()
+					e.TopM(u, 20, TrainRow(train, u))
+				}
+				b.ReportMetric(float64(e.Stats().Swept())/float64(b.N), "swept/op")
+			})
+		}
 	}
 }

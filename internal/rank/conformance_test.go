@@ -14,32 +14,83 @@ import (
 // saved file's scorer under the suite's own filter stack, so what is held
 // to the reference is the engine: flattening, selection, stages, cache.
 
-// engineFor opens the fixture's served file behind a caching engine.
-func engineFor(t *testing.T, fx *ranktest.Fixture) *rank.Engine {
+// engineFor opens the item range [lo, hi) of the fixture's served file
+// behind a caching engine, swept-only or with the fast path.
+func engineFor(t testing.TB, fx *ranktest.Fixture, lo, hi int, sweep bool, stats *rank.Stats) (*rank.Engine, *core.MappedModelRange) {
 	t.Helper()
-	mapped, err := core.OpenMappedModel(fx.Path)
+	rr, err := core.OpenMappedModelRange(fx.Path, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = mapped.Close() })
-	return rank.NewEngine(mapped, rank.Config{CacheSize: 256})
+	t.Cleanup(func() { _ = rr.Close() })
+	var scorer rank.Scorer = rank.MappedScorer{MappedModelRange: rr}
+	if sweep {
+		scorer = rank.SweepOnly{Scorer: scorer}
+	}
+	return rank.NewEngine(scorer, rank.Config{CacheSize: 256, Stats: stats}), rr
 }
 
+// TestConformanceEngineTopM registers the engine twice over every file
+// format, staged and not, over the whole catalogue and two partitions of
+// it, across a rollout: ranking from the scorer's candidates, and over a
+// scorer that can only sweep. Both are held to the one reference, so the
+// two paths return the same lists. A partition is ranked the way a shard
+// is — filters rebased, local ids made global, the stages applied once
+// after — and Stats.Swept says which path ran: a model with bias, like a
+// sweep-only scorer, is swept on every ranking, and none of the fixture's
+// users sits beyond the crossover on a model without.
 func TestConformanceEngineTopM(t *testing.T) {
+	items := ranktest.New(t, ranktest.Variant{}).Train.Cols()
 	for _, v := range ranktest.Variants {
 		for _, staged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%v_staged=%v", v, staged), func(t *testing.T) {
-				fx := ranktest.New(t, v)
-				e, r := engineFor(t, fx), &ranktest.Ranker{Single: true, Cache: true}
-				if staged {
-					r.Stages = fx.Stages
+			for _, sweep := range []bool{false, true} {
+				for _, rg := range [][2]int{{0, -1}, {items / 4, 3 * items / 4}, {items / 4, -1}} {
+					t.Run(fmt.Sprintf("%v_staged=%v_sweep=%v_[%d,%d)", v, staged, sweep, rg[0], rg[1]), func(t *testing.T) {
+						fx := ranktest.New(t, v)
+						stats := &rank.Stats{}
+						e, rr := engineFor(t, fx, rg[0], rg[1], sweep, stats)
+						whole := rr.Len() == items
+						r := &ranktest.Ranker{Single: true, Cache: whole}
+						if staged {
+							r.Stages = fx.Stages
+						}
+						if !whole {
+							r.Lo, r.Hi = rr.ItemLo(), rr.ItemHi()
+						}
+						r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
+							filters := fx.Filters(t, c.Users[0], c)
+							if whole {
+								items, scores, cached := e.TopMStaged(c.Users[0], c.M, r.Stages, filters...)
+								return ranktest.Answer{Status: 200, Lists: []ranktest.List{{Items: items, Scores: scores, Cached: cached}}}
+							}
+							for n, f := range filters {
+								filters[n] = rank.OffsetRange(f, r.Lo, r.Hi)
+							}
+							local, scores, cached := e.TopM(c.Users[0], rank.StagesOverFetch(c.M, r.Stages), filters...)
+							part := rank.Partial{Scores: scores}
+							for _, it := range local {
+								part.Items = append(part.Items, it+r.Lo)
+							}
+							items, scores := rank.MergeTopMStaged(c.M, r.Stages, part)
+							return ranktest.Answer{Status: 200, Lists: []ranktest.List{{Items: items, Scores: scores, Cached: cached}}}
+						}
+						r.Roll = func(t testing.TB, flip bool) {
+							if flip {
+								e, _ = engineFor(t, fx, rg[0], rg[1], sweep, stats)
+							}
+						}
+						ranktest.Conformance(t, fx, r)
+						ranked, swept := stats.Ranked(), stats.Swept()
+						want := int64(0)
+						if sweep || v.Bias {
+							want = ranked
+						}
+						if ranked == 0 || swept != want {
+							t.Errorf("ranked %d, swept %d, want %d swept", ranked, swept, want)
+						}
+					})
 				}
-				r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
-					items, scores, cached := e.TopMStaged(c.Users[0], c.M, r.Stages, fx.Filters(t, c.Users[0], c)...)
-					return ranktest.Answer{Status: 200, Lists: []ranktest.List{{Items: items, Scores: scores, Cached: cached}}}
-				}
-				ranktest.Conformance(t, fx, r)
-			})
+			}
 		}
 	}
 }
@@ -49,7 +100,8 @@ func TestConformanceEngineTopMBatch(t *testing.T) {
 		for _, staged := range []bool{false, true} {
 			t.Run(fmt.Sprintf("workers=%d_staged=%v", workers, staged), func(t *testing.T) {
 				fx := ranktest.New(t, ranktest.Variant{F32: true})
-				e, r := engineFor(t, fx), &ranktest.Ranker{Cache: true}
+				e, _ := engineFor(t, fx, 0, -1, false, nil)
+				r := &ranktest.Ranker{Cache: true}
 				if staged {
 					r.Stages = fx.Stages
 				}

@@ -9,7 +9,9 @@
 // over-fetch so the staged top-m is well-defined.
 //
 // The Engine adds the serving machinery on top of the pure pipeline:
-// pooled score buffers, a sharded LRU cache keyed by a request fingerprint
+// pooled score buffers, ranking a known user from the few items that can
+// score at all where the scorer lists them (candidateScorer — same lists,
+// bit for bit, as the sweep), a sharded LRU cache keyed by a request fingerprint
 // covering user, m and the filter set (so filtered requests are cacheable
 // rather than wrong), and singleflight coalescing of duplicate cache
 // misses — concurrent requests for the same fingerprint compute the list
@@ -34,6 +36,20 @@ type Scorer interface {
 	NumItems() int
 }
 
+// candidateScorer is the optional fast path of a Scorer whose scores are
+// mostly exact zeros — a model of sparse non-negative factors, where an
+// item sharing no co-cluster with the user scores 1 − exp(−0). The engine
+// asks for it once, at construction (the way selection asks filters for
+// Sorted and bounder), and then ranks a known user from the sparse form.
+type candidateScorer interface {
+	// ScoreCandidates appends to ids, ascending, every item that may score
+	// above zero for user u and to scores what ScoreUser would write for
+	// each, bit for bit; no score is negative and every item not listed
+	// scores exactly +0. ok = false (nothing appended) declines: the engine
+	// sweeps with ScoreUser instead.
+	ScoreCandidates(u int, ids []int32, scores []float64) ([]int32, []float64, bool)
+}
+
 // Config tunes an Engine. The zero value disables caching (and with it
 // coalescing, which only applies to cacheable requests).
 type Config struct {
@@ -53,6 +69,7 @@ type Stats struct {
 	misses    atomic.Int64
 	coalesced atomic.Int64
 	ranked    atomic.Int64
+	swept     atomic.Int64
 }
 
 // Hits returns the number of requests answered from the cache.
@@ -70,14 +87,21 @@ func (s *Stats) Coalesced() int64 { return s.coalesced.Load() }
 // the work the cache and coalescing exist to avoid.
 func (s *Stats) Ranked() int64 { return s.ranked.Load() }
 
+// Swept returns how many of the Ranked computations scored every item of
+// the catalogue — all of them on a scorer that cannot list a user's
+// candidates, the fold-in path and the declined users on one that can.
+func (s *Stats) Swept() int64 { return s.swept.Load() }
+
 // Engine executes ranking requests over one scorer. All methods are safe
 // for concurrent use. An engine is bound to an immutable scorer: the
 // serving layer builds a fresh engine per model snapshot, which also makes
 // cache invalidation wholesale and race-free.
 type Engine struct {
 	scorer Scorer
-	lists  ListCache // cache, singleflight and counters of the ranked lists
-	bufs   sync.Pool // *[]float64 of length scorer.NumItems()
+	sparse candidateScorer // scorer's fast path, nil when it has none
+	lists  ListCache       // cache, singleflight and counters of the ranked lists
+	bufs   sync.Pool       // *[]float64 of length scorer.NumItems()
+	cands  sync.Pool       // *candidates
 }
 
 // NewEngine builds an engine ranking scorer's scores under cfg.
@@ -86,8 +110,10 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	sparse, _ := scorer.(candidateScorer)
 	return &Engine{
 		scorer: scorer,
+		sparse: sparse,
 		lists:  ListCache{cache: newTopCache(cfg.CacheSize, CacheShards), stats: stats},
 	}
 }
@@ -124,15 +150,14 @@ func (e *Engine) TopMStaged(u, m int, stages []Stage, filters ...Filter) (items 
 
 func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached bool) {
 	flat := flatten(filters)
-	score := func(dst []float64) { e.scorer.ScoreUser(u, dst) }
 	fp, cacheable := fingerprintStaged(flat, stages)
 	if !cacheable {
 		e.lists.stats.misses.Add(1)
-		items, scores = e.rankStaged(score, m, flat, stages, tm)
+		items, scores = e.rankStaged(u, m, flat, stages, tm)
 		return items, scores, false
 	}
 	items, scores, cached, coalesced := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64) {
-		return e.rankStaged(score, m, flat, stages, tm)
+		return e.rankStaged(u, m, flat, stages, tm)
 	})
 	if tm != nil && cached {
 		tm.Cached, tm.Coalesced = true, coalesced
@@ -150,12 +175,53 @@ func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (item
 	return e.rank(score, m, flatten(filters), nil)
 }
 
+// rankUser ranks a known user: from the scorer's candidates where it lists
+// them, by the full sweep where it has no such path or declines. Both
+// return the same lists, bit for bit.
+func (e *Engine) rankUser(u, m int, flat []Filter, tm *Timings) ([]int, []float64) {
+	if e.sparse != nil {
+		if items, scores, ok := e.rankCandidates(u, m, flat, tm); ok {
+			return items, scores
+		}
+	}
+	return e.rank(func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, flat, tm)
+}
+
+// rankCandidates is rank over the sparse form of user u's scores, filling
+// the same two Timings fields; ok = false when the scorer declined.
+func (e *Engine) rankCandidates(u, m int, flat []Filter, tm *Timings) (items []int, scores []float64, ok bool) {
+	c, _ := e.cands.Get().(*candidates)
+	if c == nil {
+		c = &candidates{}
+	}
+	defer e.cands.Put(c)
+	var t0, t1 time.Time
+	if tm != nil {
+		t0 = time.Now()
+	}
+	c.ids, c.scores, ok = e.sparse.ScoreCandidates(u, c.ids[:0], c.scores[:0])
+	if tm != nil {
+		t1 = time.Now()
+		tm.Score += t1.Sub(t0)
+	}
+	if !ok {
+		return nil, nil, false
+	}
+	e.lists.stats.ranked.Add(1)
+	items, scores = c.selectTop(e.scorer.NumItems(), m, flat)
+	if tm != nil {
+		tm.Select += time.Since(t1)
+	}
+	return items, scores, true
+}
+
 // rank is the shared score → filter → select execution over a pooled
 // buffer, compacting the survivors' scores alongside the items. A
 // non-nil tm receives the score and (fused) filter+select wall times;
 // nil skips the clock reads entirely.
 func (e *Engine) rank(score func(dst []float64), m int, flat []Filter, tm *Timings) ([]int, []float64) {
 	e.lists.stats.ranked.Add(1)
+	e.lists.stats.swept.Add(1)
 	buf := e.getBuf()
 	var t0 time.Time
 	if tm != nil {
@@ -179,14 +245,14 @@ func (e *Engine) rank(score func(dst []float64), m int, flat []Filter, tm *Timin
 	return items, scores
 }
 
-// rankStaged extends rank with the post-selection stage pass: it selects
-// the stages' over-fetch, applies them, and truncates to m. With no
-// stages it is exactly rank.
-func (e *Engine) rankStaged(score func(dst []float64), m int, flat []Filter, stages []Stage, tm *Timings) ([]int, []float64) {
+// rankStaged extends rankUser with the post-selection stage pass: it
+// selects the stages' over-fetch, applies them, and truncates to m. With no
+// stages it is exactly rankUser.
+func (e *Engine) rankStaged(u, m int, flat []Filter, stages []Stage, tm *Timings) ([]int, []float64) {
 	if len(stages) == 0 {
-		return e.rank(score, m, flat, tm)
+		return e.rankUser(u, m, flat, tm)
 	}
-	items, scores := e.rank(score, StagesOverFetch(m, stages), flat, tm)
+	items, scores := e.rankUser(u, StagesOverFetch(m, stages), flat, tm)
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()

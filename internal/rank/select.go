@@ -1,9 +1,6 @@
 package rank
 
-import (
-	"container/heap"
-	"sort"
-)
+import "sort"
 
 // Select returns the indices of the m highest-scoring items among those no
 // filter excludes, in descending score order with ties broken by ascending
@@ -111,58 +108,137 @@ func selectSort(scores []float64, m int, scan *exclusionScan) []int {
 	return cand
 }
 
-// candHeap is a min-heap of candidate items keyed by (score asc, index
-// desc), so the weakest kept candidate sits at the root. The inverted index
-// order makes the heap's notion of "worst" agree with the ranking's tie
-// rule (among equal scores, the larger index is worse).
-type candHeap struct {
-	idx    []int
-	scores []float64
+// The selection heap is a min-heap over a plain []int of indices into
+// scores, keyed (score asc, index desc), so the weakest kept candidate sits
+// at the root; the inverted index order makes the heap's notion of "worst"
+// agree with the ranking's tie rule (among equal scores, the larger index
+// is worse). Dense selection keeps item ids in it, sparse selection
+// positions in the ascending candidate list — either way the order of the
+// indices is the order of the items.
+
+// below reports whether index a ranks below index b.
+func below(scores []float64, a, b int) bool {
+	if scores[a] != scores[b] {
+		return scores[a] < scores[b]
+	}
+	return a > b
 }
 
-func (h *candHeap) Len() int { return len(h.idx) }
-func (h *candHeap) Less(a, b int) bool {
-	sa, sb := h.scores[h.idx[a]], h.scores[h.idx[b]]
-	if sa != sb {
-		return sa < sb
+func siftUp(h []int, scores []float64, j int) {
+	for j > 0 {
+		p := (j - 1) / 2
+		if !below(scores, h[j], h[p]) {
+			return
+		}
+		h[j], h[p] = h[p], h[j]
+		j = p
 	}
-	return h.idx[a] > h.idx[b]
 }
-func (h *candHeap) Swap(a, b int) { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *candHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *candHeap) Pop() any      { v := h.idx[len(h.idx)-1]; h.idx = h.idx[:len(h.idx)-1]; return v }
-func (h *candHeap) worse(i int) bool {
-	// Reports whether candidate i ranks below the current root.
-	root := h.idx[0]
-	if scores := h.scores; scores[i] != scores[root] {
-		return scores[i] < scores[root]
+
+func siftDown(h []int, scores []float64, j int) {
+	for {
+		c := 2*j + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && below(scores, h[c+1], h[c]) {
+			c++
+		}
+		if !below(scores, h[c], h[j]) {
+			return
+		}
+		h[j], h[c] = h[c], h[j]
+		j = c
 	}
-	return i > h.idx[0]
+}
+
+// offer keeps index i in the heap of the m best seen so far.
+func offer(h []int, scores []float64, m, i int) []int {
+	if len(h) < m {
+		h = append(h, i)
+		siftUp(h, scores, len(h)-1)
+		return h
+	}
+	if !below(scores, i, h[0]) {
+		h[0] = i
+		siftDown(h, scores, 0)
+	}
+	return h
+}
+
+// drain empties the heap into out[:len(h)], best first.
+func drain(h []int, scores []float64, out []int) {
+	for n := len(h) - 1; n >= 0; n-- {
+		out[n] = h[0]
+		h[0] = h[n]
+		h = h[:n]
+		siftDown(h, scores, 0)
+	}
 }
 
 func selectHeap(scores []float64, m int, scan *exclusionScan) []int {
-	h := &candHeap{idx: make([]int, 0, m+1), scores: scores}
+	h := make([]int, 0, m)
 	for i := range scores {
-		if scan.excluded(i) {
-			continue
+		if !scan.excluded(i) {
+			h = offer(h, scores, m, i)
 		}
-		if h.Len() < m {
-			heap.Push(h, i)
-			continue
-		}
-		if h.worse(i) {
-			continue
-		}
-		h.idx[0] = i
-		heap.Fix(h, 0)
 	}
-	if h.Len() == 0 {
+	if len(h) == 0 {
 		return nil
 	}
-	// Drain ascending-worst, fill the output back to front.
-	out := make([]int, h.Len())
-	for n := len(out) - 1; n >= 0; n-- {
-		out[n] = heap.Pop(h).(int)
-	}
+	out := make([]int, len(h))
+	drain(h, scores, out)
 	return out
+}
+
+// candidates is a user's score array in sparse form: ids are the ascending
+// items that may score above zero, scores their scores (none negative), and
+// every other item of the catalogue scores exactly +0. heap is selection
+// scratch; an engine pools the three slices together.
+type candidates struct {
+	ids    []int32
+	scores []float64
+	heap   []int
+}
+
+// selectTop is Select over the n-item array c stands for, returning the
+// scores with the items. The dense ranking puts the positive scorers first
+// and then every zero — candidate or not — by ascending id, so: the top m
+// positive candidates no filter excludes, through the heap, and while fewer
+// than m came out of it (the common case: a user's support reaches few
+// items) the first surviving ids that are not among them.
+func (c *candidates) selectTop(n, m int, flat []Filter) (items []int, scores []float64) {
+	if m > n {
+		m = n
+	}
+	if m <= 0 {
+		return nil, nil
+	}
+	scan := newExclusionScan(flat)
+	h := c.heap[:0]
+	for j, id := range c.ids {
+		if c.scores[j] > 0 && !scan.excluded(int(id)) {
+			h = offer(h, c.scores, m, j)
+		}
+	}
+	c.heap = h
+	items, scores = make([]int, len(h), m), make([]float64, len(h), m)
+	drain(h, c.scores, items)
+	for n, j := range items {
+		items[n], scores[n] = int(c.ids[j]), c.scores[j]
+	}
+	if len(items) < m {
+		clear(scan.cursors) // the tail walk starts over from item 0
+		j := 0
+		for i := 0; i < n && len(items) < m; i++ {
+			for j < len(c.ids) && int(c.ids[j]) < i {
+				j++
+			}
+			if j < len(c.ids) && int(c.ids[j]) == i && c.scores[j] > 0 || scan.excluded(i) {
+				continue
+			}
+			items, scores = append(items, i), append(scores, 0)
+		}
+	}
+	return items, scores
 }

@@ -49,11 +49,13 @@ func (m *Metrics) snapshot(version uint64, cacheEntries int, gate *Gate) map[str
 			"hits": m.rank.Hits(),
 			// misses counts requests not answered from the cache;
 			// coalesced is the subset of concurrent duplicates that shared
-			// another miss's computation, and ranked the full
-			// score→filter→select computations actually performed.
+			// another miss's computation, ranked the score→filter→select
+			// computations actually performed, and swept those of them
+			// that scored the whole range instead of the user's support.
 			"misses":    m.rank.Misses(),
 			"coalesced": m.rank.Coalesced(),
 			"ranked":    m.rank.Ranked(),
+			"swept":     m.rank.Swept(),
 			"hit_rate":  m.CacheHitRate(),
 			"entries":   cacheEntries,
 		},

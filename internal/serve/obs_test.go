@@ -106,9 +106,20 @@ func TestMetricsJSONPercentiles(t *testing.T) {
 	}
 }
 
+// Both views of the one tree also say which path served: a known user of
+// this bias-free model is ranked from the co-cluster support, a fold-in
+// always by the full sweep — two rankings, one of them swept.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{})
 	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 3, M: 5}, nil)
+	ranktest.PostJSON(t, ts.URL+"/v1/foldin", FoldInRequest{Items: []int{4, 17, 23}, M: 5}, nil)
+	var tree struct {
+		Cache struct{ Ranked, Swept int64 }
+	}
+	getJSON(t, ts.URL+"/metrics", &tree)
+	if tree.Cache.Ranked != 2 || tree.Cache.Swept != 1 {
+		t.Errorf("cache.ranked %d, cache.swept %d; want 2 and 1", tree.Cache.Ranked, tree.Cache.Swept)
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics?format=prometheus")
 	if err != nil {
@@ -129,6 +140,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		`ocular_endpoints_requests{endpoint="recommend"} 1`,
 		"# TYPE ocular_endpoints_latency_histogram histogram",
 		"ocular_cache_hits",
+		"ocular_cache_ranked 2",
+		"ocular_cache_swept 1",
 		"ocular_response_write_errors 0",
 	} {
 		if !strings.Contains(string(body), want) {

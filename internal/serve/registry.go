@@ -669,6 +669,7 @@ func (r *registry) metricsTree() map[string]any {
 						"misses":    a.stats.Misses(),
 						"coalesced": a.stats.Coalesced(),
 						"ranked":    a.stats.Ranked(),
+						"swept":     a.stats.Swept(),
 						"entries":   sn.engine.CacheLen(),
 					},
 				}

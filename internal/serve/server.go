@@ -381,6 +381,12 @@ type rangeScorer struct{ rng *core.MappedModelRange }
 func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) }
 func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
 
+// ScoreCandidates forwards the engine's optional fast path: the range's
+// support index lists the few items a user can score on.
+func (r rangeScorer) ScoreCandidates(u int, ids []int32, scores []float64) ([]int32, []float64, bool) {
+	return r.rng.ScoreCandidates(u, ids, scores)
+}
+
 // install opens the configured item range of Config.ModelPath and
 // atomically swaps in the fresh snapshot (new cache, new buffer pool,
 // bumped version); a shard retires the current one into its two-deep
