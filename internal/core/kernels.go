@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/parallel"
@@ -41,6 +42,26 @@ import (
 //     final state) already computes every q_u for the Armijo test. See
 //     trainer.traceObjective.
 //
+//  4. The line search proves most failing candidates fail before paying
+//     for an exponential. Every log term of Q(f⁺) is ≤ 0, so
+//     L = ⟨f⁺, Σ − Σ₊g_j⟩ + λ‖f⁺‖² ≤ Q(f⁺) (fusedObjGrad's pass hands
+//     over Σ₊g_j), and with u(z) = min(1, 2z/(2+z)) ≥ 1 − e^{−z} so is
+//     L − w·log Π_{j≤n} u(z_j) for every prefix n of a one-weight row. A
+//     candidate whose lower bound exceeds qOld + σ·dir + margin cannot
+//     pass the Armijo test: it is skipped in O(K), or abandoned part-way
+//     through candObjective's pass 1. Survivors run pass 2, the exp/logProd
+//     loop over the same d_j in the same order as ever, so whatever is
+//     accepted keeps its bits — factors, trace, stopping iteration
+//     (certificates_test.go). The margin, 1e-9·(⟨f⁺,Σ⟩ + λ‖f⁺‖² + |qOld| + 1),
+//     is one-sided: L sums non-negative products, so its rounding error is
+//     ≤ (K+p)·ε of that magnitude and a certificate can only be less eager
+//     than the exact test. A step that moves no coordinate moves none at a
+//     smaller α either and returns qOld at once. Left alone: a row with a
+//     positive pair floored at minDot has a 1e10 gradient coefficient no
+//     2⁻²⁹ step tames, exhausts MaxBacktrack every sweep (12,683 of 100,000
+//     cold updates on the benchmark catalogue) and never moves. It now
+//     costs O(K) per halving, not O(p) exps; moving it changes models.
+//
 // The fused path changes floating-point summation order relative to the
 // reference kernels, so trained models agree to rounding (objective traces
 // within 1e-9 relative — asserted by kernels_test.go) rather than bitwise.
@@ -60,18 +81,18 @@ import (
 func (t *trainer) updateFactorFused(f []float64, side sideCtx, scratch *parallel.Scratch) float64 {
 	k := t.cfg.K
 	p := len(side.pos)
-	// Raw borrows: every region is fully written before it is read (grad and
-	// dF by fusedObjGrad, cand per candidate, dG under dGReady, the index
-	// arenas up to their counters), so the zeroing pass is skipped.
-	buf := scratch.Float64sRaw(2*k + 2*p)
-	grad, cand := buf[0:k], buf[k:2*k]
-	dF, dG := buf[2*k:2*k+p], buf[2*k+p:2*k+2*p]
+	// Raw borrows: every region is fully written before it is read (grad, gPos
+	// and dF by fusedObjGrad, cand and dC per candidate, dG under dGReady, the
+	// index arenas up to their counters), so the zeroing pass is skipped.
+	buf := scratch.Float64sRaw(3*k + 3*p)
+	grad, cand, gPos := buf[0:k], buf[k:2*k], buf[2*k:3*k]
+	dF, dG, dC := buf[3*k:3*k+p], buf[3*k+p:3*k+2*p], buf[3*k+2*p:]
 	ib := scratch.IntsRaw(2 * k)
 	clampArena, liveArena := ib[0:k], ib[k:2*k]
 
 	var qFinal float64
 	for step := 0; step < t.cfg.GradSteps; step++ {
-		qOld := t.fusedObjGrad(f, side, grad, dF)
+		qOld := t.fusedObjGrad(f, side, grad, gPos, dF)
 		qFinal = qOld
 		dGReady := false
 
@@ -95,16 +116,40 @@ func (t *trainer) updateFactorFused(f []float64, side sideCtx, scratch *parallel
 				// Q(f⁺) − Q(f) ≤ σ⟨∇Q(f), f⁺ − f⟩.
 				dir += grad[c] * (v - f[c])
 			}
+			if dir == 0 && !t.cfg.exhaustive && slices.Equal(cand, f) {
+				break // stationary: no smaller α moves f either, so Q stays qOld
+			}
 			clamp, live := clampArena[:nc], liveArena[:nl]
 			incremental := nc <= nl
-			if incremental && !dGReady && p > 0 {
+			// slack < 0 certifies L − qOld > σ·dir; otherwise a one-weight
+			// row's pass 1 may still certify it of L − w·log Π u(z_j), which
+			// is what a running product below exp(−slack/w) means.
+			base := linalg.Dot(cand, t.sum) + t.cfg.Lambda*linalg.Norm2Sq(cand)
+			margin := 1e-9 * (base + math.Abs(qOld) + 1)
+			if t.cfg.exhaustive {
+				margin = math.Inf(1)
+			}
+			slack := t.cfg.Sigma*dir + qOld + margin - (base - linalg.Dot(cand, gPos))
+			if incremental && !dGReady && p > 0 && (!(slack < 0) || t.cfg.audit != nil) {
 				for j, idx := range side.pos {
 					g := side.others[int(idx)*k : (int(idx)+1)*k]
 					dG[j] = linalg.Dot(grad, g)
 				}
 				dGReady = true
 			}
-			qNew := t.candObjective(cand, side, alpha, f, grad, dF, dG, clamp, live, incremental)
+			qNew := math.Inf(1) // what a certified candidate is worth to the test below
+			if !(slack < 0) {
+				thresh := 0.0
+				if side.wTable == nil {
+					// −1e-290: near the subnormal range a product's rounding is not relative.
+					thresh = math.Exp(-slack/side.wScalar) - 1e-290
+				}
+				qNew = t.candObjective(cand, side, alpha, f, grad, dF, dG, dC, clamp, live, incremental, base, thresh)
+			}
+			if t.cfg.audit != nil && math.IsInf(qNew, 1) {
+				full := t.candObjective(cand, side, alpha, f, grad, dF, dG, dC, clamp, live, incremental, base, 0)
+				t.cfg.audit(full-qOld <= t.cfg.Sigma*dir)
+			}
 			if qNew-qOld <= t.cfg.Sigma*dir {
 				copy(f, cand)
 				qFinal = qNew
@@ -156,11 +201,12 @@ func (lp *logProd) log() float64 { return math.Log(lp.mant) + float64(lp.exp)*ma
 // e^{−z} is evaluated once and feeds both outputs. When the positives
 // share one weight (user sweeps always; item sweeps unless R-OCuLaR
 // supplies per-user weights) the log terms are batched through logProd.
-func (t *trainer) fusedObjGrad(f []float64, side sideCtx, grad, dF []float64) float64 {
+func (t *trainer) fusedObjGrad(f []float64, side sideCtx, grad, gPos, dF []float64) float64 {
 	k := t.cfg.K
 	lam := t.cfg.Lambda
 	for c := 0; c < k; c++ {
 		grad[c] = t.sum[c] + 2*lam*f[c]
+		gPos[c] = 0
 	}
 	q := linalg.Dot(f, t.sum) + lam*linalg.Norm2Sq(f)
 	batch := side.wTable == nil
@@ -182,6 +228,7 @@ func (t *trainer) fusedObjGrad(f []float64, side sideCtx, grad, dF []float64) fl
 		// Remove g from the Σ_0 part and add the log-term gradient:
 		// combined coefficient −(1 + w·e^{−z}/(1−e^{−z})).
 		linalg.Axpy(-(1 + w*e/(1-e)), g, grad)
+		linalg.Axpy(1, g, gPos)
 	}
 	if batch && len(side.pos) > 0 {
 		q -= side.wScalar * lp.log()
@@ -194,14 +241,14 @@ func (t *trainer) fusedObjGrad(f []float64, side sideCtx, grad, dF []float64) fl
 // coordinates projected to zero, live the coordinates with cand[c] > 0
 // (coordinates that land exactly on zero without clamping contribute nothing
 // to either form). incremental selects the dF/dG correction form; otherwise
-// the dot products are rebuilt from the live coordinates only.
+// the dot products are rebuilt from the live coordinates only. Pass 1 leaves
+// them in dC and, for thresh > 0, gives up with +Inf once the product of the
+// u(z_j) so far is below it; pass 2 subtracts them and the log terms from q,
+// the caller's ⟨cand, Σ⟩ + λ‖cand‖².
 func (t *trainer) candObjective(cand []float64, side sideCtx, alpha float64,
-	f, grad, dF, dG []float64, clamp, live []int, incremental bool) float64 {
+	f, grad, dF, dG, dC []float64, clamp, live []int, incremental bool, q, thresh float64) float64 {
 	k := t.cfg.K
-	q := linalg.Dot(cand, t.sum) + t.cfg.Lambda*linalg.Norm2Sq(cand)
-	batch := side.wTable == nil
-	var lp logProd
-	lp.init()
+	prod := 1.0
 	for j, idx := range side.pos {
 		g := side.others[int(idx)*k : (int(idx)+1)*k]
 		var d float64
@@ -215,6 +262,20 @@ func (t *trainer) candObjective(cand []float64, side sideCtx, alpha float64,
 				d += cand[c] * g[c]
 			}
 		}
+		dC[j] = d
+		if thresh > 0 {
+			z := clampDot(d + side.bias(idx))
+			// +2⁻⁵¹: pass 2's 1 − Exp(−z) is off by up to an ulp of 1.
+			if prod *= min(1, 2*z/(2+z)+0x1p-51); prod < thresh {
+				return math.Inf(1)
+			}
+		}
+	}
+	batch := side.wTable == nil
+	var lp logProd
+	lp.init()
+	for j, idx := range side.pos {
+		d := dC[j]
 		z := d + side.bias(idx)
 		q -= d
 		if batch {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 )
 
 // TestFusedMatchesReferenceTraces is the kernel-equivalence contract of the
@@ -177,6 +178,52 @@ func BenchmarkTrainSweep(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTrainBenchCatalogue trains what every workload of the repository
+// benchmark trains — bench/layers.go's planted catalogue at bench/
+// workloads.go's trainSize (2,000 × 3,000, K=16, λ=5, catalogSeed, serial
+// solver, 70% of the positives as the base matrix) — so a training profile
+// can be taken where the benchmark's cold_train_s and cycle_s are spent:
+// `cold` is the first cycle's training from random factors, `warm` a
+// retrain from that model once the 10% ingest stream has been added. The
+// README's training attribution is measured from it.
+func BenchmarkTrainBenchCatalogue(b *testing.B) {
+	const users, items, k, catalogSeed = 2000, 3000, 16, 20170419
+	p, err := dataset.GeneratePlanted(dataset.PlantedConfig{
+		Name:  "bench",
+		Users: users, Items: items, Clusters: k,
+		MinClusterUsers: 80, MaxClusterUsers: 160,
+		MinClusterItems: 25, MaxClusterItems: 50,
+		WithinProb:     0.4,
+		NoisePositives: 2 * users,
+		PopularitySkew: 1.0,
+	}, rng.New(catalogSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := p.R.NNZ()
+	perm := rng.New(catalogSeed + 1).Perm(n)
+	base, seen := p.R.SelectEntries(perm[:n*7/10]), p.R.SelectEntries(perm[:n*7/10+n/10])
+	cfg := Config{K: k, Lambda: 5, MaxIter: 150, Seed: catalogSeed}
+	cold, err := Train(base, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			res, _ := Train(base, cfg)
+			b.ReportMetric(float64(res.Iterations()), "iters")
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		warm := cfg
+		warm.WarmStart = cold.Model
+		for i := 0; i < b.N; i++ {
+			res, _ := Train(seen, warm)
+			b.ReportMetric(float64(res.Iterations()), "iters")
+		}
+	})
 }
 
 // BenchmarkTrainObjective isolates the per-iteration convergence check —

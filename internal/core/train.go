@@ -55,9 +55,9 @@ type Config struct {
 	// Seed seeds factor initialization.
 	Seed uint64
 	// Workers sets the number of parallel workers for the factor-update
-	// kernels; 0 or 1 runs the serial reference path. Factor updates within
-	// a block are independent and every cross-row reduction uses a
-	// fixed-block deterministic tree, so parallel and serial paths produce
+	// kernels; 0 or 1 = serial (the default). Factor updates within a block
+	// are independent and every cross-row reduction uses a fixed-block
+	// deterministic tree, so parallel and serial schedules produce
 	// bit-identical models.
 	Workers int
 	// reference selects the unfused kernels (updateFactorRef) that
@@ -65,6 +65,13 @@ type Config struct {
 	// different order, so objective traces agree within 1e-9 relative, not
 	// bitwise. Only tests in this package can set it.
 	reference bool
+	// exhaustive switches the fused line search's certificates (kernels.go)
+	// off, so every candidate is evaluated in full; audit, when set, is
+	// told of every candidate a certificate rejected whether that full
+	// evaluation would have passed the Armijo test (never, if they are
+	// sound). Only tests in this package can set them.
+	exhaustive bool
+	audit      func(acceptable bool)
 	// OnIteration, when non-nil, is called after every outer iteration with
 	// the iteration index (from 0) and the objective value — progress
 	// reporting for long trainings and the hook behind cmd/ocular -v.
