@@ -1,7 +1,7 @@
 package rank
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/parallel"
 )
@@ -11,8 +11,9 @@ import (
 // where each user's slice ends. The columns are caller-owned — a serving
 // layer keeps one per pooled request scratch and encodes them onto the
 // wire without reshaping — while the appended item/score values are
-// copied out of the engine's cache-shared slices, so the columns stay
-// valid after the cache evicts or a snapshot is swapped.
+// copied out of the engine's cache-shared slices or out of its rank
+// scratch, so the columns stay valid after the cache evicts, a snapshot is
+// swapped or the scratch ranks its next user.
 type BatchCols struct {
 	Counts []uint32
 	Items  []uint32
@@ -45,19 +46,6 @@ func (c *BatchCols) AppendEmpty() {
 	c.Cached = append(c.Cached, false)
 }
 
-// batchRes carries one user's result from a ranking goroutine to the
-// ordered append; the slices are cache-shared engine results, only read.
-type batchRes struct {
-	items  []int
-	scores []float64
-	cached bool
-	ok     bool
-}
-
-// batchResPool recycles the per-call result scratch so a warm batch loop
-// does not allocate it per request.
-var batchResPool = sync.Pool{New: func() any { s := make([]batchRes, 0, 64); return &s }}
-
 // TopMBatch ranks many users through the same cached, coalesced pipeline
 // as TopMStaged — score → filter → select → re-rank per user, identical
 // cache keys, fingerprints and singleflight coalescing — and appends the
@@ -66,43 +54,55 @@ var batchResPool = sync.Pool{New: func() any { s := make([]batchRes, 0, 64); ret
 // returning ok=false skips ranking and appends an empty slot, letting
 // the caller flag that user however its transport does. workers > 1
 // ranks users concurrently with input order preserved in cols.
+//
+// Every list is copied into cols straight from where Engine.list left it,
+// so a batch of lists no cache can hold (a partition's) allocates nothing
+// per user: serially one scratch ranks user after user; concurrently each
+// user's list goes to a slot of min(m, NumItems) reserved for it in the
+// columns, and the slots are closed up in order afterwards.
 func (e *Engine) TopMBatch(users []int, m, workers int, stages []Stage, filtersFor func(i int) ([]Filter, bool), cols *BatchCols) {
 	stages = compactStages(stages)
 	if workers <= 1 || len(users) == 1 {
+		s := e.pool.Get().(*scratch)
+		defer e.pool.Put(s)
 		for i, u := range users {
 			filters, ok := filtersFor(i)
 			if !ok {
 				cols.AppendEmpty()
 				continue
 			}
-			items, scores, cached := e.topM(u, m, stages, filters, nil)
+			items, scores, cached, _ := e.list(s, u, m, stages, filters, nil)
 			cols.Append(items, scores, cached)
 		}
 		return
 	}
-	resP := batchResPool.Get().(*[]batchRes)
-	res := *resP
-	if cap(res) < len(users) {
-		res = make([]batchRes, len(users))
-	}
-	res = res[:len(users)]
+	user0, item0, slot := len(cols.Counts), len(cols.Items), max(min(m, e.scorer.NumItems()), 0)
+	cols.Counts = slices.Grow(cols.Counts, len(users))[:user0+len(users)]
+	cols.Cached = slices.Grow(cols.Cached, len(users))[:user0+len(users)]
+	cols.Items = slices.Grow(cols.Items, len(users)*slot)[:item0+len(users)*slot]
+	cols.Scores = slices.Grow(cols.Scores, len(users)*slot)[:item0+len(users)*slot]
 	parallel.For(len(users), workers, func(i int, _ *parallel.Scratch) {
+		cols.Counts[user0+i], cols.Cached[user0+i] = 0, false
 		filters, ok := filtersFor(i)
 		if !ok {
-			res[i] = batchRes{}
 			return
 		}
-		items, scores, cached := e.topM(users[i], m, stages, filters, nil)
-		res[i] = batchRes{items: items, scores: scores, cached: cached, ok: true}
-	})
-	for i := range res {
-		if !res[i].ok {
-			cols.AppendEmpty()
-			continue
+		s := e.pool.Get().(*scratch)
+		defer e.pool.Put(s)
+		items, scores, cached, _ := e.list(s, users[i], m, stages, filters, nil)
+		at := item0 + i*slot
+		for n, it := range items {
+			cols.Items[at+n] = uint32(it)
 		}
-		cols.Append(res[i].items, res[i].scores, res[i].cached)
-		res[i] = batchRes{}
+		copy(cols.Scores[at:], scores)
+		cols.Counts[user0+i], cols.Cached[user0+i] = uint32(len(items)), cached
+	})
+	end := item0
+	for i := range users {
+		at, n := item0+i*slot, int(cols.Counts[user0+i])
+		copy(cols.Items[end:], cols.Items[at:at+n])
+		copy(cols.Scores[end:], cols.Scores[at:at+n])
+		end += n
 	}
-	*resP = res[:0]
-	batchResPool.Put(resP)
+	cols.Items, cols.Scores = cols.Items[:end], cols.Scores[:end]
 }

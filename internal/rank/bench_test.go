@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -103,5 +104,29 @@ func BenchmarkRankCandidateShare(b *testing.B) {
 				b.ReportMetric(float64(e.Stats().Swept())/float64(b.N), "swept/op")
 			})
 		}
+	}
+}
+
+// BenchmarkShardBatch32 is one shard's share of a router batch on the
+// repository benchmark's serving catalogue (bench/workloads.go's serveSize:
+// 12,000 items in 4 ranges, K=16): 32 cold users ranked into the caller's
+// columns under rebased filters, every fourth with an exclusion list and a
+// deny-tag filter. B/op ÷ 32 is what a user costs a shard's engine — the
+// place to look before bench/'s alloc_kb_per_user @ router_tier is run. A
+// stand-in CI keeps compiling, never a source of numbers.
+func BenchmarkShardBatch32(b *testing.B) {
+	train := planted(b, 6000, 12000, 300, 80)
+	path := saveTrained(b, train, core.Config{K: 16, Lambda: 5, MaxIter: 40, Seed: 1})
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			e, users, filtersFor := shardBatch(b, train, path, 3000, 6000, 32)
+			var cols BatchCols
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cols.Reset()
+				e.TopMBatch(users, 20, workers, nil, filtersFor, &cols)
+			}
+		})
 	}
 }

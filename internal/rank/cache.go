@@ -305,13 +305,9 @@ func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable b
 // (both report cached). compute cannot fail and its result is always
 // shareable: unshareable results and errors are GetOrComputeBatch's
 // business. Counting a computation as ranked is compute's own: the engine
-// counts inside its rank pass.
+// counts inside its rank pass. The engine never comes here without a cache
+// (Engine.list: a list no cache will hold is not copied for one).
 func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64)) (items []int, scores []float64, cached, coalesced bool) {
-	if c.cache == nil {
-		c.stats.misses.Add(1)
-		items, scores = compute()
-		return items, scores, false, false
-	}
 	if items, scores, ok := c.cache.get(key); ok {
 		c.stats.hits.Add(1)
 		return items, scores, true, false

@@ -95,41 +95,58 @@ func TestConformanceEngineTopM(t *testing.T) {
 	}
 }
 
+// TestConformanceEngineTopMBatch registers the columnar entry point twice:
+// under the fixture's keyed filters, where every list goes through the
+// cache, and under the same filters rebased through OffsetRange over the
+// whole catalogue — which keys nothing, so every list is copied into the
+// columns straight from the scratch it was ranked in, as on a shard.
 func TestConformanceEngineTopMBatch(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		for _, staged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("workers=%d_staged=%v", workers, staged), func(t *testing.T) {
-				fx := ranktest.New(t, ranktest.Variant{F32: true})
-				e, _ := engineFor(t, fx, 0, -1, false, nil)
-				r := &ranktest.Ranker{Cache: true}
-				if staged {
-					r.Stages = fx.Stages
+	for _, unkeyed := range []bool{false, true} {
+		for _, workers := range []int{1, 3} {
+			for _, staged := range []bool{false, true} {
+				name := fmt.Sprintf("workers=%d_staged=%v", workers, staged)
+				if unkeyed {
+					name += "_unkeyed"
 				}
-				r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
-					var cols rank.BatchCols
-					inRange := func(i int) bool { return c.Users[i] >= 0 && c.Users[i] < fx.Train.Rows() }
-					e.TopMBatch(c.Users, c.M, workers, r.Stages, func(i int) ([]rank.Filter, bool) {
-						if !inRange(i) {
-							return nil, false
-						}
-						return fx.Filters(t, c.Users[i], c), true
-					}, &cols)
-					ans, off := ranktest.Answer{Status: 200}, 0
-					for i, n := range cols.Counts {
-						l := ranktest.List{Cached: cols.Cached[i], Scores: cols.Scores[off : off+int(n)]}
-						for _, it := range cols.Items[off : off+int(n)] {
-							l.Items = append(l.Items, int(it))
-						}
-						if !inRange(i) {
-							l.Err = "skipped by filtersFor"
-						}
-						off += int(n)
-						ans.Lists = append(ans.Lists, l)
+				t.Run(name, func(t *testing.T) {
+					fx := ranktest.New(t, ranktest.Variant{F32: true})
+					e, _ := engineFor(t, fx, 0, -1, false, nil)
+					r := &ranktest.Ranker{Cache: !unkeyed}
+					if staged {
+						r.Stages = fx.Stages
 					}
-					return ans
-				}
-				ranktest.Conformance(t, fx, r)
-			})
+					r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
+						var cols rank.BatchCols
+						inRange := func(i int) bool { return c.Users[i] >= 0 && c.Users[i] < fx.Train.Rows() }
+						e.TopMBatch(c.Users, c.M, workers, r.Stages, func(i int) ([]rank.Filter, bool) {
+							if !inRange(i) {
+								return nil, false
+							}
+							filters := fx.Filters(t, c.Users[i], c)
+							if unkeyed {
+								for n, f := range filters {
+									filters[n] = rank.OffsetRange(f, 0, fx.Train.Cols())
+								}
+							}
+							return filters, true
+						}, &cols)
+						ans, off := ranktest.Answer{Status: 200}, 0
+						for i, n := range cols.Counts {
+							l := ranktest.List{Cached: cols.Cached[i], Scores: cols.Scores[off : off+int(n)]}
+							for _, it := range cols.Items[off : off+int(n)] {
+								l.Items = append(l.Items, int(it))
+							}
+							if !inRange(i) {
+								l.Err = "skipped by filtersFor"
+							}
+							off += int(n)
+							ans.Lists = append(ans.Lists, l)
+						}
+						return ans
+					}
+					ranktest.Conformance(t, fx, r)
+				})
+			}
 		}
 	}
 }

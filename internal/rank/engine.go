@@ -9,7 +9,8 @@
 // over-fetch so the staged top-m is well-defined.
 //
 // The Engine adds the serving machinery on top of the pure pipeline:
-// pooled score buffers, ranking a known user from the few items that can
+// one pooled scratch per rank call (a list leaves it by copy: into the cache,
+// or into the caller's columns), ranking a known user from the few items that can
 // score at all where the scorer lists them (candidateScorer — same lists,
 // bit for bit, as the sweep), a sharded LRU cache keyed by a request fingerprint
 // covering user, m and the filter set (so filtered requests are cacheable
@@ -20,6 +21,7 @@
 package rank
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,8 +102,7 @@ type Engine struct {
 	scorer Scorer
 	sparse candidateScorer // scorer's fast path, nil when it has none
 	lists  ListCache       // cache, singleflight and counters of the ranked lists
-	bufs   sync.Pool       // *[]float64 of length scorer.NumItems()
-	cands  sync.Pool       // *candidates
+	pool   sync.Pool       // *scratch
 }
 
 // NewEngine builds an engine ranking scorer's scores under cfg.
@@ -115,6 +116,7 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 		scorer: scorer,
 		sparse: sparse,
 		lists:  ListCache{cache: newTopCache(cfg.CacheSize, CacheShards), stats: stats},
+		pool:   sync.Pool{New: func() any { return new(scratch) }},
 	}
 }
 
@@ -148,21 +150,39 @@ func (e *Engine) TopMStaged(u, m int, stages []Stage, filters ...Filter) (items 
 	return e.topM(u, m, compactStages(stages), filters, nil)
 }
 
+// topM is the single-user entry: list, with a list nobody owns yet copied
+// out of the scratch so the caller owns it.
 func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached bool) {
-	flat := flatten(filters)
-	fp, cacheable := fingerprintStaged(flat, stages)
-	if !cacheable {
+	s := e.pool.Get().(*scratch)
+	defer e.pool.Put(s)
+	items, scores, cached, owned := e.list(s, u, m, stages, filters, tm)
+	if !owned {
+		items, scores = slices.Clone(items), slices.Clone(scores)
+	}
+	return items, scores, cached
+}
+
+// list is the one place a ranked list gets its owner. A request the cache
+// can hold is ranked into s and copied out exact-length for the cache (or
+// found there): owned, shared with the cache, read-only. Any other is left
+// where it was ranked: s.items and s.scores, the caller's to copy before s
+// is used again.
+func (e *Engine) list(s *scratch, u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached, owned bool) {
+	s.flat = flatten(s.flat[:0], filters)
+	fp, cacheable := fingerprintStaged(s.flat, stages)
+	if !cacheable || e.lists.cache == nil {
 		e.lists.stats.misses.Add(1)
-		items, scores = e.rankStaged(u, m, flat, stages, tm)
-		return items, scores, false
+		e.rankStaged(s, u, m, stages, tm)
+		return s.items, s.scores, false, false
 	}
 	items, scores, cached, coalesced := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64) {
-		return e.rankStaged(u, m, flat, stages, tm)
+		e.rankStaged(s, u, m, stages, tm)
+		return slices.Clone(s.items), slices.Clone(s.scores)
 	})
 	if tm != nil && cached {
 		tm.Cached, tm.Coalesced = true, coalesced
 	}
-	return items, scores, cached
+	return items, scores, cached, true
 }
 
 // Rank runs the pipeline with a caller-supplied scoring function — the
@@ -172,107 +192,94 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 // ranked stat but not the cache hit/miss counters (it never consults the
 // cache).
 func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (items []int, scores []float64) {
-	return e.rank(score, m, flatten(filters), nil)
+	s := e.pool.Get().(*scratch)
+	defer e.pool.Put(s)
+	s.flat = flatten(s.flat[:0], filters)
+	e.rank(s, score, m, nil)
+	return slices.Clone(s.items), slices.Clone(s.scores)
 }
 
-// rankUser ranks a known user: from the scorer's candidates where it lists
-// them, by the full sweep where it has no such path or declines. Both
-// return the same lists, bit for bit.
-func (e *Engine) rankUser(u, m int, flat []Filter, tm *Timings) ([]int, []float64) {
-	if e.sparse != nil {
-		if items, scores, ok := e.rankCandidates(u, m, flat, tm); ok {
-			return items, scores
-		}
+// rankUser ranks a known user into s: from the scorer's candidates where it
+// lists them, by the full sweep where it has no such path or declines. Both
+// leave the same list, bit for bit.
+func (e *Engine) rankUser(s *scratch, u, m int, tm *Timings) {
+	if e.sparse == nil || !e.rankCandidates(s, u, m, tm) {
+		e.rank(s, func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, tm)
 	}
-	return e.rank(func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, flat, tm)
 }
 
 // rankCandidates is rank over the sparse form of user u's scores, filling
-// the same two Timings fields; ok = false when the scorer declined.
-func (e *Engine) rankCandidates(u, m int, flat []Filter, tm *Timings) (items []int, scores []float64, ok bool) {
-	c, _ := e.cands.Get().(*candidates)
-	if c == nil {
-		c = &candidates{}
-	}
-	defer e.cands.Put(c)
+// the same two Timings fields; false when the scorer declined.
+func (e *Engine) rankCandidates(s *scratch, u, m int, tm *Timings) bool {
 	var t0, t1 time.Time
 	if tm != nil {
 		t0 = time.Now()
 	}
-	c.ids, c.scores, ok = e.sparse.ScoreCandidates(u, c.ids[:0], c.scores[:0])
+	var ok bool
+	s.ids, s.cand, ok = e.sparse.ScoreCandidates(u, s.ids[:0], s.cand[:0])
 	if tm != nil {
 		t1 = time.Now()
 		tm.Score += t1.Sub(t0)
 	}
 	if !ok {
-		return nil, nil, false
+		return false
 	}
 	e.lists.stats.ranked.Add(1)
-	items, scores = c.selectTop(e.scorer.NumItems(), m, flat)
+	s.selectSparse(e.scorer.NumItems(), m)
 	if tm != nil {
 		tm.Select += time.Since(t1)
 	}
-	return items, scores, true
+	return true
 }
 
-// rank is the shared score → filter → select execution over a pooled
-// buffer, compacting the survivors' scores alongside the items. A
+// rank is the shared score → filter → select execution over the scratch's
+// dense array, compacting the survivors' scores alongside the items. A
 // non-nil tm receives the score and (fused) filter+select wall times;
 // nil skips the clock reads entirely.
-func (e *Engine) rank(score func(dst []float64), m int, flat []Filter, tm *Timings) ([]int, []float64) {
+func (e *Engine) rank(s *scratch, score func(dst []float64), m int, tm *Timings) {
 	e.lists.stats.ranked.Add(1)
 	e.lists.stats.swept.Add(1)
-	buf := e.getBuf()
+	if s.dense == nil {
+		s.dense = make([]float64, e.scorer.NumItems())
+	}
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()
 	}
-	score(buf)
+	score(s.dense)
 	var t1 time.Time
 	if tm != nil {
 		t1 = time.Now()
 		tm.Score += t1.Sub(t0)
 	}
-	items := selectFlat(buf, m, flat)
-	scores := make([]float64, len(items))
-	for n, i := range items {
-		scores[n] = buf[i]
+	s.selectDense(s.dense, m)
+	s.scores = s.scores[:0]
+	for _, i := range s.items {
+		s.scores = append(s.scores, s.dense[i])
 	}
 	if tm != nil {
 		tm.Select += time.Since(t1)
 	}
-	e.putBuf(buf)
-	return items, scores
 }
 
 // rankStaged extends rankUser with the post-selection stage pass: it
 // selects the stages' over-fetch, applies them, and truncates to m. With no
-// stages it is exactly rankUser.
-func (e *Engine) rankStaged(u, m int, flat []Filter, stages []Stage, tm *Timings) ([]int, []float64) {
+// stages it is exactly rankUser. A stage may hand back slices of its own
+// instead of rewriting the scratch's; they are as transient as the scratch.
+func (e *Engine) rankStaged(s *scratch, u, m int, stages []Stage, tm *Timings) {
 	if len(stages) == 0 {
-		return e.rankUser(u, m, flat, tm)
+		e.rankUser(s, u, m, tm)
+		return
 	}
-	items, scores := e.rankUser(u, StagesOverFetch(m, stages), flat, tm)
+	e.rankUser(s, u, StagesOverFetch(m, stages), tm)
 	var t0 time.Time
 	if tm != nil {
 		t0 = time.Now()
 	}
-	items, scores = applyStages(m, stages, items, scores)
+	s.items, s.scores = applyStages(m, stages, s.items, s.scores)
 	if tm != nil {
 		tm.Stages += time.Since(t0)
 	}
-	return items, scores
-}
-
-func (e *Engine) getBuf() []float64 {
-	if p, ok := e.bufs.Get().(*[]float64); ok {
-		return *p
-	}
-	return make([]float64, e.scorer.NumItems())
-}
-
-func (e *Engine) putBuf(b []float64) {
-	e.bufs.Put(&b)
 }
 
 // flightGroup coalesces duplicate in-flight computations per request key —

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,26 +143,39 @@ func (f itemsFilter) maxExcluded(numItems int) int {
 // filters (training rows, exclusion lists, tag tables) speak global ids;
 // this adapter bridges the two without the filters knowing about shards.
 //
-// A Sorted inner filter keeps its fast path: the global exclusion list is
-// windowed to [lo, hi) and shifted once at construction (O(log n +
-// window)), so the selection scan still advances a cursor instead of
-// probing a predicate per item. Other filters are wrapped as shifted
-// predicates. The result is deliberately unkeyed — shards serve cacheless
-// by design (the router owns the fingerprint cache), so spending work on
-// a range-qualified cache key would buy nothing.
+// A Sorted inner filter keeps its fast path without being copied: the
+// result is the window list[a:b] of the global exclusion list that falls in
+// [lo, hi) — two binary searches at construction — and lo, the base the
+// selection scan adds to a local index before it compares, so the scan
+// still advances a cursor instead of probing a predicate per item. Other
+// filters are wrapped as shifted predicates. The result is deliberately
+// unkeyed — shards serve cacheless by design (the router owns the
+// fingerprint cache), so spending work on a range-qualified cache key would
+// buy nothing.
 func OffsetRange(f Filter, lo, hi int) Filter {
 	if sf, ok := f.(Sorted); ok {
 		list := sf.ExcludedList()
 		a := sort.Search(len(list), func(i int) bool { return int(list[i]) >= lo })
 		b := sort.Search(len(list), func(i int) bool { return int(list[i]) >= hi })
-		shifted := make([]int32, b-a)
-		for n, v := range list[a:b] {
-			shifted[n] = v - int32(lo)
-		}
-		return itemsFilter{list: shifted}
+		return windowFilter{list: list[a:b], lo: lo}
 	}
 	return offsetFilter{inner: f, lo: lo}
 }
+
+// windowFilter is a Sorted filter seen from a partition: list aliases the
+// inner filter's global ids inside the range, local index n standing for
+// global item n+lo. The exclusion scan reads the two fields directly.
+type windowFilter struct {
+	list []int32
+	lo   int
+}
+
+func (f windowFilter) Excluded(local int) bool {
+	_, found := slices.BinarySearch(f.list, int32(local+f.lo))
+	return found
+}
+
+func (f windowFilter) maxExcluded(int) int { return len(f.list) }
 
 // offsetFilter shifts a predicate-only filter into partition-local index
 // space.
@@ -197,25 +211,20 @@ func (u unionFilter) Excluded(item int) bool {
 	return false
 }
 
-// flatten expands unions and drops nil filters, yielding the flat filter
-// list the selection scan and the request fingerprint operate on.
-func flatten(filters []Filter) []Filter {
-	flat := make([]Filter, 0, len(filters))
-	var walk func([]Filter)
-	walk = func(fs []Filter) {
-		for _, f := range fs {
-			switch v := f.(type) {
-			case nil:
-				continue
-			case unionFilter:
-				walk(v)
-			default:
-				flat = append(flat, f)
-			}
+// flatten appends filters to dst with unions expanded and nil filters
+// dropped: the flat list the selection scan and the request fingerprint
+// operate on.
+func flatten(dst, filters []Filter) []Filter {
+	for _, f := range filters {
+		switch v := f.(type) {
+		case nil:
+		case unionFilter:
+			dst = flatten(dst, v)
+		default:
+			dst = append(dst, f)
 		}
 	}
-	walk(filters)
-	return flat
+	return dst
 }
 
 // maxFingerprintLen caps the bytes a request fingerprint may pin in the

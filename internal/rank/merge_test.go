@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,18 +134,21 @@ func TestOffsetRange(t *testing.T) {
 			t.Errorf("local %d (global %d): Excluded=%v, want %v", local, local+4, got, wantExcluded[local])
 		}
 	}
-	sorted, ok := f.(Sorted)
-	if !ok {
-		t.Fatal("OffsetRange over a Sorted filter lost the fast path")
+	// The fast path survives as a window of the inner list — aliased, not
+	// copied — which the scan walks with a cursor above the base.
+	inner := excl.(Sorted).ExcludedList()
+	w, ok := f.(windowFilter)
+	if !ok || w.lo != 4 || !slices.Equal(w.list, []int32{4, 9, 10}) || &w.list[0] != &inner[1] {
+		t.Fatalf("OffsetRange over a Sorted filter = %#v, want the window [4 9 10] of the inner list above base 4", f)
 	}
-	list := sorted.ExcludedList()
-	want := []int32{0, 5, 6}
-	if len(list) != len(want) {
-		t.Fatalf("ExcludedList %v, want %v", list, want)
+	var scan exclusionScan
+	scan.reset([]Filter{f})
+	if len(scan.lists) != 1 || len(scan.preds) != 0 {
+		t.Fatalf("the scan took the window as %d lists and %d predicates, want one list", len(scan.lists), len(scan.preds))
 	}
-	for n := range want {
-		if list[n] != want[n] {
-			t.Fatalf("ExcludedList %v, want %v", list, want)
+	for local := 0; local < 8; local++ {
+		if got := scan.excluded(local); got != wantExcluded[local] {
+			t.Errorf("scan at local %d (global %d): excluded=%v, want %v", local, local+4, got, wantExcluded[local])
 		}
 	}
 

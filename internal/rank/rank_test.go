@@ -209,8 +209,8 @@ func TestFingerprint(t *testing.T) {
 	train := sparse.NewBuilder(2, 4)
 	train.Add(0, 1)
 	tm := train.Build()
-	fp1, ok1 := fingerprint(flatten([]Filter{TrainRow(tm, 0), ExcludeItems([]int{2})}))
-	fp2, ok2 := fingerprint(flatten([]Filter{TrainRow(tm, 0), ExcludeItems([]int{3})}))
+	fp1, ok1 := fingerprint(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{2})}))
+	fp2, ok2 := fingerprint(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{3})}))
 	if !ok1 || !ok2 {
 		t.Fatal("keyed filters reported uncacheable")
 	}
@@ -248,7 +248,7 @@ func TestFingerprint(t *testing.T) {
 	for i := range big {
 		big[i] = i
 	}
-	if _, ok := fingerprint(flatten([]Filter{ExcludeItems(big)})); ok {
+	if _, ok := fingerprint(flatten(nil, []Filter{ExcludeItems(big)})); ok {
 		t.Error("oversized exclusion-list fingerprint reported cacheable")
 	}
 }

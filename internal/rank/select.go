@@ -1,6 +1,9 @@
 package rank
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Select returns the indices of the m highest-scoring items among those no
 // filter excludes, in descending score order with ties broken by ascending
@@ -15,63 +18,94 @@ import "sort"
 // exclusion scan that walks Sorted filters with cursors and falls back to
 // the Excluded predicate for the rest.
 func Select(scores []float64, m int, filters ...Filter) []int {
-	return selectFlat(scores, m, flatten(filters))
-}
-
-// selectFlat is Select over an already-flattened filter list (the engine
-// flattens once per request, for the fingerprint and the scan).
-func selectFlat(scores []float64, m int, flat []Filter) []int {
-	if m <= 0 {
+	// A scratch of its own, never pooled: the list is the caller's.
+	var s scratch
+	s.flat = flatten(nil, filters)
+	s.selectDense(scores, m)
+	if len(s.items) == 0 {
 		return nil
 	}
-	scan := newExclusionScan(flat)
+	return s.items
+}
+
+// scratch is the workspace of one rank call, pooled per engine: everything
+// a rank writes before its list has an owner. A rank leaves the list in
+// items and scores; from there it is copied — exact-length into the cache,
+// or into the caller's columns (Engine.list says which) — so scratch memory
+// never escapes the call that borrowed it. Between calls a scratch pins one
+// request's filters at most, and it dies with its engine.
+type scratch struct {
+	dense  []float64 // the sweep's score array, NumItems long once used
+	ids    []int32   // sparse form: the ascending candidate ids...
+	cand   []float64 // ...and their scores
+	heap   []int     // selection heap, or the full sort's candidate list
+	flat   []Filter  // the request's filters, flattened
+	scan   exclusionScan
+	items  []int // the ranked list
+	scores []float64
+}
+
+// selectDense is Select over s.flat, into s.items (the engine flattens
+// once per request, for the fingerprint and the scan).
+func (s *scratch) selectDense(scores []float64, m int) {
+	s.items = s.items[:0]
+	if m <= 0 {
+		return
+	}
+	s.scan.reset(s.flat)
 	// Upper-bound the exclusions to estimate the candidate count. Filters
 	// may overlap, so this underestimates nCand — which only biases the
 	// path choice toward the full sort; both paths return identical
 	// rankings.
 	bound := 0
-	for _, f := range flat {
+	for _, f := range s.flat {
 		if c, ok := f.(bounder); ok {
 			bound += c.maxExcluded(len(scores))
 		}
 	}
 	if nCand := len(scores) - bound; m*4 < nCand {
-		return selectHeap(scores, m, scan)
+		s.selectHeap(scores, m)
+	} else {
+		s.selectSort(scores, m)
 	}
-	return selectSort(scores, m, scan)
 }
 
 // exclusionScan merges a request's filters into one per-item test for the
 // ascending selection scan: Sorted filters advance cursors (amortized O(1)
-// per item), the rest answer through their Excluded predicate. excluded
+// per item) — a partition's window of one through the base its ids sit
+// above — and the rest answer through their Excluded predicate. excluded
 // must be called with strictly increasing items.
 type exclusionScan struct {
 	lists   [][]int32
+	bases   []int // list n holds item i as i+bases[n]
 	cursors []int
 	preds   []Filter
 }
 
-func newExclusionScan(flat []Filter) *exclusionScan {
-	s := &exclusionScan{}
+func (s *exclusionScan) reset(flat []Filter) {
+	s.lists, s.bases, s.cursors, s.preds = s.lists[:0], s.bases[:0], s.cursors[:0], s.preds[:0]
 	for _, f := range flat {
-		if sf, ok := f.(Sorted); ok {
-			s.lists = append(s.lists, sf.ExcludedList())
+		switch v := f.(type) {
+		case windowFilter:
+			s.lists, s.bases = append(s.lists, v.list), append(s.bases, v.lo)
+		case Sorted:
+			s.lists, s.bases = append(s.lists, v.ExcludedList()), append(s.bases, 0)
+		default:
+			s.preds = append(s.preds, f)
 			continue
 		}
-		s.preds = append(s.preds, f)
+		s.cursors = append(s.cursors, 0)
 	}
-	s.cursors = make([]int, len(s.lists))
-	return s
 }
 
 func (s *exclusionScan) excluded(item int) bool {
 	for n, l := range s.lists {
-		c := s.cursors[n]
-		for c < len(l) && int(l[c]) < item {
+		c, at := s.cursors[n], item+s.bases[n]
+		for c < len(l) && int(l[c]) < at {
 			c++
 		}
 		s.cursors[n] = c
-		if c < len(l) && int(l[c]) == item {
+		if c < len(l) && int(l[c]) == at {
 			return true
 		}
 	}
@@ -85,27 +119,21 @@ func (s *exclusionScan) excluded(item int) bool {
 
 // selectSort ranks all candidates by full sort; exact reference used for
 // large m and by the equivalence tests.
-func selectSort(scores []float64, m int, scan *exclusionScan) []int {
-	cand := make([]int, 0, len(scores))
+func (s *scratch) selectSort(scores []float64, m int) {
+	cand := slices.Grow(s.heap[:0], len(scores))
 	for i := range scores {
-		if scan.excluded(i) {
-			continue
+		if !s.scan.excluded(i) {
+			cand = append(cand, i)
 		}
-		cand = append(cand, i)
 	}
-	if len(cand) == 0 {
-		return nil
-	}
+	s.heap = cand
 	sort.Slice(cand, func(a, b int) bool {
 		if scores[cand[a]] != scores[cand[b]] {
 			return scores[cand[a]] > scores[cand[b]]
 		}
 		return cand[a] < cand[b]
 	})
-	if len(cand) > m {
-		cand = cand[:m]
-	}
-	return cand
+	s.items = append(s.items, cand[:min(m, len(cand))]...)
 }
 
 // The selection heap is a min-heap over a plain []int of indices into
@@ -176,69 +204,58 @@ func drain(h []int, scores []float64, out []int) {
 	}
 }
 
-func selectHeap(scores []float64, m int, scan *exclusionScan) []int {
-	h := make([]int, 0, m)
+func (s *scratch) selectHeap(scores []float64, m int) {
+	h := slices.Grow(s.heap[:0], m)
 	for i := range scores {
-		if !scan.excluded(i) {
+		if !s.scan.excluded(i) {
 			h = offer(h, scores, m, i)
 		}
 	}
-	if len(h) == 0 {
-		return nil
-	}
-	out := make([]int, len(h))
-	drain(h, scores, out)
-	return out
+	s.heap = h
+	s.items = slices.Grow(s.items, len(h))[:len(h)]
+	drain(h, scores, s.items)
 }
 
-// candidates is a user's score array in sparse form: ids are the ascending
-// items that may score above zero, scores their scores (none negative), and
-// every other item of the catalogue scores exactly +0. heap is selection
-// scratch; an engine pools the three slices together.
-type candidates struct {
-	ids    []int32
-	scores []float64
-	heap   []int
-}
-
-// selectTop is Select over the n-item array c stands for, returning the
-// scores with the items. The dense ranking puts the positive scorers first
-// and then every zero — candidate or not — by ascending id, so: the top m
+// selectSparse is selectDense over the n-item array s.ids and s.cand stand
+// for — ids the ascending items that may score above zero, cand their
+// scores (none negative), every other item exactly +0 — leaving the scores
+// with the items. The dense ranking puts the positive scorers first and
+// then every zero — candidate or not — by ascending id, so: the top m
 // positive candidates no filter excludes, through the heap, and while fewer
 // than m came out of it (the common case: a user's support reaches few
 // items) the first surviving ids that are not among them.
-func (c *candidates) selectTop(n, m int, flat []Filter) (items []int, scores []float64) {
+func (s *scratch) selectSparse(n, m int) {
+	s.items, s.scores = s.items[:0], s.scores[:0]
 	if m > n {
 		m = n
 	}
 	if m <= 0 {
-		return nil, nil
+		return
 	}
-	scan := newExclusionScan(flat)
-	h := c.heap[:0]
-	for j, id := range c.ids {
-		if c.scores[j] > 0 && !scan.excluded(int(id)) {
-			h = offer(h, c.scores, m, j)
+	s.scan.reset(s.flat)
+	h := s.heap[:0]
+	for j, id := range s.ids {
+		if s.cand[j] > 0 && !s.scan.excluded(int(id)) {
+			h = offer(h, s.cand, m, j)
 		}
 	}
-	c.heap = h
-	items, scores = make([]int, len(h), m), make([]float64, len(h), m)
-	drain(h, c.scores, items)
-	for n, j := range items {
-		items[n], scores[n] = int(c.ids[j]), c.scores[j]
+	s.heap = h
+	s.items = slices.Grow(s.items, m)[:len(h)]
+	drain(h, s.cand, s.items)
+	for r, j := range s.items {
+		s.items[r], s.scores = int(s.ids[j]), append(s.scores, s.cand[j])
 	}
-	if len(items) < m {
-		clear(scan.cursors) // the tail walk starts over from item 0
+	if len(s.items) < m {
+		clear(s.scan.cursors) // the tail walk starts over from item 0
 		j := 0
-		for i := 0; i < n && len(items) < m; i++ {
-			for j < len(c.ids) && int(c.ids[j]) < i {
+		for i := 0; i < n && len(s.items) < m; i++ {
+			for j < len(s.ids) && int(s.ids[j]) < i {
 				j++
 			}
-			if j < len(c.ids) && int(c.ids[j]) == i && c.scores[j] > 0 || scan.excluded(i) {
+			if j < len(s.ids) && int(s.ids[j]) == i && s.cand[j] > 0 || s.scan.excluded(i) {
 				continue
 			}
-			items, scores = append(items, i), append(scores, 0)
+			s.items, s.scores = append(s.items, i), append(s.scores, 0)
 		}
 	}
-	return items, scores
 }

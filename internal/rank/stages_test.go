@@ -201,7 +201,7 @@ func TestDiversifyStage(t *testing.T) {
 // a filters+stages combination.
 func TestFingerprintStagedAliasing(t *testing.T) {
 	fp := func(filters []Filter, stages []Stage) string {
-		s, ok := fingerprintStaged(flatten(filters), stages)
+		s, ok := fingerprintStaged(flatten(nil, filters), stages)
 		if !ok {
 			t.Fatalf("fingerprintStaged(%v, %v) uncacheable", filters, stages)
 		}
@@ -259,7 +259,7 @@ func TestRequestKey(t *testing.T) {
 		"everything": {exclude: []int{3}, allow: []string{"even", "third"}, deny: []string{"rare"}, stages: stages, filters: []Filter{ExcludeItems([]int{3}), allow, deny}},
 	} {
 		got, ok := RequestKey(c.exclude, c.allow, c.deny, c.stages)
-		want, wantOK := fingerprintStaged(flatten(c.filters), compactStages(c.stages))
+		want, wantOK := fingerprintStaged(flatten(nil, c.filters), compactStages(c.stages))
 		if !ok || !wantOK || got != want {
 			t.Errorf("%s: RequestKey = %q (%v), the engine's fingerprint %q (%v)", name, got, ok, want, wantOK)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -29,15 +30,26 @@ type SweepOnly struct{ Scorer }
 // file: the scorer a server ranks from.
 func trainMapped(tb testing.TB, train *sparse.Matrix, cfg core.Config) MappedScorer {
 	tb.Helper()
+	return openRange(tb, saveTrained(tb, train, cfg), 0, -1)
+}
+
+func saveTrained(tb testing.TB, train *sparse.Matrix, cfg core.Config) (path string) {
+	tb.Helper()
 	res, err := core.Train(train, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	path := filepath.Join(tb.TempDir(), "model.bin")
+	path = filepath.Join(tb.TempDir(), "model.bin")
 	if err := res.Model.SaveModelFileOpts(path, core.SaveOptions{Float32: true}); err != nil {
 		tb.Fatal(err)
 	}
-	rr, err := core.OpenMappedModelRange(path, 0, -1)
+	return path
+}
+
+// openRange maps the item range [lo, hi) of a saved model: a shard's scorer.
+func openRange(tb testing.TB, path string, lo, hi int) MappedScorer {
+	tb.Helper()
+	rr, err := core.OpenMappedModelRange(path, lo, hi)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,17 +61,64 @@ func trainMapped(tb testing.TB, train *sparse.Matrix, cfg core.Config) MappedSco
 // quarter of its size: 16 planted co-clusters of a few dozen items among
 // thousands, the shape where a user's support reaches about 1 % of the
 // items.
-func plantedSparse(tb testing.TB) *sparse.Matrix {
+func plantedSparse(tb testing.TB) *sparse.Matrix { return planted(tb, 1500, 3000, 80, 20) }
+
+// planted draws 16 co-clusters of up to clusterUsers × clusterItems, and
+// two noise positives a user, the way bench/layers.go does.
+func planted(tb testing.TB, users, items, clusterUsers, clusterItems int) *sparse.Matrix {
 	tb.Helper()
 	p, err := dataset.GeneratePlanted(dataset.PlantedConfig{
-		Name: "planted", Users: 1500, Items: 3000, Clusters: 16,
-		MinClusterUsers: 40, MaxClusterUsers: 80, MinClusterItems: 10, MaxClusterItems: 20,
-		WithinProb: 0.4, NoisePositives: 3000, PopularitySkew: 1,
+		Name: "planted", Users: users, Items: items, Clusters: 16,
+		MinClusterUsers: clusterUsers / 2, MaxClusterUsers: clusterUsers,
+		MinClusterItems: clusterItems / 2, MaxClusterItems: clusterItems,
+		WithinProb: 0.4, NoisePositives: 2 * users, PopularitySkew: 1,
 	}, rng.New(20170419))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return p.R
+}
+
+// shardBatch is a shard's batch as its engine sees it: a cacheless engine
+// over the item range [lo, hi) of a saved model, n users, and per user the
+// filter stack serve builds — the training row, for every fourth user an
+// exclusion list and a deny-tag filter beside it, all rebased into the
+// range and so unkeyed — built up front, so that what a TopMBatch call over
+// it allocates is the engine's own.
+func shardBatch(tb testing.TB, train *sparse.Matrix, path string, lo, hi, n int) (*Engine, []int, func(int) ([]Filter, bool)) {
+	tb.Helper()
+	deny, err := testTagTable(tb, train.Cols()).Deny("third")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	users, stacks := make([]int, n), make([][]Filter, n)
+	for i := range users {
+		users[i] = (i * 37) % train.Rows()
+		stacks[i] = []Filter{TrainRow(train, users[i])}
+		if i%4 == 0 {
+			stacks[i] = append(stacks[i], ExcludeItems([]int{lo, lo + 2, (lo + hi) / 2, hi - 1}), deny)
+		}
+		for j, f := range stacks[i] {
+			stacks[i][j] = OffsetRange(f, lo, hi)
+		}
+	}
+	e := NewEngine(openRange(tb, path, lo, hi), Config{})
+	return e, users, func(i int) ([]Filter, bool) { return stacks[i], true }
+}
+
+// skipUnderRace skips an allocation budget when the race detector is on:
+// there sync.Pool drops a quarter of what is Put (to shake out reuse bugs),
+// so pooled scratch is rebuilt at random and the counts are not
+// production's. CI runs the budgets by name without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
+	}
 }
 
 // oddOnly is a predicate filter (no Sorted, no bound): an allow-list.
@@ -80,8 +139,9 @@ func TestSelectSparseMatchesSelect(t *testing.T) {
 			dense[id] = scores[j]
 		}
 		want := Select(dense, m, filters...)
-		c := &candidates{ids: ids, scores: scores}
-		got, gotScores := c.selectTop(n, m, flatten(filters))
+		s := &scratch{ids: ids, cand: scores, flat: flatten(nil, filters)}
+		s.selectSparse(n, m)
+		got, gotScores := s.items, s.scores
 		if !slices.Equal(got, want) || len(gotScores) != len(got) {
 			t.Fatalf("%s (n=%d m=%d, %d candidates): sparse %v (%d scores), Select %v", name, n, m, len(ids), got, len(gotScores), want)
 		}

@@ -64,6 +64,7 @@ type batchScratch struct {
 	FrameScratch                // frame codec: body, decoded frame, encoded response
 	cols         rank.BatchCols // pipeline: the users' ranked lists, end to end
 	slots        []batchSlot    // pipeline: per-user error and arm
+	filters      []rank.Filter  // pipeline: the users' filter stacks, end to end
 	status       []uint8        // frame codec: per-user status bits
 	res          []BatchResult  // JSON codec: result structs...
 	flat         []ScoredItem   // ...whose item slices are windows of this
@@ -152,14 +153,19 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		if err != nil {
 			return 0, badRequest(err)
 		}
+		// Each user's stack is its own window of one pooled slice: stacks
+		// may be built concurrently, and each must last its user's ranking.
+		k := len(extra) + 1
+		sc.filters = grown(sc.filters, len(req.Users)*k)
 		sn.engine.TopMBatch(req.Users, m, workers, sn.stages, func(i int) ([]rank.Filter, bool) {
 			u := req.Users[i]
 			if u < 0 || u >= sn.rng.NumUsers() {
 				slots[i].err = fmt.Sprintf("user %d out of range (%d users)", u, sn.rng.NumUsers())
 				return nil, false
 			}
-			return userFilters(sn, u, extra), true
+			return userFilters(sc.filters[i*k:i*k:(i+1)*k], sn, u, extra), true
 		}, cols)
+		clear(sc.filters) // the pool must not pin a snapshot's training rows
 		version = sn.version
 	} else {
 		// Tenant path: each user resolves to its own arm. Arms may serve

@@ -88,9 +88,10 @@ type FilterSpec struct {
 }
 
 // requestFilters translates the per-request exclusion list and tag filter
-// spec into engine filters. Validation happens here, once per request —
-// a batch shares the result across its users (filters are immutable and
-// safe for concurrent use).
+// spec into engine filters — on a partition, rebased into its local index
+// space. Validation and rebasing happen here, once per request — a batch
+// shares the result across its users (filters are immutable and safe for
+// concurrent use).
 func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) ([]rank.Filter, error) {
 	var filters []rank.Filter
 	if len(exclude) > 0 {
@@ -119,6 +120,11 @@ func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) (
 				return nil, err
 			}
 			filters = append(filters, f)
+		}
+	}
+	if sn.model == nil {
+		for n, f := range filters {
+			filters[n] = rank.OffsetRange(f, sn.rng.ItemLo(), sn.rng.ItemHi())
 		}
 	}
 	return filters, nil
@@ -217,7 +223,7 @@ func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Fi
 	if act != nil {
 		tm, start = &timings, time.Now()
 	}
-	items, scores, cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, userFilters(sn, user, extra)...)
+	items, scores, cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, userFilters(nil, sn, user, extra)...)
 	recordRankSpans(act, start, tm)
 	if a := rt.arm; a != nil {
 		a.requests.Add(1)
@@ -228,23 +234,21 @@ func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Fi
 	return items, scores, cached, nil
 }
 
-// userFilters composes one user's filter stack: the training-row
-// exclusion (the offline evaluation protocol, kept on shards too) plus
-// the request's extra filters — on a partition, rebased into its local
-// index space. A whole-catalogue range must not rebase: OffsetRange
-// results are unkeyed, so every request would turn uncacheable (and pay
-// an allocation per filter).
-func userFilters(sn *snapshot, user int, extra []rank.Filter) []rank.Filter {
-	filters := make([]rank.Filter, 0, len(extra)+1)
-	filters = append(filters, rank.TrainRow(sn.train, user))
-	filters = append(filters, extra...)
+// userFilters appends one user's filter stack to dst: the training-row
+// exclusion (the offline evaluation protocol, kept on shards too) — on a
+// partition, the window of it inside the range — plus the request's extra
+// filters as requestFilters left them. A whole-catalogue range must not
+// rebase: OffsetRange results are unkeyed, so every request would turn
+// uncacheable (and pay an allocation per filter). A batch passes windows of
+// one pooled slice for dst, so what a user costs is the filter values of
+// the row: two small boxes on a partition, one on the whole catalogue,
+// whatever the row's length and however many filters the request carries.
+func userFilters(dst []rank.Filter, sn *snapshot, user int, extra []rank.Filter) []rank.Filter {
+	row := rank.TrainRow(sn.train, user)
 	if sn.model == nil {
-		lo, hi := sn.rng.ItemLo(), sn.rng.ItemHi()
-		for n, f := range filters {
-			filters[n] = rank.OffsetRange(f, lo, hi)
-		}
+		row = rank.OffsetRange(row, sn.rng.ItemLo(), sn.rng.ItemHi())
 	}
-	return filters
+	return append(append(dst, row), extra...)
 }
 
 // FoldInRequest asks for cold-start recommendations: the item history of a

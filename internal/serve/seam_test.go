@@ -34,7 +34,7 @@ func TestBatchReportsRankingSnapshotVersion(t *testing.T) {
 	}
 	off := 0
 	for i, u := range req.Users {
-		items, scores, _ := retired.engine.TopM(u, 5, userFilters(retired, u, nil)...)
+		items, scores, _ := retired.engine.TopM(u, 5, userFilters(nil, retired, u, nil)...)
 		for r := range items {
 			if int(sc.cols.Items[off+r]) != items[r] || sc.cols.Scores[off+r] != scores[r] {
 				t.Fatalf("user slot %d rank %d: the batch did not rank against the retired snapshot", i, r)

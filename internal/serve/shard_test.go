@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"net/http"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/ranktest"
@@ -90,5 +91,55 @@ func TestShardConfigValidation(t *testing.T) {
 	// The full-server constructors refuse shard configs.
 	if _, err := NewFromFile(Config{ModelPath: path, ShardLo: 0, ShardHi: 10}); err == nil {
 		t.Error("NewFromFile accepted a shard config")
+	}
+}
+
+// TestShardBatchAllocsPerUser: what one more user adds to a shard's batch is
+// the two filter values of its training row — TrainRow's, and the window
+// OffsetRange cuts from it — and nothing else. The lists go from the
+// engine's scratch into the request's pooled columns, the filter stacks are
+// windows of one pooled slice, and the request's own filters are rebased
+// once per request, however many users share them.
+func TestShardBatchAllocsPerUser(t *testing.T) {
+	skipUnderRace(t)
+	fx := ranktest.New(t, ranktest.Variant{F32: true})
+	cfg := conformConfig(fx)
+	cfg.ShardLo, cfg.ShardHi = 20, 60
+	srv, err := NewShardFromFile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make([]int, 33)
+	for i := range users {
+		users[i] = (i * 7) % fx.Train.Rows()
+	}
+	req := &BatchRequest{M: 5, ExcludeItems: []int{3, 25, 41}, Filter: &FilterSpec{DenyTags: []string{"rare"}}}
+	sc, rt := new(batchScratch), route{sn: srv.snap.Load()}
+	allocs := func(n int) float64 {
+		req.Users = users[:n]
+		return testing.AllocsPerRun(50, func() {
+			if _, aerr := srv.rankBatch(nil, rt, req, req.M, 1, sc); aerr != nil {
+				t.Fatal(aerr.msg)
+			}
+		})
+	}
+	allocs(len(users)) // warm: the engine's scratch pooled, sc grown
+	if one, all := allocs(1), allocs(len(users)); all-one != 2*float64(len(users)-1) {
+		t.Errorf("1 user: %v allocations, %d users: %v — %v per user, want 2", one, len(users), all, (all-one)/float64(len(users)-1))
+	}
+}
+
+// skipUnderRace skips an allocation budget when the race detector is on:
+// there sync.Pool drops a quarter of what is Put (to shake out reuse bugs),
+// so pooled scratch is rebuilt at random and the counts are not
+// production's. CI runs the budgets by name without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
 	}
 }

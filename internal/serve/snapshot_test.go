@@ -114,12 +114,28 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 						t.Errorf("%d cache entries, want a cache only over the whole catalogue", sn.engine.CacheLen())
 					}
 				})
-				// A whole-catalogue range passes the keyed filters through:
-				// 2 = the stack's slice and the training-row filter; each
-				// OffsetRange wrapper would add to it.
-				extra := []rank.Filter{rank.ExcludeItems([]int{r.lo, r.wantHi - 1})}
-				if allocs := testing.AllocsPerRun(10, func() { userFilters(sn, 7, extra) }); r.whole && allocs > 2 {
-					t.Errorf("%s: the filter stack costs %v allocations, want 2 (no rebasing wrapper)", name, allocs)
+				// What the stack costs its user is the filter values of the
+				// training row and nothing else — TrainRow's on the whole
+				// catalogue (the request's keyed filters pass through, no
+				// rebasing wrapper), plus the window OffsetRange cuts from
+				// the row on a partition: the slice is the batch's, and the
+				// request's own filters were rebased once, by requestFilters,
+				// however long the exclusion list.
+				exclude := []int{r.lo, r.wantHi - 1}
+				for i := r.lo + 1; i < r.wantHi-1; i += 2 {
+					exclude = append(exclude, i)
+				}
+				extra, err := srv.requestFilters(sn, exclude, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := 1.0
+				if !r.whole {
+					want = 2
+				}
+				dst := make([]rank.Filter, 0, len(extra)+1)
+				if allocs := testing.AllocsPerRun(10, func() { userFilters(dst, sn, 7, extra) }); allocs != want {
+					t.Errorf("%s: the filter stack costs %v allocations per user, want %v", name, allocs, want)
 				}
 			}
 
