@@ -71,7 +71,7 @@ func main() {
 		lambda   = flag.Float64("lambda", 5, "l2 regularization weight")
 		relative = flag.Bool("relative", false, "use the R-OCuLaR relative-preference objective")
 		iters    = flag.Int("iters", 150, "max training iterations per cycle")
-		workers  = flag.Int("workers", 0, "parallel training workers (0 or 1 = serial)")
+		workers  = flag.Int("workers", 0, "parallel training workers (0 = all cores, 1 = serial)")
 		saveF32  = flag.Bool("save-f32", true, "include the float32 scoring section in saved models")
 
 		maxGrowth = flag.Int("max-growth", 0, "cap on catalogue growth per cycle; feed events beyond it are skipped (0 = 1<<20)")

@@ -35,7 +35,7 @@ func main() {
 		lambda   = flag.Float64("lambda", 5, "l2 regularization weight")
 		relative = flag.Bool("relative", false, "use the R-OCuLaR relative-preference objective")
 		iters    = flag.Int("iters", 150, "max training iterations")
-		workers  = flag.Int("workers", 0, "parallel training workers (0 or 1 = serial)")
+		workers  = flag.Int("workers", 0, "parallel training workers (0 = all cores, 1 = serial)")
 
 		holdout = flag.Float64("holdout", 0, "fraction of positives held out for evaluation (0 = train on all)")
 		user    = flag.Int("user", -1, "user index to recommend for")

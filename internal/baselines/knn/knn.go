@@ -25,8 +25,9 @@ type Config struct {
 	// Neighbors is the number of nearest neighbors kept per user (or item).
 	// Required, >= 1.
 	Neighbors int
-	// Workers parallelizes the all-pairs similarity computation; 0 or 1 is
-	// serial.
+	// Workers parallelizes the all-pairs similarity computation: 0 = every
+	// core (parallel.DefaultWorkers, the default), 1 = serial. Neighbor lists
+	// are computed per row, so every worker count gives the same model.
 	Workers int
 }
 

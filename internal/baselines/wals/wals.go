@@ -38,16 +38,15 @@ type Config struct {
 	Iters int
 	// Seed seeds the factor initialization.
 	Seed uint64
-	// Workers parallelizes the per-row solves; 0 or 1 is serial.
+	// Workers parallelizes the per-row solves: 0 = every core
+	// (parallel.DefaultWorkers, the default), 1 = serial. Rows are solved
+	// independently, so every worker count gives the same factors.
 	Workers int
 }
 
 func (c Config) withDefaults() Config {
 	if c.Iters == 0 {
 		c.Iters = 15
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }

@@ -21,7 +21,7 @@ func sameBits(t *testing.T, what string, a, b []float64) {
 	}
 	for i := range a {
 		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			t.Fatalf("%s[%d]: %v with certificates, %v without", what, i, a[i], b[i])
+			t.Fatalf("%s[%d]: %v and %v", what, i, a[i], b[i])
 		}
 	}
 }
@@ -66,11 +66,12 @@ func certificatesChangeNoBit(t *testing.T, m *sparse.Matrix, cfg Config) *Model 
 // kernel-equivalence grid and through FoldInUser, then without
 // regularization and from the warm start that leaves behind.
 func TestCertificatesChangeNoBit(t *testing.T) {
+	withProcs(t, 4)
 	m := func(k int) *sparse.Matrix { return smallMatrix(uint64(100+k), 50, 40, 320) }
 	for _, k := range []int{1, 4, 16} {
 		for _, relative := range []bool{false, true} {
 			for _, bias := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 4, 0} {
 					for _, steps := range []int{1, 3} {
 						name := fmt.Sprintf("K=%d/relative=%v/bias=%v/workers=%d/steps=%d",
 							k, relative, bias, workers, steps)

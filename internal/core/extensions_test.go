@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -188,6 +189,41 @@ func topIndex(scores []float64, r interface{ Has(u, i int) bool }, u int) int {
 		}
 	}
 	return best
+}
+
+// TestFoldInAllocsPerCall: fold-in is a per-request path whose parallelism
+// is the server's, so it must not fan out — the default Config (Workers 0,
+// every core when training) allocates exactly what the serial one does. The
+// catalogue spans several of SumVectors' 256-row blocks and GOMAXPROCS is
+// 4, so a fan-out would spawn goroutines on every call. The count is
+// testing.AllocsPerRun's without its GOMAXPROCS(1), under which "every
+// core" is one and nothing would fan out.
+func TestFoldInAllocsPerCall(t *testing.T) {
+	withProcs(t, 4)
+	res, err := Train(smallMatrix(31, 40, 900, 1500), Config{K: 4, Lambda: 2, MaxIter: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := []int{3, 17, 256, 511, 800}
+	allocs := func(cfg Config) uint64 {
+		const runs = 50
+		call := func() {
+			if _, _, err := res.Model.FoldInUser(items, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+	if def, serial := allocs(Config{}), allocs(Config{Workers: 1}); def != serial {
+		t.Fatalf("FoldInUser allocates %v per call with Workers 0 and %v with Workers 1", def, serial)
+	}
 }
 
 func TestFoldInValidation(t *testing.T) {

@@ -41,8 +41,11 @@ func (m *Model) FoldInUser(items []int, cfg Config) (factor []float64, bias floa
 		}
 	}
 
+	// One worker: the server's concurrency is this path's parallelism, and a
+	// per-request fan-out over the catalogue would spawn goroutines on every
+	// call. The fixed-block sum gives the same bits for any count.
 	t := &trainer{cfg: cfg, m: m, sum: make([]float64, m.k)}
-	parallel.SumVectors(t.sum, m.fi, m.k, cfg.Workers)
+	parallel.SumVectors(t.sum, m.fi, m.k, 1)
 
 	f := make([]float64, m.k)
 	rnd := rng.New(cfg.Seed)

@@ -3,11 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
 	"repro/internal/rng"
+	"repro/internal/sparse"
 )
 
 // TestFusedMatchesReferenceTraces is the kernel-equivalence contract of the
@@ -17,10 +19,11 @@ import (
 // outer iteration. (The paths reorder floating-point sums, so bitwise
 // equality is not expected — trajectory agreement is.)
 func TestFusedMatchesReferenceTraces(t *testing.T) {
+	withProcs(t, 4)
 	for _, k := range []int{1, 4, 16} {
 		for _, relative := range []bool{false, true} {
 			for _, bias := range []bool{false, true} {
-				for _, workers := range []int{1, 4} {
+				for _, workers := range []int{1, 4, 0} {
 					name := fmt.Sprintf("K=%d/relative=%v/bias=%v/workers=%d", k, relative, bias, workers)
 					t.Run(name, func(t *testing.T) {
 						m := smallMatrix(uint64(100+k), 50, 40, 320)
@@ -78,55 +81,56 @@ func TestFusedMatchesReferenceGradSteps(t *testing.T) {
 	}
 }
 
+// withProcs runs the rest of t with GOMAXPROCS n, so a Workers 0 row (every
+// core) really fans out on a 2-core runner, and restores it afterwards.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// sameTraining fails the test unless a and b trained the same model in
+// math.Float64bits — factors, biases and the objective trace.
+func sameTraining(t *testing.T, a, b *Result) {
+	t.Helper()
+	sameBits(t, "fu", a.Model.fu, b.Model.fu)
+	sameBits(t, "fi", a.Model.fi, b.Model.fi)
+	sameBits(t, "bu", a.Model.bu, b.Model.bu)
+	sameBits(t, "bi", a.Model.bi, b.Model.bi)
+	sameBits(t, "objective trace", a.Objective, b.Objective)
+}
+
 // TestFusedSerialParallelBitIdentical: on the fused path (and its bias and
-// relative variants) serial and parallel schedules must remain bit-identical
-// — factor updates are row-local and every cross-row reduction, including
+// relative variants) 4 workers and the default 0 (every core, 4 here) must
+// train the serial model bit for bit, cold and warm-started from it —
+// factor updates are row-local and every cross-row reduction, including
 // the parallelized convergence objective, uses a fixed-block deterministic
 // tree.
 func TestFusedSerialParallelBitIdentical(t *testing.T) {
+	withProcs(t, 4)
 	for _, relative := range []bool{false, true} {
 		for _, bias := range []bool{false, true} {
 			t.Run(fmt.Sprintf("relative=%v/bias=%v", relative, bias), func(t *testing.T) {
-				m := smallMatrix(17, 300, 200, 2500)
-				cfg := Config{
+				m, next := smallMatrix(17, 300, 200, 2500), smallMatrix(18, 300, 200, 2500)
+				train := func(r *sparse.Matrix, cfg Config) *Result {
+					t.Helper()
+					res, err := Train(r, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return res
+				}
+				cold := Config{
 					K: 6, Lambda: 1, MaxIter: 6, Tol: 1e-12, Seed: 13,
 					Relative: relative, Bias: bias, Workers: 1,
 				}
-				serial, err := Train(m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Workers = 4
-				par, err := Train(m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range serial.Model.fu {
-					if serial.Model.fu[i] != par.Model.fu[i] {
-						t.Fatalf("user factor %d differs between serial and parallel", i)
-					}
-				}
-				for i := range serial.Model.fi {
-					if serial.Model.fi[i] != par.Model.fi[i] {
-						t.Fatalf("item factor %d differs between serial and parallel", i)
-					}
-				}
-				if bias {
-					for i := range serial.Model.bu {
-						if serial.Model.bu[i] != par.Model.bu[i] {
-							t.Fatalf("user bias %d differs between serial and parallel", i)
-						}
-					}
-					for i := range serial.Model.bi {
-						if serial.Model.bi[i] != par.Model.bi[i] {
-							t.Fatalf("item bias %d differs between serial and parallel", i)
-						}
-					}
-				}
-				for i := range serial.Objective {
-					if serial.Objective[i] != par.Objective[i] {
-						t.Fatalf("objective trace %d differs between serial and parallel", i)
-					}
+				serial := train(m, cold)
+				warm := cold
+				warm.WarmStart, warm.Seed = serial.Model, 14
+				serialWarm := train(next, warm)
+				for _, workers := range []int{4, 0} {
+					cold.Workers, warm.Workers = workers, workers
+					sameTraining(t, serial, train(m, cold))
+					sameTraining(t, serialWarm, train(next, warm))
 				}
 			})
 		}
@@ -182,9 +186,10 @@ func BenchmarkTrainSweep(b *testing.B) {
 
 // BenchmarkTrainBenchCatalogue trains what every workload of the repository
 // benchmark trains — bench/layers.go's planted catalogue at bench/
-// workloads.go's trainSize (2,000 × 3,000, K=16, λ=5, catalogSeed, serial
-// solver, 70% of the positives as the base matrix) — so a training profile
-// can be taken where the benchmark's cold_train_s and cycle_s are spent:
+// workloads.go's trainSize (2,000 × 3,000, K=16, λ=5, catalogSeed, the
+// default all-core solver, serial under -cpu 1, 70% of the positives as
+// the base matrix) — so a training profile can be taken where the
+// benchmark's cold_train_s and cycle_s are spent:
 // `cold` is the first cycle's training from random factors, `warm` a
 // retrain from that model once the 10% ingest stream has been added. The
 // README's training attribution is measured from it.

@@ -55,10 +55,11 @@ type Config struct {
 	// Seed seeds factor initialization.
 	Seed uint64
 	// Workers sets the number of parallel workers for the factor-update
-	// kernels; 0 or 1 = serial (the default). Factor updates within a block
-	// are independent and every cross-row reduction uses a fixed-block
-	// deterministic tree, so parallel and serial schedules produce
-	// bit-identical models.
+	// kernels: 0 = every core (parallel.DefaultWorkers, the default),
+	// 1 = serial. Factor updates within a block are independent and every
+	// cross-row reduction uses a fixed-block deterministic tree, so every
+	// worker count produces the same model bit for bit. FoldInUser, a
+	// per-request path, always solves with 1.
 	Workers int
 	// reference selects the unfused kernels (updateFactorRef) that
 	// kernels_test.go holds the fused ones to: same quantities, sums in a
@@ -105,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.InitScale == 0 && c.K > 0 {
 		c.InitScale = math.Sqrt(1 / float64(c.K))
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	return c
 }

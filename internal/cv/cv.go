@@ -57,8 +57,10 @@ type Options struct {
 	// Criterion maps metrics to the scalar being maximized. Default
 	// recall@M, the paper's choice.
 	Criterion func(eval.Metrics) float64
-	// Workers is the number of concurrent grid cells. Default 1. Note that
-	// per-cell training is itself parallel when Base.Workers > 1.
+	// Workers is the number of concurrent grid cells. Default 1. Parallelism
+	// stays at one level: with Workers > 1 the grid is the fan-out, and a
+	// cell whose Base.Workers is 0 (every core) trains serially; an explicit
+	// Base.Workers is honoured. Models are the same bits either way.
 	Workers int
 }
 
@@ -71,6 +73,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
+	}
+	if o.Workers > 1 && o.Base.Workers == 0 {
+		o.Base.Workers = 1
 	}
 	return o
 }

@@ -68,27 +68,33 @@ func TestSearchBestIsMax(t *testing.T) {
 	}
 }
 
+// TestSearchParallelMatchesSerial: no schedule changes a cell. The
+// reference trains every cell serially one after another; the others fan
+// out over cells (Base.Workers 0 then trains each cell serially) or, with
+// one cell at a time, over every core inside the cell.
 func TestSearchParallelMatchesSerial(t *testing.T) {
 	d := dataset.SyntheticSmall(4)
 	sp := dataset.SplitEntries(d.R, 0.75, rng.New(4))
 	grid := Grid{Ks: []int{2, 3}, Lambdas: []float64{1, 2}}
-	opts := Options{M: 10, Base: core.Config{MaxIter: 4, Seed: 5}}
+	opts := Options{M: 10, Base: core.Config{MaxIter: 4, Seed: 5, Workers: 1}}
 	serial, err := Search(sp.Train, sp.Test, grid, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Workers = 4
-	par, err := Search(sp.Train, sp.Test, grid, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Cells {
-		if serial.Cells[i].Metrics != par.Cells[i].Metrics {
-			t.Fatalf("cell %d differs between serial and parallel search", i)
+	for _, workers := range []int{2, 4, 1} {
+		opts.Workers, opts.Base.Workers = workers, 0
+		par, err := Search(sp.Train, sp.Test, grid, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if serial.Best.K != par.Best.K || serial.Best.Lambda != par.Best.Lambda {
-		t.Fatal("best cell differs")
+		for i := range serial.Cells {
+			if serial.Cells[i].Metrics != par.Cells[i].Metrics {
+				t.Fatalf("Workers %d: cell %d differs from the serial search", workers, i)
+			}
+		}
+		if serial.Best.K != par.Best.K || serial.Best.Lambda != par.Best.Lambda {
+			t.Fatalf("Workers %d: best cell differs", workers)
+		}
 	}
 }
 
