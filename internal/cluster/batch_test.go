@@ -149,7 +149,7 @@ func TestBatchWithShardDown(t *testing.T) {
 	tr.shardTS[1].Close() // the outage
 
 	req := serve.BatchRequest{Users: []int{4, 5, 6}, M: 10}
-	var closed BatchResponse
+	var closed serve.BatchResponse
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/batch", req, &closed); st != 200 {
 		t.Fatalf("fail-closed batch: status %d, want 200 with failed slots", st)
 	}
@@ -166,7 +166,7 @@ func TestBatchWithShardDown(t *testing.T) {
 	}
 
 	for round := 0; round < 2; round++ {
-		var got BatchResponse
+		var got serve.BatchResponse
 		if st := ranktest.PostJSON(t, degTS.URL+"/v1/batch", req, &got); st != 200 {
 			t.Fatalf("degraded batch round %d: status %d", round, st)
 		}

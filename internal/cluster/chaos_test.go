@@ -71,7 +71,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 	// Phase 1: the threshold. Each of these burns the per-attempt
 	// timeout on the hung shard and comes back degraded.
 	for i := 0; i < 3; i++ {
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 {
 			t.Fatalf("request %d during hang: status %d", i, st)
 		}
@@ -88,7 +88,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 	// The window stays inside the cooldown so no trial re-hangs us.
 	start := time.Now()
 	for i := 0; i < 5; i++ {
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
 			t.Fatalf("fail-fast request %d: status %d degraded=%v", i, st, resp.Degraded)
 		}
@@ -102,7 +102,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 	// back to bit-identical — conforms also asserts not-degraded.
 	ct.Set()
 	waitFor(t, 10*time.Second, "breaker to close after the fault cleared", func() bool {
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp)
 		return !resp.Degraded
 	})
@@ -138,7 +138,7 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 	// Down in the overlay: requests skip the shard outright — degraded,
 	// and fast even though nothing is cached.
 	start := time.Now()
-	var resp RecommendResponse
+	var resp serve.RecommendResponse
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 9, M: 10}, &resp); st != 200 {
 		t.Fatalf("status %d with shard down", st)
 	}
@@ -232,7 +232,7 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			var rr RecommendResponse
+			var rr serve.RecommendResponse
 			_ = json.NewDecoder(resp.Body).Decode(&rr)
 			outcomes[i] = outcome{
 				status:  resp.StatusCode,
@@ -337,7 +337,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				var rr RecommendResponse
+				var rr serve.RecommendResponse
 				decErr := json.NewDecoder(resp.Body).Decode(&rr)
 				resp.Body.Close()
 				mu.Lock()
@@ -384,7 +384,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 
 	// After the storm: heal and verify the tier converged on v2.
 	ct.Set()
-	var rr RecommendResponse
+	var rr serve.RecommendResponse
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 42, M: 10}, &rr); st != 200 {
 		t.Fatalf("post-chaos: status %d", st)
 	}
@@ -425,7 +425,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 	proxy.SetTrickle(20 * time.Millisecond)
 	for i := 0; i < 4; i++ {
 		start := time.Now()
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		if st := ranktest.PostJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: i, M: 10}, &resp); st != 200 {
 			t.Fatalf("request %d: status %d", i, st)
 		}
@@ -438,7 +438,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 	}
 	proxy.SetMode(chaos.ModePass)
 	waitFor(t, 5*time.Second, "full merges once the loris relents", func() bool {
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		return ranktest.PostJSON(t, rts.URL+"/v1/recommend", serve.RecommendRequest{User: 3, M: 10}, &resp) == 200 &&
 			!resp.Degraded
 	})
@@ -504,7 +504,7 @@ func TestRouterMapsShardTimeoutTo504(t *testing.T) {
 	if body.Code != "deadline_exceeded" || body.Error == "" {
 		t.Fatalf("504 body = %+v, want code deadline_exceeded with an error message", body)
 	}
-	if tr.router.m.deadline504s.Value() < 1 {
+	if tr.router.edge.Deadline504s() < 1 {
 		t.Error("deadline_504s metric not incremented")
 	}
 }
@@ -549,7 +549,7 @@ func TestRequestTimeoutBoundsTheRequest(t *testing.T) {
 	if got := spy.max.Load(); got <= 0 || got > budget.Milliseconds() {
 		t.Errorf("the healthy shard was granted %d ms, want a budget within the request's %d", got, budget.Milliseconds())
 	}
-	if got := tr.router.m.deadline504s.Value(); got != 1 {
+	if got := tr.router.edge.Deadline504s(); got != 1 {
 		t.Errorf("deadline_504s = %d, want 1", got)
 	}
 }
@@ -600,14 +600,14 @@ func BenchmarkRouterShardDown(b *testing.B) {
 	})
 	ct.Set(&chaos.Fault{Host: hostOf(b, tr.shardTS[0].URL), Hang: true})
 	// One sacrificial request burns the timeout and trips the breaker.
-	var warm RecommendResponse
+	var warm serve.RecommendResponse
 	if st := ranktest.PostJSON(b, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 0, M: 10}, &warm); st != 200 || !warm.Degraded {
 		b.Fatalf("warm-up: status %d degraded=%v", st, warm.Degraded)
 	}
 	req := serve.RecommendRequest{User: 17, M: 10}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var resp RecommendResponse
+		var resp serve.RecommendResponse
 		if st := ranktest.PostJSON(b, tr.routerTS.URL+"/v1/recommend", req, &resp); st != 200 || !resp.Degraded {
 			b.Fatalf("status %d degraded=%v", st, resp.Degraded)
 		}

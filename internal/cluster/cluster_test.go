@@ -240,7 +240,7 @@ func TestDegradedMode(t *testing.T) {
 	}
 
 	for round := 0; round < 2; round++ {
-		var got RecommendResponse
+		var got serve.RecommendResponse
 		if st := ranktest.PostJSON(t, degTS.URL+"/v1/recommend",
 			serve.RecommendRequest{User: 4, M: 10}, &got); st != 200 {
 			t.Fatalf("degraded router round %d: status %d, want 200", round, st)
@@ -271,7 +271,7 @@ func TestDegradedMode(t *testing.T) {
 func TestRouterCacheAndEpochFingerprint(t *testing.T) {
 	tr := newTier(t, 2, Config{})
 	req := serve.RecommendRequest{User: 33, M: 9, ExcludeItems: []int{5, 2, 5}}
-	var first, second RecommendResponse
+	var first, second serve.RecommendResponse
 	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &first)
 	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &second)
 	if first.Cached || !second.Cached {
@@ -285,7 +285,7 @@ func TestRouterCacheAndEpochFingerprint(t *testing.T) {
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 		t.Fatal("flip failed")
 	}
-	var third RecommendResponse
+	var third serve.RecommendResponse
 	ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &third)
 	if third.Cached {
 		t.Fatal("request served from a stale-epoch cache entry after the flip")
@@ -514,7 +514,7 @@ func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
 			defer clients.Done()
 			rng := rand.New(rand.NewPCG(uint64(g), 7))
 			for i := 0; i < 60; i++ {
-				var got RecommendResponse
+				var got serve.RecommendResponse
 				st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 					serve.RecommendRequest{User: rng.IntN(120), M: 1 + rng.IntN(12)}, &got)
 				switch st {

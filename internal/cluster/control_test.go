@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -167,6 +169,71 @@ func TestControlPlaneContract(t *testing.T) {
 	contract(t, "router /readyz", "GET", router.URL+"/readyz", "", 200, new(serve.Ready), "epoch ready")
 	rt.BeginDrain()
 	contract(t, "draining router /readyz", "GET", router.URL+"/readyz", "", 503, new(serve.Ready), "ready reason")
+}
+
+// TestDataPathKeySets: both binaries answer the data routes with the same
+// structs, and each fills only the keys it has — a server labels with its
+// model version (and, tenant-routed, the arm's labels), a router with its
+// route epoch (and, merging the surviving shards only, degraded). Each row
+// pins the top-level keys and the union of the batch slots' keys.
+func TestDataPathKeySets(t *testing.T) {
+	tr := newTier(t, 2, Config{})
+	_, deg := startRouter(t, Config{Shards: ranktest.URLs(tr.shardTS), AllowDegraded: true})
+	full, err := serve.NewFromFile(serve.Config{ModelPath: tr.fx.Path, Train: tr.fx.Train,
+		Registry: &serve.RegistryConfig{
+			Models: map[string]serve.ModelSpec{"main": {Path: tr.fx.Path}},
+			Tenants: map[string]serve.TenantSpec{"acme": {Experiment: &serve.ExperimentSpec{
+				Name: "exp", Arms: []serve.ArmSpec{{Name: "a", Model: "main"}}}}},
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullTS := httptest.NewServer(full.Handler())
+	defer fullTS.Close()
+	keys := func(url, body string) string {
+		t.Helper()
+		status, _, data := ranktest.PostRaw(t, url, "application/json", []byte(body), nil)
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(data, &top); err != nil || status != http.StatusOK {
+			t.Fatalf("POST %s %s: status %d %s", url, body, status, data)
+		}
+		var results []map[string]json.RawMessage
+		_ = json.Unmarshal(top["results"], &results) // absent on a recommend
+		got := slices.Sorted(maps.Keys(top))
+		slot := map[string]bool{}
+		for _, res := range results {
+			for k := range res {
+				slot[k] = true
+			}
+		}
+		if len(slot) > 0 {
+			got = append(append(got, "|"), slices.Sorted(maps.Keys(slot))...)
+		}
+		return strings.Join(got, " ")
+	}
+	for _, row := range []struct{ name, url, body, want string }{
+		{"server recommend", fullTS.URL + "/v1/recommend", `{"user":3,"m":5}`, "cached items model_version user"},
+		{"server batch", fullTS.URL + "/v1/batch", `{"users":[3,99999],"m":5}`, "model_version results | cached error items user"},
+		{"tenant recommend", fullTS.URL + "/v1/recommend", `{"user":3,"m":5,"tenant":"acme"}`,
+			"arm cached experiment items model model_version tenant user"},
+		{"tenant batch", fullTS.URL + "/v1/batch", `{"users":[3,99999],"m":5,"tenant":"acme"}`,
+			"model_version results | arm arm_model_version cached error items user"},
+		{"router recommend", tr.routerTS.URL + "/v1/recommend", `{"user":3,"m":5}`, "cached items route_epoch user"},
+		{"router batch", tr.routerTS.URL + "/v1/batch", `{"users":[3,99999],"m":5}`, "results route_epoch | cached error items user"},
+	} {
+		if got := keys(row.url, row.body); got != row.want {
+			t.Errorf("%s: keys %q, want %q", row.name, got, row.want)
+		}
+	}
+	tr.shardTS[1].Close()
+	for _, row := range []struct{ name, url, body, want string }{
+		{"degraded recommend", deg.URL + "/v1/recommend", `{"user":4,"m":5}`, "cached degraded items route_epoch user"},
+		{"degraded batch", deg.URL + "/v1/batch", `{"users":[5,99999],"m":5}`, "results route_epoch | degraded error items user"},
+	} {
+		if got := keys(row.url, row.body); got != row.want {
+			t.Errorf("%s: keys %q, want %q", row.name, got, row.want)
+		}
+	}
 }
 
 // shardsInMemory is an HTTP transport answering GET /healthz for a tier of

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"fmt"
 	"io"
@@ -29,11 +28,10 @@ type metrics struct {
 	shardErrors expvar.Int
 	hedges      expvar.Int
 	flips       expvar.Int
-	// Resilience counters (PR 7): requests answered 504 on deadline
-	// exhaustion, and the prober's activity — probes run, probes failed,
-	// shards marked down, shards repaired back into rotation. Hedges the
-	// retry budget refused are counted by the budget itself.
-	deadline504s  expvar.Int
+	// Resilience counters (PR 7): the prober's activity — probes run,
+	// probes failed, shards marked down, shards repaired back into
+	// rotation. Requests answered 504 on deadline exhaustion are the
+	// edge's; hedges the retry budget refused are counted by the budget.
 	probes        expvar.Int
 	probeFailures expvar.Int
 	marksDown     expvar.Int
@@ -59,9 +57,7 @@ func (rt *Router) buildMux() *http.ServeMux {
 	// flip, health, readiness and metrics are never shed.
 	e := rt.edge
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/recommend", e.Instrument("recommend", rt.gate.Wrap(rt.handleRecommend)))
-	mux.HandleFunc("POST /v1/batch", e.Instrument("batch", rt.gate.Wrap(rt.handleBatch)))
-	mux.HandleFunc("POST /v2/batch", e.Instrument("batch_binary", rt.gate.Wrap(rt.handleBatchFrame)))
+	serve.NewFront(e, rt.batch, 0).Mount(mux, rt.gate)
 	mux.HandleFunc("POST /v1/admin/flip", e.Instrument("flip", rt.handleFlip))
 	mux.HandleFunc("GET /healthz", e.Instrument("healthz", rt.handleHealthz))
 	mux.HandleFunc("GET /readyz", e.Instrument("readyz", rt.handleReadyz))
@@ -70,13 +66,13 @@ func (rt *Router) buildMux() *http.ServeMux {
 	return mux
 }
 
-// loadTable returns the current route table, or a 503 requestError
-// before the first successful Refresh.
+// loadTable returns the current route table, or a 503 before the first
+// successful Refresh.
 func (rt *Router) loadTable() (*routeTable, error) {
 	tbl := rt.table.Load()
 	if tbl == nil {
-		return nil, &requestError{status: http.StatusServiceUnavailable,
-			msg: "no route table yet (waiting for the first successful shard refresh)"}
+		return nil, &serve.Error{Status: http.StatusServiceUnavailable,
+			Msg: "no route table yet (waiting for the first successful shard refresh)"}
 	}
 	return tbl, nil
 }
@@ -85,7 +81,7 @@ func (rt *Router) loadTable() (*routeTable, error) {
 // catalogue, mirroring the single-process server's rejections.
 func (tbl *routeTable) validateUser(user int) error {
 	if user < 0 || user >= tbl.users {
-		return badRequest(fmt.Errorf("user %d out of range (%d users)", user, tbl.users))
+		return serve.BadRequest(fmt.Errorf("user %d out of range (%d users)", user, tbl.users))
 	}
 	return nil
 }
@@ -93,51 +89,10 @@ func (tbl *routeTable) validateUser(user int) error {
 func (tbl *routeTable) validateExclude(exclude []int) error {
 	for _, i := range exclude {
 		if i < 0 || i >= tbl.items {
-			return badRequest(fmt.Errorf("exclude item %d out of range (%d items)", i, tbl.items))
+			return serve.BadRequest(fmt.Errorf("exclude item %d out of range (%d items)", i, tbl.items))
 		}
 	}
 	return nil
-}
-
-// RecommendResponse is the router's answer to /v1/recommend: the same
-// ranked list a single process serving the full model would return,
-// tagged with the route epoch it was merged under. Degraded marks a
-// merge assembled from surviving shards only (Config.AllowDegraded);
-// degraded lists are never cached.
-type RecommendResponse struct {
-	User       int                `json:"user"`
-	Items      []serve.ScoredItem `json:"items"`
-	Cached     bool               `json:"cached"`
-	RouteEpoch uint64             `json:"route_epoch"`
-	Degraded   bool               `json:"degraded,omitempty"`
-}
-
-// handleRecommend is the batch pipeline with one user: the same gather,
-// the same cache, one frame per shard when the list is not cached.
-func (rt *Router) handleRecommend(w http.ResponseWriter, r *http.Request) int {
-	var req serve.RecommendRequest
-	if err := rt.edge.DecodeJSON(w, r, &req); err != nil {
-		return serve.WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
-	_, tbl, err := rt.batch(r, &serve.BatchRequest{
-		Users: []int{req.User}, M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter, Tenant: req.Tenant,
-	}, sc)
-	if err == nil {
-		err = sc.res[0].Err
-	}
-	if err != nil {
-		return rt.writeFailure(w, err)
-	}
-	res := &sc.res[0]
-	return serve.WriteJSON(w, http.StatusOK, RecommendResponse{
-		User:       req.User,
-		Items:      serve.ZipScored(res.Items, res.Scores),
-		Cached:     res.Cached,
-		RouteEpoch: tbl.epoch,
-		Degraded:   res.NoShare,
-	})
 }
 
 // requestContext derives the scatter context for one router request:
@@ -149,23 +104,6 @@ func (rt *Router) requestContext(r *http.Request) (context.Context, context.Canc
 		return context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	}
 	return r.Context(), func() {}
-}
-
-// writeFailure maps a scatter-path error to its HTTP shape: validation
-// rejections keep their status, deadline exhaustion is a 504 with a
-// structured body (the tier was too slow, distinct from the tier being
-// broken), everything else — shard outages, version conflicts — is a 502
-// (the tier behind the router failed).
-func (rt *Router) writeFailure(w http.ResponseWriter, err error) int {
-	var reqErr *requestError
-	if errors.As(err, &reqErr) {
-		return serve.WriteError(w, reqErr.status, reqErr.msg)
-	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		rt.m.deadline504s.Add(1)
-		return serve.WriteErrorCode(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
-	}
-	return serve.WriteError(w, http.StatusBadGateway, err.Error())
 }
 
 // ShardStatus is one shard's row in flip and health responses.
@@ -270,7 +208,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		"shard_errors":   rt.m.shardErrors.Value(),
 		"hedges":         rt.m.hedges.Value(),
 		"hedges_denied":  int64(0),
-		"deadline_504s":  rt.m.deadline504s.Value(),
+		"deadline_504s":  rt.edge.Deadline504s(),
 		"table_flips":    rt.m.flips.Value(),
 		// shard_latency observes whole callShard calls (hedges included)
 		// per shard URL — the per-shard view that pinpoints a slow or

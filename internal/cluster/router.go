@@ -1,6 +1,8 @@
 // Package cluster is the sharded serving tier's scatter-gather router: a
-// front-end that answers the single-process /v1/recommend and /v1/batch
-// API by fanning each request out to item-partitioned shard processes
+// front-end that answers the single-process /v1/recommend, /v1/batch and
+// /v2/batch API — serve's Front, the very codecs and answers a full
+// server mounts, over the router's own pipeline (Router.batch) — by
+// fanning each request out to item-partitioned shard processes
 // (serve.NewShardFromFile), merging the per-shard top-M partials with
 // rank.MergeTopM, and caching the merged lists. A request — one user or a
 // batch — costs one round trip per shard: the users its cache cannot
@@ -301,7 +303,7 @@ func New(cfg Config) (*Router, error) {
 		health:   make(map[string]*shardHealthState, len(cfg.Shards)),
 		shardLat: make(map[string]*obs.Histogram, len(cfg.Shards)),
 		gate:     serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
-		edge: serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM,
+		edge: serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM, cfg.MaxBatch,
 			serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames),
 	}
 	if cfg.BreakerThreshold > 0 {
@@ -399,20 +401,6 @@ func (rt *Router) readShard(ctx context.Context, base, path string, out any, als
 	return serve.Call(ctx, rt.cfg.HTTPClient, http.MethodGet, base, path, nil, out, alsoOK...)
 }
 
-// requestError carries a client-visible HTTP status through the scatter
-// path — a shard's 400 (invalid request) must surface as the router's
-// 400, not as a shard outage.
-type requestError struct {
-	status int
-	msg    string
-}
-
-func (e *requestError) Error() string { return e.msg }
-
-func badRequest(err error) error {
-	return &requestError{status: http.StatusBadRequest, msg: err.Error()}
-}
-
 var (
 	// errShardDown fails a shard call fast because the health prober has
 	// the shard marked down — no network attempt is made.
@@ -432,11 +420,11 @@ var (
 // from the breaker or overlay themselves never count; timeouts,
 // transport errors and shard 5xx do.
 func countsAgainstBreaker(err error) bool {
-	var reqErr *requestError
+	var refusal *serve.Error
 	switch {
 	case err == nil:
 		return false
-	case errors.As(err, &reqErr):
+	case errors.As(err, &refusal):
 		return false
 	case errors.Is(err, errVersionConflict),
 		errors.Is(err, errShardDown),
@@ -518,8 +506,8 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 		}
 		rt.m.shardErrors.Add(1)
 		rt.cfg.Logf("shard %s: %v", tbl.shards[i].url, err)
-		var reqErr *requestError
-		if errors.As(err, &reqErr) {
+		var refusal *serve.Error
+		if errors.As(err, &refusal) {
 			// Invalid-request rejections outrank outages: they are
 			// deterministic, so "degrading around" them would serve
 			// silently mis-filtered lists.
@@ -614,8 +602,8 @@ func (rt *Router) callShard(ctx context.Context, sh shardRoute, body []byte, nUs
 			if firstErr == nil {
 				firstErr = r.err
 			}
-			var reqErr *requestError
-			if errors.As(r.err, &reqErr) {
+			var refusal *serve.Error
+			if errors.As(r.err, &refusal) {
 				// Deterministic rejection: a hedge would hit the same wall.
 				return finish(nil, r.err)
 			}
@@ -677,7 +665,7 @@ func (rt *Router) postShard(ctx context.Context, sh shardRoute, body []byte, nUs
 
 // shardHTTPError maps a shard's non-200 answer (always a JSON error
 // body) to the scatter's typed errors:
-// deterministic 400s become requestErrors (they outrank outages), 409 is
+// deterministic 400s become refusals (they outrank outages), 409 is
 // the rollout-window version skew the breaker must never count, 504 is
 // deadline exhaustion, and everything else a shard-side failure.
 func shardHTTPError(status int, data []byte) error {
@@ -685,7 +673,7 @@ func shardHTTPError(status int, data []byte) error {
 	msg := cmp.Or(se.Text, se.Error())
 	switch status {
 	case http.StatusBadRequest:
-		return &requestError{status: http.StatusBadRequest, msg: msg}
+		return &serve.Error{Status: http.StatusBadRequest, Msg: msg}
 	case http.StatusConflict:
 		// Rollout-window version skew of a healthy shard; typed so the
 		// breaker never counts it.

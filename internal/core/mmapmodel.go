@@ -146,7 +146,7 @@ func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, e
 	default:
 		return nil, fmt.Errorf("core: mapping model %s: bad magic %q", path, hdr[:8])
 	}
-	h, err := parseV2Header(hdr[8:])
+	h, err := parseV2Header(hdr)
 	if err != nil {
 		return nil, fmt.Errorf("core: mapping model %s: %w", path, err)
 	}

@@ -50,6 +50,19 @@ const (
 	v2FlagF32  = 1 << 1 // float32 factor sections present
 )
 
+// The v2 header's fields, each at its offset from the start of the file,
+// named once for the writer and the parser alike.
+const (
+	v2OffMagic    = 0
+	v2OffK        = 8
+	v2OffUsers    = 16
+	v2OffItems    = 24
+	v2OffFlags    = 32
+	v2OffSections = 40 // 8 × uint64, one per section in fixed order
+	v2OffSize     = 104
+	v2OffReserved = 112 // through v2HeaderSize
+)
+
 // maxModelDim bounds the accepted dimensions when reading, as a guard
 // against corrupt or hostile headers allocating absurd amounts of memory.
 const maxModelDim = 1 << 28
@@ -120,23 +133,23 @@ type v2Header struct {
 	layout          v2Layout
 }
 
-// parseV2Header parses and validates the 120 header bytes following the
-// magic. It checks the dimensions against the size guard, rejects unknown
-// flags and non-zero reserved bytes, and requires the stored offset table
-// and file size to equal the recomputed canonical layout — so a reader
-// that trusts the header (the mmap path) never needs to scan the factor
-// sections to know they are in bounds.
+// parseV2Header parses and validates the v2HeaderSize header bytes of a
+// file whose magic the caller has checked. It checks the dimensions against
+// the size guard, rejects unknown flags and non-zero reserved bytes, and
+// requires the stored offset table and file size to equal the recomputed
+// canonical layout — so a reader that trusts the header (the mmap path)
+// never needs to scan the factor sections to know they are in bounds.
 func parseV2Header(hdr []byte) (v2Header, error) {
-	if len(hdr) != v2HeaderSize-8 {
-		return v2Header{}, fmt.Errorf("core: v2 header is %d bytes, want %d", len(hdr)+8, v2HeaderSize)
+	if len(hdr) != v2HeaderSize {
+		return v2Header{}, fmt.Errorf("core: v2 header is %d bytes, want %d", len(hdr), v2HeaderSize)
 	}
 	le := binary.LittleEndian
 	h := v2Header{
-		k:     le.Uint64(hdr[0:]),
-		users: le.Uint64(hdr[8:]),
-		items: le.Uint64(hdr[16:]),
+		k:     le.Uint64(hdr[v2OffK:]),
+		users: le.Uint64(hdr[v2OffUsers:]),
+		items: le.Uint64(hdr[v2OffItems:]),
 	}
-	flags := le.Uint64(hdr[24:])
+	flags := le.Uint64(hdr[v2OffFlags:])
 	switch {
 	case h.k == 0 || h.k > maxModelDim:
 		return v2Header{}, fmt.Errorf("core: implausible K=%d in model header", h.k)
@@ -149,18 +162,18 @@ func parseV2Header(hdr []byte) (v2Header, error) {
 	}
 	h.bias = flags&v2FlagBias != 0
 	h.f32 = flags&v2FlagF32 != 0
-	for _, b := range hdr[104:] {
+	for _, b := range hdr[v2OffReserved:] {
 		if b != 0 {
 			return v2Header{}, fmt.Errorf("core: non-zero reserved bytes in model header")
 		}
 	}
 	h.layout = layoutV2(h.k, h.users, h.items, h.bias, h.f32)
 	for s := range h.layout.off {
-		if got := le.Uint64(hdr[32+8*s:]); got != h.layout.off[s] {
+		if got := le.Uint64(hdr[v2OffSections+8*s:]); got != h.layout.off[s] {
 			return v2Header{}, fmt.Errorf("core: section %d offset %d disagrees with canonical layout (%d)", s, got, h.layout.off[s])
 		}
 	}
-	if got := le.Uint64(hdr[96:]); got != h.layout.size {
+	if got := le.Uint64(hdr[v2OffSize:]); got != h.layout.size {
 		return v2Header{}, fmt.Errorf("core: file size %d in header disagrees with canonical layout (%d)", got, h.layout.size)
 	}
 	return h, nil
@@ -195,10 +208,10 @@ func (m *Model) WriteToV2(w io.Writer, opts SaveOptions) (int64, error) {
 	le := binary.LittleEndian
 
 	hdr := make([]byte, v2HeaderSize)
-	copy(hdr, magicV2)
-	le.PutUint64(hdr[8:], uint64(m.k))
-	le.PutUint64(hdr[16:], uint64(m.users))
-	le.PutUint64(hdr[24:], uint64(m.items))
+	copy(hdr[v2OffMagic:], magicV2)
+	le.PutUint64(hdr[v2OffK:], uint64(m.k))
+	le.PutUint64(hdr[v2OffUsers:], uint64(m.users))
+	le.PutUint64(hdr[v2OffItems:], uint64(m.items))
 	flags := uint64(0)
 	if bias {
 		flags |= v2FlagBias
@@ -206,11 +219,11 @@ func (m *Model) WriteToV2(w io.Writer, opts SaveOptions) (int64, error) {
 	if opts.Float32 {
 		flags |= v2FlagF32
 	}
-	le.PutUint64(hdr[32:], flags)
+	le.PutUint64(hdr[v2OffFlags:], flags)
 	for s := range l.off {
-		le.PutUint64(hdr[40+8*s:], l.off[s])
+		le.PutUint64(hdr[v2OffSections+8*s:], l.off[s])
 	}
-	le.PutUint64(hdr[104:], l.size)
+	le.PutUint64(hdr[v2OffSize:], l.size)
 	if _, err := bw.Write(hdr); err != nil {
 		return cw.n, err
 	}
@@ -424,8 +437,9 @@ func checkFactors(arr []float64) error {
 }
 
 func readModelV2(br *bufio.Reader) (*Model, error) {
-	hdr := make([]byte, v2HeaderSize-8)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	hdr := make([]byte, v2HeaderSize)
+	copy(hdr[v2OffMagic:], magicV2) // consumed by the caller
+	if _, err := io.ReadFull(br, hdr[v2OffK:]); err != nil {
 		return nil, fmt.Errorf("core: reading model header: %w", err)
 	}
 	h, err := parseV2Header(hdr)

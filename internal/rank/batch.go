@@ -19,6 +19,11 @@ type BatchCols struct {
 	Items  []uint32
 	Scores []float64
 	Cached []bool
+	// Timings, when non-nil, accumulates the stage times of every user the
+	// serial path ranks — a one-user batch's are that user's own, the hook a
+	// traced single request turns into per-stage spans. The concurrent path
+	// leaves it alone, and Reset keeps it.
+	Timings *Timings
 }
 
 // Reset empties the columns, keeping their capacity.
@@ -71,7 +76,7 @@ func (e *Engine) TopMBatch(users []int, m, workers int, stages []Stage, filtersF
 				cols.AppendEmpty()
 				continue
 			}
-			items, scores, cached, _ := e.list(s, u, m, stages, filters, nil)
+			items, scores, cached, _ := e.list(s, u, m, stages, filters, cols.Timings)
 			cols.Append(items, scores, cached)
 		}
 		return

@@ -72,6 +72,27 @@ func TestTopMStagedTimedPopulatesStages(t *testing.T) {
 	}
 }
 
+// TestTopMBatchTimings: a one-user batch with BatchCols.Timings set is timed
+// as TopMStagedTimed times that user — every stage on a miss, only the flag
+// on a hit.
+func TestTopMBatchTimings(t *testing.T) {
+	e := NewEngine(timingScorer(500), Config{CacheSize: 16})
+	stages := []Stage{ScoreFloor(1)}
+	filters := func(int) ([]Filter, bool) { return nil, true }
+	var miss, hit Timings
+	cols := BatchCols{Timings: &miss}
+	e.TopMBatch([]int{1}, 10, 1, stages, filters, &cols)
+	if miss.Score <= 0 || miss.Select <= 0 || miss.Stages <= 0 || miss.Cached {
+		t.Fatalf("miss timings not populated: %+v", miss)
+	}
+	cols.Reset()
+	cols.Timings = &hit
+	e.TopMBatch([]int{1}, 10, 1, stages, filters, &cols)
+	if !hit.Cached || hit.Score != 0 || hit.Select != 0 || hit.Stages != 0 || !cols.Cached[0] {
+		t.Fatalf("hit timings %+v, cached %v: want the flag and no durations", hit, cols.Cached)
+	}
+}
+
 // TestTopMTimedNil pins the documented contract that a nil Timings is
 // identical to the untimed entry point.
 func TestTopMTimedNil(t *testing.T) {

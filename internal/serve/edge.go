@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -17,20 +18,23 @@ import (
 // The HTTP edge: the plumbing ocular-serve and ocular-router run
 // identically, written once and mounted by both. It owns body decoding
 // for both codecs (JSON with the size / unknown-field / single-value
-// rules, frames with recompute-and-reject), the list-length clamp, the
-// response writers, and the per-endpoint instrumentation. Endpoints are a
-// codec-agnostic pipeline function between an edge decode and an edge
-// write; error responses are JSON on both codecs, only 200s carry frames.
+// rules, frames with recompute-and-reject), the request limits, the
+// response writers, the mapping of a refusal to its status, and the
+// per-endpoint instrumentation. Endpoints are a codec-agnostic pipeline
+// function between an edge decode and an edge write (front.go is the
+// public data path's); error responses are JSON on both codecs, only 200s
+// carry frames.
 
 // FrameContentType identifies a binary batch frame in an HTTP body.
 const FrameContentType = "application/x-ocular-frame"
 
 // Edge carries the limits and counters of one binary's HTTP surface.
 type Edge struct {
-	who     string // names the limits' owner in rejections: "server", "router"
-	maxBody int64
-	maxM    int
-	tracer  *obs.Tracer // nil when tracing is disabled
+	who      string // names the limits' owner in rejections: "server", "router"
+	maxBody  int64
+	maxM     int
+	maxBatch int
+	tracer   *obs.Tracer // nil when tracing is disabled
 	// endpoints holds one log-scale latency histogram per instrumented
 	// endpoint: count, error count, sum and buckets all read from the same
 	// drained cell, so the derived mean and the interpolated p50/p95/p99
@@ -40,8 +44,11 @@ type Edge struct {
 	requests  expvar.Int
 	errors    expvar.Int
 	// writeErrors counts response writes that failed (client gone, broken
-	// pipe) — the encoder errors WriteJSON and WriteFrame otherwise discard.
+	// pipe) — the encoder errors WriteJSON and writeFrame otherwise discard.
 	writeErrors expvar.Int
+	// deadline504s counts requests answered 504 because the deadline of
+	// the work behind them ran out (see fail).
+	deadline504s expvar.Int
 	// frames tracks the binary columnar transport separately from the
 	// per-endpoint histograms, so the JSON/binary split is observable:
 	// users is the summed batch fan-out, bytesOut the frame bytes written,
@@ -56,11 +63,11 @@ type Edge struct {
 	}
 }
 
-// NewEdge builds the edge of one binary. maxBody and maxM must already be
-// defaulted and positive; every name later passed to Instrument must be
-// listed in endpoints.
-func NewEdge(who string, maxBody int64, maxM int, tracer *obs.Tracer, endpoints []string) *Edge {
-	e := &Edge{who: who, maxBody: maxBody, maxM: maxM, tracer: tracer,
+// NewEdge builds the edge of one binary. maxBody, maxM and maxBatch must
+// already be defaulted and positive; every name later passed to Instrument
+// must be listed in endpoints.
+func NewEdge(who string, maxBody int64, maxM, maxBatch int, tracer *obs.Tracer, endpoints []string) *Edge {
+	e := &Edge{who: who, maxBody: maxBody, maxM: maxM, maxBatch: maxBatch, tracer: tracer,
 		endpoints: make(map[string]*obs.Histogram, len(endpoints))}
 	for _, name := range endpoints {
 		e.endpoints[name] = &obs.Histogram{}
@@ -79,10 +86,12 @@ func NewTracer(ring int, slow time.Duration) *obs.Tracer {
 }
 
 // Requests and Errors count instrumented requests and those answered
-// with a status >= 400; InFlight is the number currently in a handler.
-func (e *Edge) Requests() int64 { return e.requests.Value() }
-func (e *Edge) Errors() int64   { return e.errors.Value() }
-func (e *Edge) InFlight() int64 { return e.inFlight.Value() }
+// with a status >= 400; InFlight is the number currently in a handler;
+// Deadline504s the requests answered 504 for a deadline that ran out.
+func (e *Edge) Requests() int64     { return e.requests.Value() }
+func (e *Edge) Errors() int64       { return e.errors.Value() }
+func (e *Edge) InFlight() int64     { return e.inFlight.Value() }
+func (e *Edge) Deadline504s() int64 { return e.deadline504s.Value() }
 
 // Snapshot adds the edge's rows to a /metrics tree. obs.Labeled keeps
 // the JSON view identical while naming the endpoint label for the
@@ -180,12 +189,12 @@ func bodyError(err error) error {
 	return fmt.Errorf("bad request body: %w", err)
 }
 
-// DecodeJSON reads the request body as JSON into v, enforcing the body
+// decodeJSON reads the request body as JSON into v, enforcing the body
 // size cap, rejecting unknown fields (catching misspelled parameters
 // early), and requiring the body to be exactly one JSON value: a
 // concatenated second request would otherwise be silently ignored,
 // masking client framing bugs.
-func (e *Edge) DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+func (e *Edge) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, e.maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -204,8 +213,8 @@ func (e *Edge) DecodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// ClampM applies the default and ceiling to a requested list length.
-func (e *Edge) ClampM(m int) (int, error) {
+// clampM applies the default and ceiling to a requested list length.
+func (e *Edge) clampM(m int) (int, error) {
 	switch {
 	case m == 0:
 		return min(10, e.maxM), nil
@@ -215,6 +224,56 @@ func (e *Edge) ClampM(m int) (int, error) {
 		return 0, fmt.Errorf("m=%d exceeds the %s cap of %d", m, e.who, e.maxM)
 	}
 	return m, nil
+}
+
+// check holds an n-user request — a batch, a recommend's one user, a
+// shard's partial request — to the binary's limits and returns its clamped
+// m: users non-empty and at most MaxBatch, m within MaxM.
+func (e *Edge) check(req *BatchRequest) (m int, err error) {
+	switch {
+	case len(req.Users) == 0:
+		return 0, BadRequest(errors.New("users must be non-empty"))
+	case len(req.Users) > e.maxBatch:
+		return 0, BadRequest(fmt.Errorf("batch of %d users exceeds the %s cap of %d", len(req.Users), e.who, e.maxBatch))
+	}
+	if m, err = e.clampM(req.M); err != nil {
+		return 0, BadRequest(err)
+	}
+	return m, nil
+}
+
+// Error is a refusal with its HTTP status: what a pipeline returns to turn
+// a request (or, in a slot, one user of it) away. Code is a stable
+// machine-readable code ("unknown_tenant", "bad_frame") where clients
+// branch on one, empty otherwise.
+type Error struct {
+	Status int
+	Code   string
+	Msg    string
+}
+
+func (e *Error) Error() string { return e.Msg }
+
+// BadRequest refuses with 400 and err's message.
+func BadRequest(err error) *Error {
+	return &Error{Status: http.StatusBadRequest, Msg: err.Error()}
+}
+
+// fail answers err: an *Error anywhere in its chain with its own status
+// and code; deadline exhaustion — the work behind the request ran out of
+// time, distinct from it failing — 504 "deadline_exceeded", counted; any
+// other failure of the work behind the edge (a shard outage, a version
+// conflict) 502.
+func (e *Edge) fail(w http.ResponseWriter, err error) int {
+	var refusal *Error
+	switch {
+	case errors.As(err, &refusal):
+		return WriteErrorCode(w, refusal.Status, refusal.Code, refusal.Msg)
+	case errors.Is(err, context.DeadlineExceeded):
+		e.deadline504s.Add(1)
+		return WriteErrorCode(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
+	}
+	return WriteError(w, http.StatusBadGateway, err.Error())
 }
 
 // WriteJSON encodes v with status code, reporting the status back to the
@@ -241,73 +300,38 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, msg string) int {
 	return WriteJSON(w, status, ErrorBody{Code: code, Error: msg})
 }
 
-// FrameScratch is the pooled workspace of one frame request: the body
-// read, the decoded frame (aliasing the body), its translation into the
-// JSON handlers' request shape, and the encoded response all live here,
-// so a warm frame request allocates only what the ranking itself does.
-type FrameScratch struct {
-	body    []byte
-	Req     wire.BatchRequest
-	users   []int
-	exclude []int
-	spec    FilterSpec
-	batch   BatchRequest
-	out     []byte
-}
-
-// ReadFrame reads and decodes one request frame under the body cap,
-// reporting rejects to the decode counter. On !ok the rejection has
+// readFrame reads and decodes one request frame into a under the body
+// cap, reporting rejects to the decode counter. On !ok the rejection has
 // already been written to w, with its status returned.
-func (e *Edge) ReadFrame(w http.ResponseWriter, r *http.Request, fs *FrameScratch) (status int, ok bool) {
-	body, err := wire.AppendAll(fs.body[:0], http.MaxBytesReader(w, r.Body, e.maxBody))
-	fs.body = body
+func (e *Edge) readFrame(w http.ResponseWriter, r *http.Request, a *Answer) (status int, ok bool) {
+	body, err := wire.AppendAll(a.body[:0], http.MaxBytesReader(w, r.Body, e.maxBody))
+	a.body = body
 	if err != nil {
 		return WriteError(w, http.StatusBadRequest, bodyError(err).Error()), false
 	}
-	if err := wire.DecodeBatchRequest(body, &fs.Req); err != nil {
-		return e.BadFrame(w, err.Error()), false
+	if err := wire.DecodeBatchRequest(body, &a.frame); err != nil {
+		return e.badFrame(w, err.Error()), false
 	}
 	return 0, true
 }
 
-// BadFrame refuses a frame — one failing wire validation, or a valid one
+// badFrame refuses a frame — one failing wire validation, or a valid one
 // carrying fields the endpoint does not take — with the stable error code
 // "bad_frame", and counts it.
-func (e *Edge) BadFrame(w http.ResponseWriter, msg string) int {
+func (e *Edge) badFrame(w http.ResponseWriter, msg string) int {
 	e.frames.decodeRejects.Add(1)
 	return WriteErrorCode(w, http.StatusBadRequest, "bad_frame", msg)
 }
 
-// BatchRequest translates the decoded frame into the request shape the
-// JSON codec decodes into — the one type the n-user pipelines take —
-// reusing the scratch. ExpectVersion has no place in it: /v2/batch refuses
-// a frame that sets it, /v2/shard/topm passes it beside the request.
-func (fs *FrameScratch) BatchRequest() *BatchRequest {
-	fs.users = fs.users[:0]
-	for _, u := range fs.Req.Users {
-		fs.users = append(fs.users, int(u))
-	}
-	fs.exclude = fs.exclude[:0]
-	for _, x := range fs.Req.Exclude {
-		fs.exclude = append(fs.exclude, int(x))
-	}
-	fs.batch = BatchRequest{Users: fs.users, M: int(fs.Req.M), ExcludeItems: fs.exclude, Tenant: fs.Req.Tenant}
-	if len(fs.Req.AllowTags) > 0 || len(fs.Req.DenyTags) > 0 {
-		fs.spec = FilterSpec{AllowTags: fs.Req.AllowTags, DenyTags: fs.Req.DenyTags}
-		fs.batch.Filter = &fs.spec
-	}
-	return &fs.batch
-}
-
-// WriteFrame encodes resp into the pooled output buffer, feeds the
-// transport counters and writes the frame in one Write call.
-func (e *Edge) WriteFrame(w http.ResponseWriter, fs *FrameScratch, resp *wire.BatchResponse) int {
-	fs.out = wire.AppendBatchResponse(fs.out[:0], resp)
+// writeFrame encodes resp into a's output buffer, feeds the transport
+// counters and writes the frame in one Write call.
+func (e *Edge) writeFrame(w http.ResponseWriter, a *Answer, resp *wire.BatchResponse) int {
+	a.out = wire.AppendBatchResponse(a.out[:0], resp)
 	e.frames.requests.Add(1)
 	e.frames.users.Add(int64(len(resp.Counts)))
-	e.frames.bytesOut.Add(int64(len(fs.out)))
+	e.frames.bytesOut.Add(int64(len(a.out)))
 	w.Header().Set("Content-Type", FrameContentType)
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(fs.out)
+	_, _ = w.Write(a.out)
 	return http.StatusOK
 }

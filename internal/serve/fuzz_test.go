@@ -14,7 +14,7 @@ import (
 )
 
 // FuzzEdgeRequest throws arbitrary bytes at the JSON edge — through
-// Edge.DecodeJSON into a RecommendRequest, a BatchRequest (FilterSpec and
+// Edge.decodeJSON into a RecommendRequest, a BatchRequest (FilterSpec and
 // tenant included) and a ShardTopMRequest, and on through the pipelines of
 // the conformance fixture's server and of a shard over its upper half —
 // under arbitrary trace-id and deadline headers. Whatever arrives: no

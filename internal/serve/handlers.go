@@ -32,11 +32,9 @@ func (s *Server) buildMux() *http.ServeMux {
 		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
 		mux.HandleFunc("POST /v2/shard/topm", s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame)))
 	} else {
-		mux.HandleFunc("POST /v1/recommend", s.edge.Instrument("recommend", s.gate.Wrap(s.handleRecommend)))
+		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux, s.gate)
 		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
 		mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.gate.Wrap(s.handleExplain)))
-		mux.HandleFunc("POST /v1/batch", s.edge.Instrument("batch", s.gate.Wrap(s.handleBatch)))
-		mux.HandleFunc("POST /v2/batch", s.edge.Instrument("batch_binary", s.gate.Wrap(s.handleBatchFrame)))
 		mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))
 	}
 	mux.HandleFunc("POST /v1/reload", s.edge.Instrument("reload", s.handleReload))
@@ -45,22 +43,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /metrics", s.edge.Instrument("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /debug/traces", s.edge.Instrument("debug_traces", s.edge.HandleDebugTraces))
 	return mux
-}
-
-// apiError is a rejection a pipeline function hands back to its codec.
-// Both codecs answer it the same way: error responses are always JSON.
-type apiError struct {
-	status int
-	code   string // stable machine-readable code; empty for plain errors
-	msg    string
-}
-
-func badRequest(err error) *apiError {
-	return &apiError{status: http.StatusBadRequest, msg: err.Error()}
-}
-
-func (e *apiError) write(w http.ResponseWriter) int {
-	return WriteErrorCode(w, e.status, e.code, e.msg)
 }
 
 // ScoredItem is one ranked recommendation.
@@ -128,110 +110,6 @@ func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) (
 		}
 	}
 	return filters, nil
-}
-
-// RecommendRequest asks for the top-M list of a known user. ExcludeItems
-// removes explicit items from the candidates on top of the user's training
-// positives; Filter applies item-tag allow/deny lists. Filtered requests
-// are cached like unfiltered ones — the cache key fingerprints the filter
-// set.
-type RecommendRequest struct {
-	User         int         `json:"user"`
-	M            int         `json:"m,omitempty"`
-	ExcludeItems []int       `json:"exclude_items,omitempty"`
-	Filter       *FilterSpec `json:"filter,omitempty"`
-	// Tenant routes the request through the model registry (tenant →
-	// experiment → arm). Empty is the default single-model path, wire
-	// format unchanged; an unregistered tenant is a 404
-	// {code:"unknown_tenant"}, never a silent fall-through.
-	Tenant string `json:"tenant,omitempty"`
-}
-
-// RecommendResponse carries one user's ranked recommendations. The
-// tenant/experiment/arm/model fields appear only on tenant-routed
-// requests — the default path's wire format is exactly the pre-registry
-// one.
-type RecommendResponse struct {
-	User         int          `json:"user"`
-	Items        []ScoredItem `json:"items"`
-	Cached       bool         `json:"cached"`
-	ModelVersion uint64       `json:"model_version"`
-	Tenant       string       `json:"tenant,omitempty"`
-	Experiment   string       `json:"experiment,omitempty"`
-	Arm          string       `json:"arm,omitempty"`
-	Model        string       `json:"model,omitempty"`
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) int {
-	var req RecommendRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	m, err := s.edge.ClampM(req.M)
-	if err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	rt, err := s.resolve(req.Tenant, req.User)
-	if err != nil {
-		return WriteErrorCode(w, http.StatusNotFound, "unknown_tenant", err.Error())
-	}
-	extra, err := s.requestFilters(rt.sn, req.ExcludeItems, req.Filter)
-	if err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	items, scores, cached, err := s.rankOne(obs.ActiveFrom(r.Context()), rt, req.User, m, extra)
-	if err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
-	resp := RecommendResponse{
-		User:         req.User,
-		Items:        ZipScored(items, scores),
-		Cached:       cached,
-		ModelVersion: rt.sn.version,
-	}
-	if a := rt.arm; a != nil {
-		resp.Tenant = rt.tenant.name
-		resp.Experiment = a.expName
-		resp.Arm = a.name
-		resp.Model = a.model.name
-	}
-	return WriteJSON(w, http.StatusOK, resp)
-}
-
-// rankOne is the one rank call under every known-user endpoint — single
-// and batch, either codec, full server, registry arm or shard: rank one
-// routed user through the snapshot's engine and stage config (m must
-// already be clamped) and return the engine's cache-shared slices
-// (read-only for the caller), leaving response shaping to the codec. On
-// tenant-routed requests it feeds the arm's counters and, when the user
-// is in the tenant's shadow sample, launches the off-path shadow
-// comparison — here, so every transport feeds the same observability. A non-nil act (the request is traced) records the rank
-// pipeline's per-stage spans.
-func (s *Server) rankOne(act *obs.Active, rt route, user, m int, extra []rank.Filter) (items []int, scores []float64, cached bool, err error) {
-	sn := rt.sn
-	if user < 0 || user >= sn.rng.NumUsers() {
-		if rt.arm != nil {
-			rt.arm.errors.Add(1)
-		}
-		return nil, nil, false, fmt.Errorf("user %d out of range (%d users)", user, sn.rng.NumUsers())
-	}
-	var (
-		timings rank.Timings
-		tm      *rank.Timings // nil = untimed: no clock reads on the hot path
-		start   time.Time
-	)
-	if act != nil {
-		tm, start = &timings, time.Now()
-	}
-	items, scores, cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, userFilters(nil, sn, user, extra)...)
-	recordRankSpans(act, start, tm)
-	if a := rt.arm; a != nil {
-		a.requests.Add(1)
-		if sh := rt.tenant.shadow; sh != nil {
-			sh.observe(a.name, a.model.name, sn.version, user, m, extra, items, scores)
-		}
-	}
-	return items, scores, cached, nil
 }
 
 // userFilters appends one user's filter stack to dst: the training-row
@@ -308,10 +186,10 @@ func canonicalHistory(items []int, numItems int) ([]int, error) {
 
 func (s *Server) handleFoldIn(w http.ResponseWriter, r *http.Request) int {
 	var req FoldInRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+	if err := s.edge.decodeJSON(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	m, err := s.edge.ClampM(req.M)
+	m, err := s.edge.clampM(req.M)
 	if err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
@@ -378,7 +256,7 @@ type ExplainResponse struct {
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) int {
 	var req ExplainRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+	if err := s.edge.decodeJSON(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	sn := s.snap.Load()
@@ -453,7 +331,7 @@ type IngestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	var req IngestRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+	if err := s.edge.decodeJSON(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	// Resolve the target feed first: the default log, or the tenant's own
@@ -532,7 +410,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 	// unread body is still received by the kernel, and without the cap a
 	// client could stream an unbounded payload.
 	var req ReloadRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+	if err := s.edge.decodeJSON(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	sn, err := s.reloadNamed(req.Model)

@@ -18,7 +18,7 @@ import (
 // net/http recovers per connection, so a leaking gauge would drift up
 // forever on a flaky handler.
 func TestInstrumentPanicPath(t *testing.T) {
-	m := NewEdge("server", 1<<20, 1000, nil, []string{"recommend"})
+	m := NewEdge("server", 1<<20, 1000, 1024, nil, []string{"recommend"})
 	h := m.Instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
 		panic("boom")
 	})
@@ -47,7 +47,7 @@ func (f *failingWriter) WriteHeader(int)           {}
 func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
 
 func TestResponseWriteErrorsCounted(t *testing.T) {
-	m := NewEdge("server", 1<<20, 1000, nil, []string{"recommend"})
+	m := NewEdge("server", 1<<20, 1000, 1024, nil, []string{"recommend"})
 	h := m.Instrument("recommend", func(w http.ResponseWriter, r *http.Request) int {
 		// Two writes (the JSON encoder may flush repeatedly): the failed
 		// request must count once, not once per write.

@@ -24,22 +24,21 @@ func TestBatchReportsRankingSnapshotVersion(t *testing.T) {
 		t.Fatalf("reload installed version %d, want %d", cur, retired.version+1)
 	}
 	req := &BatchRequest{Users: []int{3, 7, 11}}
-	sc := new(batchScratch)
-	version, aerr := srv.rankBatch(nil, route{sn: retired}, req, 5, 1, sc)
-	if aerr != nil {
-		t.Fatal(aerr.msg)
+	a := new(Answer)
+	if err := srv.rankBatch(nil, route{sn: retired}, req, 5, 1, a); err != nil {
+		t.Fatal(err)
 	}
-	if version != retired.version {
+	if version := a.ModelVersion; version != retired.version {
 		t.Errorf("batch ranked by snapshot %d reports model version %d", retired.version, version)
 	}
 	off := 0
 	for i, u := range req.Users {
 		items, scores, _ := retired.engine.TopM(u, 5, userFilters(nil, retired, u, nil)...)
 		for r := range items {
-			if int(sc.cols.Items[off+r]) != items[r] || sc.cols.Scores[off+r] != scores[r] {
+			if int(a.Cols.Items[off+r]) != items[r] || a.Cols.Scores[off+r] != scores[r] {
 				t.Fatalf("user slot %d rank %d: the batch did not rank against the retired snapshot", i, r)
 			}
 		}
-		off += int(sc.cols.Counts[i])
+		off += int(a.Cols.Counts[i])
 	}
 }

@@ -43,6 +43,31 @@ func TestRecommendCacheHit(t *testing.T) {
 	}
 }
 
+// TestRecommendAllocsPerRequest: what one traced /v1/recommend costs in
+// allocations through the whole handler — decode, limits, the batch
+// pipeline with one user, per-stage spans, encode — on a cache hit and on
+// a miss, the request and recorder included.
+func TestRecommendAllocsPerRequest(t *testing.T) {
+	skipUnderRace(t)
+	srv, err := NewFromFile(conformConfig(ranktest.New(t, ranktest.Variant{F32: true})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recommend := func(body string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/recommend", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	user := 0
+	miss := testing.AllocsPerRun(50, func() { user++; recommend(fmt.Sprintf(`{"user":%d,"m":10}`, user)) })
+	hit := testing.AllocsPerRun(50, func() { recommend(`{"user":3,"m":10}`) })
+	if hit > 43 || miss > 50 {
+		t.Errorf("a recommend costs %v allocations on a hit and %v on a miss, want at most 43 and 50", hit, miss)
+	}
+}
+
 func TestCacheDisabled(t *testing.T) {
 	_, ts, _, _ := newTestServer(t, Config{CacheSize: -1})
 	var second RecommendResponse

@@ -19,7 +19,10 @@
 // The handlers are thin transport over the ranking engine of
 // internal/rank: every request shape — known-user top-M, cold-start
 // fold-in, per-request exclusion lists, item-tag filters — is one engine
-// call with a different scorer or filter set. The engine owns the pooled
+// call with a different scorer or filter set. The public data path
+// (recommend and batch, JSON and frames) is the Front, written once here
+// and mounted by the router too: a recommend is the batch pipeline with
+// one user, and both binaries answer with the same structs. The engine owns the pooled
 // score buffers, the sharded top-M cache (keyed by a fingerprint covering
 // user, m and filters), and singleflight coalescing of duplicate misses.
 // The model is hot-swappable: ReloadFromFile atomically installs a new
@@ -272,7 +275,7 @@ func checkLimits(cfg Config) (Config, error) {
 	}
 	cfg = cfg.withDefaults()
 	// withDefaults must leave every limit usable; a zero that slipped
-	// through would serve empty lists with HTTP 200 (see Edge.ClampM).
+	// through would serve empty lists with HTTP 200 (see Edge.clampM).
 	if cfg.MaxM <= 0 || cfg.MaxBatch <= 0 || cfg.MaxBodyBytes <= 0 {
 		return cfg, fmt.Errorf("serve: internal error: limits not defaulted (MaxM=%d MaxBatch=%d MaxBodyBytes=%d)",
 			cfg.MaxM, cfg.MaxBatch, cfg.MaxBodyBytes)
@@ -293,7 +296,7 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
 	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
-	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM,
+	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM, cfg.MaxBatch,
 		NewTracer(cfg.TraceRing, cfg.TraceSlow), endpointNames)
 	s.metrics = &Metrics{start: time.Now(), edge: s.edge, rank: s.rankStats}
 	if _, err := s.install(); err != nil {

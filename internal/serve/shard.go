@@ -93,13 +93,13 @@ func deadlineFromHeader(r *http.Request) time.Time {
 	return time.Now().Add(time.Duration(ms) * time.Millisecond)
 }
 
-// expired answers 504 (and counts the abort) once deadline has passed.
-func (s *Server) expired(deadline time.Time) *apiError {
+// expired refuses with 504 (and counts the abort) once deadline has passed.
+func (s *Server) expired(deadline time.Time) error {
 	if deadline.IsZero() || time.Now().Before(deadline) {
 		return nil
 	}
 	s.metrics.deadlineAborts.Add(1)
-	return &apiError{status: http.StatusGatewayTimeout, msg: "deadline budget expired before scoring"}
+	return &Error{Status: http.StatusGatewayTimeout, Msg: "deadline budget expired before scoring"}
 }
 
 // ShardTopMRequest asks a shard for its partition's contribution to one
@@ -128,22 +128,21 @@ type ShardTopMResponse struct {
 }
 
 // shardPartial is the one partition-partial pipeline, for the n >= 1 users
-// of one request: deadline → batch limits and clamp → pin-or-409 → rank
-// (rankBatch: shared filters validated once, the columnar engine entry on
-// the pinned snapshot) → ids rebased to global in sc.cols. deadline was
-// resolved at arrival, before the body read. A user out of
-// range refuses the whole request: the router validates users against its
-// route table before it scatters, so a bad one here is a caller bug, not a
-// slot to fail.
-func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchRequest, pin uint64, workers int, sc *batchScratch) (sn *snapshot, m int, aerr *apiError) {
+// of one request: deadline → the edge's limits and clamp → pin-or-409 →
+// rank (rankBatch: shared filters validated once, the columnar engine entry
+// on the pinned snapshot) → ids rebased to global in a.Cols. deadline was
+// resolved at arrival, before the body read. A user out of range refuses
+// the whole request: the router validates users against its route table
+// before it scatters, so a bad one here is a caller bug, not a slot to fail.
+func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchRequest, pin uint64, workers int, a *Answer) (sn *snapshot, m int, err error) {
 	// The budget check sits after the body read, on the brink of the
 	// scoring passes: a slow client (or a router whose attempt budget was
 	// nearly gone when it sent) should not get work it can no longer use.
-	if aerr := s.expired(deadline); aerr != nil {
-		return nil, 0, aerr
+	if err := s.expired(deadline); err != nil {
+		return nil, 0, err
 	}
-	if m, aerr = s.batchLimits(req); aerr != nil {
-		return nil, 0, aerr
+	if m, err = s.edge.check(req); err != nil {
+		return nil, 0, err
 	}
 	sn = s.snap.Load()
 	if pin != 0 && sn.version != pin {
@@ -154,24 +153,24 @@ func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchReq
 		// mixed model versions impossible rather than merely unlikely.
 		prev := s.prev.Load()
 		if prev == nil || prev.version != pin {
-			return nil, 0, &apiError{status: http.StatusConflict, msg: fmt.Sprintf(
+			return nil, 0, &Error{Status: http.StatusConflict, Msg: fmt.Sprintf(
 				"shard serves model version %d, not the requested %d", sn.version, pin)}
 		}
 		sn = prev
 	}
-	if _, aerr := s.rankBatch(act, route{sn: sn}, req, m, workers, sc); aerr != nil {
-		return nil, 0, aerr
+	if err := s.rankBatch(act, route{sn: sn}, req, m, workers, a); err != nil {
+		return nil, 0, err
 	}
-	for i := range sc.slots {
-		if msg := sc.slots[i].err; msg != "" {
-			return nil, 0, &apiError{status: http.StatusBadRequest, msg: msg}
+	for i := range a.Slots {
+		if err := a.Slots[i].Err; err != nil {
+			return nil, 0, err
 		}
 	}
 	// Partition-local ids back to global, in place; the scores column is
 	// the engine's as ranked.
 	lo := uint32(sn.rng.ItemLo())
-	for i := range sc.cols.Items {
-		sc.cols.Items[i] += lo
+	for i := range a.Cols.Items {
+		a.Cols.Items[i] += lo
 	}
 	return sn, m, nil
 }
@@ -180,26 +179,23 @@ func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchReq
 func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 	deadline := deadlineFromHeader(r)
 	var req ShardTopMRequest
-	if err := s.edge.DecodeJSON(w, r, &req); err != nil {
+	if err := s.edge.decodeJSON(w, r, &req); err != nil {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
+	a := answerPool.Get().(*Answer)
+	defer a.release()
 	breq := BatchRequest{Users: []int{req.User}, M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter}
-	sn, _, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &breq, req.ExpectVersion, 1, sc)
-	if aerr != nil {
-		return aerr.write(w)
+	sn, _, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &breq, req.ExpectVersion, 1, a)
+	if err != nil {
+		return s.edge.fail(w, err)
 	}
-	scored := make([]ScoredItem, len(sc.cols.Items))
-	for n, it := range sc.cols.Items {
-		scored[n] = ScoredItem{Item: int(it), Score: sc.cols.Scores[n]}
-	}
+	a.flat = grown(a.flat, len(a.Cols.Items))
 	return WriteJSON(w, http.StatusOK, ShardTopMResponse{
 		User:         req.User,
 		ShardLo:      sn.rng.ItemLo(),
 		ShardHi:      sn.rng.ItemHi(),
 		ModelVersion: sn.version,
-		Items:        scored,
+		Items:        a.scored(0, 0),
 	})
 }
 
@@ -210,29 +206,29 @@ func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 // carries the range and the model version every list was ranked under.
 func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) int {
 	deadline := deadlineFromHeader(r)
-	sc := batchScratchPool.Get().(*batchScratch)
-	defer batchScratchPool.Put(sc)
-	if status, ok := s.edge.ReadFrame(w, r, &sc.FrameScratch); !ok {
+	a := answerPool.Get().(*Answer)
+	defer a.release()
+	if status, ok := s.edge.readFrame(w, r, a); !ok {
 		return status
 	}
-	if sc.Req.Tenant != "" {
-		return s.edge.BadFrame(w, "shard frames carry no tenant")
+	if a.frame.Tenant != "" {
+		return s.edge.badFrame(w, "shard frames carry no tenant")
 	}
-	sn, m, aerr := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, sc.BatchRequest(), sc.Req.ExpectVersion, s.cfg.Workers, sc)
-	if aerr != nil {
-		return aerr.write(w)
+	sn, m, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, a.frameRequest(), a.frame.ExpectVersion, s.cfg.Workers, a)
+	if err != nil {
+		return s.edge.fail(w, err)
 	}
-	sc.status = grown(sc.status, len(sc.slots))
-	clear(sc.status)
-	return s.edge.WriteFrame(w, &sc.FrameScratch, &wire.BatchResponse{
+	a.status = grown(a.status, len(a.Slots))
+	clear(a.status)
+	return s.edge.writeFrame(w, a, &wire.BatchResponse{
 		Flags:        wire.FlagShardPartial,
 		M:            uint32(m),
 		ShardLo:      uint32(sn.rng.ItemLo()),
 		ShardHi:      uint32(sn.rng.ItemHi()),
 		ModelVersion: sn.version,
-		Status:       sc.status,
-		Counts:       sc.cols.Counts,
-		Items:        sc.cols.Items,
-		Scores:       sc.cols.Scores,
+		Status:       a.status,
+		Counts:       a.Cols.Counts,
+		Items:        a.Cols.Items,
+		Scores:       a.Cols.Scores,
 	})
 }

@@ -114,16 +114,16 @@ func TestShardBatchAllocsPerUser(t *testing.T) {
 		users[i] = (i * 7) % fx.Train.Rows()
 	}
 	req := &BatchRequest{M: 5, ExcludeItems: []int{3, 25, 41}, Filter: &FilterSpec{DenyTags: []string{"rare"}}}
-	sc, rt := new(batchScratch), route{sn: srv.snap.Load()}
+	a, rt := new(Answer), route{sn: srv.snap.Load()}
 	allocs := func(n int) float64 {
 		req.Users = users[:n]
 		return testing.AllocsPerRun(50, func() {
-			if _, aerr := srv.rankBatch(nil, rt, req, req.M, 1, sc); aerr != nil {
-				t.Fatal(aerr.msg)
+			if err := srv.rankBatch(nil, rt, req, req.M, 1, a); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
-	allocs(len(users)) // warm: the engine's scratch pooled, sc grown
+	allocs(len(users)) // warm: the engine's scratch pooled, a grown
 	if one, all := allocs(1), allocs(len(users)); all-one != 2*float64(len(users)-1) {
 		t.Errorf("1 user: %v allocations, %d users: %v — %v per user, want 2", one, len(users), all, (all-one)/float64(len(users)-1))
 	}

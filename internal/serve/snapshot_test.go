@@ -20,29 +20,29 @@ import (
 // alone decides (the Model view, the cache, filter rebasing) and what the
 // server's role decides (route set, health keys), on the very file.
 
-// snapshotRanker ranks through rankOne on sn — the one rank call under
+// snapshotRanker ranks through rankBatch on sn — the one rank call under
 // every endpoint, stripped of every endpoint — with the range's local item
 // ids rebased to global.
 func snapshotRanker(srv *Server, sn *snapshot) ranktest.RankFunc {
 	return func(t testing.TB, c *ranktest.Case) ranktest.Answer {
-		var spec *FilterSpec
+		req := &BatchRequest{Users: c.Users, ExcludeItems: c.Exclude}
 		if len(c.Allow)+len(c.Deny) > 0 {
-			spec = &FilterSpec{AllowTags: c.Allow, DenyTags: c.Deny}
+			req.Filter = &FilterSpec{AllowTags: c.Allow, DenyTags: c.Deny}
 		}
-		extra, err := srv.requestFilters(sn, c.Exclude, spec)
-		if err != nil {
+		var a Answer
+		if err := srv.rankBatch(nil, route{sn: sn}, req, c.M, 1, &a); err != nil {
 			t.Fatal(err)
 		}
-		ans := ranktest.Answer{Status: 200}
-		for _, u := range c.Users {
-			items, scores, cached, err := srv.rankOne(nil, route{sn: sn}, u, c.M, extra)
-			l := ranktest.List{Scores: scores, Cached: cached}
-			if err != nil {
+		ans, off := ranktest.Answer{Status: 200}, 0
+		for i, n := range a.Cols.Counts {
+			l := ranktest.List{Cached: a.Cols.Cached[i]}
+			if err := a.Slots[i].Err; err != nil {
 				l.Err = err.Error()
 			}
-			for _, it := range items {
-				l.Items = append(l.Items, it+sn.rng.ItemLo())
+			for r := off; r < off+int(n); r++ {
+				l.Items, l.Scores = append(l.Items, int(a.Cols.Items[r])+sn.rng.ItemLo()), append(l.Scores, a.Cols.Scores[r])
 			}
+			off += int(n)
 			ans.Lists = append(ans.Lists, l)
 		}
 		return ans

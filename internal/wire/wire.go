@@ -83,6 +83,31 @@ const (
 	MaxFrameLen = 64 << 20
 )
 
+// The header layout of the tables above, each field's offset named once
+// and used by the encoders, the decoders and SetExpectVersion alike. Both
+// kinds share the prologue, m and nUsers; past them a request's fields and
+// a response's overlay the same bytes.
+const (
+	offMagic  = 0  // both: magic
+	offLength = 8  // both: total frame bytes
+	offFlags  = 16 // both: flags
+	offM      = 20 // both: m
+	offUsers  = 24 // both: nUsers
+
+	offExclude       = 28 // request: nExclude
+	offAllow         = 32 // request: nAllow
+	offDeny          = 34 // request: nDeny
+	offTenant        = 36 // request: tenantLen
+	offExpectVersion = 40 // request: expectVersion
+
+	offShardLo      = 28 // response: shardLo
+	offShardHi      = 32 // response: shardHi
+	offPad          = 36 // response: reserved word, zero
+	offModelVersion = 40 // response: modelVersion
+
+	offReserved = 48 // both: reserved through HeaderSize, zero
+)
+
 // Response status-column bits, one byte per user.
 const (
 	// StatusError marks a user slot that failed (out of range, filter
@@ -176,7 +201,7 @@ func MaxResponseLen(nUsers, m int) int {
 // place. It is the one field in which the per-shard copies of a scatter
 // differ, so a router encodes the frame once and patches each copy.
 func SetExpectVersion(frame []byte, version uint64) {
-	binary.LittleEndian.PutUint64(frame[40:], version)
+	binary.LittleEndian.PutUint64(frame[offExpectVersion:], version)
 }
 
 // AppendBatchRequest appends req as one request frame to dst and returns
@@ -205,15 +230,15 @@ func AppendBatchRequest(dst []byte, req *BatchRequest) ([]byte, error) {
 	for i := range hdr[:HeaderSize] {
 		hdr[i] = 0
 	}
-	copy(hdr, MagicRequest)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
-	binary.LittleEndian.PutUint32(hdr[20:], req.M)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(len(req.Users)))
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(len(req.Exclude)))
-	binary.LittleEndian.PutUint16(hdr[32:], uint16(len(req.AllowTags)))
-	binary.LittleEndian.PutUint16(hdr[34:], uint16(len(req.DenyTags)))
-	binary.LittleEndian.PutUint32(hdr[36:], uint32(len(req.Tenant)))
-	binary.LittleEndian.PutUint64(hdr[40:], req.ExpectVersion)
+	copy(hdr[offMagic:], MagicRequest)
+	binary.LittleEndian.PutUint64(hdr[offLength:], uint64(total))
+	binary.LittleEndian.PutUint32(hdr[offM:], req.M)
+	binary.LittleEndian.PutUint32(hdr[offUsers:], uint32(len(req.Users)))
+	binary.LittleEndian.PutUint32(hdr[offExclude:], uint32(len(req.Exclude)))
+	binary.LittleEndian.PutUint16(hdr[offAllow:], uint16(len(req.AllowTags)))
+	binary.LittleEndian.PutUint16(hdr[offDeny:], uint16(len(req.DenyTags)))
+	binary.LittleEndian.PutUint32(hdr[offTenant:], uint32(len(req.Tenant)))
+	binary.LittleEndian.PutUint64(hdr[offExpectVersion:], req.ExpectVersion)
 	at := HeaderSize
 	for _, u := range req.Users {
 		binary.LittleEndian.PutUint32(hdr[at:], u)
@@ -243,17 +268,17 @@ func DecodeBatchRequest(data []byte, req *BatchRequest) error {
 	if err := checkHeader(data, MagicRequest); err != nil {
 		return err
 	}
-	if flags := binary.LittleEndian.Uint32(data[16:]); flags != 0 {
+	if flags := binary.LittleEndian.Uint32(data[offFlags:]); flags != 0 {
 		return fmt.Errorf("wire: unknown request flags %#x", flags)
 	}
-	req.M = binary.LittleEndian.Uint32(data[20:])
-	nUsers := int(binary.LittleEndian.Uint32(data[24:]))
-	nExclude := int(binary.LittleEndian.Uint32(data[28:]))
-	nAllow := int(binary.LittleEndian.Uint16(data[32:]))
-	nDeny := int(binary.LittleEndian.Uint16(data[34:]))
-	tenantLen := int(binary.LittleEndian.Uint32(data[36:]))
-	req.ExpectVersion = binary.LittleEndian.Uint64(data[40:])
-	if err := reservedZero(data[48:HeaderSize]); err != nil {
+	req.M = binary.LittleEndian.Uint32(data[offM:])
+	nUsers := int(binary.LittleEndian.Uint32(data[offUsers:]))
+	nExclude := int(binary.LittleEndian.Uint32(data[offExclude:]))
+	nAllow := int(binary.LittleEndian.Uint16(data[offAllow:]))
+	nDeny := int(binary.LittleEndian.Uint16(data[offDeny:]))
+	tenantLen := int(binary.LittleEndian.Uint32(data[offTenant:]))
+	req.ExpectVersion = binary.LittleEndian.Uint64(data[offExpectVersion:])
+	if err := reservedZero(data[offReserved:HeaderSize]); err != nil {
 		return err
 	}
 	// Bound every count by what the frame can physically hold before
@@ -339,14 +364,14 @@ func AppendBatchResponse(dst []byte, resp *BatchResponse) []byte {
 	for i := range hdr[:HeaderSize] {
 		hdr[i] = 0
 	}
-	copy(hdr, MagicResponse)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
-	binary.LittleEndian.PutUint32(hdr[16:], resp.Flags)
-	binary.LittleEndian.PutUint32(hdr[20:], resp.M)
-	binary.LittleEndian.PutUint32(hdr[24:], uint32(nUsers))
-	binary.LittleEndian.PutUint32(hdr[28:], resp.ShardLo)
-	binary.LittleEndian.PutUint32(hdr[32:], resp.ShardHi)
-	binary.LittleEndian.PutUint64(hdr[40:], resp.ModelVersion)
+	copy(hdr[offMagic:], MagicResponse)
+	binary.LittleEndian.PutUint64(hdr[offLength:], uint64(total))
+	binary.LittleEndian.PutUint32(hdr[offFlags:], resp.Flags)
+	binary.LittleEndian.PutUint32(hdr[offM:], resp.M)
+	binary.LittleEndian.PutUint32(hdr[offUsers:], uint32(nUsers))
+	binary.LittleEndian.PutUint32(hdr[offShardLo:], resp.ShardLo)
+	binary.LittleEndian.PutUint32(hdr[offShardHi:], resp.ShardHi)
+	binary.LittleEndian.PutUint64(hdr[offModelVersion:], resp.ModelVersion)
 	copy(hdr[HeaderSize:], resp.Status)
 	for i := HeaderSize + nUsers; i < align4(HeaderSize+nUsers); i++ {
 		hdr[i] = 0
@@ -382,19 +407,19 @@ func DecodeBatchResponse(data []byte, resp *BatchResponse) error {
 	if err := checkHeader(data, MagicResponse); err != nil {
 		return err
 	}
-	resp.Flags = binary.LittleEndian.Uint32(data[16:])
+	resp.Flags = binary.LittleEndian.Uint32(data[offFlags:])
 	if resp.Flags&^uint32(FlagShardPartial|FlagRouterMerge) != 0 {
 		return fmt.Errorf("wire: unknown response flags %#x", resp.Flags)
 	}
-	resp.M = binary.LittleEndian.Uint32(data[20:])
-	nUsers := int(binary.LittleEndian.Uint32(data[24:]))
-	resp.ShardLo = binary.LittleEndian.Uint32(data[28:])
-	resp.ShardHi = binary.LittleEndian.Uint32(data[32:])
-	if binary.LittleEndian.Uint32(data[36:]) != 0 {
+	resp.M = binary.LittleEndian.Uint32(data[offM:])
+	nUsers := int(binary.LittleEndian.Uint32(data[offUsers:]))
+	resp.ShardLo = binary.LittleEndian.Uint32(data[offShardLo:])
+	resp.ShardHi = binary.LittleEndian.Uint32(data[offShardHi:])
+	if binary.LittleEndian.Uint32(data[offPad:]) != 0 {
 		return fmt.Errorf("wire: reserved header word is non-zero")
 	}
-	resp.ModelVersion = binary.LittleEndian.Uint64(data[40:])
-	if err := reservedZero(data[48:HeaderSize]); err != nil {
+	resp.ModelVersion = binary.LittleEndian.Uint64(data[offModelVersion:])
+	if err := reservedZero(data[offReserved:HeaderSize]); err != nil {
 		return err
 	}
 	// Status + counts alone cost 5 bytes per user; bound nUsers by that
@@ -452,12 +477,12 @@ func checkHeader(data []byte, magic string) error {
 	if len(data) < HeaderSize {
 		return fmt.Errorf("wire: frame of %d bytes is shorter than the %d-byte header", len(data), HeaderSize)
 	}
-	if string(data[:8]) != magic {
+	if string(data[offMagic:offLength]) != magic {
 		var e ErrBadMagic
-		copy(e.got[:], data[:8])
+		copy(e.got[:], data[offMagic:offLength])
 		return &e
 	}
-	length := binary.LittleEndian.Uint64(data[8:])
+	length := binary.LittleEndian.Uint64(data[offLength:])
 	if length > MaxFrameLen {
 		return fmt.Errorf("wire: declared frame length %d exceeds the %d-byte cap", length, MaxFrameLen)
 	}
