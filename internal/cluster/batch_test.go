@@ -3,11 +3,13 @@ package cluster
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,5 +275,60 @@ func TestShardAnswerReadBound(t *testing.T) {
 	}
 	if !strings.Contains(errResp.Error, "exceeds") {
 		t.Errorf("error %q does not name the overrun", errResp.Error)
+	}
+}
+
+// TestRouterKeepsShardConnections: the router's default client keeps an idle
+// connection to a shard for every concurrent scatter. Sixteen batch loops
+// (cacheless, so every batch scatters) open at most sixteen connections to
+// each shard, plus the one the first route table was polled over, however
+// many batches they send — the default transport's two idle connections
+// per host dialled one for nearly every call beyond the second.
+func TestRouterKeepsShardConnections(t *testing.T) {
+	fx := ranktest.New(t, ranktest.Variant{F32: true})
+	const loops, rounds = 16, 25
+	var dialled [2]atomic.Int64
+	urls := make([]string, len(dialled))
+	for p := range urls {
+		lo, hi := 0, fx.Train.Cols()/2
+		if p == 1 {
+			lo, hi = hi, -1
+		}
+		srv, err := serve.NewShardFromFile(serve.Config{ModelPath: fx.Path, Train: fx.Train, ShardLo: lo, ShardHi: hi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewUnstartedServer(srv.Handler())
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dialled[p].Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls[p] = ts.URL
+	}
+	_, router := startRouter(t, Config{Shards: urls, CacheSize: -1})
+	var wg sync.WaitGroup
+	for l := range loops {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				u := (l*rounds + r) % fx.Train.Rows()
+				req := serve.BatchRequest{Users: []int{u, (u + 1) % fx.Train.Rows()}, M: 5}
+				if st := ranktest.PostJSON(t, router.URL+"/v1/batch", req, nil); st != http.StatusOK {
+					t.Errorf("loop %d round %d: status %d", l, r, st)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for p := range dialled {
+		if n := dialled[p].Load(); n > loops+1 {
+			t.Errorf("shard %d: %d connections opened for %d concurrent loops of %d batches, want at most %d",
+				p, n, loops, rounds, loops+1)
+		}
 	}
 }

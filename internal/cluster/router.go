@@ -137,7 +137,8 @@ type Config struct {
 	Stages []rank.Stage
 	// HTTPClient overrides the client used for shard calls (tests;
 	// custom transports). Nil means a client with no overall timeout —
-	// per-attempt deadlines come from Timeout.
+	// per-attempt deadlines come from Timeout — that keeps an idle
+	// connection to a shard for every concurrent scatter.
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives progress lines (cmd/ocular-router
 	// wires log.Printf).
@@ -179,7 +180,13 @@ func (c Config) withDefaults() Config {
 		c.RetryBudget = 0.2
 	}
 	if c.HTTPClient == nil {
-		c.HTTPClient = &http.Client{}
+		// Not http.DefaultTransport: it keeps two idle connections per host,
+		// so every scatter beyond two in flight to a shard dialled a
+		// connection for one call. Keep one idle per admitted request and
+		// its hedge, and at least 256 (admission is unbounded by default).
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns, t.MaxIdleConnsPerHost, t.DisableCompression = 0, max(2*c.MaxInFlight, 256), true
+		c.HTTPClient = &http.Client{Transport: t}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

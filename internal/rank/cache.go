@@ -1,9 +1,6 @@
 package rank
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 // requestKey identifies one cacheable ranking request: user, list length,
 // and the fingerprint of its flattened filter set. Covering the filters in
@@ -26,29 +23,51 @@ func (k requestKey) hash() uint64 {
 	return (h ^ (uint64(k.user)*2 + uint64(k.m))) * 0x9E3779B97F4A7C15
 }
 
-// topCache is a sharded LRU cache of precomputed top-M lists keyed by
-// requestKey. Sharding bounds lock contention on the hot path: concurrent
+// topCache is a sharded table of top-M lists keyed by requestKey, and its
+// own singleflight. A miss inserts a pending node under its shard's lock, so
+// finding a list, joining the computation of one and leading it are one
+// atomic step; the leader publishes into the node, which links it into the
+// shard's LRU, and waiters sleep on the shard's condition variable until it
+// does. Nodes are recycled: eviction frees one for the next miss, so a full
+// table allocates nothing. Sharding bounds lock contention: concurrent
 // requests for different users hash to different shards with high
-// probability. A cache belongs to one Engine — the serving layer installs
-// a fresh engine per model snapshot, so invalidation is wholesale and
+// probability. An engine's table is its own — the serving layer installs a
+// fresh engine per model snapshot, so invalidation is wholesale and
 // race-free (requests still running against the old snapshot keep hitting
-// the old, still-consistent cache).
+// the old, still-consistent table).
 type topCache struct {
 	shards []cacheShard
 	mask   uint64
 }
 
-type cacheEntry struct {
-	key    requestKey
-	items  []int
-	scores []float64
+type cacheShard struct {
+	mu      sync.Mutex
+	wake    sync.Cond // on mu: a pending node was published or abandoned
+	cap     int       // published nodes kept; a pending node is never evicted
+	n       int       // published nodes
+	buckets []*node   // hash chains of every node, pending or published
+	shift   uint      // a key's bucket is its hash >> shift
+	lru     node      // sentinel: lru.next is the most recently used
+	free    *node     // recycled nodes, chained through chain
 }
 
-type cacheShard struct {
-	mu    sync.Mutex
-	cap   int
-	order list.List // front = most recently used
-	byKey map[requestKey]*list.Element
+// node is one key's slot in a shard: pending while its leader computes,
+// then published into the LRU until eviction recycles it.
+type node struct {
+	key    requestKey
+	hash   uint64
+	items  []int
+	scores []float64
+	// gen advances whenever the node leaves its key (evicted or abandoned):
+	// a waiter holding the node reads it only under the gen it joined.
+	gen     uint64
+	pending bool
+	// A pending node's leader: the call's first slot, and the slot it
+	// computes — how a batch finds its own repeats of a user.
+	owner      *ListEntry
+	slot       int
+	chain      *node // hash chain, or the free list
+	prev, next *node // LRU, published nodes only
 }
 
 // CacheShards is the shard count of every serving cache: the engine's and
@@ -68,72 +87,152 @@ func newTopCache(capacity, shards int) *topCache {
 		n <<= 1
 	}
 	perShard := (capacity + n - 1) / n
+	buckets, shift := 1, uint(64)
+	for buckets < perShard {
+		buckets, shift = buckets<<1, shift-1
+	}
 	c := &topCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
 	for i := range c.shards {
-		c.shards[i].cap = perShard
-		c.shards[i].byKey = make(map[requestKey]*list.Element, perShard)
+		s := &c.shards[i]
+		s.wake.L, s.cap = &s.mu, perShard
+		s.buckets, s.shift = make([]*node, buckets), shift
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
 	}
 	return c
 }
 
-func (c *topCache) shard(k requestKey) *cacheShard {
-	return &c.shards[(k.hash()>>32)&c.mask]
+// shard picks a key's shard by the middle bits of its hash; its bucket is
+// picked by the top ones.
+func (c *topCache) shard(h uint64) *cacheShard {
+	return &c.shards[(h>>32)&c.mask]
 }
 
-// get returns the cached list for k. The returned slices are shared and
-// must not be modified.
-func (c *topCache) get(k requestKey) (items []int, scores []float64, ok bool) {
-	if c == nil {
-		return nil, nil, false
+func (s *cacheShard) find(k requestKey, h uint64) *node {
+	for n := s.buckets[h>>s.shift]; n != nil; n = n.chain {
+		if n.hash == h && n.key == k {
+			return n
+		}
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.byKey[k]
-	if !ok {
-		return nil, nil, false
-	}
-	s.order.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.items, e.scores, true
+	return nil
 }
 
-// put stores the list for k, evicting the least recently used entry of the
-// shard when full. The slices are retained; callers must not modify them
-// afterwards.
-func (c *topCache) put(k requestKey, items []int, scores []float64) {
+// insert chains a pending node for k, a recycled one when there is one.
+func (s *cacheShard) insert(k requestKey, h uint64, owner *ListEntry, slot int) *node {
+	n := s.free
+	if n != nil {
+		s.free = n.chain
+	} else {
+		n = new(node)
+	}
+	n.key, n.hash, n.pending, n.owner, n.slot = k, h, true, owner, slot
+	b := &s.buckets[h>>s.shift]
+	n.chain, *b = *b, n
+	return n
+}
+
+// publish stores the list of pending node n, makes it the most recently
+// used, evicts the least recently used node past capacity and wakes the
+// waiters. The slices are retained; callers must not modify them afterwards.
+func (s *cacheShard) publish(n *node, items []int, scores []float64) {
+	n.items, n.scores, n.pending, n.owner = items, scores, false, nil
+	s.pushFront(n)
+	if s.n++; s.n > s.cap {
+		old := s.lru.prev
+		s.unlink(old)
+		s.n--
+		s.recycle(old)
+	}
+	s.wake.Broadcast()
+}
+
+// abandon retires pending node n without a list; its waiters compute for
+// themselves.
+func (s *cacheShard) abandon(n *node) {
+	s.recycle(n)
+	s.wake.Broadcast()
+}
+
+// recycle unchains n, which has left the LRU if it was ever in it, and
+// frees it for the next miss under a new generation.
+func (s *cacheShard) recycle(n *node) {
+	p := &s.buckets[n.hash>>s.shift]
+	for *p != n {
+		p = &(*p).chain
+	}
+	*p = n.chain
+	*n = node{gen: n.gen + 1, chain: s.free}
+	s.free = n
+}
+
+// await sleeps on the shard lock until n, joined under gen, settles: its
+// list when it was published for the key joined, ok = false when it left
+// that key first (abandoned, or published, evicted and recycled before the
+// waiter woke).
+func (s *cacheShard) await(n *node, gen uint64) (items []int, scores []float64, ok bool) {
+	for n.gen == gen && n.pending {
+		s.wake.Wait()
+	}
+	if n.gen != gen {
+		return nil, nil, false
+	}
+	return n.items, n.scores, true
+}
+
+// put stores a list computed outside a flight — a waiter's own after its
+// leader failed — unless a leader is computing the key right now.
+func (s *cacheShard) put(k requestKey, h uint64, items []int, scores []float64) {
+	switch n := s.find(k, h); {
+	case n == nil:
+		s.publish(s.insert(k, h, nil, 0), items, scores)
+	case !n.pending:
+		n.items, n.scores = items, scores
+		s.touch(n)
+	}
+}
+
+// touch makes published node n the most recently used.
+func (s *cacheShard) touch(n *node) {
+	s.unlink(n)
+	s.pushFront(n)
+}
+
+func (s *cacheShard) unlink(n *node) { n.prev.next, n.next.prev = n.next, n.prev }
+
+func (s *cacheShard) pushFront(n *node) {
+	n.prev, n.next = &s.lru, s.lru.next
+	n.next.prev, s.lru.next = n, n
+}
+
+// len returns the total number of published entries.
+func (c *topCache) len() int {
 	if c == nil {
-		return
+		return 0
 	}
-	s := c.shard(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.byKey[k]; ok {
-		s.order.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		e.items, e.scores = items, scores
-		return
+	n := 0
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.mu.Lock()
+		n += s.n
+		s.mu.Unlock()
 	}
-	if s.order.Len() >= s.cap {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.byKey, oldest.Value.(*cacheEntry).key)
-	}
-	s.byKey[k] = s.order.PushFront(&cacheEntry{key: k, items: items, scores: scores})
+	return n
 }
 
 // ListCache is the engine's cache-and-coalesce machinery exported for
 // ranked lists assembled outside an Engine — the scatter-gather router
 // caches merged top-M lists it gathered from shard partials, under the
-// same sharded LRU and singleflight discipline the engine applies to
-// lists it ranked itself. Keys are (user, m, fingerprint); the caller
-// owns the fingerprint's contents (the router folds its route epoch in,
-// which is what makes mixed-epoch cache hits impossible). All methods are
-// safe for concurrent use.
+// same table and flight discipline the engine applies to lists it ranked
+// itself. Keys are (user, m, fingerprint); the caller owns the
+// fingerprint's contents (the router folds its route epoch in, which is
+// what makes mixed-epoch cache hits impossible). All methods are safe for
+// concurrent use.
 type ListCache struct {
-	cache  *topCache
-	flight flightGroup
-	stats  *Stats
+	cache *topCache
+	stats *Stats
+	// ranks counts every computation as ranked; an engine counts inside
+	// its own rank pass instead.
+	ranks bool
+	calls sync.Pool // *batchCall
 }
 
 // NewListCache builds a list cache of about capacity entries across
@@ -144,7 +243,7 @@ func NewListCache(capacity, shards int, stats *Stats) *ListCache {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	return &ListCache{cache: newTopCache(capacity, shards), stats: stats}
+	return &ListCache{cache: newTopCache(capacity, shards), stats: stats, ranks: true}
 }
 
 // Stats returns the cache's counters (hits, misses, coalesced waiters,
@@ -169,11 +268,29 @@ type ListEntry struct {
 	// failed validation); set by compute, it fails the slot. Errors are
 	// never cached.
 	Err error
+	// coalesced narrows Cached to a share of another computation.
+	coalesced bool
 }
 
 // shareable reports whether compute left a result that may be cached and
 // handed to other requests.
 func (e *ListEntry) shareable() bool { return e.Err == nil && !e.NoShare }
+
+// batchCall is the pooled bookkeeping of one GetOrComputeBatch call.
+type batchCall struct {
+	lead, retry []int   // slots this call computes
+	led         []*node // lead's pending nodes, in lead's order
+	dups        []int   // pairs: a repeated user's slot, the slot leading it
+	waits       []waiter
+}
+
+// waiter is a slot sharing the flight another call leads.
+type waiter struct {
+	slot  int
+	shard *cacheShard
+	n     *node
+	gen   uint64
+}
 
 // GetOrComputeBatch fills out[i] with the list cached under (users[i], m,
 // fp) for every slot the caller has not failed, running compute over the
@@ -188,178 +305,122 @@ func (e *ListEntry) shareable() bool { return e.Err == nil && !e.NoShare }
 // batch publishes or abandons every flight it leads before it waits on a
 // foreign one, so two overlapping batches can never wait on each other.
 // With cacheable false (an oversized fingerprint) or the cache disabled,
-// every live slot is a miss and is computed.
+// every live slot is a miss and is computed. The call allocates nothing of
+// its own once the table is full: what a miss leaves behind is compute's.
 func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable bool, out []ListEntry, compute func(idx []int)) {
+	b, _ := c.calls.Get().(*batchCall)
+	if b == nil {
+		b = new(batchCall)
+	}
+	defer c.release(b)
 	run := func(idx []int) {
 		c.stats.misses.Add(int64(len(idx)))
-		c.stats.ranked.Add(int64(len(idx)))
+		if c.ranks {
+			c.stats.ranked.Add(int64(len(idx)))
+		}
 		compute(idx)
 	}
-	var lead, wait []int
 	if c.cache == nil || !cacheable {
 		for i := range out {
 			if out[i].Err == nil {
-				lead = append(lead, i)
+				b.lead = append(b.lead, i)
 			}
 		}
-		if len(lead) > 0 {
-			run(lead)
+		if len(b.lead) > 0 {
+			run(b.lead)
 		}
 		return
 	}
-	key := func(i int) requestKey { return requestKey{user: users[i], m: m, filters: fp} }
-	var calls []*flightCall // per slot, the flight it leads or waits on; nil while every slot hits
-	var first map[int]int   // user -> the slot leading its flight in this batch
-	var dups []int
 	for i := range out {
 		if out[i].Err != nil {
 			continue
 		}
-		if items, scores, ok := c.cache.get(key(i)); ok {
+		k := requestKey{user: users[i], m: m, filters: fp}
+		h := k.hash()
+		s := c.cache.shard(h)
+		s.mu.Lock()
+		switch n := s.find(k, h); {
+		case n == nil:
+			b.lead, b.led = append(b.lead, i), append(b.led, s.insert(k, h, &out[0], i))
+		case !n.pending:
+			s.touch(n)
 			c.stats.hits.Add(1)
-			out[i] = ListEntry{Items: items, Scores: scores, Cached: true}
-			continue
+			out[i] = ListEntry{Items: n.items, Scores: n.scores, Cached: true}
+		case n.owner == &out[0]:
+			b.dups = append(b.dups, i, n.slot)
+		default:
+			b.waits = append(b.waits, waiter{slot: i, shard: s, n: n, gen: n.gen})
 		}
-		if _, ok := first[users[i]]; ok {
-			dups = append(dups, i)
-			continue
-		}
-		call, leader := c.flight.join(key(i))
-		if calls == nil {
-			calls = make([]*flightCall, len(users))
-		}
-		calls[i] = call
-		if !leader {
-			wait = append(wait, i)
-			continue
-		}
-		// The straggler rule of getOrCompute: the previous leader may have
-		// filled the cache and retired between our miss and our join.
-		if items, scores, ok := c.cache.get(key(i)); ok {
-			c.stats.hits.Add(1)
-			c.flight.publish(key(i), call, items, scores)
-			out[i] = ListEntry{Items: items, Scores: scores, Cached: true}
-			continue
-		}
-		if first == nil {
-			first = make(map[int]int)
-		}
-		first[users[i]] = i
-		lead = append(lead, i)
+		s.mu.Unlock()
 	}
-	if len(lead) > 0 {
+	if len(b.lead) > 0 {
 		settled := false
 		defer func() {
-			if !settled { // compute panicked: waiters recompute for themselves
-				for _, i := range lead {
-					c.flight.abandon(key(i), calls[i])
+			if !settled { // compute panicked: waiters compute for themselves
+				for _, n := range b.led {
+					s := c.cache.shard(n.hash)
+					s.mu.Lock()
+					s.abandon(n)
+					s.mu.Unlock()
 				}
 			}
 		}()
-		run(lead)
-		for _, i := range lead {
-			if e := &out[i]; e.shareable() {
-				c.cache.put(key(i), e.Items, e.Scores)
-				c.flight.publish(key(i), calls[i], e.Items, e.Scores)
+		run(b.lead)
+		for j, i := range b.lead {
+			n, e := b.led[j], &out[i]
+			s := c.cache.shard(n.hash)
+			s.mu.Lock()
+			if e.shareable() {
+				s.publish(n, e.Items, e.Scores)
 			} else {
-				c.flight.abandon(key(i), calls[i])
+				s.abandon(n)
 			}
+			s.mu.Unlock()
 		}
 		settled = true
 	}
-	for _, i := range dups {
-		out[i] = out[first[users[i]]]
-		if e := &out[i]; e.shareable() {
-			e.Cached = true
+	for j := 0; j < len(b.dups); j += 2 {
+		e := &out[b.dups[j]]
+		if *e = out[b.dups[j+1]]; e.shareable() {
+			e.Cached, e.coalesced = true, true
 			c.stats.coalesced.Add(1)
 		} else {
 			c.stats.misses.Add(1)
 		}
 	}
-	var retry []int
-	for _, i := range wait {
-		<-calls[i].done
-		if call := calls[i]; call.ok {
+	for _, w := range b.waits {
+		w.shard.mu.Lock()
+		items, scores, ok := w.shard.await(w.n, w.gen)
+		w.shard.mu.Unlock()
+		if ok {
 			c.stats.coalesced.Add(1)
-			out[i] = ListEntry{Items: call.items, Scores: call.scores, Cached: true}
+			out[w.slot] = ListEntry{Items: items, Scores: scores, Cached: true, coalesced: true}
 		} else {
-			// The leader failed, panicked or produced an unshareable result;
-			// compute independently rather than inheriting its failure.
-			retry = append(retry, i)
+			// The leader failed, panicked, produced an unshareable result, or
+			// its list was evicted before this waiter woke; compute
+			// independently rather than inheriting any of that.
+			b.retry = append(b.retry, w.slot)
 		}
 	}
-	if len(retry) > 0 {
-		run(retry)
-		for _, i := range retry {
+	if len(b.retry) > 0 {
+		run(b.retry)
+		for _, i := range b.retry {
 			if e := &out[i]; e.shareable() {
-				c.cache.put(key(i), e.Items, e.Scores)
+				k := requestKey{user: users[i], m: m, filters: fp}
+				h := k.hash()
+				s := c.cache.shard(h)
+				s.mu.Lock()
+				s.put(k, h, e.Items, e.Scores)
+				s.mu.Unlock()
 			}
 		}
 	}
 }
 
-// getOrCompute is the single-key cache-and-coalesce sequence — hit, share
-// an in-flight leader's result, or lead and publish — behind Engine.topM;
-// GetOrComputeBatch is its many-key sibling over the same cache and
-// flights. coalesced tells a shared in-flight result from a cache hit
-// (both report cached). compute cannot fail and its result is always
-// shareable: unshareable results and errors are GetOrComputeBatch's
-// business. Counting a computation as ranked is compute's own: the engine
-// counts inside its rank pass. The engine never comes here without a cache
-// (Engine.list: a list no cache will hold is not copied for one).
-func (c *ListCache) getOrCompute(key requestKey, compute func() (items []int, scores []float64)) (items []int, scores []float64, cached, coalesced bool) {
-	if items, scores, ok := c.cache.get(key); ok {
-		c.stats.hits.Add(1)
-		return items, scores, true, false
-	}
-	call, leader := c.flight.join(key)
-	if !leader {
-		<-call.done
-		if call.ok {
-			c.stats.coalesced.Add(1)
-			return call.items, call.scores, true, true
-		}
-		// The leader abandoned its call (it panicked, or it was a batch
-		// whose result could not be shared); compute independently.
-		c.stats.misses.Add(1)
-		items, scores = compute()
-		c.cache.put(key, items, scores)
-		return items, scores, false, false
-	}
-	// A straggler can miss the cache, lose the CPU, and join only after
-	// the previous leader filled the cache and retired its call — it then
-	// leads a call nobody needs. Look again before computing, so one key is
-	// computed once however the scheduler interleaves its requests.
-	if items, scores, ok := c.cache.get(key); ok {
-		c.stats.hits.Add(1)
-		c.flight.publish(key, call, items, scores)
-		return items, scores, true, false
-	}
-	c.stats.misses.Add(1)
-	published := false
-	defer func() {
-		if !published { // compute panicked: waiters recompute for themselves
-			c.flight.abandon(key, call)
-		}
-	}()
-	items, scores = compute()
-	c.cache.put(key, items, scores)
-	c.flight.publish(key, call, items, scores)
-	published = true
-	return items, scores, false, false
-}
-
-// len returns the total number of cached entries.
-func (c *topCache) len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
+// release returns b to the pool; the pool must not pin nodes.
+func (c *ListCache) release(b *batchCall) {
+	clear(b.led)
+	clear(b.waits)
+	b.lead, b.retry, b.led, b.dups, b.waits = b.lead[:0], b.retry[:0], b.led[:0], b.dups[:0], b.waits[:0]
+	c.calls.Put(b)
 }

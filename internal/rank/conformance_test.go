@@ -150,3 +150,91 @@ func TestConformanceEngineTopMBatch(t *testing.T) {
 		}
 	}
 }
+
+// TestConformanceEngineOwnsTrainRow registers engines that hold the
+// training matrix (Config.Train) and are handed each case's own filters
+// only, never a TrainRow: the single-user entry and TopMBatch at workers 1
+// and 3, over every file format, staged and not, over the whole catalogue
+// and the partitions [20,60) and [20,-1). A partition is ranked the way a
+// shard ranks it — cacheless, the case's filters rebased, the row's window
+// found by the engine from its scorer's ItemLo, local ids made global and
+// the stages applied once after — and the whole catalogue through the
+// cache, under fingerprints that no longer name the user's row.
+func TestConformanceEngineOwnsTrainRow(t *testing.T) {
+	items := ranktest.New(t, ranktest.Variant{}).Train.Cols()
+	for _, v := range ranktest.Variants {
+		for _, staged := range []bool{false, true} {
+			for _, rg := range [][2]int{{0, -1}, {items / 4, 3 * items / 4}, {items / 4, -1}} {
+				for _, workers := range []int{0, 1, 3} {
+					entry := "TopMStaged"
+					if workers > 0 {
+						entry = fmt.Sprintf("TopMBatch_workers=%d", workers)
+					}
+					t.Run(fmt.Sprintf("%s_%v_staged=%v_[%d,%d)", entry, v, staged, rg[0], rg[1]), func(t *testing.T) {
+						fx := ranktest.New(t, v)
+						open := func(t testing.TB) (*rank.Engine, *core.MappedModelRange) {
+							rr, err := core.OpenMappedModelRange(fx.Path, rg[0], rg[1])
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Cleanup(func() { _ = rr.Close() })
+							cfg := rank.Config{CacheSize: -1, Train: fx.Train}
+							if rr.Len() == items {
+								cfg.CacheSize = 256
+							}
+							return rank.NewEngine(rank.MappedScorer{MappedModelRange: rr}, cfg), rr
+						}
+						e, rr := open(t)
+						whole := rr.Len() == items
+						r := &ranktest.Ranker{Single: workers == 0, Cache: whole}
+						if staged {
+							r.Stages = fx.Stages
+						}
+						if !whole {
+							r.Lo, r.Hi = rr.ItemLo(), rr.ItemHi()
+						}
+						r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
+							filters, m, stages := fx.RequestFilters(t, c), c.M, r.Stages
+							if !whole {
+								for n, f := range filters {
+									filters[n] = rank.OffsetRange(f, r.Lo, r.Hi)
+								}
+								m, stages = rank.StagesOverFetch(c.M, r.Stages), nil
+							}
+							inRange := func(i int) bool { return c.Users[i] >= 0 && c.Users[i] < fx.Train.Rows() }
+							var cols rank.BatchCols
+							if workers == 0 {
+								cols.Append(e.TopMStaged(c.Users[0], m, stages, filters...))
+							} else {
+								e.TopMBatch(c.Users, m, workers, stages, func(i int) ([]rank.Filter, bool) { return filters, inRange(i) }, &cols)
+							}
+							ans, off := ranktest.Answer{Status: 200}, 0
+							for i, n := range cols.Counts {
+								part := rank.Partial{Scores: cols.Scores[off : off+int(n)]}
+								for _, it := range cols.Items[off : off+int(n)] {
+									part.Items = append(part.Items, int(it)+r.Lo)
+								}
+								l := ranktest.List{Items: part.Items, Scores: part.Scores, Cached: cols.Cached[i]}
+								if !whole {
+									l.Items, l.Scores = rank.MergeTopMStaged(c.M, r.Stages, part)
+								}
+								if !inRange(i) {
+									l.Err = "skipped by filtersFor"
+								}
+								off += int(n)
+								ans.Lists = append(ans.Lists, l)
+							}
+							return ans
+						}
+						r.Roll = func(t testing.TB, flip bool) {
+							if flip {
+								e, _ = open(t)
+							}
+						}
+						ranktest.Conformance(t, fx, r)
+					})
+				}
+			}
+		}
+	}
+}

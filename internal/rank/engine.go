@@ -12,12 +12,14 @@
 // one pooled scratch per rank call (a list leaves it by copy: into the cache,
 // or into the caller's columns), ranking a known user from the few items that can
 // score at all where the scorer lists them (candidateScorer — same lists,
-// bit for bit, as the sweep), a sharded LRU cache keyed by a request fingerprint
-// covering user, m and the filter set (so filtered requests are cacheable
-// rather than wrong), and singleflight coalescing of duplicate cache
-// misses — concurrent requests for the same fingerprint compute the list
-// once. Transports (HTTP today; gRPC or a columnar batch path tomorrow)
-// stay thin adapters over one of these entry points.
+// bit for bit, as the sweep), the ranked user's own training row as an
+// exclusion the engine resolves itself (Config.Train), and one table per
+// cache shard keyed by a request fingerprint covering user, m and the
+// filter set (so filtered requests are cacheable rather than wrong) that
+// is its own singleflight — concurrent requests for the same fingerprint
+// compute the list once. Transports — the JSON and frame codecs of
+// internal/serve, the single-user and columnar batch (TopMBatch) paths
+// alike — stay thin adapters over these entry points.
 package rank
 
 import (
@@ -25,6 +27,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sparse"
 )
 
 // Scorer produces the relevance scores a ranking starts from. Both
@@ -52,12 +56,25 @@ type candidateScorer interface {
 	ScoreCandidates(u int, ids []int32, scores []float64) ([]int32, []float64, bool)
 }
 
+// itemRange is the optional method of a Scorer over the item range [lo,
+// lo+NumItems()) of a larger catalogue — a shard's: ItemLo reports lo, the
+// global id of its item 0. Asked for once, at construction, like
+// candidateScorer; without it the scorer's items are the catalogue's.
+type itemRange interface{ ItemLo() int }
+
 // Config tunes an Engine. The zero value disables caching (and with it
 // coalescing, which only applies to cacheable requests).
 type Config struct {
 	// CacheSize is the approximate total number of cached top-M lists
 	// across shards; <= 0 disables the cache.
 	CacheSize int
+	// Train, when non-nil, is the training matrix, in global item ids: a
+	// known user is never ranked an item of its own row — the offline
+	// evaluation protocol, the serving default — without a filter for it. The
+	// engine walks the part of the row inside its scorer's items as one more
+	// sorted exclusion, keyed by the user the cache key already holds, so
+	// the caller's filters are the request's own. Fold-in (Rank) has no row.
+	Train *sparse.Matrix
 	// Stats, when non-nil, receives the engine's counters. Sharing one
 	// Stats across successive engines (the serving layer rebuilds the
 	// engine on every model reload) keeps the counters cumulative.
@@ -101,7 +118,9 @@ func (s *Stats) Swept() int64 { return s.swept.Load() }
 type Engine struct {
 	scorer Scorer
 	sparse candidateScorer // scorer's fast path, nil when it has none
-	lists  ListCache       // cache, singleflight and counters of the ranked lists
+	train  *sparse.Matrix  // Config.Train
+	lo, hi int             // the scorer's items, global ids [lo, hi)
+	lists  ListCache       // cache, flights and counters of the ranked lists
 	pool   sync.Pool       // *scratch
 }
 
@@ -111,13 +130,18 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	if stats == nil {
 		stats = &Stats{}
 	}
-	sparse, _ := scorer.(candidateScorer)
-	return &Engine{
+	e := &Engine{
 		scorer: scorer,
-		sparse: sparse,
+		train:  cfg.Train,
 		lists:  ListCache{cache: newTopCache(cfg.CacheSize, CacheShards), stats: stats},
 		pool:   sync.Pool{New: func() any { return new(scratch) }},
 	}
+	e.sparse, _ = scorer.(candidateScorer)
+	if r, ok := scorer.(itemRange); ok {
+		e.lo = r.ItemLo()
+	}
+	e.hi = e.lo + scorer.NumItems()
+	return e
 }
 
 // Stats returns the engine's counters.
@@ -163,26 +187,30 @@ func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (
 }
 
 // list is the one place a ranked list gets its owner. A request the cache
-// can hold is ranked into s and copied out exact-length for the cache (or
-// found there): owned, shared with the cache, read-only. Any other is left
-// where it was ranked: s.items and s.scores, the caller's to copy before s
-// is used again.
+// can hold goes through the table as a one-slot batch, ranked into s and
+// copied out exact-length for the cache (or found there): owned, shared
+// with the cache, read-only. Any other is left where it was ranked:
+// s.items and s.scores, the caller's to copy before s is used again.
 func (e *Engine) list(s *scratch, u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached, owned bool) {
 	s.flat = flatten(s.flat[:0], filters)
-	fp, cacheable := fingerprintStaged(s.flat, stages)
-	if !cacheable || e.lists.cache == nil {
-		e.lists.stats.misses.Add(1)
-		e.rankStaged(s, u, m, stages, tm)
-		return s.items, s.scores, false, false
+	if e.lists.cache != nil {
+		if fp, ok := s.fingerprint(stages); ok {
+			s.user[0], s.slot[0] = u, ListEntry{}
+			e.lists.GetOrComputeBatch(s.user[:], m, fp, true, s.slot[:], func([]int) {
+				e.rankStaged(s, u, m, stages, tm)
+				s.slot[0].Items, s.slot[0].Scores = slices.Clone(s.items), slices.Clone(s.scores)
+			})
+			l := s.slot[0]
+			s.slot[0] = ListEntry{} // the pool must not pin a cache entry
+			if tm != nil && l.Cached {
+				tm.Cached, tm.Coalesced = true, l.coalesced
+			}
+			return l.Items, l.Scores, l.Cached, true
+		}
 	}
-	items, scores, cached, coalesced := e.lists.getOrCompute(requestKey{user: u, m: m, filters: fp}, func() ([]int, []float64) {
-		e.rankStaged(s, u, m, stages, tm)
-		return slices.Clone(s.items), slices.Clone(s.scores)
-	})
-	if tm != nil && cached {
-		tm.Cached, tm.Coalesced = true, coalesced
-	}
-	return items, scores, cached, true
+	e.lists.stats.misses.Add(1)
+	e.rankStaged(s, u, m, stages, tm)
+	return s.items, s.scores, false, false
 }
 
 // Rank runs the pipeline with a caller-supplied scoring function — the
@@ -194,18 +222,31 @@ func (e *Engine) list(s *scratch, u, m int, stages []Stage, filters []Filter, tm
 func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (items []int, scores []float64) {
 	s := e.pool.Get().(*scratch)
 	defer e.pool.Put(s)
-	s.flat = flatten(s.flat[:0], filters)
+	s.flat, s.row = flatten(s.flat[:0], filters), nil
 	e.rank(s, score, m, nil)
 	return slices.Clone(s.items), slices.Clone(s.scores)
 }
 
 // rankUser ranks a known user into s: from the scorer's candidates where it
 // lists them, by the full sweep where it has no such path or declines. Both
-// leave the same list, bit for bit.
+// leave the same list, bit for bit, and both exclude u's training row.
 func (e *Engine) rankUser(s *scratch, u, m int, tm *Timings) {
+	s.row, s.rowLo = e.row(u), e.lo
 	if e.sparse == nil || !e.rankCandidates(s, u, m, tm) {
 		e.rank(s, func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, tm)
 	}
+}
+
+// row is the part of user u's training row inside the scorer's items,
+// global ids — two binary searches, no copy; nil without Config.Train.
+func (e *Engine) row(u int) []int32 {
+	if e.train == nil || u < 0 || u >= e.train.Rows() {
+		return nil
+	}
+	row := e.train.Row(u)
+	a, _ := slices.BinarySearch(row, int32(e.lo))
+	b, _ := slices.BinarySearch(row, int32(e.hi))
+	return row[a:b]
 }
 
 // rankCandidates is rank over the sparse form of user u's scores, filling
@@ -280,53 +321,4 @@ func (e *Engine) rankStaged(s *scratch, u, m int, stages []Stage, tm *Timings) {
 	if tm != nil {
 		tm.Stages += time.Since(t0)
 	}
-}
-
-// flightGroup coalesces duplicate in-flight computations per request key —
-// a minimal singleflight. The first join for a key becomes the leader and
-// computes; later joins receive the same call and wait on done.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[requestKey]*flightCall
-}
-
-type flightCall struct {
-	done   chan struct{}
-	ok     bool // set before done closes; false when the leader abandoned
-	items  []int
-	scores []float64
-}
-
-// join returns the in-flight call for key, creating it when absent; leader
-// reports whether the caller created it (and must publish or abandon).
-func (g *flightGroup) join(key requestKey) (c *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.calls == nil {
-		g.calls = make(map[requestKey]*flightCall)
-	}
-	if c, ok := g.calls[key]; ok {
-		return c, false
-	}
-	c = &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	return c, true
-}
-
-// publish hands the leader's result to the waiters and retires the call.
-func (g *flightGroup) publish(key requestKey, c *flightCall, items []int, scores []float64) {
-	c.items, c.scores, c.ok = items, scores, true
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
-}
-
-// abandon retires the call without a result (leader panicked); waiters
-// recompute for themselves.
-func (g *flightGroup) abandon(key requestKey, c *flightCall) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(c.done)
 }

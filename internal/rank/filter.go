@@ -234,32 +234,55 @@ func flatten(dst, filters []Filter) []Filter {
 // uncacheable instead — correct, just uncached.
 const maxFingerprintLen = 4096
 
-// fingerprint builds the cache-key contribution of a flat filter list,
-// reporting cacheable=false when any filter lacks a stable key or the
-// combined key exceeds maxFingerprintLen. Keys are length-prefixed before
-// concatenation so the encoding stays injective whatever bytes a key
-// contains (a tag literally named "a|deny:b" must not collide with the
-// allow:a + deny:b filter pair). The empty filter list is cacheable with
-// an empty fingerprint — the plain (user, m) request of the unfiltered
-// hot path.
-func fingerprint(flat []Filter) (fp string, cacheable bool) {
-	if len(flat) == 0 {
-		return "", true
-	}
-	var b strings.Builder
+// appendKeys appends to dst the cache keys of a flat filter list and then
+// of a stage list; ok = false when a filter is not Keyed.
+func appendKeys(dst []string, flat []Filter, stages []Stage) (keys []string, ok bool) {
 	for _, f := range flat {
 		k, ok := f.(Keyed)
 		if !ok {
+			return dst, false
+		}
+		dst = append(dst, k.CacheKey())
+	}
+	for _, st := range stages {
+		dst = append(dst, st.CacheKey())
+	}
+	return dst, true
+}
+
+// encodeKeys builds the cache-key contribution of a request from its
+// component keys — the first nf its filters', the rest its stages' (see
+// fingerprintStaged) — reporting cacheable=false when a key is empty or
+// the result would exceed maxFingerprintLen. Keys are length-prefixed
+// before concatenation so the encoding stays injective whatever bytes a
+// key contains (a tag literally named "a|deny:b" must not collide with the
+// allow:a + deny:b filter pair). No keys is cacheable with an empty
+// fingerprint — the plain (user, m) request of the unfiltered hot path.
+func encodeKeys(keys []string, nf int) (fp string, cacheable bool) {
+	size := 0
+	for _, k := range keys {
+		if k == "" {
 			return "", false
 		}
-		key := k.CacheKey()
-		if key == "" {
-			return "", false
+		size += len(k)
+	}
+	if size > maxFingerprintLen {
+		return "", false
+	}
+	if len(keys) == 0 {
+		return "", true
+	}
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(size + 5*len(keys) + 3)
+	for i, key := range keys {
+		if i == nf {
+			b.WriteString("|s|")
 		}
 		if b.Len()+len(key) > maxFingerprintLen {
 			return "", false
 		}
-		b.WriteString(strconv.Itoa(len(key)))
+		b.Write(strconv.AppendInt(num[:0], int64(len(key)), 10))
 		b.WriteByte(':')
 		b.WriteString(key)
 	}

@@ -142,7 +142,7 @@ func TestOffsetRange(t *testing.T) {
 		t.Fatalf("OffsetRange over a Sorted filter = %#v, want the window [4 9 10] of the inner list above base 4", f)
 	}
 	var scan exclusionScan
-	scan.reset([]Filter{f})
+	scan.reset([]Filter{f}, nil, 0)
 	if len(scan.lists) != 1 || len(scan.preds) != 0 {
 		t.Fatalf("the scan took the window as %d lists and %d predicates, want one list", len(scan.lists), len(scan.preds))
 	}

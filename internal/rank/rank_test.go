@@ -209,19 +209,19 @@ func TestFingerprint(t *testing.T) {
 	train := sparse.NewBuilder(2, 4)
 	train.Add(0, 1)
 	tm := train.Build()
-	fp1, ok1 := fingerprint(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{2})}))
-	fp2, ok2 := fingerprint(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{3})}))
+	fp1, ok1 := fingerprintStaged(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{2})}), nil)
+	fp2, ok2 := fingerprintStaged(flatten(nil, []Filter{TrainRow(tm, 0), ExcludeItems([]int{3})}), nil)
 	if !ok1 || !ok2 {
 		t.Fatal("keyed filters reported uncacheable")
 	}
 	if fp1 == fp2 {
 		t.Error("different exclusion lists share a fingerprint")
 	}
-	if fp, ok := fingerprint(nil); !ok || fp != "" {
+	if fp, ok := fingerprintStaged(nil, nil); !ok || fp != "" {
 		t.Errorf("empty filter set: fingerprint %q cacheable=%v, want \"\" true", fp, ok)
 	}
 	// An anonymous filter has no key: the request must be uncacheable.
-	if _, ok := fingerprint([]Filter{anonFilter{}}); ok {
+	if _, ok := fingerprintStaged([]Filter{anonFilter{}}, nil); ok {
 		t.Error("unkeyed filter reported cacheable")
 	}
 	// Length-prefixing keeps the fingerprint injective even when a tag
@@ -234,8 +234,8 @@ func TestFingerprint(t *testing.T) {
 	fA, _ := weird.Allow("a|deny:b")
 	fB, _ := weird.Allow("a")
 	fC, _ := weird.Deny("b")
-	fpOne, ok1 := fingerprint([]Filter{fA})
-	fpPair, ok2 := fingerprint([]Filter{fB, fC})
+	fpOne, ok1 := fingerprintStaged([]Filter{fA}, nil)
+	fpPair, ok2 := fingerprintStaged([]Filter{fB, fC}, nil)
 	if !ok1 || !ok2 {
 		t.Fatal("tag filters reported uncacheable")
 	}
@@ -248,7 +248,7 @@ func TestFingerprint(t *testing.T) {
 	for i := range big {
 		big[i] = i
 	}
-	if _, ok := fingerprint(flatten(nil, []Filter{ExcludeItems(big)})); ok {
+	if _, ok := fingerprintStaged(flatten(nil, []Filter{ExcludeItems(big)}), nil); ok {
 		t.Error("oversized exclusion-list fingerprint reported cacheable")
 	}
 }
@@ -449,39 +449,39 @@ func TestEngineCacheDisabled(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// One shard of capacity 2: the oldest of three distinct keys must go.
-	c := newTopCache(2, 1)
-	put := func(u int) { c.put(requestKey{user: u, m: 5}, []int{u}, []float64{1}) }
-	get := func(u int) bool { _, _, ok := c.get(requestKey{user: u, m: 5}); return ok }
-	put(1)
-	put(2)
-	if !get(1) { // touch 1 so 2 becomes LRU
+	c := NewListCache(2, 1, nil)
+	get := func(u int, fp string) bool {
+		_, _, cached, _ := getOrCompute1(c, u, 5, fp, func() ([]int, []float64, bool, error) {
+			return []int{u}, []float64{1}, true, nil
+		})
+		return cached
+	}
+	get(1, "")
+	get(2, "")
+	if !get(1, "") { // touch 1 so 2 becomes LRU
 		t.Fatal("entry 1 missing")
 	}
-	put(3)
-	if get(2) {
-		t.Error("LRU entry 2 survived eviction")
-	}
-	if !get(1) || !get(3) {
+	get(3, "")
+	if !get(1, "") || !get(3, "") {
 		t.Error("recently used entries evicted")
 	}
-	if c.len() != 2 {
-		t.Errorf("cache len %d, want 2", c.len())
+	if get(2, "") {
+		t.Error("LRU entry 2 survived eviction")
+	}
+	if c.Len() != 2 {
+		t.Errorf("cache len %d, want 2", c.Len())
 	}
 	// Same (user, m), different filter fingerprints: distinct entries.
-	c2 := newTopCache(8, 1)
-	c2.put(requestKey{user: 1, m: 5, filters: "ex:1|"}, []int{9}, []float64{1})
-	if _, _, ok := c2.get(requestKey{user: 1, m: 5}); ok {
+	c = NewListCache(8, 1, nil)
+	get(1, "ex:1|")
+	if get(1, "") {
 		t.Error("unfiltered key hit a filtered entry")
 	}
-	if _, _, ok := c2.get(requestKey{user: 1, m: 5, filters: "ex:1|"}); !ok {
+	if !get(1, "ex:1|") {
 		t.Error("filtered key missed its own entry")
 	}
 	// nil cache is a valid always-miss cache.
 	var nilCache *topCache
-	if _, _, ok := nilCache.get(requestKey{}); ok {
-		t.Error("nil cache returned a hit")
-	}
-	nilCache.put(requestKey{}, nil, nil)
 	if nilCache.len() != 0 {
 		t.Error("nil cache non-empty")
 	}

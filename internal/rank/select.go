@@ -33,16 +33,26 @@ func Select(scores []float64, m int, filters ...Filter) []int {
 // items and scores; from there it is copied — exact-length into the cache,
 // or into the caller's columns (Engine.list says which) — so scratch memory
 // never escapes the call that borrowed it. Between calls a scratch pins one
-// request's filters at most, and it dies with its engine.
+// request's filters and fingerprint at most, and it dies with its engine.
 type scratch struct {
-	dense  []float64 // the sweep's score array, NumItems long once used
-	ids    []int32   // sparse form: the ascending candidate ids...
-	cand   []float64 // ...and their scores
-	heap   []int     // selection heap, or the full sort's candidate list
-	flat   []Filter  // the request's filters, flattened
-	scan   exclusionScan
-	items  []int // the ranked list
-	scores []float64
+	dense []float64 // the sweep's score array, NumItems long once used
+	ids   []int32   // sparse form: the ascending candidate ids...
+	cand  []float64 // ...and their scores
+	heap  []int     // selection heap, or the full sort's candidate list
+	flat  []Filter  // the request's filters, flattened
+	row   []int32   // the ranked user's training row, global ids above...
+	rowLo int       // ...this base
+	scan  exclusionScan
+	// The request's fingerprint, memoised by the keys it was built of (see
+	// fingerprint), and a one-slot batch for the table.
+	keys, fpKeys []string
+	fpFilters    int
+	fp           string
+	fpOK         bool
+	user         [1]int
+	slot         [1]ListEntry
+	items        []int // the ranked list
+	scores       []float64
 }
 
 // selectDense is Select over s.flat, into s.items (the engine flattens
@@ -52,12 +62,12 @@ func (s *scratch) selectDense(scores []float64, m int) {
 	if m <= 0 {
 		return
 	}
-	s.scan.reset(s.flat)
+	s.scan.reset(s.flat, s.row, s.rowLo)
 	// Upper-bound the exclusions to estimate the candidate count. Filters
 	// may overlap, so this underestimates nCand — which only biases the
 	// path choice toward the full sort; both paths return identical
 	// rankings.
-	bound := 0
+	bound := len(s.row)
 	for _, f := range s.flat {
 		if c, ok := f.(bounder); ok {
 			bound += c.maxExcluded(len(scores))
@@ -73,8 +83,9 @@ func (s *scratch) selectDense(scores []float64, m int) {
 // exclusionScan merges a request's filters into one per-item test for the
 // ascending selection scan: Sorted filters advance cursors (amortized O(1)
 // per item) — a partition's window of one through the base its ids sit
-// above — and the rest answer through their Excluded predicate. excluded
-// must be called with strictly increasing items.
+// above, and so does the engine's training row — and the rest answer
+// through their Excluded predicate. excluded must be called with strictly
+// increasing items.
 type exclusionScan struct {
 	lists   [][]int32
 	bases   []int // list n holds item i as i+bases[n]
@@ -82,8 +93,13 @@ type exclusionScan struct {
 	preds   []Filter
 }
 
-func (s *exclusionScan) reset(flat []Filter) {
+// reset loads flat, and row — ids above base — as one more list when it is
+// not empty.
+func (s *exclusionScan) reset(flat []Filter, row []int32, base int) {
 	s.lists, s.bases, s.cursors, s.preds = s.lists[:0], s.bases[:0], s.cursors[:0], s.preds[:0]
+	if len(row) > 0 {
+		s.lists, s.bases, s.cursors = append(s.lists, row), append(s.bases, base), append(s.cursors, 0)
+	}
 	for _, f := range flat {
 		switch v := f.(type) {
 		case windowFilter:
@@ -232,7 +248,7 @@ func (s *scratch) selectSparse(n, m int) {
 	if m <= 0 {
 		return
 	}
-	s.scan.reset(s.flat)
+	s.scan.reset(s.flat, s.row, s.rowLo)
 	h := s.heap[:0]
 	for j, id := range s.ids {
 		if s.cand[j] > 0 && !s.scan.excluded(int(id)) {

@@ -3,6 +3,7 @@ package rank
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -100,36 +101,41 @@ func applyStages(m int, stages []Stage, items []int, scores []float64) ([]int, [
 	return items, scores
 }
 
-// fingerprintStaged extends the filter fingerprint with the request's
-// stage keys. With no stages the fingerprint is exactly fingerprint(flat)
-// — zero-stage requests share cache entries with unstaged ones, which is
-// correct because they return identical lists. With stages, a "|s|"
-// marker separates the two key sequences; both sides use the same
-// length-prefixed token encoding, so a filter whose key happens to
-// contain "|s|" still cannot alias a filters+stages combination (tokens
-// are consumed by declared length, the marker is only ever read at a
-// token boundary).
+// fingerprintStaged is the cache-key contribution of a request's filters
+// and stages (encodeKeys). With no stages the fingerprint is that of the
+// filters alone — zero-stage requests share cache entries with unstaged
+// ones, which is correct because they return identical lists. With stages,
+// a "|s|" marker separates the two key sequences; both sides use the same
+// length-prefixed token encoding, so a filter whose key happens to contain
+// "|s|" still cannot alias a filters+stages combination (tokens are
+// consumed by declared length, the marker is only ever read at a token
+// boundary).
 func fingerprintStaged(flat []Filter, stages []Stage) (fp string, cacheable bool) {
-	fp, ok := fingerprint(flat)
-	if !ok || len(stages) == 0 {
-		return fp, ok
+	var buf [8]string
+	keys, ok := appendKeys(buf[:0], flat, stages)
+	if !ok {
+		return "", false
 	}
-	b := make([]byte, 0, len(fp)+16*len(stages))
-	b = append(b, fp...)
-	b = append(b, "|s|"...)
-	for _, st := range stages {
-		key := st.CacheKey()
-		if key == "" {
-			return "", false
-		}
-		if len(b)+len(key) > maxFingerprintLen {
-			return "", false
-		}
-		b = strconv.AppendInt(b, int64(len(key)), 10)
-		b = append(b, ':')
-		b = append(b, key...)
+	return encodeKeys(keys, len(flat))
+}
+
+// fingerprint is fingerprintStaged(s.flat, stages), built once per request
+// rather than once per user: memoised by the component keys it was built
+// of, compared as strings — never by slice identity, since callers pool and
+// reuse the slices their filters live in.
+func (s *scratch) fingerprint(stages []Stage) (string, bool) {
+	keys, ok := appendKeys(s.keys[:0], s.flat, stages)
+	s.keys = keys
+	switch {
+	case !ok:
+		return "", false
+	case len(keys) == 0:
+		return "", true // the plain (user, m) request
+	case len(s.flat) != s.fpFilters || !slices.Equal(keys, s.fpKeys):
+		s.fp, s.fpOK = encodeKeys(keys, len(s.flat))
+		s.fpKeys, s.fpFilters = append(s.fpKeys[:0], keys...), len(s.flat)
 	}
-	return string(b), true
+	return s.fp, s.fpOK
 }
 
 // RequestKey canonicalizes a request's raw filter surface into exactly the
@@ -166,15 +172,19 @@ func RequestKey(exclude []int, allowTags, denyTags []string, stages []Stage) (fp
 // preserving the order of the survivors. It never over-fetches: the floor
 // only shortens lists, so the top-m above the floor is a subset of the
 // top-m overall.
-func ScoreFloor(min float64) Stage { return floorStage{min: min} }
-
-type floorStage struct{ min float64 }
-
-// CacheKey encodes the exact float64 bits of the floor, so two floors
-// that format identically but differ in the last ulp still key apart.
-func (f floorStage) CacheKey() string {
-	return "floor:" + strconv.FormatUint(math.Float64bits(f.min), 16)
+//
+// Its key encodes the exact float64 bits of the floor, so two floors that
+// format identically but differ in the last ulp still key apart.
+func ScoreFloor(min float64) Stage {
+	return floorStage{min: min, key: "floor:" + strconv.FormatUint(math.Float64bits(min), 16)}
 }
+
+type floorStage struct {
+	min float64
+	key string
+}
+
+func (f floorStage) CacheKey() string { return f.key }
 
 func (f floorStage) OverFetch(m int) int { return m }
 
@@ -303,23 +313,22 @@ func Diversify(lambda float64, factor int, vecs ItemVectors) (Stage, error) {
 	if vecs == nil {
 		return nil, fmt.Errorf("rank: Diversify requires item vectors")
 	}
-	return mmrStage{lambda: lambda, factor: factor, vecs: vecs}, nil
+	// The key covers lambda and the over-fetch factor. The similarity
+	// kernel (the model's item factors) is fixed for the engine's lifetime
+	// — the serving layer rebuilds engines, and the router bumps its route
+	// epoch, on every model swap — so it needs no key component.
+	key := "mmr:" + strconv.FormatUint(math.Float64bits(lambda), 16) + ":" + strconv.Itoa(factor)
+	return mmrStage{lambda: lambda, factor: factor, vecs: vecs, key: key}, nil
 }
 
 type mmrStage struct {
 	lambda float64
 	factor int
 	vecs   ItemVectors
+	key    string
 }
 
-// CacheKey covers lambda and the over-fetch factor. The similarity
-// kernel (the model's item factors) is fixed for the engine's lifetime —
-// the serving layer rebuilds engines, and the router bumps its route
-// epoch, on every model swap — so it needs no key component.
-func (d mmrStage) CacheKey() string {
-	return "mmr:" + strconv.FormatUint(math.Float64bits(d.lambda), 16) +
-		":" + strconv.Itoa(d.factor)
-}
+func (d mmrStage) CacheKey() string { return d.key }
 
 func (d mmrStage) OverFetch(m int) int { return m * d.factor }
 

@@ -104,10 +104,18 @@ type Ranker struct {
 }
 
 // Filters is the filter stack of one user of a case, in global item ids:
-// the training row, the exclusion list, the tag filters.
+// the training row, then the case's own (RequestFilters).
 func (fx *Fixture) Filters(t testing.TB, user int, c *Case) []rank.Filter {
 	t.Helper()
-	fs := []rank.Filter{rank.TrainRow(fx.Train, user)}
+	return append([]rank.Filter{rank.TrainRow(fx.Train, user)}, fx.RequestFilters(t, c)...)
+}
+
+// RequestFilters is what a case asks of every user, in global item ids: the
+// exclusion list, the tag filters — the stack of an engine that owns the
+// training row (rank.Config.Train).
+func (fx *Fixture) RequestFilters(t testing.TB, c *Case) []rank.Filter {
+	t.Helper()
+	var fs []rank.Filter
 	if len(c.Exclude) > 0 {
 		fs = append(fs, rank.ExcludeItems(c.Exclude))
 	}

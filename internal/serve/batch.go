@@ -37,27 +37,22 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		start = time.Now()
 	}
 	if req.Tenant == "" {
-		// Default path: the shared filters are validated once (they are
-		// immutable and safe for concurrent use), then the columnar engine
-		// entry point ranks the whole batch.
+		// Default path: the request's filters are validated once (they are
+		// immutable and safe for concurrent use) and shared by every user —
+		// the engine excludes each user's training row itself — then the
+		// columnar engine entry point ranks the whole batch.
 		sn := rt.sn
 		extra, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
 		if err != nil {
 			return BadRequest(err)
 		}
-		// Each user's stack is its own window of one pooled slice: stacks
-		// may be built concurrently, and each must last its user's ranking.
-		k := len(extra) + 1
-		a.filters = grown(a.filters, len(req.Users)*k)
 		sn.engine.TopMBatch(req.Users, m, workers, sn.stages, func(i int) ([]rank.Filter, bool) {
-			u := req.Users[i]
-			if u < 0 || u >= sn.rng.NumUsers() {
+			if u := req.Users[i]; u < 0 || u >= sn.rng.NumUsers() {
 				slots[i].Err = userOutOfRange(u, sn)
 				return nil, false
 			}
-			return userFilters(a.filters[i*k:i*k:(i+1)*k], sn, u, extra), true
+			return extra, true
 		}, cols)
-		clear(a.filters) // the pool must not pin a snapshot's training rows
 		a.ModelVersion = sn.version
 	} else {
 		// Tenant path: each user resolves to its own arm. Arms may serve
@@ -110,7 +105,7 @@ func (s *Server) rankArm(req *BatchRequest, user, m int, sl *Slot, tm *rank.Timi
 		sl.Err = userOutOfRange(user, sn)
 		return
 	}
-	sl.items, sl.scores, sl.cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, userFilters(nil, sn, user, extra)...)
+	sl.items, sl.scores, sl.cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, extra...)
 	a.requests.Add(1)
 	if sh := rt.tenant.shadow; sh != nil {
 		sh.observe(a.name, a.model.name, sn.version, user, m, extra, sl.items, sl.scores)

@@ -116,7 +116,6 @@ type Answer struct {
 	req     BatchRequest      // a recommend's or a frame's request, translated
 	one     [1]int            // a recommend's one user
 	timings rank.Timings      // a traced recommend's stage times
-	filters []rank.Filter     // a server pipeline's per-user filter stacks
 	body    []byte            // frame codec: the request body...
 	frame   wire.BatchRequest // ...decoded (aliasing body)
 	users   []int             // ...its users and exclusions widened

@@ -73,7 +73,7 @@ type FilterSpec struct {
 // spec into engine filters — on a partition, rebased into its local index
 // space. Validation and rebasing happen here, once per request — a batch
 // shares the result across its users (filters are immutable and safe for
-// concurrent use).
+// concurrent use), and each user's training row is its engine's own.
 func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) ([]rank.Filter, error) {
 	var filters []rank.Filter
 	if len(exclude) > 0 {
@@ -110,23 +110,6 @@ func (s *Server) requestFilters(sn *snapshot, exclude []int, spec *FilterSpec) (
 		}
 	}
 	return filters, nil
-}
-
-// userFilters appends one user's filter stack to dst: the training-row
-// exclusion (the offline evaluation protocol, kept on shards too) — on a
-// partition, the window of it inside the range — plus the request's extra
-// filters as requestFilters left them. A whole-catalogue range must not
-// rebase: OffsetRange results are unkeyed, so every request would turn
-// uncacheable (and pay an allocation per filter). A batch passes windows of
-// one pooled slice for dst, so what a user costs is the filter values of
-// the row: two small boxes on a partition, one on the whole catalogue,
-// whatever the row's length and however many filters the request carries.
-func userFilters(dst []rank.Filter, sn *snapshot, user int, extra []rank.Filter) []rank.Filter {
-	row := rank.TrainRow(sn.train, user)
-	if sn.model == nil {
-		row = rank.OffsetRange(row, sn.rng.ItemLo(), sn.rng.ItemHi())
-	}
-	return append(append(dst, row), extra...)
 }
 
 // FoldInRequest asks for cold-start recommendations: the item history of a

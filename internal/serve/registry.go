@@ -512,7 +512,7 @@ func (s *Server) loadNamedLocked(nm *namedModel) (*snapshot, error) {
 		if arm.stages, err = BuildStages(a.specs, s.cfg.ItemTags, base.model); err != nil {
 			return nil, fmt.Errorf("serve: tenant %q arm %q: %w", a.tenant, a.name, err)
 		}
-		arm.engine = s.newEngine(base.rng, a.stats)
+		arm.engine = s.newEngine(base.rng, base.train, a.stats)
 		arms[i] = &arm
 	}
 	nm.base.Store(base)

@@ -33,7 +33,7 @@ func TestBatchReportsRankingSnapshotVersion(t *testing.T) {
 	}
 	off := 0
 	for i, u := range req.Users {
-		items, scores, _ := retired.engine.TopM(u, 5, userFilters(nil, retired, u, nil)...)
+		items, scores, _ := retired.engine.TopM(u, 5)
 		for r := range items {
 			if int(a.Cols.Items[off+r]) != items[r] || a.Cols.Scores[off+r] != scores[r] {
 				t.Fatalf("user slot %d rank %d: the batch did not rank against the retired snapshot", i, r)

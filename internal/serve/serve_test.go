@@ -63,8 +63,8 @@ func TestRecommendAllocsPerRequest(t *testing.T) {
 	user := 0
 	miss := testing.AllocsPerRun(50, func() { user++; recommend(fmt.Sprintf(`{"user":%d,"m":10}`, user)) })
 	hit := testing.AllocsPerRun(50, func() { recommend(`{"user":3,"m":10}`) })
-	if hit > 43 || miss > 50 {
-		t.Errorf("a recommend costs %v allocations on a hit and %v on a miss, want at most 43 and 50", hit, miss)
+	if hit > 38 || miss > 42 {
+		t.Errorf("a recommend costs %v allocations on a hit and %v on a miss, want at most 38 and 42", hit, miss)
 	}
 }
 

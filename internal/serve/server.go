@@ -23,8 +23,10 @@
 // (recommend and batch, JSON and frames) is the Front, written once here
 // and mounted by the router too: a recommend is the batch pipeline with
 // one user, and both binaries answer with the same structs. The engine owns the pooled
-// score buffers, the sharded top-M cache (keyed by a fingerprint covering
-// user, m and filters), and singleflight coalescing of duplicate misses.
+// score buffers, each user's training-row exclusion (the snapshot's
+// exclusion matrix is its rank.Config.Train), and the sharded top-M cache
+// (keyed by a fingerprint covering user, m and filters) that coalesces
+// duplicate misses.
 // The model is hot-swappable: ReloadFromFile atomically installs a new
 // snapshot (mapped range + fresh engine) without dropping in-flight
 // requests, which keep serving from the snapshot they started with.
@@ -357,7 +359,7 @@ func (s *Server) open(path string, lo, hi int, old *snapshot, stats *rank.Stats,
 		version:  1,
 		loadedAt: time.Now(),
 		stages:   stages,
-		engine:   s.newEngine(rng, stats),
+		engine:   s.newEngine(rng, train, stats),
 	}
 	if old != nil {
 		sn.version = old.version + 1
@@ -365,12 +367,12 @@ func (s *Server) open(path string, lo, hi int, old *snapshot, stats *rank.Stats,
 	return sn, nil
 }
 
-// newEngine builds an engine ranking rng, counting into stats. A
-// whole-catalogue range gets the configured top-M cache; a partition is
-// cacheless by design — the router caches merged lists under its own
-// epoch-qualified fingerprints.
-func (s *Server) newEngine(rng *core.MappedModelRange, stats *rank.Stats) *rank.Engine {
-	cfg := rank.Config{CacheSize: -1, Stats: stats}
+// newEngine builds an engine ranking rng, excluding each user's row of
+// train, counting into stats. A whole-catalogue range gets the configured
+// top-M cache; a partition is cacheless by design — the router caches
+// merged lists under its own epoch-qualified fingerprints.
+func (s *Server) newEngine(rng *core.MappedModelRange, train *sparse.Matrix, stats *rank.Stats) *rank.Engine {
+	cfg := rank.Config{CacheSize: -1, Train: train, Stats: stats}
 	if rng.Model() != nil {
 		cfg.CacheSize = s.cfg.CacheSize
 	}
@@ -378,11 +380,13 @@ func (s *Server) newEngine(rng *core.MappedModelRange, stats *rank.Stats) *rank.
 }
 
 // rangeScorer adapts the item-range mapping to the engine's Scorer: the
-// engine sees a catalogue of Len() range-local items.
+// engine sees a catalogue of Len() range-local items, the first global id
+// ItemLo.
 type rangeScorer struct{ rng *core.MappedModelRange }
 
 func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) }
 func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
+func (r rangeScorer) ItemLo() int                    { return r.rng.ItemLo() }
 
 // ScoreCandidates forwards the engine's optional fast path: the range's
 // support index lists the few items a user can score on.

@@ -143,10 +143,7 @@ func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m
 	if m := sh.armStages.Load(); m != nil {
 		stages = (*m)[armName]
 	}
-	filters := make([]rank.Filter, 0, len(extra)+1)
-	filters = append(filters, rank.TrainRow(sn.train, user))
-	filters = append(filters, extra...)
-	items, scores, _ := sn.engine.TopMStaged(user, m, stages, filters...)
+	items, scores, _ := sn.engine.TopMStaged(user, m, stages, extra...)
 	rec.ShadowItems = items
 	rec.RankDiffs, rec.MaxScoreDiff = diffLists(priItems, priScores, items, scores)
 	if rec.RankDiffs > 0 {

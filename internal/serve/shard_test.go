@@ -94,12 +94,11 @@ func TestShardConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardBatchAllocsPerUser: what one more user adds to a shard's batch is
-// the two filter values of its training row — TrainRow's, and the window
-// OffsetRange cuts from it — and nothing else. The lists go from the
-// engine's scratch into the request's pooled columns, the filter stacks are
-// windows of one pooled slice, and the request's own filters are rebased
-// once per request, however many users share them.
+// TestShardBatchAllocsPerUser: one more user adds nothing to what a shard's
+// batch allocates. The lists go from the engine's scratch into the
+// request's pooled columns, the engine walks the user's training row in
+// place, and the request's own filters are rebased once per request,
+// however many users share them.
 func TestShardBatchAllocsPerUser(t *testing.T) {
 	skipUnderRace(t)
 	fx := ranktest.New(t, ranktest.Variant{F32: true})
@@ -124,8 +123,8 @@ func TestShardBatchAllocsPerUser(t *testing.T) {
 		})
 	}
 	allocs(len(users)) // warm: the engine's scratch pooled, a grown
-	if one, all := allocs(1), allocs(len(users)); all-one != 2*float64(len(users)-1) {
-		t.Errorf("1 user: %v allocations, %d users: %v — %v per user, want 2", one, len(users), all, (all-one)/float64(len(users)-1))
+	if one, all := allocs(1), allocs(len(users)); all != one {
+		t.Errorf("1 user: %v allocations, %d users: %v — %v per user, want 0", one, len(users), all, (all-one)/float64(len(users)-1))
 	}
 }
 

@@ -114,28 +114,15 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 						t.Errorf("%d cache entries, want a cache only over the whole catalogue", sn.engine.CacheLen())
 					}
 				})
-				// What the stack costs its user is the filter values of the
-				// training row and nothing else — TrainRow's on the whole
-				// catalogue (the request's keyed filters pass through, no
-				// rebasing wrapper), plus the window OffsetRange cuts from
-				// the row on a partition: the slice is the batch's, and the
-				// request's own filters were rebased once, by requestFilters,
-				// however long the exclusion list.
-				exclude := []int{r.lo, r.wantHi - 1}
-				for i := r.lo + 1; i < r.wantHi-1; i += 2 {
-					exclude = append(exclude, i)
-				}
-				extra, err := srv.requestFilters(sn, exclude, nil)
+				// The request's own filters stay keyed on the whole catalogue
+				// (no rebasing wrapper, so cacheable) and are rebased, unkeyed,
+				// on a partition; the training row is the engine's either way.
+				extra, err := srv.requestFilters(sn, []int{r.lo, r.wantHi - 1}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := 1.0
-				if !r.whole {
-					want = 2
-				}
-				dst := make([]rank.Filter, 0, len(extra)+1)
-				if allocs := testing.AllocsPerRun(10, func() { userFilters(dst, sn, 7, extra) }); allocs != want {
-					t.Errorf("%s: the filter stack costs %v allocations per user, want %v", name, allocs, want)
+				if _, keyed := extra[0].(rank.Keyed); len(extra) != 1 || keyed != r.whole {
+					t.Errorf("%s: request filters %#v, want one, keyed = %v", name, extra, r.whole)
 				}
 			}
 
