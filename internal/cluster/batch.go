@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,21 +18,16 @@ import (
 // batchScratch pools the per-request workspace of the router's pipeline.
 type batchScratch struct {
 	// res is the pipeline's outcome: one slot per requested user, its
-	// merged list (cache-shared, read-only) or why there is none; NoShare
-	// marks a degraded merge.
+	// merged list in the slot's own buffers (copied there from the cache on
+	// a hit) or why there is none; NoShare marks a degraded merge.
 	res   []rank.ListEntry
 	wreq  wire.BatchRequest // scatter: the shard request's columns...
 	frame []byte            // ...encoded once per scatter
-	parts []rank.Partial    // merge: one user's partials, shard by shard
+	parts []rank.Partial    // merge: one user's partials, shard by shard...
+	merge rank.Merger       // ...merged into its slot of res
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// release returns sc to the pool; the pool must not pin cache entries.
-func (sc *batchScratch) release() {
-	clear(sc.res)
-	batchScratchPool.Put(sc)
-}
 
 // batch is the router's Pipeline, under every codec of the front: validate
 // the shared request surface once, answer what the fingerprint cache
@@ -54,14 +50,11 @@ func (rt *Router) batch(r *http.Request, req *serve.BatchRequest, m, _ int, a *s
 	ctx, cancel := rt.requestContext(r)
 	defer cancel()
 	sc := batchScratchPool.Get().(*batchScratch)
-	defer sc.release()
-	if cap(sc.res) < len(req.Users) {
-		sc.res = make([]rank.ListEntry, len(req.Users))
-	}
-	sc.res = sc.res[:len(req.Users)]
-	clear(sc.res)
+	defer batchScratchPool.Put(sc)
+	sc.res = slices.Grow(sc.res[:0], len(req.Users))[:len(req.Users)]
 	for n, u := range req.Users {
-		sc.res[n].Err = tbl.validateUser(u)
+		res := &sc.res[n]
+		*res = rank.ListEntry{Items: res.Items[:0], Scores: res.Scores[:0], Err: tbl.validateUser(u)}
 	}
 	act := obs.ActiveFrom(ctx)
 	start := time.Now()
@@ -169,8 +162,9 @@ func (rt *Router) gather(ctx context.Context, tbl *routeTable, req *serve.BatchR
 				sc.parts = append(sc.parts, rp.next(n))
 			}
 		}
-		items, scores := rank.MergeTopMStaged(m, stages, sc.parts...)
-		sc.res[i] = rank.ListEntry{Items: items, Scores: scores, NoShare: err != nil}
+		res := &sc.res[i]
+		res.Items, res.Scores = sc.merge.Merge(res.Items[:0], res.Scores[:0], m, stages, sc.parts...)
+		res.NoShare = err != nil
 	}
 	if act := obs.ActiveFrom(ctx); act != nil {
 		note := fmt.Sprintf("users=%d", len(idx))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -199,6 +200,72 @@ func TestBatchWithShardDown(t *testing.T) {
 	}
 	if got := deg.m.degraded.Value(); got != 4 {
 		t.Errorf("degraded counter %d, want 4 (two misses, two rounds)", got)
+	}
+}
+
+// TestRouterBatchAllocsPerUser: on a full router cache, a batch of 32
+// missing users costs what a batch of one costs, shards and HTTP included:
+// each user's partials merge into its pooled slot with the scratch's head
+// cursors, the merged list is copied into the buffers of the node its
+// eviction recycles, and the shards rank a frame without per-user garbage.
+// The request is shaped so that HTTP's own costs do not grow with it
+// either: m = 4 keeps a shard's answer to 32 users under the 2 KB net/http
+// sends with a Content-Length (a longer one goes chunked), and the
+// exclusions keep every frame at least 100 bytes long (net/http formats a
+// shorter length without allocating its string). Each size is measured three times
+// and its least count kept, so a pool the GC emptied does not show as a
+// user's cost.
+func TestRouterBatchAllocsPerUser(t *testing.T) {
+	skipUnderRace(t)
+	const m = 4
+	tr := newTier(t, 2, Config{CacheSize: 16})
+	r := httptest.NewRequest(http.MethodPost, "/v2/batch", nil)
+	users, next := make([]int, 32), 0
+	exclude := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	a := new(serve.Answer)
+	batch := func(n int) {
+		for i := range users[:n] {
+			users[i], next = next, (next+1)%tr.fx.Train.Rows()
+		}
+		req := &serve.BatchRequest{Users: users[:n], M: m, ExcludeItems: exclude}
+		if err := tr.router.batch(r, req, m, 0, a); err != nil {
+			t.Fatal(err)
+		}
+		for i := range n {
+			if a.Slots[i].Err != nil || a.Cols.Cached[i] || a.Cols.Counts[i] != m {
+				t.Fatalf("slot %d (user %d): err %v cached %v, %d items; want a fresh merge of %d",
+					i, users[i], a.Slots[i].Err, a.Cols.Cached[i], a.Cols.Counts[i], m)
+			}
+		}
+	}
+	for range 20 { // warm: the cache full, every pool and buffer grown
+		batch(32)
+	}
+	allocs := func(n int) float64 {
+		least := testing.AllocsPerRun(20, func() { batch(n) })
+		for range 2 {
+			least = min(least, testing.AllocsPerRun(20, func() { batch(n) }))
+		}
+		return least
+	}
+	if one, all := allocs(1), allocs(32); all != one {
+		t.Errorf("a batch of 1 missing user costs %v allocations, of 32 %v: %v per user, want 0",
+			one, all, (all-one)/31)
+	}
+}
+
+// skipUnderRace skips an allocation budget when the race detector is on:
+// there sync.Pool drops a quarter of what is Put (to shake out reuse bugs),
+// so pooled scratch is rebuilt at random and the counts are not
+// production's. CI runs the budgets by name without -race.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts are not meaningful under -race")
+			}
+		}
 	}
 }
 

@@ -360,11 +360,11 @@ func TestRefreshBoundsEveryShardRead(t *testing.T) {
 	}
 }
 
-// TestFingerprintAllocs: the fingerprint of a request with no filter
-// surface — the hot path's — is the epoch token and nothing else: one
-// allocation at any epoch (the hand-rolled builder this replaced took one
-// below epoch 100 and two from there on).
-func TestFingerprintAllocs(t *testing.T) {
+// TestFingerprintAllocsPerRequest: the fingerprint of a request with no
+// filter surface — the hot path's — is the epoch token and nothing else:
+// one allocation at any epoch (the hand-rolled builder this replaced took
+// one below epoch 100 and two from there on).
+func TestFingerprintAllocsPerRequest(t *testing.T) {
 	for _, epoch := range []uint64{1, 99, 100, 1 << 40} {
 		if allocs := testing.AllocsPerRun(100, func() { fingerprintFor(epoch, nil, nil, nil) }); allocs > 1 {
 			t.Errorf("epoch %d: a plain request's fingerprint costs %v allocations, want 1", epoch, allocs)

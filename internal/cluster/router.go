@@ -3,8 +3,8 @@
 // /v2/batch API — serve's Front, the very codecs and answers a full
 // server mounts, over the router's own pipeline (Router.batch) — by
 // fanning each request out to item-partitioned shard processes
-// (serve.NewShardFromFile), merging the per-shard top-M partials with
-// rank.MergeTopM, and caching the merged lists. A request — one user or a
+// (serve.NewShardFromFile), merging the per-shard top-M partials with a
+// rank.Merger, and caching the merged lists. A request — one user or a
 // batch — costs one round trip per shard: the users its cache cannot
 // answer travel together in one frame of internal/wire (POST
 // /v2/shard/topm), and every shard answers one frame of partials. Because

@@ -28,13 +28,16 @@ func (k requestKey) hash() uint64 {
 // finding a list, joining the computation of one and leading it are one
 // atomic step; the leader publishes into the node, which links it into the
 // shard's LRU, and waiters sleep on the shard's condition variable until it
-// does. Nodes are recycled: eviction frees one for the next miss, so a full
-// table allocates nothing. Sharding bounds lock contention: concurrent
-// requests for different users hash to different shards with high
-// probability. An engine's table is its own — the serving layer installs a
-// fresh engine per model snapshot, so invalidation is wholesale and
-// race-free (requests still running against the old snapshot keep hitting
-// the old, still-consistent table).
+// does. Nodes are recycled with their list buffers: eviction frees one for
+// the next miss, so a full table allocates nothing. A list enters a node by
+// copy and leaves it by copy, under the shard lock, into buffers its reader
+// owns, so nothing outside the table ever aliases a node's list and
+// recycling one cannot change a list a reader holds. Sharding bounds lock
+// contention: concurrent requests for different users hash to different
+// shards with high probability. An engine's table is its own — the
+// serving layer installs a fresh engine per model snapshot, so
+// invalidation is wholesale and race-free (requests still running against
+// the old snapshot keep hitting the old, still-consistent table).
 type topCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -54,8 +57,9 @@ type cacheShard struct {
 // node is one key's slot in a shard: pending while its leader computes,
 // then published into the LRU until eviction recycles it.
 type node struct {
-	key    requestKey
-	hash   uint64
+	key  requestKey
+	hash uint64
+	// The published list: the node's own buffers, kept across recycling.
 	items  []int
 	scores []float64
 	// gen advances whenever the node leaves its key (evicted or abandoned):
@@ -130,11 +134,12 @@ func (s *cacheShard) insert(k requestKey, h uint64, owner *ListEntry, slot int) 
 	return n
 }
 
-// publish stores the list of pending node n, makes it the most recently
+// publish copies a list into pending node n, makes it the most recently
 // used, evicts the least recently used node past capacity and wakes the
-// waiters. The slices are retained; callers must not modify them afterwards.
+// waiters.
 func (s *cacheShard) publish(n *node, items []int, scores []float64) {
-	n.items, n.scores, n.pending, n.owner = items, scores, false, nil
+	n.store(items, scores)
+	n.pending, n.owner = false, nil
 	s.pushFront(n)
 	if s.n++; s.n > s.cap {
 		old := s.lru.prev
@@ -153,29 +158,35 @@ func (s *cacheShard) abandon(n *node) {
 }
 
 // recycle unchains n, which has left the LRU if it was ever in it, and
-// frees it for the next miss under a new generation.
+// frees it for the next miss under a new generation, keeping its buffers.
 func (s *cacheShard) recycle(n *node) {
 	p := &s.buckets[n.hash>>s.shift]
 	for *p != n {
 		p = &(*p).chain
 	}
 	*p = n.chain
-	*n = node{gen: n.gen + 1, chain: s.free}
+	*n = node{gen: n.gen + 1, chain: s.free, items: n.items[:0], scores: n.scores[:0]}
 	s.free = n
 }
 
-// await sleeps on the shard lock until n, joined under gen, settles: its
-// list when it was published for the key joined, ok = false when it left
-// that key first (abandoned, or published, evicted and recycled before the
-// waiter woke).
-func (s *cacheShard) await(n *node, gen uint64) (items []int, scores []float64, ok bool) {
+// store copies a list into n's own buffers.
+func (n *node) store(items []int, scores []float64) {
+	n.items, n.scores = append(n.items[:0], items...), append(n.scores[:0], scores...)
+}
+
+// await sleeps on the shard lock until n, joined under gen, settles, and
+// copies its list into e when it was published for the key joined; false
+// when it left that key first (abandoned, or published, evicted and
+// recycled before the waiter woke).
+func (s *cacheShard) await(n *node, gen uint64, e *ListEntry) bool {
 	for n.gen == gen && n.pending {
 		s.wake.Wait()
 	}
 	if n.gen != gen {
-		return nil, nil, false
+		return false
 	}
-	return n.items, n.scores, true
+	e.share(n.items, n.scores, true)
+	return true
 }
 
 // put stores a list computed outside a flight — a waiter's own after its
@@ -185,7 +196,7 @@ func (s *cacheShard) put(k requestKey, h uint64, items []int, scores []float64) 
 	case n == nil:
 		s.publish(s.insert(k, h, nil, 0), items, scores)
 	case !n.pending:
-		n.items, n.scores = items, scores
+		n.store(items, scores)
 		s.touch(n)
 	}
 }
@@ -253,8 +264,10 @@ func (c *ListCache) Stats() *Stats { return c.stats }
 // Len returns the number of cached lists.
 func (c *ListCache) Len() int { return c.cache.len() }
 
-// ListEntry is one user's slot in a GetOrComputeBatch call: the list (shared
-// with the cache, read-only) or why there is none.
+// ListEntry is one user's slot in a GetOrComputeBatch call: the list or why
+// there is none. Items and Scores are the caller's buffers: the call copies
+// a cached or shared list into them, reusing their capacity, and compute
+// ranks or merges into them; the cache keeps a copy of its own.
 type ListEntry struct {
 	Items  []int
 	Scores []float64
@@ -275,6 +288,14 @@ type ListEntry struct {
 // shareable reports whether compute left a result that may be cached and
 // handed to other requests.
 func (e *ListEntry) shareable() bool { return e.Err == nil && !e.NoShare }
+
+// share makes e a copy, in its own buffers, of a list the cache or another
+// slot holds: a hit, or with coalesced a share of another computation. It
+// sets the fields one by one: a composite literal costs a struct copy.
+func (e *ListEntry) share(items []int, scores []float64, coalesced bool) {
+	e.Items, e.Scores = append(e.Items[:0], items...), append(e.Scores[:0], scores...)
+	e.Cached, e.coalesced, e.NoShare, e.Err = true, coalesced, false, nil
+}
 
 // batchCall is the pooled bookkeeping of one GetOrComputeBatch call.
 type batchCall struct {
@@ -298,15 +319,19 @@ type waiter struct {
 // Scores, or Err, plus NoShare) and is called at most twice: once for the
 // keys this call leads, and once more for keys whose foreign leader
 // failed. A user repeated in the batch is computed once and its later
-// slots copy the first.
+// slots copy the first. Every list reaches out by copy, into the slot's own
+// buffers (see ListEntry), and the table copies what compute left, so no
+// slice is ever shared between the caller and the cache.
 //
 // One key is computed once across concurrent calls (single or batch): a
 // miss either joins the flight another call leads, or leads its own. A
 // batch publishes or abandons every flight it leads before it waits on a
 // foreign one, so two overlapping batches can never wait on each other.
 // With cacheable false (an oversized fingerprint) or the cache disabled,
-// every live slot is a miss and is computed. The call allocates nothing of
-// its own once the table is full: what a miss leaves behind is compute's.
+// every live slot is a miss and is computed. Once the table is full and the
+// slots' buffers have grown to the lists' length, the call allocates
+// nothing: a miss's list goes into the buffers of the node its eviction
+// recycles.
 func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable bool, out []ListEntry, compute func(idx []int)) {
 	b, _ := c.calls.Get().(*batchCall)
 	if b == nil {
@@ -345,7 +370,7 @@ func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable b
 		case !n.pending:
 			s.touch(n)
 			c.stats.hits.Add(1)
-			out[i] = ListEntry{Items: n.items, Scores: n.scores, Cached: true}
+			out[i].share(n.items, n.scores, false)
 		case n.owner == &out[0]:
 			b.dups = append(b.dups, i, n.slot)
 		default:
@@ -380,21 +405,21 @@ func (c *ListCache) GetOrComputeBatch(users []int, m int, fp string, cacheable b
 		settled = true
 	}
 	for j := 0; j < len(b.dups); j += 2 {
-		e := &out[b.dups[j]]
-		if *e = out[b.dups[j+1]]; e.shareable() {
-			e.Cached, e.coalesced = true, true
+		e, lead := &out[b.dups[j]], &out[b.dups[j+1]]
+		e.share(lead.Items, lead.Scores, true)
+		if lead.shareable() {
 			c.stats.coalesced.Add(1)
 		} else {
+			e.Cached, e.coalesced, e.NoShare, e.Err = false, false, lead.NoShare, lead.Err
 			c.stats.misses.Add(1)
 		}
 	}
 	for _, w := range b.waits {
 		w.shard.mu.Lock()
-		items, scores, ok := w.shard.await(w.n, w.gen)
+		ok := w.shard.await(w.n, w.gen, &out[w.slot])
 		w.shard.mu.Unlock()
 		if ok {
 			c.stats.coalesced.Add(1)
-			out[w.slot] = ListEntry{Items: items, Scores: scores, Cached: true, coalesced: true}
 		} else {
 			// The leader failed, panicked, produced an unshareable result, or
 			// its list was evicted before this waiter woke; compute

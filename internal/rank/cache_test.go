@@ -104,7 +104,9 @@ func (r *refCache) check(t *testing.T, op int) {
 // list. Every list handed out must be its key's in the model (each
 // computation's list is distinct, so a stale or foreign list shows), the
 // LRU order and the counters the model's, hits + misses + coalesced the
-// slots answered.
+// slots answered. Every list handed out is also kept and checked again
+// after the last call: the caller owns it, so no later eviction, recycling
+// or publication may change it.
 func FuzzListCache(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -114,6 +116,13 @@ func FuzzListCache(f *testing.F) {
 		c := NewListCache(capacity, shards, nil)
 		r := &refCache{c: c, perShard: (capacity + shards - 1) / shards, shards: make([][]refEntry, shards)}
 		serial, lookups := 0, int64(0)
+		type handed struct {
+			op     int
+			e      ListEntry
+			want   []int
+			scores []float64
+		}
+		var kept []handed
 		data = data[1:]
 		for op := 0; len(data) > 0; op++ {
 			code := data[0]
@@ -172,7 +181,9 @@ func FuzzListCache(f *testing.F) {
 					}
 					for _, i := range idx {
 						serial++
-						out[i] = ListEntry{Items: []int{users[i], serial}, Scores: []float64{float64(serial)}, NoShare: noShare[i]}
+						e := &out[i]
+						e.Items, e.Scores = append(e.Items[:0], users[i], serial), append(e.Scores[:0], float64(serial))
+						e.NoShare = noShare[i]
 					}
 				})
 			}()
@@ -213,10 +224,17 @@ func FuzzListCache(f *testing.F) {
 				if !slices.Equal(e.Items, want[i]) || len(e.Items) == 0 || e.Items[0] != users[i] {
 					t.Fatalf("op %d slot %d (user %d): handed %v, the key's list is %v", op, i, users[i], e.Items, want[i])
 				}
+				kept = append(kept, handed{op, e, want[i], []float64{float64(want[i][1])}})
 			}
 			r.check(t, op)
 			if st := c.Stats(); st.Hits()+st.Misses()+st.Coalesced() != lookups {
 				t.Fatalf("op %d: hits + misses + coalesced = %d, %d slots answered", op, st.Hits()+st.Misses()+st.Coalesced(), lookups)
+			}
+		}
+		for _, h := range kept {
+			if !slices.Equal(h.e.Items, h.want) || !slices.Equal(h.e.Scores, h.scores) {
+				t.Fatalf("the list handed out at op %d as %v %v reads %v %v after the last call",
+					h.op, h.want, h.scores, h.e.Items, h.e.Scores)
 			}
 		}
 	})
@@ -238,10 +256,11 @@ func TestListCacheWaiterNeverReadsARecycledNode(t *testing.T) {
 	s.mu.Unlock()
 	got := make(chan []int)
 	go func() {
+		var e ListEntry
 		s.mu.Lock()
-		items, _, _ := s.await(na, gen)
+		s.await(na, gen, &e)
 		s.mu.Unlock()
-		got <- items
+		got <- e.Items
 	}()
 	runtime.Gosched()
 	s.mu.Lock()
@@ -297,14 +316,56 @@ func TestListCacheWaitersUnderEviction(t *testing.T) {
 	}
 }
 
+// TestListCacheHandedListsOutliveRecycling: at capacity 1, readers keep
+// every list they were handed and re-verify all of them after each call,
+// while the other goroutines evict and recycle the same nodes, copying
+// other users' lists into their buffers. Run under -race: a handed list is
+// its reader's copy, so nothing the table does later changes it or races
+// with reading it.
+func TestListCacheHandedListsOutliveRecycling(t *testing.T) {
+	c := NewListCache(1, 1, nil)
+	const goroutines, rounds = 6, 150
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var kept []ListEntry
+			var keptUsers []int
+			for r := range rounds {
+				users := []int{(g + r) % 4, (3*g + r + 1) % 4}
+				out := make([]ListEntry, len(users))
+				c.GetOrComputeBatch(users, 5, "", true, out, func(idx []int) {
+					for _, i := range idx {
+						out[i].Items = append(out[i].Items, users[i], 10*users[i])
+						out[i].Scores = append(out[i].Scores, float64(users[i]))
+					}
+				})
+				kept, keptUsers = append(kept, out...), append(keptUsers, users...)
+				for k, e := range kept {
+					u := keptUsers[k]
+					if !slices.Equal(e.Items, []int{u, 10 * u}) || !slices.Equal(e.Scores, []float64{float64(u)}) {
+						t.Errorf("goroutine %d round %d: user %d's list, handed out %d calls ago, reads %v %v",
+							g, r, u, r-k/len(users), e.Items, e.Scores)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if st := c.Stats(); st.Hits()+st.Coalesced() == 0 || c.Len() != 1 {
+		t.Errorf("hits %d coalesced %d over %d cached lists: the readers never shared a node", st.Hits(), st.Coalesced(), c.Len())
+	}
+}
+
 // TestListCacheAllocsPerSlot: on a full table GetOrComputeBatch allocates
-// nothing of its own — not for a hit, and not for a miss, whose node is the
-// one the eviction it causes recycles. What a miss leaves behind is
-// compute's; here compute hands out one prebuilt list.
+// nothing — not for a hit, which copies the node's list into the slot's
+// buffers, and not for a miss, which compute writes into the slot's buffers
+// and the table copies into the buffers of the node its eviction recycles.
 func TestListCacheAllocsPerSlot(t *testing.T) {
 	skipUnderRace(t)
 	c := NewListCache(64, 4, nil)
-	items, scores := []int{1}, []float64{1}
 	users, out := make([]int, 32), make([]ListEntry, 32)
 	next := 0
 	call := func(fresh bool) {
@@ -312,11 +373,12 @@ func TestListCacheAllocsPerSlot(t *testing.T) {
 			if fresh {
 				users[i], next = next, next+1
 			}
-			out[i] = ListEntry{}
+			out[i] = ListEntry{Items: out[i].Items[:0], Scores: out[i].Scores[:0]}
 		}
 		c.GetOrComputeBatch(users, 5, "fp", true, out, func(idx []int) {
 			for _, i := range idx {
-				out[i].Items, out[i].Scores = items, scores
+				out[i].Items = append(out[i].Items, users[i], users[i]+1)
+				out[i].Scores = append(out[i].Scores, 1, 0.5)
 			}
 		})
 	}
@@ -333,6 +395,11 @@ func TestListCacheAllocsPerSlot(t *testing.T) {
 	if st := c.Stats(); st.Hits() == 0 || st.Misses() == 0 || c.Len() != 64 {
 		t.Errorf("hits %d misses %d over a table of %d, want both and 64", st.Hits(), st.Misses(), c.Len())
 	}
+	for i, e := range out {
+		if !e.Cached || !slices.Equal(e.Items, []int{users[i], users[i] + 1}) {
+			t.Fatalf("slot %d (user %d): %v cached=%v, want its own list as a hit", i, users[i], e.Items, e.Cached)
+		}
+	}
 }
 
 // formulaScorer scores any user over n items by a formula: a catalogue
@@ -348,9 +415,10 @@ func (f formulaScorer) NumItems() int { return int(f) }
 
 // TestCachedTopMBatchAllocsPerUser: on a full cache, what a user adds to a
 // TopMBatch call that owns the training row and shares one request filter
-// is nothing when it hits, and exactly the two exact-length copies of its
-// list when it misses — the node its eviction recycles, the memoised
-// fingerprint and the row walked in place cost it nothing.
+// is nothing, hit or miss — a miss ranks in the scratch and its list is
+// copied into the buffers of the node its eviction recycles, a hit is
+// copied from the node into the scratch, and the memoised fingerprint and
+// the row walked in place cost nothing either.
 func TestCachedTopMBatchAllocsPerUser(t *testing.T) {
 	skipUnderRace(t)
 	const users, items = 1 << 14, 64
@@ -379,8 +447,8 @@ func TestCachedTopMBatchAllocsPerUser(t *testing.T) {
 			rank(32, true)
 		}
 		allocs := func(n int, fresh bool) float64 { return testing.AllocsPerRun(40, func() { rank(n, fresh) }) }
-		if few, all := allocs(workers, true), allocs(32, true); all-few != 2*float64(32-workers) {
-			t.Errorf("workers=%d: misses: %v allocations for %d users, %v for 32 — %v per user, want 2",
+		if few, all := allocs(workers, true), allocs(32, true); few != all {
+			t.Errorf("workers=%d: misses: %v allocations for %d users, %v for 32 — %v per user, want 0",
 				workers, few, workers, all, (all-few)/float64(32-workers))
 		}
 		rank(32, true)

@@ -154,7 +154,8 @@ func (e *Engine) CacheLen() int { return e.lists.Len() }
 // candidates surviving the filters — the cached, coalesced entry point of
 // the known-user hot path. cached reports whether the list came from the
 // cache (or from another request's in-flight computation). The returned
-// slices are shared with the cache and must not be modified.
+// slices are the caller's own: two allocations per call, hit or miss
+// (TopMBatch copies into caller-owned columns instead).
 //
 // A request is cacheable when every filter is Keyed; the cache key covers
 // (u, m, filter fingerprints). Concurrent cacheable misses with equal keys
@@ -174,43 +175,42 @@ func (e *Engine) TopMStaged(u, m int, stages []Stage, filters ...Filter) (items 
 	return e.topM(u, m, compactStages(stages), filters, nil)
 }
 
-// topM is the single-user entry: list, with a list nobody owns yet copied
-// out of the scratch so the caller owns it.
+// topM is the single-user entry: list, copied out of the scratch so the
+// caller owns it.
 func (e *Engine) topM(u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached bool) {
 	s := e.pool.Get().(*scratch)
 	defer e.pool.Put(s)
-	items, scores, cached, owned := e.list(s, u, m, stages, filters, tm)
-	if !owned {
-		items, scores = slices.Clone(items), slices.Clone(scores)
-	}
-	return items, scores, cached
+	cached = e.list(s, u, m, stages, filters, tm)
+	return slices.Clone(s.items), slices.Clone(s.scores), cached
 }
 
-// list is the one place a ranked list gets its owner. A request the cache
-// can hold goes through the table as a one-slot batch, ranked into s and
-// copied out exact-length for the cache (or found there): owned, shared
-// with the cache, read-only. Any other is left where it was ranked:
-// s.items and s.scores, the caller's to copy before s is used again.
-func (e *Engine) list(s *scratch, u, m int, stages []Stage, filters []Filter, tm *Timings) (items []int, scores []float64, cached, owned bool) {
+// list leaves user u's list in s.items and s.scores, the caller's to copy
+// before s is used again. A request the cache can hold goes through the
+// table as a one-slot batch whose buffers are the scratch's own: a hit or
+// a coalesced wait copies the cached list there, a miss ranks there and
+// the table copies it into its node. Any other is ranked there.
+func (e *Engine) list(s *scratch, u, m int, stages []Stage, filters []Filter, tm *Timings) (cached bool) {
 	s.flat = flatten(s.flat[:0], filters)
 	if e.lists.cache != nil {
 		if fp, ok := s.fingerprint(stages); ok {
-			s.user[0], s.slot[0] = u, ListEntry{}
+			// Only the fields a rank can leave set are reset, not the whole
+			// entry: the slot is on every hit's path.
+			l := &s.slot[0]
+			s.user[0], l.Items, l.Scores, l.Cached, l.coalesced = u, s.items[:0], s.scores[:0], false, false
 			e.lists.GetOrComputeBatch(s.user[:], m, fp, true, s.slot[:], func([]int) {
 				e.rankStaged(s, u, m, stages, tm)
-				s.slot[0].Items, s.slot[0].Scores = slices.Clone(s.items), slices.Clone(s.scores)
+				l.Items, l.Scores = s.items, s.scores
 			})
-			l := s.slot[0]
-			s.slot[0] = ListEntry{} // the pool must not pin a cache entry
+			s.items, s.scores = l.Items, l.Scores
 			if tm != nil && l.Cached {
 				tm.Cached, tm.Coalesced = true, l.coalesced
 			}
-			return l.Items, l.Scores, l.Cached, true
+			return l.Cached
 		}
 	}
 	e.lists.stats.misses.Add(1)
 	e.rankStaged(s, u, m, stages, tm)
-	return s.items, s.scores, false, false
+	return false
 }
 
 // Rank runs the pipeline with a caller-supplied scoring function — the

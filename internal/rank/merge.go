@@ -1,5 +1,7 @@
 package rank
 
+import "slices"
+
 // Partial is one item-partition's contribution to a scatter-gathered
 // top-M: the partition's own top-min(m, partition size) items (global
 // ids) with their scores, already ordered by the engine's tie rule
@@ -26,23 +28,43 @@ type Partial struct {
 // small (a handful to a few dozen), where a scan of the heads beats a
 // heap on constant factors and stays trivially deterministic.
 func MergeTopM(m int, parts ...Partial) (items []int, scores []float64) {
-	if m <= 0 {
-		return nil, nil
+	var g Merger
+	return g.Merge(nil, nil, m, nil, parts...)
+}
+
+// A Merger is the appending form of MergeTopM and MergeTopMStaged, for a
+// caller that merges list after list: it keeps the merge's head cursors
+// across calls and appends each merged list to buffers the caller owns, so
+// a caller that keeps both allocates nothing per merge. The zero value is
+// ready; a Merger is not safe for concurrent use.
+type Merger struct{ heads []int }
+
+// Merge appends MergeTopMStaged(m, stages, parts...) to items and scores;
+// the stages see only the appended list.
+func (g *Merger) Merge(items []int, scores []float64, m int, stages []Stage, parts ...Partial) ([]int, []float64) {
+	if stages = compactStages(stages); len(stages) == 0 {
+		return g.merge(items, scores, m, parts)
 	}
+	n := len(items)
+	items, scores = g.merge(items, scores, StagesOverFetch(m, stages), parts)
+	staged, stagedScores := applyStages(m, stages, items[n:], scores[n:])
+	return append(items[:n], staged...), append(scores[:n], stagedScores...)
+}
+
+// merge appends the unstaged top-m of parts to items and scores.
+func (g *Merger) merge(items []int, scores []float64, m int, parts []Partial) ([]int, []float64) {
 	total := 0
 	for _, p := range parts {
 		total += len(p.Items)
 	}
-	if total == 0 {
-		return nil, nil
+	if m = min(m, total); m <= 0 {
+		return items, scores
 	}
-	if m > total {
-		m = total
-	}
-	heads := make([]int, len(parts))
-	items = make([]int, 0, m)
-	scores = make([]float64, 0, m)
-	for len(items) < m {
+	heads := slices.Grow(g.heads[:0], len(parts))[:len(parts)]
+	clear(heads)
+	g.heads = heads
+	items, scores = slices.Grow(items, m), slices.Grow(scores, m)
+	for range m {
 		best := -1
 		for pi := range parts {
 			h := heads[pi]
@@ -58,9 +80,6 @@ func MergeTopM(m int, parts ...Partial) (items []int, scores []float64) {
 			if ps > bs || (ps == bs && piItem < bi) {
 				best = pi
 			}
-		}
-		if best == -1 {
-			break
 		}
 		items = append(items, parts[best].Items[heads[best]])
 		scores = append(scores, parts[best].Scores[heads[best]])
@@ -80,10 +99,6 @@ func MergeTopM(m int, parts ...Partial) (items []int, scores []float64) {
 // staged serving (Engine.TopMStaged) over the same model and filters.
 // With an empty stage list it is exactly MergeTopM.
 func MergeTopMStaged(m int, stages []Stage, parts ...Partial) (items []int, scores []float64) {
-	stages = compactStages(stages)
-	if len(stages) == 0 {
-		return MergeTopM(m, parts...)
-	}
-	items, scores = MergeTopM(StagesOverFetch(m, stages), parts...)
-	return applyStages(m, stages, items, scores)
+	var g Merger
+	return g.Merge(nil, nil, m, stages, parts...)
 }

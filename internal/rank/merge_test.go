@@ -123,6 +123,34 @@ func TestMergeTopMEdges(t *testing.T) {
 	}
 }
 
+// TestMergerAllocsPerMerge: a Merger appending into buffers its caller keeps
+// is MergeTopMStaged bit for bit, leaves what the buffers held before the
+// list alone, and allocates nothing once the buffers and its head cursors
+// have grown.
+func TestMergerAllocsPerMerge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	scores := make([]float64, 120)
+	for i := range scores {
+		scores[i] = float64(rng.IntN(9)) / 8
+	}
+	parts := []Partial{partitionSelect(scores, 30, 0, 50, nil), partitionSelect(scores, 30, 50, 90, nil),
+		partitionSelect(scores, 30, 90, 120, nil)}
+	var g Merger
+	items, got := []int{-1}, []float64{-1}
+	for _, stages := range [][]Stage{nil, {ScoreFloor(0.3)}} {
+		for _, m := range []int{0, 1, 7, 30, 200} {
+			wantItems, wantScores := MergeTopMStaged(m, stages, parts...)
+			items, got = g.Merge(items[:1], got[:1], m, stages, parts...)
+			if items[0] != -1 || got[0] != -1 || !slices.Equal(items[1:], wantItems) || !slices.Equal(got[1:], wantScores) {
+				t.Fatalf("stages %d m %d: appended %v %v, want [-1]+%v [-1]+%v", len(stages), m, items, got, wantItems, wantScores)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { items, got = g.Merge(items[:0], got[:0], 30, nil, parts...) }); allocs != 0 {
+		t.Errorf("a merge into kept buffers allocates %v times, want 0", allocs)
+	}
+}
+
 // TestOffsetRange checks the local-index adapter on both the Sorted fast
 // path and the predicate fallback.
 func TestOffsetRange(t *testing.T) {

@@ -30,8 +30,9 @@ func Select(scores []float64, m int, filters ...Filter) []int {
 
 // scratch is the workspace of one rank call, pooled per engine: everything
 // a rank writes before its list has an owner. A rank leaves the list in
-// items and scores; from there it is copied — exact-length into the cache,
-// or into the caller's columns (Engine.list says which) — so scratch memory
+// items and scores, and so does a cache hit, copied there from the table;
+// from there it is copied — into the cache's node on a miss, and into the
+// caller's columns or a single-user caller's own slices — so scratch memory
 // never escapes the call that borrowed it. Between calls a scratch pins one
 // request's filters and fingerprint at most, and it dies with its engine.
 type scratch struct {
@@ -53,6 +54,13 @@ type scratch struct {
 	slot         [1]ListEntry
 	items        []int // the ranked list
 	scores       []float64
+	batch        []batchUser // TopMBatch's fan-out: every user's filters
+}
+
+// batchUser is one user's filtersFor answer, resolved before a fan-out.
+type batchUser struct {
+	filters []Filter
+	ok      bool
 }
 
 // selectDense is Select over s.flat, into s.items (the engine flattens

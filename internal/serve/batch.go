@@ -58,17 +58,12 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		// Tenant path: each user resolves to its own arm. Arms may serve
 		// different catalogues, so the filter set is validated against
 		// each user's own arm snapshot.
+		a.armCols = grown(a.armCols, len(slots))
 		parallel.For(len(slots), max(workers, 1), func(i int, _ *parallel.Scratch) {
-			s.rankArm(req, req.Users[i], m, &slots[i], cols.Timings)
+			s.rankArm(req, i, m, &slots[i], &a.armCols[i], cols.Timings)
 		})
-		for i := range slots {
-			sl := &slots[i]
-			if sl.Err != nil {
-				cols.AppendEmpty()
-				continue
-			}
-			cols.Append(sl.items, sl.scores, sl.cached)
-			sl.items, sl.scores = nil, nil // the pool must not pin cache entries
+		for i := range a.armCols {
+			cols.AppendCols(&a.armCols[i])
 		}
 		// Arms carry their own versions per slot; the answer's top-level
 		// version stays the default model's.
@@ -86,29 +81,34 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 	return nil
 }
 
-// rankArm ranks one user of a tenant's request through the arm the user
-// resolves to, into its slot: the arm's cache-shared list, or why there is
-// none. It feeds the arm's counters and, when the user is in the tenant's
-// shadow sample, launches the off-path shadow comparison — here, so every
-// codec feeds the same observability.
-func (s *Server) rankArm(req *BatchRequest, user, m int, sl *Slot, tm *rank.Timings) {
+// rankArm ranks user i of a tenant's request through the arm the user
+// resolves to: a one-user batch into cols, or an empty list there and, in
+// its slot, why. It feeds the arm's counters and, when the user is in the
+// tenant's shadow sample, launches the off-path shadow comparison — here,
+// so every codec feeds the same observability.
+func (s *Server) rankArm(req *BatchRequest, i, m int, sl *Slot, cols *rank.BatchCols, tm *rank.Timings) {
+	user := req.Users[i]
 	rt, _ := s.resolve(req.Tenant, user)
 	sn, a := rt.sn, rt.arm
 	sl.arm, sl.armVersion = a, sn.version
+	cols.Reset()
+	cols.Timings = tm
 	extra, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
 	if err != nil {
 		sl.Err = BadRequest(err)
+		cols.AppendEmpty()
 		return
 	}
 	if user < 0 || user >= sn.rng.NumUsers() {
 		a.errors.Add(1)
 		sl.Err = userOutOfRange(user, sn)
+		cols.AppendEmpty()
 		return
 	}
-	sl.items, sl.scores, sl.cached = sn.engine.TopMStagedTimed(user, m, sn.stages, tm, extra...)
+	sn.engine.TopMBatch(req.Users[i:i+1], m, 1, sn.stages, func(int) ([]rank.Filter, bool) { return extra, true }, cols)
 	a.requests.Add(1)
 	if sh := rt.tenant.shadow; sh != nil {
-		sh.observe(a.name, a.model.name, sn.version, user, m, extra, sl.items, sl.scores)
+		sh.observe(a.name, a.model.name, sn.version, user, m, extra, cols)
 	}
 }
 

@@ -113,6 +113,9 @@ type Answer struct {
 	ModelVersion uint64         // a server's answer: the version that ranked it
 	RouteEpoch   uint64         // a router's answer: the epoch it was merged under
 
+	// A server's tenant path ranks user i into armCols[i], before the
+	// ordered append into Cols.
+	armCols []rank.BatchCols
 	req     BatchRequest      // a recommend's or a frame's request, translated
 	one     [1]int            // a recommend's one user
 	timings rank.Timings      // a traced recommend's stage times
@@ -132,13 +135,9 @@ type Slot struct {
 	Err      error // why the user has no list; nil = served
 	Degraded bool  // merged from the surviving shards only
 	// A server's tenant path: the arm that served the user and its model
-	// version, and the arm engine's cache-shared list, parked between the
-	// fan-out and the ordered append into the columns.
+	// version.
 	arm        *arm
 	armVersion uint64
-	items      []int
-	scores     []float64
-	cached     bool
 }
 
 var answerPool = sync.Pool{New: func() any { return new(Answer) }}
@@ -152,8 +151,7 @@ func (a *Answer) Reset(n int) {
 	a.ModelVersion, a.RouteEpoch = 0, 0
 }
 
-// release returns a to the pool; the pool must not pin cache entries,
-// snapshots or errors.
+// release returns a to the pool; the pool must not pin snapshots or errors.
 func (a *Answer) release() {
 	clear(a.Slots)
 	a.Cols.Timings = nil

@@ -574,6 +574,105 @@ func TestShadowSampleZeroNeverLogs(t *testing.T) {
 	}
 }
 
+// TestShadowRecordsTheServedList: the shadow compares against its own copy
+// of the list a request served. With every user sampled and a one-entry
+// arm cache, concurrent batches of distinct users keep recycling the
+// cache's nodes and the answers' pooled columns while the comparisons run.
+// Run under -race: every record's primary list is the one its user was
+// served.
+func TestShadowRecordsTheServedList(t *testing.T) {
+	logW := &syncWriter{}
+	f := newRegistryServer(t, Config{ShadowLog: logW, CacheSize: 1}, func(rc *RegistryConfig) {
+		acme := rc.Tenants["acme"]
+		acme.Shadow = &ShadowSpec{Model: "candidate", Sample: 1}
+		rc.Tenants["acme"] = acme
+	})
+	const clients, rounds, size = 4, 12, 8
+	var mu sync.Mutex
+	served := map[int]string{}
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				req := BatchRequest{M: 5, Tenant: "acme"}
+				for k := range size {
+					req.Users = append(req.Users, ((c*rounds+r)*size+k)%f.train.Rows())
+				}
+				var resp BatchResponse
+				if st := ranktest.PostJSON(t, f.ts.URL+"/v1/batch", req, &resp); st != 200 {
+					t.Errorf("client %d round %d: status %d", c, r, st)
+					return
+				}
+				mu.Lock()
+				for _, res := range resp.Results {
+					ids := make([]int, len(res.Items))
+					for n, it := range res.Items {
+						ids[n] = it.Item
+					}
+					got := fmt.Sprint(ids)
+					if prev, ok := served[res.User]; ok && prev != got {
+						t.Errorf("user %d was served %s and %s", res.User, prev, got)
+					}
+					served[res.User] = got
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	f.srv.ShadowFlush()
+	lines := bytes.Split(bytes.TrimSpace(logW.bytes()), []byte("\n"))
+	if len(lines) != clients*rounds*size {
+		t.Fatalf("%d shadow records for %d served users", len(lines), clients*rounds*size)
+	}
+	for _, line := range lines {
+		var rec shadowRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("bad shadow record %s: %v", line, err)
+		}
+		if rec.Error != "" || fmt.Sprint(rec.PrimaryItems) != served[rec.User] {
+			t.Errorf("user %d: the shadow recorded %v as the primary list, the request served %s (error %q)",
+				rec.User, rec.PrimaryItems, served[rec.User], rec.Error)
+		}
+	}
+}
+
+// TestTenantBatchAllocsPerUser: a tenant-routed batch ranks each user as a
+// one-user batch into columns pooled with the answer, so on a full arm
+// cache one more user adds nothing, hit or miss.
+func TestTenantBatchAllocsPerUser(t *testing.T) {
+	skipUnderRace(t)
+	f := newRegistryServer(t, Config{CacheSize: 64}, nil)
+	rt, err := f.srv.resolve("acme", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, next := make([]int, 32), 0
+	a := new(Answer)
+	allocs := func(n int, fresh bool) float64 {
+		return testing.AllocsPerRun(50, func() {
+			for i := range users[:n] {
+				if fresh {
+					users[i], next = next, (next+1)%f.train.Rows()
+				}
+			}
+			req := &BatchRequest{Users: users[:n], M: 10, Tenant: "acme"}
+			if err := f.srv.rankBatch(nil, rt, req, req.M, 1, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	allocs(32, true) // warm: the arms' caches full, the answer's columns grown
+	for _, fresh := range []bool{true, false} {
+		if one, all := allocs(1, fresh), allocs(32, fresh); one != all {
+			t.Errorf("fresh users %v: a batch of 1 allocates %v times, of 32 %v: %v per user, want 0",
+				fresh, one, all, (all-one)/31)
+		}
+	}
+}
+
 // TestRegistryPerArmMetrics: /metrics cuts request, error and cache
 // counters per arm — the labels an A/B readout is aggregated by.
 func TestRegistryPerArmMetrics(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -81,36 +82,36 @@ func (sh *shadower) sampledUser(user int) bool {
 }
 
 // observe launches the shadow comparison for one served request when the
-// user is sampled. The primary result slices may be shared with the
-// arm's cache; the comparison only reads them.
+// user is sampled, over a copy of the primary list: pri is the request's
+// pooled columns, reused as soon as the response is written.
 func (sh *shadower) observe(armName, armModel string, armVersion uint64, user, m int,
-	extra []rank.Filter, priItems []int, priScores []float64) {
+	extra []rank.Filter, pri *rank.BatchCols) {
 	if !sh.sampledUser(user) {
 		return
 	}
 	sh.wg.Add(1)
-	go sh.compare(armName, armModel, armVersion, user, m, extra, priItems, priScores)
+	go sh.compare(armName, armModel, armVersion, user, m, extra, slices.Clone(pri.Items), slices.Clone(pri.Scores))
 }
 
 // shadowRecord is one JSON line of the shadow-diff log.
 type shadowRecord struct {
-	Tenant         string  `json:"tenant"`
-	Arm            string  `json:"arm"`
-	User           int     `json:"user"`
-	M              int     `json:"m"`
-	PrimaryModel   string  `json:"primary_model"`
-	PrimaryVersion uint64  `json:"primary_version"`
-	ShadowModel    string  `json:"shadow_model"`
-	ShadowVersion  uint64  `json:"shadow_version"`
-	RankDiffs      int     `json:"rank_diffs"`
-	MaxScoreDiff   float64 `json:"max_score_diff"`
-	PrimaryItems   []int   `json:"primary_items"`
-	ShadowItems    []int   `json:"shadow_items"`
-	Error          string  `json:"error,omitempty"`
+	Tenant         string   `json:"tenant"`
+	Arm            string   `json:"arm"`
+	User           int      `json:"user"`
+	M              int      `json:"m"`
+	PrimaryModel   string   `json:"primary_model"`
+	PrimaryVersion uint64   `json:"primary_version"`
+	ShadowModel    string   `json:"shadow_model"`
+	ShadowVersion  uint64   `json:"shadow_version"`
+	RankDiffs      int      `json:"rank_diffs"`
+	MaxScoreDiff   float64  `json:"max_score_diff"`
+	PrimaryItems   []uint32 `json:"primary_items"`
+	ShadowItems    []int    `json:"shadow_items"`
+	Error          string   `json:"error,omitempty"`
 }
 
 func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m int,
-	extra []rank.Filter, priItems []int, priScores []float64) {
+	extra []rank.Filter, priItems []uint32, priScores []float64) {
 	defer sh.wg.Done()
 	// Shadow work must never take the serving process down: a panic out
 	// of the candidate engine (a corrupt candidate file would not have
@@ -155,13 +156,13 @@ func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m
 // diffLists compares two ranked lists position-wise: how many positions
 // disagree on the item (length mismatches count every unpaired position)
 // and the largest absolute score difference over the shared prefix.
-func diffLists(aItems []int, aScores []float64, bItems []int, bScores []float64) (rankDiffs int, maxScoreDiff float64) {
+func diffLists(aItems []uint32, aScores []float64, bItems []int, bScores []float64) (rankDiffs int, maxScoreDiff float64) {
 	n := len(aItems)
 	if len(bItems) < n {
 		n = len(bItems)
 	}
 	for i := 0; i < n; i++ {
-		if aItems[i] != bItems[i] {
+		if int(aItems[i]) != bItems[i] {
 			rankDiffs++
 		}
 		d := aScores[i] - bScores[i]

@@ -344,8 +344,8 @@ func decodeTags(data []byte, at, n int, dst []string) ([]string, int, error) {
 
 // AppendBatchResponse appends resp as one response frame to dst and
 // returns the extended slice — the zero-copy half of the transport: the
-// Items/Scores columns are the rank engine's own (cache-shared) values,
-// written straight into the output buffer. len(resp.Items) and
+// Items/Scores columns are the caller's pooled columns the rank engine
+// copied its lists into, written straight into the output buffer. len(resp.Items) and
 // len(resp.Scores) must equal the sum of resp.Counts, and len(resp.Status)
 // must equal len(resp.Counts); the encoder panics otherwise (a malformed
 // response is a server bug, never client input).
