@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -276,15 +278,31 @@ func (e *Edge) fail(w http.ResponseWriter, err error) int {
 	return WriteError(w, http.StatusBadGateway, err.Error())
 }
 
-// WriteJSON encodes v with status code, reporting the status back to the
-// instrumentation wrapper. Write failures are counted by the
-// instrumentation's response writer rather than inspected here.
+// WriteJSON encodes v and answers it with status, reporting the status back
+// to the instrumentation wrapper. v is encoded before anything is written,
+// so a value encoding/json refuses (a NaN or infinite float) is answered
+// 500 {"error": …}, never a 200 with an empty body. Write failures are
+// counted by the instrumentation's response writer rather than inspected
+// here.
 func WriteJSON(w http.ResponseWriter, status int, v any) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	if err := enc.Encode(v); err != nil {
+		return WriteError(w, http.StatusInternalServerError, err.Error())
+	}
+	return writeJSONBody(w, status, buf.Bytes())
+}
+
+// writeJSONBody answers an encoded JSON body with status in one sized
+// write: its length is known, so it goes out with a Content-Length, never
+// chunked.
+func writeJSONBody(w http.ResponseWriter, status int, body []byte) int {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 	return status
 }
 

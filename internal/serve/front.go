@@ -106,7 +106,9 @@ type Pipeline func(r *http.Request, req *BatchRequest, m, workers int, a *Answer
 
 // Answer is the pooled workspace of one data request: what the pipeline
 // ranked and, beside it, the codecs' buffers, so the steady-state path
-// allocates neither result structs nor item slices on any codec.
+// allocates neither request slices nor result structs on any codec: a
+// request decodes into users / exclude, an answer encodes from the columns
+// into out.
 type Answer struct {
 	Cols         rank.BatchCols // the users' ranked lists, end to end
 	Slots        []Slot         // one per user, in request order
@@ -116,18 +118,17 @@ type Answer struct {
 	// A server's tenant path ranks user i into armCols[i], before the
 	// ordered append into Cols.
 	armCols []rank.BatchCols
-	req     BatchRequest      // a recommend's or a frame's request, translated
+	req     BatchRequest      // the request the pipeline ranks
+	rec     RecommendRequest  // a recommend's body, decoded
 	one     [1]int            // a recommend's one user
 	timings rank.Timings      // a traced recommend's stage times
 	body    []byte            // frame codec: the request body...
 	frame   wire.BatchRequest // ...decoded (aliasing body)
-	users   []int             // ...its users and exclusions widened
+	users   []int             // the request's users and exclusions
 	exclude []int
 	spec    FilterSpec
-	out     []byte        // ...and the encoded response
-	status  []uint8       // frame codec: per-user status bits
-	res     []BatchResult // JSON codec: result structs...
-	flat    []ScoredItem  // ...whose item slices are windows of this
+	out     []byte  // the encoded answer, on either codec
+	status  []uint8 // frame codec: per-user status bits
 }
 
 // Slot is what a pipeline records per user beside the columns.
@@ -160,10 +161,8 @@ func (a *Answer) release() {
 
 // grown returns s resized to n elements, reusing its capacity. Contents
 // are whatever an earlier request left; callers overwrite every element.
-// It never returns nil (make of nothing does not allocate), so an empty
-// list encodes as [], not null.
 func grown[T any](s []T, n int) []T {
-	if s == nil || cap(s) < n {
+	if cap(s) < n {
 		return make([]T, n)
 	}
 	return s[:n]
@@ -188,16 +187,6 @@ func (a *Answer) frameRequest() *BatchRequest {
 		a.req.Filter = &a.spec
 	}
 	return &a.req
-}
-
-// scored is slot i's list as the JSON codecs write it, a window of a.flat
-// starting at off.
-func (a *Answer) scored(i, off int) []ScoredItem {
-	items := a.flat[off : off+int(a.Cols.Counts[i])]
-	for j := range items {
-		items[j] = ScoredItem{Item: int(a.Cols.Items[off+j]), Score: a.Cols.Scores[off+j]}
-	}
-	return items
 }
 
 // Front is the public data path of one binary: the three codecs over its
@@ -232,13 +221,14 @@ func (f *Front) run(r *http.Request, req *BatchRequest, workers int, a *Answer) 
 }
 
 func (f *Front) recommend(w http.ResponseWriter, r *http.Request) int {
-	var req RecommendRequest
-	if err := f.edge.decodeJSON(w, r, &req); err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
 	a := answerPool.Get().(*Answer)
 	defer a.release()
-	a.one[0] = req.User
+	req := &a.rec
+	*req = RecommendRequest{ExcludeItems: a.exclude[:0]}
+	if err := f.edge.decodeJSON(w, r, req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	a.exclude, a.one[0] = req.ExcludeItems, req.User
 	a.req = BatchRequest{Users: a.one[:], M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter, Tenant: req.Tenant}
 	if obs.ActiveFrom(r.Context()) != nil {
 		// A traced recommend is timed stage by stage, a batch as one span.
@@ -251,53 +241,28 @@ func (f *Front) recommend(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return f.edge.fail(w, err)
 	}
-	a.flat = grown(a.flat, len(a.Cols.Items))
-	sl := &a.Slots[0]
-	resp := RecommendResponse{User: req.User, Items: a.scored(0, 0), Cached: a.Cols.Cached[0],
-		ModelVersion: a.ModelVersion, RouteEpoch: a.RouteEpoch, Degraded: sl.Degraded}
-	if arm := sl.arm; arm != nil {
-		resp.ModelVersion = sl.armVersion
-		resp.Tenant, resp.Experiment, resp.Arm, resp.Model = arm.tenant, arm.expName, arm.name, arm.model.name
-	}
-	return WriteJSON(w, http.StatusOK, resp)
+	out, err := a.appendRecommend(a.out[:0], req.User)
+	return a.reply(w, out, err)
 }
 
 func (f *Front) batch(w http.ResponseWriter, r *http.Request) int {
-	var req BatchRequest
-	if err := f.edge.decodeJSON(w, r, &req); err != nil {
-		return WriteError(w, http.StatusBadRequest, err.Error())
-	}
 	a := answerPool.Get().(*Answer)
 	defer a.release()
+	req := &a.req
+	*req = BatchRequest{Users: a.users[:0], ExcludeItems: a.exclude[:0]}
+	if err := f.edge.decodeJSON(w, r, req); err != nil {
+		return WriteError(w, http.StatusBadRequest, err.Error())
+	}
+	a.users, a.exclude = req.Users, req.ExcludeItems
 	workers := f.workers
 	if workers == 0 {
 		workers = parallel.DefaultWorkers()
 	}
-	if _, err := f.run(r, &req, workers, a); err != nil {
+	if _, err := f.run(r, req, workers, a); err != nil {
 		return f.edge.fail(w, err)
 	}
-	// One flat ScoredItem buffer carved into per-user windows.
-	a.res = grown(a.res, len(req.Users))
-	a.flat = grown(a.flat, len(a.Cols.Items))
-	off := 0
-	for i, u := range req.Users {
-		sl := &a.Slots[i]
-		res := BatchResult{User: u, Degraded: sl.Degraded}
-		if sl.Err != nil {
-			res.Error = sl.Err.Error()
-		} else {
-			res.Items, res.Cached = a.scored(i, off), a.Cols.Cached[i]
-			off += len(res.Items)
-		}
-		if sl.arm != nil {
-			res.Arm = sl.arm.name
-			if sl.Err == nil {
-				res.ArmModelVersion = sl.armVersion
-			}
-		}
-		a.res[i] = res
-	}
-	return WriteJSON(w, http.StatusOK, BatchResponse{Results: a.res, ModelVersion: a.ModelVersion, RouteEpoch: a.RouteEpoch})
+	out, err := a.appendBatch(a.out[:0], req.Users)
+	return a.reply(w, out, err)
 }
 
 func (f *Front) batchFrame(w http.ResponseWriter, r *http.Request) int {

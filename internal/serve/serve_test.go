@@ -44,11 +44,12 @@ func TestRecommendCacheHit(t *testing.T) {
 }
 
 // TestRecommendAllocsPerRequest: what one traced /v1/recommend costs in
-// allocations through the whole handler — decode, limits, the batch
-// pipeline with one user, per-stage spans, encode — on a cache hit and on
-// a miss, the request and recorder included. The cache is full, as a
-// serving cache is: a miss then costs what a hit does, plus the one the
-// test's own request body costs.
+// allocations through the whole handler — decode into the pooled request,
+// limits, the batch pipeline with one user, per-stage spans, the answer
+// appended from the columns and written with its Content-Length — on a
+// cache hit and on a miss, the request and recorder included. The cache is
+// full, as a serving cache is: a miss then costs what a hit does, plus the
+// one the test's own request body costs. The bounds are what it measures.
 func TestRecommendAllocsPerRequest(t *testing.T) {
 	skipUnderRace(t)
 	cfg := conformConfig(ranktest.New(t, ranktest.Variant{F32: true}))

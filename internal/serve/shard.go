@@ -189,13 +189,16 @@ func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return s.edge.fail(w, err)
 	}
-	a.flat = grown(a.flat, len(a.Cols.Items))
+	items := make([]ScoredItem, len(a.Cols.Items))
+	for j := range items {
+		items[j] = ScoredItem{Item: int(a.Cols.Items[j]), Score: a.Cols.Scores[j]}
+	}
 	return WriteJSON(w, http.StatusOK, ShardTopMResponse{
 		User:         req.User,
 		ShardLo:      sn.rng.ItemLo(),
 		ShardHi:      sn.rng.ItemHi(),
 		ModelVersion: sn.version,
-		Items:        a.scored(0, 0),
+		Items:        items,
 	})
 }
 

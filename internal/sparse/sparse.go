@@ -16,6 +16,7 @@ package sparse
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // Builder accumulates (row, col) coordinates and produces an immutable
@@ -92,7 +93,7 @@ type Matrix struct {
 	rowPtr     []int32 // len rows+1; row r occupies colIdx[rowPtr[r]:rowPtr[r+1]]
 	colIdx     []int32 // sorted within each row
 
-	transposed *Matrix // lazily built by Transpose; nil until then
+	transposed atomic.Pointer[Matrix] // published by the first Transpose; nil until then
 }
 
 // Rows returns the number of rows (users).
@@ -132,13 +133,14 @@ func (m *Matrix) Has(r, c int) bool {
 
 // Transpose returns the column-major view of m: a Matrix whose row j lists
 // the rows of m that have a positive in column j. The result is cached, so
-// repeated calls are cheap. The cached transpose shares no mutable state.
+// repeated calls are cheap, and its own Transpose is m. The cached
+// transpose shares no mutable state.
 //
-// Transpose must be called once before concurrent use if goroutines will
-// call it concurrently; typical trainers call it during setup.
+// Concurrent first calls may each build a transpose; the first to publish
+// wins, and every caller gets that one.
 func (m *Matrix) Transpose() *Matrix {
-	if m.transposed != nil {
-		return m.transposed
+	if t := m.transposed.Load(); t != nil {
+		return t
 	}
 	t := &Matrix{
 		rows:   m.cols,
@@ -160,8 +162,12 @@ func (m *Matrix) Transpose() *Matrix {
 			next[c]++
 		}
 	}
-	t.transposed = m
-	m.transposed = t
+	// The back-pointer is set before t is published, so no reader can see
+	// a transpose without it.
+	t.transposed.Store(m)
+	if !m.transposed.CompareAndSwap(nil, t) {
+		return m.transposed.Load()
+	}
 	return t
 }
 

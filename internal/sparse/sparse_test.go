@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +96,50 @@ func TestTransposeInvolution(t *testing.T) {
 	// Cached: transpose of transpose must be the same object.
 	if m.Transpose().Transpose() != m {
 		t.Fatal("transpose caching broken")
+	}
+}
+
+// TestTransposeConcurrentFirstUse: goroutines racing to a fresh matrix's
+// first Transpose (and to Col, which calls it) all get one transpose, whose
+// own transpose is the matrix — under -race, with no data race between the
+// build and the readers.
+func TestTransposeConcurrentFirstUse(t *testing.T) {
+	r := rng.New(4)
+	for round := 0; round < 20; round++ {
+		m := randomMatrix(r, 40, 30, 300)
+		const n = 8
+		got := make([]*Matrix, n)
+		var ready, done sync.WaitGroup
+		ready.Add(n)
+		done.Add(n)
+		gate := make(chan struct{})
+		for g := range n {
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-gate
+				if g%2 == 0 {
+					got[g] = m.Transpose()
+				} else {
+					_ = m.Col(g)
+					got[g] = m.Transpose()
+				}
+				if got[g].Transpose() != m {
+					t.Error("the transpose's transpose is not the matrix")
+				}
+			}()
+		}
+		ready.Wait()
+		close(gate)
+		done.Wait()
+		for g := range got {
+			if got[g] != got[0] {
+				t.Fatalf("round %d: goroutine %d got a different transpose than goroutine 0", round, g)
+			}
+		}
+		if want := FromDense(m.Dense()).Transpose(); !got[0].Equal(want) {
+			t.Fatalf("round %d: the published transpose is wrong", round)
+		}
 	}
 }
 
