@@ -18,7 +18,11 @@
 // The router owns the top-M cache and singleflight (shards are
 // cacheless). A request, single or batch, costs one round trip per shard:
 // the users the cache cannot answer travel together in one binary frame to
-// each shard's /v2/shard/topm. Every scatter pins each shard to the model
+// each shard's /v2/shard/topm, sent over a persistent frame stream (GET
+// /v2/shard/topm upgraded to ocular-frame/1; one idle stream is kept per
+// shard for every concurrent scatter, counted as shard_dials in /metrics),
+// so the shards must be of a release that serves the stream: deploy shards
+// before routers. Every scatter pins each shard to the model
 // version in the current route table, so partials of different model
 // versions can never be merged — during a trainer rollout, shards serve
 // pinned requests from their previous snapshot until the trainer flips the

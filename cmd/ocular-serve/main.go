@@ -55,10 +55,13 @@
 // serving tier: it mmaps only its item range of the model and serves
 // partials for cmd/ocular-router to scatter-gather — POST /v2/shard/topm,
 // frames carrying every user of a router batch in one call, is what the
-// router speaks; POST /v1/shard/topm is its one-user JSON twin — plus
-// /v1/reload, /healthz and /metrics. -max-m and -max-batch must cover the
-// router's. -shard-hi -1 means "through the end of the catalogue". See
-// the README's "Sharded serving" section.
+// router speaks, over frame streams (GET /v2/shard/topm upgraded to
+// ocular-frame/1, every message served by the POST's handler); POST
+// /v1/shard/topm is its one-user JSON twin — plus /v1/reload, /healthz and
+// /metrics. -max-m and -max-batch must cover the router's. -shard-hi -1
+// means "through the end of the catalogue". Open streams outlive the
+// HTTP drain and end after it, when the server closes. See the README's
+// "Sharded serving" section.
 package main
 
 import (
@@ -270,10 +273,11 @@ func main() {
 	}
 	// The registry's per-tenant feed partitions buffer like -feed does;
 	// sync and close them too, and let in-flight shadow comparisons finish
-	// before their log file closes under them.
+	// before their log file closes under them. Close also ends a shard's
+	// frame streams: hijacked, they outlive the drain above.
 	srv.ShadowFlush()
 	if cerr := srv.Close(); cerr != nil {
-		log.Printf("registry close on shutdown: %v", cerr)
+		log.Printf("server close on shutdown: %v", cerr)
 	}
 	if shadowW != nil {
 		if cerr := shadowW.Close(); cerr != nil {

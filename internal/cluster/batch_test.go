@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -83,7 +84,7 @@ func TestBatchScattersOncePerShard(t *testing.T) {
 // Neither may deadlock, every key is merged exactly once between them,
 // and every slot is the reference's list. Run under -race in CI.
 func TestOverlappingBatchesMergeEachKeyOnce(t *testing.T) {
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{HTTPClient: &http.Client{Transport: ct}})
 	ct.Set(&chaos.Fault{Path: shardPath, Latency: 40 * time.Millisecond})
 	batch := tr.ranker(ranktest.BatchJSON)
@@ -149,7 +150,7 @@ func TestBatchWithShardDown(t *testing.T) {
 			t.Fatalf("warm-up on %s: status %d", url, st)
 		}
 	}
-	tr.shardTS[1].Close() // the outage
+	tr.down(1) // the outage
 
 	req := serve.BatchRequest{Users: []int{4, 5, 6}, M: 10}
 	var closed serve.BatchResponse
@@ -204,17 +205,14 @@ func TestBatchWithShardDown(t *testing.T) {
 }
 
 // TestRouterBatchAllocsPerUser: on a full router cache, a batch of 32
-// missing users costs what a batch of one costs, shards and HTTP included:
-// each user's partials merge into its pooled slot with the scratch's head
-// cursors, the merged list is copied into the buffers of the node its
-// eviction recycles, and the shards rank a frame without per-user garbage.
-// The request is shaped so that HTTP's own costs do not grow with it
-// either: m = 4 keeps a shard's answer to 32 users under the 2 KB net/http
-// sends with a Content-Length (a longer one goes chunked), and the
-// exclusions keep every frame at least 100 bytes long (net/http formats a
-// shorter length without allocating its string). Each size is measured three times
-// and its least count kept, so a pool the GC emptied does not show as a
-// user's cost.
+// missing users costs what a batch of one costs, shards and the hop
+// included: each user's partials merge into its pooled slot with the
+// scratch's head cursors, the merged list is copied into the buffers of the
+// node its eviction recycles, the shards rank a frame without per-user
+// garbage (the exclusions, a request filter, rebased once per frame), and
+// a stream message costs the same whatever it carries. Each size is
+// measured three times and its least count kept, so a pool the GC emptied
+// does not show as a user's cost.
 func TestRouterBatchAllocsPerUser(t *testing.T) {
 	skipUnderRace(t)
 	const m = 4
@@ -272,14 +270,14 @@ func skipUnderRace(t *testing.T) {
 // fakeShard answers like a shard owning the whole of a 100,000-item
 // catalogue at model version 1, every user's partial being the first
 // m+extra items in rank order — a stand-in for lists longer than the
-// synthetic catalogue can produce.
+// synthetic catalogue can produce — on POST and over frame streams.
 func fakeShard(t testing.TB, extra int) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		serve.WriteJSON(w, 200, map[string]any{"model_version": 1, "users": 5000, "items": 100000, "shard_lo": 0, "shard_hi": 100000})
 	})
-	mux.HandleFunc("POST "+shardPath, func(w http.ResponseWriter, r *http.Request) {
+	frame := func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		var req wire.BatchRequest
 		if err := wire.DecodeBatchRequest(body, &req); err != nil {
@@ -297,7 +295,11 @@ func fakeShard(t testing.TB, extra int) *httptest.Server {
 		}
 		w.Header().Set("Content-Type", serve.FrameContentType)
 		w.Write(wire.AppendBatchResponse(nil, &resp))
-	})
+	}
+	streams := serve.NewStreamServer(frame, 1<<20)
+	t.Cleanup(streams.Close)
+	mux.HandleFunc("POST "+shardPath, frame)
+	mux.Handle("GET "+shardPath, streams)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return ts
@@ -346,11 +348,13 @@ func TestShardAnswerReadBound(t *testing.T) {
 }
 
 // TestRouterKeepsShardConnections: the router's default client keeps an idle
-// connection to a shard for every concurrent scatter. Sixteen batch loops
-// (cacheless, so every batch scatters) open at most sixteen connections to
-// each shard, plus the one the first route table was polled over, however
-// many batches they send — the default transport's two idle connections
-// per host dialled one for nearly every call beyond the second.
+// stream to a shard for every concurrent scatter. Sequential batches
+// (cacheless, so every batch scatters) ride one connection per shard — the
+// one the first route table was polled over, upgraded — and /metrics says
+// so in shard_dials. Sixteen batch loops then open at most sixteen
+// connections to each shard however many batches they send (net/http's
+// default transport, two idle connections per host, dialled one for nearly
+// every call beyond the second).
 func TestRouterKeepsShardConnections(t *testing.T) {
 	fx := ranktest.New(t, ranktest.Variant{F32: true})
 	const loops, rounds = 16, 25
@@ -373,9 +377,32 @@ func TestRouterKeepsShardConnections(t *testing.T) {
 		}
 		ts.Start()
 		t.Cleanup(ts.Close)
+		t.Cleanup(func() { _ = srv.Close() })
 		urls[p] = ts.URL
 	}
 	_, router := startRouter(t, Config{Shards: urls, CacheSize: -1})
+	for u := range rounds {
+		if st := ranktest.PostJSON(t, router.URL+"/v1/batch", serve.BatchRequest{Users: []int{u, u + 1}, M: 5}, nil); st != http.StatusOK {
+			t.Fatalf("sequential batch %d: status %d", u, st)
+		}
+	}
+	for p := range dialled {
+		if n := dialled[p].Load(); n != 1 {
+			t.Errorf("shard %d: %d connections opened for %d sequential batches, want 1", p, n, rounds)
+		}
+	}
+	var metrics struct {
+		ShardDials int64 `json:"shard_dials"`
+	}
+	resp, err := http.Get(router.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&metrics)
+	resp.Body.Close()
+	if err != nil || metrics.ShardDials != int64(len(dialled)) {
+		t.Errorf("shard_dials %d (%v), want one stream per shard = %d", metrics.ShardDials, err, len(dialled))
+	}
 	var wg sync.WaitGroup
 	for l := range loops {
 		wg.Add(1)

@@ -55,7 +55,7 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 // the fault clears, the half-open trial closes the breaker and responses
 // return to bit-identical full merges — zero operator action.
 func TestBreakerFailFastUnderHungShard(t *testing.T) {
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{
 		Timeout:          400 * time.Millisecond,
 		BreakerThreshold: 3,
@@ -117,7 +117,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 // rotation automatically once the partition heals — full bit-identical
 // merges resume with zero operator intervention.
 func TestProbeDrivenRouteRepair(t *testing.T) {
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{
 		Timeout:          300 * time.Millisecond,
 		BreakerThreshold: -1, // isolate the prober: no breaker assists
@@ -197,7 +197,7 @@ func TestProbeMarksVersionSkewDown(t *testing.T) {
 // 200).
 func TestRouterShedsUnderOverload(t *testing.T) {
 	const maxInFlight = 4
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{
 		MaxInFlight:      maxInFlight,
 		MaxQueue:         2,
@@ -282,7 +282,7 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 // old model's list or the new model's list bit-for-bit — never a merge
 // of both.
 func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
-	ct := chaos.NewTransport(nil, 7)
+	ct := chaos.NewTransport(NewShardTransport(256), 7)
 	tr := newTier(t, 3, Config{
 		Timeout:          2 * time.Second,
 		HedgeDelay:       5 * time.Millisecond,
@@ -406,7 +406,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 
 	// A second router routes shard 0 through the proxy (Pass mode while
 	// Refresh discovers the partition).
-	tport := &http.Transport{}
+	tport := NewShardTransport(256)
 	_, rts := startRouter(t, Config{
 		Shards:           []string{proxy.URL(), tr.shardTS[1].URL},
 		Timeout:          200 * time.Millisecond,
@@ -416,7 +416,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 		HTTPClient:       &http.Client{Transport: tport},
 	})
 	// The proxy latches its mode per connection; drop the keep-alive
-	// conns Refresh opened so the trickle applies to fresh ones.
+	// conns Refresh opened so the trickle applies to fresh streams.
 	tport.CloseIdleConnections()
 
 	// ~20ms per response byte: a response held to the trickle would take
@@ -475,7 +475,7 @@ func TestDeterministic4xxDoesNotTripBreaker(t *testing.T) {
 // TestRouterMapsShardTimeoutTo504 pins the satellite bugfix: deadline
 // exhaustion is 504 with a structured body, not the generic 502.
 func TestRouterMapsShardTimeoutTo504(t *testing.T) {
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{
 		Timeout:          80 * time.Millisecond,
 		BreakerThreshold: -1,
@@ -531,7 +531,7 @@ func (s *deadlineSpy) RoundTrip(r *http.Request) (*http.Response, error) {
 // granted no more than the request's budget.
 func TestRequestTimeoutBoundsTheRequest(t *testing.T) {
 	const budget = 150 * time.Millisecond
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	spy := &deadlineSpy{next: ct}
 	tr := newTier(t, 2, Config{RequestTimeout: budget, BreakerThreshold: -1, CacheSize: -1,
 		HTTPClient: &http.Client{Transport: spy}})
@@ -589,7 +589,7 @@ func TestShardDeadlineHeader(t *testing.T) {
 // hung, breaker open — requests are served degraded from the survivors
 // at in-memory speed instead of burning the 500ms timeout each.
 func BenchmarkRouterShardDown(b *testing.B) {
-	ct := chaos.NewTransport(nil, 1)
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(b, 2, Config{
 		Timeout:          500 * time.Millisecond,
 		BreakerThreshold: 1,

@@ -6,15 +6,13 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"reflect"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/rank"
 	"repro/internal/ranktest"
 	"repro/internal/serve"
@@ -27,8 +25,16 @@ import (
 type tier struct {
 	fx       *ranktest.Fixture
 	shardTS  []*httptest.Server
+	shards   []*serve.Server
 	router   *Router
 	routerTS *httptest.Server
+}
+
+// down takes shard i out: its listener and, since they outlive it, its
+// frame streams.
+func (tr *tier) down(i int) {
+	tr.shardTS[i].Close()
+	_ = tr.shards[i].Close()
 }
 
 // newTier builds a tier whose router runs under cfg (Config.Stages
@@ -49,6 +55,8 @@ func newTierOver(t testing.TB, fx *ranktest.Fixture, nParts int, cfg Config) *ti
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", lo, hi, err)
 		}
+		t.Cleanup(func() { _ = srv.Close() })
+		tr.shards = append(tr.shards, srv)
 		return srv.Handler()
 	})
 	cfg.Shards = ranktest.URLs(tr.shardTS)
@@ -232,7 +240,7 @@ func TestDegradedMode(t *testing.T) {
 	deg, degTS := startRouter(t, Config{Shards: ranktest.URLs(tr.shardTS), AllowDegraded: true})
 	hi := tr.fx.Train.Cols() / 2 // shard 1 owns [items/2, items)
 
-	tr.shardTS[1].Close() // the outage
+	tr.down(1) // the outage
 
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend",
 		serve.RecommendRequest{User: 4, M: 10}, nil); st != http.StatusBadGateway {
@@ -298,26 +306,13 @@ func TestRouterCacheAndEpochFingerprint(t *testing.T) {
 // TestHedgedRetry: a shard whose first attempt fails is retried
 // immediately (fast-failure hedge), and the request still succeeds.
 func TestHedgedRetry(t *testing.T) {
-	tr := newTier(t, 2, Config{})
-	// A flaky proxy in front of shard 0: the first /v2/shard/topm attempt
-	// answers 500, everything else passes through.
-	target, _ := url.Parse(tr.shardTS[0].URL)
-	proxy := httputil.NewSingleHostReverseProxy(target)
-	var failed atomic.Bool
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == shardPath && failed.CompareAndSwap(false, true) {
-			http.Error(w, `{"error": "transient"}`, http.StatusInternalServerError)
-			return
-		}
-		proxy.ServeHTTP(w, r)
-	}))
-	defer flaky.Close()
-
-	rt, ts := startRouter(t, Config{Shards: []string{flaky.URL, tr.shardTS[1].URL}, HedgeDelay: time.Millisecond})
+	ct := chaos.NewTransport(NewShardTransport(256), 1)
+	tr := newTier(t, 2, Config{HedgeDelay: time.Millisecond, HTTPClient: &http.Client{Transport: ct}})
+	// The first shard call answers 500; everything else passes through.
+	ct.Set(&chaos.Fault{Path: shardPath, Status: 500, Count: 1})
 	// The hedge recovers the flaky shard: a full, undegraded, reference list.
-	tr.fx.Check(t, "hedged", &ranktest.Ranker{Rank: ranktest.Recommend.Client(ts.URL)}, tr.fx.Cur,
-		&ranktest.Case{Users: []int{2}, M: 5})
-	if rt.m.hedges.Value() < 1 {
+	tr.fx.Check(t, "hedged", tr.ranker(ranktest.Recommend), tr.fx.Cur, &ranktest.Case{Users: []int{2}, M: 5})
+	if tr.router.m.hedges.Value() < 1 {
 		t.Error("no hedge launched for the failed first attempt")
 	}
 }

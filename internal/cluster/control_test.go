@@ -225,7 +225,7 @@ func TestDataPathKeySets(t *testing.T) {
 			t.Errorf("%s: keys %q, want %q", row.name, got, row.want)
 		}
 	}
-	tr.shardTS[1].Close()
+	tr.down(1)
 	for _, row := range []struct{ name, url, body, want string }{
 		{"degraded recommend", deg.URL + "/v1/recommend", `{"user":4,"m":5}`, "cached degraded items route_epoch user"},
 		{"degraded batch", deg.URL + "/v1/batch", `{"users":[5,99999],"m":5}`, "results route_epoch | degraded error items user"},

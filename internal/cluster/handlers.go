@@ -230,6 +230,10 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		},
 	}
 	rt.edge.Snapshot(out)
+	if st, ok := rt.cfg.HTTPClient.Transport.(*ShardTransport); ok {
+		// Streams opened: flat while the pools hold what the scatters need.
+		out["shard_dials"] = st.Dials()
+	}
 	if rb := rt.budget; rb != nil {
 		// One event under two keys: every hedge refused is the budget's.
 		denied := rb.deniedTotal()

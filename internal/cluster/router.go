@@ -7,7 +7,9 @@
 // rank.Merger, and caching the merged lists. A request — one user or a
 // batch — costs one round trip per shard: the users its cache cannot
 // answer travel together in one frame of internal/wire (POST
-// /v2/shard/topm), and every shard answers one frame of partials. Because
+// /v2/shard/topm), and every shard answers one frame of partials. By
+// default that POST rides a persistent frame stream (ShardTransport), not
+// an HTTP/1.1 exchange per call. Because
 // per-item scores are independent of the rest of the catalogue, the
 // merged lists are bit-identical — same items, same float64 score bits —
 // to what one process serving the whole model would return. A configured
@@ -137,8 +139,11 @@ type Config struct {
 	Stages []rank.Stage
 	// HTTPClient overrides the client used for shard calls (tests;
 	// custom transports). Nil means a client with no overall timeout —
-	// per-attempt deadlines come from Timeout — that keeps an idle
-	// connection to a shard for every concurrent scatter.
+	// per-attempt deadlines come from Timeout — over a ShardTransport:
+	// shard calls ride frame streams, one kept idle per shard for every
+	// concurrent scatter, and refresh and probes plain HTTP. A custom
+	// client's transport may wrap NewShardTransport, or speak POST
+	// /v2/shard/topm over HTTP/1.1 instead.
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives progress lines (cmd/ocular-router
 	// wires log.Printf).
@@ -180,13 +185,10 @@ func (c Config) withDefaults() Config {
 		c.RetryBudget = 0.2
 	}
 	if c.HTTPClient == nil {
-		// Not http.DefaultTransport: it keeps two idle connections per host,
-		// so every scatter beyond two in flight to a shard dialled a
-		// connection for one call. Keep one idle per admitted request and
-		// its hedge, and at least 256 (admission is unbounded by default).
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConns, t.MaxIdleConnsPerHost, t.DisableCompression = 0, max(2*c.MaxInFlight, 256), true
-		c.HTTPClient = &http.Client{Transport: t}
+		// Keep a stream idle per admitted request and its hedge, and at
+		// least 256 (admission is unbounded by default): fewer, and every
+		// scatter beyond them in flight to a shard dials for one call.
+		c.HTTPClient = &http.Client{Transport: NewShardTransport(max(2*c.MaxInFlight, 256))}
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}

@@ -1,20 +1,26 @@
 package ranktest
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"testing"
+	"time"
 
 	"repro/internal/rank"
 	"repro/internal/wire"
 )
 
 // The suite's HTTP client: the serve tier's public routes and a shard's
-// two, spoken from the outside — JSON bodies spelled by key, frames
-// through internal/wire — so one client drives every server, shard and
-// router, and the plain helpers below are defined once for all their tests.
+// three, spoken from the outside — JSON bodies spelled by key, frames and
+// stream messages through internal/wire — so one client drives every
+// server, shard and router, and the plain helpers below are defined once
+// for all their tests.
 
 // FrameContentType is what a frame body is labelled with, both ways.
 const FrameContentType = "application/x-ocular-frame"
@@ -91,18 +97,83 @@ type Codec struct {
 	Name, Path string
 	Single     bool // one "user", not "users"
 	Frame      bool // frames, not JSON
+	Stream     bool // over a frame stream (GET Path upgraded), not a POST
 }
 
-// The public routes of a full server and of a router, and a shard's pair.
+// The public routes of a full server and of a router, and a shard's three:
+// JSON, a POSTed frame and a frame on a stream.
 var (
-	Recommend  = Codec{Name: "recommend", Path: "/v1/recommend", Single: true}
-	BatchJSON  = Codec{Name: "batch", Path: "/v1/batch"}
-	BatchFrame = Codec{Name: "v2batch", Path: "/v2/batch", Frame: true}
-	ShardJSON  = Codec{Name: "shard", Path: "/v1/shard/topm", Single: true}
-	ShardFrame = Codec{Name: "v2shard", Path: "/v2/shard/topm", Frame: true}
+	Recommend   = Codec{Name: "recommend", Path: "/v1/recommend", Single: true}
+	BatchJSON   = Codec{Name: "batch", Path: "/v1/batch"}
+	BatchFrame  = Codec{Name: "v2batch", Path: "/v2/batch", Frame: true}
+	ShardJSON   = Codec{Name: "shard", Path: "/v1/shard/topm", Single: true}
+	ShardFrame  = Codec{Name: "v2shard", Path: "/v2/shard/topm", Frame: true}
+	ShardStream = Codec{Name: "v2stream", Path: "/v2/shard/topm", Frame: true, Stream: true}
 
 	Codecs = []Codec{Recommend, BatchJSON, BatchFrame}
 )
+
+// Stream is the client end of a frame stream (wire.StreamProtocol).
+type Stream struct {
+	net.Conn
+	br *bufio.Reader
+}
+
+// OpenStream upgrades GET url to a frame stream; t ends it.
+func OpenStream(t testing.TB, rawURL string) *Stream {
+	t.Helper()
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", u.Host)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(time.Minute)) // a hung test fails, never hangs
+	up := "GET " + u.Path + " HTTP/1.1\r\nHost: " + u.Host + "\r\nConnection: Upgrade\r\nUpgrade: " + wire.StreamProtocol + "\r\n\r\n"
+	if _, err := io.WriteString(conn, up); err != nil {
+		t.Fatal(err)
+	}
+	s := &Stream{Conn: conn, br: bufio.NewReader(conn)}
+	resp, err := http.ReadResponse(s.br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols {
+		t.Fatalf("GET %s with Upgrade: %s answered %s", rawURL, wire.StreamProtocol, resp.Status)
+	}
+	return s
+}
+
+// Send writes one request message carrying frame.
+func (s *Stream) Send(t testing.TB, budgetMs uint32, traceID string, frame []byte) {
+	t.Helper()
+	msg, err := wire.AppendStreamRequest(nil, budgetMs, traceID, frame)
+	if err == nil {
+		_, err = s.Write(msg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Answer reads one answer: its status and body, or the error that cut it
+// short (io.EOF at a message boundary: the server ended the stream).
+func (s *Stream) Answer() (status int, body []byte, err error) {
+	var p [wire.StreamAnswerLen]byte
+	if _, err := io.ReadFull(s.br, p[:]); err != nil {
+		return 0, nil, err
+	}
+	n, st := wire.ParseStreamAnswer(p[:])
+	if n > wire.MaxFrameLen {
+		return int(st), nil, fmt.Errorf("stream answer declares %d bytes", n)
+	}
+	body = make([]byte, n)
+	_, err = io.ReadFull(s.br, body)
+	return int(st), body, err
+}
 
 type jsonFilter struct {
 	Allow []string `json:"allow_tags,omitempty"`
@@ -169,7 +240,28 @@ func (cd Codec) post(t testing.TB, base string, c *Case) Answer {
 			t.Fatal(err)
 		}
 	}
-	status, gotType, data := PostRaw(t, base+cd.Path, contentType, body, c.Header)
+	var status int
+	var gotType string
+	var data []byte
+	if cd.Stream {
+		if len(c.Header) > 0 {
+			t.Fatalf("%s %s: a stream message carries no headers", cd.Path, c.Name)
+		}
+		s := OpenStream(t, base+cd.Path)
+		s.Send(t, 0, "", body)
+		var err error
+		if status, data, err = s.Answer(); err != nil {
+			t.Fatalf("%s %s: reading the stream's answer: %v", cd.Path, c.Name, err)
+		}
+		_ = s.Close()
+		// A stream answer has no Content-Type: only a 200 carries a frame.
+		gotType = "application/json"
+		if status == http.StatusOK {
+			gotType = FrameContentType
+		}
+	} else {
+		status, gotType, data = PostRaw(t, base+cd.Path, contentType, body, c.Header)
+	}
 	ans := Answer{Status: status}
 	switch {
 	case status != http.StatusOK:

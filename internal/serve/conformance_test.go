@@ -174,20 +174,26 @@ func newShards(t testing.TB, fx *ranktest.Fixture, n int, cfg Config) []*httptes
 		if err != nil {
 			t.Fatalf("shard [%d,%d): %v", lo, hi, err)
 		}
+		t.Cleanup(func() { _ = srv.Close() })
 		return srv.Handler()
 	})
 }
 
 // shardRows are a shard's own refusal rows: the version pin its history
-// does not hold, and a deadline budget already spent — which outranks
-// everything the pipeline checks after it.
+// does not hold, and — where a header can say so — a deadline budget
+// already spent, which outranks everything the pipeline checks after it.
+// (A stream's budget field is at least 1 ms or none; stream_test.go sheds
+// one that runs out.)
 func shardRows(codec ranktest.Codec) []ranktest.Refusal {
 	expired := map[string]string{DeadlineHeader: "0"}
 	rows := []ranktest.Refusal{
 		ranktest.ExcludeOutOfRange, ranktest.UnknownTag,
 		{Case: ranktest.Case{Name: "version pin miss", Users: []int{1}, Pin: 7}, Status: 409, Message: "not the requested 7"},
-		{Case: ranktest.Case{Name: "expired deadline", Users: []int{1}, M: 5, Header: expired}, Status: 504, Message: "deadline budget expired"},
-		{Case: ranktest.Case{Name: "expired deadline, bad m", Users: []int{1}, M: ranktest.MaxM + 1, Header: expired}, Status: 504, Message: "deadline budget expired"},
+	}
+	if !codec.Stream {
+		rows = append(rows,
+			ranktest.Refusal{Case: ranktest.Case{Name: "expired deadline", Users: []int{1}, M: 5, Header: expired}, Status: 504, Message: "deadline budget expired"},
+			ranktest.Refusal{Case: ranktest.Case{Name: "expired deadline, bad m", Users: []int{1}, M: ranktest.MaxM + 1, Header: expired}, Status: 504, Message: "deadline budget expired"})
 	}
 	if codec.Frame {
 		rows = append(rows,
@@ -215,16 +221,17 @@ func conformShards(t *testing.T, codec ranktest.Codec, workers int, sizes ...int
 
 func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 0, 2, 3) }
 func TestShardTopMBinaryMatchesJSON(t *testing.T)     { conformShards(t, ranktest.ShardFrame, 0, 2, 3) }
+func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 0, 2, 3) }
 
 // TestShardFrameManyUsersMidRollout: a shard that fans its frames out
 // ranks every user of one against the ONE snapshot the frame pins.
 func TestShardFrameManyUsersMidRollout(t *testing.T) { conformShards(t, ranktest.ShardFrame, 3, 2) }
 
 // TestShardPartialCodecSeam: the whole catalogue behind the shard routes —
-// the range [0, -1) — refuses over both codecs alike, and counts each
+// the range [0, -1) — refuses over every codec alike, and counts each
 // request shed for its deadline.
 func TestShardPartialCodecSeam(t *testing.T) {
-	for _, codec := range []ranktest.Codec{ranktest.ShardJSON, ranktest.ShardFrame} {
+	for _, codec := range []ranktest.Codec{ranktest.ShardJSON, ranktest.ShardFrame, ranktest.ShardStream} {
 		t.Run(codec.Name, func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{})
 			cfg := conformConfig(fx)
@@ -233,8 +240,14 @@ func TestShardPartialCodecSeam(t *testing.T) {
 			set := &ranktest.ShardSet{Codec: codec, Bases: []string{ts.URL}, Pin: 1}
 			ranktest.Conformance(t, fx, &ranktest.Ranker{Rank: set.Rank,
 				Single: codec.Single, RefusesBadUser: true, Who: "server", Refusals: shardRows(codec)})
-			if got := srv.metrics.deadlineAborts.Value(); got != 2 {
-				t.Errorf("deadline_aborts = %d, want 2 (the two expired rows)", got)
+			want := int64(0)
+			for _, row := range shardRows(codec) {
+				if row.Status == 504 {
+					want++
+				}
+			}
+			if got := srv.metrics.deadlineAborts.Value(); got != want {
+				t.Errorf("deadline_aborts = %d, want %d (the expired rows)", got, want)
 			}
 		})
 	}

@@ -342,13 +342,15 @@ func (e *Edge) badFrame(w http.ResponseWriter, msg string) int {
 }
 
 // writeFrame encodes resp into a's output buffer, feeds the transport
-// counters and writes the frame in one Write call.
+// counters and writes the frame in one sized Write call, never chunked.
 func (e *Edge) writeFrame(w http.ResponseWriter, a *Answer, resp *wire.BatchResponse) int {
 	a.out = wire.AppendBatchResponse(a.out[:0], resp)
 	e.frames.requests.Add(1)
 	e.frames.users.Add(int64(len(resp.Counts)))
 	e.frames.bytesOut.Add(int64(len(a.out)))
-	w.Header().Set("Content-Type", FrameContentType)
+	h := w.Header()
+	h.Set("Content-Type", FrameContentType)
+	h.Set("Content-Length", strconv.Itoa(len(a.out)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(a.out)
 	return http.StatusOK

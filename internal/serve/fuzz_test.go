@@ -2,15 +2,22 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/ranktest"
+	"repro/internal/wire"
 )
 
 // FuzzEdgeRequest throws arbitrary bytes at the JSON edge — through
@@ -64,6 +71,74 @@ func FuzzEdgeRequest(f *testing.F) {
 		echoed := rec.Header().Get(obs.TraceHeader)
 		if !wellFormed.MatchString(echoed) || (wellFormed.MatchString(traceID) && echoed != traceID) {
 			t.Errorf("trace id %q echoed as %q", traceID, echoed)
+		}
+	})
+}
+
+// FuzzShardStream throws arbitrary bytes at a shard's frame stream after
+// the upgrade: message prologues with any length, budget and trace id,
+// torn, and bodies of anything. Whatever arrives: no panic; nothing
+// allocated for a declared body length before the bytes are read, so at
+// most about MaxBodyBytes per message however long a length is declared;
+// and every answer well-formed — a shard partial frame on 200, a JSON error
+// body otherwise, never a 5xx but a shed budget's 504 — until the bytes run
+// out or the shard ends the stream.
+func FuzzShardStream(f *testing.F) {
+	fx := ranktest.New(f, ranktest.Variant{})
+	cfg := conformConfig(fx)
+	cfg.ShardLo, cfg.ShardHi = fx.Train.Cols()/2, -1
+	shard, err := NewShardFromFile(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = shard.Close() })
+	ts := httptest.NewServer(shard.Handler())
+	f.Cleanup(ts.Close)
+	msg := func(budget uint32, trace string, body []byte) []byte {
+		m, err := wire.AppendStreamRequest(nil, budget, trace, body)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return m
+	}
+	good := ranktest.Frame(f, &wire.BatchRequest{M: 5, Users: []uint32{1, 7}, ExpectVersion: 1})
+	f.Add(msg(0, "fuzz-1", good))
+	f.Add(append(msg(5000, "", good), msg(1, "bad id!", good)...))
+	f.Add(msg(0, strings.Repeat("t", 255), good)[:300])
+	f.Add(append(msg(0, "", []byte(`{"users":[1]}`)), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0))
+	f.Add(msg(4000000000, "x", ranktest.Frame(f, &wire.BatchRequest{M: 1000, Users: []uint32{99999}, Tenant: "t"})))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := ranktest.OpenStream(t, ts.URL+"/v2/shard/topm")
+		_ = s.SetDeadline(time.Now().Add(10 * time.Second))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		go func() {
+			// Written beside the reads: the shard answers while it reads.
+			_, _ = s.Write(data)
+			_ = s.Conn.(*net.TCPConn).CloseWrite()
+		}()
+		for {
+			status, body, err := s.Answer()
+			if errors.Is(err, io.EOF) || errors.Is(err, syscall.ECONNRESET) {
+				break // the bytes ran out, or the shard ended the stream
+			}
+			if err != nil {
+				t.Fatalf("a malformed or missing answer: %v", err)
+			}
+			if status == http.StatusOK {
+				var resp wire.BatchResponse
+				if err := wire.DecodeBatchResponse(body, &resp); err != nil || resp.Flags&wire.FlagShardPartial == 0 ||
+					len(body) > wire.MaxResponseLen(ranktest.MaxBatch, ranktest.MaxM) {
+					t.Fatalf("a 200 of %d bytes that is no shard partial (flags %#x): %v", len(body), resp.Flags, err)
+				}
+			} else if status < 400 || status > 499 && status != http.StatusGatewayTimeout || len(body) > 64<<10 || !json.Valid(body) {
+				t.Fatalf("status %d with %.100q, want a JSON 4xx or a shed 504", status, body)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		perMessage := uint64(ranktest.MaxBody + 64<<10)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(len(data)/wire.StreamRequestLen+1)*perMessage+1<<20; got > bound {
+			t.Errorf("%d bytes of input allocated %d bytes, bound %d", len(data), got, bound)
 		}
 	})
 }

@@ -30,7 +30,10 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	if s.cfg.shardMode() {
 		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
-		mux.HandleFunc("POST /v2/shard/topm", s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame)))
+		frame := s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame))
+		s.streams = NewStreamServer(frame, s.cfg.MaxBodyBytes)
+		mux.HandleFunc("POST /v2/shard/topm", frame)
+		mux.Handle("GET /v2/shard/topm", s.streams)
 	} else {
 		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux, s.gate)
 		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))

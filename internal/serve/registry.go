@@ -581,11 +581,13 @@ func (s *Server) reloadNamed(name string) (*snapshot, error) {
 	return base, nil
 }
 
-// Close releases resources the server opened itself: the registry's
-// per-tenant feed partitions (synced, then closed). The Config.Feed log
-// belongs to the caller, as before. Safe to call on servers without a
-// registry.
+// Close releases resources the server opened itself: a shard's open frame
+// streams (ended; they outlive the HTTP server's shutdown, so call Close
+// after it) and the registry's per-tenant feed partitions (synced, then
+// closed). The Config.Feed log belongs to the caller, as before. Safe to
+// call on servers without a registry.
 func (s *Server) Close() error {
+	s.streams.Close()
 	if s.registry == nil {
 		return nil
 	}

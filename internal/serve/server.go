@@ -13,8 +13,9 @@
 // whole-catalogue range carries the zero-copy *core.Model view (fold-in,
 // explanations), a top-M cache, and filters in global item ids; a
 // partition is cacheless and rebases its filters. The route set (full API
-// or /v1|v2/shard/topm) and the shard's two-deep version history follow
-// the constructor, NewFromFile or NewShardFromFile.
+// or /v1|v2/shard/topm, the latter also as frame streams: StreamServer) and
+// the shard's two-deep version history follow the constructor, NewFromFile
+// or NewShardFromFile.
 //
 // The handlers are thin transport over the ranking engine of
 // internal/rank: every request shape — known-user top-M, cold-start
@@ -251,6 +252,9 @@ type Server struct {
 	// clamping, response writers, per-endpoint instrumentation and the
 	// request tracer (disabled when Config.TraceRing is negative).
 	edge *Edge
+	// streams serves a shard's frame streams (nil on a full server); Close
+	// ends them.
+	streams *StreamServer
 }
 
 // checkLimits validates and defaults the numeric limits shared by full and

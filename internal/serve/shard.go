@@ -17,7 +17,9 @@ import (
 // item-range slice of the v2 model file (full user sections, item rows
 // [lo, hi)) and answers POST /v1/shard/topm (JSON, one user) and POST
 // /v2/shard/topm (frames, one or more users: a whole router batch in one
-// call) — one pipeline, shardPartial, under two codecs — with, per user,
+// call; the router sends them over frame streams, GET /v2/shard/topm
+// upgraded, served by the same handler) — one pipeline, shardPartial,
+// under two codecs — with, per user,
 // its partition's top-min(m, partition size) items under the engine's tie
 // rule, item ids translated back to global. Because every item's score
 // depends only on that item's factor row and the user's factor, partition
@@ -65,11 +67,12 @@ const DeadlineHeader = "X-Ocular-Deadline-Ms"
 // remaining deadline budget of ctx (min(per-attempt timeout, overall
 // request deadline), so the shard can shed scoring work whose caller will
 // have given up) and the request's trace ID (so the shard's span records
-// join the caller's timeline under one ID).
+// join the caller's timeline under one ID). The budget is rounded up to
+// whole milliseconds: any time left is at least 1, never "no deadline".
 func StampShardCall(ctx context.Context, h http.Header) {
 	if dl, ok := ctx.Deadline(); ok {
-		if ms := time.Until(dl).Milliseconds(); ms > 0 {
-			h.Set(DeadlineHeader, strconv.FormatInt(ms, 10))
+		if left := time.Until(dl); left > 0 {
+			h.Set(DeadlineHeader, strconv.FormatInt(int64((left+time.Millisecond-1)/time.Millisecond), 10))
 		}
 	}
 	if id := obs.ActiveFrom(ctx).ID(); id != "" {

@@ -59,6 +59,15 @@
 // Every count is bounded by the declared frame length before a byte is
 // read or a slice grown, so a hostile frame can never make the decoder
 // allocate more than O(len(frame)) bytes.
+//
+// Frame stream (GET /v2/shard/topm with "Upgrade: ocular-frame/1", answered
+// 101): the connection then carries lockstep messages, one outstanding at a
+// time, each the body of one POST /v2/shard/topm and its answer:
+//
+//	request: u32 body length | u32 deadline budget ms (0 = none) |
+//	         u8 trace-id length | trace id | body (a request frame)
+//	answer:  u32 body length | u16 HTTP status | body (a response frame
+//	         on 200, the JSON error body otherwise)
 package wire
 
 import (
@@ -107,6 +116,55 @@ const (
 
 	offReserved = 48 // both: reserved through HeaderSize, zero
 )
+
+// The frame stream's message prologues (see the package comment), named
+// once for the shard's reader and writer and the router's.
+const (
+	// StreamProtocol is the Upgrade token of a frame stream.
+	StreamProtocol = "ocular-frame/1"
+
+	offStreamLen      = 0 // both: body length
+	offStreamBudget   = 4 // request: deadline budget, ms
+	offStreamTraceLen = 8 // request: trace-id length
+	offStreamStatus   = 4 // answer: HTTP status
+
+	// StreamRequestLen and StreamAnswerLen are the fixed prologue lengths;
+	// a request's trace id follows its prologue.
+	StreamRequestLen = 9
+	StreamAnswerLen  = 6
+)
+
+// AppendStreamRequest appends one stream request message carrying body to
+// dst. A trace id longer than its u8 length field is refused.
+func AppendStreamRequest(dst []byte, budgetMs uint32, traceID string, body []byte) ([]byte, error) {
+	if len(traceID) > math.MaxUint8 {
+		return dst, fmt.Errorf("wire: trace id of %d bytes exceeds the u8 length field", len(traceID))
+	}
+	at := len(dst)
+	dst = grow(dst, StreamRequestLen)
+	binary.LittleEndian.PutUint32(dst[at+offStreamLen:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(dst[at+offStreamBudget:], budgetMs)
+	dst[at+offStreamTraceLen] = uint8(len(traceID))
+	return append(append(dst, traceID...), body...), nil
+}
+
+// ParseStreamRequest reads a request prologue, p[:StreamRequestLen].
+func ParseStreamRequest(p []byte) (bodyLen, budgetMs uint32, traceLen int) {
+	return binary.LittleEndian.Uint32(p[offStreamLen:]), binary.LittleEndian.Uint32(p[offStreamBudget:]),
+		int(p[offStreamTraceLen])
+}
+
+// PutStreamAnswer fills the answer prologue at the head of msg, whose
+// remaining bytes are the body.
+func PutStreamAnswer(msg []byte, status uint16) {
+	binary.LittleEndian.PutUint32(msg[offStreamLen:], uint32(len(msg)-StreamAnswerLen))
+	binary.LittleEndian.PutUint16(msg[offStreamStatus:], status)
+}
+
+// ParseStreamAnswer reads an answer prologue, p[:StreamAnswerLen].
+func ParseStreamAnswer(p []byte) (bodyLen uint32, status uint16) {
+	return binary.LittleEndian.Uint32(p[offStreamLen:]), binary.LittleEndian.Uint16(p[offStreamStatus:])
+}
 
 // Response status-column bits, one byte per user.
 const (

@@ -285,3 +285,31 @@ func TestScatterHelpers(t *testing.T) {
 		t.Error("the largest default batch does not fit the decoder's frame cap")
 	}
 }
+
+// TestStreamMessages pins the stream prologues to the layout in the package
+// comment: a request message is its prologue, trace id and body in that
+// order and parses back; an answer prologue counts the body after it; a
+// trace id past the u8 length field is refused, dst unextended.
+func TestStreamMessages(t *testing.T) {
+	body := []byte("a frame")
+	msg, err := AppendStreamRequest([]byte("x"), 1500, "trace-7", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte("x\x07\x00\x00\x00\xdc\x05\x00\x00\x07"), "trace-7a frame"...)
+	if !bytes.Equal(msg, want) {
+		t.Fatalf("request message %x, want %x", msg, want)
+	}
+	if n, ms, traceLen := ParseStreamRequest(msg[1:]); n != uint32(len(body)) || ms != 1500 || traceLen != 7 {
+		t.Errorf("parsed body %d, budget %d, trace id %d bytes; want %d, 1500, 7", n, ms, traceLen, len(body))
+	}
+	if got, err := AppendStreamRequest(msg[:1], 0, strings.Repeat("t", 256), body); err == nil || len(got) != 1 {
+		t.Errorf("a 256-byte trace id: %d bytes appended, err %v; want a refusal", len(got)-1, err)
+	}
+
+	answer := append(make([]byte, StreamAnswerLen), `{"error":"x"}`...)
+	PutStreamAnswer(answer, 409)
+	if n, status := ParseStreamAnswer(answer); n != uint32(len(answer)-StreamAnswerLen) || status != 409 {
+		t.Errorf("answer prologue says %d bytes, status %d; want %d, 409", n, status, len(answer)-StreamAnswerLen)
+	}
+}
