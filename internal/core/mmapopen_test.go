@@ -80,31 +80,43 @@ func TestWholeRangeIsMappedModel(t *testing.T) {
 	}
 }
 
-// candidatesMatchSweep holds ScoreCandidates to ScoreItems for user u:
-// whenever it answers, its ids are ascending and inside the range, and its
-// answer densified (every other item +0) is the sweep's, bit for bit on
-// every item. It reports whether it answered.
-func candidatesMatchSweep(t testing.TB, rr *MappedModelRange, u int) bool {
+// walkMatchesSweep holds a Walk to ScoreItems for user u: whenever the
+// range walks u, the walk yields each item at most once and inside the
+// range, Next's affinities never go up, every yielded affinity z scores
+// 1 − exp(−z) what the sweep writes, and every item not yielded scores +0 —
+// bit for bit on every item. It reports whether the range walked u.
+func walkMatchesSweep(t testing.TB, rr *MappedModelRange, u int) bool {
 	t.Helper()
-	ids, scores, ok := rr.ScoreCandidates(u, nil, nil)
-	if !ok {
-		if len(ids)+len(scores) != 0 {
-			t.Fatalf("%v user %d: declined with %d ids, %d scores appended", rr, u, len(ids), len(scores))
-		}
+	var w Walk
+	if !rr.Walk(u, &w) {
 		return false
 	}
-	want, got := make([]float64, rr.Len()), make([]float64, rr.Len())
+	want, seen := make([]float64, rr.Len()), make([]bool, rr.Len())
 	rr.ScoreItems(u, want)
-	for j, id := range ids {
-		if int(id) >= len(got) || j > 0 && id <= ids[j-1] || len(scores) != len(ids) {
-			t.Fatalf("%v user %d: candidate ids %v with %d scores, want ascending ids inside the range", rr, u, ids, len(scores))
+	yield := func(phase string, id int32, z float64) {
+		if id < 0 || int(id) >= len(seen) || seen[id] {
+			t.Fatalf("%v user %d: %s yielded item %d twice or outside the range", rr, u, phase, id)
 		}
-		got[id] = scores[j]
+		seen[id] = true
+		if got := 1 - math.Exp(-z); math.Float64bits(got) != math.Float64bits(want[id]) {
+			t.Fatalf("%v user %d item %d: %s scores %v (%#x), the sweep %v (%#x)",
+				rr, u, rr.ItemLo()+int(id), phase, got, math.Float64bits(got), want[id], math.Float64bits(want[id]))
+		}
+	}
+	for id, z, ok := w.Shared(); ok; id, z, ok = w.Shared() {
+		yield("Shared", id, z)
+	}
+	last := math.Inf(1)
+	for id, z, ok := w.Next(); ok; id, z, ok = w.Next() {
+		yield("Next", id, z)
+		if z > last {
+			t.Fatalf("%v user %d: Next went up from affinity %v to %v at item %d", rr, u, last, z, rr.ItemLo()+int(id))
+		}
+		last = z
 	}
 	for n := range want {
-		if math.Float64bits(got[n]) != math.Float64bits(want[n]) {
-			t.Fatalf("%v user %d item %d: candidates give %v (%#x), the sweep %v (%#x)",
-				rr, u, rr.ItemLo()+n, got[n], math.Float64bits(got[n]), want[n], math.Float64bits(want[n]))
+		if !seen[n] && math.Float64bits(want[n]) != 0 {
+			t.Fatalf("%v user %d item %d: not walked, the sweep scores it %v", rr, u, rr.ItemLo()+n, want[n])
 		}
 	}
 	return true
@@ -124,12 +136,12 @@ func itemFactorAt(m *Model, data []byte, f32 bool, j int, v float64) []byte {
 	return out
 }
 
-// TestScoreCandidatesMatchesScoreItems: over every file format and over
-// partitions, the support index answers for no user of a model with bias
-// and, for a model without, with exactly the sweep's scores; one item
-// factor outside the domain — the sections are unchecked bytes — turns the
-// index off for the mapping, whichever user asks.
-func TestScoreCandidatesMatchesScoreItems(t *testing.T) {
+// TestWalkMatchesScoreItems: over every file format and over partitions,
+// the support index walks no user of a model with bias and, for a model
+// without, yields exactly the sweep's scores; one item factor outside the
+// domain — the sections are unchecked bytes — turns the index off for the
+// mapping, whichever user asks.
+func TestWalkMatchesScoreItems(t *testing.T) {
 	for _, v := range []struct{ bias, f32 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		t.Run(fmt.Sprintf("bias=%v_f32=%v", v.bias, v.f32), func(t *testing.T) {
 			model := trainedModel(t, v.bias)
@@ -151,7 +163,7 @@ func TestScoreCandidatesMatchesScoreItems(t *testing.T) {
 				rr := open("good", data, rg[0], rg[1])
 				answered := 0
 				for u := 0; u < rr.NumUsers(); u++ {
-					if candidatesMatchSweep(t, rr, u) {
+					if walkMatchesSweep(t, rr, u) {
 						answered++
 					}
 				}
@@ -165,7 +177,7 @@ func TestScoreCandidatesMatchesScoreItems(t *testing.T) {
 			for name, bad := range map[string]float64{"nan": math.NaN(), "negative": -0.25, "inf": math.Inf(1)} {
 				rr := open(name, itemFactorAt(model, data, v.f32, 2*model.K()+1, bad), 0, -1)
 				for u := 0; u < rr.NumUsers(); u++ {
-					if candidatesMatchSweep(t, rr, u) {
+					if walkMatchesSweep(t, rr, u) {
 						t.Errorf("%s item factor: the index answered for user %d", name, u)
 					}
 				}
@@ -180,9 +192,9 @@ func TestScoreCandidatesMatchesScoreItems(t *testing.T) {
 // describe itself consistently and score user 0 inside its windows — an
 // out-of-bounds view would fault here, on the mapping's edge. Factor
 // sections are unchecked bytes, so the fuzzer also feeds the support index
-// NaN, infinite and negative factors: whenever ScoreCandidates answers for
-// one of the first users, its answer densified must equal the sweep's bit
-// for bit (candidatesMatchSweep) — the domain guard, differentially.
+// NaN, infinite and negative factors: whenever the range walks one of the
+// first users, the walk must yield the sweep's scores bit for bit, best
+// first (walkMatchesSweep) — the domain guard, differentially.
 func FuzzOpenMappedRange(f *testing.F) {
 	model := trainedModel(f, true)
 	good := v2Bytes(f, model, true)
@@ -226,7 +238,7 @@ func FuzzOpenMappedRange(f *testing.F) {
 		rr.ScoreItems(0, make([]float64, rr.Len()))
 		rr.ScoreItemsWithFactor(rr.UserFactorF64(0), 0, make([]float64, rr.Len()))
 		for u := 0; u < min(rr.NumUsers(), 4); u++ {
-			candidatesMatchSweep(t, rr, u)
+			walkMatchesSweep(t, rr, u)
 		}
 	})
 }

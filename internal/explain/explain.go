@@ -6,7 +6,9 @@
 package explain
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -200,58 +202,68 @@ func Explain(m *core.Model, r *sparse.Matrix, u, i int, opts Options) Explanatio
 	opts = opts.withDefaults()
 	ex := Explanation{User: u, Item: i, Probability: m.Predict(u, i)}
 	contrib := m.PairContributions(u, i)
-	type cc struct {
-		id int
-		v  float64
-	}
-	var active []cc
+	var active []weighted
 	for c, v := range contrib {
 		if v >= opts.MinContribution {
-			active = append(active, cc{c, v})
+			active = append(active, weighted{c, v})
 		}
 	}
-	sort.Slice(active, func(a, b int) bool { return active[a].v > active[b].v })
+	byWeight(active)
 	for _, a := range active {
-		reason := Reason{ClusterID: a.id, Contribution: a.v}
+		reason := Reason{ClusterID: a.id, Contribution: a.w}
 		// Similar users: strong co-cluster members (other than u) who
 		// bought item i.
-		type scored struct {
-			idx int
-			w   float64
-		}
-		var peers []scored
+		var peers []weighted
 		for _, vu := range r.Col(i) {
 			v := int(vu)
 			if v == u {
 				continue
 			}
 			if w := m.UserFactor(v)[a.id]; w >= opts.Threshold {
-				peers = append(peers, scored{v, w})
+				peers = append(peers, weighted{v, w})
 			}
 		}
-		sort.Slice(peers, func(x, y int) bool { return peers[x].w > peers[y].w })
+		byWeight(peers)
 		for n := 0; n < len(peers) && n < opts.MaxPeers; n++ {
-			reason.SimilarUsers = append(reason.SimilarUsers, peers[n].idx)
+			reason.SimilarUsers = append(reason.SimilarUsers, peers[n].id)
 		}
 		// Shared items: the user's purchases that are strong in this
 		// co-cluster.
-		var shared []scored
+		var shared []weighted
 		for _, ji := range r.Row(u) {
 			j := int(ji)
 			if j == i {
 				continue
 			}
 			if w := m.ItemFactor(j)[a.id]; w >= opts.Threshold {
-				shared = append(shared, scored{j, w})
+				shared = append(shared, weighted{j, w})
 			}
 		}
-		sort.Slice(shared, func(x, y int) bool { return shared[x].w > shared[y].w })
+		byWeight(shared)
 		for n := 0; n < len(shared) && n < opts.MaxPeers; n++ {
-			reason.SharedItems = append(reason.SharedItems, shared[n].idx)
+			reason.SharedItems = append(reason.SharedItems, shared[n].id)
 		}
 		ex.Reasons = append(ex.Reasons, reason)
 	}
 	return ex
+}
+
+// weighted is a co-cluster, user or item id with the weight it is listed by.
+type weighted struct {
+	id int
+	w  float64
+}
+
+// byWeight orders s by weight descending, then id ascending — a total
+// order, so tied weights come back in the same order on every call and from
+// every process.
+func byWeight(s []weighted) {
+	slices.SortFunc(s, func(a, b weighted) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 }
 
 // Render formats the explanation in the style of the paper's worked example

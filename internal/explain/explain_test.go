@@ -1,11 +1,14 @@
 package explain
 
 import (
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
@@ -273,5 +276,89 @@ func TestClusterGlyph(t *testing.T) {
 		if got := clusterGlyph(c); got != want {
 			t.Errorf("clusterGlyph(%d) = %q, want %q", c, got, want)
 		}
+	}
+}
+
+// TestExplainOrdersAreTotal plants ties everywhere an explanation orders
+// something — factors drawn from {0, ½, 1}, so contributions, peer
+// affiliations and shared-item affiliations tie in long runs — and holds
+// every list to its one order: weight descending, then id ascending. The
+// peer lists run to hundreds of entries, past the length where an unstable
+// sort keeps equal elements where it found them.
+func TestExplainOrdersAreTotal(t *testing.T) {
+	const users, items, k = 300, 40, 4
+	r := rng.New(31)
+	b := sparse.NewBuilder(users, items)
+	for u := 0; u < users; u++ {
+		for i := 0; i < items; i++ {
+			if r.Bernoulli(0.5) {
+				b.Add(u, i)
+			}
+		}
+	}
+	train := b.Build()
+	res, err := core.Train(train, core.Config{K: k, Lambda: 1, MaxIter: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Model
+	levels := []float64{0, 0.5, 1}
+	for u := 0; u < users; u++ {
+		for c := range m.UserFactor(u) {
+			m.UserFactor(u)[c] = levels[r.Intn(3)]
+		}
+	}
+	for i := 0; i < items; i++ {
+		for c := range m.ItemFactor(i) {
+			m.ItemFactor(i)[c] = levels[r.Intn(3)]
+		}
+	}
+	// want lists the ids whose weight passes, in the total order, capped.
+	want := func(ids []int32, skip int, weight func(int) float64, threshold float64, max int) []int {
+		var out []weighted
+		for _, id := range ids {
+			if w := weight(int(id)); int(id) != skip && w >= threshold {
+				out = append(out, weighted{int(id), w})
+			}
+		}
+		sort.SliceStable(out, func(a, b int) bool { return out[a].w > out[b].w }) // ids come in ascending
+		var got []int
+		for n := 0; n < len(out) && n < max; n++ {
+			got = append(got, out[n].id)
+		}
+		return got
+	}
+	opts := Options{MaxPeers: 1000}.withDefaults()
+	longest := 0
+	for trial := 0; trial < 200; trial++ {
+		u, i := r.Intn(users), r.Intn(items)
+		ex := Explain(m, train, u, i, opts)
+		contrib := m.PairContributions(u, i)
+		clusters := make([]int32, k)
+		for c := range clusters {
+			clusters[c] = int32(c)
+		}
+		wantReasons := want(clusters, -1, func(c int) float64 { return contrib[c] }, opts.MinContribution, k)
+		if len(ex.Reasons) != len(wantReasons) {
+			t.Fatalf("user %d item %d: %d reasons, want co-clusters %v", u, i, len(ex.Reasons), wantReasons)
+		}
+		for n, reason := range ex.Reasons {
+			c := wantReasons[n]
+			if reason.ClusterID != c || reason.Contribution != contrib[c] {
+				t.Fatalf("user %d item %d: reason %d is co-cluster %d (%v), want %d (%v)", u, i, n, reason.ClusterID, reason.Contribution, c, contrib[c])
+			}
+			peers := want(train.Col(i), u, func(v int) float64 { return m.UserFactor(v)[c] }, opts.Threshold, opts.MaxPeers)
+			if !slices.Equal(reason.SimilarUsers, peers) {
+				t.Fatalf("user %d item %d co-cluster %d: similar users %v, want %v", u, i, c, reason.SimilarUsers, peers)
+			}
+			shared := want(train.Row(u), i, func(j int) float64 { return m.ItemFactor(j)[c] }, opts.Threshold, opts.MaxPeers)
+			if !slices.Equal(reason.SharedItems, shared) {
+				t.Fatalf("user %d item %d co-cluster %d: shared items %v, want %v", u, i, c, reason.SharedItems, shared)
+			}
+			longest = max(longest, len(peers))
+		}
+	}
+	if longest < 50 {
+		t.Fatalf("the longest peer list held %d users; the ties never reached the unstable sort's range", longest)
 	}
 }

@@ -72,12 +72,12 @@ func BenchmarkRankCoalesced(b *testing.B) {
 }
 
 // BenchmarkRankCandidateShare is where core's maxCandidateShare comes
-// from: one uncached top-20 under the training-row filter, ranked from the
-// support index ("support") and by the full sweep ("sweep"), on the sparse
+// from: one uncached top-20 under the training-row filter, ranked by the
+// support walk ("support") and by the full sweep ("sweep"), on the sparse
 // planted catalogue (a user's support reaches about 1 % of the items) and
 // on the dense SyntheticMovieLens preset at K=50 (about a third). swept/op
-// is the share of users the support path declined — those beyond the
-// crossover, whom both rows sweep.
+// is the share of users the support path declined — those beyond
+// maxCandidateShare, whom both rows sweep.
 func BenchmarkRankCandidateShare(b *testing.B) {
 	for _, cat := range []struct {
 		name  string

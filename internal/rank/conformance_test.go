@@ -32,8 +32,8 @@ func engineFor(t testing.TB, fx *ranktest.Fixture, lo, hi int, sweep bool, stats
 
 // TestConformanceEngineTopM registers the engine twice over every file
 // format, staged and not, over the whole catalogue and two partitions of
-// it, across a rollout: ranking from the scorer's candidates, and over a
-// scorer that can only sweep. Both are held to the one reference, so the
+// it, across a rollout: walking the user's support, and over a scorer that
+// can only sweep. Both are held to the one reference, so the
 // two paths return the same lists. A partition is ranked the way a shard
 // is — filters rebased, local ids made global, the stages applied once
 // after — and Stats.Swept says which path ran: a model with bias, like a

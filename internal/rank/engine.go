@@ -10,10 +10,12 @@
 //
 // The Engine adds the serving machinery on top of the pure pipeline:
 // one pooled scratch per rank call (a list leaves it by copy: into the cache,
-// or into the caller's columns), ranking a known user from the few items that can
-// score at all where the scorer lists them (candidateScorer — same lists,
-// bit for bit, as the sweep), the ranked user's own training row as an
-// exclusion the engine resolves itself (Config.Train), and one table per
+// or into the caller's columns), ranking a known user by walking its
+// co-cluster support best first where the scorer has one (walker: only the
+// items that can score, and of those only until nothing left can make the
+// list — the same list, bit for bit, as the sweep), the ranked user's own
+// training row as an exclusion the engine resolves itself (Config.Train),
+// and one table per
 // cache shard keyed by a request fingerprint covering user, m and the
 // filter set (so filtered requests are cacheable rather than wrong) that
 // is its own singleflight — concurrent requests for the same fingerprint
@@ -28,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/sparse"
 )
 
@@ -42,24 +45,22 @@ type Scorer interface {
 	NumItems() int
 }
 
-// candidateScorer is the optional fast path of a Scorer whose scores are
-// mostly exact zeros — a model of sparse non-negative factors, where an
-// item sharing no co-cluster with the user scores 1 − exp(−0). The engine
-// asks for it once, at construction (the way selection asks filters for
-// Sorted and bounder), and then ranks a known user from the sparse form.
-type candidateScorer interface {
-	// ScoreCandidates appends to ids, ascending, every item that may score
-	// above zero for user u and to scores what ScoreUser would write for
-	// each, bit for bit; no score is negative and every item not listed
-	// scores exactly +0. ok = false (nothing appended) declines: the engine
-	// sweeps with ScoreUser instead.
-	ScoreCandidates(u int, ids []int32, scores []float64) ([]int32, []float64, bool)
+// walker is the optional fast path of a Scorer whose scores are mostly
+// exact zeros — a model of sparse non-negative factors, where an item
+// sharing no co-cluster with the user scores 1 − exp(−0). The engine asks
+// for it once, at construction (the way selection asks filters for Sorted
+// and bounder), and then ranks a known user by walking its support (see
+// core.Walk and selectWalk).
+type walker interface {
+	// Walk starts w on user u's support over the scorer's items, or
+	// declines with false: the engine sweeps with ScoreUser instead.
+	Walk(u int, w *core.Walk) bool
 }
 
 // itemRange is the optional method of a Scorer over the item range [lo,
 // lo+NumItems()) of a larger catalogue — a shard's: ItemLo reports lo, the
-// global id of its item 0. Asked for once, at construction, like
-// candidateScorer; without it the scorer's items are the catalogue's.
+// global id of its item 0. Asked for once, at construction, like walker;
+// without it the scorer's items are the catalogue's.
 type itemRange interface{ ItemLo() int }
 
 // Config tunes an Engine. The zero value disables caching (and with it
@@ -117,11 +118,11 @@ func (s *Stats) Swept() int64 { return s.swept.Load() }
 // cache invalidation wholesale and race-free.
 type Engine struct {
 	scorer Scorer
-	sparse candidateScorer // scorer's fast path, nil when it has none
-	train  *sparse.Matrix  // Config.Train
-	lo, hi int             // the scorer's items, global ids [lo, hi)
-	lists  ListCache       // cache, flights and counters of the ranked lists
-	pool   sync.Pool       // *scratch
+	walker walker         // scorer's fast path, nil when it has none
+	train  *sparse.Matrix // Config.Train
+	lo, hi int            // the scorer's items, global ids [lo, hi)
+	lists  ListCache      // cache, flights and counters of the ranked lists
+	pool   sync.Pool      // *scratch
 }
 
 // NewEngine builds an engine ranking scorer's scores under cfg.
@@ -136,7 +137,7 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 		lists:  ListCache{cache: newTopCache(cfg.CacheSize, CacheShards), stats: stats},
 		pool:   sync.Pool{New: func() any { return new(scratch) }},
 	}
-	e.sparse, _ = scorer.(candidateScorer)
+	e.walker, _ = scorer.(walker)
 	if r, ok := scorer.(itemRange); ok {
 		e.lo = r.ItemLo()
 	}
@@ -227,12 +228,12 @@ func (e *Engine) Rank(score func(dst []float64), m int, filters ...Filter) (item
 	return slices.Clone(s.items), slices.Clone(s.scores)
 }
 
-// rankUser ranks a known user into s: from the scorer's candidates where it
-// lists them, by the full sweep where it has no such path or declines. Both
-// leave the same list, bit for bit, and both exclude u's training row.
+// rankUser ranks a known user into s: by walking its support where the
+// scorer has one, by the full sweep where it has no such path or declines.
+// Both leave the same list, bit for bit, and both exclude u's training row.
 func (e *Engine) rankUser(s *scratch, u, m int, tm *Timings) {
 	s.row, s.rowLo = e.row(u), e.lo
-	if e.sparse == nil || !e.rankCandidates(s, u, m, tm) {
+	if e.walker == nil || !e.rankWalk(s, u, m, tm) {
 		e.rank(s, func(dst []float64) { e.scorer.ScoreUser(u, dst) }, m, tm)
 	}
 }
@@ -249,15 +250,15 @@ func (e *Engine) row(u int) []int32 {
 	return row[a:b]
 }
 
-// rankCandidates is rank over the sparse form of user u's scores, filling
-// the same two Timings fields; false when the scorer declined.
-func (e *Engine) rankCandidates(s *scratch, u, m int, tm *Timings) bool {
+// rankWalk is rank over user u's support walk, filling the same two
+// Timings fields (Score: starting the walk; Select: the walk, which scores
+// the items it visits as it selects them); false when the scorer declined.
+func (e *Engine) rankWalk(s *scratch, u, m int, tm *Timings) bool {
 	var t0, t1 time.Time
 	if tm != nil {
 		t0 = time.Now()
 	}
-	var ok bool
-	s.ids, s.cand, ok = e.sparse.ScoreCandidates(u, s.ids[:0], s.cand[:0])
+	ok := e.walker.Walk(u, &s.walk)
 	if tm != nil {
 		t1 = time.Now()
 		tm.Score += t1.Sub(t0)
@@ -266,7 +267,7 @@ func (e *Engine) rankCandidates(s *scratch, u, m int, tm *Timings) bool {
 		return false
 	}
 	e.lists.stats.ranked.Add(1)
-	s.selectSparse(e.scorer.NumItems(), m)
+	s.selectWalk(e.scorer.NumItems(), m)
 	if tm != nil {
 		tm.Select += time.Since(t1)
 	}
@@ -274,7 +275,7 @@ func (e *Engine) rankCandidates(s *scratch, u, m int, tm *Timings) bool {
 }
 
 // rank is the shared score → filter → select execution over the scratch's
-// dense array, compacting the survivors' scores alongside the items. A
+// dense array, leaving the survivors' scores alongside the items. A
 // non-nil tm receives the score and (fused) filter+select wall times;
 // nil skips the clock reads entirely.
 func (e *Engine) rank(s *scratch, score func(dst []float64), m int, tm *Timings) {
@@ -294,10 +295,6 @@ func (e *Engine) rank(s *scratch, score func(dst []float64), m int, tm *Timings)
 		tm.Score += t1.Sub(t0)
 	}
 	s.selectDense(s.dense, m)
-	s.scores = s.scores[:0]
-	for _, i := range s.items {
-		s.scores = append(s.scores, s.dense[i])
-	}
 	if tm != nil {
 		tm.Select += time.Since(t1)
 	}

@@ -1,8 +1,11 @@
 package rank
 
 import (
+	"math"
 	"slices"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // Select returns the indices of the m highest-scoring items among those no
@@ -18,8 +21,9 @@ import (
 // exclusion scan that walks Sorted filters with cursors and falls back to
 // the Excluded predicate for the rest.
 func Select(scores []float64, m int, filters ...Filter) []int {
-	// A scratch of its own, never pooled: the list is the caller's.
-	var s scratch
+	// A scratch of its own, never pooled: the list is the caller's, and so
+	// are the scores.
+	s := scratch{listOnly: true}
 	s.flat = flatten(nil, filters)
 	s.selectDense(scores, m)
 	if len(s.items) == 0 {
@@ -34,12 +38,14 @@ func Select(scores []float64, m int, filters ...Filter) []int {
 // from there it is copied — into the cache's node on a miss, and into the
 // caller's columns or a single-user caller's own slices — so scratch memory
 // never escapes the call that borrowed it. Between calls a scratch pins one
-// request's filters and fingerprint at most, and it dies with its engine.
+// request's filters and fingerprint at most, and the walk of the last user
+// it ranked; it dies with its engine.
 type scratch struct {
 	dense []float64 // the sweep's score array, NumItems long once used
-	ids   []int32   // sparse form: the ascending candidate ids...
-	cand  []float64 // ...and their scores
-	heap  []int     // selection heap, or the full sort's candidate list
+	walk  core.Walk // the support path's walk over the user's co-clusters
+	heap  []kept    // selection heap
+	sort  []int     // the full sort's candidate list
+	tail  []int32   // the walk's kept ids, ascending, for the zero tail
 	flat  []Filter  // the request's filters, flattened
 	row   []int32   // the ranked user's training row, global ids above...
 	rowLo int       // ...this base
@@ -54,6 +60,7 @@ type scratch struct {
 	slot         [1]ListEntry
 	items        []int // the ranked list
 	scores       []float64
+	listOnly     bool        // Select's scratch: leave scores empty
 	batch        []batchUser // TopMBatch's fan-out: every user's filters
 }
 
@@ -63,10 +70,10 @@ type batchUser struct {
 	ok      bool
 }
 
-// selectDense is Select over s.flat, into s.items (the engine flattens
-// once per request, for the fingerprint and the scan).
+// selectDense is Select over s.flat, into s.items and s.scores (the engine
+// flattens once per request, for the fingerprint and the scan).
 func (s *scratch) selectDense(scores []float64, m int) {
-	s.items = s.items[:0]
+	s.items, s.scores = s.items[:0], s.scores[:0]
 	if m <= 0 {
 		return
 	}
@@ -122,6 +129,22 @@ func (s *exclusionScan) reset(flat []Filter, row []int32, base int) {
 	}
 }
 
+// has is excluded in any order: a binary search per list, the cursors
+// untouched.
+func (s *exclusionScan) has(item int) bool {
+	for n, l := range s.lists {
+		if _, ok := slices.BinarySearch(l, int32(item+s.bases[n])); ok {
+			return true
+		}
+	}
+	for _, p := range s.preds {
+		if p.Excluded(item) {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *exclusionScan) excluded(item int) bool {
 	for n, l := range s.lists {
 		c, at := s.cursors[n], item+s.bases[n]
@@ -144,42 +167,51 @@ func (s *exclusionScan) excluded(item int) bool {
 // selectSort ranks all candidates by full sort; exact reference used for
 // large m and by the equivalence tests.
 func (s *scratch) selectSort(scores []float64, m int) {
-	cand := slices.Grow(s.heap[:0], len(scores))
+	cand := slices.Grow(s.sort[:0], len(scores))
 	for i := range scores {
 		if !s.scan.excluded(i) {
 			cand = append(cand, i)
 		}
 	}
-	s.heap = cand
+	s.sort = cand
 	sort.Slice(cand, func(a, b int) bool {
 		if scores[cand[a]] != scores[cand[b]] {
 			return scores[cand[a]] > scores[cand[b]]
 		}
 		return cand[a] < cand[b]
 	})
-	s.items = append(s.items, cand[:min(m, len(cand))]...)
-}
-
-// The selection heap is a min-heap over a plain []int of indices into
-// scores, keyed (score asc, index desc), so the weakest kept candidate sits
-// at the root; the inverted index order makes the heap's notion of "worst"
-// agree with the ranking's tie rule (among equal scores, the larger index
-// is worse). Dense selection keeps item ids in it, sparse selection
-// positions in the ascending candidate list — either way the order of the
-// indices is the order of the items.
-
-// below reports whether index a ranks below index b.
-func below(scores []float64, a, b int) bool {
-	if scores[a] != scores[b] {
-		return scores[a] < scores[b]
+	top := cand[:min(m, len(cand))]
+	s.items = append(s.items, top...)
+	if !s.listOnly {
+		for _, i := range top {
+			s.scores = append(s.scores, scores[i])
+		}
 	}
-	return a > b
 }
 
-func siftUp(h []int, scores []float64, j int) {
+// The selection heap is a min-heap of kept items keyed (score asc, id
+// desc), so the weakest kept item sits at the root; the inverted id order
+// makes the heap's notion of "worst" agree with the ranking's tie rule
+// (among equal scores, the larger id is worse).
+
+// kept is an item in the selection heap, with its score.
+type kept struct {
+	score float64
+	id    int
+}
+
+// below reports whether a ranks below b.
+func below(a, b kept) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return a.id > b.id
+}
+
+func siftUp(h []kept, j int) {
 	for j > 0 {
 		p := (j - 1) / 2
-		if !below(scores, h[j], h[p]) {
+		if !below(h[j], h[p]) {
 			return
 		}
 		h[j], h[p] = h[p], h[j]
@@ -187,16 +219,16 @@ func siftUp(h []int, scores []float64, j int) {
 	}
 }
 
-func siftDown(h []int, scores []float64, j int) {
+func siftDown(h []kept, j int) {
 	for {
 		c := 2*j + 1
 		if c >= len(h) {
 			return
 		}
-		if c+1 < len(h) && below(scores, h[c+1], h[c]) {
+		if c+1 < len(h) && below(h[c+1], h[c]) {
 			c++
 		}
-		if !below(scores, h[c], h[j]) {
+		if !below(h[c], h[j]) {
 			return
 		}
 		h[j], h[c] = h[c], h[j]
@@ -204,81 +236,113 @@ func siftDown(h []int, scores []float64, j int) {
 	}
 }
 
-// offer keeps index i in the heap of the m best seen so far.
-func offer(h []int, scores []float64, m, i int) []int {
+// offer keeps e in the heap of the m best seen so far.
+func offer(h []kept, m int, e kept) []kept {
 	if len(h) < m {
-		h = append(h, i)
-		siftUp(h, scores, len(h)-1)
+		h = append(h, e)
+		siftUp(h, len(h)-1)
 		return h
 	}
-	if !below(scores, i, h[0]) {
-		h[0] = i
-		siftDown(h, scores, 0)
+	if !below(e, h[0]) {
+		h[0] = e
+		siftDown(h, 0)
 	}
 	return h
 }
 
-// drain empties the heap into out[:len(h)], best first.
-func drain(h []int, scores []float64, out []int) {
-	for n := len(h) - 1; n >= 0; n-- {
-		out[n] = h[0]
-		h[0] = h[n]
-		h = h[:n]
-		siftDown(h, scores, 0)
+// drain sorts the heap h in place, best first, and leaves it in s.items
+// and, unless the scratch is Select's, s.scores.
+func (s *scratch) drain(h []kept) {
+	for j := len(h) - 1; j > 0; j-- {
+		h[0], h[j] = h[j], h[0]
+		siftDown(h[:j], 0)
+	}
+	s.items = slices.Grow(s.items[:0], len(h))
+	for _, e := range h {
+		s.items = append(s.items, e.id)
+	}
+	if !s.listOnly {
+		s.scores = slices.Grow(s.scores[:0], len(h))
+		for _, e := range h {
+			s.scores = append(s.scores, e.score)
+		}
 	}
 }
 
 func (s *scratch) selectHeap(scores []float64, m int) {
 	h := slices.Grow(s.heap[:0], m)
-	for i := range scores {
+	for i, v := range scores {
 		if !s.scan.excluded(i) {
-			h = offer(h, scores, m, i)
+			h = offer(h, m, kept{v, i})
 		}
 	}
 	s.heap = h
-	s.items = slices.Grow(s.items, len(h))[:len(h)]
-	drain(h, scores, s.items)
+	s.drain(h)
 }
 
-// selectSparse is selectDense over the n-item array s.ids and s.cand stand
-// for — ids the ascending items that may score above zero, cand their
-// scores (none negative), every other item exactly +0 — leaving the scores
-// with the items. The dense ranking puts the positive scorers first and
-// then every zero — candidate or not — by ascending id, so: the top m
-// positive candidates no filter excludes, through the heap, and while fewer
-// than m came out of it (the common case: a user's support reaches few
-// items) the first surviving ids that are not among them.
-func (s *scratch) selectSparse(n, m int) {
+// selectWalk is selectDense over the n items of the range s.walk was
+// started on, every one the walk does not yield scoring exactly +0. The
+// dense ranking puts the positive scorers first and then every zero — a
+// yielded item or not — by ascending id, so: the top m positive scorers no
+// filter excludes, through the heap, and while fewer than m came out of it
+// the first surviving ids that are not among them.
+//
+// The heap takes every item Shared yields, then Next's in descending
+// affinity. Once the heap holds m, the first non-excluded item whose
+// x = exp(−z) satisfies x·(1−2⁻⁴⁰) > (1−s_m+2⁻⁵²)·(1+2⁻⁴⁰), s_m the m-th
+// kept score, ends the walk, because neither it nor anything after it can
+// make the list. Proof: Next's z never goes up, exp is decreasing and
+// math.Exp is within an ulp of it, so every x' from here on is at least
+// x·(1−2⁻⁵²)/(1+2⁻⁵²), which is more than 1−s_m+2⁻⁵²; 1−s_m is exact for
+// a score (Sterbenz), and 1−x' rounds by at most 2⁻⁵⁴, so it comes out
+// strictly below s_m. (1−s_m stands in for the m-th item's own x: the two
+// are within 2⁻⁵⁴.) An affinity of +0 ends the walk too: everything after
+// it is +0 as well and scores +0.
+func (s *scratch) selectWalk(n, m int) {
 	s.items, s.scores = s.items[:0], s.scores[:0]
-	if m > n {
-		m = n
-	}
+	m = min(m, n)
 	if m <= 0 {
 		return
 	}
 	s.scan.reset(s.flat, s.row, s.rowLo)
-	h := s.heap[:0]
-	for j, id := range s.ids {
-		if s.cand[j] > 0 && !s.scan.excluded(int(id)) {
-			h = offer(h, s.cand, m, j)
+	w, h := &s.walk, slices.Grow(s.heap[:0], m)
+	for id, z, ok := w.Shared(); ok; id, z, ok = w.Shared() {
+		if v := 1 - math.Exp(-z); v > 0 && !s.scan.has(int(id)) {
+			h = offer(h, m, kept{v, int(id)})
+		}
+	}
+	for id, z, ok := w.Next(); ok && z > 0; id, z, ok = w.Next() {
+		if s.scan.has(int(id)) {
+			continue
+		}
+		x := math.Exp(-z)
+		if len(h) == m && x*(1-0x1p-40) > (1-h[0].score+0x1p-52)*(1+0x1p-40) {
+			break
+		}
+		if v := 1 - x; v > 0 {
+			h = offer(h, m, kept{v, int(id)})
 		}
 	}
 	s.heap = h
-	s.items = slices.Grow(s.items, m)[:len(h)]
-	drain(h, s.cand, s.items)
-	for r, j := range s.items {
-		s.items[r], s.scores = int(s.ids[j]), append(s.scores, s.cand[j])
+	s.drain(h)
+	if len(s.items) == m {
+		return
 	}
-	if len(s.items) < m {
-		clear(s.scan.cursors) // the tail walk starts over from item 0
-		j := 0
-		for i := 0; i < n && len(s.items) < m; i++ {
-			for j < len(s.ids) && int(s.ids[j]) < i {
-				j++
-			}
-			if j < len(s.ids) && int(s.ids[j]) == i && s.cand[j] > 0 || s.scan.excluded(i) {
-				continue
-			}
+	// Fewer than m positive scorers survive, and every one is kept: the
+	// rest of the list is the first surviving ids that are not kept, all
+	// scoring +0, walked ascending with the scan's cursors.
+	s.tail = s.tail[:0]
+	for _, i := range s.items {
+		s.tail = append(s.tail, int32(i))
+	}
+	slices.Sort(s.tail)
+	j := 0
+	for i := 0; i < n && len(s.items) < m; i++ {
+		if j < len(s.tail) && int(s.tail[j]) == i {
+			j++
+			continue
+		}
+		if !s.scan.excluded(i) {
 			s.items, s.scores = append(s.items, i), append(s.scores, 0)
 		}
 	}

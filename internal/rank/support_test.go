@@ -22,8 +22,8 @@ type MappedScorer struct{ *core.MappedModelRange }
 func (s MappedScorer) ScoreUser(u int, dst []float64) { s.ScoreItems(u, dst) }
 func (s MappedScorer) NumItems() int                  { return s.Len() }
 
-// SweepOnly hides everything of a scorer but Scorer — ScoreCandidates
-// included — so the engine over it sweeps the catalogue for every user.
+// SweepOnly hides everything of a scorer but Scorer — Walk included — so
+// the engine over it sweeps the catalogue for every user.
 type SweepOnly struct{ Scorer }
 
 // trainMapped trains train, saves it with the float32 section and maps the
@@ -126,73 +126,176 @@ type oddOnly struct{}
 
 func (oddOnly) Excluded(item int) bool { return item%2 == 0 }
 
-// TestSelectSparseMatchesSelect is the property the support path rests on:
-// for any ascending (id, score ≥ 0) set over n items, any filter stack and
-// any m, selecting from the sparse form returns what Select returns over
-// the array with +0 everywhere else — ids and score bits. The named rows
-// are the shapes that have bitten; the seeded rows draw everything.
-func TestSelectSparseMatchesSelect(t *testing.T) {
-	check := func(t *testing.T, name string, n, m int, ids []int32, scores []float64, filters []Filter) {
-		t.Helper()
-		dense := make([]float64, n)
-		for j, id := range ids {
-			dense[id] = scores[j]
+// factorModels trains, once per shape, the models factorRange overwrites.
+var factorModels = map[[3]int]*core.Model{}
+
+// factorRange maps the items [lo, hi) of a saved model whose factors are
+// exactly fu (a row per user) and fi (a row per item) — trained once for its
+// shape, then overwritten, so any bytes can be planted, out-of-domain ones
+// included — with the float32 section when f32: a scorer with planted
+// affinities. Not for parallel tests (the trained models are shared).
+func factorRange(tb testing.TB, fu, fi [][]float64, f32 bool, lo, hi int) MappedScorer {
+	tb.Helper()
+	users, items, k := len(fu), len(fi), len(fu[0])
+	m := factorModels[[3]int{users, items, k}]
+	if m == nil {
+		b := sparse.NewBuilder(users, items)
+		for u := 0; u < users; u++ {
+			b.Add(u, u%items)
 		}
-		want := Select(dense, m, filters...)
-		s := &scratch{ids: ids, cand: scores, flat: flatten(nil, filters)}
-		s.selectSparse(n, m)
-		got, gotScores := s.items, s.scores
-		if !slices.Equal(got, want) || len(gotScores) != len(got) {
-			t.Fatalf("%s (n=%d m=%d, %d candidates): sparse %v (%d scores), Select %v", name, n, m, len(ids), got, len(gotScores), want)
+		res, err := core.Train(b.Build(), core.Config{K: k, Lambda: 1, MaxIter: 1, Seed: 1})
+		if err != nil {
+			tb.Fatal(err)
 		}
-		for r, it := range got {
-			if math.Float64bits(gotScores[r]) != math.Float64bits(dense[it]) {
-				t.Fatalf("%s: rank %d item %d scored %v, the array holds %v", name, r, it, gotScores[r], dense[it])
-			}
+		m = res.Model
+		factorModels[[3]int{users, items, k}] = m
+	}
+	for u, row := range fu {
+		copy(m.UserFactor(u), row)
+	}
+	for i, row := range fi {
+		copy(m.ItemFactor(i), row)
+	}
+	path := filepath.Join(tb.TempDir(), "model.bin")
+	if err := m.SaveModelFileOpts(path, core.SaveOptions{Float32: f32}); err != nil {
+		tb.Fatal(err)
+	}
+	return openRange(tb, path, lo, hi)
+}
+
+// walkMatchesSelect ranks user u of scorer by its walk, under filters
+// given in the range's own ids, and holds the list to Select over
+// ScoreItems — ids and score bits. It reports whether the range walked u.
+func walkMatchesSelect(t testing.TB, name string, scorer MappedScorer, u, m int, filters []Filter) bool {
+	t.Helper()
+	n := scorer.Len()
+	s := &scratch{flat: flatten(nil, filters)}
+	if !scorer.Walk(u, &s.walk) {
+		return false
+	}
+	s.selectWalk(n, m)
+	dense := make([]float64, n)
+	scorer.ScoreItems(u, dense)
+	want := Select(dense, m, filters...)
+	if !slices.Equal(s.items, want) || len(s.scores) != len(s.items) {
+		t.Fatalf("%s (user %d, n=%d m=%d): walk %v (%d scores), Select %v", name, u, n, m, s.items, len(s.scores), want)
+	}
+	for r, it := range s.items {
+		if math.Float64bits(s.scores[r]) != math.Float64bits(dense[it]) {
+			t.Fatalf("%s (user %d): rank %d item %d scored %v, the sweep %v", name, u, r, it, s.scores[r], dense[it])
 		}
 	}
+	return true
+}
+
+// column returns n one-wide item rows, row i holding at[i] (0 elsewhere).
+func column(n int, at map[int]float64) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{at[i]}
+	}
+	return rows
+}
+
+// TestWalkMatchesSelect is the property the support path rests on: for any
+// planted factors, any filter stack and any m, the walk's list is what
+// Select returns over the sweep — ids and score bits — on the float64 and
+// the float32 section. The named rows are the shapes that have bitten; the
+// seeded rows draw everything, ties, saturation, underflow and K > 64
+// included.
+func TestWalkMatchesSelect(t *testing.T) {
 	tags := testTagTable(t, 40)
 	allow, err := tags.Allow("third")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, scores := []int32{3, 4, 9, 17, 30}, []float64{0.5, 0, 0.25, 0.5, 0.125}
+	one := [][]float64{{1}}
+	// Items 3 and 17 tie, and item 4's affinity 2⁻⁶⁰ is positive but
+	// scores +0: a zero-score candidate.
+	five := column(40, map[int]float64{3: 0.5, 4: 0x1p-60, 9: 0.25, 17: 0.5, 30: 0.125})
+	// Twelve ties, the first and last four of them on a second co-cluster
+	// the user is on too (shared items).
+	ties := make([][]float64, 60)
+	for i := range ties {
+		ties[i] = []float64{0, 0}
+		if i >= 5 && i < 17 {
+			ties[i][0] = 0.75
+		}
+		if i < 9 || i >= 13 && i < 17 || i == 25 {
+			ties[i][1] = 0.25
+		}
+	}
+	// K = 70: the support is co-clusters 3 and 66, in different mask words.
+	wide := make([][]float64, 200)
+	for i := range wide {
+		wide[i] = make([]float64, 70)
+		if i >= 50 {
+			continue
+		}
+		wide[i][3+i%2*63] = float64(1+i%7) / 8
+		if i%5 == 0 {
+			wide[i][3], wide[i][66] = 0.5, 0.5
+		}
+	}
+	wideUser := [][]float64{make([]float64, 70)}
+	wideUser[0][3], wideUser[0][66] = 1, 2
 	for _, row := range []struct {
 		name    string
-		n, m    int
-		ids     []int32
-		scores  []float64
+		fu, fi  [][]float64
+		lo, hi  int
+		m       int
 		filters []Filter
 	}{
-		{"fewer than m candidates", 40, 10, ids, scores, nil},
-		{"more than m candidates", 40, 2, ids, scores, nil},
-		{"no candidates", 40, 5, nil, nil, []Filter{ExcludeItems([]int{0, 2})}},
-		{"all candidates excluded", 40, 4, ids, scores, []Filter{ExcludeItems([]int{3, 4, 9, 17, 30})}},
-		{"zero-score candidate inside the tail", 40, 8, ids, scores, []Filter{ExcludeItems([]int{0, 1})}},
-		{"m > n", 40, 100, ids, scores, []Filter{ExcludeItems([]int{9, 39})}},
-		{"m = 0", 40, 0, ids, scores, nil},
-		{"allow-list leaving fewer than m", 40, 30, ids, scores, []Filter{allow, oddOnly{}}},
-		{"over-fetch of a score-floor stage", 40, StagesOverFetch(6, []Stage{ScoreFloor(0.2)}), ids, scores, nil},
-		{"offset range", 40, 6, ids, scores, []Filter{OffsetRange(ExcludeItems([]int{103, 104, 100, 20, 180}), 100, 140), OffsetRange(oddOnly{}, 100, 140)}},
+		{"fewer than m candidates", one, five, 0, 40, 10, nil},
+		{"more than m candidates", one, five, 0, 40, 2, nil},
+		{"no candidates", one, column(40, nil), 0, 40, 5, []Filter{ExcludeItems([]int{0, 2})}},
+		{"all candidates excluded", one, five, 0, 40, 4, []Filter{ExcludeItems([]int{3, 4, 9, 17, 30})}},
+		{"zero-score candidate inside the tail", one, five, 0, 40, 8, []Filter{ExcludeItems([]int{0, 1})}},
+		{"m > n", one, five, 0, 40, 100, []Filter{ExcludeItems([]int{9, 39})}},
+		{"m = 0", one, five, 0, 40, 0, nil},
+		{"allow-list leaving fewer than m", one, five, 0, 40, 30, []Filter{allow, oddOnly{}}},
+		{"over-fetch of a score-floor stage", one, five, 0, 40, StagesOverFetch(6, []Stage{ScoreFloor(0.2)}), nil},
+		{"offset range", one, column(140, map[int]float64{103: 0.5, 104: 0x1p-60, 109: 0.25, 117: 0.5, 130: 0.125}), 100, 140, 6,
+			[]Filter{OffsetRange(ExcludeItems([]int{103, 104, 100, 20, 180}), 100, 140), OffsetRange(oddOnly{}, 100, 140)}},
+		{"ties across the stop, shared items", [][]float64{{1, 1}}, ties, 0, 60, 5, []Filter{ExcludeItems([]int{6})}},
+		{"saturated at 1.0", one, column(40, map[int]float64{2: 1e3, 5: 50, 7: 1e30, 8: 40, 11: 38}), 0, 40, 3, nil},
+		{"underflowing products", [][]float64{{0x1p-600}}, column(40, map[int]float64{1: 0x1p-600, 6: 0x1p-500, 9: 1}), 0, 40, 4, nil},
+		{"K > 64", wideUser, wide, 0, 200, 7, []Filter{ExcludeItems([]int{0, 1, 2})}},
 	} {
-		t.Run(row.name, func(t *testing.T) { check(t, row.name, row.n, row.m, row.ids, row.scores, row.filters) })
+		for _, f32 := range []bool{false, true} {
+			name := fmt.Sprintf("%s/f32=%v", row.name, f32)
+			t.Run(name, func(t *testing.T) {
+				scorer := factorRange(t, row.fu, row.fi, f32, row.lo, row.hi)
+				if !walkMatchesSelect(t, name, scorer, 0, row.m, row.filters) {
+					t.Fatalf("%s: the range did not walk the user", name)
+				}
+			})
+		}
 	}
 
 	r := rng.New(2024)
-	for trial := 0; trial < 400; trial++ {
-		n := 1 + r.Intn(120)
-		var ids []int32
-		var scores []float64
-		density := r.Float64() * r.Float64()
-		for i := 0; i < n; i++ {
-			if r.Float64() < density {
-				s := float64(r.Intn(4)) / 4 // ties and zero-score candidates on purpose
-				if r.Bernoulli(0.3) {
-					s = r.Float64()
+	palette := []float64{0.125, 0.25, 0.5, 1, 0x1p-60, 0x1p-80, 0x1p-540, 40, 1e20, 1e200}
+	walked := 0
+	for trial := 0; trial < 300; trial++ {
+		n, k := 1+r.Intn(120), []int{1, 2, 3, 5, 70}[r.Intn(5)]
+		draw := func(rows, density float64) [][]float64 {
+			out := make([][]float64, int(rows))
+			for i := range out {
+				out[i] = make([]float64, k)
+				for c := range out[i] {
+					if r.Float64() < density {
+						out[i][c] = palette[r.Intn(4)] // ties on purpose
+						if r.Bernoulli(0.3) {
+							out[i][c] = palette[r.Intn(len(palette))]
+						} else if r.Bernoulli(0.3) {
+							out[i][c] = r.Float64()
+						}
+					}
 				}
-				ids, scores = append(ids, int32(i)), append(scores, s)
 			}
+			return out
 		}
+		fu, fi := draw(3, 0.6), draw(float64(n), r.Float64()*r.Float64()*2/float64(k))
 		tb := sparse.NewBuilder(1, n)
 		var ex []int
 		for i := 0; i < n; i++ {
@@ -218,7 +321,15 @@ func TestSelectSparseMatchesSelect(t *testing.T) {
 			}
 		}
 		m := r.Intn(n + 10)
-		check(t, fmt.Sprintf("trial %d", trial), n, m, ids, scores, filters)
+		scorer := factorRange(t, fu, fi, r.Bernoulli(0.5), 0, n)
+		for u := range fu {
+			if walkMatchesSelect(t, fmt.Sprintf("trial %d", trial), scorer, u, m, filters) {
+				walked++
+			}
+		}
+	}
+	if walked < 450 {
+		t.Errorf("the ranges walked %d of 900 users; the seeded rows barely reach the walk", walked)
 	}
 }
 

@@ -392,11 +392,9 @@ func (r rangeScorer) ScoreUser(u int, dst []float64) { r.rng.ScoreItems(u, dst) 
 func (r rangeScorer) NumItems() int                  { return r.rng.Len() }
 func (r rangeScorer) ItemLo() int                    { return r.rng.ItemLo() }
 
-// ScoreCandidates forwards the engine's optional fast path: the range's
-// support index lists the few items a user can score on.
-func (r rangeScorer) ScoreCandidates(u int, ids []int32, scores []float64) ([]int32, []float64, bool) {
-	return r.rng.ScoreCandidates(u, ids, scores)
-}
+// Walk forwards the engine's optional fast path: the range's support index
+// walks the few items a user can score on, best first.
+func (r rangeScorer) Walk(u int, w *core.Walk) bool { return r.rng.Walk(u, w) }
 
 // install opens the configured item range of Config.ModelPath and
 // atomically swaps in the fresh snapshot (new cache, new buffer pool,
