@@ -53,12 +53,11 @@
 //
 // With -shard-lo/-shard-hi the process becomes one shard of the sharded
 // serving tier: it mmaps only its item range of the model and serves
-// partials for cmd/ocular-router to scatter-gather — POST /v2/shard/topm,
-// frames carrying every user of a router batch in one call, is what the
-// router speaks, over frame streams (GET /v2/shard/topm upgraded to
-// ocular-frame/1, every message served by the POST's handler); POST
-// /v1/shard/topm is its one-user JSON twin — plus /v1/reload, /healthz and
-// /metrics. -max-m and -max-batch must cover the router's. -shard-hi -1
+// partials for cmd/ocular-router to scatter-gather — frames carrying every
+// user of a router batch in one call, over frame streams (GET
+// /v2/shard/topm upgraded to ocular-frame/1), are what the router speaks;
+// POST /v1/shard/topm is their one-user JSON twin — plus /v1/reload,
+// /healthz and /metrics. -max-m and -max-batch must cover the router's. -shard-hi -1
 // means "through the end of the catalogue". Open streams outlive the
 // HTTP drain and end after it, when the server closes. See the README's
 // "Sharded serving" section.

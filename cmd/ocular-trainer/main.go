@@ -156,8 +156,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		// Self-check: the artifact must open through the serving path.
+		// Self-check: the artifact must open through the serving path and
+		// pass the full factor-domain scan.
 		mapped, err := ocular.OpenMappedModel(*modelPath)
+		if err == nil {
+			err = mapped.Verify()
+		}
 		if err != nil {
 			log.Fatalf("saved model failed the mmap self-check: %v", err)
 		}

@@ -270,7 +270,7 @@ func skipUnderRace(t *testing.T) {
 // fakeShard answers like a shard owning the whole of a 100,000-item
 // catalogue at model version 1, every user's partial being the first
 // m+extra items in rank order — a stand-in for lists longer than the
-// synthetic catalogue can produce — on POST and over frame streams.
+// synthetic catalogue can produce — over frame streams.
 func fakeShard(t testing.TB, extra int) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
@@ -298,7 +298,6 @@ func fakeShard(t testing.TB, extra int) *httptest.Server {
 	}
 	streams := serve.NewStreamServer(frame, 1<<20)
 	t.Cleanup(streams.Close)
-	mux.HandleFunc("POST "+shardPath, frame)
 	mux.Handle("GET "+shardPath, streams)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)

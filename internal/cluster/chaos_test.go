@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/ranktest"
 	"repro/internal/serve"
-	"repro/internal/wire"
 )
 
 // The chaos suite proves the self-healing behaviors end to end against
@@ -556,10 +554,14 @@ func TestRequestTimeoutBoundsTheRequest(t *testing.T) {
 
 // TestShardDeadlineHeader: a shard aborts scoring whose propagated
 // deadline budget already expired, with a 504 the router folds into its
-// own deadline accounting — on the frame route the router calls.
+// own deadline accounting. The header sets the budget on the JSON route;
+// the router's frame streams carry the same budget in each message.
 func TestShardDeadlineHeader(t *testing.T) {
 	tr := newTier(t, 2, Config{})
-	frame := ranktest.Frame(t, &wire.BatchRequest{M: 5, Users: []uint32{1, 2}, ExpectVersion: 1})
+	body, err := json.Marshal(serve.ShardTopMRequest{User: 1, M: 5, ExpectVersion: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for budget, want := range map[string]int{
 		"0":    http.StatusGatewayTimeout, // already spent
 		"5000": http.StatusOK,             // a generous budget serves normally
@@ -568,19 +570,9 @@ func TestShardDeadlineHeader(t *testing.T) {
 		"9223372036854775807": http.StatusOK,
 		"9300000000000":       http.StatusOK,
 	} {
-		req, err := http.NewRequest(http.MethodPost, tr.shardTS[0].URL+shardPath, bytes.NewReader(frame))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", serve.FrameContentType)
-		req.Header.Set(serve.DeadlineHeader, budget)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != want {
-			t.Errorf("shard call with a %s ms budget: status %d, want %d", budget, resp.StatusCode, want)
+		st, _, _ := ranktest.PostRaw(t, tr.shardTS[0].URL+"/v1/shard/topm", "application/json", body, map[string]string{serve.DeadlineHeader: budget})
+		if st != want {
+			t.Errorf("shard call with a %s ms budget: status %d, want %d", budget, st, want)
 		}
 	}
 }

@@ -6,10 +6,10 @@
 // (serve.NewShardFromFile), merging the per-shard top-M partials with a
 // rank.Merger, and caching the merged lists. A request — one user or a
 // batch — costs one round trip per shard: the users its cache cannot
-// answer travel together in one frame of internal/wire (POST
-// /v2/shard/topm), and every shard answers one frame of partials. By
-// default that POST rides a persistent frame stream (ShardTransport), not
-// an HTTP/1.1 exchange per call. Because
+// answer travel together in one frame of internal/wire (/v2/shard/topm),
+// and every shard answers one frame of partials. The frame rides a
+// persistent frame stream (ShardTransport), not an HTTP/1.1 exchange per
+// call. Because
 // per-item scores are independent of the rest of the catalogue, the
 // merged lists are bit-identical — same items, same float64 score bits —
 // to what one process serving the whole model would return. A configured
@@ -142,8 +142,8 @@ type Config struct {
 	// per-attempt deadlines come from Timeout — over a ShardTransport:
 	// shard calls ride frame streams, one kept idle per shard for every
 	// concurrent scatter, and refresh and probes plain HTTP. A custom
-	// client's transport may wrap NewShardTransport, or speak POST
-	// /v2/shard/topm over HTTP/1.1 instead.
+	// client's transport must wrap NewShardTransport: a shard takes frames
+	// only over streams.
 	HTTPClient *http.Client
 	// Logf, when non-nil, receives progress lines (cmd/ocular-router
 	// wires log.Printf).
@@ -444,7 +444,7 @@ func countsAgainstBreaker(err error) bool {
 	return true
 }
 
-// shardPath is the shard endpoint every scatter posts its frame to.
+// shardPath is the shard endpoint whose frame streams every scatter calls.
 const shardPath = "/v2/shard/topm"
 
 // shardReply is one shard's validated answer to one scatter: the decoded

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -339,6 +341,49 @@ func TestReadModelRejectsOversizedHeader(t *testing.T) {
 	}
 	if _, err := ReadModel(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "size guard") {
 		t.Fatalf("oversized product: got %v, want the size guard's rejection", err)
+	}
+}
+
+// TestReadModelAllocatesAsBytesArrive: a canonical header that passes the
+// size guard, declares 2²⁰ users × 2²⁰ items at K = 16 — 256 MiB of float64
+// factors — and carries no section is refused by ReadModel as a stream and
+// by LoadModelFile as a file, neither allocating for what the header only
+// promises.
+func TestReadModelAllocatesAsBytesArrive(t *testing.T) {
+	const k, users, items = 16, 1 << 20, 1 << 20
+	l := layoutV2(k, users, items, false, false)
+	le := binary.LittleEndian
+	hdr := make([]byte, v2HeaderSize)
+	copy(hdr, magicV2)
+	for n, v := range []uint64{k, users, items, 0} {
+		le.PutUint64(hdr[v2OffK+8*n:], v)
+	}
+	for s, off := range l.off {
+		le.PutUint64(hdr[v2OffSections+8*s:], off)
+	}
+	le.PutUint64(hdr[v2OffSize:], l.size)
+	if _, err := parseV2Header(hdr); err != nil {
+		t.Fatalf("header is not canonical: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "header-only.bin")
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	loads := map[string]func() error{
+		"ReadModel":     func() error { _, err := ReadModel(bytes.NewReader(hdr)); return err },
+		"LoadModelFile": func() error { _, err := LoadModelFile(path); return err },
+	}
+	for name, load := range loads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := load()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted a model without sections", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s allocated %.1f MiB refusing a %d-byte header", name, float64(got)/(1<<20), len(hdr))
+		}
 	}
 }
 

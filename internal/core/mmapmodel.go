@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync"
@@ -109,15 +108,15 @@ type MappedModelRange struct {
 }
 
 // OpenMappedModelRange maps the v2 model file at path, restricted to the
-// item range [itemLo, itemHi). It validates only the header (O(1), no
-// factor scan — the offset-table cross-check in parseV2Header proves every
-// section is in bounds); the item factor (and bias, and float32) sections
-// are mapped only across the requested rows, each window starting on a
-// page boundary. A v1 file yields an error wrapping ErrLegacyFormat; an
-// empty or out-of-bounds range is rejected. itemHi == -1 means "through
-// the end of the catalogue", resolved against the file's header — the
-// tail shard of an item partition uses it to follow catalogue growth
-// across retrained models without reconfiguration.
+// item range [itemLo, itemHi). It validates only the header and the file
+// size (O(1), no factor scan — the offset-table cross-check in
+// parseV2Header proves every section is in bounds); the item factor (and
+// bias, and float32) sections are mapped only across the requested rows,
+// each window starting on a page boundary. A v1 file yields an error
+// wrapping ErrLegacyFormat; an empty or out-of-bounds range is rejected.
+// itemHi == -1 means "through the end of the catalogue", resolved against
+// the file's header — the tail shard of an item partition uses it to
+// follow catalogue growth across retrained models without reconfiguration.
 func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -128,82 +127,59 @@ func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, e
 	if err != nil {
 		return nil, fmt.Errorf("core: mapping model: %w", err)
 	}
-	size := st.Size()
-	if size < v2HeaderSize {
-		// Could still be a tiny legacy v1 file; classify by magic so
-		// callers get the legacy sentinel rather than a size error.
-		magic := make([]byte, 8)
-		if _, err := io.ReadFull(f, magic); err == nil && string(magic) == magicV1 {
-			return nil, fmt.Errorf("core: mapping model %s: %w", path, ErrLegacyFormat)
-		}
-		return nil, fmt.Errorf("core: mapping model %s: file of %d bytes is too small for a v2 header", path, size)
-	}
-	hdr := make([]byte, v2HeaderSize)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("core: mapping model %s: reading header: %w", path, err)
-	}
-	switch string(hdr[:8]) {
-	case magicV1:
-		return nil, fmt.Errorf("core: mapping model %s: %w", path, ErrLegacyFormat)
-	case magicV2:
-	default:
-		return nil, fmt.Errorf("core: mapping model %s: bad magic %q", path, hdr[:8])
-	}
-	h, err := parseV2Header(hdr)
+	h, _, err := readV2Header(f)
 	if err != nil {
 		return nil, fmt.Errorf("core: mapping model %s: %w", path, err)
 	}
-	if uint64(size) != h.layout.size {
-		return nil, fmt.Errorf("core: mapping model %s: file is %d bytes, header says %d", path, size, h.layout.size)
+	page := uint64(os.Getpagesize())
+	var windows [][]byte
+	// Each window is rounded down to a page boundary, as mmap requires; the
+	// view skips the sub-page remainder.
+	rr, err := openSections(h, uint64(st.Size()), itemLo, itemHi, func(start, length uint64) ([]byte, error) {
+		aligned := start &^ (page - 1)
+		w, err := mmapFileAt(f, int64(aligned), int(start-aligned+length))
+		if err != nil {
+			return nil, err
+		}
+		windows = append(windows, w)
+		return w[start-aligned:], nil
+	})
+	if err != nil {
+		_ = munmapAll(windows)
+		return nil, fmt.Errorf("core: mapping model %s: %w", path, err)
+	}
+	rr.windows = windows
+	rr.cleanup = runtime.AddCleanup(rr, func(ws [][]byte) { _ = munmapAll(ws) }, windows)
+	return rr, nil
+}
+
+// openSections is the one section walk behind every reader of a v2 file.
+// Given the validated header h and the file's size, it builds the range
+// [itemLo, itemHi) (itemHi == -1: through the last item) over the views
+// window returns, each the length bytes at file offset start: one per
+// present section in layout order fu, fi, bu, bi — float64 (sections 0–3),
+// then float32 (4–7) — the user sections (even) in full, the item sections
+// (odd) across rows [itemLo, itemHi) only. The v2 layout aligns sections to
+// v2Align and every row start is a multiple of the element size, so a view
+// on an aligned base keeps the alignment the typed reinterpretations
+// require; it is checked all the same, so the unsafe casts are provably
+// sound.
+func openSections(h v2Header, size uint64, itemLo, itemHi int, window func(start, length uint64) ([]byte, error)) (*MappedModelRange, error) {
+	if size != h.layout.size {
+		return nil, fmt.Errorf("model is %d bytes, header says %d", size, h.layout.size)
 	}
 	if itemHi == -1 {
 		itemHi = int(h.items)
 	}
 	if itemLo < 0 || itemHi > int(h.items) || itemLo >= itemHi {
-		return nil, fmt.Errorf("core: mapping model %s: item range [%d,%d) out of bounds for %d items",
-			path, itemLo, itemHi, h.items)
+		return nil, fmt.Errorf("item range [%d,%d) out of bounds for %d items", itemLo, itemHi, h.items)
 	}
-
 	rr := &MappedModelRange{
 		k: int(h.k), users: int(h.users), items: int(h.items),
 		lo: itemLo, hi: itemHi,
 	}
-	ok := false
-	defer func() {
-		if !ok {
-			_ = munmapAll(rr.windows)
-		}
-	}()
-
-	page := uint64(os.Getpagesize())
-	// mapAt maps length bytes starting at the (section-interior) byte
-	// offset start, rounding the mapping itself down to a page boundary
-	// and returning the view beginning at start. The v2 layout aligns
-	// sections to v2Align and every slice start is a multiple of the
-	// section's element size, so the returned view keeps the element
-	// alignment (elem: 8 for float64 sections, 4 for float32) the typed
-	// reinterpretations below require.
-	mapAt := func(start, length, elem uint64) ([]byte, error) {
-		aligned := start &^ (page - 1)
-		w, err := mmapFileAt(f, int64(aligned), int(start-aligned+length))
-		if err != nil {
-			return nil, fmt.Errorf("core: mapping model %s: %w", path, err)
-		}
-		rr.windows = append(rr.windows, w)
-		view := w[start-aligned:]
-		if uintptr(unsafe.Pointer(&view[0]))%uintptr(elem) != 0 {
-			// Cannot happen (page-aligned mapping base + element-aligned
-			// interior offset); checked so the unsafe casts are provably
-			// sound.
-			return nil, fmt.Errorf("core: mapping model %s: view base not %d-byte aligned", path, elem)
-		}
-		return view, nil
-	}
-	// One window per present section, in layout order fu, fi, bu, bi —
-	// float64 (sections 0–3), then float32 (4–7): the user sections (even)
-	// in full, the item sections (odd) across rows [lo, hi) only.
-	var f64 [4][]float64
-	var f32 [4][]float32
+	f64 := [4]*[]float64{&rr.fu, &rr.fi, &rr.bu, &rr.bi}
+	f32 := [4]*[]float32{&rr.fu32, &rr.fi32, &rr.bu32, &rr.bi32}
 	for s, n := range sectionLens(h.k, h.users, h.items, h.bias, h.f32) {
 		if n == 0 {
 			continue
@@ -219,24 +195,24 @@ func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, e
 			start += uint64(itemLo) * width * elem
 			n = uint64(itemHi-itemLo) * width
 		}
-		b, err := mapAt(start, n*elem, elem)
+		b, err := window(start, n*elem)
 		if err != nil {
 			return nil, err
 		}
+		p := unsafe.Pointer(&b[0])
+		if uintptr(p)%uintptr(elem) != 0 {
+			return nil, fmt.Errorf("section %d view not %d-byte aligned", s, elem)
+		}
 		if s < 4 {
-			f64[s] = unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
+			*f64[s] = unsafe.Slice((*float64)(p), n)
 		} else {
-			f32[s-4] = unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
+			*f32[s-4] = unsafe.Slice((*float32)(p), n)
 		}
 	}
-	rr.fu, rr.fi, rr.bu, rr.bi = f64[0], f64[1], f64[2], f64[3]
-	rr.fu32, rr.fi32, rr.bu32, rr.bi32 = f32[0], f32[1], f32[2], f32[3]
 	if itemLo == 0 && itemHi == rr.items {
 		rr.view = &Model{k: rr.k, users: rr.users, items: rr.items,
 			fu: rr.fu, fi: rr.fi, bu: rr.bu, bi: rr.bi, pin: rr}
 	}
-	ok = true
-	rr.cleanup = runtime.AddCleanup(rr, func(ws [][]byte) { _ = munmapAll(ws) }, rr.windows)
 	return rr, nil
 }
 
@@ -416,9 +392,10 @@ func (mm *MappedModel) ScoreWithFactor(fu []float64, bias float64, dst []float64
 // Verify runs the full factor-domain scan the O(1) open intentionally
 // skips: every float64 factor must be non-negative and finite, and every
 // float32 section value must equal the quantization of its float64
-// counterpart — exactly what ReadModel enforces on the copying path. It
-// costs O(model) and pages the whole mapping in; tools and load-time
-// paranoia can call it, the serving hot path does not.
+// counterpart. It is the one validator of the factor sections: ReadModel
+// and LoadModelFile run it before they copy, and ocular-trainer -once runs
+// it on the artifact it saved. It costs O(model) and pages the whole
+// mapping in; the serving hot path does not call it.
 func (mm *MappedModel) Verify() error {
 	f64s := [][]float64{mm.fu, mm.fi, mm.bu, mm.bi}
 	for _, arr := range f64s {

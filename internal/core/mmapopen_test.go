@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -187,10 +188,13 @@ func TestWalkMatchesScoreItems(t *testing.T) {
 }
 
 // FuzzOpenMappedRange throws arbitrary bytes and ranges at the one opener
-// behind every serving snapshot. Whatever the file holds it must be
-// rejected or opened without a panic or a fault, and an opened range must
-// describe itself consistently and score user 0 inside its windows — an
-// out-of-bounds view would fault here, on the mapping's edge. Factor
+// behind every serving snapshot and every heap load. ReadModel must accept
+// the bytes as a stream exactly when OpenMappedModel opens them as a file
+// and Verify passes, and then hold the mapped view's float64 factors bit
+// for bit. Whatever the file holds it must be rejected or opened without
+// a panic or a fault, and an opened range must describe itself
+// consistently and score user 0 inside its windows — an out-of-bounds
+// view would fault here, on the mapping's edge. Factor
 // sections are unchecked bytes, so the fuzzer also feeds the support index
 // NaN, infinite and negative factors: whenever the range walks one of the
 // first users, the walk must yield the sweep's scores bit for bit, best
@@ -220,6 +224,18 @@ func FuzzOpenMappedRange(f *testing.F) {
 		path := filepath.Join(t.TempDir(), "model.bin")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		mm, verified := OpenMappedModel(path)
+		if verified == nil {
+			defer mm.Close()
+			verified = mm.Verify()
+		}
+		heap, err := ReadModel(bytes.NewReader(data))
+		if (err == nil) != (verified == nil) {
+			t.Fatalf("ReadModel: %v; OpenMappedModel then Verify: %v", err, verified)
+		}
+		if err == nil {
+			sameFactorBits(t, heap, mm.Model())
 		}
 		rr, err := OpenMappedModelRange(path, lo, hi)
 		if err != nil {

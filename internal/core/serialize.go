@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -133,15 +135,23 @@ type v2Header struct {
 	layout          v2Layout
 }
 
-// parseV2Header parses and validates the v2HeaderSize header bytes of a
-// file whose magic the caller has checked. It checks the dimensions against
-// the size guard, rejects unknown flags and non-zero reserved bytes, and
-// requires the stored offset table and file size to equal the recomputed
-// canonical layout — so a reader that trusts the header (the mmap path)
-// never needs to scan the factor sections to know they are in bounds.
+// parseV2Header parses and validates the first bytes of a model file — all
+// of them when there are fewer than v2HeaderSize. It is the one magic
+// check: a v1 magic yields ErrLegacyFormat, whatever the length. It then
+// checks the dimensions against the size guard, rejects unknown flags and
+// non-zero reserved bytes, and requires the stored offset table and file
+// size to equal the recomputed canonical layout — so a reader that trusts
+// the header never needs to scan the factor sections to know they are in
+// bounds.
 func parseV2Header(hdr []byte) (v2Header, error) {
-	if len(hdr) != v2HeaderSize {
-		return v2Header{}, fmt.Errorf("core: v2 header is %d bytes, want %d", len(hdr), v2HeaderSize)
+	magic := string(hdr[:min(len(hdr), len(magicV2))])
+	switch {
+	case magic == magicV1:
+		return v2Header{}, ErrLegacyFormat
+	case len(magic) == len(magicV2) && magic != magicV2:
+		return v2Header{}, fmt.Errorf("core: bad model magic %q (want %q)", magic, magicV2)
+	case len(hdr) < v2HeaderSize:
+		return v2Header{}, fmt.Errorf("core: model of %d bytes is too small for a v2 header", len(hdr))
 	}
 	le := binary.LittleEndian
 	h := v2Header{
@@ -177,6 +187,18 @@ func parseV2Header(hdr []byte) (v2Header, error) {
 		return v2Header{}, fmt.Errorf("core: file size %d in header disagrees with canonical layout (%d)", got, h.layout.size)
 	}
 	return h, nil
+}
+
+// readV2Header reads the first v2HeaderSize bytes of r — fewer if r ends
+// first — and parses them, returning the header and its bytes.
+func readV2Header(r io.Reader) (v2Header, []byte, error) {
+	hdr := make([]byte, v2HeaderSize)
+	n, err := io.ReadFull(r, hdr)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return v2Header{}, nil, fmt.Errorf("core: reading model header: %w", err)
+	}
+	h, err := parseV2Header(hdr[:n])
+	return h, hdr, err
 }
 
 type byteCounter struct {
@@ -391,38 +413,55 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// LoadModelFile reads a model saved with SaveModelFile (or WriteTo),
-// either format version, copying and validating every byte. Serving paths
-// that reload frequently should prefer OpenMappedModel, which maps a v2
-// file in O(1).
+// LoadModelFile reads a model saved with SaveModelFile (or WriteTo) into
+// memory. It opens the file through OpenMappedModel — so the file size is
+// checked against the header before anything is mapped — runs Verify, and
+// copies the float64 factors out before it closes the mapping. A v1 file
+// yields an error wrapping ErrLegacyFormat. Serving paths that reload
+// frequently should keep the mapping instead: OpenMappedModel is O(1).
 func LoadModelFile(path string) (*Model, error) {
-	f, err := os.Open(path)
+	mm, err := OpenMappedModel(path)
 	if err != nil {
-		return nil, fmt.Errorf("core: loading model: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ReadModel(f)
+	defer mm.Close()
+	return heapCopy(mm)
 }
 
-// ReadModel deserializes a model written by WriteTo/WriteToV2,
-// validating the header and rejecting non-finite or negative factors
-// (which no trained model can contain, so they indicate corruption). The
-// float32 section is checked against the float64 factors and then
-// discarded — the in-memory Model always holds the exact float64 factors.
-// A legacy v1 stream is refused with an error wrapping ErrLegacyFormat.
+// ReadModel deserializes a model written by WriteTo/WriteToV2. It buffers
+// the stream — at most the size its header declares plus one byte, which
+// exposes trailing data, and only as bytes arrive, so a header alone never
+// makes it allocate — then opens the buffer through the section walk of
+// OpenMappedModel and checks it as LoadModelFile does. A legacy v1 stream
+// is refused with an error wrapping ErrLegacyFormat.
 func ReadModel(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 8)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("core: reading model magic: %w", err)
+	h, hdr, err := readV2Header(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	switch string(magic) {
-	case magicV1:
-		return nil, fmt.Errorf("core: reading model: %w", ErrLegacyFormat)
-	case magicV2:
-		return readModelV2(br)
+	buf := bytes.NewBuffer(hdr)
+	if _, err := buf.ReadFrom(io.LimitReader(r, int64(h.layout.size-v2HeaderSize)+1)); err != nil {
+		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	return nil, fmt.Errorf("core: bad model magic %q (want %q)", magic, magicV2)
+	data := buf.Bytes()
+	rr, err := openSections(h, uint64(len(data)), 0, -1, func(start, length uint64) ([]byte, error) {
+		return data[start : start+length], nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: reading model: %w", err)
+	}
+	return heapCopy(&MappedModel{rr})
+}
+
+// heapCopy is the one exit of both heap loaders: it runs Verify over mm and
+// copies its float64 sections into a heap Model. The float32 sections,
+// once checked against the float64 factors, stay behind.
+func heapCopy(mm *MappedModel) (*Model, error) {
+	if err := mm.Verify(); err != nil {
+		return nil, err
+	}
+	return &Model{k: mm.k, users: mm.users, items: mm.items,
+		fu: slices.Clone(mm.fu), fi: slices.Clone(mm.fi), bu: slices.Clone(mm.bu), bi: slices.Clone(mm.bi)}, nil
 }
 
 // checkFactors rejects values outside the model domain: factors and
@@ -434,90 +473,4 @@ func checkFactors(arr []float64) error {
 		}
 	}
 	return nil
-}
-
-func readModelV2(br *bufio.Reader) (*Model, error) {
-	hdr := make([]byte, v2HeaderSize)
-	copy(hdr[v2OffMagic:], magicV2) // consumed by the caller
-	if _, err := io.ReadFull(br, hdr[v2OffK:]); err != nil {
-		return nil, fmt.Errorf("core: reading model header: %w", err)
-	}
-	h, err := parseV2Header(hdr)
-	if err != nil {
-		return nil, err
-	}
-	m := &Model{
-		k:     int(h.k),
-		users: int(h.users),
-		items: int(h.items),
-		fu:    make([]float64, h.users*h.k),
-		fi:    make([]float64, h.items*h.k),
-	}
-	if h.bias {
-		m.bu = make([]float64, h.users)
-		m.bi = make([]float64, h.items)
-	}
-
-	pos := uint64(v2HeaderSize)
-	skipTo := func(off uint64) error {
-		if off < pos {
-			return fmt.Errorf("core: section offset %d overlaps previous section", off)
-		}
-		n, err := io.CopyN(io.Discard, br, int64(off-pos))
-		pos += uint64(n)
-		if err != nil {
-			return fmt.Errorf("core: reading model padding: %w", err)
-		}
-		return nil
-	}
-	f64s := [4][]float64{m.fu, m.fi, m.bu, m.bi}
-	for s, arr := range f64s {
-		if s >= 2 && len(arr) == 0 {
-			continue
-		}
-		if err := skipTo(h.layout.off[s]); err != nil {
-			return nil, err
-		}
-		// Chunked for the same reason as the writer: binary.Read on the
-		// whole slice would transiently allocate a byte copy of it.
-		const chunk = 8192
-		for start := 0; start < len(arr); start += chunk {
-			if err := binary.Read(br, binary.LittleEndian, arr[start:min(start+chunk, len(arr))]); err != nil {
-				return nil, fmt.Errorf("core: reading model factors: %w", err)
-			}
-		}
-		pos += 8 * uint64(len(arr))
-		if err := checkFactors(arr); err != nil {
-			return nil, err
-		}
-	}
-	if h.f32 {
-		buf := make([]float32, 4096)
-		for s, arr := range f64s {
-			if s >= 2 && len(arr) == 0 {
-				continue
-			}
-			if err := skipTo(h.layout.off[4+s]); err != nil {
-				return nil, err
-			}
-			for start := 0; start < len(arr); start += len(buf) {
-				end := min(start+len(buf), len(arr))
-				chunk := buf[:end-start]
-				if err := binary.Read(br, binary.LittleEndian, chunk); err != nil {
-					return nil, fmt.Errorf("core: reading model float32 section: %w", err)
-				}
-				for j, v := range chunk {
-					if v != float32(arr[start+j]) {
-						return nil, fmt.Errorf("core: corrupt model: float32 section disagrees with float64 factors")
-					}
-				}
-			}
-			pos += 4 * uint64(len(arr))
-		}
-	}
-	// A well-formed stream ends exactly at the header's file size.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("core: trailing bytes after model payload")
-	}
-	return m, nil
 }

@@ -36,7 +36,7 @@ func sameFactorBits(t *testing.T, a, b *Model) {
 			t.Fatalf("array %d: length %d vs %d", n, len(pair[0]), len(pair[1]))
 		}
 		for j := range pair[0] {
-			if pair[0][j] != pair[1][j] {
+			if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
 				t.Fatalf("array %d element %d: %v vs %v (not bit-exact)", n, j, pair[0][j], pair[1][j])
 			}
 		}
@@ -252,6 +252,88 @@ func TestOpenMappedModelRejectsCorruption(t *testing.T) {
 		t.Fatalf("pristine file rejected: %v", err)
 	}
 	mm.Close()
+}
+
+// TestHeapLoadsAgreeWithOpener: the two heap loaders and the serving
+// opener read a file through one parser and one validator, so on every
+// file — pristine or corrupt — ReadModel, LoadModelFile and OpenMappedModel
+// followed by Verify accept or refuse together (a v1 file as
+// ErrLegacyFormat from each), and an accepted file loads to the mapped
+// view's float64 bits.
+func TestHeapLoadsAgreeWithOpener(t *testing.T) {
+	plain, biased := trainedModel(t, false), trainedModel(t, true)
+	good := v2Bytes(t, biased, true)
+	l := layoutV2(5, 20, 15, true, true)
+	mutate := func(off int, b byte) []byte {
+		out := append([]byte(nil), good...)
+		out[off] = b
+		return out
+	}
+	le64 := func(off int, v uint64) []byte {
+		out := append([]byte(nil), good...)
+		for i := range 8 {
+			out[off+i] = byte(v >> (8 * i))
+		}
+		return out
+	}
+	var noItems bytes.Buffer
+	if _, err := (&Model{k: 2, users: 3, fu: make([]float64, 6)}).WriteToV2(&noItems, SaveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		data []byte
+		ok   bool
+	}{
+		{"plain f64", v2Bytes(t, plain, false), true},
+		{"plain f32", v2Bytes(t, plain, true), true},
+		{"bias f64", v2Bytes(t, biased, false), true},
+		{"bias f32", good, true},
+		{"empty", nil, false},
+		{"v1 short", v1Fixture(40), false},
+		{"v1 long", v1Fixture(4 * v2HeaderSize), false},
+		{"bad magic", mutate(7, 'X'), false},
+		{"truncated header", good[:64], false},
+		{"header only", good[:v2HeaderSize], false},
+		{"truncated factors", good[:len(good)-5], false},
+		{"trailing byte", append(append([]byte(nil), good...), 0), false},
+		{"tampered offset", le64(40, 12345), false},
+		{"tampered file size", le64(v2OffSize, uint64(len(good))+v2Align), false},
+		{"reserved non-zero", mutate(v2OffReserved+8, 1), false},
+		{"negative user factor", mutate(int(l.off[0])+7, 0xC0), false},
+		{"NaN item factor", le64(int(l.off[1]), math.Float64bits(math.NaN())), false},
+		{"Inf user bias", le64(int(l.off[2]), math.Float64bits(math.Inf(1))), false},
+		{"negative item bias", mutate(int(l.off[3])+7, 0xC0), false},
+		{"f32 disagrees", mutate(int(l.off[4]), good[l.off[4]]^0x01), false},
+		{"no items", noItems.Bytes(), false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "model.bin")
+			if err := os.WriteFile(path, c.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mm, opened := OpenMappedModel(path)
+			if opened == nil {
+				defer mm.Close()
+				opened = mm.Verify()
+			}
+			read, readErr := ReadModel(bytes.NewReader(c.data))
+			loaded, loadErr := LoadModelFile(path)
+			if (opened == nil) != c.ok {
+				t.Fatalf("OpenMappedModel then Verify: %v; want accepted = %v", opened, c.ok)
+			}
+			for name, err := range map[string]error{"ReadModel": readErr, "LoadModelFile": loadErr} {
+				if (err == nil) != c.ok || errors.Is(err, ErrLegacyFormat) != errors.Is(opened, ErrLegacyFormat) {
+					t.Errorf("%s: %v; OpenMappedModel then Verify: %v", name, err, opened)
+				}
+			}
+			if c.ok && readErr == nil && loadErr == nil {
+				sameFactorBits(t, read, mm.Model())
+				sameFactorBits(t, loaded, mm.Model())
+			}
+		})
+	}
 }
 
 // TestFloat32ScoreBound checks the documented quantization bound

@@ -17,7 +17,7 @@ import (
 )
 
 // The suite's HTTP client: the serve tier's public routes and a shard's
-// three, spoken from the outside — JSON bodies spelled by key, frames and
+// two, spoken from the outside — JSON bodies spelled by key, frames and
 // stream messages through internal/wire — so one client drives every
 // server, shard and router, and the plain helpers below are defined once
 // for all their tests.
@@ -100,14 +100,13 @@ type Codec struct {
 	Stream     bool // over a frame stream (GET Path upgraded), not a POST
 }
 
-// The public routes of a full server and of a router, and a shard's three:
-// JSON, a POSTed frame and a frame on a stream.
+// The public routes of a full server and of a router, and a shard's two:
+// JSON and a frame on a stream.
 var (
 	Recommend   = Codec{Name: "recommend", Path: "/v1/recommend", Single: true}
 	BatchJSON   = Codec{Name: "batch", Path: "/v1/batch"}
 	BatchFrame  = Codec{Name: "v2batch", Path: "/v2/batch", Frame: true}
 	ShardJSON   = Codec{Name: "shard", Path: "/v1/shard/topm", Single: true}
-	ShardFrame  = Codec{Name: "v2shard", Path: "/v2/shard/topm", Frame: true}
 	ShardStream = Codec{Name: "v2stream", Path: "/v2/shard/topm", Frame: true, Stream: true}
 
 	Codecs = []Codec{Recommend, BatchJSON, BatchFrame}

@@ -220,18 +220,17 @@ func conformShards(t *testing.T, codec ranktest.Codec, workers int, sizes ...int
 }
 
 func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 0, 2, 3) }
-func TestShardTopMBinaryMatchesJSON(t *testing.T)     { conformShards(t, ranktest.ShardFrame, 0, 2, 3) }
 func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 0, 2, 3) }
 
 // TestShardFrameManyUsersMidRollout: a shard that fans its frames out
 // ranks every user of one against the ONE snapshot the frame pins.
-func TestShardFrameManyUsersMidRollout(t *testing.T) { conformShards(t, ranktest.ShardFrame, 3, 2) }
+func TestShardFrameManyUsersMidRollout(t *testing.T) { conformShards(t, ranktest.ShardStream, 3, 2) }
 
 // TestShardPartialCodecSeam: the whole catalogue behind the shard routes —
 // the range [0, -1) — refuses over every codec alike, and counts each
 // request shed for its deadline.
 func TestShardPartialCodecSeam(t *testing.T) {
-	for _, codec := range []ranktest.Codec{ranktest.ShardJSON, ranktest.ShardFrame, ranktest.ShardStream} {
+	for _, codec := range []ranktest.Codec{ranktest.ShardJSON, ranktest.ShardStream} {
 		t.Run(codec.Name, func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{})
 			cfg := conformConfig(fx)

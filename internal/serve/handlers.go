@@ -32,7 +32,6 @@ func (s *Server) buildMux() *http.ServeMux {
 		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
 		frame := s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame))
 		s.streams = NewStreamServer(frame, s.cfg.MaxBodyBytes)
-		mux.HandleFunc("POST /v2/shard/topm", frame)
 		mux.Handle("GET /v2/shard/topm", s.streams)
 	} else {
 		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux, s.gate)

@@ -12,8 +12,9 @@
 // [0, items). What differs is decided from the range itself: a
 // whole-catalogue range carries the zero-copy *core.Model view (fold-in,
 // explanations), a top-M cache, and filters in global item ids; a
-// partition is cacheless and rebases its filters. The route set (full API
-// or /v1|v2/shard/topm, the latter also as frame streams: StreamServer) and
+// partition is cacheless and rebases its filters. The route set (full API,
+// or POST /v1/shard/topm and the frame streams of GET /v2/shard/topm:
+// StreamServer) and
 // the shard's two-deep version history follow the constructor, NewFromFile
 // or NewShardFromFile.
 //
@@ -130,7 +131,7 @@ type Config struct {
 	ShadowLog io.Writer
 	// ShardLo, ShardHi select shard mode (ShardHi != 0): the server mmaps
 	// only the item range [ShardLo, ShardHi) of the v2 model at ModelPath
-	// and serves per-shard top-M partials on /v1|v2/shard/topm for a
+	// and serves per-shard top-M partials (/v1/shard/topm, streams) for a
 	// scatter-gather router to merge — see internal/cluster. ShardHi == -1
 	// means "through the end of the catalogue", re-resolved at every
 	// reload, so the tail shard of a partition follows catalogue growth.

@@ -15,10 +15,9 @@ import (
 //
 // A shard is the same server over a narrower range: it mmaps only its
 // item-range slice of the v2 model file (full user sections, item rows
-// [lo, hi)) and answers POST /v1/shard/topm (JSON, one user) and POST
-// /v2/shard/topm (frames, one or more users: a whole router batch in one
-// call; the router sends them over frame streams, GET /v2/shard/topm
-// upgraded, served by the same handler) — one pipeline, shardPartial,
+// [lo, hi)) and answers POST /v1/shard/topm (JSON, one user) and the
+// frames of GET /v2/shard/topm upgraded to a frame stream (one or more
+// users: a whole router batch in one call) — one pipeline, shardPartial,
 // under two codecs — with, per user,
 // its partition's top-min(m, partition size) items under the engine's tie
 // rule, item ids translated back to global. Because every item's score

@@ -18,10 +18,10 @@ import (
 // StreamServer serves frame streams (wire.StreamProtocol): a GET carrying
 // "Upgrade: ocular-frame/1" is hijacked (101) and its connection then
 // carries lockstep messages, each served by one handler through a reused
-// *http.Request and a buffering http.ResponseWriter. On a shard that
-// handler is the very one POST /v2/shard/topm mounts, so the deadline,
+// *http.Request and a buffering http.ResponseWriter. On a shard, the one
+// way a frame arrives, that handler is instrumented and gated: deadline,
 // trace-id adoption, admission, pin-or-409, limits, decode rejects and
-// metrics are one code path whichever way a frame arrives. A message is
+// metrics are those of an HTTP route. A message is
 // read and answered on the connection's own goroutine; nothing is spawned
 // per message.
 //
@@ -73,7 +73,7 @@ func (ss *StreamServer) track(c net.Conn, add bool) bool {
 
 func (ss *StreamServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if !strings.EqualFold(r.Header.Get("Upgrade"), wire.StreamProtocol) {
-		WriteError(w, http.StatusUpgradeRequired, "GET "+r.URL.Path+" upgrades to "+wire.StreamProtocol+"; POST a frame otherwise")
+		WriteError(w, http.StatusUpgradeRequired, "GET "+r.URL.Path+" upgrades to "+wire.StreamProtocol)
 		return
 	}
 	conn, brw, err := http.NewResponseController(w).Hijack()

@@ -16,8 +16,8 @@ import (
 	"repro/internal/wire"
 )
 
-// The shard's end of the frame stream: a message is a POST /v2/shard/topm
-// served by the same handler (what the conformance registration
+// The shard's end of the frame stream: a message is served by the shard's
+// frame handler (what the conformance registration
 // TestShardStreamMatchesPost holds to the reference), and a stream lives
 // until its peer, or Server.Close, ends it.
 
@@ -55,6 +55,42 @@ func served(t *testing.T, s *ranktest.Stream, n int) {
 	if resp := ranktest.DecodeFrame(t, body); resp.Flags&wire.FlagShardPartial == 0 || len(resp.Counts) != n {
 		t.Fatalf("answer flags %#x for %d users, want a partial for %d", resp.Flags, len(resp.Counts), n)
 	}
+}
+
+// TestShardFramesOnlyOnStreams: a shard takes frames on an upgraded stream
+// alone — a POSTed frame is 405 and a GET without the upgrade 426, naming
+// the protocol — while its JSON route still answers a POST.
+func TestShardFramesOnlyOnStreams(t *testing.T) {
+	_, url := streamShard(t, nil, nil)
+	base := strings.TrimSuffix(url, "/v2/shard/topm")
+	req := &wire.BatchRequest{M: 5, Users: []uint32{1, 2}}
+	t.Run("POST frame", func(t *testing.T) {
+		if st, _, body := ranktest.PostFrame(t, url, req); st != http.StatusMethodNotAllowed {
+			t.Errorf("status %d %s, want 405", st, body)
+		}
+	})
+	t.Run("GET without upgrade", func(t *testing.T) {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUpgradeRequired || !bytes.Contains(body, []byte(wire.StreamProtocol)) {
+			t.Errorf("status %d %s, want 426 naming %s", resp.StatusCode, body, wire.StreamProtocol)
+		}
+	})
+	t.Run("upgraded stream", func(t *testing.T) {
+		s := ranktest.OpenStream(t, url)
+		s.Send(t, 0, "", ranktest.Frame(t, req))
+		served(t, s, 2)
+	})
+	t.Run("JSON route", func(t *testing.T) {
+		var out ShardTopMResponse
+		if st := ranktest.PostJSON(t, base+"/v1/shard/topm", ShardTopMRequest{User: 1, M: 5}, &out); st != http.StatusOK || out.User != 1 || len(out.Items) != 5 {
+			t.Errorf("status %d, user %d, %d items; want 200 with 5 items for user 1", st, out.User, len(out.Items))
+		}
+	})
 }
 
 // TestShardStreamDeadlineAndTrace: a message's budget and trace id are the
@@ -187,31 +223,27 @@ func TestShardStreamServerCloseEndsStreams(t *testing.T) {
 
 // TestFrameAnswersAreSized: a frame answer goes out with its
 // Content-Length in one write, never chunked — here a 32-user, m = 20
-// answer of nearly 8 KB, on /v2/batch and on POST /v2/shard/topm.
+// answer of nearly 8 KB on /v2/batch. (A shard's frames travel only on
+// streams, whose answers carry their length in the prologue.)
 func TestFrameAnswersAreSized(t *testing.T) {
 	fx := ranktest.New(t, ranktest.Variant{})
-	cfg := Config{ModelPath: fx.Path, Train: fx.Train}
-	_, full := start(t, NewFromFile, cfg)
-	cfg.ShardLo, cfg.ShardHi = 0, -1
-	_, shard := start(t, NewShardFromFile, cfg)
+	_, full := start(t, NewFromFile, Config{ModelPath: fx.Path, Train: fx.Train})
 	req := &wire.BatchRequest{M: 20}
 	for u := range uint32(32) {
 		req.Users = append(req.Users, u)
 	}
-	for _, url := range []string{full.URL + "/v2/batch", shard.URL + "/v2/shard/topm"} {
-		resp, err := http.Post(url, FrameContentType, bytes.NewReader(ranktest.Frame(t, req)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || len(body) < 4<<10 {
-			t.Fatalf("%s: status %d, %d bytes, err %v; want a 200 over 4 KB", url, resp.StatusCode, len(body), err)
-		}
-		if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
-			t.Errorf("%s: transfer encoding %v, Content-Length %d for %d bytes; want a sized answer",
-				url, resp.TransferEncoding, resp.ContentLength, len(body))
-		}
+	resp, err := http.Post(full.URL+"/v2/batch", FrameContentType, bytes.NewReader(ranktest.Frame(t, req)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(body) < 4<<10 {
+		t.Fatalf("status %d, %d bytes, err %v; want a 200 over 4 KB", resp.StatusCode, len(body), err)
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(body)) {
+		t.Errorf("transfer encoding %v, Content-Length %d for %d bytes; want a sized answer",
+			resp.TransferEncoding, resp.ContentLength, len(body))
 	}
 }
 

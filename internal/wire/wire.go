@@ -13,8 +13,9 @@
 // fail closed. Both decoders reuse the caller's column slices, so a
 // serving loop decodes and encodes without allocating once warm.
 //
-// Request frame (POST /v2/batch; POST /v2/shard/topm: one or more users,
-// which is how the router sends a whole batch to a shard in one call):
+// Request frame (POST /v2/batch; a /v2/shard/topm stream message: one or
+// more users, which is how the router sends a whole batch to a shard in
+// one call):
 //
 //	off  size  field
 //	0     8    magic "OCuLaRq1" (the trailing "1" is the format version)
@@ -62,7 +63,8 @@
 //
 // Frame stream (GET /v2/shard/topm with "Upgrade: ocular-frame/1", answered
 // 101): the connection then carries lockstep messages, one outstanding at a
-// time, each the body of one POST /v2/shard/topm and its answer:
+// time, each one request frame and its answer — the only way a shard takes
+// frames:
 //
 //	request: u32 body length | u32 deadline budget ms (0 = none) |
 //	         u8 trace-id length | trace id | body (a request frame)

@@ -158,14 +158,16 @@ type Result = core.Result
 // positives in r.
 func Train(r *Matrix, cfg Config) (*Result, error) { return core.Train(r, cfg) }
 
-// ReadModel deserializes a model written with Model.WriteTo. Together they
-// let a deployment train once and serve recommendations from saved factors.
+// ReadModel deserializes a model written with Model.WriteTo. It buffers the
+// stream (never more than its header declares) and checks it exactly as
+// LoadModelFile checks a file.
 func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
 
-// LoadModelFile reads a model saved with Model.SaveModelFile (or WriteTo) —
-// the loading half of the train-once/serve-many lifecycle that
-// cmd/ocular-serve is built on. It copies and validates every byte; use
-// OpenMappedModel to serve a v2 file in place.
+// LoadModelFile reads a model saved with Model.SaveModelFile (or WriteTo)
+// into memory — the loading half of the train-once/serve-many lifecycle
+// for the trainer's warm start and the router's re-rank stages. It opens the
+// file through OpenMappedModel, runs MappedModel.Verify and copies the
+// float64 factors out; use OpenMappedModel to serve a v2 file in place.
 func LoadModelFile(path string) (*Model, error) { return core.LoadModelFile(path) }
 
 // SaveOptions configures the v2 model writer (Model.SaveModelFileOpts):
