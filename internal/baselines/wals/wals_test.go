@@ -84,7 +84,7 @@ func TestHalfStepSolvesExactly(t *testing.T) {
 			g := mod.UserFactor(int(uc))
 			for ii := 0; ii < k; ii++ {
 				for jj := 0; jj < k; jj++ {
-					a.AddTo(ii, jj, (1-cfg.B)*g[ii]*g[jj])
+					a.Data[ii*k+jj] += (1 - cfg.B) * g[ii] * g[jj]
 				}
 			}
 			linalg.Axpy(1, g, rhs)

@@ -17,17 +17,18 @@ var routerEndpointNames = []string{
 	"recommend", "batch", "batch_binary", "flip", "healthz", "readyz", "metrics", "debug_traces",
 }
 
-// metrics counts the router's scatter-side activity. Request, error and
-// per-endpoint counters live in the serve.Edge both binaries share; cache
+// metrics counts the router's scatter-side activity. Per-endpoint request,
+// error and latency counters live in the serve.Edge both binaries share
+// (the router's request and error totals are their sums), shard call
+// failures in shard_latency's per-shard error counts; cache
 // counters in the shared rank.Stats (the ListCache feeds them).
 type metrics struct {
-	start       time.Time
-	degraded    expvar.Int
-	scatters    expvar.Int
-	shardCalls  expvar.Int
-	shardErrors expvar.Int
-	hedges      expvar.Int
-	flips       expvar.Int
+	start      time.Time
+	degraded   expvar.Int
+	scatters   expvar.Int
+	shardCalls expvar.Int
+	hedges     expvar.Int
+	flips      expvar.Int
 	// Resilience counters (PR 7): the prober's activity — probes run,
 	// probes failed, shards marked down, shards repaired back into
 	// rotation. Requests answered 504 on deadline exhaustion are the
@@ -200,12 +201,9 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	}
 	out := map[string]any{
 		"uptime_seconds": time.Since(rt.m.start).Seconds(),
-		"requests":       rt.edge.Requests(),
-		"errors":         rt.edge.Errors(),
 		"degraded":       rt.m.degraded.Value(),
 		"scatters":       rt.m.scatters.Value(),
 		"shard_calls":    rt.m.shardCalls.Value(),
-		"shard_errors":   rt.m.shardErrors.Value(),
 		"hedges":         rt.m.hedges.Value(),
 		"hedges_denied":  int64(0),
 		"deadline_504s":  rt.edge.Deadline504s(),
@@ -229,7 +227,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 			"entries":   rt.cache.Len(),
 		},
 	}
-	rt.edge.Snapshot(out)
+	out["requests"], out["errors"] = rt.edge.Snapshot(out)
 	if st, ok := rt.cfg.HTTPClient.Transport.(*ShardTransport); ok {
 		// Streams opened: flat while the pools hold what the scatters need.
 		out["shard_dials"] = st.Dials()

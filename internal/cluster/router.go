@@ -513,7 +513,6 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 		if err == nil {
 			continue
 		}
-		rt.m.shardErrors.Add(1)
 		rt.cfg.Logf("shard %s: %v", tbl.shards[i].url, err)
 		var refusal *serve.Error
 		if errors.As(err, &refusal) {

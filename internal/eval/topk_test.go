@@ -38,8 +38,8 @@ func refTopM(scores []float64, owned []int32, m int) []int {
 }
 
 // TestTopMMatchesReference: the engine-backed TopM must return exactly the
-// reference ranking for every m, including under heavy ties and both
-// selection regimes (heap for small m, full sort for large m).
+// reference ranking for every m, including under heavy ties and m up to
+// the whole catalogue.
 func TestTopMMatchesReference(t *testing.T) {
 	f := func(seed uint16, mRaw uint8) bool {
 		r := rng.New(uint64(seed) + 101)
@@ -158,8 +158,8 @@ func BenchmarkTopMHeap50of5000(b *testing.B) {
 	}
 }
 
-func BenchmarkTopMSort5000(b *testing.B) {
-	// m covers most of the candidate set, forcing the full-sort path.
+func BenchmarkTopMLargeM5000(b *testing.B) {
+	// m covers most of the candidate set: the heap holds 2,000 of 5,000.
 	r := rng.New(1)
 	ni := 5000
 	scores := make([]float64, ni)

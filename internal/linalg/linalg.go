@@ -80,13 +80,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Norm2Sq returns the squared Euclidean norm ‖x‖². Unrolled 4-wide like Dot,
 // with the same fixed accumulator-combine order.
 func Norm2Sq(x []float64) float64 {
@@ -109,40 +102,12 @@ func Norm2Sq(x []float64) float64 {
 // Norm2 returns the Euclidean norm ‖x‖.
 func Norm2(x []float64) float64 { return math.Sqrt(Norm2Sq(x)) }
 
-// CosineSim returns the cosine similarity ⟨a,b⟩ / (‖a‖‖b‖), or 0 when
-// either vector is zero. It panics if lengths differ.
-func CosineSim(a, b []float64) float64 {
-	na, nb := Norm2(a), Norm2(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// ProjectNonNeg replaces x with its projection onto the non-negative
-// orthant: x_c ← max(0, x_c). This is the (·)+ operation of the paper's
-// projected gradient step.
-func ProjectNonNeg(x []float64) {
-	for i, v := range x {
-		if v < 0 {
-			x[i] = 0
-		}
-	}
-}
-
 // Copy copies src into dst. It panics if lengths differ.
 func Copy(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("linalg: Copy length mismatch")
 	}
 	copy(dst, src)
-}
-
-// Fill sets every element of x to v.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
 }
 
 // Sub computes dst = a - b elementwise. It panics if lengths differ.
@@ -192,18 +157,8 @@ func (m *Mat) At(i, j int) float64 { return m.Data[i*m.ColsN+j] }
 // Set assigns element (i, j).
 func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.ColsN+j] = v }
 
-// AddTo adds v to element (i, j).
-func (m *Mat) AddTo(i, j int, v float64) { m.Data[i*m.ColsN+j] += v }
-
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.ColsN : (i+1)*m.ColsN] }
-
-// Zero resets all elements to 0.
-func (m *Mat) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
 
 // CloneMat returns a deep copy of m.
 func (m *Mat) CloneMat() *Mat {

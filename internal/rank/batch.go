@@ -60,7 +60,7 @@ func (c *BatchCols) AppendEmpty() {
 }
 
 // TopMBatch ranks many users through the same cached, coalesced pipeline
-// as TopMStaged — score → filter → select → re-rank per user, identical
+// as TopMStagedTimed — score → filter → select → re-rank per user, identical
 // cache keys, fingerprints and singleflight coalescing — and appends the
 // results into cols in input order. filtersFor builds the filter set for
 // the i-th user; it is called once per i, on the caller's goroutine, so a

@@ -10,7 +10,7 @@ import (
 )
 
 // TopMBatch must be the per-user pipeline verbatim: for every user, in
-// input order, the columns hold exactly what TopMStaged returns — same
+// input order, the columns hold exactly what TopMStagedTimed returns — same
 // items, bit-identical scores, same cache interaction.
 func TestTopMBatchMatchesTopMStaged(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -48,7 +48,7 @@ func TestTopMBatchMatchesTopMStaged(t *testing.T) {
 				}
 				continue
 			}
-			wantItems, wantScores, _ := ref.TopMStaged(u, 6, stages, filters...)
+			wantItems, wantScores, _ := ref.TopMStagedTimed(u, 6, stages, nil, filters...)
 			if n != len(wantItems) {
 				t.Fatalf("workers=%d user %d: %d items, want %d", workers, u, n, len(wantItems))
 			}
@@ -63,7 +63,7 @@ func TestTopMBatchMatchesTopMStaged(t *testing.T) {
 			at += n
 		}
 		// The duplicated user (3) must have hit the cache on its second
-		// appearance, exactly like two sequential TopMStaged calls.
+		// appearance, exactly like two sequential TopMStagedTimed calls.
 		if hits := e.Stats().Hits() + e.Stats().Coalesced(); hits < 1 {
 			t.Fatalf("workers=%d: duplicate user missed the cache (hits+coalesced=%d)", workers, hits)
 		}
@@ -83,7 +83,7 @@ func TestTopMBatchCopiesOutOfCache(t *testing.T) {
 		cols.Items[i] = 999
 		cols.Scores[i] = -1
 	}
-	items, scores, cached := e.TopM(0, 3)
+	items, scores, cached := e.TopMTimed(0, 3, nil)
 	if !cached {
 		t.Fatal("expected a cache hit after the batch")
 	}
@@ -123,7 +123,7 @@ func TestTopMBatchCopiesOutOfCache(t *testing.T) {
 		for i := range s.scores[:cap(s.scores)] {
 			s.scores[:cap(s.scores)][i] = -1
 		}
-		if items, scores, cached := e.TopM(1, 3); !cached || !slices.Equal(items, []int{4, 3, 2}) || !slices.Equal(scores, []float64{5, 4, 3}) {
+		if items, scores, cached := e.TopMTimed(1, 3, nil); !cached || !slices.Equal(items, []int{4, 3, 2}) || !slices.Equal(scores, []float64{5, 4, 3}) {
 			t.Errorf("round %d: cache entry shares memory with the scratch: %v %v cached=%v", round, items, scores, cached)
 		}
 	}

@@ -60,7 +60,7 @@ func BenchmarkRankCoalesced(b *testing.B) {
 			reqs.Add(1)
 			// A shifting m evicts nothing but varies the key a little,
 			// keeping the cache honest without making every miss unique.
-			e.TopM(0, 50+n%2, row, ex)
+			e.TopMTimed(0, 50+n%2, nil, row, ex)
 			n++
 		}
 	})
@@ -99,7 +99,7 @@ func BenchmarkRankCandidateShare(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					u := i % train.Rows()
-					e.TopM(u, 20, TrainRow(train, u))
+					e.TopMTimed(u, 20, nil, TrainRow(train, u))
 				}
 				b.ReportMetric(float64(e.Stats().Swept())/float64(b.N), "swept/op")
 			})

@@ -60,13 +60,13 @@ func TestConformanceEngineTopM(t *testing.T) {
 						r.Rank = func(t testing.TB, c *ranktest.Case) ranktest.Answer {
 							filters := fx.Filters(t, c.Users[0], c)
 							if whole {
-								items, scores, cached := e.TopMStaged(c.Users[0], c.M, r.Stages, filters...)
+								items, scores, cached := e.TopMStagedTimed(c.Users[0], c.M, r.Stages, nil, filters...)
 								return ranktest.Answer{Status: 200, Lists: []ranktest.List{{Items: items, Scores: scores, Cached: cached}}}
 							}
 							for n, f := range filters {
 								filters[n] = rank.OffsetRange(f, r.Lo, r.Hi)
 							}
-							local, scores, cached := e.TopM(c.Users[0], rank.StagesOverFetch(c.M, r.Stages), filters...)
+							local, scores, cached := e.TopMTimed(c.Users[0], rank.StagesOverFetch(c.M, r.Stages), nil, filters...)
 							part := rank.Partial{Scores: scores}
 							for _, it := range local {
 								part.Items = append(part.Items, it+r.Lo)
@@ -204,7 +204,7 @@ func TestConformanceEngineOwnsTrainRow(t *testing.T) {
 							inRange := func(i int) bool { return c.Users[i] >= 0 && c.Users[i] < fx.Train.Rows() }
 							var cols rank.BatchCols
 							if workers == 0 {
-								cols.Append(e.TopMStaged(c.Users[0], m, stages, filters...))
+								cols.Append(e.TopMStagedTimed(c.Users[0], m, stages, nil, filters...))
 							} else {
 								e.TopMBatch(c.Users, m, workers, stages, func(i int) ([]rank.Filter, bool) { return filters, inRange(i) }, &cols)
 							}

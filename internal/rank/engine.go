@@ -3,10 +3,11 @@
 // filters..., stages...) and the pipeline is score → filter → select →
 // rerank: the scorer writes a relevance score for every item, composable
 // Filters remove candidates (training positives, per-request exclusion
-// lists, item-tag allow/deny lists), selection returns the top survivors
-// under a deterministic tie rule, and optional Stages re-rank the selected
-// head (score floors, MMR diversity, tag boosts) over a declared
-// over-fetch so the staged top-m is well-defined.
+// lists, item-tag allow/deny lists), selection — one size-m heap over the
+// survivors — returns the top m under a deterministic tie rule, and
+// optional Stages re-rank the selected head (score floors, MMR diversity,
+// tag boosts) over a declared over-fetch so the staged top-m is
+// well-defined.
 //
 // The Engine adds the serving machinery on top of the pure pipeline:
 // one pooled scratch per rank call (a list leaves it by copy: into the cache,
@@ -19,9 +20,11 @@
 // cache shard keyed by a request fingerprint covering user, m and the
 // filter set (so filtered requests are cacheable rather than wrong) that
 // is its own singleflight — concurrent requests for the same fingerprint
-// compute the list once. Transports — the JSON and frame codecs of
-// internal/serve, the single-user and columnar batch (TopMBatch) paths
-// alike — stay thin adapters over these entry points.
+// compute the list once. A known user is ranked through TopMBatch — the
+// serving layer's JSON and frame codecs alike, one user or many, into
+// caller-owned columns — and a fold-in through Rank; TopMTimed and
+// TopMStagedTimed are the one-user forms the benchmark's per-layer probes
+// time.
 package rank
 
 import (
@@ -48,8 +51,8 @@ type Scorer interface {
 // walker is the optional fast path of a Scorer whose scores are mostly
 // exact zeros — a model of sparse non-negative factors, where an item
 // sharing no co-cluster with the user scores 1 − exp(−0). The engine asks
-// for it once, at construction (the way selection asks filters for Sorted
-// and bounder), and then ranks a known user by walking its support (see
+// for it once, at construction (the way selection asks filters for
+// Sorted), and then ranks a known user by walking its support (see
 // core.Walk and selectWalk).
 type walker interface {
 	// Walk starts w on user u's support over the scorer's items, or
@@ -151,29 +154,29 @@ func (e *Engine) Stats() *Stats { return e.lists.stats }
 // CacheLen returns the number of cached top-M lists.
 func (e *Engine) CacheLen() int { return e.lists.Len() }
 
-// TopM returns the top-m items for user u, with their scores, among the
-// candidates surviving the filters — the cached, coalesced entry point of
-// the known-user hot path. cached reports whether the list came from the
-// cache (or from another request's in-flight computation). The returned
-// slices are the caller's own: two allocations per call, hit or miss
-// (TopMBatch copies into caller-owned columns instead).
+// TopMTimed returns the top-m items for user u, with their scores, among
+// the candidates surviving the filters — the cached, coalesced pipeline
+// TopMBatch runs per user, for one user into slices of the caller's own
+// (two allocations per call, hit or miss). cached reports whether the list
+// came from the cache (or from another request's in-flight computation).
+// A non-nil tm receives the per-stage wall times; nil reads no clocks.
 //
 // A request is cacheable when every filter is Keyed; the cache key covers
 // (u, m, filter fingerprints). Concurrent cacheable misses with equal keys
 // are coalesced: one computes, the rest wait and share the result.
-func (e *Engine) TopM(u, m int, filters ...Filter) (items []int, scores []float64, cached bool) {
-	return e.topM(u, m, nil, filters, nil)
+func (e *Engine) TopMTimed(u, m int, tm *Timings, filters ...Filter) (items []int, scores []float64, cached bool) {
+	return e.topM(u, m, nil, filters, tm)
 }
 
-// TopMStaged is TopM followed by the request's re-rank stages: the
-// pipeline selects StagesOverFetch(m, stages) candidates, runs the stages
-// in order, and truncates to m. Stage keys fold into the cache
+// TopMStagedTimed is TopMTimed followed by the request's re-rank stages:
+// the pipeline selects StagesOverFetch(m, stages) candidates, runs the
+// stages in order, and truncates to m. Stage keys fold into the cache
 // fingerprint alongside the filter keys, so staged requests are cached
 // (post-stage) and can never collide with requests differing only in
 // stage configuration. An empty or all-nil stage list is byte-identical
-// to TopM — same results, same cache entries.
-func (e *Engine) TopMStaged(u, m int, stages []Stage, filters ...Filter) (items []int, scores []float64, cached bool) {
-	return e.topM(u, m, compactStages(stages), filters, nil)
+// to TopMTimed — same results, same cache entries.
+func (e *Engine) TopMStagedTimed(u, m int, stages []Stage, tm *Timings, filters ...Filter) (items []int, scores []float64, cached bool) {
+	return e.topM(u, m, compactStages(stages), filters, tm)
 }
 
 // topM is the single-user entry: list, copied out of the scratch so the

@@ -49,13 +49,6 @@ type Keyed interface {
 	CacheKey() string
 }
 
-// bounder is implemented by the provided filters so selection can size its
-// sort-versus-heap decision without a counting pass. maxExcluded returns an
-// upper bound on how many of numItems items the filter excludes.
-type bounder interface {
-	maxExcluded(numItems int) int
-}
-
 // TrainRow excludes the items user u has a training positive for in train —
 // the offline evaluation protocol's candidate set (rank the unknowns), and
 // the serving default of never recommending an item back to its owner.
@@ -78,8 +71,6 @@ func (f rowFilter) ExcludedList() []int32 { return f.row }
 // CacheKey identifies the row by user index: within one engine the train
 // matrix is fixed, so the user uniquely determines the exclusion set.
 func (f rowFilter) CacheKey() string { return "train:" + strconv.Itoa(f.user) }
-
-func (f rowFilter) maxExcluded(int) int { return len(f.row) }
 
 // ExcludeItems excludes an explicit per-request item list (a client's "do
 // not recommend these" set, or a fold-in user's history). The input is
@@ -129,13 +120,6 @@ func (f itemsFilter) ExcludedList() []int32 { return f.list }
 
 func (f itemsFilter) CacheKey() string { return f.key }
 
-func (f itemsFilter) maxExcluded(numItems int) int {
-	if len(f.list) > numItems {
-		return numItems
-	}
-	return len(f.list)
-}
-
 // OffsetRange adapts a filter expressed over global item ids to the local
 // index space of an item partition [lo, hi): local index n stands for
 // global item n+lo. The sharded serving tier scores only its partition —
@@ -175,8 +159,6 @@ func (f windowFilter) Excluded(local int) bool {
 	return found
 }
 
-func (f windowFilter) maxExcluded(int) int { return len(f.list) }
-
 // offsetFilter shifts a predicate-only filter into partition-local index
 // space.
 type offsetFilter struct {
@@ -186,41 +168,11 @@ type offsetFilter struct {
 
 func (f offsetFilter) Excluded(local int) bool { return f.inner.Excluded(local + f.lo) }
 
-func (f offsetFilter) maxExcluded(numItems int) int {
-	if b, ok := f.inner.(bounder); ok {
-		return b.maxExcluded(numItems)
-	}
-	return numItems
-}
-
-// Union composes filters: the result excludes an item iff any member does.
-// The engine flattens unions, so members keep their individual sorted and
-// keyed fast paths; a Union is cacheable exactly when all members are.
-func Union(filters ...Filter) Filter {
-	return unionFilter(filters)
-}
-
-type unionFilter []Filter
-
-func (u unionFilter) Excluded(item int) bool {
-	for _, f := range u {
-		if f != nil && f.Excluded(item) {
-			return true
-		}
-	}
-	return false
-}
-
-// flatten appends filters to dst with unions expanded and nil filters
-// dropped: the flat list the selection scan and the request fingerprint
-// operate on.
+// flatten appends filters to dst with nil filters dropped: the flat list
+// the selection scan and the request fingerprint operate on.
 func flatten(dst, filters []Filter) []Filter {
 	for _, f := range filters {
-		switch v := f.(type) {
-		case nil:
-		case unionFilter:
-			dst = flatten(dst, v)
-		default:
+		if f != nil {
 			dst = append(dst, f)
 		}
 	}

@@ -96,7 +96,7 @@ func (g *Merger) merge(items []int, scores []float64, m int, parts []Partial) ([
 // Because MergeTopM over disjoint sorted partials is bit-identical to
 // Select over the union, and stages are deterministic functions of the
 // selected head, the staged merge is bit-identical to single-process
-// staged serving (Engine.TopMStaged) over the same model and filters.
+// staged serving (Engine.TopMBatch) over the same model and filters.
 // With an empty stage list it is exactly MergeTopM.
 func MergeTopMStaged(m int, stages []Stage, parts ...Partial) (items []int, scores []float64) {
 	var g Merger

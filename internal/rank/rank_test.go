@@ -2,6 +2,8 @@ package rank
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -75,7 +77,8 @@ func testTagTable(t testing.TB, ni int) *TagTable {
 // TestSelectMatchesReference is the engine's core property test: across
 // random (m, training-row, exclusion-list, tag-filter) combinations —
 // heavy score ties included — Select must return bit-identically the
-// full-sort reference ranking, in both the heap and sort regimes.
+// full-sort reference ranking, for m from 1 up to the whole catalogue (the
+// heap then holds every candidate).
 func TestSelectMatchesReference(t *testing.T) {
 	f := func(seed uint16, mRaw uint8, combo uint8) bool {
 		r := rng.New(uint64(seed)*7 + 13)
@@ -178,19 +181,26 @@ func TestSelectEdgeCases(t *testing.T) {
 	if got := Select(scores, 10); len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 1 {
 		t.Errorf("m beyond candidates: got %v, want [0 2 1]", got)
 	}
-	// Nil filters and nested unions flatten away.
-	got := Select(scores, 3, nil, Union(nil, Union(ExcludeItems([]int{0}))))
+	// Nil filters drop out.
+	got := Select(scores, 3, nil, ExcludeItems([]int{0}), nil)
 	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Errorf("union/nil filters: got %v, want [2 1]", got)
+		t.Errorf("nil filters: got %v, want [2 1]", got)
 	}
-}
-
-func TestUnionSemantics(t *testing.T) {
-	u := Union(ExcludeItems([]int{1}), ExcludeItems([]int{3}))
-	for i, want := range map[int]bool{0: false, 1: true, 2: false, 3: true} {
-		if got := u.Excluded(i); got != want {
-			t.Errorf("union.Excluded(%d) = %v, want %v", i, got, want)
-		}
+	// An m no catalogue reaches is the whole list: the heap is sized by the
+	// candidates, not by m. MaxInt/4 + 1 is the least m whose 4m overflows.
+	sweep := NewEngine(&fixedScorer{scores: [][]float64{scores}}, Config{})
+	for _, m := range []int{math.MaxInt, math.MaxInt/4 + 1} {
+		t.Run(fmt.Sprintf("Select/m=%d", m), func(t *testing.T) {
+			if got := Select(scores, m); !slices.Equal(got, []int{0, 2, 1}) {
+				t.Errorf("got %v, want [0 2 1]", got)
+			}
+		})
+		t.Run(fmt.Sprintf("TopMTimed/m=%d", m), func(t *testing.T) {
+			items, itemScores, _ := sweep.TopMTimed(0, m, nil)
+			if !slices.Equal(items, []int{0, 2, 1}) || !slices.Equal(itemScores, []float64{3, 2, 1}) {
+				t.Errorf("got %v %v, want [0 2 1] [3 2 1]", items, itemScores)
+			}
+		})
 	}
 }
 
@@ -311,11 +321,11 @@ func TestEngineCachesByFilterFingerprint(t *testing.T) {
 	sc := &fixedScorer{scores: [][]float64{{5, 4, 3, 2, 1}}}
 	e := NewEngine(sc, Config{CacheSize: 64})
 
-	plain, _, cached := e.TopM(0, 3)
+	plain, _, cached := e.TopMTimed(0, 3, nil)
 	if cached {
 		t.Error("first plain request reported cached")
 	}
-	filtered, _, cached := e.TopM(0, 3, ExcludeItems([]int{0}))
+	filtered, _, cached := e.TopMTimed(0, 3, nil, ExcludeItems([]int{0}))
 	if cached {
 		t.Error("first filtered request reported cached (would have returned the plain list)")
 	}
@@ -326,10 +336,10 @@ func TestEngineCachesByFilterFingerprint(t *testing.T) {
 		t.Errorf("filtered top = %v, want item 1 first", filtered)
 	}
 	// Both variants must now be cache hits, each with its own entry.
-	if _, _, cached := e.TopM(0, 3); !cached {
+	if _, _, cached := e.TopMTimed(0, 3, nil); !cached {
 		t.Error("repeat plain request missed the cache")
 	}
-	got, _, cached := e.TopM(0, 3, ExcludeItems([]int{0}))
+	got, _, cached := e.TopMTimed(0, 3, nil, ExcludeItems([]int{0}))
 	if !cached {
 		t.Error("repeat filtered request missed the cache")
 	}
@@ -341,8 +351,8 @@ func TestEngineCachesByFilterFingerprint(t *testing.T) {
 	}
 	// Unkeyed filters make the request uncacheable: scored every time.
 	before := sc.calls.Load()
-	e.TopM(0, 3, anonFilter{})
-	e.TopM(0, 3, anonFilter{})
+	e.TopMTimed(0, 3, nil, anonFilter{})
+	e.TopMTimed(0, 3, nil, anonFilter{})
 	if calls := sc.calls.Load() - before; calls != 2 {
 		t.Errorf("uncacheable requests scored %d times, want 2", calls)
 	}
@@ -351,7 +361,7 @@ func TestEngineCachesByFilterFingerprint(t *testing.T) {
 func TestEngineScoresMatchItems(t *testing.T) {
 	sc := &fixedScorer{scores: [][]float64{{0.1, 0.9, 0.5, 0.7}}}
 	e := NewEngine(sc, Config{})
-	items, scores, _ := e.TopM(0, 2)
+	items, scores, _ := e.TopMTimed(0, 2, nil)
 	if len(items) != 2 || len(scores) != 2 {
 		t.Fatalf("items %v scores %v", items, scores)
 	}
@@ -401,7 +411,7 @@ func TestEngineCoalescesDuplicateMisses(t *testing.T) {
 	}
 	results := make(chan result, 9)
 	run := func() {
-		items, _, cached := e.TopM(3, 5, ExcludeItems([]int{2}))
+		items, _, cached := e.TopMTimed(3, 5, nil, ExcludeItems([]int{2}))
 		results <- result{items, cached}
 	}
 	go run()    // leader
@@ -438,8 +448,8 @@ func TestEngineCoalescesDuplicateMisses(t *testing.T) {
 func TestEngineCacheDisabled(t *testing.T) {
 	sc := &fixedScorer{scores: [][]float64{{1, 2, 3}}}
 	e := NewEngine(sc, Config{CacheSize: -1})
-	e.TopM(0, 2)
-	if _, _, cached := e.TopM(0, 2); cached {
+	e.TopMTimed(0, 2, nil)
+	if _, _, cached := e.TopMTimed(0, 2, nil); cached {
 		t.Error("cache disabled but repeat request reported cached")
 	}
 	if sc.calls.Load() != 2 {

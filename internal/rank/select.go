@@ -3,7 +3,6 @@ package rank
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/core"
 )
@@ -15,11 +14,10 @@ import (
 // filters, and nil when none do. scores is never mutated, so callers may
 // read scores[i] back for the returned items.
 //
-// Selection is a size-m min-heap over the candidates, O(n_i log m), which
-// matters when ranking a 17k-item catalogue for a top-50 list; a full sort
-// is used when m covers most of the candidate set. Both paths share one
-// exclusion scan that walks Sorted filters with cursors and falls back to
-// the Excluded predicate for the rest.
+// Selection is a min-heap of min(m, len(scores)) entries over the
+// candidates, O(n_i log m), fed by one exclusion scan that walks Sorted
+// filters with cursors and falls back to the Excluded predicate for the
+// rest.
 func Select(scores []float64, m int, filters ...Filter) []int {
 	// A scratch of its own, never pooled: the list is the caller's, and so
 	// are the scores.
@@ -44,7 +42,6 @@ type scratch struct {
 	dense []float64 // the sweep's score array, NumItems long once used
 	walk  core.Walk // the support path's walk over the user's co-clusters
 	heap  []kept    // selection heap
-	sort  []int     // the full sort's candidate list
 	tail  []int32   // the walk's kept ids, ascending, for the zero tail
 	flat  []Filter  // the request's filters, flattened
 	row   []int32   // the ranked user's training row, global ids above...
@@ -71,28 +68,23 @@ type batchUser struct {
 }
 
 // selectDense is Select over s.flat, into s.items and s.scores (the engine
-// flattens once per request, for the fingerprint and the scan).
+// flattens once per request, for the fingerprint and the scan): the
+// exclusion scan feeding the heap, which never holds more than the scores.
 func (s *scratch) selectDense(scores []float64, m int) {
 	s.items, s.scores = s.items[:0], s.scores[:0]
+	m = min(m, len(scores))
 	if m <= 0 {
 		return
 	}
 	s.scan.reset(s.flat, s.row, s.rowLo)
-	// Upper-bound the exclusions to estimate the candidate count. Filters
-	// may overlap, so this underestimates nCand — which only biases the
-	// path choice toward the full sort; both paths return identical
-	// rankings.
-	bound := len(s.row)
-	for _, f := range s.flat {
-		if c, ok := f.(bounder); ok {
-			bound += c.maxExcluded(len(scores))
+	h := slices.Grow(s.heap[:0], m)
+	for i, v := range scores {
+		if !s.scan.excluded(i) {
+			h = offer(h, m, kept{v, i})
 		}
 	}
-	if nCand := len(scores) - bound; m*4 < nCand {
-		s.selectHeap(scores, m)
-	} else {
-		s.selectSort(scores, m)
-	}
+	s.heap = h
+	s.drain(h)
 }
 
 // exclusionScan merges a request's filters into one per-item test for the
@@ -162,31 +154,6 @@ func (s *exclusionScan) excluded(item int) bool {
 		}
 	}
 	return false
-}
-
-// selectSort ranks all candidates by full sort; exact reference used for
-// large m and by the equivalence tests.
-func (s *scratch) selectSort(scores []float64, m int) {
-	cand := slices.Grow(s.sort[:0], len(scores))
-	for i := range scores {
-		if !s.scan.excluded(i) {
-			cand = append(cand, i)
-		}
-	}
-	s.sort = cand
-	sort.Slice(cand, func(a, b int) bool {
-		if scores[cand[a]] != scores[cand[b]] {
-			return scores[cand[a]] > scores[cand[b]]
-		}
-		return cand[a] < cand[b]
-	})
-	top := cand[:min(m, len(cand))]
-	s.items = append(s.items, top...)
-	if !s.listOnly {
-		for _, i := range top {
-			s.scores = append(s.scores, scores[i])
-		}
-	}
 }
 
 // The selection heap is a min-heap of kept items keyed (score asc, id
@@ -267,17 +234,6 @@ func (s *scratch) drain(h []kept) {
 			s.scores = append(s.scores, e.score)
 		}
 	}
-}
-
-func (s *scratch) selectHeap(scores []float64, m int) {
-	h := slices.Grow(s.heap[:0], m)
-	for i, v := range scores {
-		if !s.scan.excluded(i) {
-			h = offer(h, m, kept{v, i})
-		}
-	}
-	s.heap = h
-	s.drain(h)
 }
 
 // selectWalk is selectDense over the n items of the range s.walk was

@@ -26,9 +26,9 @@ func (f keyedFilter) Excluded(int) bool { return false }
 func (f keyedFilter) CacheKey() string  { return f.key }
 
 // TestTopMStagedZeroStageEquivalence is the zero-stage property test:
-// across random catalogues, m values and filter combinations, TopMStaged
+// across random catalogues, m values and filter combinations, TopMStagedTimed
 // with an empty (or all-nil) stage list must return bit-identical items
-// AND scores to TopM — and share its cache entries, because the
+// AND scores to TopMTimed — and share its cache entries, because the
 // fingerprints are identical too.
 func TestTopMStagedZeroStageEquivalence(t *testing.T) {
 	f := func(seed uint16, mRaw uint8, combo uint8) bool {
@@ -63,11 +63,11 @@ func TestTopMStagedZeroStageEquivalence(t *testing.T) {
 		}
 
 		e := NewEngine(&fixedScorer{scores: [][]float64{scores}}, Config{CacheSize: 16})
-		wantItems, wantScores, cached := e.TopM(0, m, filters...)
+		wantItems, wantScores, cached := e.TopMTimed(0, m, nil, filters...)
 		if cached {
 			return false
 		}
-		gotItems, gotScores, cached := e.TopMStaged(0, m, stages, filters...)
+		gotItems, gotScores, cached := e.TopMStagedTimed(0, m, stages, nil, filters...)
 		// Identical fingerprint ⇒ the staged call must hit the entry the
 		// unstaged one just filled (the engine cache is enabled and the
 		// filter set is keyed).
@@ -280,7 +280,7 @@ func TestRequestKey(t *testing.T) {
 // TestMergeTopMStagedMatchesSingleProcess proves the router-side stage
 // hook bit-identical to single-process staged serving: partials built by
 // Select over disjoint partitions of one score vector, merged and staged
-// by MergeTopMStaged, must equal Engine.TopMStaged over the full vector
+// by MergeTopMStaged, must equal Engine.TopMStagedTimed over the full vector
 // — same items, same float64 bits — across random splits and stage
 // combinations.
 func TestMergeTopMStagedMatchesSingleProcess(t *testing.T) {
@@ -315,7 +315,7 @@ func TestMergeTopMStagedMatchesSingleProcess(t *testing.T) {
 
 		// Single-process reference: an engine over the full vector.
 		e := NewEngine(&fixedScorer{scores: [][]float64{scores}}, Config{CacheSize: -1})
-		wantItems, wantScores, _ := e.TopMStaged(0, m, stages)
+		wantItems, wantScores, _ := e.TopMStagedTimed(0, m, stages, nil)
 
 		// Router side: split into 1–4 disjoint partitions, Select each to
 		// the over-fetched length, merge + stage.
@@ -362,8 +362,8 @@ func TestStagedCacheSeparation(t *testing.T) {
 	e := NewEngine(&fixedScorer{scores: [][]float64{{5, 4, 3, 2, 1}}}, Config{CacheSize: 16})
 	floor := []Stage{ScoreFloor(3.5)}
 
-	plain, _, _ := e.TopM(0, 3)
-	staged, _, cached := e.TopMStaged(0, 3, floor)
+	plain, _, _ := e.TopMTimed(0, 3, nil)
+	staged, _, cached := e.TopMStagedTimed(0, 3, floor, nil)
 	if cached {
 		t.Error("first staged request reported cached (would have returned the unstaged list)")
 	}
@@ -373,10 +373,10 @@ func TestStagedCacheSeparation(t *testing.T) {
 	if fmt.Sprint(staged) != "[0 1]" {
 		t.Errorf("floor=3.5 head %v, want [0 1]", staged)
 	}
-	if _, _, cached := e.TopMStaged(0, 3, floor); !cached {
+	if _, _, cached := e.TopMStagedTimed(0, 3, floor, nil); !cached {
 		t.Error("repeat staged request missed the cache")
 	}
-	if _, _, cached := e.TopM(0, 3); !cached {
+	if _, _, cached := e.TopMTimed(0, 3, nil); !cached {
 		t.Error("unstaged entry evicted by the staged one")
 	}
 	if e.CacheLen() != 2 {
@@ -384,7 +384,7 @@ func TestStagedCacheSeparation(t *testing.T) {
 	}
 	// An empty stage key makes the request uncacheable, like an unkeyed
 	// filter.
-	if _, _, cached := e.TopMStaged(0, 3, []Stage{keyStage{""}}); cached {
+	if _, _, cached := e.TopMStagedTimed(0, 3, []Stage{keyStage{""}}, nil); cached {
 		t.Error("uncacheable staged request reported cached")
 	}
 }

@@ -357,7 +357,7 @@ func TestSupportPathMatchesSweep(t *testing.T) {
 		m := 1 + r.Intn(40)
 		var tm Timings
 		got, gotScores, _ := support.TopMStagedTimed(u, m, stages[:u%2], &tm, filters...)
-		want, wantScores, _ := sweep.TopMStaged(u, m, stages[:u%2], filters...)
+		want, wantScores, _ := sweep.TopMStagedTimed(u, m, stages[:u%2], nil, filters...)
 		if !slices.Equal(got, want) || len(gotScores) != len(wantScores) {
 			t.Fatalf("user %d m=%d: support path %v, sweep %v", u, m, got, want)
 		}

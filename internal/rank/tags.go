@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/bits"
 	"os"
 	"slices"
 	"sort"
@@ -23,15 +22,12 @@ type TagTable struct {
 	tags     map[string]tagSet
 }
 
-// tagSet is a bitset over items plus its precomputed population count.
-type tagSet struct {
-	bits  []uint64
-	count int
-}
+// tagSet is a bitset over items.
+type tagSet []uint64
 
 func (s tagSet) has(item int) bool {
 	w := item >> 6
-	return w < len(s.bits) && s.bits[w]>>(uint(item)&63)&1 == 1
+	return w < len(s) && s[w]>>(uint(item)&63)&1 == 1
 }
 
 // LoadTagTable parses an item metadata table. The format is line-oriented:
@@ -79,13 +75,10 @@ func LoadTagTable(r io.Reader, numItems int) (*TagTable, error) {
 			}
 			s, ok := t.tags[tag]
 			if !ok {
-				s = tagSet{bits: make([]uint64, words)}
+				s = make(tagSet, words)
+				t.tags[tag] = s
 			}
-			if !s.has(item) {
-				s.bits[item>>6] |= 1 << (uint(item) & 63)
-				s.count++
-			}
-			t.tags[tag] = s
+			s[item>>6] |= 1 << (uint(item) & 63)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -153,22 +146,19 @@ func canonTags(tags []string) (canon []string, key string) {
 // union ORs the bitsets of tags into a fresh set, keyed by canonTags.
 func (t *TagTable) union(tags []string) (tagSet, string, error) {
 	if len(tags) == 0 {
-		return tagSet{}, "", fmt.Errorf("rank: empty tag list")
+		return nil, "", fmt.Errorf("rank: empty tag list")
 	}
 	canon, key := canonTags(tags)
 	words := (t.numItems + 63) / 64
-	u := tagSet{bits: make([]uint64, words)}
+	u := make(tagSet, words)
 	for _, tag := range canon {
 		s, ok := t.tags[tag]
 		if !ok {
-			return tagSet{}, "", fmt.Errorf("rank: unknown tag %q", tag)
+			return nil, "", fmt.Errorf("rank: unknown tag %q", tag)
 		}
-		for w := range s.bits {
-			u.bits[w] |= s.bits[w]
+		for w := range s {
+			u[w] |= s[w]
 		}
-	}
-	for _, w := range u.bits {
-		u.count += bits.OnesCount64(w)
 	}
 	return u, key, nil
 }
@@ -186,10 +176,3 @@ type tagFilter struct {
 func (f tagFilter) Excluded(item int) bool { return f.set.has(item) != f.invert }
 
 func (f tagFilter) CacheKey() string { return f.key }
-
-func (f tagFilter) maxExcluded(numItems int) int {
-	if f.invert {
-		return numItems - f.set.count
-	}
-	return f.set.count
-}

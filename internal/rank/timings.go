@@ -24,15 +24,3 @@ type Timings struct {
 	Cached    bool
 	Coalesced bool
 }
-
-// TopMTimed is TopM with per-stage timing into tm (nil is allowed and
-// identical to TopM).
-func (e *Engine) TopMTimed(u, m int, tm *Timings, filters ...Filter) (items []int, scores []float64, cached bool) {
-	return e.topM(u, m, nil, filters, tm)
-}
-
-// TopMStagedTimed is TopMStaged with per-stage timing into tm (nil is
-// allowed and identical to TopMStaged).
-func (e *Engine) TopMStagedTimed(u, m int, stages []Stage, tm *Timings, filters ...Filter) (items []int, scores []float64, cached bool) {
-	return e.topM(u, m, compactStages(stages), filters, tm)
-}

@@ -98,7 +98,7 @@ func TestTopMBatchTimings(t *testing.T) {
 func TestTopMTimedNil(t *testing.T) {
 	e := NewEngine(timingScorer(100), Config{})
 	items, scores, _ := e.TopMTimed(0, 5, nil)
-	ref, refScores, _ := e.TopM(0, 5)
+	ref, refScores, _ := e.TopMTimed(0, 5, nil)
 	if len(items) != len(ref) {
 		t.Fatalf("timed/untimed lengths differ: %d vs %d", len(items), len(ref))
 	}

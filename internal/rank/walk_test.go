@@ -94,7 +94,7 @@ func FuzzWalk(f *testing.F) {
 		dense := make([]float64, scorer.Len())
 		for u := 0; u < users; u++ {
 			swept := e.Stats().Swept()
-			got, gotScores, _ := e.TopM(u, int(m), OffsetRange(ExcludeItems(ex), rlo, rhi))
+			got, gotScores, _ := e.TopMTimed(u, int(m), nil, OffsetRange(ExcludeItems(ex), rlo, rhi))
 			if e.Stats().Swept() != swept {
 				continue
 			}
@@ -129,7 +129,7 @@ func TestWalkFirstRankConcurrent(t *testing.T) {
 		}
 		want := make([]list, train.Rows())
 		for u := range want {
-			want[u].items, want[u].scores, _ = ref.TopM(u, 20, row(u))
+			want[u].items, want[u].scores, _ = ref.TopMTimed(u, 20, nil, row(u))
 		}
 		for round := 0; round < 3; round++ {
 			e := NewEngine(openRange(t, path, rg[0], rg[1]), Config{})
@@ -142,7 +142,7 @@ func TestWalkFirstRankConcurrent(t *testing.T) {
 					defer wg.Done()
 					<-start
 					for u := g; u < train.Rows(); u += goroutines {
-						items, scores, _ := e.TopM(u, 20, row(u))
+						items, scores, _ := e.TopMTimed(u, 20, nil, row(u))
 						if !slices.Equal(items, want[u].items) || !slices.EqualFunc(scores, want[u].scores, func(a, b float64) bool {
 							return math.Float64bits(a) == math.Float64bits(b)
 						}) {

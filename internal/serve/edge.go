@@ -43,8 +43,6 @@ type Edge struct {
 	// can never mix a fresh count with a stale sum mid-burst.
 	endpoints map[string]*obs.Histogram
 	inFlight  expvar.Int
-	requests  expvar.Int
-	errors    expvar.Int
 	// writeErrors counts response writes that failed (client gone, broken
 	// pipe) — the encoder errors WriteJSON and writeFrame otherwise discard.
 	writeErrors expvar.Int
@@ -87,21 +85,22 @@ func NewTracer(ring int, slow time.Duration) *obs.Tracer {
 	return obs.NewTracer(ring, slow, slog.Default())
 }
 
-// Requests and Errors count instrumented requests and those answered
-// with a status >= 400; InFlight is the number currently in a handler;
+// InFlight is the number of requests currently in a handler;
 // Deadline504s the requests answered 504 for a deadline that ran out.
-func (e *Edge) Requests() int64     { return e.requests.Value() }
-func (e *Edge) Errors() int64       { return e.errors.Value() }
 func (e *Edge) InFlight() int64     { return e.inFlight.Value() }
 func (e *Edge) Deadline504s() int64 { return e.deadline504s.Value() }
 
-// Snapshot adds the edge's rows to a /metrics tree. obs.Labeled keeps
-// the JSON view identical while naming the endpoint label for the
-// Prometheus exposition.
-func (e *Edge) Snapshot(out map[string]any) {
+// Snapshot adds the edge's rows to a /metrics tree and returns what its
+// endpoints observed, summed: requests finished, and those answered with
+// a status >= 400. obs.Labeled keeps the JSON view identical while naming
+// the endpoint label for the Prometheus exposition.
+func (e *Edge) Snapshot(out map[string]any) (requests, failed uint64) {
 	eps := make(map[string]map[string]any, len(e.endpoints))
 	for name, h := range e.endpoints {
-		eps[name] = obs.EndpointSnapshot(h)
+		row := obs.EndpointSnapshot(h)
+		eps[name] = row
+		requests += row["requests"].(uint64)
+		failed += row["errors"].(uint64)
 	}
 	out["endpoints"] = obs.Labeled{Label: "endpoint", Rows: eps}
 	out["response_write_errors"] = e.writeErrors.Value()
@@ -111,6 +110,7 @@ func (e *Edge) Snapshot(out map[string]any) {
 		"bytes_out":      e.frames.bytesOut.Value(),
 		"decode_rejects": e.frames.decodeRejects.Value(),
 	}
+	return requests, failed
 }
 
 // untraced endpoints never produce trace records: health probes and
@@ -147,7 +147,6 @@ func (e *Edge) Instrument(name string, h func(w http.ResponseWriter, r *http.Req
 	em := e.endpoints[name]
 	traced := !untraced[name]
 	return func(w http.ResponseWriter, r *http.Request) {
-		e.requests.Add(1)
 		e.inFlight.Add(1)
 		var act *obs.Active
 		if traced {
@@ -165,9 +164,6 @@ func (e *Edge) Instrument(name string, h func(w http.ResponseWriter, r *http.Req
 		defer func() {
 			em.Observe(time.Since(start), status >= 400)
 			e.tracer.Finish(act, status)
-			if status >= 400 {
-				e.errors.Add(1)
-			}
 			e.inFlight.Add(-1)
 		}()
 		status = h(cw, r)

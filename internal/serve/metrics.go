@@ -14,10 +14,9 @@ import (
 // cumulative. Per-endpoint latency, failed writes and the frame transport
 // counters live in the Edge.
 type Metrics struct {
-	start   time.Time
-	edge    *Edge
-	rank    *rank.Stats
-	reloads expvar.Int
+	start time.Time
+	edge  *Edge
+	rank  *rank.Stats
 	// deadlineAborts counts shard requests aborted because their
 	// propagated deadline budget (see DeadlineHeader) had already expired
 	// before scoring started — wasted work the deadline check saved.
@@ -42,7 +41,6 @@ func (m *Metrics) snapshot(version uint64, cacheEntries int, gate *Gate) map[str
 	out := map[string]any{
 		"uptime_seconds":  time.Since(m.start).Seconds(),
 		"model_version":   version,
-		"model_reloads":   m.reloads.Value(),
 		"in_flight":       m.edge.InFlight(),
 		"deadline_aborts": m.deadlineAborts.Value(),
 		"cache": map[string]any{

@@ -577,7 +577,6 @@ func (s *Server) reloadNamed(name string) (*snapshot, error) {
 			}
 		}
 	}
-	s.metrics.reloads.Add(1)
 	return base, nil
 }
 

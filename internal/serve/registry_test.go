@@ -438,7 +438,7 @@ func TestRegistryStagedArm(t *testing.T) {
 		RecommendRequest{User: u, M: 10, Tenant: "acme"}, &got); st != 200 {
 		t.Fatalf("status %d", st)
 	}
-	items, scores, _ := ref.TopMStaged(u, 10, stages, rank.TrainRow(f.train, u))
+	items, scores, _ := ref.TopMStagedTimed(u, 10, stages, nil, rank.TrainRow(f.train, u))
 	if len(got.Items) != len(items) {
 		t.Fatalf("%d items, want %d", len(got.Items), len(items))
 	}

@@ -477,7 +477,6 @@ func (s *Server) reload() (*snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.reloads.Add(1)
 	return sn, nil
 }
 

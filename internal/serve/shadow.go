@@ -106,7 +106,7 @@ type shadowRecord struct {
 	RankDiffs      int      `json:"rank_diffs"`
 	MaxScoreDiff   float64  `json:"max_score_diff"`
 	PrimaryItems   []uint32 `json:"primary_items"`
-	ShadowItems    []int    `json:"shadow_items"`
+	ShadowItems    []uint32 `json:"shadow_items"`
 	Error          string   `json:"error,omitempty"`
 }
 
@@ -144,9 +144,10 @@ func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m
 	if m := sh.armStages.Load(); m != nil {
 		stages = (*m)[armName]
 	}
-	items, scores, _ := sn.engine.TopMStaged(user, m, stages, extra...)
-	rec.ShadowItems = items
-	rec.RankDiffs, rec.MaxScoreDiff = diffLists(priItems, priScores, items, scores)
+	var cols rank.BatchCols
+	sn.engine.TopMBatch([]int{user}, m, 1, stages, func(int) ([]rank.Filter, bool) { return extra, true }, &cols)
+	rec.ShadowItems = cols.Items
+	rec.RankDiffs, rec.MaxScoreDiff = diffLists(priItems, priScores, cols.Items, cols.Scores)
 	if rec.RankDiffs > 0 {
 		sh.diffs.Add(1)
 	}
@@ -156,13 +157,10 @@ func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m
 // diffLists compares two ranked lists position-wise: how many positions
 // disagree on the item (length mismatches count every unpaired position)
 // and the largest absolute score difference over the shared prefix.
-func diffLists(aItems []uint32, aScores []float64, bItems []int, bScores []float64) (rankDiffs int, maxScoreDiff float64) {
-	n := len(aItems)
-	if len(bItems) < n {
-		n = len(bItems)
-	}
+func diffLists(aItems []uint32, aScores []float64, bItems []uint32, bScores []float64) (rankDiffs int, maxScoreDiff float64) {
+	n := min(len(aItems), len(bItems))
 	for i := 0; i < n; i++ {
-		if int(aItems[i]) != bItems[i] {
+		if aItems[i] != bItems[i] {
 			rankDiffs++
 		}
 		d := aScores[i] - bScores[i]

@@ -24,7 +24,6 @@ import (
 
 	"repro/internal/baselines/bpr"
 	"repro/internal/baselines/knn"
-	"repro/internal/baselines/popularity"
 	"repro/internal/baselines/wals"
 	"repro/internal/community"
 	"repro/internal/core"
@@ -42,15 +41,6 @@ import (
 // Matrix is an immutable sparse binary user-item matrix; Matrix.Has(u, i)
 // means r_ui = 1 (a positive example).
 type Matrix = sparse.Matrix
-
-// MatrixBuilder accumulates positive examples for a Matrix.
-type MatrixBuilder = sparse.Builder
-
-// NewMatrixBuilder returns a builder for a rows x cols matrix.
-func NewMatrixBuilder(rows, cols int) *MatrixBuilder { return sparse.NewBuilder(rows, cols) }
-
-// MatrixFromDense builds a Matrix from a dense boolean grid (tests, demos).
-func MatrixFromDense(d [][]bool) *Matrix { return sparse.FromDense(d) }
 
 // WriteMatrixMarket serializes a matrix in MatrixMarket coordinate pattern
 // format, the standard sparse-data interchange format.
@@ -129,11 +119,6 @@ func MovieLensOptions() LoadOptions { return dataset.MovieLensOptions() }
 // instances.
 func SplitDataset(d *Dataset, trainFrac float64, seed uint64) Split {
 	return dataset.SplitEntries(d.R, trainFrac, rng.New(seed))
-}
-
-// SplitMatrix is SplitDataset for a bare matrix.
-func SplitMatrix(m *Matrix, trainFrac float64, seed uint64) Split {
-	return dataset.SplitEntries(m, trainFrac, rng.New(seed))
 }
 
 // Subsample keeps a uniformly random frac of m's positives, preserving the
@@ -308,13 +293,6 @@ func TrainUserKNN(r *Matrix, cfg KNNConfig) (*UserKNNModel, error) { return knn.
 // TrainItemKNN fits item-based collaborative filtering.
 func TrainItemKNN(r *Matrix, cfg KNNConfig) (*ItemKNNModel, error) { return knn.TrainItem(r, cfg) }
 
-// PopularityModel is the non-personalized most-popular baseline.
-type PopularityModel = popularity.Model
-
-// TrainPopularity counts item popularity — the floor any personalized
-// recommender must clear.
-func TrainPopularity(r *Matrix) *PopularityModel { return popularity.Train(r) }
-
 // --- Community detection (Fig 2 comparison) -----------------------------------
 
 // Graph is an undirected graph.
@@ -373,30 +351,4 @@ func GridSearch(train, test *Matrix, grid GridSearchGrid, opts GridSearchOptions
 // from the data via cross-validation" protocol in full.
 func GridSearchKFold(r *Matrix, grid GridSearchGrid, folds int, seed uint64, opts GridSearchOptions) (*GridSearchResult, error) {
 	return cv.SearchKFold(r, grid, folds, seed, opts)
-}
-
-// RenderCoClusterMatrix draws the positives of r with rows and columns
-// grouped by dominant co-cluster, visualizing the Fig 1 block structure
-// ('#' positive, '+' strong recommendation). For small matrices.
-func RenderCoClusterMatrix(m *Model, r *Matrix, threshold float64) string {
-	return explain.RenderCoClusterMatrix(m, r, threshold)
-}
-
-// BiclusterModule, Jaccard and the recovery scores support the
-// gene-expression application of the paper's conclusion (Prelic-style
-// bicluster match scoring; see examples/genes).
-type BiclusterModule = explain.Module
-
-// ModuleJaccard returns the Jaccard similarity of two modules as cell sets.
-func ModuleJaccard(a, b BiclusterModule) float64 { return explain.Jaccard(a, b) }
-
-// RecoveryScore averages, over planted modules, the best Jaccard against
-// any found module.
-func RecoveryScore(planted, found []BiclusterModule) float64 {
-	return explain.RecoveryScore(planted, found)
-}
-
-// RelevanceScore is the reverse match: how much of what was found is real.
-func RelevanceScore(planted, found []BiclusterModule) float64 {
-	return explain.RelevanceScore(planted, found)
 }
