@@ -13,7 +13,7 @@
 //	POST /v1/admin/flip                         re-read shard versions/ranges (trainer rollout)
 //	GET  /healthz                               route table: epoch, shard versions, ranges, breaker/health states
 //	GET  /readyz                                readiness (503 until the first route table, and while draining)
-//	GET  /metrics                               scatter, hedge, breaker, prober, admission and cache counters
+//	GET  /metrics                               scatter, hedge, breaker, prober, admission, in-flight and cache counters
 //
 // The router owns the top-M cache and singleflight (shards are
 // cacheless). A request, single or batch, costs one round trip per shard:
@@ -54,6 +54,13 @@
 // At startup the router retries the initial shard refresh until -startup
 // elapses, so shards and router can start in any order; SIGINT/SIGTERM
 // flip /readyz to 503, wait -drain-wait, then drain connections and exit.
+//
+// -addr, -drain-wait, -pprof-addr and the edge flags (-cache, -max-m,
+// -max-batch, -max-body, -max-inflight, -max-queue, -queue-wait,
+// -trace-ring, -trace-slow) are declared once for this binary and
+// ocular-serve by cliutil.DaemonFlags, and mean the same on both. Here
+// -cache counts merged lists, and -max-m and -max-batch must not exceed
+// the shards' own.
 package main
 
 import (
@@ -75,14 +82,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ocular-router: ")
+	d := cliutil.DaemonFlags(flag.CommandLine)
 	var (
 		shards = flag.String("shards", "", "comma-separated shard base URLs (required)")
-		addr   = flag.String("addr", ":8080", "listen address")
-
-		cacheSize = flag.Int("cache", 4096, "cached merged top-M lists (negative disables)")
-		maxM      = flag.Int("max-m", 1000, "cap on requested list length m (must not exceed the shards' -max-m)")
-		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request (must not exceed the shards' -max-batch)")
-		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
 
 		stages    = flag.String("stages", "", "staged re-rank pipeline applied once after the merge, e.g. \"floor=0.1,boost=0.5:promoted\"")
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
@@ -99,14 +101,6 @@ func main() {
 		probe       = flag.Duration("probe", 0, "health-probe interval for route repair (0 = 2s; probing starts once the tier is up)")
 		noProbe     = flag.Bool("no-probe", false, "disable background health probing")
 		retryBudget = flag.Float64("retry-budget", 0, "hedge retries allowed per primary attempt in a 10s window (0 = 0.2; negative = unlimited)")
-		maxInFlight = flag.Int("max-inflight", 0, "admission control: concurrent data-plane requests (0 = unbounded)")
-		maxQueue    = flag.Int("max-queue", 0, "admission control: waiters beyond -max-inflight before shedding 429 (0 = 2x max-inflight)")
-		queueWait   = flag.Duration("queue-wait", 0, "admission control: how long a queued request may wait for a slot (0 = 100ms)")
-		drainWait   = flag.Duration("drain-wait", 3*time.Second, "on SIGTERM, how long /readyz reports unready before connections drain")
-
-		traceRing = flag.Int("trace-ring", 0, "recent request traces kept for GET /debug/traces (0 = 256; negative disables tracing)")
-		traceSlow = flag.Duration("trace-slow", 0, "log a slow-request line for traced requests at or above this duration (0 disables)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 	)
 	flag.Parse()
 	if *shards == "" {
@@ -127,10 +121,7 @@ func main() {
 	rt, err := cluster.New(cluster.Config{
 		Shards:           urls,
 		Stages:           rtStages,
-		MaxM:             *maxM,
-		MaxBatch:         *maxBatch,
-		MaxBodyBytes:     *maxBody,
-		CacheSize:        *cacheSize,
+		EdgeConfig:       d.Edge,
 		Timeout:          *timeout,
 		HedgeDelay:       *hedge,
 		AllowDegraded:    *allowDegraded,
@@ -139,21 +130,11 @@ func main() {
 		BreakerCooldown:  *brkCooldown,
 		ProbeInterval:    *probe,
 		RetryBudget:      *retryBudget,
-		MaxInFlight:      *maxInFlight,
-		MaxQueue:         *maxQueue,
-		QueueWait:        *queueWait,
-		TraceRing:        *traceRing,
-		TraceSlow:        *traceSlow,
 		Logf:             log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stopPprof, err := cliutil.StartPprof(*pprofAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopPprof()
 
 	// Retry the initial refresh so shards and router may start in any
 	// order; serving 503s past -startup would only hide a dead tier.
@@ -163,7 +144,7 @@ func main() {
 	for {
 		epoch, err := rt.Refresh(ctx)
 		if err == nil {
-			log.Printf("routing %d shards on %s (epoch %d)", len(urls), *addr, epoch)
+			log.Printf("routing %d shards on %s (epoch %d)", len(urls), d.Addr, epoch)
 			break
 		}
 		if time.Now().After(deadline) || ctx.Err() != nil {
@@ -183,7 +164,7 @@ func main() {
 		rt.StartProber(ctx)
 	}
 
-	if err := cliutil.Serve(ctx, *addr, rt.Handler(), rt.BeginDrain, *drainWait); err != nil {
+	if err := cliutil.Serve(ctx, d, rt.Handler(), rt.BeginDrain); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("bye")

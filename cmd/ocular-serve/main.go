@@ -57,10 +57,17 @@
 // user of a router batch in one call, over frame streams (GET
 // /v2/shard/topm upgraded to ocular-frame/1), are what the router speaks;
 // POST /v1/shard/topm is their one-user JSON twin — plus /v1/reload,
-// /healthz and /metrics. -max-m and -max-batch must cover the router's. -shard-hi -1
-// means "through the end of the catalogue". Open streams outlive the
-// HTTP drain and end after it, when the server closes. See the README's
-// "Sharded serving" section.
+// /healthz and /metrics. -max-m and -max-batch must cover the router's.
+// -shard-hi -1 means "through the end of the catalogue"; a -shard-lo
+// without -shard-hi is refused, not served as the whole catalogue. Open
+// streams outlive the HTTP drain and end after it, when the server
+// closes. See the README's "Sharded serving" section.
+//
+// -addr, -drain-wait, -pprof-addr and the edge flags (-cache, -max-m,
+// -max-batch, -max-body, -max-inflight, -max-queue, -queue-wait,
+// -trace-ring, -trace-slow) are declared once for this binary and
+// ocular-router by cliutil.DaemonFlags, and mean the same on both; see
+// the README's "Operating the cluster".
 package main
 
 import (
@@ -71,7 +78,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	ocular "repro"
 
@@ -84,9 +90,9 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ocular-serve: ")
+	d := cliutil.DaemonFlags(flag.CommandLine)
 	var (
 		modelPath = flag.String("model", "", "serialized model file (from ocular -save); required")
-		addr      = flag.String("addr", ":8080", "listen address")
 
 		dataPath  = flag.String("data", "", "training ratings file for per-user exclusions")
 		sep       = flag.String("sep", ",", "field separator for -data")
@@ -102,25 +108,12 @@ func main() {
 		registry  = flag.String("registry", "", "multi-model registry config (JSON: named models, tenants, experiments, shadows)")
 		shadowLog = flag.String("shadow-log", "", "append shadow-comparison diff records (JSON lines) to this file")
 
-		cacheSize = flag.Int("cache", 4096, "cached top-M lists (negative disables)")
-		workers   = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
-		maxM      = flag.Int("max-m", 1000, "cap on requested list length m")
-		maxBatch  = flag.Int("max-batch", 1024, "cap on users per /v1/batch request (and per router batch, on a shard)")
-		maxBody   = flag.Int64("max-body", 0, "cap on request body bytes (0 = 1 MiB)")
-		lambda    = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
-		relative  = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")
+		workers  = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
+		lambda   = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
+		relative = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")
 
 		shardLo = flag.Int("shard-lo", 0, "shard mode: first item (inclusive) of the served partition")
 		shardHi = flag.Int("shard-hi", 0, "shard mode: item upper bound (exclusive; -1 = end of catalogue; 0 = full-catalogue mode)")
-
-		maxInFlight = flag.Int("max-inflight", 0, "admission control: concurrent data-plane requests (0 = unbounded)")
-		maxQueue    = flag.Int("max-queue", 0, "admission control: waiters beyond -max-inflight before shedding 429 (0 = 2x max-inflight)")
-		queueWait   = flag.Duration("queue-wait", 0, "admission control: how long a queued request may wait for a slot (0 = 100ms)")
-		drainWait   = flag.Duration("drain-wait", 3*time.Second, "on SIGTERM, how long /readyz reports unready before connections drain (lets balancers stop sending)")
-
-		traceRing = flag.Int("trace-ring", 0, "recent request traces kept for GET /debug/traces (0 = 256; negative disables tracing)")
-		traceSlow = flag.Duration("trace-slow", 0, "log a slow-request line for traced requests at or above this duration (0 disables)")
-		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
 	)
 	flag.Parse()
 	if *modelPath == "" {
@@ -134,26 +127,17 @@ func main() {
 		log.Fatal("-stages and -registry are incompatible with shard mode (shards serve raw partials; stages run on the router, the registry on full servers)")
 	}
 
+	// Both shard flags always reach the config: NewFromFile refuses a
+	// -shard-lo given without -shard-hi rather than serve everything.
 	cfg := serve.Config{
 		ModelPath:       *modelPath,
 		FoldIn:          ocular.Config{Lambda: *lambda, Relative: *relative},
-		CacheSize:       *cacheSize,
 		Workers:         *workers,
-		MaxM:            *maxM,
-		MaxBatch:        *maxBatch,
-		MaxBodyBytes:    *maxBody,
 		MaxIngestGrowth: *maxGrowth,
-		MaxInFlight:     *maxInFlight,
-		MaxQueue:        *maxQueue,
-		QueueWait:       *queueWait,
-		TraceRing:       *traceRing,
-		TraceSlow:       *traceSlow,
+		EdgeConfig:      d.Edge,
+		ShardLo:         *shardLo,
+		ShardHi:         *shardHi,
 	}
-	stopPprof, err := cliutil.StartPprof(*pprofAddr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopPprof()
 	if *dataPath != "" || *preset != "" {
 		d, err := cliutil.LoadData(*dataPath, *sep, *threshold, *preset, *seed)
 		if err != nil {
@@ -217,24 +201,22 @@ func main() {
 		log.Printf("shadow diff log: %s", *shadowLog)
 	}
 
-	var srv *serve.Server
+	newServer := serve.NewFromFile
 	if shardMode {
-		cfg.ShardLo, cfg.ShardHi = *shardLo, *shardHi
-		srv, err = serve.NewShardFromFile(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("serving item shard [%d,%d) on %s (mmap; merge through ocular-router)", *shardLo, *shardHi, *addr)
+		newServer = serve.NewShardFromFile
+	}
+	srv, err := newServer(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if shardMode {
+		log.Printf("serving item shard [%d,%d) on %s (mmap; merge through ocular-router)", *shardLo, *shardHi, d.Addr)
 	} else {
-		srv, err = serve.NewFromFile(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mode := "mmap, float64 scoring"
 		if _, f32 := srv.ServingMode(); f32 {
 			mode = "mmap, float32 scoring"
 		}
-		log.Printf("serving %v on %s (%s)", srv.Model(), *addr, mode)
+		log.Printf("serving %v on %s (%s)", srv.Model(), d.Addr, mode)
 	}
 
 	// SIGHUP hot-swaps the model; SIGINT/SIGTERM drain and exit.
@@ -257,7 +239,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	err = cliutil.Serve(ctx, *addr, srv.Handler(), srv.BeginDrain, *drainWait)
+	err = cliutil.Serve(ctx, d, srv.Handler(), srv.BeginDrain)
 	// The feed writer buffers appends; a drained shutdown must not lose
 	// the tail of the interaction log, so sync and close it explicitly
 	// before deciding the exit status (log.Fatal would skip deferred

@@ -1,11 +1,13 @@
 // Package cliutil holds what the command-line tools share: dataset
 // resolution from -data/-preset flags, list parsing, the -pprof-addr side
-// listener and the serving daemons' listen-drain-shutdown skeleton.
+// listener, and the serving daemons' shared flags and
+// listen-drain-shutdown skeleton.
 package cliutil
 
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"log"
 	"net/http"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/obs"
+	"repro/internal/serve"
 	"repro/internal/sparse"
 )
 
@@ -123,14 +126,51 @@ func StartPprof(addr string) (stop func(), err error) {
 	return func() { ln.Close() }, nil
 }
 
-// Serve listens on addr and serves h until ctx is done — SIGINT/SIGTERM,
-// through the caller's signal.NotifyContext — then drains: beginDrain flips
-// readiness to 503 first so load balancers stop routing here, the data
-// path keeps serving stragglers for drainWait, and only then are
-// connections shut down, with 30s to finish. It returns instead of exiting
-// so the caller can flush state whatever the outcome.
-func Serve(ctx context.Context, addr string, h http.Handler, beginDrain func(), drainWait time.Duration) error {
-	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
+// Daemon is what ocular-serve and ocular-router are both told on the
+// command line: where to listen, how long to drain, where to serve pprof,
+// and their HTTP edge.
+type Daemon struct {
+	Addr      string
+	DrainWait time.Duration
+	PprofAddr string
+	Edge      serve.EdgeConfig
+}
+
+// DaemonFlags declares on fs the flags that mean the same in both serving
+// daemons, and returns the Daemon they fill once fs is parsed. An edge
+// flag left at 0 takes serve.NewEdge's default.
+func DaemonFlags(fs *flag.FlagSet) *Daemon {
+	d := &Daemon{}
+	fs.StringVar(&d.Addr, "addr", ":8080", "listen address")
+	fs.DurationVar(&d.DrainWait, "drain-wait", 3*time.Second, "on SIGTERM, how long /readyz reports unready before connections drain (lets balancers stop sending)")
+	fs.StringVar(&d.PprofAddr, "pprof-addr", "", "serve net/http/pprof on this address (empty disables)")
+	e := &d.Edge
+	fs.IntVar(&e.CacheSize, "cache", 0, "cached top-M lists, merged lists on a router (0 = 4096; negative disables)")
+	fs.IntVar(&e.MaxM, "max-m", 0, "cap on requested list length m (0 = 1000; a shard's must cover its router's)")
+	fs.IntVar(&e.MaxBatch, "max-batch", 0, "cap on users per batch request (0 = 1024; a shard's must cover its router's)")
+	fs.Int64Var(&e.MaxBodyBytes, "max-body", 0, "cap on request body bytes (0 = 1 MiB)")
+	fs.IntVar(&e.MaxInFlight, "max-inflight", 0, "admission control: concurrent data-plane requests (0 = unbounded)")
+	fs.IntVar(&e.MaxQueue, "max-queue", 0, "admission control: waiters beyond -max-inflight before shedding 429 (0 = 2x max-inflight)")
+	fs.DurationVar(&e.QueueWait, "queue-wait", 0, "admission control: how long a queued request may wait for a slot (0 = 100ms)")
+	fs.IntVar(&e.TraceRing, "trace-ring", 0, "recent request traces kept for GET /debug/traces (0 = 256; negative disables tracing)")
+	fs.DurationVar(&e.TraceSlow, "trace-slow", 0, "log a slow-request line for traced requests at or above this duration (0 disables)")
+	return d
+}
+
+// Serve runs a daemon: pprof on d.PprofAddr, and h on d.Addr until ctx is
+// done — SIGINT/SIGTERM, through the caller's signal.NotifyContext. Then
+// it drains: beginDrain flips readiness to 503 first so load balancers
+// stop routing here, the data path keeps serving stragglers for
+// d.DrainWait, and only then are connections shut down, with 30s to
+// finish. It returns instead of exiting so the caller can flush state
+// whatever the outcome.
+func Serve(ctx context.Context, d *Daemon, h http.Handler, beginDrain func()) error {
+	stopPprof, err := StartPprof(d.PprofAddr)
+	if err != nil {
+		return err
+	}
+	defer stopPprof()
+	srv := &http.Server{Addr: d.Addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -139,8 +179,8 @@ func Serve(ctx context.Context, addr string, h http.Handler, beginDrain func(), 
 	case <-ctx.Done():
 	}
 	beginDrain()
-	log.Printf("shutting down (/readyz now 503; draining for %v before closing)", drainWait)
-	time.Sleep(drainWait)
+	log.Printf("shutting down (/readyz now 503; draining for %v before closing)", d.DrainWait)
+	time.Sleep(d.DrainWait)
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -2,13 +2,16 @@ package cliutil
 
 import (
 	"context"
+	"flag"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/serve"
 	"repro/internal/sparse"
 )
 
@@ -112,7 +115,9 @@ func TestServe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	drained := make(chan struct{})
 	done := make(chan error, 1)
-	go func() { done <- Serve(ctx, "127.0.0.1:0", http.NotFoundHandler(), func() { close(drained) }, 0) }()
+	go func() {
+		done <- Serve(ctx, &Daemon{Addr: "127.0.0.1:0"}, http.NotFoundHandler(), func() { close(drained) })
+	}()
 	cancel()
 	<-drained
 	if err := <-done; err != nil {
@@ -124,7 +129,7 @@ func TestServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	err = Serve(context.Background(), ln.Addr().String(), http.NotFoundHandler(), func() { t.Error("drained a daemon that never listened") }, 0)
+	err = Serve(context.Background(), &Daemon{Addr: ln.Addr().String()}, http.NotFoundHandler(), func() { t.Error("drained a daemon that never listened") })
 	if err == nil {
 		t.Error("Serve on a taken address returned nil")
 	}
@@ -132,5 +137,42 @@ func TestServe(t *testing.T) {
 		t.Errorf("no -pprof-addr: %v", err)
 	} else {
 		stop()
+	}
+}
+
+// TestDaemonFlags: the twelve flags both serving daemons share reach the
+// Daemon they declare, and an edge left at its zero values resolves to
+// the documented defaults.
+func TestDaemonFlags(t *testing.T) {
+	fs := flag.NewFlagSet("daemon", flag.ContinueOnError)
+	d := DaemonFlags(fs)
+	err := fs.Parse([]string{
+		"-addr", "127.0.0.1:9999", "-drain-wait", "7s", "-pprof-addr", "127.0.0.1:6060",
+		"-cache", "-1", "-max-m", "50", "-max-batch", "8", "-max-body", "4096",
+		"-max-inflight", "64", "-max-queue", "-1", "-queue-wait", "250ms",
+		"-trace-ring", "16", "-trace-slow", "40ms",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Daemon{Addr: "127.0.0.1:9999", DrainWait: 7 * time.Second, PprofAddr: "127.0.0.1:6060",
+		Edge: serve.EdgeConfig{CacheSize: -1, MaxM: 50, MaxBatch: 8, MaxBodyBytes: 4096,
+			MaxInFlight: 64, MaxQueue: -1, QueueWait: 250 * time.Millisecond,
+			TraceRing: 16, TraceSlow: 40 * time.Millisecond}}
+	if *d != want {
+		t.Errorf("parsed %+v, want %+v", *d, want)
+	}
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 12 {
+		t.Errorf("DaemonFlags declared %d flags, want 12", n)
+	}
+
+	_, got, err := serve.NewEdge("server", serve.EdgeConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MaxM != 1000 || got.MaxBatch != 1024 || got.MaxBodyBytes != 1<<20 || got.CacheSize != 4096 || got.TraceRing != 256 {
+		t.Errorf("zero EdgeConfig resolved to %+v, want MaxM 1000, MaxBatch 1024, MaxBodyBytes 1 MiB, CacheSize 4096, TraceRing 256", got)
 	}
 }

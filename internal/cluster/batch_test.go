@@ -216,7 +216,7 @@ func TestBatchWithShardDown(t *testing.T) {
 func TestRouterBatchAllocsPerUser(t *testing.T) {
 	skipUnderRace(t)
 	const m = 4
-	tr := newTier(t, 2, Config{CacheSize: 16})
+	tr := newTier(t, 2, Config{EdgeConfig: serve.EdgeConfig{CacheSize: 16}})
 	r := httptest.NewRequest(http.MethodPost, "/v2/batch", nil)
 	users, next := make([]int, 32), 0
 	exclude := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
@@ -379,7 +379,7 @@ func TestRouterKeepsShardConnections(t *testing.T) {
 		t.Cleanup(func() { _ = srv.Close() })
 		urls[p] = ts.URL
 	}
-	_, router := startRouter(t, Config{Shards: urls, CacheSize: -1})
+	_, router := startRouter(t, Config{Shards: urls, EdgeConfig: serve.EdgeConfig{CacheSize: -1}})
 	for u := range rounds {
 		if st := ranktest.PostJSON(t, router.URL+"/v1/batch", serve.BatchRequest{Users: []int{u, u + 1}, M: 5}, nil); st != http.StatusOK {
 			t.Fatalf("sequential batch %d: status %d", u, st)

@@ -59,7 +59,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 		BreakerThreshold: 3,
 		BreakerCooldown:  800 * time.Millisecond,
 		AllowDegraded:    true,
-		CacheSize:        -1, // every request must actually scatter
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1}, // every request must actually scatter
 		HTTPClient:       &http.Client{Transport: ct},
 	})
 	hung := tr.shardTS[0].URL
@@ -121,7 +121,7 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 		BreakerThreshold: -1, // isolate the prober: no breaker assists
 		ProbeInterval:    25 * time.Millisecond,
 		AllowDegraded:    true,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 		HTTPClient:       &http.Client{Transport: ct},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -165,7 +165,7 @@ func TestProbeMarksVersionSkewDown(t *testing.T) {
 		BreakerThreshold: -1,
 		ProbeInterval:    25 * time.Millisecond,
 		AllowDegraded:    true,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -197,11 +197,8 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 	const maxInFlight = 4
 	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	tr := newTier(t, 2, Config{
-		MaxInFlight:      maxInFlight,
-		MaxQueue:         2,
-		QueueWait:        50 * time.Millisecond,
+		EdgeConfig:       serve.EdgeConfig{MaxInFlight: maxInFlight, MaxQueue: 2, QueueWait: 50 * time.Millisecond, CacheSize: -1},
 		BreakerThreshold: -1,
-		CacheSize:        -1,
 		HTTPClient:       &http.Client{Transport: ct},
 	})
 	// Every shard call takes ~100ms: admitted requests hold their slot
@@ -262,7 +259,7 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 			t.Errorf("request %d: status %d — overload must shed with 429, nothing else", i, o.status)
 		}
 	}
-	if peak := tr.router.gate.Peak(); peak > maxInFlight {
+	if peak := tr.router.Gate().Peak(); peak > maxInFlight {
 		t.Errorf("peak in-flight %d exceeds the admission limit %d", peak, maxInFlight)
 	}
 	if ok200 == 0 {
@@ -271,7 +268,7 @@ func TestRouterShedsUnderOverload(t *testing.T) {
 	if shed429 < n/4 {
 		t.Errorf("only %d/%d shed under 10× overload — the gate is not bounding admission", shed429, n)
 	}
-	t.Logf("overload: %d ok, %d shed, peak in-flight %d", ok200, shed429, tr.router.gate.Peak())
+	t.Logf("overload: %d ok, %d shed, peak in-flight %d", ok200, shed429, tr.router.Gate().Peak())
 }
 
 // TestMidChaosQuorumRolloutNeverMixesVersions: with a flapping fault
@@ -286,7 +283,7 @@ func TestMidChaosQuorumRolloutNeverMixesVersions(t *testing.T) {
 		HedgeDelay:       5 * time.Millisecond,
 		RetryBudget:      -1, // unlimited hedges: keep throughput up under the flap
 		BreakerThreshold: -1, // flapping 500s must not trip anything here
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 		HTTPClient:       &http.Client{Transport: ct},
 	})
 	// The rollout target is a genuinely different model, so a mixed-version
@@ -410,7 +407,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 		Timeout:          200 * time.Millisecond,
 		BreakerThreshold: -1, // the deadline alone must free the slot
 		AllowDegraded:    true,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 		HTTPClient:       &http.Client{Transport: tport},
 	})
 	// The proxy latches its mode per connection; drop the keep-alive
@@ -449,7 +446,7 @@ func TestSlowLorisShardDoesNotHoldSlotPastDeadline(t *testing.T) {
 func TestDeterministic4xxDoesNotTripBreaker(t *testing.T) {
 	tr := newTier(t, 2, Config{
 		BreakerThreshold: 2,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 	})
 	bad := serve.RecommendRequest{User: 1, M: 5,
 		Filter: &serve.FilterSpec{AllowTags: []string{"no-such-tag"}}}
@@ -477,7 +474,7 @@ func TestRouterMapsShardTimeoutTo504(t *testing.T) {
 	tr := newTier(t, 2, Config{
 		Timeout:          80 * time.Millisecond,
 		BreakerThreshold: -1,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 		HTTPClient:       &http.Client{Transport: ct},
 		// Fail-closed: the hung shard must fail the request.
 	})
@@ -531,7 +528,7 @@ func TestRequestTimeoutBoundsTheRequest(t *testing.T) {
 	const budget = 150 * time.Millisecond
 	ct := chaos.NewTransport(NewShardTransport(256), 1)
 	spy := &deadlineSpy{next: ct}
-	tr := newTier(t, 2, Config{RequestTimeout: budget, BreakerThreshold: -1, CacheSize: -1,
+	tr := newTier(t, 2, Config{RequestTimeout: budget, BreakerThreshold: -1, EdgeConfig: serve.EdgeConfig{CacheSize: -1},
 		HTTPClient: &http.Client{Transport: spy}})
 	spy.host = hostOf(t, tr.shardTS[1].URL)
 	ct.Set(&chaos.Fault{Host: hostOf(t, tr.shardTS[0].URL), Path: shardPath, Hang: true})
@@ -587,7 +584,7 @@ func BenchmarkRouterShardDown(b *testing.B) {
 		BreakerThreshold: 1,
 		BreakerCooldown:  time.Hour, // no half-open trial mid-benchmark
 		AllowDegraded:    true,
-		CacheSize:        -1,
+		EdgeConfig:       serve.EdgeConfig{CacheSize: -1},
 		HTTPClient:       &http.Client{Transport: ct},
 	})
 	ct.Set(&chaos.Fault{Host: hostOf(b, tr.shardTS[0].URL), Hang: true})

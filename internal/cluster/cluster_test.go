@@ -142,7 +142,7 @@ func conformRouter(t *testing.T, staged bool, codecs ...ranktest.Codec) {
 			for _, codec := range codecs {
 				t.Run(codec.Name, func(t *testing.T) {
 					fx := ranktest.New(t, ranktest.Variant{F32: !staged})
-					cfg := Config{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}
+					cfg := Config{EdgeConfig: serve.EdgeConfig{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}}
 					if staged {
 						cfg.Stages = fx.Stages
 					}
@@ -320,7 +320,7 @@ func TestHedgedRetry(t *testing.T) {
 // TestRouterRequestValidation mirrors the single-process server's
 // rejections at the router's front door.
 func TestRouterRequestValidation(t *testing.T) {
-	tr := newTier(t, 2, Config{MaxM: 50, MaxBatch: 3, MaxBodyBytes: 512})
+	tr := newTier(t, 2, Config{EdgeConfig: serve.EdgeConfig{MaxM: 50, MaxBatch: 3, MaxBodyBytes: 512}})
 	for name, c := range map[string]struct {
 		path string
 		body any
@@ -404,12 +404,15 @@ func TestRefreshValidation(t *testing.T) {
 
 func TestRouterConfigValidation(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"no shards":      {},
-		"empty url":      {Shards: []string{""}},
-		"duplicate url":  {Shards: []string{"http://a", "http://a"}},
-		"negative maxm":  {Shards: []string{"http://a"}, MaxM: -1},
-		"negative body":  {Shards: []string{"http://a"}, MaxBodyBytes: -1},
-		"negative hedge": {Shards: []string{"http://a"}, HedgeDelay: -time.Second},
+		"no shards":         {},
+		"empty url":         {Shards: []string{""}},
+		"duplicate url":     {Shards: []string{"http://a", "http://a"}},
+		"negative maxm":     {Shards: []string{"http://a"}, EdgeConfig: serve.EdgeConfig{MaxM: -1}},
+		"negative batch":    {Shards: []string{"http://a"}, EdgeConfig: serve.EdgeConfig{MaxBatch: -1}},
+		"negative body":     {Shards: []string{"http://a"}, EdgeConfig: serve.EdgeConfig{MaxBodyBytes: -1}},
+		"negative inflight": {Shards: []string{"http://a"}, EdgeConfig: serve.EdgeConfig{MaxInFlight: -1}},
+		"negative wait":     {Shards: []string{"http://a"}, EdgeConfig: serve.EdgeConfig{QueueWait: -time.Millisecond}},
+		"negative hedge":    {Shards: []string{"http://a"}, HedgeDelay: -time.Second},
 	} {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -475,7 +478,7 @@ func TestFingerprintFor(t *testing.T) {
 // window where a pinned version fell off a shard's two-deep history);
 // anything else, or a torn merge, fails.
 func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
-	tr := newTier(t, 2, Config{CacheSize: 64})
+	tr := newTier(t, 2, Config{EdgeConfig: serve.EdgeConfig{CacheSize: 64}})
 	stop := make(chan struct{})
 	var clients, rollouts sync.WaitGroup
 	rollouts.Add(1)

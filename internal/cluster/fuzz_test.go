@@ -23,7 +23,7 @@ import (
 // echoed is a well-formed one, the caller's own when that was.
 func FuzzRouterEdgeRequest(f *testing.F) {
 	tr := newTierOver(f, ranktest.New(f, ranktest.Variant{F32: true}), 2,
-		Config{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody})
+		Config{EdgeConfig: serve.EdgeConfig{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}})
 	paths := []string{"/v1/recommend", "/v1/batch"}
 	f.Add(uint8(0), `{"user":7,"m":5,"exclude_items":[1,2],"filter":{"allow_tags":["low"],"deny_tags":["rare"]}}`, "trace-1", "50")
 	f.Add(uint8(1), `{"users":[3,99999,3],"m":100,"filter":{"deny_tags":["no-such-tag"]},"tenant":"nobody"}`, "bad id!", "0")

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -23,7 +22,6 @@ var routerEndpointNames = []string{
 // failures in shard_latency's per-shard error counts; cache
 // counters in the shared rank.Stats (the ListCache feeds them).
 type metrics struct {
-	start      time.Time
 	degraded   expvar.Int
 	scatters   expvar.Int
 	shardCalls expvar.Int
@@ -44,26 +42,20 @@ type metrics struct {
 // /v1/admin/flip for the trainer's post-rollout table flip.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// BeginDrain marks the router draining: /readyz answers 503 so load
-// balancers stop sending traffic, while the data path keeps serving
-// until the HTTP server is shut down.
-func (rt *Router) BeginDrain() { rt.draining.Store(true) }
+// BeginDrain marks the router draining (see serve.Edge.BeginDrain).
+func (rt *Router) BeginDrain() { rt.edge.BeginDrain() }
 
 // Gate exposes the admission controller (nil when disabled), for tests
 // asserting the in-flight bound.
-func (rt *Router) Gate() *serve.Gate { return rt.gate }
+func (rt *Router) Gate() *serve.Gate { return rt.edge.Gate() }
 
 func (rt *Router) buildMux() *http.ServeMux {
 	// The data path sits behind the admission gate (nil gate = no-op);
 	// flip, health, readiness and metrics are never shed.
-	e := rt.edge
 	mux := http.NewServeMux()
-	serve.NewFront(e, rt.batch, 0).Mount(mux, rt.gate)
-	mux.HandleFunc("POST /v1/admin/flip", e.Instrument("flip", rt.handleFlip))
-	mux.HandleFunc("GET /healthz", e.Instrument("healthz", rt.handleHealthz))
-	mux.HandleFunc("GET /readyz", e.Instrument("readyz", rt.handleReadyz))
-	mux.HandleFunc("GET /metrics", e.Instrument("metrics", rt.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", e.Instrument("debug_traces", e.HandleDebugTraces))
+	serve.NewFront(rt.edge, rt.batch, 0).Mount(mux)
+	mux.HandleFunc("POST /v1/admin/flip", rt.edge.Instrument("flip", rt.handleFlip))
+	rt.edge.MountOps(mux, rt.handleHealthz, rt.handleReadyz, rt.handleMetrics)
 	return mux
 }
 
@@ -180,13 +172,10 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleReadyz is the router's readiness probe: 503 until the first
-// successful refresh installs a route table, and again during graceful
-// drain — distinct from /healthz, which reports state without gating
-// traffic.
+// successful refresh installs a route table (and, from the edge, during
+// graceful drain) — distinct from /healthz, which reports state without
+// gating traffic.
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) int {
-	if rt.draining.Load() {
-		return serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Ready{Reason: "draining"})
-	}
 	tbl := rt.table.Load()
 	if tbl == nil {
 		return serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Ready{Reason: "no route table yet"})
@@ -200,14 +189,13 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		shardLat[url] = obs.EndpointSnapshot(h)
 	}
 	out := map[string]any{
-		"uptime_seconds": time.Since(rt.m.start).Seconds(),
-		"degraded":       rt.m.degraded.Value(),
-		"scatters":       rt.m.scatters.Value(),
-		"shard_calls":    rt.m.shardCalls.Value(),
-		"hedges":         rt.m.hedges.Value(),
-		"hedges_denied":  int64(0),
-		"deadline_504s":  rt.edge.Deadline504s(),
-		"table_flips":    rt.m.flips.Value(),
+		"degraded":      rt.m.degraded.Value(),
+		"scatters":      rt.m.scatters.Value(),
+		"shard_calls":   rt.m.shardCalls.Value(),
+		"hedges":        rt.m.hedges.Value(),
+		"hedges_denied": int64(0),
+		"deadline_504s": rt.edge.Deadline504s(),
+		"table_flips":   rt.m.flips.Value(),
 		// shard_latency observes whole callShard calls (hedges included)
 		// per shard URL — the per-shard view that pinpoints a slow or
 		// flapping partition.
@@ -236,9 +224,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 		// One event under two keys: every hedge refused is the budget's.
 		denied := rb.deniedTotal()
 		out["hedges_denied"], out["retry_budget_denied"] = denied, denied
-	}
-	if adm := rt.gate.Snapshot(); adm != nil {
-		out["admission"] = adm
 	}
 	if tbl := rt.table.Load(); tbl != nil {
 		out["epoch"] = tbl.epoch

@@ -128,7 +128,7 @@ func TestTraceAcrossTier(t *testing.T) {
 // TestTraceCacheHitSpan: the router's second identical request answers
 // from its merge cache without scattering, and the trace says so.
 func TestTraceCacheHitSpan(t *testing.T) {
-	tr := newTier(t, 2, Config{CacheSize: 64})
+	tr := newTier(t, 2, Config{EdgeConfig: serve.EdgeConfig{CacheSize: 64}})
 	req := serve.RecommendRequest{User: 1, M: 5}
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, nil); st != 200 {
 		t.Fatalf("first status %d", st)

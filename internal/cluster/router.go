@@ -64,20 +64,14 @@ type Config struct {
 	// "http://10.0.0.1:8081"). Their item ranges are discovered from
 	// /healthz by Refresh and must exactly partition the catalogue.
 	Shards []string
-	// MaxM caps the requested list length m. 0 means 1000. The shards'
-	// own MaxM must cover rank.StagesOverFetch(MaxM, Stages) — the
-	// router forwards m verbatim without stages, over-fetched with them.
-	MaxM int
-	// MaxBatch caps the number of users in one /v1/batch request. 0 means
-	// 1024. The shards' own MaxBatch must cover it, as their MaxM must
-	// cover MaxM: a batch's cache misses reach every shard as one request,
-	// never chunked, and a shard's 400 surfaces as the router's.
-	MaxBatch int
-	// MaxBodyBytes caps request body size. 0 means 1 MiB.
-	MaxBodyBytes int64
-	// CacheSize is the approximate total number of cached merged lists; 0
-	// means 4096, negative disables caching.
-	CacheSize int
+	// EdgeConfig holds the limits, cache size (of merged lists), admission
+	// control over the data path and tracing shared with the serve tier
+	// (see serve.EdgeConfig). The shards' own MaxM must cover
+	// rank.StagesOverFetch(MaxM, Stages) — the router forwards m verbatim
+	// without stages, over-fetched with them — and their MaxBatch must
+	// cover MaxBatch: a batch's cache misses reach every shard as one
+	// request, never chunked, and a shard's 400 surfaces as the router's.
+	serve.EdgeConfig
 	// Timeout is the per-attempt deadline of one shard call. 0 means 2s.
 	Timeout time.Duration
 	// HedgeDelay, when positive, launches a second identical attempt
@@ -112,17 +106,6 @@ type Config struct {
 	// cannot be retry-stormed by its own router. 0 means 0.2; negative
 	// disables the budget (unlimited hedging).
 	RetryBudget float64
-	// MaxInFlight, when positive, bounds concurrently admitted
-	// /v1/recommend and /v1/batch requests; excess requests wait in a
-	// short bounded queue (MaxQueue, QueueWait — serve.Gate semantics)
-	// and are shed with 429 + Retry-After. 0 disables admission control.
-	MaxInFlight int
-	// MaxQueue bounds the admission wait queue. 0 means 2×MaxInFlight;
-	// negative means no queue.
-	MaxQueue int
-	// QueueWait bounds how long a queued request waits for an admission
-	// slot. 0 means 100ms.
-	QueueWait time.Duration
 	// AllowDegraded serves merges assembled from the surviving shards
 	// when others fail, marking the response degraded, instead of
 	// failing the request. Degraded merges are never cached.
@@ -148,27 +131,9 @@ type Config struct {
 	// Logf, when non-nil, receives progress lines (cmd/ocular-router
 	// wires log.Printf).
 	Logf func(format string, args ...any)
-	// TraceRing sizes the recent-traces ring served at GET /debug/traces.
-	// 0 means 256; negative disables tracing entirely.
-	TraceRing int
-	// TraceSlow, when > 0, logs a "slow request" line for every traced
-	// request at or above this duration.
-	TraceSlow time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxM == 0 {
-		c.MaxM = 1000
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
-	}
 	if c.Timeout == 0 {
 		c.Timeout = 2 * time.Second
 	}
@@ -238,14 +203,9 @@ type Router struct {
 	health map[string]*shardHealthState
 	// budget is the hedged-retry budget; nil means unlimited.
 	budget *retryBudget
-	// gate is the admission controller over /v1/recommend and /v1/batch;
-	// nil admits everything.
-	gate *serve.Gate
-	// draining flips at the start of graceful shutdown: /readyz answers
-	// 503 while the data path keeps serving.
-	draining atomic.Bool
 	// edge is the HTTP plumbing shared with the serve tier: body decoding,
-	// clamping, response writers, instrumentation and the request tracer.
+	// clamping, response writers, instrumentation, the request tracer, the
+	// admission gate over the data path and the drain flag.
 	edge *serve.Edge
 	// shardLat holds one latency histogram per shard URL, observing whole
 	// callShard calls (hedges and retries included). Built at
@@ -271,23 +231,18 @@ func New(cfg Config) (*Router, error) {
 		seen[u] = true
 	}
 	switch {
-	case cfg.MaxM < 0:
-		return nil, fmt.Errorf("cluster: MaxM must be >= 0, got %d", cfg.MaxM)
-	case cfg.MaxBatch < 0:
-		return nil, fmt.Errorf("cluster: MaxBatch must be >= 0, got %d", cfg.MaxBatch)
-	case cfg.MaxBodyBytes < 0:
-		return nil, fmt.Errorf("cluster: MaxBodyBytes must be >= 0, got %d", cfg.MaxBodyBytes)
 	case cfg.Timeout < 0 || cfg.HedgeDelay < 0:
 		return nil, fmt.Errorf("cluster: Timeout and HedgeDelay must be >= 0")
 	case cfg.RequestTimeout < 0:
 		return nil, fmt.Errorf("cluster: RequestTimeout must be >= 0, got %v", cfg.RequestTimeout)
 	case cfg.BreakerCooldown < 0 || cfg.ProbeInterval < 0:
 		return nil, fmt.Errorf("cluster: BreakerCooldown and ProbeInterval must be >= 0")
-	case cfg.MaxInFlight < 0:
-		return nil, fmt.Errorf("cluster: MaxInFlight must be >= 0, got %d", cfg.MaxInFlight)
-	case cfg.QueueWait < 0:
-		return nil, fmt.Errorf("cluster: QueueWait must be >= 0, got %v", cfg.QueueWait)
 	}
+	edge, ecfg, err := serve.NewEdge("router", cfg.EdgeConfig, routerEndpointNames)
+	if err != nil {
+		return nil, err
+	}
+	cfg.EdgeConfig = ecfg
 	stages := cfg.Stages[:0:0]
 	for _, st := range cfg.Stages {
 		if st == nil {
@@ -308,12 +263,10 @@ func New(cfg Config) (*Router, error) {
 		cfg:      cfg,
 		cache:    rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
 		stats:    stats,
-		m:        &metrics{start: time.Now()},
+		m:        &metrics{},
 		health:   make(map[string]*shardHealthState, len(cfg.Shards)),
 		shardLat: make(map[string]*obs.Histogram, len(cfg.Shards)),
-		gate:     serve.NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
-		edge: serve.NewEdge("router", cfg.MaxBodyBytes, cfg.MaxM, cfg.MaxBatch,
-			serve.NewTracer(cfg.TraceRing, cfg.TraceSlow), routerEndpointNames),
+		edge:     edge,
 	}
 	if cfg.BreakerThreshold > 0 {
 		rt.breakers = make(map[string]*breaker, len(cfg.Shards))

@@ -302,7 +302,8 @@ func TestFrontRefusesNonFiniteScore(t *testing.T) {
 	}
 	endpoints := []string{"recommend", "batch", "batch_binary"}
 	mux := http.NewServeMux()
-	NewFront(NewEdge("server", 1<<20, 100, 100, nil, endpoints), pipe, 1).Mount(mux, nil)
+	edge, _, _ := NewEdge("server", EdgeConfig{MaxM: 100, MaxBatch: 100, TraceRing: -1}, endpoints)
+	NewFront(edge, pipe, 1).Mount(mux)
 	post := func(path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
@@ -353,7 +354,7 @@ func TestWriteJSONRefusesBeforeWriting(t *testing.T) {
 // /v1/batch bodies to it through a recorder.
 func batchJSONServer(tb testing.TB, cacheSize int) (post func(body []byte) *httptest.ResponseRecorder, users int) {
 	fx := ranktest.New(tb, ranktest.Variant{F32: true})
-	srv, err := NewFromFile(Config{ModelPath: fx.Path, Train: fx.Train, CacheSize: cacheSize, Workers: 1})
+	srv, err := NewFromFile(Config{ModelPath: fx.Path, Train: fx.Train, Workers: 1, EdgeConfig: EdgeConfig{CacheSize: cacheSize}})
 	if err != nil {
 		tb.Fatal(err)
 	}

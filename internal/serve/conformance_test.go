@@ -21,7 +21,7 @@ import (
 // the fixture's file, exclusions and tags under the suite's limits.
 func conformConfig(fx *ranktest.Fixture) Config {
 	return Config{ModelPath: fx.Path, Train: fx.Train, ItemTags: fx.Tags, FoldIn: foldInCfg,
-		MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}
+		EdgeConfig: EdgeConfig{MaxM: ranktest.MaxM, MaxBatch: ranktest.MaxBatch, MaxBodyBytes: ranktest.MaxBody}}
 }
 
 // stagedSpecs declares ranktest.Fixture.Stages the way a server is told.

@@ -2,15 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -20,23 +21,67 @@ import (
 // The HTTP edge: the plumbing ocular-serve and ocular-router run
 // identically, written once and mounted by both. It owns body decoding
 // for both codecs (JSON with the size / unknown-field / single-value
-// rules, frames with recompute-and-reject), the request limits, the
-// response writers, the mapping of a refusal to its status, and the
-// per-endpoint instrumentation. Endpoints are a codec-agnostic pipeline
-// function between an edge decode and an edge write (front.go is the
-// public data path's); error responses are JSON on both codecs, only 200s
-// carry frames.
+// rules, frames with recompute-and-reject), the request limits and their
+// defaults (EdgeConfig), the admission gate, the drain flag and the
+// operational routes, the response writers, the mapping of a refusal to
+// its status, and the per-endpoint instrumentation. Endpoints are a
+// codec-agnostic pipeline function between an edge decode and an edge
+// write (front.go is the public data path's); error responses are JSON on
+// both codecs, only 200s carry frames.
 
 // FrameContentType identifies a binary batch frame in an HTTP body.
 const FrameContentType = "application/x-ocular-frame"
 
-// Edge carries the limits and counters of one binary's HTTP surface.
+// EdgeConfig is the edge both binaries are configured with: request
+// limits, the cache size, admission control and tracing. cliutil
+// declares the flags behind it once, for ocular-serve and ocular-router
+// alike; NewEdge refuses a negative limit and fills in the defaults.
+type EdgeConfig struct {
+	// MaxM caps the requested list length m. 0 means 1000.
+	MaxM int
+	// MaxBatch caps the users of one batch request. 0 means 1024.
+	MaxBatch int
+	// MaxBodyBytes caps request body size. 0 means 1 MiB.
+	MaxBodyBytes int64
+	// CacheSize is the approximate total number of cached top-M lists. 0
+	// means 4096; negative disables caching.
+	CacheSize int
+	// MaxInFlight, when positive, bounds concurrently admitted data-plane
+	// requests. Excess requests wait in a short bounded queue and are shed
+	// with 429 + Retry-After when it overflows or the wait elapses. 0
+	// disables admission control.
+	MaxInFlight int
+	// MaxQueue bounds how many requests may wait for an admission slot.
+	// 0 means 2×MaxInFlight; negative means no queue (instant shed when
+	// saturated). Ignored when MaxInFlight is 0.
+	MaxQueue int
+	// QueueWait bounds how long a queued request waits for a slot before
+	// being shed. 0 means 100ms. Ignored when MaxInFlight is 0.
+	QueueWait time.Duration
+	// TraceRing is the capacity of the recent-traces ring behind
+	// GET /debug/traces. 0 means 256; negative disables request tracing
+	// entirely (the endpoint then serves an empty list).
+	TraceRing int
+	// TraceSlow, when positive, emits a structured slow-request log line
+	// (log/slog) for any traced request at or above the threshold,
+	// carrying the trace ID that ties it to the shard spans behind it.
+	TraceSlow time.Duration
+}
+
+// Edge carries the limits, gate, drain flag and counters of one binary's
+// HTTP surface.
 type Edge struct {
-	who      string // names the limits' owner in rejections: "server", "router"
-	maxBody  int64
-	maxM     int
-	maxBatch int
-	tracer   *obs.Tracer // nil when tracing is disabled
+	who    string     // names the limits' owner in rejections: "server", "router"
+	cfg    EdgeConfig // resolved: every default filled in
+	tracer *obs.Tracer
+	// gate is the admission controller over the data endpoints; nil (admit
+	// everything) when MaxInFlight is 0.
+	gate *Gate
+	// draining flips once at the start of graceful shutdown: /readyz
+	// turns 503 so probers and balancers stop sending new traffic, while
+	// the data path keeps answering until the HTTP server is shut down.
+	draining atomic.Bool
+	start    time.Time
 	// endpoints holds one log-scale latency histogram per instrumented
 	// endpoint: count, error count, sum and buckets all read from the same
 	// drained cell, so the derived mean and the interpolated p50/p95/p99
@@ -63,38 +108,81 @@ type Edge struct {
 	}
 }
 
-// NewEdge builds the edge of one binary. maxBody, maxM and maxBatch must
-// already be defaulted and positive; every name later passed to Instrument
-// must be listed in endpoints.
-func NewEdge(who string, maxBody int64, maxM, maxBatch int, tracer *obs.Tracer, endpoints []string) *Edge {
-	e := &Edge{who: who, maxBody: maxBody, maxM: maxM, maxBatch: maxBatch, tracer: tracer,
+// NewEdge builds the edge of one binary — tracer, gate and all — and
+// returns it with cfg resolved. A negative limit is refused: it would
+// silently brick an endpoint (every request rejected, or an empty list
+// answered 200) rather than fail at startup; a negative CacheSize,
+// MaxQueue or TraceRing is an "off", not a limit. Every name later passed
+// to Instrument must be listed in endpoints.
+func NewEdge(who string, cfg EdgeConfig, endpoints []string) (*Edge, EdgeConfig, error) {
+	switch {
+	case cfg.MaxM < 0:
+		return nil, cfg, fmt.Errorf("%s: MaxM must be >= 0, got %d", who, cfg.MaxM)
+	case cfg.MaxBatch < 0:
+		return nil, cfg, fmt.Errorf("%s: MaxBatch must be >= 0, got %d", who, cfg.MaxBatch)
+	case cfg.MaxBodyBytes < 0:
+		return nil, cfg, fmt.Errorf("%s: MaxBodyBytes must be >= 0, got %d", who, cfg.MaxBodyBytes)
+	case cfg.MaxInFlight < 0:
+		return nil, cfg, fmt.Errorf("%s: MaxInFlight must be >= 0, got %d", who, cfg.MaxInFlight)
+	case cfg.QueueWait < 0:
+		return nil, cfg, fmt.Errorf("%s: QueueWait must be >= 0, got %v", who, cfg.QueueWait)
+	}
+	cfg.MaxM = cmp.Or(cfg.MaxM, 1000)
+	cfg.MaxBatch = cmp.Or(cfg.MaxBatch, 1024)
+	cfg.MaxBodyBytes = cmp.Or(cfg.MaxBodyBytes, 1<<20)
+	cfg.CacheSize = cmp.Or(cfg.CacheSize, 4096)
+	cfg.TraceRing = cmp.Or(cfg.TraceRing, 256)
+	e := &Edge{who: who, cfg: cfg, start: time.Now(),
+		tracer:    obs.NewTracer(cfg.TraceRing, cfg.TraceSlow, nil),
+		gate:      NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait),
 		endpoints: make(map[string]*obs.Histogram, len(endpoints))}
 	for _, name := range endpoints {
 		e.endpoints[name] = &obs.Histogram{}
 	}
-	return e
+	return e, cfg, nil
 }
 
-// NewTracer builds the recent-traces ring from the TraceRing/TraceSlow
-// config pair both binaries expose: ring 0 means 256, negative disables
-// tracing (nil tracer). Slow-request lines go to slog.Default().
-func NewTracer(ring int, slow time.Duration) *obs.Tracer {
-	if ring == 0 {
-		ring = 256
-	}
-	return obs.NewTracer(ring, slow, slog.Default())
-}
+// Gate is the admission controller over the data endpoints, nil when
+// disabled.
+func (e *Edge) Gate() *Gate { return e.gate }
 
-// InFlight is the number of requests currently in a handler;
-// Deadline504s the requests answered 504 for a deadline that ran out.
-func (e *Edge) InFlight() int64     { return e.inFlight.Value() }
+// BeginDrain marks the binary draining: /readyz answers 503 so balancers
+// and the router's prober take it out of rotation, while every data
+// endpoint keeps serving until the HTTP server is shut down.
+func (e *Edge) BeginDrain() { e.draining.Store(true) }
+
+// Deadline504s is the number of requests answered 504 for a deadline
+// that ran out.
 func (e *Edge) Deadline504s() int64 { return e.deadline504s.Value() }
 
-// Snapshot adds the edge's rows to a /metrics tree and returns what its
-// endpoints observed, summed: requests finished, and those answered with
-// a status >= 400. obs.Labeled keeps the JSON view identical while naming
-// the endpoint label for the Prometheus exposition.
+// MountOps registers the operational routes: /healthz, /readyz and
+// /metrics through the binary's handlers, /debug/traces through the
+// edge's. A draining binary answers /readyz 503 here, before readyz is
+// asked. None of them is gated: an overloaded binary stays observable.
+func (e *Edge) MountOps(mux *http.ServeMux, healthz, readyz, metrics func(http.ResponseWriter, *http.Request) int) {
+	mux.HandleFunc("GET /healthz", e.Instrument("healthz", healthz))
+	mux.HandleFunc("GET /readyz", e.Instrument("readyz", func(w http.ResponseWriter, r *http.Request) int {
+		if e.draining.Load() {
+			return WriteJSON(w, http.StatusServiceUnavailable, Ready{Reason: "draining"})
+		}
+		return readyz(w, r)
+	}))
+	mux.HandleFunc("GET /metrics", e.Instrument("metrics", metrics))
+	mux.HandleFunc("GET /debug/traces", e.Instrument("debug_traces", e.handleDebugTraces))
+}
+
+// Snapshot adds the edge's rows to a /metrics tree — uptime, the
+// in-flight gauge, the admission counters when a gate is on, and the
+// per-endpoint and frame counters — and returns what its endpoints
+// observed, summed: requests finished, and those answered with a status
+// >= 400. obs.Labeled keeps the JSON view identical while naming the
+// endpoint label for the Prometheus exposition.
 func (e *Edge) Snapshot(out map[string]any) (requests, failed uint64) {
+	out["uptime_seconds"] = time.Since(e.start).Seconds()
+	out["in_flight"] = e.inFlight.Value()
+	if adm := e.gate.Snapshot(); adm != nil {
+		out["admission"] = adm
+	}
 	eps := make(map[string]map[string]any, len(e.endpoints))
 	for name, h := range e.endpoints {
 		row := obs.EndpointSnapshot(h)
@@ -170,10 +258,10 @@ func (e *Edge) Instrument(name string, h func(w http.ResponseWriter, r *http.Req
 	}
 }
 
-// HandleDebugTraces serves the recent-traces ring, oldest first. With
+// handleDebugTraces serves the recent-traces ring, oldest first. With
 // tracing disabled the list is empty rather than the route missing, so
 // operators can tell "off" from "no traffic".
-func (e *Edge) HandleDebugTraces(w http.ResponseWriter, r *http.Request) int {
+func (e *Edge) handleDebugTraces(w http.ResponseWriter, r *http.Request) int {
 	return WriteJSON(w, http.StatusOK, map[string]any{"traces": e.tracer.Traces()})
 }
 
@@ -193,7 +281,7 @@ func bodyError(err error) error {
 // concatenated second request would otherwise be silently ignored,
 // masking client framing bugs.
 func (e *Edge) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, e.maxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, e.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return bodyError(err)
@@ -215,11 +303,11 @@ func (e *Edge) decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 func (e *Edge) clampM(m int) (int, error) {
 	switch {
 	case m == 0:
-		return min(10, e.maxM), nil
+		return min(10, e.cfg.MaxM), nil
 	case m < 0:
 		return 0, fmt.Errorf("m must be positive, got %d", m)
-	case m > e.maxM:
-		return 0, fmt.Errorf("m=%d exceeds the %s cap of %d", m, e.who, e.maxM)
+	case m > e.cfg.MaxM:
+		return 0, fmt.Errorf("m=%d exceeds the %s cap of %d", m, e.who, e.cfg.MaxM)
 	}
 	return m, nil
 }
@@ -231,8 +319,8 @@ func (e *Edge) check(req *BatchRequest) (m int, err error) {
 	switch {
 	case len(req.Users) == 0:
 		return 0, BadRequest(errors.New("users must be non-empty"))
-	case len(req.Users) > e.maxBatch:
-		return 0, BadRequest(fmt.Errorf("batch of %d users exceeds the %s cap of %d", len(req.Users), e.who, e.maxBatch))
+	case len(req.Users) > e.cfg.MaxBatch:
+		return 0, BadRequest(fmt.Errorf("batch of %d users exceeds the %s cap of %d", len(req.Users), e.who, e.cfg.MaxBatch))
 	}
 	if m, err = e.clampM(req.M); err != nil {
 		return 0, BadRequest(err)
@@ -318,7 +406,7 @@ func WriteErrorCode(w http.ResponseWriter, status int, code, msg string) int {
 // cap, reporting rejects to the decode counter. On !ok the rejection has
 // already been written to w, with its status returned.
 func (e *Edge) readFrame(w http.ResponseWriter, r *http.Request, a *Answer) (status int, ok bool) {
-	body, err := wire.AppendAll(a.body[:0], http.MaxBytesReader(w, r.Body, e.maxBody))
+	body, err := wire.AppendAll(a.body[:0], http.MaxBytesReader(w, r.Body, e.cfg.MaxBodyBytes))
 	a.body = body
 	if err != nil {
 		return WriteError(w, http.StatusBadRequest, bodyError(err).Error()), false

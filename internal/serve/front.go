@@ -205,8 +205,10 @@ func NewFront(edge *Edge, rank Pipeline, workers int) *Front {
 	return &Front{edge: edge, rank: rank, workers: workers}
 }
 
-// Mount registers the three routes on mux, instrumented and behind gate.
-func (f *Front) Mount(mux *http.ServeMux, gate *Gate) {
+// Mount registers the three routes on mux, instrumented and behind the
+// edge's gate.
+func (f *Front) Mount(mux *http.ServeMux) {
+	gate := f.edge.gate
 	mux.HandleFunc("POST /v1/recommend", f.edge.Instrument("recommend", gate.Wrap(f.recommend)))
 	mux.HandleFunc("POST /v1/batch", f.edge.Instrument("batch", gate.Wrap(f.batch)))
 	mux.HandleFunc("POST /v2/batch", f.edge.Instrument("batch_binary", gate.Wrap(f.batchFrame)))

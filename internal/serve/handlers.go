@@ -29,21 +29,18 @@ func (s *Server) buildMux() *http.ServeMux {
 	// shed — an overloaded server must stay observable and reloadable.
 	mux := http.NewServeMux()
 	if s.cfg.shardMode() {
-		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.gate.Wrap(s.handleShardTopM)))
-		frame := s.edge.Instrument("shard_topm_binary", s.gate.Wrap(s.handleShardTopMFrame))
+		mux.HandleFunc("POST /v1/shard/topm", s.edge.Instrument("shard_topm", s.edge.gate.Wrap(s.handleShardTopM)))
+		frame := s.edge.Instrument("shard_topm_binary", s.edge.gate.Wrap(s.handleShardTopMFrame))
 		s.streams = NewStreamServer(frame, s.cfg.MaxBodyBytes)
 		mux.Handle("GET /v2/shard/topm", s.streams)
 	} else {
-		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux, s.gate)
-		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.gate.Wrap(s.handleFoldIn)))
-		mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.gate.Wrap(s.handleExplain)))
+		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux)
+		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.edge.gate.Wrap(s.handleFoldIn)))
+		mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.edge.gate.Wrap(s.handleExplain)))
 		mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))
 	}
 	mux.HandleFunc("POST /v1/reload", s.edge.Instrument("reload", s.handleReload))
-	mux.HandleFunc("GET /healthz", s.edge.Instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.edge.Instrument("readyz", s.handleReadyz))
-	mux.HandleFunc("GET /metrics", s.edge.Instrument("metrics", s.handleMetrics))
-	mux.HandleFunc("GET /debug/traces", s.edge.Instrument("debug_traces", s.edge.HandleDebugTraces))
+	s.edge.MountOps(mux, s.handleHealthz, s.handleReadyz, s.handleMetrics)
 	return mux
 }
 
@@ -462,14 +459,10 @@ func (s *Server) shardState(sn *snapshot) (rng *ShardRange, prevVersion uint64) 
 }
 
 // handleReadyz is the readiness probe, distinct from /healthz liveness:
-// it answers 503 before a model is installed and during graceful drain,
-// so load balancers and the router's prober stop routing traffic here
-// while the process itself is still alive (and, when draining, still
-// finishing in-flight work).
+// it answers 503 before a model is installed (and the edge answers it
+// during graceful drain), so load balancers and the router's prober stop
+// routing traffic here while the process itself is still alive.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
-	if s.draining.Load() {
-		return WriteJSON(w, http.StatusServiceUnavailable, Ready{Reason: "draining"})
-	}
 	sn := s.snap.Load()
 	if sn == nil {
 		return WriteJSON(w, http.StatusServiceUnavailable, Ready{Reason: "no model installed yet"})
@@ -480,7 +473,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	sn := s.snap.Load()
-	out := s.metrics.snapshot(sn.version, sn.engine.CacheLen(), s.gate)
+	out := s.metrics.snapshot(sn.version, sn.engine.CacheLen())
 	if s.registry != nil {
 		out["tenants"] = s.registry.metricsTree()
 	}

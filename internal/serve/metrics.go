@@ -14,9 +14,8 @@ import (
 // cumulative. Per-endpoint latency, failed writes and the frame transport
 // counters live in the Edge.
 type Metrics struct {
-	start time.Time
-	edge  *Edge
-	rank  *rank.Stats
+	edge *Edge
+	rank *rank.Stats
 	// deadlineAborts counts shard requests aborted because their
 	// propagated deadline budget (see DeadlineHeader) had already expired
 	// before scoring started — wasted work the deadline check saved.
@@ -34,14 +33,11 @@ func (m *Metrics) CacheHitRate() float64 {
 	return float64(h) / float64(h+miss)
 }
 
-// snapshot renders the full metrics tree for the /metrics endpoint.
-// gate may be nil (admission control disabled). The same tree feeds
-// both the JSON and the Prometheus views.
-func (m *Metrics) snapshot(version uint64, cacheEntries int, gate *Gate) map[string]any {
+// snapshot renders the full metrics tree for the /metrics endpoint. The
+// same tree feeds both the JSON and the Prometheus views.
+func (m *Metrics) snapshot(version uint64, cacheEntries int) map[string]any {
 	out := map[string]any{
-		"uptime_seconds":  time.Since(m.start).Seconds(),
 		"model_version":   version,
-		"in_flight":       m.edge.InFlight(),
 		"deadline_aborts": m.deadlineAborts.Value(),
 		"cache": map[string]any{
 			"hits": m.rank.Hits(),
@@ -59,9 +55,6 @@ func (m *Metrics) snapshot(version uint64, cacheEntries int, gate *Gate) map[str
 		},
 	}
 	m.edge.Snapshot(out)
-	if adm := gate.Snapshot(); adm != nil {
-		out["admission"] = adm
-	}
 	return out
 }
 

@@ -582,7 +582,7 @@ func TestShadowSampleZeroNeverLogs(t *testing.T) {
 // served.
 func TestShadowRecordsTheServedList(t *testing.T) {
 	logW := &syncWriter{}
-	f := newRegistryServer(t, Config{ShadowLog: logW, CacheSize: 1}, func(rc *RegistryConfig) {
+	f := newRegistryServer(t, Config{ShadowLog: logW, EdgeConfig: EdgeConfig{CacheSize: 1}}, func(rc *RegistryConfig) {
 		acme := rc.Tenants["acme"]
 		acme.Shadow = &ShadowSpec{Model: "candidate", Sample: 1}
 		rc.Tenants["acme"] = acme
@@ -644,7 +644,7 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 // cache one more user adds nothing, hit or miss.
 func TestTenantBatchAllocsPerUser(t *testing.T) {
 	skipUnderRace(t)
-	f := newRegistryServer(t, Config{CacheSize: 64}, nil)
+	f := newRegistryServer(t, Config{EdgeConfig: EdgeConfig{CacheSize: 64}}, nil)
 	rt, err := f.srv.resolve("acme", 0)
 	if err != nil {
 		t.Fatal(err)

@@ -233,7 +233,7 @@ func decodeInto(t *testing.T, resp *http.Response, out any) {
 // limits sheds data-plane overflow with 429 but never gates the control
 // plane (healthz/readyz/metrics/reload must always answer).
 func TestServerGateWiredIntoDataPath(t *testing.T) {
-	srv, ts, _, _ := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 0, QueueWait: 10 * time.Millisecond})
+	srv, ts, _, _ := newTestServer(t, Config{EdgeConfig: EdgeConfig{MaxInFlight: 1, MaxQueue: 0, QueueWait: 10 * time.Millisecond}})
 	rel, ok := srv.Gate().Acquire(context.Background())
 	if !ok {
 		t.Fatal("could not hold the only slot")

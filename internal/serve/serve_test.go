@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/explain"
@@ -78,7 +79,7 @@ func TestRecommendAllocsPerRequest(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	_, ts, _, _ := newTestServer(t, Config{CacheSize: -1})
+	_, ts, _, _ := newTestServer(t, Config{EdgeConfig: EdgeConfig{CacheSize: -1}})
 	var second RecommendResponse
 	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, nil)
 	ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, &second)
@@ -166,7 +167,7 @@ func TestExplainMatchesInProcess(t *testing.T) {
 }
 
 func TestErrorPaths(t *testing.T) {
-	srv, ts, _, _ := newTestServer(t, Config{MaxM: 50, MaxBatch: 4})
+	srv, ts, _, _ := newTestServer(t, Config{EdgeConfig: EdgeConfig{MaxM: 50, MaxBatch: 4}})
 	post := func(path, body string) int {
 		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {
@@ -234,7 +235,7 @@ func TestErrorPaths(t *testing.T) {
 }
 
 func TestDefaultMRespectsLowCap(t *testing.T) {
-	_, ts, _, _ := newTestServer(t, Config{MaxM: 3})
+	_, ts, _, _ := newTestServer(t, Config{EdgeConfig: EdgeConfig{MaxM: 3}})
 	var got RecommendResponse
 	if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 1}, &got); st != 200 {
 		t.Fatalf("status %d", st)
@@ -608,14 +609,27 @@ func TestServerRejectsShapeMismatch(t *testing.T) {
 
 // TestNewRejectsBadConfig: every limit is validated at construction, so a
 // misconfigured server fails fast instead of silently serving empty lists
-// (MaxM), rejecting all batches (MaxBatch), or panicking under load.
+// (MaxM), rejecting all batches (MaxBatch), serving the whole catalogue
+// for a half-given shard range (ShardLo), or panicking under load. The
+// edge's limits are refused by shards too.
 func TestNewRejectsBadConfig(t *testing.T) {
 	path := ranktest.New(t, ranktest.Variant{}).Path
-	cases := map[string]Config{
+	edge := map[string]EdgeConfig{
 		"negative MaxM":         {MaxM: -1},
 		"negative MaxBatch":     {MaxBatch: -5},
 		"negative MaxBodyBytes": {MaxBodyBytes: -1},
-		"negative Workers":      {Workers: -2},
+		"negative MaxInFlight":  {MaxInFlight: -1},
+		"negative QueueWait":    {QueueWait: -time.Millisecond},
+	}
+	cases := map[string]Config{
+		"negative Workers":        {Workers: -2},
+		"ShardLo without ShardHi": {ShardLo: 40},
+	}
+	for name, ec := range edge {
+		cases[name] = Config{EdgeConfig: ec}
+		if _, err := NewShardFromFile(Config{ModelPath: path, ShardHi: -1, EdgeConfig: ec}); err == nil {
+			t.Errorf("%s: NewShardFromFile accepted the config", name)
+		}
 	}
 	for name, cfg := range cases {
 		cfg.ModelPath = path
@@ -1067,7 +1081,7 @@ func TestMaxBodyEnforcedEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	_, ts, _, _ := newTestServer(t, Config{Feed: log, MaxBodyBytes: 256})
+	_, ts, _, _ := newTestServer(t, Config{Feed: log, EdgeConfig: EdgeConfig{MaxBodyBytes: 256}})
 
 	huge := []byte(`{"user": 0, "items": [` + strings.Repeat("1,", 400) + `1]}`)
 	for _, path := range []string{"/v1/ingest", "/v1/recommend", "/v1/reload"} {

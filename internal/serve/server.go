@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,36 +76,19 @@ type Config struct {
 	// FoldIn supplies the solver settings for /v1/foldin (Lambda,
 	// Relative, MaxIter, ...). K is taken from the model.
 	FoldIn core.Config
-	// CacheSize is the approximate total number of cached top-M lists.
-	// 0 means the default (4096); negative disables caching.
-	CacheSize int
 	// Workers bounds the per-request fan-out of /v1/batch. 0 means all
 	// cores. /v2/batch, the small-batch hot transport, fans out only when
 	// Workers > 1 (at 0 it ranks on the request's goroutine: a fan-out per
 	// frame measured +11 B/user against a 5% allocation bound); a shard
 	// ranks the users of a /v2/shard/topm frame by the same rule.
 	Workers int
-	// MaxM caps the requested list length m. 0 means 1000.
-	MaxM int
-	// MaxBatch caps the number of users in one /v1/batch request — on a
-	// shard, in one /v2/shard/topm frame, so it must cover the router's
-	// MaxBatch. 0 means 1024.
-	MaxBatch int
-	// MaxBodyBytes caps request body size. 0 means 1 MiB.
-	MaxBodyBytes int64
-	// MaxInFlight, when positive, bounds concurrently admitted requests
-	// on the query endpoints (recommend, foldin, explain, batch, and
-	// shard/topm in shard mode). Excess requests wait in a short bounded
-	// queue and are shed with 429 + Retry-After when it overflows or the
-	// wait elapses. 0 disables admission control.
-	MaxInFlight int
-	// MaxQueue bounds how many requests may wait for an admission slot.
-	// 0 means 2×MaxInFlight; negative means no queue (instant shed when
-	// saturated). Ignored when MaxInFlight is 0.
-	MaxQueue int
-	// QueueWait bounds how long a queued request waits for a slot before
-	// being shed. 0 means 100ms. Ignored when MaxInFlight is 0.
-	QueueWait time.Duration
+	// EdgeConfig holds the limits, cache size, admission control and
+	// tracing shared with the router (see EdgeConfig). On a shard, MaxBatch
+	// bounds the users of one /v2/shard/topm frame, so it must cover the
+	// router's MaxBatch, and MaxM must cover the router's (over-fetched)
+	// m. Admission gates the query endpoints: recommend, foldin, explain,
+	// batch, and shard/topm in shard mode.
+	EdgeConfig
 	// ItemTags, when non-nil, is the item name/tag table backing the
 	// "filter" request field (allow/deny by tag). Requests naming tags are
 	// rejected when no table is configured. The table may cover fewer
@@ -135,41 +119,15 @@ type Config struct {
 	// scatter-gather router to merge — see internal/cluster. ShardHi == -1
 	// means "through the end of the catalogue", re-resolved at every
 	// reload, so the tail shard of a partition follows catalogue growth.
-	// Shard servers are built with NewShardFromFile and take no Feed; a
+	// Shard servers are built with NewShardFromFile (NewFromFile refuses
+	// any range, a ShardLo without ShardHi too) and take no Feed; a
 	// partition is cacheless (the router owns the fingerprint cache).
 	ShardLo int
 	ShardHi int
-	// TraceRing is the capacity of the recent-traces ring behind
-	// GET /debug/traces. 0 means 256; negative disables request tracing
-	// entirely (the endpoint then serves an empty list).
-	TraceRing int
-	// TraceSlow, when positive, emits a structured slow-request log line
-	// (log/slog) for any traced request at or above the threshold,
-	// carrying the trace ID that ties it to the shard spans behind it.
-	TraceSlow time.Duration
 }
 
 // shardMode reports whether the configuration selects shard mode.
 func (c Config) shardMode() bool { return c.ShardHi != 0 }
-
-func (c Config) withDefaults() Config {
-	if c.CacheSize == 0 {
-		c.CacheSize = 4096
-	}
-	if c.MaxM == 0 {
-		c.MaxM = 1000
-	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 1024
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.MaxIngestGrowth == 0 {
-		c.MaxIngestGrowth = 1 << 20
-	}
-	return c
-}
 
 // snapshot is one immutable serving state: a mapped item range of a model
 // file, its exclusion matrix, its top-M cache and its score-buffer pool.
@@ -230,13 +188,6 @@ type Server struct {
 	// file and then install their snapshots in the opposite order, leaving
 	// a stale model served under a newer version number.
 	reloadMu sync.Mutex
-	// gate is the admission controller over the query endpoints; nil when
-	// Config.MaxInFlight is 0 (nil gates admit everything).
-	gate *Gate
-	// draining flips once at the start of graceful shutdown: /readyz
-	// turns 503 so probers and routers stop sending new traffic, while
-	// the data path keeps answering until the HTTP server is shut down.
-	draining atomic.Bool
 	// paddedTrain caches the exclusion matrix (padded to the served
 	// model's shape, transpose materialized) across reloads: once the
 	// trainer grows the catalogue, every reload would otherwise rebuild
@@ -250,62 +201,35 @@ type Server struct {
 	// per-arm snapshots swap atomically under reloadMu.
 	registry *registry
 	// edge is the HTTP plumbing shared with the router: body decoding,
-	// clamping, response writers, per-endpoint instrumentation and the
-	// request tracer (disabled when Config.TraceRing is negative).
+	// clamping, response writers, per-endpoint instrumentation, the
+	// request tracer, the admission gate and the drain flag.
 	edge *Edge
 	// streams serves a shard's frame streams (nil on a full server); Close
 	// ends them.
 	streams *StreamServer
 }
 
-// checkLimits validates and defaults the numeric limits shared by full and
-// shard servers. Negative CacheSize means "disable", but a negative limit
-// would silently brick an endpoint (every request rejected, empty, or
-// serial), so those are configuration errors — caught here, once, rather
-// than surfacing as empty 200s or panics under load.
-func checkLimits(cfg Config) (Config, error) {
-	switch {
-	case cfg.MaxM < 0:
-		return cfg, fmt.Errorf("serve: MaxM must be >= 0, got %d", cfg.MaxM)
-	case cfg.MaxBatch < 0:
-		return cfg, fmt.Errorf("serve: MaxBatch must be >= 0, got %d", cfg.MaxBatch)
-	case cfg.MaxBodyBytes < 0:
-		return cfg, fmt.Errorf("serve: MaxBodyBytes must be >= 0, got %d", cfg.MaxBodyBytes)
-	case cfg.Workers < 0:
-		return cfg, fmt.Errorf("serve: Workers must be >= 0, got %d", cfg.Workers)
-	case cfg.MaxIngestGrowth < 0:
-		return cfg, fmt.Errorf("serve: MaxIngestGrowth must be >= 0, got %d", cfg.MaxIngestGrowth)
-	case cfg.MaxInFlight < 0:
-		return cfg, fmt.Errorf("serve: MaxInFlight must be >= 0, got %d", cfg.MaxInFlight)
-	case cfg.QueueWait < 0:
-		return cfg, fmt.Errorf("serve: QueueWait must be >= 0, got %v", cfg.QueueWait)
-	}
-	cfg = cfg.withDefaults()
-	// withDefaults must leave every limit usable; a zero that slipped
-	// through would serve empty lists with HTTP 200 (see Edge.clampM).
-	if cfg.MaxM <= 0 || cfg.MaxBatch <= 0 || cfg.MaxBodyBytes <= 0 {
-		return cfg, fmt.Errorf("serve: internal error: limits not defaulted (MaxM=%d MaxBatch=%d MaxBodyBytes=%d)",
-			cfg.MaxM, cfg.MaxBatch, cfg.MaxBodyBytes)
-	}
-	return cfg, nil
-}
-
 // newServer is the one construction path under NewFromFile and
-// NewShardFromFile: limits, admission gate, edge and metrics, the first
-// snapshot over the configured item range, then registry and routes.
+// NewShardFromFile: the server's own limits, the edge (limits, gate,
+// tracer) and metrics, the first snapshot over the configured item range,
+// then registry and routes.
 func newServer(cfg Config) (*Server, error) {
-	if cfg.ModelPath == "" {
+	switch {
+	case cfg.ModelPath == "":
 		return nil, fmt.Errorf("serve: Config.ModelPath is required (servers serve from an mmapped v2 file)")
+	case cfg.Workers < 0:
+		return nil, fmt.Errorf("serve: Workers must be >= 0, got %d", cfg.Workers)
+	case cfg.MaxIngestGrowth < 0:
+		return nil, fmt.Errorf("serve: MaxIngestGrowth must be >= 0, got %d", cfg.MaxIngestGrowth)
 	}
-	cfg, err := checkLimits(cfg)
+	cfg.MaxIngestGrowth = cmp.Or(cfg.MaxIngestGrowth, 1<<20)
+	edge, ecfg, err := NewEdge("server", cfg.EdgeConfig, endpointNames)
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, rankStats: &rank.Stats{}}
-	s.gate = NewGate(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueWait)
-	s.edge = NewEdge("server", cfg.MaxBodyBytes, cfg.MaxM, cfg.MaxBatch,
-		NewTracer(cfg.TraceRing, cfg.TraceSlow), endpointNames)
-	s.metrics = &Metrics{start: time.Now(), edge: s.edge, rank: s.rankStats}
+	cfg.EdgeConfig = ecfg
+	s := &Server{cfg: cfg, rankStats: &rank.Stats{}, edge: edge}
+	s.metrics = &Metrics{edge: edge, rank: s.rankStats}
 	if _, err := s.install(); err != nil {
 		return nil, err
 	}
@@ -322,8 +246,9 @@ func newServer(cfg Config) (*Server, error) {
 // serialized model at cfg.ModelPath: the file is mmapped and served in
 // place (float32 scoring when it carries that section).
 func NewFromFile(cfg Config) (*Server, error) {
-	if cfg.shardMode() {
-		return nil, fmt.Errorf("serve: shard servers are built with NewShardFromFile")
+	if cfg.shardMode() || cfg.ShardLo != 0 {
+		return nil, fmt.Errorf("serve: NewFromFile serves the whole catalogue, but the config names a shard range (ShardLo %d, ShardHi %d): a shard needs ShardHi != 0 and NewShardFromFile",
+			cfg.ShardLo, cfg.ShardHi)
 	}
 	return newServer(cfg)
 }
@@ -502,14 +427,12 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Gate exposes the admission controller (nil when disabled), mainly for
 // tests asserting the in-flight bound.
-func (s *Server) Gate() *Gate { return s.gate }
+func (s *Server) Gate() *Gate { return s.edge.Gate() }
 
-// BeginDrain marks the server draining: /readyz starts answering 503 so
-// load balancers and the router's prober take it out of rotation, while
-// every data endpoint keeps serving. Call it, wait for traffic to ebb,
-// then shut the HTTP server down — the ordering the drain regression
-// test pins.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+// BeginDrain marks the server draining (see Edge.BeginDrain). Call it,
+// wait for traffic to ebb, then shut the HTTP server down — the ordering
+// the drain regression test pins.
+func (s *Server) BeginDrain() { s.edge.BeginDrain() }
 
 // Handler returns the HTTP handler serving the v1 API.
 func (s *Server) Handler() http.Handler { return s.mux }
