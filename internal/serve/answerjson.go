@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"strconv"
 	"unicode/utf8"
+
+	"repro/internal/jsonfloat"
 )
 
 // The front's JSON answers are appended straight from the ranked columns
@@ -117,7 +119,8 @@ func (a *Answer) finiteScores() error {
 }
 
 // appendItems appends the n items from off of a's columns as a
-// []ScoredItem.
+// []ScoredItem. jsonfloat.Append writes each score; finiteScores has
+// refused the answer before any score it cannot write reaches it.
 func (a *Answer) appendItems(dst []byte, off, n int) []byte {
 	dst = append(dst, '[')
 	for j := off; j < off+n; j++ {
@@ -127,7 +130,7 @@ func (a *Answer) appendItems(dst []byte, off, n int) []byte {
 		dst = append(dst, `{"item":`...)
 		dst = strconv.AppendUint(dst, uint64(a.Cols.Items[j]), 10)
 		dst = append(dst, `,"score":`...)
-		dst = appendFloat(dst, a.Cols.Scores[j])
+		dst = jsonfloat.Append(dst, a.Cols.Scores[j])
 		dst = append(dst, '}')
 	}
 	return append(dst, ']')
@@ -147,22 +150,6 @@ func appendStringField(dst []byte, key, s string) []byte {
 		return dst
 	}
 	return appendString(append(dst, key...), s)
-}
-
-// appendFloat appends a finite f as encoding/json writes a float64: the
-// shortest representation, in 'e' notation below 1e-6 and from 1e21 on
-// with the exponent's leading zero dropped (e-07 as e-7), 'f' otherwise.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
 }
 
 const hexDigits = "0123456789abcdef"

@@ -207,12 +207,17 @@ var identityStrings = []string{
 }
 
 // identityScores are the scores it draws: the boundaries of encoding/json's
-// float rule, subnormals and a negative zero among them.
+// float rule, subnormals and a negative zero among them, and the cases
+// hardest for the shortest-decimal search — the second smallest and the
+// largest subnormal, the lower neighbours of 1e-6, 1e21 and 1, the sum
+// 0.1 + 0.2 (as float64 arithmetic makes it), 2^53 + 2 and 5e-7.
 var identityScores = []float64{
 	0, 1, 0.5, 0.123456789, 1.0 / 3, math.Copysign(0, -1),
 	math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 1e-7, 9.99999e-7, 1e-6, 1.0000001e-6,
 	1e-300, 1e20, 999999999999999999999.0, 1e21, 1.5e300, math.MaxFloat64,
 	float64(float32(0.7)), 1 - 1e-16,
+	1e-323, math.Nextafter(1e-6, 0), math.Nextafter(1e21, 0), math.Nextafter(1, 0),
+	0.30000000000000004, math.Nextafter(0x1p-1022, 0), 0x1p53 + 2, 5e-7,
 }
 
 // TestAppenderMatchesEncodingJSON: on 5,000 random answers of every
@@ -275,6 +280,8 @@ func FuzzFrontJSON(f *testing.F) {
 	f.Add(uint64(3), math.SmallestNonzeroFloat64, string([]byte{0xff, 0}), "line"+string(rune(0x2028)))
 	f.Add(uint64(4), math.NaN(), "x", "")
 	f.Add(uint64(5), 1e21, "<&>", string(rune(0x2029)))
+	f.Add(uint64(6), 5e-324, "", "arm")
+	f.Add(uint64(7), math.Nextafter(1e21, 0), "shard down", "")
 	f.Fuzz(func(t *testing.T, seed uint64, score float64, msg, name string) {
 		g := &answerGen{r: rand.New(rand.NewPCG(seed, 2)), strs: []string{msg, name, ""},
 			scores: []float64{score, 0, 1}, maxUser: 1000}
