@@ -111,9 +111,10 @@ func buildIndex[F float32 | float64](k int, fi []F) *supportIndex {
 // factor, on the head with the largest affinity. So Next's affinities never
 // go up: everything after an item scores no higher than it does, and a rank
 // can stop there once that item cannot make the list. Each affinity z is
-// what ScoreItems computes for the item (the same row through the same
-// linalg.DotF32 / linalg.Dot; there is no bias to add), whose score is
-// 1 − exp(−z) bit for bit.
+// what ScoreItems computes for the item (there is no bias to add), whose
+// score is 1 − exp(−z) bit for bit: Shared's through the same
+// linalg.DotF32 / linalg.Dot, Next's as the one product that dot adds up
+// to (affinityOn).
 type Walk struct {
 	rr     *MappedModelRange // keeps the mapping alive while a walk reads it
 	ix     *supportIndex
@@ -200,6 +201,23 @@ func (w *Walk) affinity(id int32) float64 {
 	return linalg.Dot(w.fu, w.fi[int(id)*w.k:][:w.k])
 }
 
+// affinityOn is affinity for an item whose only support co-cluster is c.
+// Every other product of the dot is ±0, and adding ±0 to a sum leaves it
+// unchanged (a zero sum included: the sums start at +0), so the dot is its
+// one product as the dot rounds it: in float32 inside linalg.DotF32's
+// four lanes, the first k&^3 co-clusters, and in float64 in its tail and
+// in linalg.Dot.
+func (w *Walk) affinityOn(id int32, c int) float64 {
+	if w.fi32 != nil {
+		a, b := w.fu32[c], w.fi32[int(id)*w.k+c]
+		if c < w.k&^3 {
+			return float64(float32(a * b))
+		}
+		return float64(a) * float64(b)
+	}
+	return w.fu[c] * w.fi[int(id)*w.k+c]
+}
+
 // sharedFirst returns the lowest support co-cluster of item id when the
 // item lies on two or more of them, and −1 when it lies on one.
 func (w *Walk) sharedFirst(id int32) int {
@@ -218,7 +236,8 @@ func (w *Walk) sharedFirst(id int32) int {
 	return first
 }
 
-// settle moves head h past the items Shared yields and scores its first.
+// settle moves head h past the items Shared yields and scores its first,
+// which lies on one support co-cluster: head h's.
 func (w *Walk) settle(h int) {
 	l := w.heads[h]
 	for len(w.support) > 1 && len(l) > 0 && w.sharedFirst(l[0]) >= 0 {
@@ -226,7 +245,7 @@ func (w *Walk) settle(h int) {
 	}
 	w.heads[h] = l
 	if len(l) > 0 {
-		w.hz[h] = w.affinity(l[0])
+		w.hz[h] = w.affinityOn(l[0], w.support[h])
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 // Implementations may additionally provide either of two optional
 // fast paths the engine exploits when present:
 //
-//   - Sorted: the exclusions as an ascending []int32; the selection scan
-//     walks it with a cursor instead of calling Excluded per item (the
-//     training-row walk of the offline evaluator).
+//   - Sorted: the exclusions as an ascending []int32; a rank marks them in
+//     its exclusion bitset once instead of calling Excluded per item (the
+//     training row of the offline evaluator, an exclusion list).
 //   - Keyed: a stable fingerprint making requests with this filter
 //     cacheable. A request is cached (and duplicate misses coalesced) only
 //     when every filter is Keyed.
@@ -27,10 +27,11 @@ type Filter interface {
 	Excluded(item int) bool
 }
 
-// Sorted is the sorted-iteration fast path of a Filter: ExcludedList
-// returns the excluded items ascending and duplicate-free, letting the
-// selection scan advance a cursor in O(1) amortized per item instead of
-// calling Excluded.
+// Sorted is the list fast path of a Filter: ExcludedList returns the
+// excluded items ascending and duplicate-free, which a rank marks in its
+// exclusion bitset, O(1) per listed item, and then tests one bit per item
+// instead of calling Excluded. The order is OffsetRange's: it windows the
+// list with binary searches.
 type Sorted interface {
 	Filter
 	// ExcludedList returns the excluded items in ascending order without
@@ -130,8 +131,8 @@ func (f itemsFilter) CacheKey() string { return f.key }
 // A Sorted inner filter keeps its fast path without being copied: the
 // result is the window list[a:b] of the global exclusion list that falls in
 // [lo, hi) — two binary searches at construction — and lo, the base the
-// selection scan adds to a local index before it compares, so the scan
-// still advances a cursor instead of probing a predicate per item. Other
+// exclusion scan subtracts from a global id to mark its local item, so a
+// rank still marks the list instead of probing a predicate per item. Other
 // filters are wrapped as shifted predicates. The result is deliberately
 // unkeyed — shards serve cacheless by design (the router owns the
 // fingerprint cache), so spending work on a range-qualified cache key would

@@ -163,16 +163,16 @@ func TestOffsetRange(t *testing.T) {
 		}
 	}
 	// The fast path survives as a window of the inner list — aliased, not
-	// copied — which the scan walks with a cursor above the base.
+	// copied — which the scan marks above the base.
 	inner := excl.(Sorted).ExcludedList()
 	w, ok := f.(windowFilter)
 	if !ok || w.lo != 4 || !slices.Equal(w.list, []int32{4, 9, 10}) || &w.list[0] != &inner[1] {
 		t.Fatalf("OffsetRange over a Sorted filter = %#v, want the window [4 9 10] of the inner list above base 4", f)
 	}
 	var scan exclusionScan
-	scan.reset([]Filter{f}, nil, 0)
-	if len(scan.lists) != 1 || len(scan.preds) != 0 {
-		t.Fatalf("the scan took the window as %d lists and %d predicates, want one list", len(scan.lists), len(scan.preds))
+	scan.reset(8, []Filter{f}, nil, 0)
+	if len(scan.preds) != 0 {
+		t.Fatalf("the scan took the window as %d predicates, want it marked", len(scan.preds))
 	}
 	for local := 0; local < 8; local++ {
 		if got := scan.excluded(local); got != wantExcluded[local] {

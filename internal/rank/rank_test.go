@@ -202,6 +202,104 @@ func TestSelectEdgeCases(t *testing.T) {
 			}
 		})
 	}
+	// Exclusion ids outside the items, and an id listed twice, exclude the
+	// ids inside and nothing else — whichever path ranks: Select, an engine
+	// sweeping, and the walk given the filter unwindowed over a full range.
+	const n = 40
+	at := map[int]float64{}
+	for i := 0; i < n; i++ {
+		if i%3 != 1 { // the rest score +0: the walk's zero tail
+			at[i] = float64(1+i%5) / 8
+		}
+	}
+	outside := []int{-1, 3, 3, n, n + 64}
+	for _, f32 := range []bool{false, true} {
+		t.Run(fmt.Sprintf("exclusions outside the items/f32=%v", f32), func(t *testing.T) {
+			scorer := factorRange(t, [][]float64{{1}}, column(n, at), f32, 0, n)
+			dense := make([]float64, n)
+			scorer.ScoreItems(0, dense)
+			var want []int
+			for _, i := range Select(dense, n) {
+				if i != 3 {
+					want = append(want, i)
+				}
+			}
+			if got := Select(dense, n, ExcludeItems(outside)); !slices.Equal(got, want) {
+				t.Errorf("Select: got %v, want %v", got, want)
+			}
+			e := NewEngine(SweepOnly{scorer}, Config{})
+			if got, _, _ := e.TopMTimed(0, n, nil, ExcludeItems(outside)); !slices.Equal(got, want) {
+				t.Errorf("sweeping engine: got %v, want %v", got, want)
+			}
+			for _, m := range []int{1, 5, n} {
+				if !walkMatchesSelect(t, fmt.Sprintf("walk m=%d", m), scorer, 0, m, []Filter{ExcludeItems(outside)}) {
+					t.Fatalf("the range did not walk the user")
+				}
+			}
+		})
+	}
+}
+
+// TestExclusionScanReuse resets one exclusionScan over stack after random
+// stack — training rows above a base, exclusion lists in and out of range,
+// windows of a partition, predicates, nil filters — at sizes around a word
+// boundary: after each reset, every item's answer, asked in a random
+// order, is the OR of the stack's own Excluded answers, so a smaller stack
+// after a larger one leaves no bit behind.
+func TestExclusionScanReuse(t *testing.T) {
+	tags := testTagTable(t, 400)
+	deny, err := tags.Deny("third")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(40)
+	var scan exclusionScan
+	for round := 0; round < 400; round++ {
+		n := []int{1, 63, 64, 65, 200}[r.Intn(5)]
+		ids := func(lo, hi int) []int {
+			var out []int
+			for k := r.Intn(2 * n); k > 0; k-- {
+				out = append(out, lo+r.Intn(hi-lo))
+			}
+			return out
+		}
+		// The row, global ids above base, as the engine's CSR row is:
+		// ascending and duplicate-free; a few fall outside the items.
+		base := r.Intn(100)
+		var row []int32
+		if r.Bernoulli(0.7) {
+			row = ExcludeItems(ids(base-3, base+n+3)).(Sorted).ExcludedList()
+		}
+		var stack []Filter
+		for k := r.Intn(6); k > 0; k-- {
+			switch r.Intn(6) {
+			case 0:
+				stack = append(stack, ExcludeItems(ids(-3, n+70)))
+			case 1:
+				lo := 1 + r.Intn(100)
+				stack = append(stack, OffsetRange(ExcludeItems(ids(0, lo+n+20)), lo, lo+n))
+			case 2:
+				stack = append(stack, oddOnly{})
+			case 3:
+				stack = append(stack, deny)
+			case 4:
+				lo := 1 + r.Intn(100)
+				stack = append(stack, OffsetRange(deny, lo, lo+n))
+			case 5:
+				stack = append(stack, nil)
+			}
+		}
+		scan.reset(n, flatten(nil, stack), row, base)
+		for _, i := range r.Perm(n) {
+			_, want := slices.BinarySearch(row, int32(i+base))
+			for _, f := range stack {
+				want = want || f != nil && f.Excluded(i)
+			}
+			if got := scan.excluded(i); got != want {
+				t.Fatalf("round %d (n=%d, base %d, %d filters): item %d excluded=%v, want %v", round, n, base, len(stack), i, got, want)
+			}
+		}
+	}
 }
 
 func TestFingerprint(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 // read scores[i] back for the returned items.
 //
 // Selection is a min-heap of min(m, len(scores)) entries over the
-// candidates, O(n_i log m), fed by one exclusion scan that walks Sorted
-// filters with cursors and falls back to the Excluded predicate for the
+// candidates, O(n_i log m), fed by one exclusion test: a bitset marked
+// once from the Sorted filters' lists, then the Excluded predicate of the
 // rest.
 func Select(scores []float64, m int, filters ...Filter) []int {
 	// A scratch of its own, never pooled: the list is the caller's, and so
@@ -76,7 +76,7 @@ func (s *scratch) selectDense(scores []float64, m int) {
 	if m <= 0 {
 		return
 	}
-	s.scan.reset(s.flat, s.row, s.rowLo)
+	s.scan.reset(len(scores), s.flat, s.row, s.rowLo)
 	h := slices.Grow(s.heap[:0], m)
 	for i, v := range scores {
 		if !s.scan.excluded(i) {
@@ -87,66 +87,48 @@ func (s *scratch) selectDense(scores []float64, m int) {
 	s.drain(h)
 }
 
-// exclusionScan merges a request's filters into one per-item test for the
-// ascending selection scan: Sorted filters advance cursors (amortized O(1)
-// per item) — a partition's window of one through the base its ids sit
-// above, and so does the engine's training row — and the rest answer
-// through their Excluded predicate. excluded must be called with strictly
-// increasing items.
+// exclusionScan merges a request's exclusions into one per-item test over
+// the n items of a rank: every id a Sorted filter lists — a partition's
+// window through the base its ids sit above, and so does the engine's
+// training row — is marked in a bitset, and the rest answer through their
+// Excluded predicate. excluded takes items in any order.
 type exclusionScan struct {
-	lists   [][]int32
-	bases   []int // list n holds item i as i+bases[n]
-	cursors []int
-	preds   []Filter
+	words []uint64 // item i is marked at bit i%64 of words[i/64]
+	preds []Filter
 }
 
-// reset loads flat, and row — ids above base — as one more list when it is
-// not empty.
-func (s *exclusionScan) reset(flat []Filter, row []int32, base int) {
-	s.lists, s.bases, s.cursors, s.preds = s.lists[:0], s.bases[:0], s.cursors[:0], s.preds[:0]
-	if len(row) > 0 {
-		s.lists, s.bases, s.cursors = append(s.lists, row), append(s.bases, base), append(s.cursors, 0)
-	}
+// reset loads flat, and row — ids above base — over n items. Marking costs
+// the lists' total length; an id outside [0, n) marks nothing.
+func (s *exclusionScan) reset(n int, flat []Filter, row []int32, base int) {
+	w := (n + 63) / 64
+	s.words = slices.Grow(s.words[:0], w)[:w]
+	clear(s.words)
+	s.preds = s.preds[:0]
+	s.mark(n, row, base)
 	for _, f := range flat {
 		switch v := f.(type) {
 		case windowFilter:
-			s.lists, s.bases = append(s.lists, v.list), append(s.bases, v.lo)
+			s.mark(n, v.list, v.lo)
 		case Sorted:
-			s.lists, s.bases = append(s.lists, v.ExcludedList()), append(s.bases, 0)
+			s.mark(n, v.ExcludedList(), 0)
 		default:
 			s.preds = append(s.preds, f)
-			continue
 		}
-		s.cursors = append(s.cursors, 0)
 	}
 }
 
-// has is excluded in any order: a binary search per list, the cursors
-// untouched.
-func (s *exclusionScan) has(item int) bool {
-	for n, l := range s.lists {
-		if _, ok := slices.BinarySearch(l, int32(item+s.bases[n])); ok {
-			return true
+// mark sets the bit of item id−base for every id of list inside [0, n).
+func (s *exclusionScan) mark(n int, list []int32, base int) {
+	for _, id := range list {
+		if i := uint(int(id) - base); i < uint(n) {
+			s.words[i/64] |= 1 << (i % 64)
 		}
 	}
-	for _, p := range s.preds {
-		if p.Excluded(item) {
-			return true
-		}
-	}
-	return false
 }
 
 func (s *exclusionScan) excluded(item int) bool {
-	for n, l := range s.lists {
-		c, at := s.cursors[n], item+s.bases[n]
-		for c < len(l) && int(l[c]) < at {
-			c++
-		}
-		s.cursors[n] = c
-		if c < len(l) && int(l[c]) == at {
-			return true
-		}
+	if i := uint(item); s.words[i/64]&(1<<(i%64)) != 0 {
+		return true
 	}
 	for _, p := range s.preds {
 		if p.Excluded(item) {
@@ -260,15 +242,15 @@ func (s *scratch) selectWalk(n, m int) {
 	if m <= 0 {
 		return
 	}
-	s.scan.reset(s.flat, s.row, s.rowLo)
+	s.scan.reset(n, s.flat, s.row, s.rowLo)
 	w, h := &s.walk, slices.Grow(s.heap[:0], m)
 	for id, z, ok := w.Shared(); ok; id, z, ok = w.Shared() {
-		if v := 1 - math.Exp(-z); v > 0 && !s.scan.has(int(id)) {
+		if v := 1 - math.Exp(-z); v > 0 && !s.scan.excluded(int(id)) {
 			h = offer(h, m, kept{v, int(id)})
 		}
 	}
 	for id, z, ok := w.Next(); ok && z > 0; id, z, ok = w.Next() {
-		if s.scan.has(int(id)) {
+		if s.scan.excluded(int(id)) {
 			continue
 		}
 		x := math.Exp(-z)
@@ -286,7 +268,7 @@ func (s *scratch) selectWalk(n, m int) {
 	}
 	// Fewer than m positive scorers survive, and every one is kept: the
 	// rest of the list is the first surviving ids that are not kept, all
-	// scoring +0, walked ascending with the scan's cursors.
+	// scoring +0, walked ascending.
 	s.tail = s.tail[:0]
 	for _, i := range s.items {
 		s.tail = append(s.tail, int32(i))

@@ -239,6 +239,31 @@ func TestWalkMatchesSelect(t *testing.T) {
 	}
 	wideUser := [][]float64{make([]float64, 70)}
 	wideUser[0][3], wideUser[0][66] = 1, 2
+	// K = 6: the user's one support co-cluster is c, and so every item's
+	// affinity is its one product there, on factors a float32 holds
+	// exactly and whose float32 product is not their float64 one — at
+	// c = 1 in a lane of the float32 dot, at c = 5 in its tail. The items
+	// lie on co-clusters the user is not on too, and the user on one no
+	// item is on.
+	third, seventenths := float64(float32(1.0/3)), float64(float32(0.7))
+	if float64(float32(third)*float32(seventenths)) == third*seventenths {
+		t.Fatal("the lone-product factors round alike in float32 and float64")
+	}
+	lone := func(c int) (fu, fi [][]float64) {
+		fu = [][]float64{make([]float64, 6)}
+		fu[0][c], fu[0][(c+2)%6] = third, 0.5
+		fi = make([][]float64, 30)
+		for i := range fi {
+			fi[i] = make([]float64, 6)
+			fi[i][(c+1)%6] = 0.25
+			if i%4 != 3 {
+				fi[i][c] = []float64{seventenths, third, float64(float32(0.1))}[i%3]
+			}
+		}
+		return fu, fi
+	}
+	laneU, laneI := lone(1)
+	tailU, tailI := lone(5)
 	for _, row := range []struct {
 		name    string
 		fu, fi  [][]float64
@@ -261,6 +286,8 @@ func TestWalkMatchesSelect(t *testing.T) {
 		{"saturated at 1.0", one, column(40, map[int]float64{2: 1e3, 5: 50, 7: 1e30, 8: 40, 11: 38}), 0, 40, 3, nil},
 		{"underflowing products", [][]float64{{0x1p-600}}, column(40, map[int]float64{1: 0x1p-600, 6: 0x1p-500, 9: 1}), 0, 40, 4, nil},
 		{"K > 64", wideUser, wide, 0, 200, 7, []Filter{ExcludeItems([]int{0, 1, 2})}},
+		{"lone product in a lane", laneU, laneI, 0, 30, 12, []Filter{ExcludeItems([]int{4})}},
+		{"lone product in the tail", tailU, tailI, 0, 30, 12, []Filter{ExcludeItems([]int{4})}},
 	} {
 		for _, f32 := range []bool{false, true} {
 			name := fmt.Sprintf("%s/f32=%v", row.name, f32)

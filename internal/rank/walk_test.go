@@ -40,8 +40,11 @@ func fuzzFactor(b byte) float64 {
 // rows), on the float64 or the float32 section, over an item range: for
 // every user the range walks, the engine's list — training row excluded,
 // an exclusion list rebased into the range beside it — is Select's over
-// the sweep, ids and score bits. A user the range declines is swept, which
-// is the reference itself.
+// the sweep, ids and score bits. When the range is the whole catalogue the
+// user is ranked once more under the exclusion ids as the bytes give them,
+// repeats and ids outside the items included, unwindowed, and a predicate
+// filter beside them. A user the range declines is swept, which is the
+// reference itself.
 func FuzzWalk(f *testing.F) {
 	r := rng.New(7)
 	for s := range fuzzShapes {
@@ -52,6 +55,16 @@ func FuzzWalk(f *testing.F) {
 			}
 			f.Add(uint8(s), n%2 == 0, uint8(n%7), uint8(255), uint8(n%23), data)
 		}
+	}
+	for s, sh := range fuzzShapes { // the whole catalogue, sparse in-domain factors
+		data := make([]byte, 97)
+		for j := range data {
+			data[j] = byte(r.Intn(128))
+			if r.Bernoulli(0.12) {
+				data[j] = byte(128 + r.Intn(112))
+			}
+		}
+		f.Add(uint8(s), s%2 == 1, uint8(0), uint8(sh[1]-1), uint8(10+s), data)
 	}
 	f.Add(uint8(1), false, uint8(0), uint8(255), uint8(3), []byte{130, 0, 130, 0, 0, 130, 130})
 	f.Add(uint8(3), true, uint8(4), uint8(30), uint8(9), []byte{210, 0, 0, 140, 200, 0, 0, 0, 150})
@@ -90,22 +103,35 @@ func FuzzWalk(f *testing.F) {
 			}
 		}
 		train := b.Build()
+		stacks := [][]Filter{{OffsetRange(ExcludeItems(ex), rlo, rhi)}}
+		if rlo == 0 && rhi == items {
+			raw, pred := make([]int, 0, len(data)), predicateFilter{}
+			for i, d := range data {
+				raw = append(raw, int(d)%(items+8)-4)
+				if d%7 == 2 {
+					pred[i%items] = true
+				}
+			}
+			stacks = append(stacks, []Filter{ExcludeItems(raw), pred})
+		}
 		e := NewEngine(scorer, Config{Train: train})
 		dense := make([]float64, scorer.Len())
 		for u := 0; u < users; u++ {
-			swept := e.Stats().Swept()
-			got, gotScores, _ := e.TopMTimed(u, int(m), nil, OffsetRange(ExcludeItems(ex), rlo, rhi))
-			if e.Stats().Swept() != swept {
-				continue
-			}
 			scorer.ScoreItems(u, dense)
-			want := Select(dense, int(m), OffsetRange(TrainRow(train, u), rlo, rhi), OffsetRange(ExcludeItems(ex), rlo, rhi))
-			if !slices.Equal(got, want) {
-				t.Fatalf("user %d of [%d,%d), m=%d: walk %v, Select %v", u, rlo, rhi, m, got, want)
-			}
-			for n, it := range got {
-				if math.Float64bits(gotScores[n]) != math.Float64bits(dense[it]) {
-					t.Fatalf("user %d rank %d item %d: walk scored %v, the sweep %v", u, n, it, gotScores[n], dense[it])
+			for _, filters := range stacks {
+				swept := e.Stats().Swept()
+				got, gotScores, _ := e.TopMTimed(u, int(m), nil, filters...)
+				if e.Stats().Swept() != swept {
+					continue
+				}
+				want := Select(dense, int(m), append([]Filter{OffsetRange(TrainRow(train, u), rlo, rhi)}, filters...)...)
+				if !slices.Equal(got, want) {
+					t.Fatalf("user %d of [%d,%d), m=%d, %d filters: walk %v, Select %v", u, rlo, rhi, m, len(filters), got, want)
+				}
+				for n, it := range got {
+					if math.Float64bits(gotScores[n]) != math.Float64bits(dense[it]) {
+						t.Fatalf("user %d rank %d item %d: walk scored %v, the sweep %v", u, n, it, gotScores[n], dense[it])
+					}
 				}
 			}
 		}
