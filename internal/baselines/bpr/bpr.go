@@ -72,9 +72,6 @@ type Model struct {
 	fu, fi       []float64
 }
 
-// K returns the latent dimension.
-func (m *Model) K() int { return m.k }
-
 // NumUsers returns the number of users the model was trained on.
 func (m *Model) NumUsers() int { return m.users }
 
@@ -87,33 +84,12 @@ func (m *Model) UserFactor(u int) []float64 { return m.fu[u*m.k : (u+1)*m.k] }
 // ItemFactor returns item i's latent vector (aliases model storage).
 func (m *Model) ItemFactor(i int) []float64 { return m.fi[i*m.k : (i+1)*m.k] }
 
-// Predict returns the ranking score ⟨f_u, f_i⟩.
-func (m *Model) Predict(u, i int) float64 {
-	return linalg.Dot(m.UserFactor(u), m.ItemFactor(i))
-}
-
 // ScoreUser writes ⟨f_u, f_i⟩ for all items into dst.
 func (m *Model) ScoreUser(u int, dst []float64) {
 	fu := m.UserFactor(u)
 	for i := 0; i < m.items; i++ {
 		dst[i] = linalg.Dot(fu, m.ItemFactor(i))
 	}
-}
-
-// MeanRankLoss estimates the BPR criterion −E ln σ(x_uij) over nSamples
-// random triples, for convergence monitoring and tests.
-func (m *Model) MeanRankLoss(r *sparse.Matrix, nSamples int, rnd *rng.RNG) float64 {
-	s := newSampler(r)
-	if s == nil {
-		return 0
-	}
-	total := 0.0
-	for n := 0; n < nSamples; n++ {
-		u, i, j := s.draw(rnd)
-		x := m.Predict(u, i) - m.Predict(u, j)
-		total += math.Log1p(math.Exp(-x)) // −ln σ(x)
-	}
-	return total / float64(nSamples)
 }
 
 // Train fits a BPR model to the positives in r.

@@ -1,10 +1,12 @@
 package bpr
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/linalg"
 	"repro/internal/rng"
 	"repro/internal/sparse"
 )
@@ -157,4 +159,25 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// MeanRankLoss estimates the BPR criterion −E ln σ(x_uij) over nSamples
+// random triples, for convergence monitoring and tests.
+func (m *Model) MeanRankLoss(r *sparse.Matrix, nSamples int, rnd *rng.RNG) float64 {
+	s := newSampler(r)
+	if s == nil {
+		return 0
+	}
+	total := 0.0
+	for n := 0; n < nSamples; n++ {
+		u, i, j := s.draw(rnd)
+		x := m.Predict(u, i) - m.Predict(u, j)
+		total += math.Log1p(math.Exp(-x)) // −ln σ(x)
+	}
+	return total / float64(nSamples)
+}
+
+// Predict returns the ranking score ⟨f_u, f_i⟩.
+func (m *Model) Predict(u, i int) float64 {
+	return linalg.Dot(m.UserFactor(u), m.ItemFactor(i))
 }

@@ -68,13 +68,6 @@ func (m *UserModel) NumUsers() int { return m.users }
 // NumItems returns the number of items the model was trained on.
 func (m *UserModel) NumItems() int { return m.items }
 
-// Neighbors returns user u's neighbor indices and cosine similarities, in
-// descending similarity order. The explanation layer uses this to name the
-// "similar clients". The returned slices are freshly allocated.
-func (m *UserModel) Neighbors(u int) (idx []int, sim []float64) {
-	return splitNeighbors(m.nbrs[u])
-}
-
 // ScoreUser accumulates, for every item, the similarity mass of the
 // neighbors of u that bought it: score(u,i) = Σ_{v ∈ N(u)} sim(u,v)·r_vi.
 func (m *UserModel) ScoreUser(u int, dst []float64) {
@@ -112,12 +105,6 @@ func (m *ItemModel) NumUsers() int { return m.users }
 
 // NumItems returns the number of items the model was trained on.
 func (m *ItemModel) NumItems() int { return m.items }
-
-// Neighbors returns item i's neighbor indices and cosine similarities, in
-// descending similarity order.
-func (m *ItemModel) Neighbors(i int) (idx []int, sim []float64) {
-	return splitNeighbors(m.nbrs[i])
-}
 
 // ScoreUser accumulates similarity from each purchased item j to its
 // neighbor items: score(u,i) = Σ_{j ∈ I_u} sim(i,j)·1{i ∈ N(j)}.
@@ -173,14 +160,4 @@ func topNeighbors(r *sparse.Matrix, cfg Config) [][]neighbor {
 		out[u] = append([]neighbor(nil), cands...)
 	})
 	return out
-}
-
-func splitNeighbors(nbrs []neighbor) (idx []int, sim []float64) {
-	idx = make([]int, len(nbrs))
-	sim = make([]float64, len(nbrs))
-	for n, nb := range nbrs {
-		idx[n] = int(nb.idx)
-		sim[n] = nb.sim
-	}
-	return idx, sim
 }

@@ -168,3 +168,26 @@ func BenchmarkTrainUser(b *testing.B) {
 		}
 	}
 }
+
+// Neighbors returns user u's neighbor indices and cosine similarities, in
+// descending similarity order: what the tests read of topNeighbors.
+func (m *UserModel) Neighbors(u int) (idx []int, sim []float64) {
+	return splitNeighbors(m.nbrs[u])
+}
+
+// Neighbors returns item i's neighbor indices and cosine similarities, in
+// descending similarity order.
+func (m *ItemModel) Neighbors(i int) (idx []int, sim []float64) {
+	return splitNeighbors(m.nbrs[i])
+}
+
+// splitNeighbors copies nbrs into fresh index and similarity slices.
+func splitNeighbors(nbrs []neighbor) (idx []int, sim []float64) {
+	idx = make([]int, len(nbrs))
+	sim = make([]float64, len(nbrs))
+	for n, nb := range nbrs {
+		idx[n] = int(nb.idx)
+		sim[n] = nb.sim
+	}
+	return idx, sim
+}

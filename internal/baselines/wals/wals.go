@@ -74,9 +74,6 @@ type Model struct {
 	fu, fi       []float64 // flat, stride k
 }
 
-// K returns the latent dimension.
-func (m *Model) K() int { return m.k }
-
 // NumUsers returns the number of users the model was trained on.
 func (m *Model) NumUsers() int { return m.users }
 
@@ -89,34 +86,12 @@ func (m *Model) UserFactor(u int) []float64 { return m.fu[u*m.k : (u+1)*m.k] }
 // ItemFactor returns item i's latent vector (aliases model storage).
 func (m *Model) ItemFactor(i int) []float64 { return m.fi[i*m.k : (i+1)*m.k] }
 
-// Predict returns the reconstructed affinity ⟨f_u, f_i⟩.
-func (m *Model) Predict(u, i int) float64 {
-	return linalg.Dot(m.UserFactor(u), m.ItemFactor(i))
-}
-
 // ScoreUser writes ⟨f_u, f_i⟩ for all items into dst.
 func (m *Model) ScoreUser(u int, dst []float64) {
 	fu := m.UserFactor(u)
 	for i := 0; i < m.items; i++ {
 		dst[i] = linalg.Dot(fu, m.ItemFactor(i))
 	}
-}
-
-// Loss evaluates the weighted squared objective on r, for convergence tests
-// and the ablation benchmarks. Cost is O(n_u·n_i·K); use on small inputs.
-func (m *Model) Loss(r *sparse.Matrix, b, lambda float64) float64 {
-	loss := 0.0
-	for u := 0; u < m.users; u++ {
-		for i := 0; i < m.items; i++ {
-			d := m.Predict(u, i)
-			if r.Has(u, i) {
-				loss += (1 - d) * (1 - d)
-			} else {
-				loss += b * d * d
-			}
-		}
-	}
-	return loss + lambda*(linalg.Norm2Sq(m.fu)+linalg.Norm2Sq(m.fi))
 }
 
 // Train fits a wALS model to the positives in r.

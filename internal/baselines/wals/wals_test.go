@@ -188,3 +188,25 @@ func BenchmarkTrainIteration(b *testing.B) {
 		}
 	}
 }
+
+// Loss evaluates the weighted squared objective on r, for convergence tests
+// and the ablation benchmarks. Cost is O(n_u·n_i·K); use on small inputs.
+func (m *Model) Loss(r *sparse.Matrix, b, lambda float64) float64 {
+	loss := 0.0
+	for u := 0; u < m.users; u++ {
+		for i := 0; i < m.items; i++ {
+			d := m.Predict(u, i)
+			if r.Has(u, i) {
+				loss += (1 - d) * (1 - d)
+			} else {
+				loss += b * d * d
+			}
+		}
+	}
+	return loss + lambda*(linalg.Norm2Sq(m.fu)+linalg.Norm2Sq(m.fi))
+}
+
+// Predict returns the reconstructed affinity ⟨f_u, f_i⟩.
+func (m *Model) Predict(u, i int) float64 {
+	return linalg.Dot(m.UserFactor(u), m.ItemFactor(i))
+}

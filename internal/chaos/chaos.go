@@ -127,14 +127,6 @@ func (t *Transport) Set(faults ...*Fault) {
 	t.faults = faults
 }
 
-// Injected returns how many requests have been faulted since
-// construction (across Set generations).
-func (t *Transport) Injected() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.injected
-}
-
 // pick finds the fault to apply to req, advancing sequence counters.
 func (t *Transport) pick(req *http.Request) *Fault {
 	t.mu.Lock()

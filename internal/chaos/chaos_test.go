@@ -210,3 +210,11 @@ func TestProxyModes(t *testing.T) {
 		t.Errorf("back to pass mode: status %d err %v", st, err)
 	}
 }
+
+// Injected returns how many requests have been faulted since
+// construction (across Set generations).
+func (t *Transport) Injected() int64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.injected
+}

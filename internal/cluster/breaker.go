@@ -120,12 +120,6 @@ func (b *breaker) abandon(trial bool) {
 	b.mu.Unlock()
 }
 
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return breakerStateNames[b.state]
-}
-
 // snapshot renders the breaker for /metrics and /healthz.
 func (b *breaker) snapshot() map[string]any {
 	b.mu.Lock()

@@ -156,3 +156,10 @@ func TestRetryBudgetWindowRolls(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "the budget to refill once the window rolls", rb.allowRetry)
 }
+
+// stateName reads the breaker's state under its lock.
+func (b *breaker) stateName() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return breakerStateNames[b.state]
+}

@@ -602,3 +602,7 @@ func BenchmarkRouterShardDown(b *testing.B) {
 		}
 	}
 }
+
+// Gate exposes the admission controller (nil when disabled), for tests
+// asserting the in-flight bound.
+func (rt *Router) Gate() *serve.Gate { return rt.edge.Gate() }

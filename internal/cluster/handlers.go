@@ -45,10 +45,6 @@ func (rt *Router) Handler() http.Handler { return rt.mux }
 // BeginDrain marks the router draining (see serve.Edge.BeginDrain).
 func (rt *Router) BeginDrain() { rt.edge.BeginDrain() }
 
-// Gate exposes the admission controller (nil when disabled), for tests
-// asserting the in-flight bound.
-func (rt *Router) Gate() *serve.Gate { return rt.edge.Gate() }
-
 func (rt *Router) buildMux() *http.ServeMux {
 	// The data path sits behind the admission gate (nil gate = no-op);
 	// flip, health, readiness and metrics are never shed.

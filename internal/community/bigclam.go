@@ -45,14 +45,6 @@ type BigClam struct {
 // Factor returns node v's affiliation vector (aliases model storage).
 func (b *BigClam) Factor(v int) []float64 { return b.f[v*b.k : (v+1)*b.k] }
 
-// K returns the number of communities.
-func (b *BigClam) K() int { return b.k }
-
-// EdgeProb returns the modeled edge probability between nodes u and v.
-func (b *BigClam) EdgeProb(u, v int) float64 {
-	return 1 - math.Exp(-linalg.Dot(b.Factor(u), b.Factor(v)))
-}
-
 // Communities thresholds the affiliations at delta and returns the node
 // sets with at least one member. Yang & Leskovec use
 // delta = sqrt(−log(1−ε)) with ε the background edge density; pass

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/linalg"
 )
 
 // twoCliques builds two disjoint 4-cliques joined by nothing.
@@ -213,4 +214,40 @@ func BenchmarkBigClamToy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// EdgeProb returns the modeled edge probability between nodes u and v.
+func (b *BigClam) EdgeProb(u, v int) float64 {
+	return 1 - math.Exp(-linalg.Dot(b.Factor(u), b.Factor(v)))
+}
+
+// Modularity computes Newman's modularity Q = Σ_c (l_c/m − (d_c/2m)²) of a
+// partition of g, where l_c counts intra-community edges and d_c sums
+// member degrees. Q is 0 for an empty graph.
+func Modularity(g *graph.Graph, label []int) float64 {
+	m := float64(g.M())
+	if m == 0 {
+		return 0
+	}
+	maxLabel := 0
+	for _, c := range label {
+		if c > maxLabel {
+			maxLabel = c
+		}
+	}
+	intra := make([]float64, maxLabel+1)
+	deg := make([]float64, maxLabel+1)
+	for v := 0; v < g.N(); v++ {
+		deg[label[v]] += float64(g.Degree(v))
+		for _, w := range g.Neighbors(v) {
+			if int(w) > v && label[w] == label[v] {
+				intra[label[v]]++
+			}
+		}
+	}
+	q := 0.0
+	for c := range intra {
+		q += intra[c]/m - (deg[c]/(2*m))*(deg[c]/(2*m))
+	}
+	return q
 }

@@ -500,3 +500,17 @@ func TestModelGrow(t *testing.T) {
 		t.Fatal("item shrink accepted")
 	}
 }
+
+// ItemBias returns b_i, or 0 for a model without biases.
+func (m *Model) ItemBias(i int) float64 {
+	if m.bi == nil {
+		return 0
+	}
+	return m.bi[i]
+}
+
+// Objective is ObjectiveWeighted with the R-OCuLaR weight table derived
+// from relative and all cores: the tests' shorthand for Q.
+func (m *Model) Objective(r *sparse.Matrix, lambda float64, relative bool) float64 {
+	return m.ObjectiveWeighted(r, lambda, userWeights(r, relative), 0)
+}

@@ -11,26 +11,6 @@ import (
 	"repro/internal/linalg"
 )
 
-// Scorer is the read-only scoring surface shared by *Model and
-// *MappedModel: everything the serving hot path needs. Higher-level
-// operations (fold-in, explanations, training warm starts) take a *Model;
-// MappedModel.Model returns a zero-copy view for those.
-type Scorer interface {
-	// ScoreUser writes P[r_ui = 1] for every item of user u into dst
-	// (length NumItems).
-	ScoreUser(u int, dst []float64)
-	// ScoreWithFactor scores every item against an explicit user factor
-	// and bias, the fold-in path.
-	ScoreWithFactor(fu []float64, bias float64, dst []float64)
-	NumUsers() int
-	NumItems() int
-}
-
-var (
-	_ Scorer = (*Model)(nil)
-	_ Scorer = (*MappedModel)(nil)
-)
-
 // ErrLegacyFormat reports that a model file holds the retired v1 stream
 // format, which no reader loads any more.
 var ErrLegacyFormat = errors.New("legacy v1 model format is no longer supported (retrain and save as v2)")
@@ -230,13 +210,10 @@ func munmapAll(windows [][]byte) error {
 // Model returns the full-precision model view sharing the mapping's
 // storage — zero copy — when the range covers the whole catalogue, and nil
 // otherwise (a partition cannot fold in or explain). The view supports
-// everything a trained model does (fold-in, explanations, Objective,
+// everything a trained model does (fold-in, explanations,
 // re-serialization). It is invalidated by Close; holding either the view
 // or the range keeps the mapping alive.
 func (rr *MappedModelRange) Model() *Model { return rr.view }
-
-// K returns the number of co-clusters.
-func (rr *MappedModelRange) K() int { return rr.k }
 
 // NumUsers returns the full user count of the underlying model.
 func (rr *MappedModelRange) NumUsers() int { return rr.users }
@@ -254,9 +231,6 @@ func (rr *MappedModelRange) ItemHi() int { return rr.hi }
 // Len returns the number of mapped items, ItemHi − ItemLo.
 func (rr *MappedModelRange) Len() int { return rr.hi - rr.lo }
 
-// HasBias reports whether the model carries the Section IV-A bias terms.
-func (rr *MappedModelRange) HasBias() bool { return rr.bu != nil }
-
 // HasFloat32 reports whether the file carries the float32 factor copy,
 // i.e. whether ScoreItems runs the half-bandwidth path.
 func (rr *MappedModelRange) HasFloat32() bool { return rr.fu32 != nil }
@@ -273,38 +247,6 @@ func (rr *MappedModelRange) mmapSuffix() string {
 func (rr *MappedModelRange) String() string {
 	return fmt.Sprintf("core.MappedModelRange(K=%d, %d users, items [%d,%d) of %d, %s)",
 		rr.k, rr.users, rr.lo, rr.hi, rr.items, rr.mmapSuffix())
-}
-
-// UserFactorF64 returns user u's float64 factor row (a view into the
-// mapping; do not modify, invalid after Close). Tests use it to compare
-// sliced sections against a full map.
-func (rr *MappedModelRange) UserFactorF64(u int) []float64 {
-	return rr.fu[u*rr.k : (u+1)*rr.k]
-}
-
-// ItemFactorF64 returns the float64 factor row of global item i, which
-// must lie in [ItemLo, ItemHi).
-func (rr *MappedModelRange) ItemFactorF64(i int) []float64 {
-	n := i - rr.lo
-	return rr.fi[n*rr.k : (n+1)*rr.k]
-}
-
-// ItemFactorF32 returns the float32 factor row of global item i (nil when
-// the file has no float32 section).
-func (rr *MappedModelRange) ItemFactorF32(i int) []float32 {
-	if rr.fi32 == nil {
-		return nil
-	}
-	n := i - rr.lo
-	return rr.fi32[n*rr.k : (n+1)*rr.k]
-}
-
-// ItemBiasF64 returns the float64 bias of global item i, 0 without bias.
-func (rr *MappedModelRange) ItemBiasF64(i int) float64 {
-	if rr.bi == nil {
-		return 0
-	}
-	return rr.bi[i-rr.lo]
 }
 
 // ScoreItems writes P[r_ui = 1] for every mapped item into dst (length
@@ -358,11 +300,10 @@ func (rr *MappedModelRange) Close() error {
 	return munmapAll(windows)
 }
 
-// MappedModel is the whole-catalogue range [0, NumItems) under the names
-// the rest of the code base scores a full model by: ScoreUser and
-// ScoreWithFactor (with the promoted NumUsers and NumItems, the Scorer
-// interface), plus Verify. Everything else — Model, K, HasFloat32, Close,
-// ... — is the range's own method.
+// MappedModel is the whole-catalogue range [0, NumItems) under the name
+// the rest of the code base scores a full model by, ScoreUser, plus
+// Verify. Everything else — Model, HasFloat32, Close, ... — is the
+// range's own method.
 type MappedModel struct{ *MappedModelRange }
 
 // OpenMappedModel maps the whole v2 model file at path: the range
@@ -383,11 +324,6 @@ func (mm *MappedModel) String() string {
 // ScoreUser is ScoreItems over the whole catalogue, implementing
 // eval.Recommender.
 func (mm *MappedModel) ScoreUser(u int, dst []float64) { mm.ScoreItems(u, dst) }
-
-// ScoreWithFactor is ScoreItemsWithFactor over the whole catalogue.
-func (mm *MappedModel) ScoreWithFactor(fu []float64, bias float64, dst []float64) {
-	mm.ScoreItemsWithFactor(fu, bias, dst)
-}
 
 // Verify runs the full factor-domain scan the O(1) open intentionally
 // skips: every float64 factor must be non-negative and finite, and every

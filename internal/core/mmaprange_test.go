@@ -210,3 +210,41 @@ func TestMappedModelRangePartitionCoversCatalogue(t *testing.T) {
 		}
 	}
 }
+
+// K returns the number of co-clusters.
+func (rr *MappedModelRange) K() int { return rr.k }
+
+// HasBias reports whether the model carries the Section IV-A bias terms.
+func (rr *MappedModelRange) HasBias() bool { return rr.bu != nil }
+
+// UserFactorF64 returns user u's float64 factor row (a view into the
+// mapping; do not modify, invalid after Close). Tests use it to compare
+// sliced sections against a full map.
+func (rr *MappedModelRange) UserFactorF64(u int) []float64 {
+	return rr.fu[u*rr.k : (u+1)*rr.k]
+}
+
+// ItemFactorF64 returns the float64 factor row of global item i, which
+// must lie in [ItemLo, ItemHi).
+func (rr *MappedModelRange) ItemFactorF64(i int) []float64 {
+	n := i - rr.lo
+	return rr.fi[n*rr.k : (n+1)*rr.k]
+}
+
+// ItemFactorF32 returns the float32 factor row of global item i (nil when
+// the file has no float32 section).
+func (rr *MappedModelRange) ItemFactorF32(i int) []float32 {
+	if rr.fi32 == nil {
+		return nil
+	}
+	n := i - rr.lo
+	return rr.fi32[n*rr.k : (n+1)*rr.k]
+}
+
+// ItemBiasF64 returns the float64 bias of global item i, 0 without bias.
+func (rr *MappedModelRange) ItemBiasF64(i int) float64 {
+	if rr.bi == nil {
+		return 0
+	}
+	return rr.bi[i-rr.lo]
+}

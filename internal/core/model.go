@@ -62,14 +62,6 @@ func (m *Model) UserBias(u int) float64 {
 	return m.bu[u]
 }
 
-// ItemBias returns b_i, or 0 for a model without biases.
-func (m *Model) ItemBias(i int) float64 {
-	if m.bi == nil {
-		return 0
-	}
-	return m.bi[i]
-}
-
 // UserFactor returns user u's affiliation vector. The slice aliases model
 // storage and must not be modified.
 func (m *Model) UserFactor(u int) []float64 { return m.fu[u*m.k : (u+1)*m.k] }
@@ -160,22 +152,12 @@ func (m *Model) Grow(users, items int) (*Model, error) {
 	return g, nil
 }
 
-// Objective evaluates the full regularized negative log-likelihood Q
-// (eq. 4 of the paper) of this model on matrix r, with R-OCuLaR user
-// weights when relative is true. Bias terms, when present, are included in
-// the affinities and regularized with the same lambda. It is exported for
-// tests and for the Fig 8 distance-to-optimal-likelihood experiment.
-//
-// Objective derives the weight table on every call and uses all cores; hot
-// paths that evaluate Q repeatedly (the trainer's per-iteration convergence
-// check) call ObjectiveWeighted with a cached table instead.
-func (m *Model) Objective(r *sparse.Matrix, lambda float64, relative bool) float64 {
-	return m.ObjectiveWeighted(r, lambda, userWeights(r, relative), 0)
-}
-
-// ObjectiveWeighted is Objective with the R-OCuLaR weight table supplied by
-// the caller (nil for the unweighted OCuLaR objective; otherwise one weight
-// per user) and an explicit worker count (0 = all cores). The O(nnz·K)
+// ObjectiveWeighted evaluates the full regularized negative log-likelihood
+// Q (eq. 4 of the paper) of this model on matrix r. Bias terms, when
+// present, are included in the affinities and regularized with the same
+// lambda. The R-OCuLaR weight table is supplied by the caller (nil for the
+// unweighted OCuLaR objective; otherwise one weight per user), with an
+// explicit worker count (0 = all cores). The O(nnz·K)
 // positive-pair scan and the factor block sums run in parallel through
 // fixed-block deterministic reductions, so the result is bit-identical for
 // every worker count.

@@ -194,7 +194,7 @@ func TestOpenMappedModel(t *testing.T) {
 
 			// ScoreWithFactor (the fold-in path) is always exact.
 			model.ScoreWithFactor(model.UserFactor(3), model.UserBias(3), want)
-			mm.ScoreWithFactor(model.UserFactor(3), model.UserBias(3), got)
+			mm.ScoreItemsWithFactor(model.UserFactor(3), model.UserBias(3), got)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("ScoreWithFactor i=%d: %v != %v", i, got[i], want[i])

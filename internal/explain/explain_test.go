@@ -254,31 +254,6 @@ func BenchmarkExplain(b *testing.B) {
 	}
 }
 
-func TestRenderCoClusterMatrix(t *testing.T) {
-	toy, m := trainToy(t)
-	s := RenderCoClusterMatrix(m, toy.R, 0.3)
-	if !strings.Contains(s, "#") {
-		t.Fatal("no positives rendered")
-	}
-	// The three withheld in-cluster pairs must show as '+' recommendations.
-	if got := strings.Count(s, "+"); got < 3 {
-		t.Fatalf("rendered %d strong recommendations, want >= 3:\n%s", got, s)
-	}
-	// Empty users (3, 10, 11) group under the '-' label.
-	if !strings.Contains(s, "u3    -") {
-		t.Fatalf("unaffiliated user not grouped last:\n%s", s)
-	}
-}
-
-func TestClusterGlyph(t *testing.T) {
-	cases := map[int]string{-1: "-", 0: "0", 9: "9", 10: "a", 35: "z", 36: "*", 100: "*"}
-	for c, want := range cases {
-		if got := clusterGlyph(c); got != want {
-			t.Errorf("clusterGlyph(%d) = %q, want %q", c, got, want)
-		}
-	}
-}
-
 // TestExplainOrdersAreTotal plants ties everywhere an explanation orders
 // something — factors drawn from {0, ½, 1}, so contributions, peer
 // affiliations and shared-item affiliations tie in long runs — and holds

@@ -68,20 +68,6 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // internal storage and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
-// HasEdge reports whether {u, v} is an edge, in O(log deg(u)).
-func (g *Graph) HasEdge(u, v int) bool {
-	lo, hi := 0, len(g.adj[u])
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(g.adj[u][mid]) < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(g.adj[u]) && int(g.adj[u][lo]) == v
-}
-
 // String describes the graph shape.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph.Graph(%d nodes, %d edges)", g.N(), g.M())

@@ -74,3 +74,17 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatalf("String() = %q", g.String())
 	}
 }
+
+// HasEdge reports whether {u, v} is an edge, in O(log deg(u)).
+func (g *Graph) HasEdge(u, v int) bool {
+	lo, hi := 0, len(g.adj[u])
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if int(g.adj[u][mid]) < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(g.adj[u]) && int(g.adj[u][lo]) == v
+}

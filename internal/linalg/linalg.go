@@ -102,24 +102,6 @@ func Norm2Sq(x []float64) float64 {
 // Norm2 returns the Euclidean norm ‖x‖.
 func Norm2(x []float64) float64 { return math.Sqrt(Norm2Sq(x)) }
 
-// Copy copies src into dst. It panics if lengths differ.
-func Copy(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("linalg: Copy length mismatch")
-	}
-	copy(dst, src)
-}
-
-// Sub computes dst = a - b elementwise. It panics if lengths differ.
-func Sub(dst, a, b []float64) {
-	if len(dst) != len(a) || len(a) != len(b) {
-		panic("linalg: Sub length mismatch")
-	}
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // MaxAbsDiff returns max_i |a_i - b_i|, a convergence measure for
 // alternating solvers. It panics if lengths differ.
 func MaxAbsDiff(a, b []float64) float64 {
@@ -159,13 +141,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.ColsN+j] = v }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.ColsN : (i+1)*m.ColsN] }
-
-// CloneMat returns a deep copy of m.
-func (m *Mat) CloneMat() *Mat {
-	c := NewMat(m.RowsN, m.ColsN)
-	copy(c.Data, m.Data)
-	return c
-}
 
 // SymRankKUpdate accumulates A += x xᵀ for a symmetric A (only requires A
 // square with dim == len(x)). Both triangles are written so the matrix stays

@@ -70,14 +70,6 @@ func (a *Active) ID() string {
 	return a.id
 }
 
-// Start returns the wall time the trace began (zero on nil).
-func (a *Active) Start() time.Time {
-	if a == nil {
-		return time.Time{}
-	}
-	return a.start
-}
-
 // Record appends one span. start is the span's wall start; note is
 // optional context (cache verdict, shard URL, error) and is truncated
 // to keep records bounded.

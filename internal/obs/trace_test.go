@@ -155,3 +155,11 @@ func TestSlowRequestLog(t *testing.T) {
 		t.Fatalf("fast request logged: %q", buf.String())
 	}
 }
+
+// Start returns the wall time the trace began (zero on nil).
+func (a *Active) Start() time.Time {
+	if a == nil {
+		return time.Time{}
+	}
+	return a.start
+}

@@ -30,10 +30,10 @@ import (
 	"sync/atomic"
 )
 
-// Scratch is a per-worker reusable arena. Get slices of it via Float64s and
-// Ints; each slice is valid until the next call of the same getter with a
-// larger size. Scratch is not safe for concurrent use; For gives each worker
-// its own.
+// Scratch is a per-worker reusable arena. Get slices of it via Float64s,
+// Float64sRaw and IntsRaw; each slice is valid until the next call of a
+// getter of the same arena with a larger size. Scratch is not safe for
+// concurrent use; For gives each worker its own.
 type Scratch struct {
 	buf  []float64
 	ints []int
@@ -63,23 +63,10 @@ func (s *Scratch) Float64sRaw(n int) []float64 {
 	return s.buf[:n]
 }
 
-// Ints returns a zeroed []int of length n from a separate arena, with the
-// same reuse discipline as Float64s. The training kernels borrow this arena
-// through IntsRaw for the clamped/live coordinate index lists of the
-// incremental line search; Ints is the zeroed counterpart for callers that
-// read before (fully) writing.
-func (s *Scratch) Ints(n int) []int {
-	if cap(s.ints) < n {
-		s.ints = make([]int, n)
-	}
-	b := s.ints[:n]
-	for i := range b {
-		b[i] = 0
-	}
-	return b
-}
-
-// IntsRaw is Ints without the zeroing pass; see Float64sRaw.
+// IntsRaw returns an unzeroed []int of length n from a separate arena,
+// with the same reuse discipline as Float64sRaw. The training kernels
+// borrow it for the clamped/live coordinate index lists of the incremental
+// line search.
 func (s *Scratch) IntsRaw(n int) []int {
 	if cap(s.ints) < n {
 		s.ints = make([]int, n)

@@ -165,30 +165,9 @@ func TestScratchRawVariants(t *testing.T) {
 	if got := s.IntsRaw(3); got[0] != 1 || got[2] != 3 {
 		t.Fatal("IntsRaw did not reuse the arena")
 	}
-	if got := s.Ints(5); got[4] != 0 {
-		t.Fatal("Ints after IntsRaw not zeroed")
-	}
-}
-
-func TestScratchInts(t *testing.T) {
-	s := &Scratch{}
-	b := s.Ints(3)
-	b[0], b[1], b[2] = 1, 2, 3
-	b2 := s.Ints(2)
-	if b2[0] != 0 || b2[1] != 0 {
-		t.Fatal("Scratch.Ints did not zero reused memory")
-	}
-	b3 := s.Ints(8)
-	for _, v := range b3 {
-		if v != 0 {
-			t.Fatal("grown int scratch not zeroed")
-		}
-	}
 	// The int and float arenas are independent.
-	f := s.Float64s(4)
-	f[0] = 9
-	if got := s.Ints(8); got[0] != 0 {
-		t.Fatal("Float64s clobbered the int arena")
+	if got := s.Float64sRaw(4); got[0] != 7 || got[3] != 9 {
+		t.Fatal("IntsRaw clobbered the float arena")
 	}
 }
 

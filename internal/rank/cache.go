@@ -257,10 +257,6 @@ func NewListCache(capacity, shards int, stats *Stats) *ListCache {
 	return &ListCache{cache: newTopCache(capacity, shards), stats: stats, ranks: true}
 }
 
-// Stats returns the cache's counters (hits, misses, coalesced waiters,
-// and computations run).
-func (c *ListCache) Stats() *Stats { return c.stats }
-
 // Len returns the number of cached lists.
 func (c *ListCache) Len() int { return c.cache.len() }
 

@@ -460,3 +460,7 @@ func TestCachedTopMBatchAllocsPerUser(t *testing.T) {
 		}
 	}
 }
+
+// Stats returns the cache's counters (hits, misses, coalesced waiters,
+// and computations run).
+func (c *ListCache) Stats() *Stats { return c.stats }

@@ -37,9 +37,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// Scorer produces the relevance scores a ranking starts from. Both
-// eval.Recommender implementations (every algorithm in the repo) and
-// core.Scorer (the mmap serving path) satisfy it.
+// Scorer produces the relevance scores a ranking starts from. Every
+// eval.Recommender (every algorithm in the repo, *core.MappedModel among
+// them) satisfies it.
 type Scorer interface {
 	// ScoreUser writes a relevance score for every item for user u into
 	// dst, which has length NumItems().
@@ -147,9 +147,6 @@ func NewEngine(scorer Scorer, cfg Config) *Engine {
 	e.hi = e.lo + scorer.NumItems()
 	return e
 }
-
-// Stats returns the engine's counters.
-func (e *Engine) Stats() *Stats { return e.lists.stats }
 
 // CacheLen returns the number of cached top-M lists.
 func (e *Engine) CacheLen() int { return e.lists.Len() }

@@ -594,3 +594,9 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("nil cache non-empty")
 	}
 }
+
+// Stats returns the engine's counters.
+func (e *Engine) Stats() *Stats { return e.lists.stats }
+
+// Name returns the display name of item, or "" when the table has none.
+func (t *TagTable) Name(item int) string { return t.names[item] }

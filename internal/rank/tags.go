@@ -107,9 +107,6 @@ func (t *TagTable) NumItems() int { return t.numItems }
 // NumTags returns the number of distinct tags.
 func (t *TagTable) NumTags() int { return len(t.tags) }
 
-// Name returns the display name of item, or "" when the table has none.
-func (t *TagTable) Name(item int) string { return t.names[item] }
-
 // Allow returns a filter excluding every item NOT carrying at least one of
 // the given tags — an allow-list. Unknown tags are an error (a typo would
 // otherwise silently empty the allow set).

@@ -23,7 +23,7 @@ func splitmix64(state *uint64) uint64 {
 }
 
 // RNG is a xoshiro256** pseudo-random generator. It is not safe for
-// concurrent use; use Split to derive independent generators per goroutine.
+// concurrent use; give each goroutine its own, seeded with New.
 type RNG struct {
 	s [4]uint64
 	// cached second normal variate from the Box-Muller transform
@@ -45,13 +45,6 @@ func New(seed uint64) *RNG {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
 	return r
-}
-
-// Split derives a new generator from the current one. The derived generator
-// is statistically independent of the parent's subsequent output, which makes
-// Split suitable for handing one generator to each worker goroutine.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64() ^ 0xa3ec647659359acd)
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
@@ -126,15 +119,6 @@ func (r *RNG) NormFloat64() float64 {
 	r.gauss = v * f
 	r.hasGauss = true
 	return u * f
-}
-
-// Exp returns an exponentially distributed variate with rate lambda.
-// It panics if lambda <= 0.
-func (r *RNG) Exp(lambda float64) float64 {
-	if lambda <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	return -math.Log(1-r.Float64()) / lambda
 }
 
 // Bernoulli returns true with probability p (clamped to [0,1]).

@@ -93,19 +93,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(17)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp(2.0)
-	}
-	mean := sum / n
-	if math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(19)
 	for _, n := range []int{0, 1, 2, 17, 100} {
@@ -153,20 +140,6 @@ func TestSamplePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	New(1).Sample(3, 4)
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(29)
-	child := parent.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("parent and child produced %d identical draws", same)
-	}
 }
 
 func TestZipfSkew(t *testing.T) {

@@ -131,14 +131,6 @@ func (g *Gate) Wrap(h func(http.ResponseWriter, *http.Request) int) func(http.Re
 	}
 }
 
-// InFlight returns the number of currently admitted requests.
-func (g *Gate) InFlight() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.inFlight.Load()
-}
-
 // Peak returns the high-water mark of concurrently admitted requests —
 // the overload test's proof that admission actually bounds work.
 func (g *Gate) Peak() int64 {

@@ -431,7 +431,7 @@ func TestRegistryStagedArm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := rank.NewEngine(core.Scorer(f.candidate), rank.Config{CacheSize: -1})
+	ref := rank.NewEngine(f.candidate, rank.Config{CacheSize: -1})
 	u := 2 // pinned: treatment
 	var got RecommendResponse
 	if st := ranktest.PostJSON(t, f.ts.URL+"/v1/recommend",

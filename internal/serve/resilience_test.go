@@ -256,3 +256,15 @@ func TestServerGateWiredIntoDataPath(t *testing.T) {
 		t.Fatalf("data path after release: status %d", st)
 	}
 }
+
+// InFlight returns the number of currently admitted requests.
+func (g *Gate) InFlight() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.inFlight.Load()
+}
+
+// Gate exposes the admission controller (nil when disabled), mainly for
+// tests asserting the in-flight bound.
+func (s *Server) Gate() *Gate { return s.edge.Gate() }

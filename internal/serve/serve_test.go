@@ -1106,3 +1106,6 @@ func TestMaxBodyEnforcedEverywhere(t *testing.T) {
 		t.Errorf("small-body ingest: status %d, want 200", st)
 	}
 }
+
+// Metrics exposes the server's counters, mainly for tests and benchmarks.
+func (s *Server) Metrics() *Metrics { return s.metrics }

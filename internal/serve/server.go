@@ -422,13 +422,6 @@ func (s *Server) ServingMode() (mapped, float32Scoring bool) {
 // incremented by every reload).
 func (s *Server) Version() uint64 { return s.snap.Load().version }
 
-// Metrics exposes the server's counters, mainly for tests and benchmarks.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Gate exposes the admission controller (nil when disabled), mainly for
-// tests asserting the in-flight bound.
-func (s *Server) Gate() *Gate { return s.edge.Gate() }
-
 // BeginDrain marks the server draining (see Edge.BeginDrain). Call it,
 // wait for traffic to ebb, then shut the HTTP server down — the ordering
 // the drain regression test pins.

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -87,6 +88,9 @@ func ReadMatrixMarket(r io.Reader) (*Matrix, error) {
 	}
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: negative MatrixMarket dimensions %dx%d nnz=%d", rows, cols, nnz)
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: MatrixMarket dimensions %dx%d exceed the int32 ids a Matrix stores", rows, cols)
 	}
 	if symmetry == "symmetric" && rows != cols {
 		return nil, fmt.Errorf("sparse: symmetric MatrixMarket matrix must be square, got %dx%d", rows, cols)

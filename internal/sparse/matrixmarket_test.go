@@ -100,6 +100,10 @@ func TestMatrixMarketReadErrors(t *testing.T) {
 		"bad value":      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 notanumber\n",
 		"count mismatch": "%%MatrixMarket matrix coordinate pattern general\n2 2 5\n1 1\n",
 		"negative size":  "%%MatrixMarket matrix coordinate pattern general\n-1 2 0\n",
+		// ids are int32: a wider dimension must not wrap to negative ids,
+		// nor allocate its row offsets before it is refused.
+		"cols over int32": "%%MatrixMarket matrix coordinate pattern general\n3 2147483649 1\n1 2147483649\n",
+		"rows over int32": "%%MatrixMarket matrix coordinate pattern general\n2147483649 3 1\n2147483649 1\n",
 	}
 	for name, src := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(src)); err == nil {

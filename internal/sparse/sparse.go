@@ -15,6 +15,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 )
@@ -30,10 +31,14 @@ type Builder struct {
 type coord struct{ r, c int32 }
 
 // NewBuilder returns a builder for a matrix with the given dimensions.
-// It panics if either dimension is negative.
+// It panics if either dimension is negative or above math.MaxInt32, the
+// largest id a Matrix stores.
 func NewBuilder(rows, cols int) *Builder {
 	if rows < 0 || cols < 0 {
 		panic("sparse: negative dimension")
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: dimension %dx%d exceeds the int32 ids a Matrix stores", rows, cols))
 	}
 	return &Builder{rows: rows, cols: cols}
 }
@@ -262,19 +267,6 @@ func (m *Matrix) Equal(o *Matrix) bool {
 // String returns a compact description like "sparse.Matrix(100x50, nnz=420)".
 func (m *Matrix) String() string {
 	return fmt.Sprintf("sparse.Matrix(%dx%d, nnz=%d)", m.rows, m.cols, m.NNZ())
-}
-
-// Dense renders the matrix as a dense [][]bool, for tests and small
-// visualizations only.
-func (m *Matrix) Dense() [][]bool {
-	d := make([][]bool, m.rows)
-	for r := range d {
-		d[r] = make([]bool, m.cols)
-		for _, c := range m.Row(r) {
-			d[r][c] = true
-		}
-	}
-	return d
 }
 
 // FromDense builds a matrix from a dense boolean grid. All rows must have

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -258,6 +259,21 @@ func TestString(t *testing.T) {
 	}
 }
 
+func TestNewBuilderPanics(t *testing.T) {
+	over := math.MaxInt32
+	over++
+	for _, dims := range [][2]int{{-1, 2}, {2, -1}, {over, 2}, {2, over}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewBuilder(%d, %d) did not panic", dims[0], dims[1])
+				}
+			}()
+			NewBuilder(dims[0], dims[1])
+		}()
+	}
+}
+
 func TestFromDenseRaggedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -351,4 +367,16 @@ func TestPadTo(t *testing.T) {
 		}
 	}()
 	m.PadTo(2, 4)
+}
+
+// Dense renders the matrix as a dense [][]bool, the tests' oracle view.
+func (m *Matrix) Dense() [][]bool {
+	d := make([][]bool, m.rows)
+	for r := range d {
+		d[r] = make([]bool, m.cols)
+		for _, c := range m.Row(r) {
+			d[r][c] = true
+		}
+	}
+	return d
 }

@@ -145,15 +145,8 @@ func Train(r *Matrix, cfg Config) (*Result, error) { return core.Train(r, cfg) }
 
 // ReadModel deserializes a model written with Model.WriteTo. It buffers the
 // stream (never more than its header declares) and checks it exactly as
-// LoadModelFile checks a file.
+// OpenMappedModel and MappedModel.Verify check a file.
 func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
-
-// LoadModelFile reads a model saved with Model.SaveModelFile (or WriteTo)
-// into memory — the loading half of the train-once/serve-many lifecycle
-// for the trainer's warm start and the router's re-rank stages. It opens the
-// file through OpenMappedModel, runs MappedModel.Verify and copies the
-// float64 factors out; use OpenMappedModel to serve a v2 file in place.
-func LoadModelFile(path string) (*Model, error) { return core.LoadModelFile(path) }
 
 // SaveOptions configures the v2 model writer (Model.SaveModelFileOpts):
 // set Float32 to append a quantized factor copy that serving scores at
@@ -164,26 +157,10 @@ type SaveOptions = core.SaveOptions
 // O(1) open and reload, zero-copy factors, optional float32 scoring.
 type MappedModel = core.MappedModel
 
-// Scorer is the scoring surface shared by *Model and *MappedModel.
-type Scorer = core.Scorer
-
 // OpenMappedModel maps the v2 model file at path in O(1). The retired v1
 // format is refused (by every reader) with an error wrapping
 // core.ErrLegacyFormat.
 func OpenMappedModel(path string) (*MappedModel, error) { return core.OpenMappedModel(path) }
-
-// MappedModelRange is an item-partitioned slice of an mmapped v2 model:
-// all users, items [lo, hi) — what one shard of the sharded serving tier
-// maps (cmd/ocular-serve -shard-lo/-shard-hi behind cmd/ocular-router).
-type MappedModelRange = core.MappedModelRange
-
-// OpenMappedModelRange maps only the item range [itemLo, itemHi) of the
-// v2 model file at path (itemHi -1 means through the end of the
-// catalogue). Scores over the slice are bit-identical to the same items
-// scored through the full model.
-func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, error) {
-	return core.OpenMappedModelRange(path, itemLo, itemHi)
-}
 
 // --- Evaluation -----------------------------------------------------------
 

@@ -1,0 +1,9 @@
+package lib
+
+import "testing"
+
+func TestOwnTestsOnly(t *testing.T) {
+	if OwnTestsOnly() != 2 || testOnly() != 7 {
+		t.Fail()
+	}
+}
