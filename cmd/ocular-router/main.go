@@ -88,7 +88,7 @@ func main() {
 
 		stages    = flag.String("stages", "", "staged re-rank pipeline applied once after the merge, e.g. \"floor=0.1,boost=0.5:promoted\"")
 		modelPath = flag.String("model", "", "model file (the artifact the shards serve) — needed by diversify stages and to size -items-meta")
-		itemsMeta = flag.String("items-meta", "", "item name/tag table for boost stages (item,name,tag,... lines; needs -model)")
+		itemsMeta = flag.String("items-meta", "", "item tag table for boost stages (item,name,tag,... lines; the name column is ignored; needs -model)")
 
 		timeout       = flag.Duration("timeout", 2*time.Second, "per-attempt shard call deadline")
 		hedge         = flag.Duration("hedge", 0, "launch a second attempt against a slow shard after this delay (0 = off)")

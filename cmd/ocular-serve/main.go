@@ -34,9 +34,8 @@
 // recommended back. Without it every item is a candidate for every user.
 //
 // A format-v2 model file (what ocular -save writes) is mmapped and served
-// in place: reload cost is O(1) in the model size, and when the file
-// carries a float32 factor section (ocular -save-f32, the default) the
-// hot scoring loop runs at half the memory traffic.
+// in place: reload cost is O(1) in the model size, and every served score
+// is the trained model's float64 score, bit for bit.
 //
 // SIGHUP (or POST /v1/reload) re-reads -model and atomically swaps it in
 // without dropping in-flight requests; SIGINT/SIGTERM drain connections and
@@ -100,7 +99,7 @@ func main() {
 		preset    = flag.String("preset", "", "synthetic preset used at training time (exclusions)")
 		seed      = flag.Uint64("seed", 1, "preset generation seed (must match training)")
 
-		itemsMeta = flag.String("items-meta", "", "item name/tag table (item,name,tag,... lines) enabling \"filter\" requests")
+		itemsMeta = flag.String("items-meta", "", "item tag table (item,name,tag,... lines; the name column is ignored) enabling \"filter\" requests")
 		feedDir   = flag.String("feed", "", "interaction feed directory enabling POST /v1/ingest (ocular-trainer retrains from it)")
 		maxGrowth = flag.Int("max-ingest-growth", 0, "cap on how far beyond the served catalogue ingested ids may reach (0 = 1<<20)")
 
@@ -212,11 +211,7 @@ func main() {
 	if shardMode {
 		log.Printf("serving item shard [%d,%d) on %s (mmap; merge through ocular-router)", *shardLo, *shardHi, d.Addr)
 	} else {
-		mode := "mmap, float64 scoring"
-		if _, f32 := srv.ServingMode(); f32 {
-			mode = "mmap, float32 scoring"
-		}
-		log.Printf("serving %v on %s (%s)", srv.Model(), d.Addr, mode)
+		log.Printf("serving %v on %s (mmap)", srv.Model(), d.Addr)
 	}
 
 	// SIGHUP hot-swaps the model; SIGINT/SIGTERM drain and exit.
@@ -232,8 +227,7 @@ func main() {
 				log.Printf("reloaded shard (version %d)", srv.Version())
 				continue
 			}
-			mapped, f32 := srv.ServingMode()
-			log.Printf("reloaded %v (version %d, mapped=%v float32=%v)", srv.Model(), srv.Version(), mapped, f32)
+			log.Printf("reloaded %v (version %d)", srv.Model(), srv.Version())
 		}
 	}()
 

@@ -72,7 +72,6 @@ func main() {
 		relative = flag.Bool("relative", false, "use the R-OCuLaR relative-preference objective")
 		iters    = flag.Int("iters", 150, "max training iterations per cycle")
 		workers  = flag.Int("workers", 0, "parallel training workers (0 = all cores, 1 = serial)")
-		saveF32  = flag.Bool("save-f32", true, "include the float32 scoring section in saved models")
 
 		maxGrowth = flag.Int("max-growth", 0, "cap on catalogue growth per cycle; feed events beyond it are skipped (0 = 1<<20)")
 		server    = flag.String("server", "", "ocular-serve base URL to roll models out to (e.g. http://localhost:8080)")
@@ -104,7 +103,6 @@ func main() {
 			K: *k, Lambda: *lambda, Relative: *relative,
 			MaxIter: *iters, Seed: *seed, Workers: *workers,
 		},
-		Save:            core.SaveOptions{Float32: *saveF32},
 		MaxGrowth:       *maxGrowth,
 		ServerURL:       *server,
 		ModelName:       *modelName,
@@ -165,8 +163,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("saved model failed the mmap self-check: %v", err)
 		}
-		log.Printf("trained %dx%d (nnz=%d) in %d iterations (converged=%v, warm=%v); artifact %s verified (float32=%v)",
-			cy.Users, cy.Items, cy.NNZ, cy.Iterations, cy.Converged, cy.WarmStarted, *modelPath, mapped.HasFloat32())
+		log.Printf("trained %dx%d (nnz=%d) in %d iterations (converged=%v, warm=%v); artifact %s verified",
+			cy.Users, cy.Items, cy.NNZ, cy.Iterations, cy.Converged, cy.WarmStarted, *modelPath)
 		return
 	}
 

@@ -45,7 +45,6 @@ func main() {
 		m       = flag.Int("m", 50, "cutoff for holdout evaluation metrics")
 		verbose = flag.Bool("v", false, "print objective per training iteration")
 		save    = flag.String("save", "", "write the trained model to this file (serve it with ocular-serve)")
-		saveF32 = flag.Bool("save-f32", true, "include a float32 copy of the factors in the saved model (ocular-serve scores it at half the memory traffic; score error < 1.5e-6 up to K=256, see linalg.ScoreErrorBoundF32)")
 
 		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this address while training (empty disables)")
 	)
@@ -88,14 +87,10 @@ func main() {
 		model, res.Iterations(), res.Converged)
 
 	if *save != "" {
-		if err := model.SaveModelFileOpts(*save, ocular.SaveOptions{Float32: *saveF32}); err != nil {
+		if err := model.SaveModelFile(*save); err != nil {
 			log.Fatal(err)
 		}
-		suffix := ""
-		if *saveF32 {
-			suffix = ", float32 scoring section"
-		}
-		fmt.Printf("model saved to %s (format v2%s)\n", *save, suffix)
+		fmt.Printf("model saved to %s (format v2)\n", *save)
 	}
 
 	if test != nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/rank"
 	"repro/internal/ranktest"
 	"repro/internal/serve"
@@ -490,7 +491,7 @@ func TestRouterScatterGatherDuringQuorumReloadRace(t *testing.T) {
 				return
 			default:
 			}
-			if err := tr.fx.Install([]*ranktest.Artifact{tr.fx.Next, tr.fx.Cur}[i%2]); err != nil {
+			if err := tr.fx.Install([]*core.Model{tr.fx.Next, tr.fx.Cur}[i%2]); err != nil {
 				t.Errorf("install: %v", err)
 				return
 			}

@@ -82,7 +82,7 @@ func contract(t *testing.T, name, method, url, reqBody string, wantStatus int, m
 // TestControlPlaneContract is the table: one row per producer and state.
 func TestControlPlaneContract(t *testing.T) {
 	fx := ranktest.New(t, ranktest.Variant{F32: true})
-	train, modelPath, model, dir := fx.Train, fx.Path, fx.Cur.Model, t.TempDir()
+	train, modelPath, model, dir := fx.Train, fx.Path, fx.Cur, t.TempDir()
 	serving := func(srv *serve.Server, err error) (*serve.Server, string) {
 		t.Helper()
 		if err != nil {
@@ -93,12 +93,12 @@ func TestControlPlaneContract(t *testing.T) {
 		return srv, ts.URL
 	}
 
-	const fullHealth = "float32 loaded_at mapped model model_version status"
+	const fullHealth = "loaded_at model model_version status"
 	_, full := serving(serve.NewFromFile(serve.Config{ModelPath: modelPath, Train: train}))
 	contract(t, "full server /healthz", "GET", full+"/healthz", "", 200, new(serve.Health), fullHealth)
 	contract(t, "full server /readyz", "GET", full+"/readyz", "", 200, new(serve.Ready), "model_version ready")
 	contract(t, "default reload", "POST", full+"/v1/reload", "", 200, new(serve.ReloadResponse),
-		"float32 mapped model model_version")
+		"model model_version")
 	contract(t, "refused reload", "POST", full+"/v1/reload", `{"model":"ghost"}`, 404, new(serve.ErrorBody), "code error")
 	contract(t, "refused request", "POST", full+"/v1/reload", `{"wat":1}`, 400, new(serve.ErrorBody), "error")
 
@@ -124,25 +124,25 @@ func TestControlPlaneContract(t *testing.T) {
 	defer reg.Close()
 	var regHealth serve.Health
 	contract(t, "registry server /healthz", "GET", regURL+"/healthz", "", 200, &regHealth,
-		"feed_positives float32 loaded_at mapped model model_version models status tenants")
+		"feed_positives loaded_at model model_version models status tenants")
 	acme := regHealth.Tenants["acme"]
 	if acme.Experiment != "exp" || len(acme.Arms) != 1 || acme.ShadowModel != "champion" ||
 		acme.ShadowSample == nil || acme.FeedPositives == nil || regHealth.Models["champion"].ModelVersion != 1 {
 		t.Errorf("registry health lost a tenant key (a zero shadow sample and an empty feed are still keys): %+v", regHealth)
 	}
 	contract(t, "named reload", "POST", regURL+"/v1/reload", `{"model":"champion"}`, 200, new(serve.ReloadResponse),
-		"float32 mapped model model_version name")
+		"model model_version name")
 
 	// Two shards, the first from item 0 (a shard_lo of 0 is still a key),
 	// and a draining server.
-	const shardHealth = "float32 items loaded_at mapped model model_version shard_hi shard_lo status users"
+	const shardHealth = "items loaded_at model model_version shard_hi shard_lo status users"
 	half := model.NumItems() / 2
 	_, lowURL := serving(serve.NewShardFromFile(serve.Config{ModelPath: modelPath, Train: train, ShardLo: 0, ShardHi: half}))
 	tail, tailURL := serving(serve.NewShardFromFile(serve.Config{ModelPath: modelPath, Train: train, ShardLo: half, ShardHi: -1}))
 	contract(t, "fresh shard /healthz", "GET", lowURL+"/healthz", "", 200, new(serve.Health), shardHealth)
 	contract(t, "fresh shard /readyz", "GET", lowURL+"/readyz", "", 200, new(serve.Ready), "model_version ready shard_hi shard_lo")
 	contract(t, "shard reload", "POST", tailURL+"/v1/reload", "", 200, new(serve.ReloadResponse),
-		"float32 mapped model model_version")
+		"model model_version")
 	contract(t, "reloaded shard /healthz", "GET", tailURL+"/healthz", "", 200, new(serve.Health),
 		strings.Replace(shardHealth, "model_version", "model_version prev_version", 1))
 	contract(t, "reloaded shard /readyz", "GET", tailURL+"/readyz", "", 200, new(serve.Ready),

@@ -40,18 +40,16 @@ var ErrLegacyFormat = errors.New("legacy v1 model format is no longer supported 
 // is 4 bytes of heap per positive factor entry, 4 more per entry of an item
 // on two or more co-clusters, and 8·⌈K/64⌉ bytes per item — on a planted
 // catalogue shaped like the benchmark's (12,000 items, K=16) 104 KB, 96 KB
-// of it the masks, beside the 768 KB float32 section; nothing in the file.
-// A range that is only ever swept (ScoreItems) never builds it.
+// of it the masks, beside the 1.5 MB float64 item section; nothing in the
+// file. A range that is only ever swept (ScoreItems) never builds it.
 //
-// When the file carries a float32 section, ScoreItems streams it instead
-// of the float64 factors — half the memory traffic per scored user, with
-// the reported probability off by at most linalg.ScoreErrorBoundF32(K) =
-// (⌈K/4⌉+3)·2⁻²⁴/e, e.g. 3.5e−7 at K=50. ScoreItemsWithFactor and Model
-// always use the exact float64 sections. Either way each item's score is
-// computed independently from the same bytes whatever the range, so a
-// shard's score for item i is bit-identical to a full server's score for
-// item i. That per-item identity is what makes the scatter-gathered merge
-// of the cluster tier provably equal to single-process serving.
+// Every score is computed from the float64 sections, each item's
+// independently of the range, so a shard's score for item i is
+// bit-identical to a full server's and to the heap Model's. That per-item
+// identity is what makes the scatter-gathered merge of the cluster tier
+// provably equal to single-process serving. A range never maps a file's
+// float32 sections: only a whole-file MappedModel does, for Verify's
+// cross-check, and nothing scores from them.
 //
 // A MappedModelRange is immutable and safe for concurrent use. The
 // single-writer discipline of SaveModelFile guarantees the mapped inode is
@@ -69,9 +67,6 @@ type MappedModelRange struct {
 
 	fu, bu []float64 // full user sections
 	fi, bi []float64 // item rows [lo, hi) only; index local (row 0 = item lo)
-
-	fu32, bu32 []float32 // float32 sections, nil when absent
-	fi32, bi32 []float32
 
 	// view is the zero-copy *Model over the float64 sections, nil unless
 	// the range is the whole catalogue. It points back at the range
@@ -91,13 +86,20 @@ type MappedModelRange struct {
 // item range [itemLo, itemHi). It validates only the header and the file
 // size (O(1), no factor scan — the offset-table cross-check in
 // parseV2Header proves every section is in bounds); the item factor (and
-// bias, and float32) sections are mapped only across the requested rows,
-// each window starting on a page boundary. A v1 file yields an error
-// wrapping ErrLegacyFormat; an empty or out-of-bounds range is rejected.
+// bias) sections are mapped only across the requested rows, each window
+// starting on a page boundary, and the float32 sections not at all. A v1
+// file yields an error wrapping ErrLegacyFormat; an empty or out-of-bounds
+// range is rejected.
 // itemHi == -1 means "through the end of the catalogue", resolved against
 // the file's header — the tail shard of an item partition uses it to
 // follow catalogue growth across retrained models without reconfiguration.
 func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, error) {
+	return mapRange(path, itemLo, itemHi, nil)
+}
+
+// mapRange is OpenMappedModelRange, also mapping the float32 sections into
+// f32 when it is not nil (openSections).
+func mapRange(path string, itemLo, itemHi int, f32 *[4][]float32) (*MappedModelRange, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: mapping model: %w", err)
@@ -115,7 +117,7 @@ func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, e
 	var windows [][]byte
 	// Each window is rounded down to a page boundary, as mmap requires; the
 	// view skips the sub-page remainder.
-	rr, err := openSections(h, uint64(st.Size()), itemLo, itemHi, func(start, length uint64) ([]byte, error) {
+	rr, err := openSections(h, uint64(st.Size()), itemLo, itemHi, f32, func(start, length uint64) ([]byte, error) {
 		aligned := start &^ (page - 1)
 		w, err := mmapFileAt(f, int64(aligned), int(start-aligned+length))
 		if err != nil {
@@ -137,14 +139,14 @@ func OpenMappedModelRange(path string, itemLo, itemHi int) (*MappedModelRange, e
 // Given the validated header h and the file's size, it builds the range
 // [itemLo, itemHi) (itemHi == -1: through the last item) over the views
 // window returns, each the length bytes at file offset start: one per
-// present section in layout order fu, fi, bu, bi — float64 (sections 0–3),
-// then float32 (4–7) — the user sections (even) in full, the item sections
-// (odd) across rows [itemLo, itemHi) only. The v2 layout aligns sections to
-// v2Align and every row start is a multiple of the element size, so a view
-// on an aligned base keeps the alignment the typed reinterpretations
-// require; it is checked all the same, so the unsafe casts are provably
-// sound.
-func openSections(h v2Header, size uint64, itemLo, itemHi int, window func(start, length uint64) ([]byte, error)) (*MappedModelRange, error) {
+// present float64 section (0–3) in layout order fu, fi, bu, bi, and, when
+// f32 is not nil, one per present float32 section (4–7) into f32 — the
+// user sections (even) in full, the item sections (odd) across rows
+// [itemLo, itemHi) only. The v2 layout aligns sections to v2Align and
+// every row start is a multiple of the element size, so a view on an
+// aligned base keeps the alignment the typed reinterpretations require; it
+// is checked all the same, so the unsafe casts are provably sound.
+func openSections(h v2Header, size uint64, itemLo, itemHi int, f32 *[4][]float32, window func(start, length uint64) ([]byte, error)) (*MappedModelRange, error) {
 	if size != h.layout.size {
 		return nil, fmt.Errorf("model is %d bytes, header says %d", size, h.layout.size)
 	}
@@ -159,8 +161,7 @@ func openSections(h v2Header, size uint64, itemLo, itemHi int, window func(start
 		lo: itemLo, hi: itemHi,
 	}
 	f64 := [4]*[]float64{&rr.fu, &rr.fi, &rr.bu, &rr.bi}
-	f32 := [4]*[]float32{&rr.fu32, &rr.fi32, &rr.bu32, &rr.bi32}
-	for s, n := range sectionLens(h.k, h.users, h.items, h.bias, h.f32) {
+	for s, n := range sectionLens(h.k, h.users, h.items, h.bias, h.f32 && f32 != nil) {
 		if n == 0 {
 			continue
 		}
@@ -186,7 +187,7 @@ func openSections(h v2Header, size uint64, itemLo, itemHi int, window func(start
 		if s < 4 {
 			*f64[s] = unsafe.Slice((*float64)(p), n)
 		} else {
-			*f32[s-4] = unsafe.Slice((*float32)(p), n)
+			f32[s-4] = unsafe.Slice((*float32)(p), n)
 		}
 	}
 	if itemLo == 0 && itemHi == rr.items {
@@ -231,41 +232,17 @@ func (rr *MappedModelRange) ItemHi() int { return rr.hi }
 // Len returns the number of mapped items, ItemHi − ItemLo.
 func (rr *MappedModelRange) Len() int { return rr.hi - rr.lo }
 
-// HasFloat32 reports whether the file carries the float32 factor copy,
-// i.e. whether ScoreItems runs the half-bandwidth path.
-func (rr *MappedModelRange) HasFloat32() bool { return rr.fu32 != nil }
-
-// mmapSuffix names the scoring sections in the String forms.
-func (rr *MappedModelRange) mmapSuffix() string {
-	if rr.fu32 != nil {
-		return "mmap+f32"
-	}
-	return "mmap"
-}
-
 // String describes the mapped range.
 func (rr *MappedModelRange) String() string {
-	return fmt.Sprintf("core.MappedModelRange(K=%d, %d users, items [%d,%d) of %d, %s)",
-		rr.k, rr.users, rr.lo, rr.hi, rr.items, rr.mmapSuffix())
+	return fmt.Sprintf("core.MappedModelRange(K=%d, %d users, items [%d,%d) of %d, mmap)",
+		rr.k, rr.users, rr.lo, rr.hi, rr.items)
 }
 
 // ScoreItems writes P[r_ui = 1] for every mapped item into dst (length
-// Len(); dst[n] scores global item ItemLo+n). With a float32 section
-// present it streams that section — half the memory bandwidth of the
-// float64 path — within the linalg.ScoreErrorBoundF32 error bound;
-// otherwise it scores the exact float64 factors, bit-identically to a
+// Len(); dst[n] scores global item ItemLo+n), bit-identically to a
 // heap-loaded model.
 func (rr *MappedModelRange) ScoreItems(u int, dst []float64) {
 	k := rr.k
-	if rr.fu32 != nil {
-		var bias float64
-		if rr.bu32 != nil {
-			bias = float64(rr.bu32[u])
-		}
-		linalg.ScoreF32(dst, rr.fu32[u*k:(u+1)*k], rr.fi32, rr.bi32, bias)
-		runtime.KeepAlive(rr)
-		return
-	}
 	var bias float64
 	if rr.bu != nil {
 		bias = rr.bu[u]
@@ -296,29 +273,38 @@ func (rr *MappedModelRange) Close() error {
 	windows := rr.windows
 	rr.windows, rr.view = nil, nil
 	rr.fu, rr.fi, rr.bu, rr.bi = nil, nil, nil, nil
-	rr.fu32, rr.fi32, rr.bu32, rr.bi32 = nil, nil, nil, nil
 	return munmapAll(windows)
 }
 
 // MappedModel is the whole-catalogue range [0, NumItems) under the name
 // the rest of the code base scores a full model by, ScoreUser, plus
-// Verify. Everything else — Model, HasFloat32, Close, ... — is the
+// Verify. Everything else — Model, Walk, Close, ... — is the
 // range's own method.
-type MappedModel struct{ *MappedModelRange }
+type MappedModel struct {
+	*MappedModelRange
+
+	// f32 holds the file's float32 sections fu, fi, bu, bi in full, nil
+	// where absent. Only Verify reads them; Close invalidates them with
+	// the range's views.
+	f32 [4][]float32
+}
 
 // OpenMappedModel maps the whole v2 model file at path: the range
-// [0, items) of OpenMappedModelRange.
+// [0, items) of OpenMappedModelRange, plus the float32 sections, when the
+// file carries them, for Verify.
 func OpenMappedModel(path string) (*MappedModel, error) {
-	rr, err := OpenMappedModelRange(path, 0, -1)
+	mm := &MappedModel{}
+	rr, err := mapRange(path, 0, -1, &mm.f32)
 	if err != nil {
 		return nil, err
 	}
-	return &MappedModel{rr}, nil
+	mm.MappedModelRange = rr
+	return mm, nil
 }
 
 // String describes the mapped model.
 func (mm *MappedModel) String() string {
-	return fmt.Sprintf("core.MappedModel(K=%d, %d users, %d items, %s)", mm.k, mm.users, mm.items, mm.mmapSuffix())
+	return fmt.Sprintf("core.MappedModel(K=%d, %d users, %d items, mmap)", mm.k, mm.users, mm.items)
 }
 
 // ScoreUser is ScoreItems over the whole catalogue, implementing
@@ -328,10 +314,11 @@ func (mm *MappedModel) ScoreUser(u int, dst []float64) { mm.ScoreItems(u, dst) }
 // Verify runs the full factor-domain scan the O(1) open intentionally
 // skips: every float64 factor must be non-negative and finite, and every
 // float32 section value must equal the quantization of its float64
-// counterpart. It is the one validator of the factor sections: ReadModel
-// and LoadModelFile run it before they copy, and ocular-trainer -once runs
-// it on the artifact it saved. It costs O(model) and pages the whole
-// mapping in; the serving hot path does not call it.
+// counterpart (no reader scores from those sections, but a file whose two
+// copies disagree is corrupt all the same). It is the one validator of the
+// factor sections: ReadModel and LoadModelFile run it before they copy, and
+// ocular-trainer -once runs it on the artifact it saved. It costs O(model)
+// and pages the whole mapping in; the serving hot path does not call it.
 func (mm *MappedModel) Verify() error {
 	f64s := [][]float64{mm.fu, mm.fi, mm.bu, mm.bi}
 	for _, arr := range f64s {
@@ -339,9 +326,8 @@ func (mm *MappedModel) Verify() error {
 			return err
 		}
 	}
-	f32s := [4][]float32{mm.fu32, mm.fi32, mm.bu32, mm.bi32}
 	for s, arr := range f64s {
-		q := f32s[s]
+		q := mm.f32[s]
 		if q == nil {
 			continue
 		}

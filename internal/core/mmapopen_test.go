@@ -14,8 +14,9 @@ import (
 // representation rests on: a full server is the range [0, items). The
 // open-ended whole-catalogue range scores bit for bit what OpenMappedModel
 // scores, an interior range scores exactly its window of that, and only
-// the whole-catalogue range carries the *Model view — on float64 and
-// float32 files, with and without bias.
+// the whole-catalogue range carries the *Model view — and every score is
+// the view's, whether or not the file carries a float32 section, with and
+// without bias.
 func TestWholeRangeIsMappedModel(t *testing.T) {
 	for _, v := range []struct{ bias, f32 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		t.Run(fmt.Sprintf("bias=%v_f32=%v", v.bias, v.f32), func(t *testing.T) {
@@ -56,8 +57,8 @@ func TestWholeRangeIsMappedModel(t *testing.T) {
 				mm.ScoreUser(u, want)
 				whole.ScoreItems(u, got)
 				part.ScoreItems(u, win)
-				// The view and the explicit-factor path always score the
-				// exact float64 factors, through the one float64 kernel.
+				// The mapping, the view and the explicit-factor path all
+				// score the float64 factors, through the one kernel.
 				whole.Model().ScoreUser(u, viewScores)
 				whole.ScoreItemsWithFactor(whole.UserFactorF64(u), whole.Model().UserBias(u), exact)
 				for i := range want {
@@ -67,8 +68,8 @@ func TestWholeRangeIsMappedModel(t *testing.T) {
 					if math.Float64bits(exact[i]) != math.Float64bits(viewScores[i]) {
 						t.Fatalf("user %d item %d: explicit factor scored %v, the view %v", u, i, exact[i], viewScores[i])
 					}
-					if !v.f32 && math.Float64bits(viewScores[i]) != math.Float64bits(want[i]) {
-						t.Fatalf("user %d item %d: float64 file, view scored %v, mapping %v", u, i, viewScores[i], want[i])
+					if math.Float64bits(viewScores[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("user %d item %d: view scored %v, mapping %v", u, i, viewScores[i], want[i])
 					}
 				}
 				for n := range win {
@@ -124,24 +125,32 @@ func walkMatchesSweep(t testing.TB, rr *MappedModelRange, u int) bool {
 }
 
 // itemFactorAt returns a copy of a v2 file's bytes with the j-th entry of
-// the item-factor section the kernel reads — float32 when the file has one
-// — replaced by v.
+// the float64 item-factor section — the one every reader scores from —
+// replaced by v. f32 says whether the file carries float32 sections.
 func itemFactorAt(m *Model, data []byte, f32 bool, j int, v float64) []byte {
 	out := append([]byte(nil), data...)
 	l := layoutV2(uint64(m.K()), uint64(m.NumUsers()), uint64(m.NumItems()), m.HasBias(), f32)
-	if f32 {
-		binary.LittleEndian.PutUint32(out[int(l.off[5])+4*j:], math.Float32bits(float32(v)))
-	} else {
-		binary.LittleEndian.PutUint64(out[int(l.off[1])+8*j:], math.Float64bits(v))
-	}
+	binary.LittleEndian.PutUint64(out[int(l.off[1])+8*j:], math.Float64bits(v))
+	return out
+}
+
+// float32ItemFactorAt returns a copy of a v2 file's bytes, which must carry
+// float32 sections, with the j-th entry of the float32 item-factor section
+// replaced by v.
+func float32ItemFactorAt(m *Model, data []byte, j int, v float32) []byte {
+	out := append([]byte(nil), data...)
+	l := layoutV2(uint64(m.K()), uint64(m.NumUsers()), uint64(m.NumItems()), m.HasBias(), true)
+	binary.LittleEndian.PutUint32(out[int(l.off[5])+4*j:], math.Float32bits(v))
 	return out
 }
 
 // TestWalkMatchesScoreItems: over every file format and over partitions,
 // the support index walks no user of a model with bias and, for a model
-// without, yields exactly the sweep's scores; one item factor outside the
-// domain — the sections are unchecked bytes — turns the index off for the
-// mapping, whichever user asks.
+// without, yields exactly the sweep's scores; one float64 item factor
+// outside the domain — the sections are unchecked bytes — turns the index
+// off for the mapping, whichever user asks. A float32 item factor that
+// disagrees with its float64 twin changes no score and no walk, and Verify
+// still refuses the file.
 func TestWalkMatchesScoreItems(t *testing.T) {
 	for _, v := range []struct{ bias, f32 bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		t.Run(fmt.Sprintf("bias=%v_f32=%v", v.bias, v.f32), func(t *testing.T) {
@@ -172,6 +181,32 @@ func TestWalkMatchesScoreItems(t *testing.T) {
 					t.Errorf("%v: answered for %d users, want some exactly when the model has no bias", rr, answered)
 				}
 			}
+			if v.f32 {
+				pristine := open("pristine", data, 0, -1)
+				rr := open("f32-nan", float32ItemFactorAt(model, data, 2*model.K()+1, float32(math.NaN())), 0, -1)
+				want, got := make([]float64, items), make([]float64, items)
+				var w Walk
+				for u := 0; u < rr.NumUsers(); u++ {
+					model.ScoreUser(u, want)
+					rr.ScoreItems(u, got)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("float32 NaN: user %d item %d scored %v, the heap model %v", u, i, got[i], want[i])
+						}
+					}
+					if walked := walkMatchesSweep(t, rr, u); walked != pristine.Walk(u, &w) {
+						t.Errorf("float32 NaN: user %d walked %v, %v on the pristine file", u, walked, !walked)
+					}
+				}
+				mm, err := OpenMappedModel(filepath.Join(dir, "f32-nan"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mm.Close()
+				if err := mm.Verify(); err == nil {
+					t.Error("float32 NaN: Verify accepted a float32 section disagreeing with float64")
+				}
+			}
 			if v.bias {
 				return
 			}
@@ -194,11 +229,13 @@ func TestWalkMatchesScoreItems(t *testing.T) {
 // for bit. Whatever the file holds it must be rejected or opened without
 // a panic or a fault, and an opened range must describe itself
 // consistently and score user 0 inside its windows — an out-of-bounds
-// view would fault here, on the mapping's edge. Factor
-// sections are unchecked bytes, so the fuzzer also feeds the support index
-// NaN, infinite and negative factors: whenever the range walks one of the
-// first users, the walk must yield the sweep's scores bit for bit, best
-// first (walkMatchesSweep) — the domain guard, differentially.
+// view would fault here, on the mapping's edge. User 0's scores must be
+// the ones its float64 row scores explicitly: a file's float32 sections,
+// in range or corrupt, are never scored. Factor sections are unchecked
+// bytes, so the fuzzer also feeds the support index NaN, infinite and
+// negative factors: whenever the range walks one of the first users, the
+// walk must yield the sweep's scores bit for bit, best first
+// (walkMatchesSweep) — the domain guard, differentially.
 func FuzzOpenMappedRange(f *testing.F) {
 	model := trainedModel(f, true)
 	good := v2Bytes(f, model, true)
@@ -216,6 +253,7 @@ func FuzzOpenMappedRange(f *testing.F) {
 	// (NaN·0 = NaN) and positive on the second (a negative affinity).
 	f.Add(itemFactorAt(plain, plainF64, false, 0, math.NaN()), 0, -1)
 	f.Add(itemFactorAt(plain, plainF32, true, 3, -0.5), 0, -1)
+	f.Add(float32ItemFactorAt(plain, plainF32, 3, float32(math.NaN())), 0, -1)
 	f.Add(good[:len(good)-16], items-1, items)
 	f.Add(good[:64], 0, 1)
 	f.Add(offByOne, 0, items)
@@ -251,8 +289,18 @@ func FuzzOpenMappedRange(f *testing.F) {
 		if rr.NumUsers() == 0 {
 			return
 		}
-		rr.ScoreItems(0, make([]float64, rr.Len()))
-		rr.ScoreItemsWithFactor(rr.UserFactorF64(0), 0, make([]float64, rr.Len()))
+		got, exact := make([]float64, rr.Len()), make([]float64, rr.Len())
+		rr.ScoreItems(0, got)
+		var bias float64
+		if rr.HasBias() {
+			bias = rr.bu[0]
+		}
+		rr.ScoreItemsWithFactor(rr.UserFactorF64(0), bias, exact)
+		for n := range got {
+			if math.Float64bits(got[n]) != math.Float64bits(exact[n]) {
+				t.Fatalf("%v user 0 item %d: scored %v, its float64 row scores %v", rr, rr.ItemLo()+n, got[n], exact[n])
+			}
+		}
 		for u := 0; u < min(rr.NumUsers(), 4); u++ {
 			walkMatchesSweep(t, rr, u)
 		}

@@ -117,9 +117,15 @@ func TestMappedModelRangeRowsByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("range [%d,%d): %v", lo, hi, err)
 				}
-				if rr.HasBias() != variant.bias || rr.HasFloat32() != variant.f32 {
-					t.Fatalf("range [%d,%d): bias/f32 flags %v/%v, want %v/%v",
-						lo, hi, rr.HasBias(), rr.HasFloat32(), variant.bias, variant.f32)
+				// A range maps its float64 sections only: fu and fi, and
+				// bu and bi with bias — never a float32 one.
+				want := 2
+				if variant.bias {
+					want = 4
+				}
+				if rr.HasBias() != variant.bias || len(rr.windows) != want {
+					t.Fatalf("range [%d,%d): bias %v with %d windows, want %v with %d",
+						lo, hi, rr.HasBias(), len(rr.windows), variant.bias, want)
 				}
 
 				// Every item row of the slice, byte for byte.
@@ -133,7 +139,7 @@ func TestMappedModelRangeRowsByteIdentical(t *testing.T) {
 						}
 					}
 					if variant.f32 {
-						got32 := rr.ItemFactorF32(i)
+						got32 := full.ItemFactorF32(i)
 						for c := 0; c < k; c++ {
 							if math.Float32bits(got32[c]) != math.Float32bits(float32(wantRow[c])) {
 								t.Fatalf("range [%d,%d) item %d coord %d: f32 row differs", lo, hi, i, c)
@@ -231,14 +237,13 @@ func (rr *MappedModelRange) ItemFactorF64(i int) []float64 {
 	return rr.fi[n*rr.k : (n+1)*rr.k]
 }
 
-// ItemFactorF32 returns the float32 factor row of global item i (nil when
-// the file has no float32 section).
-func (rr *MappedModelRange) ItemFactorF32(i int) []float32 {
-	if rr.fi32 == nil {
+// ItemFactorF32 returns the float32 factor row of item i (nil when the
+// file has no float32 section).
+func (mm *MappedModel) ItemFactorF32(i int) []float32 {
+	if mm.f32[1] == nil {
 		return nil
 	}
-	n := i - rr.lo
-	return rr.fi32[n*rr.k : (n+1)*rr.k]
+	return mm.f32[1][i*mm.k : (i+1)*mm.k]
 }
 
 // ItemBiasF64 returns the float64 bias of global item i, 0 without bias.

@@ -26,8 +26,9 @@ import (
 //
 // v2 ("OCuLaR:2") is the mappable format: a fixed 128-byte header followed
 // by page-aligned little-endian sections, optionally including a
-// float32-quantized copy of every factor section for half-bandwidth
-// scoring (see MappedModel). Layout:
+// float32-quantized copy of every factor section that no reader scores
+// from (MappedModel.Verify checks it against the float64 sections).
+// Layout:
 //
 //	offset   0  magic "OCuLaR:2"
 //	offset   8  K, users, items, flags     (4 × uint64 LE)
@@ -71,13 +72,11 @@ const maxModelDim = 1 << 28
 
 // SaveOptions configures the v2 writer.
 type SaveOptions struct {
-	// Float32 appends a float32-quantized copy of every factor section.
-	// Serving scores straight out of that copy at half the memory traffic
-	// of the float64 factors; training and fold-in always use the exact
-	// float64 sections. The worst-case absolute error on a served
-	// probability is (⌈K/4⌉+3)·2⁻²⁴/e — 3.5e−7 at K=50; see
-	// linalg.ScoreErrorBoundF32 for the derivation. Costs 50% extra file
-	// size.
+	// Float32 appends a float32-quantized copy of every factor section,
+	// shaped like the artifacts already on disk. No reader scores from the
+	// copy: every served score comes from the float64 sections, and
+	// MappedModel.Verify only checks that the copy agrees with them. Costs
+	// 50% extra file size.
 	Float32 bool
 }
 
@@ -444,13 +443,15 @@ func ReadModel(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
 	data := buf.Bytes()
-	rr, err := openSections(h, uint64(len(data)), 0, -1, func(start, length uint64) ([]byte, error) {
+	mm := &MappedModel{}
+	rr, err := openSections(h, uint64(len(data)), 0, -1, &mm.f32, func(start, length uint64) ([]byte, error) {
 		return data[start : start+length], nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: reading model: %w", err)
 	}
-	return heapCopy(&MappedModel{rr})
+	mm.MappedModelRange = rr
+	return heapCopy(mm)
 }
 
 // heapCopy is the one exit of both heap loaders: it runs Verify over mm and

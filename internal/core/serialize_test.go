@@ -9,9 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/dataset"
-	"repro/internal/linalg"
 )
 
 // trainedModel fits a small model, optionally with biases, for the
@@ -152,8 +149,8 @@ func TestReadModelCorruption(t *testing.T) {
 }
 
 // TestOpenMappedModel checks the O(1) open path: header-validated views,
-// scores bit-identical to the copying loader on the float64 path, the
-// documented error bound on the float32 path, and the fold-in view.
+// scores bit-identical to the heap model's whether or not the file carries
+// a float32 section, and the fold-in view.
 func TestOpenMappedModel(t *testing.T) {
 	for _, bias := range []bool{false, true} {
 		for _, f32 := range []bool{false, true} {
@@ -167,27 +164,22 @@ func TestOpenMappedModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("bias=%v f32=%v: %v", bias, f32, err)
 			}
-			if mm.HasFloat32() != f32 || mm.HasBias() != bias {
-				t.Fatalf("bias=%v f32=%v: mapped reports bias=%v f32=%v", bias, f32, mm.HasBias(), mm.HasFloat32())
+			if (mm.f32[0] != nil) != f32 || mm.HasBias() != bias {
+				t.Fatalf("bias=%v f32=%v: mapped sections bias=%v f32=%v", bias, f32, mm.HasBias(), mm.f32[0] != nil)
 			}
 			if mm.K() != model.K() || mm.NumUsers() != model.NumUsers() || mm.NumItems() != model.NumItems() {
 				t.Fatalf("shape mismatch: %v vs %v", mm, model)
 			}
 			sameFactorBits(t, model, mm.Model())
 
-			bound := linalg.ScoreErrorBoundF32(model.K())
 			want := make([]float64, model.NumItems())
 			got := make([]float64, model.NumItems())
 			for u := 0; u < model.NumUsers(); u++ {
 				model.ScoreUser(u, want)
 				mm.ScoreUser(u, got)
 				for i := range want {
-					if f32 {
-						if d := math.Abs(got[i] - want[i]); d > bound {
-							t.Fatalf("u=%d i=%d: f32 score off by %g (bound %g)", u, i, d, bound)
-						}
-					} else if got[i] != want[i] {
-						t.Fatalf("u=%d i=%d: mapped f64 score %v != %v", u, i, got[i], want[i])
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("f32=%v u=%d i=%d: mapped score %v != heap %v", f32, u, i, got[i], want[i])
 					}
 				}
 			}
@@ -334,47 +326,6 @@ func TestHeapLoadsAgreeWithOpener(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestFloat32ScoreBound checks the documented quantization bound
-// linalg.ScoreErrorBoundF32 on a Fig 7-scale fixture: every float32-path
-// score is within the bound of the float64 score.
-func TestFloat32ScoreBound(t *testing.T) {
-	d := dataset.SyntheticNetflix(1, 0.05)
-	res, err := Train(d.R, Config{K: 10, Lambda: 5, MaxIter: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := res.Model
-	path := filepath.Join(t.TempDir(), "model.bin")
-	if err := model.SaveModelFileOpts(path, SaveOptions{Float32: true}); err != nil {
-		t.Fatal(err)
-	}
-	mm, err := OpenMappedModel(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mm.Close()
-	if !mm.HasFloat32() {
-		t.Fatal("float32 section missing")
-	}
-	want := make([]float64, model.NumItems())
-	got := make([]float64, model.NumItems())
-	maxErr := 0.0
-	for u := 0; u < model.NumUsers(); u += 7 {
-		model.ScoreUser(u, want)
-		mm.ScoreUser(u, got)
-		for i := range want {
-			if d := math.Abs(got[i] - want[i]); d > maxErr {
-				maxErr = d
-			}
-		}
-	}
-	bound := linalg.ScoreErrorBoundF32(model.K())
-	if maxErr > bound {
-		t.Fatalf("float32 score error %g exceeds the documented bound %g", maxErr, bound)
-	}
-	t.Logf("max float32 score error: %g (documented bound %g)", maxErr, bound)
 }
 
 // TestSaveModelFileAtomicity exercises the temp-file discipline: a failed

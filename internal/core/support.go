@@ -41,21 +41,17 @@ type supportIndex struct {
 }
 
 // index returns the range's support index, built on first use from the
-// section ScoreItems reads — or nil when the range cannot be ranked from
-// it: the model has bias sections (an off-support item's score is then not
-// a constant), or an item factor is not a finite non-negative number (the
-// sections are unchecked bytes; NaN·0 ≠ 0 and a negative factor lets an
-// off-support item score).
+// float64 item section ScoreItems reads — or nil when the range cannot be
+// ranked from it: the model has bias sections (an off-support item's score
+// is then not a constant), or an item factor is not a finite non-negative
+// number (the sections are unchecked bytes; NaN·0 ≠ 0 and a negative factor
+// lets an off-support item score).
 func (rr *MappedModelRange) index() *supportIndex {
 	rr.supportOnce.Do(func() {
 		if rr.bu != nil {
 			return
 		}
-		if rr.fi32 != nil {
-			rr.support = buildIndex(rr.k, rr.fi32)
-		} else {
-			rr.support = buildIndex(rr.k, rr.fi)
-		}
+		rr.support = buildIndex(rr.k, rr.fi)
 		runtime.KeepAlive(rr)
 	})
 	return rr.support
@@ -63,11 +59,11 @@ func (rr *MappedModelRange) index() *supportIndex {
 
 // inDomain reports whether v is what the model defines a factor to be: a
 // finite non-negative number (not negative, not NaN; not +Inf).
-func inDomain[F float32 | float64](v F) bool { return v >= 0 && v-v == 0 }
+func inDomain(v float64) bool { return v >= 0 && v-v == 0 }
 
 // buildIndex indexes the k-wide rows of fi, or returns nil when a factor is
 // out of the domain.
-func buildIndex[F float32 | float64](k int, fi []F) *supportIndex {
+func buildIndex(k int, fi []float64) *supportIndex {
 	n, words := len(fi)/k, (k+63)/64
 	ix := &supportIndex{words: words, masks: make([]uint64, n*words), lists: make([][]int32, k), shared: make([][]int32, k)}
 	for i := 0; i < n; i++ {
@@ -112,17 +108,14 @@ func buildIndex[F float32 | float64](k int, fi []F) *supportIndex {
 // go up: everything after an item scores no higher than it does, and a rank
 // can stop there once that item cannot make the list. Each affinity z is
 // what ScoreItems computes for the item (there is no bias to add), whose
-// score is 1 − exp(−z) bit for bit: Shared's through the same
-// linalg.DotF32 / linalg.Dot, Next's as the one product that dot adds up
-// to (affinityOn).
+// score is 1 − exp(−z) bit for bit: Shared's through the same linalg.Dot,
+// Next's as the one product that dot adds up to (affinityOn).
 type Walk struct {
 	rr     *MappedModelRange // keeps the mapping alive while a walk reads it
 	ix     *supportIndex
 	k      int
-	fu, fi []float64 // the user's row and the item section, float64 files...
-	fu32   []float32 // ...or float32 ones
-	fi32   []float32
-	mask   []uint64 // the support, as an item's co-clusters are
+	fu, fi []float64 // the user's row and the item section
+	mask   []uint64  // the support, as an item's co-clusters are
 	// Shared's position: support[sc] is the co-cluster whose shared list it
 	// reads, at sj.
 	support []int
@@ -143,25 +136,18 @@ func (rr *MappedModelRange) Walk(u int, w *Walk) bool {
 	}
 	k := rr.k
 	w.rr, w.ix, w.k = rr, ix, k
-	w.fu, w.fi, w.fu32, w.fi32 = nil, nil, nil, nil
-	var ok bool
-	if rr.fu32 != nil {
-		w.fu32, w.fi32 = rr.fu32[u*k:(u+1)*k], rr.fi32
-		ok = readSupport(w, w.fu32)
-	} else {
-		w.fu, w.fi = rr.fu[u*k:(u+1)*k], rr.fi
-		ok = readSupport(w, w.fu)
-	}
-	return ok && w.start(rr.Len())
+	w.fu, w.fi = rr.fu[u*k:(u+1)*k], rr.fi
+	return w.readSupport() && w.start(rr.Len())
 }
 
-// readSupport loads the co-clusters the user's row fu is positive on that
-// hold an item, and reports whether every factor of fu is in the domain.
-func readSupport[F float32 | float64](w *Walk, fu []F) bool {
+// readSupport loads the co-clusters the user's row is positive on that
+// hold an item, and reports whether every factor of the row is in the
+// domain.
+func (w *Walk) readSupport() bool {
 	w.support = w.support[:0]
 	w.mask = slices.Grow(w.mask[:0], w.ix.words)[:w.ix.words]
 	clear(w.mask)
-	for c, v := range fu {
+	for c, v := range w.fu {
 		if !inDomain(v) {
 			return false
 		}
@@ -195,26 +181,14 @@ func (w *Walk) start(n int) bool {
 
 // affinity is ScoreItems' z for range-local item id.
 func (w *Walk) affinity(id int32) float64 {
-	if w.fi32 != nil {
-		return linalg.DotF32(w.fu32, w.fi32[int(id)*w.k:][:w.k])
-	}
 	return linalg.Dot(w.fu, w.fi[int(id)*w.k:][:w.k])
 }
 
 // affinityOn is affinity for an item whose only support co-cluster is c.
 // Every other product of the dot is ±0, and adding ±0 to a sum leaves it
-// unchanged (a zero sum included: the sums start at +0), so the dot is its
-// one product as the dot rounds it: in float32 inside linalg.DotF32's
-// four lanes, the first k&^3 co-clusters, and in float64 in its tail and
-// in linalg.Dot.
+// unchanged (a zero sum included: the sums start at +0), so linalg.Dot
+// returns its one product.
 func (w *Walk) affinityOn(id int32, c int) float64 {
-	if w.fi32 != nil {
-		a, b := w.fu32[c], w.fi32[int(id)*w.k+c]
-		if c < w.k&^3 {
-			return float64(float32(a * b))
-		}
-		return float64(a) * float64(b)
-	}
 	return w.fu[c] * w.fi[int(id)*w.k+c]
 }
 

@@ -39,9 +39,8 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Score is the float64 sibling of ScoreF32, the one scoring loop behind
-// every exact (training-precision) score: heap models, mapped models
-// without a float32 section, and fold-in. z_i is evaluated as
+// Score is the one scoring loop behind every served score: heap models,
+// mapped models and ranges, and fold-in. z_i is evaluated as
 // (⟨fu, fi_i⟩ + userBias) + bi[i] — reassociating that chain would break
 // the bit-identity the shard merge and the transport property tests pin.
 func Score(dst []float64, fu, fi, bi []float64, userBias float64) {

@@ -26,8 +26,8 @@ func (s MappedScorer) NumItems() int                  { return s.Len() }
 // the engine over it sweeps the catalogue for every user.
 type SweepOnly struct{ Scorer }
 
-// trainMapped trains train, saves it with the float32 section and maps the
-// file: the scorer a server ranks from.
+// trainMapped trains train, saves it with the float32 section (which
+// nothing scores) and maps the file: the scorer a server ranks from.
 func trainMapped(tb testing.TB, train *sparse.Matrix, cfg core.Config) MappedScorer {
 	tb.Helper()
 	return openRange(tb, saveTrained(tb, train, cfg), 0, -1)
@@ -132,8 +132,8 @@ var factorModels = map[[3]int]*core.Model{}
 // factorRange maps the items [lo, hi) of a saved model whose factors are
 // exactly fu (a row per user) and fi (a row per item) — trained once for its
 // shape, then overwritten, so any bytes can be planted, out-of-domain ones
-// included — with the float32 section when f32: a scorer with planted
-// affinities. Not for parallel tests (the trained models are shared).
+// included — with the float32 section, which nothing scores, when f32: a
+// scorer with planted affinities. Not for parallel tests (the trained models are shared).
 func factorRange(tb testing.TB, fu, fi [][]float64, f32 bool, lo, hi int) MappedScorer {
 	tb.Helper()
 	users, items, k := len(fu), len(fi), len(fu[0])
@@ -199,8 +199,8 @@ func column(n int, at map[int]float64) [][]float64 {
 
 // TestWalkMatchesSelect is the property the support path rests on: for any
 // planted factors, any filter stack and any m, the walk's list is what
-// Select returns over the sweep — ids and score bits — on the float64 and
-// the float32 section. The named rows are the shapes that have bitten; the
+// Select returns over the sweep — ids and score bits — on files with and
+// without the float32 section. The named rows are the shapes that have bitten; the
 // seeded rows draw everything, ties, saturation, underflow and K > 64
 // included.
 func TestWalkMatchesSelect(t *testing.T) {
@@ -240,11 +240,12 @@ func TestWalkMatchesSelect(t *testing.T) {
 	wideUser := [][]float64{make([]float64, 70)}
 	wideUser[0][3], wideUser[0][66] = 1, 2
 	// K = 6: the user's one support co-cluster is c, and so every item's
-	// affinity is its one product there, on factors a float32 holds
-	// exactly and whose float32 product is not their float64 one — at
-	// c = 1 in a lane of the float32 dot, at c = 5 in its tail. The items
-	// lie on co-clusters the user is not on too, and the user on one no
-	// item is on.
+	// affinity is its one product there — at c = 1 in a lane of the dot,
+	// at c = 5 in its tail — on factors a float32 holds exactly and whose
+	// float32 product is not their float64 one, so a walk that read the
+	// float32 copy would not score the sweep's bits. The items lie on
+	// co-clusters the user is not on too, and the user on one no item is
+	// on.
 	third, seventenths := float64(float32(1.0/3)), float64(float32(0.7))
 	if float64(float32(third)*float32(seventenths)) == third*seventenths {
 		t.Fatal("the lone-product factors round alike in float32 and float64")

@@ -11,14 +11,13 @@ import (
 	"strings"
 )
 
-// TagTable is an item name/tag table: per-item display names plus an
-// inverted tag index, the metadata source behind allow- and deny-list
-// filters ("only recommend items tagged kids", "never recommend
-// discontinued"). Tables are immutable after loading and safe for
-// concurrent use.
+// TagTable is an item tag table: an inverted tag index, the metadata
+// source behind allow- and deny-list filters ("only recommend items tagged
+// kids", "never recommend discontinued"). The name column of its file
+// format is accepted and ignored. Tables are immutable after loading and
+// safe for concurrent use.
 type TagTable struct {
 	numItems int
-	names    map[int]string
 	tags     map[string]tagSet
 }
 
@@ -35,14 +34,13 @@ func (s tagSet) has(item int) bool {
 //	item,name[,tag[,tag...]]
 //
 // where item is the zero-based item index, name is a display name (may be
-// empty), and the remaining fields are tags. Blank lines and lines starting
-// with '#' are skipped. Items may repeat (tags accumulate); items absent
-// from the table simply have no name and no tags. numItems bounds the valid
-// item indices; pass the catalogue size.
+// empty; nothing reads it, so it is not stored), and the remaining fields
+// are tags. Blank lines and lines starting with '#' are skipped. Items may
+// repeat (tags accumulate); items absent from the table simply have no
+// tags. numItems bounds the valid item indices; pass the catalogue size.
 func LoadTagTable(r io.Reader, numItems int) (*TagTable, error) {
 	t := &TagTable{
 		numItems: numItems,
-		names:    make(map[int]string),
 		tags:     make(map[string]tagSet),
 	}
 	words := (numItems + 63) / 64
@@ -63,12 +61,7 @@ func LoadTagTable(r io.Reader, numItems int) (*TagTable, error) {
 		if item < 0 || item >= numItems {
 			return nil, fmt.Errorf("rank: tag table line %d: item %d out of range (%d items)", line, item, numItems)
 		}
-		if len(fields) > 1 {
-			if name := strings.TrimSpace(fields[1]); name != "" {
-				t.names[item] = name
-			}
-		}
-		for _, raw := range fields[2:] {
+		for _, raw := range fields[min(2, len(fields)):] {
 			tag := strings.TrimSpace(raw)
 			if tag == "" {
 				continue

@@ -37,7 +37,7 @@ func fuzzFactor(b byte) float64 {
 
 // FuzzWalk holds the support path to ScoreItems + Select on a model whose
 // every factor the bytes choose (cycled over the user rows, then the item
-// rows), on the float64 or the float32 section, over an item range: for
+// rows), with or without the float32 section, over an item range: for
 // every user the range walks, the engine's list — training row excluded,
 // an exclusion list rebased into the range beside it — is Select's over
 // the sweep, ids and score bits. When the range is the whole catalogue the

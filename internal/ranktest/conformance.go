@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/linalg"
+	"repro/internal/core"
 	"repro/internal/rank"
 )
 
@@ -139,15 +139,16 @@ type outside struct{ lo, hi int }
 
 func (o outside) Excluded(item int) bool { return item < o.lo || item >= o.hi }
 
-// Want is the reference answer to c under model a: the saved file's own
-// scorer, rank.Select under the case's filters, then r's stages — the
-// oracle bench/'s in-run gate uses. No cache, no codec, no partition.
-func (fx *Fixture) Want(t testing.TB, a *Artifact, r *Ranker, c *Case) []List {
+// Want is the reference answer to c under model m: the trained heap
+// model's own scorer, rank.Select under the case's filters, then r's
+// stages. No file, no cache, no codec, no partition: whatever file format
+// is served, every served score must be the heap model's bits.
+func (fx *Fixture) Want(t testing.TB, m *core.Model, r *Ranker, c *Case) []List {
 	t.Helper()
-	buf := make([]float64, a.mapped.NumItems())
+	buf := make([]float64, m.NumItems())
 	want := make([]List, len(c.Users))
 	for n, u := range c.Users {
-		if u < 0 || u >= a.mapped.NumUsers() {
+		if u < 0 || u >= m.NumUsers() {
 			want[n].Err = "user out of range"
 			continue
 		}
@@ -155,7 +156,7 @@ func (fx *Fixture) Want(t testing.TB, a *Artifact, r *Ranker, c *Case) []List {
 		if r.Hi != 0 {
 			filters = append(filters, outside{r.Lo, r.Hi})
 		}
-		a.mapped.ScoreUser(u, buf)
+		m.ScoreUser(u, buf)
 		items := rank.Select(buf, rank.StagesOverFetch(c.M, r.Stages), filters...)
 		scores := make([]float64, len(items))
 		for i, it := range items {
@@ -168,28 +169,24 @@ func (fx *Fixture) Want(t testing.TB, a *Artifact, r *Ranker, c *Case) []List {
 
 // Check asks r to rank c and holds its answer to the reference (Compare),
 // returning it for what else the caller checks.
-func (fx *Fixture) Check(t testing.TB, label string, r *Ranker, a *Artifact, c *Case) Answer {
+func (fx *Fixture) Check(t testing.TB, label string, r *Ranker, m *core.Model, c *Case) Answer {
 	t.Helper()
 	ans := r.Rank(t, c)
-	fx.Compare(t, label, r, a, c, ans)
+	fx.Compare(t, label, r, m, c, ans)
 	return ans
 }
 
-// Compare holds r's answer to c to the reference under model a: the same
+// Compare holds r's answer to c to the reference under model m: the same
 // items, the same float64 score bits, the same list lengths, a failed slot
-// exactly where the reference has one and nothing degraded; every score
-// within the file format's bound of the float64 model's (0 on a float64
-// file).
-func (fx *Fixture) Compare(t testing.TB, label string, r *Ranker, a *Artifact, c *Case, ans Answer) {
+// exactly where the reference has one and nothing degraded; and, where no
+// stage moves scores, every score equal to the model's Predict, the
+// per-item path /v1/explain reports.
+func (fx *Fixture) Compare(t testing.TB, label string, r *Ranker, m *core.Model, c *Case, ans Answer) {
 	t.Helper()
-	want := fx.Want(t, a, r, c)
+	want := fx.Want(t, m, r, c)
 	if ans.Status != 200 || len(ans.Lists) != len(want) {
 		t.Errorf("%s: status %d %q with %d lists, want 200 with %d", label, ans.Status, ans.Error, len(ans.Lists), len(want))
 		return
-	}
-	bound := 0.0
-	if fx.F32 {
-		bound = linalg.ScoreErrorBoundF32(a.Model.K())
 	}
 	for n, got := range ans.Lists {
 		slot := fmt.Sprintf("%s slot %d (user %d)", label, n, c.Users[n])
@@ -212,8 +209,8 @@ func (fx *Fixture) Compare(t testing.TB, label string, r *Ranker, a *Artifact, c
 				t.Errorf("%s rank %d: score %v, reference %v (must be bit-identical)", slot, i, got.Scores[i], want[n].Scores[i])
 			}
 			// (A boost stage moves scores off the model's on purpose.)
-			if d := math.Abs(got.Scores[i] - a.Model.Predict(c.Users[n], it)); len(r.Stages) == 0 && d > bound {
-				t.Errorf("%s rank %d: score %v is %g off the float64 model's, bound %g", slot, i, got.Scores[i], d, bound)
+			if p := m.Predict(c.Users[n], it); len(r.Stages) == 0 && got.Scores[i] != p {
+				t.Errorf("%s rank %d: score %v, the model's Predict %v", slot, i, got.Scores[i], p)
 			}
 		}
 	}
@@ -244,14 +241,14 @@ func repeats(users []int, n int) bool {
 //
 // It leaves the implementation serving Fixture.Next when it has a Roll.
 func Conformance(t *testing.T, fx *Fixture, r *Ranker) {
-	pass := func(name string, a *Artifact, cached bool) {
+	pass := func(name string, m *core.Model, cached bool) {
 		t.Run(name, func(t *testing.T) {
 			for i := range Cases {
 				c := &Cases[i]
 				if len(c.Users) > 1 && (r.Single || r.RefusesBadUser && slices.Contains(c.Users, BadUser)) {
 					continue // not a request r takes, or one it refuses: a refusal row
 				}
-				ans := fx.Check(t, c.Name, r, a, c)
+				ans := fx.Check(t, c.Name, r, m, c)
 				for n, l := range ans.Lists {
 					// On a first pass, which sight of a repeated user leads the
 					// computation and which shares it is the scheduler's choice.

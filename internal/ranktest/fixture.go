@@ -50,7 +50,9 @@ const (
 	BoostOverFetch = 2
 )
 
-// Variant is the file-format dimension of the fixture.
+// Variant is the file-format dimension of the fixture. F32 saves the
+// quantized copy that no reader scores from, so an F32 fixture must serve
+// exactly what its twin without it serves.
 type Variant struct{ Bias, F32 bool }
 
 // Variants lists every file format the serving stack opens.
@@ -58,23 +60,17 @@ var Variants = []Variant{{false, false}, {true, false}, {false, true}, {true, tr
 
 func (v Variant) String() string { return fmt.Sprintf("bias=%v_f32=%v", v.Bias, v.F32) }
 
-// Artifact is one trained model of a fixture: the float64 truth and the
-// saved file's own scorer, which is what the reference ranks.
-type Artifact struct {
-	Model  *core.Model
-	mapped *core.MappedModel
-}
-
 // Fixture is the planted 120×80 catalogue every implementation serves: a
 // model at Path, its successor for the rollout leg, the training matrix
-// whose rows are excluded, a tag table and the staged pipeline.
+// whose rows are excluded, a tag table and the staged pipeline. Cur and
+// Next are the trained heap models, the float64 truth the reference ranks.
 type Fixture struct {
 	Variant
 	Train     *sparse.Matrix
 	Tags      *rank.TagTable
 	Stages    []rank.Stage
 	Path      string // the served file: Cur until Install(Next)
-	Cur, Next *Artifact
+	Cur, Next *core.Model
 }
 
 var trainMatrix = sync.OnceValue(func() *sparse.Matrix { return dataset.SyntheticSmall(1).Dataset.R })
@@ -124,35 +120,18 @@ func New(t testing.TB, v Variant) *Fixture {
 		t.Fatal(err)
 	}
 	fx.Stages = []rank.Stage{rank.ScoreFloor(Floor), boost}
-	arts := [2]*Artifact{}
-	for n, m := range pair {
-		// The reference scores each model out of a file of its own, which
-		// no implementation serves or overwrites.
-		path := filepath.Join(dir, fmt.Sprintf("reference-%d.bin", n))
-		if err := fx.save(m, path); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := core.OpenMappedModel(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = mapped.Close() })
-		arts[n] = &Artifact{Model: m, mapped: mapped}
-	}
-	fx.Cur, fx.Next = arts[0], arts[1]
+	fx.Cur, fx.Next = pair[0], pair[1]
 	if err := fx.Install(fx.Cur); err != nil {
 		t.Fatal(err)
 	}
 	return fx
 }
 
-func (fx *Fixture) save(m *core.Model, path string) error {
-	return m.SaveModelFileOpts(path, core.SaveOptions{Float32: fx.F32})
-}
-
-// Install saves a's model over the served file — the trainer's half of a
+// Install saves m over the served file — the trainer's half of a
 // rollout; whatever is serving keeps its old mapping until it reloads.
-func (fx *Fixture) Install(a *Artifact) error { return fx.save(a.Model, fx.Path) }
+func (fx *Fixture) Install(m *core.Model) error {
+	return m.SaveModelFileOpts(fx.Path, core.SaveOptions{Float32: fx.F32})
+}
 
 // Tags tags a catalogue: "even" marks the even items, "low" the first
 // half, "rare" items 1 and numItems-1.

@@ -25,8 +25,6 @@ type Health struct {
 	ModelVersion uint64 `json:"model_version"`
 	LoadedAt     string `json:"loaded_at"`
 	Model        string `json:"model"`
-	Mapped       bool   `json:"mapped"`
-	Float32      bool   `json:"float32"`
 	// ShardHealth is set on shards only: its shard_hi is how the router
 	// tells a shard from a full server.
 	*ShardHealth
@@ -60,7 +58,6 @@ type ShardRange struct {
 type ModelHealth struct {
 	Model        string `json:"model"`
 	ModelVersion uint64 `json:"model_version"`
-	Mapped       bool   `json:"mapped"`
 	LoadedAt     string `json:"loaded_at"`
 }
 
@@ -102,15 +99,12 @@ type ReloadRequest struct {
 }
 
 // ReloadResponse reports the snapshot installed by a reload: the new
-// model version plus the serving mode (mmapped? float32 scoring?), so a
-// trainer pushing a rollout confirms the swap landed — and how it is
-// being served — from the reload response alone, without a second
-// /healthz round trip. Name echoes the registry model on a named reload.
+// model version and its shape, so a trainer pushing a rollout confirms the
+// swap landed from the reload response alone, without a second /healthz
+// round trip. Name echoes the registry model on a named reload.
 type ReloadResponse struct {
 	ModelVersion uint64 `json:"model_version"`
 	Model        string `json:"model"`
-	Mapped       bool   `json:"mapped"`
-	Float32      bool   `json:"float32"`
 	Name         string `json:"name,omitempty"`
 }
 

@@ -411,26 +411,21 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) int {
 // reload (SIGHUP, another trainer) must not leak its version into this
 // caller's rollout record.
 func reloadResponse(sn *snapshot, name string) ReloadResponse {
-	resp := ReloadResponse{ModelVersion: sn.version, Name: name}
-	resp.Model, resp.Mapped, resp.Float32 = sn.servingMode()
-	return resp
+	return ReloadResponse{ModelVersion: sn.version, Model: sn.shape(), Name: name}
 }
 
-// servingMode describes how a snapshot is served: the shape string of the
-// model (of the range, on a partition), that it is scored straight out of
-// an mmap — every snapshot is — and whether through the float32 section.
-func (sn *snapshot) servingMode() (model string, mapped, float32Scoring bool) {
-	model = sn.rng.String()
+// shape is the shape string of the snapshot's model (of the range, on a
+// partition).
+func (sn *snapshot) shape() string {
 	if sn.model != nil {
-		model = sn.model.String()
+		return sn.model.String()
 	}
-	return model, true, sn.rng.HasFloat32()
+	return sn.rng.String()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) int {
 	sn := s.snap.Load()
-	h := Health{Status: "ok", ModelVersion: sn.version, LoadedAt: sn.loadedAt.UTC().Format(time.RFC3339)}
-	h.Model, h.Mapped, h.Float32 = sn.servingMode()
+	h := Health{Status: "ok", ModelVersion: sn.version, LoadedAt: sn.loadedAt.UTC().Format(time.RFC3339), Model: sn.shape()}
 	if rng, prev := s.shardState(sn); rng != nil {
 		h.ShardHealth = &ShardHealth{Users: sn.rng.NumUsers(), Items: sn.rng.NumItems(), ShardRange: *rng}
 		h.PrevVersion = prev

@@ -613,11 +613,9 @@ func (r *registry) health() (models map[string]ModelHealth, tenants map[string]T
 	tenants = make(map[string]TenantHealth, len(r.tenants))
 	for name, nm := range r.models {
 		sn := nm.base.Load()
-		desc, mapped, _ := sn.servingMode()
 		models[name] = ModelHealth{
-			Model:        desc,
+			Model:        sn.shape(),
 			ModelVersion: sn.version,
-			Mapped:       mapped,
 			LoadedAt:     sn.loadedAt.UTC().Format(time.RFC3339),
 		}
 	}

@@ -30,7 +30,7 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *core.M
 	fx := ranktest.New(t, ranktest.Variant{})
 	cfg.ModelPath, cfg.Train, cfg.FoldIn = fx.Path, fx.Train, foldInCfg
 	srv, ts := start(t, NewFromFile, cfg)
-	return srv, ts, fx.Cur.Model, fx.Train
+	return srv, ts, fx.Cur, fx.Train
 }
 
 // TestRecommendCacheHit: a repeat feeds the hit rate operators watch.
@@ -315,7 +315,7 @@ func hammerDuringReloads(t *testing.T, cfg Config, perReader, reloads int, f32 b
 	go func() {
 		defer wg.Done()
 		for n := 0; n < reloads; n++ {
-			m := []*ranktest.Artifact{fx.Next, fx.Cur}[n%2].Model
+			m := []*core.Model{fx.Next, fx.Cur}[n%2]
 			if err := m.SaveModelFileOpts(fx.Path, core.SaveOptions{Float32: f32 && n%2 == 0}); err != nil {
 				errc <- err
 			}
@@ -695,40 +695,36 @@ func TestFoldInCanonicalizesHistory(t *testing.T) {
 	}
 }
 
-// TestServeMapped asserts the serving stack actually runs on the mmap
-// path for a v2 file (the default save format) and reports the float32
-// section where the file has one. (That the float32 variant ranks within
-// its quantization bound is the conformance suite's, on the F32 fixtures.)
+// TestServeMapped asserts the serving stack runs on the mmap path for a v2
+// file that carries a float32 section, that /healthz and /v1/reload report
+// no serving mode (every snapshot is an mmap and nothing scores the
+// float32 copy: the retired "mapped" and "float32" keys stay gone), and
+// that fold-in is bit-exact. (That every variant serves the heap model's
+// bits is the conformance suite's, on the F32 fixtures too.)
 func TestServeMapped(t *testing.T) {
-	srv, _, _, _ := newTestServer(t, Config{})
-	if mapped, f32 := srv.ServingMode(); !mapped || f32 {
-		t.Errorf("default v2 file: mapped=%v float32=%v, want mapped=true float32=false", mapped, f32)
-	}
-
-	// Save with the float32 section and serve from it.
 	fx := ranktest.New(t, ranktest.Variant{F32: true})
-	model, train := fx.Cur.Model, fx.Train
-	srv32, ts := start(t, NewFromFile, Config{ModelPath: fx.Path, Train: train, FoldIn: foldInCfg})
-	if mapped, f32 := srv32.ServingMode(); !mapped || !f32 {
-		t.Fatalf("f32 v2 file: mapped=%v float32=%v, want both true", mapped, f32)
+	model, train := fx.Cur, fx.Train
+	srv, ts := start(t, NewFromFile, Config{ModelPath: fx.Path, Train: train, FoldIn: foldInCfg})
+	if sn := srv.snap.Load(); sn.rng == nil || sn.model == nil {
+		t.Fatalf("snapshot not served from a whole-catalogue mapping: %v", sn.rng)
 	}
-	// healthz reports the serving mode.
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
+	for _, route := range []string{"/healthz", "/v1/reload"} {
+		var body map[string]json.RawMessage
+		if route == "/healthz" {
+			getJSON(t, ts.URL+route, &body)
+		} else if st := ranktest.PostJSON(t, ts.URL+route, struct{}{}, &body); st != 200 {
+			t.Fatalf("%s: status %d", route, st)
+		}
+		if body["model"] == nil {
+			t.Fatalf("%s: no model in %v", route, body)
+		}
+		for _, retired := range []string{"mapped", "float32"} {
+			if _, ok := body[retired]; ok {
+				t.Errorf("%s: body carries the retired key %q", route, retired)
+			}
+		}
 	}
-	var health struct {
-		Mapped  bool `json:"mapped"`
-		Float32 bool `json:"float32"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if !health.Mapped || !health.Float32 {
-		t.Errorf("healthz mapped=%v float32=%v, want both true", health.Mapped, health.Float32)
-	}
-	// Fold-in stays bit-exact on the float64 sections even with f32 scoring.
+	// Fold-in is bit-exact.
 	history := []int{}
 	for _, i := range train.Row(17) {
 		history = append(history, int(i))
@@ -756,15 +752,12 @@ func TestServeMapped(t *testing.T) {
 // re-mmapped underneath; old mappings must stay valid for requests pinned
 // to them.
 func TestConcurrentFileReloadsV2(t *testing.T) {
-	srv := hammerDuringReloads(t, Config{}, 30, 15, true, func(u, n int) (string, string) {
+	hammerDuringReloads(t, Config{}, 30, 15, true, func(u, n int) (string, string) {
 		if n%2 == 0 {
 			return "/v1/recommend", fmt.Sprintf(`{"user": %d, "m": 10}`, u)
 		}
 		return "/v1/batch", fmt.Sprintf(`{"users": [%d, %d], "m": 5}`, u, (u+1)%120)
 	})
-	if mapped, _ := srv.ServingMode(); !mapped {
-		t.Error("server not on the mmap path after file reloads")
-	}
 }
 
 // --- Continuous-training pipeline: ingest, reload handshake, grown models ---
@@ -867,7 +860,7 @@ func getJSON(t testing.TB, url string, out any) {
 }
 
 // TestReloadHandshake: the reload response alone confirms the rollout —
-// new version, serving mode — without a second /healthz round trip.
+// new version, model shape — without a second /healthz round trip.
 func TestReloadHandshake(t *testing.T) {
 	srv, ts, _, train := newTestServer(t, Config{})
 	model2 := ranktest.Train(t, train, 99)
@@ -880,9 +873,6 @@ func TestReloadHandshake(t *testing.T) {
 	}
 	if resp.ModelVersion != 2 {
 		t.Errorf("model_version = %d, want 2", resp.ModelVersion)
-	}
-	if !resp.Mapped || !resp.Float32 {
-		t.Errorf("serving mode mapped=%v float32=%v, want both true for a -save-f32 v2 file", resp.Mapped, resp.Float32)
 	}
 	if resp.Model != model2.String() {
 		t.Errorf("model = %q, want %q", resp.Model, model2.String())

@@ -244,7 +244,7 @@ func newServer(cfg Config) (*Server, error) {
 
 // NewFromFile builds a full Server — the whole-catalogue range — from the
 // serialized model at cfg.ModelPath: the file is mmapped and served in
-// place (float32 scoring when it carries that section).
+// place.
 func NewFromFile(cfg Config) (*Server, error) {
 	if cfg.shardMode() || cfg.ShardLo != 0 {
 		return nil, fmt.Errorf("serve: NewFromFile serves the whole catalogue, but the config names a shard range (ShardLo %d, ShardHi %d): a shard needs ShardHi != 0 and NewShardFromFile",
@@ -410,13 +410,6 @@ func (s *Server) reload() (*snapshot, error) {
 // valid while the server lives; callers must not retain it across process
 // teardown of the server.
 func (s *Server) Model() *core.Model { return s.snap.Load().model }
-
-// ServingMode reports that the current snapshot serves out of an mmapped
-// v2 file (always), and whether it scores through the float32 section.
-func (s *Server) ServingMode() (mapped, float32Scoring bool) {
-	_, mapped, float32Scoring = s.snap.Load().servingMode()
-	return mapped, float32Scoring
-}
 
 // Version returns the current snapshot version (1 for the initial model,
 // incremented by every reload).

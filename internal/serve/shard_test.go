@@ -72,7 +72,7 @@ func TestShardServesOnlyShardAPI(t *testing.T) {
 // TestShardConfigValidation pins the construction errors.
 func TestShardConfigValidation(t *testing.T) {
 	fx := ranktest.New(t, ranktest.Variant{})
-	path, model := fx.Path, fx.Cur.Model
+	path, model := fx.Path, fx.Cur
 	cases := []struct {
 		name string
 		cfg  Config

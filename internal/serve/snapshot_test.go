@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/rank"
 	"repro/internal/ranktest"
 )
@@ -58,7 +57,7 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 	for _, v := range ranktest.Variants {
 		t.Run(v.String(), func(t *testing.T) {
 			fx := ranktest.New(t, v)
-			model, train, path := fx.Cur.Model, fx.Train, fx.Path
+			model, train, path := fx.Cur, fx.Train, fx.Path
 			cfg := conformConfig(fx)
 			cfg.CacheSize = 64
 			srv, err := NewFromFile(cfg)
@@ -94,15 +93,13 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 				if (sn.model != nil) != r.whole {
 					t.Errorf("%s: Model view present = %v, want %v", name, sn.model != nil, r.whole)
 				}
-				// Serving mode: always mapped, float32 as the file says, and
-				// the description full servers and shards have always sent.
-				desc, mapped, f32 := sn.servingMode()
+				// The description full servers and shards have always sent.
 				wantDesc := sn.rng.String()
 				if r.whole {
 					wantDesc = model.String()
 				}
-				if desc != wantDesc || !mapped || f32 != v.F32 {
-					t.Errorf("%s: servingMode = (%q, %v, %v), want (%q, true, %v)", name, desc, mapped, f32, wantDesc, v.F32)
+				if desc := sn.shape(); desc != wantDesc {
+					t.Errorf("%s: shape = %q, want %q", name, desc, wantDesc)
 				}
 				t.Run(name, func(t *testing.T) {
 					impl := &ranktest.Ranker{Rank: snapshotRanker(srv, sn), Cache: r.whole}
@@ -137,8 +134,8 @@ func TestOpenSnapshotOverRanges(t *testing.T) {
 				srv             *Server
 				healthz, readyz string
 			}{
-				{srv, "float32 loaded_at mapped model model_version status", "model_version ready"},
-				{shard, "float32 items loaded_at mapped model model_version shard_hi shard_lo status users",
+				{srv, "loaded_at model model_version status", "model_version ready"},
+				{shard, "items loaded_at model model_version shard_hi shard_lo status users",
 					"model_version ready shard_hi shard_lo"},
 			} {
 				ts := httptest.NewServer(c.srv.Handler())
@@ -195,20 +192,20 @@ func TestReloadReportsItsOwnSnapshot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The overlapping reload installs a float32 file, so version and
-		// serving mode both differ from what the first one installed.
-		if err := ranktest.Train(t, f.train, 99).SaveModelFileOpts(c.path, core.SaveOptions{Float32: true}); err != nil {
+		// The overlapping reload installs another model, so the version
+		// differs from what the first one installed.
+		if err := ranktest.Train(t, f.train, 99).SaveModelFile(c.path); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.reload(); err != nil {
 			t.Fatal(err)
 		}
 		resp := reloadResponse(mine, c.name)
-		if resp.ModelVersion != 2 || resp.Float32 || !resp.Mapped || resp.Name != c.name {
-			t.Errorf("model %q: first reload reported %+v, want its own version 2, float64", c.name, resp)
+		if resp.ModelVersion != 2 || resp.Name != c.name {
+			t.Errorf("model %q: first reload reported %+v, want its own version 2", c.name, resp)
 		}
-		if cur := c.current(); cur.version != 3 || !cur.rng.HasFloat32() {
-			t.Errorf("model %q: current snapshot is version %d (float32 %v), want 3 (true)", c.name, cur.version, cur.rng.HasFloat32())
+		if cur := c.current(); cur.version != 3 {
+			t.Errorf("model %q: current snapshot is version %d, want 3", c.name, cur.version)
 		}
 	}
 }

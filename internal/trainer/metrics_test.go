@@ -119,7 +119,7 @@ func TestFailedCyclesAreObserved(t *testing.T) {
 			time.Sleep(time.Millisecond) // a rollout that took a measurable while to fail
 			serve.WriteError(w, http.StatusInternalServerError, "server restarting")
 		default:
-			serve.WriteJSON(w, http.StatusOK, serve.ReloadResponse{ModelVersion: 2, Mapped: true})
+			serve.WriteJSON(w, http.StatusOK, serve.ReloadResponse{ModelVersion: 2})
 		}
 	}))
 	defer ts.Close()

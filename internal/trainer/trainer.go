@@ -60,8 +60,8 @@ type Config struct {
 	// reloads from). A loadable model already at this path seeds the
 	// first cycle's warm start.
 	ModelPath string
-	// Save picks the artifact options (Float32 adds the half-bandwidth
-	// scoring section).
+	// Save picks the artifact options (Float32 adds the quantized copy
+	// that no reader scores from).
 	Save core.SaveOptions
 	// ServerURL, when non-empty, is the serve process to roll new models
 	// out to (e.g. "http://localhost:8080"): after every save the trainer
@@ -171,11 +171,8 @@ type Cycle struct {
 	// retried the rollout — the cheap path after a failed push.
 	RetrainSkipped bool
 	// ServerVersion is the model version the server confirmed in the
-	// reload handshake (0 when no ServerURL is configured); Mapped and
-	// ServedFloat32 echo the confirmed serving mode.
+	// reload handshake (0 when no ServerURL is configured).
 	ServerVersion uint64
-	Mapped        bool
-	ServedFloat32 bool
 	// ShardVersions are the model versions each shard confirmed in a
 	// sharded (quorum) rollout, in Config.ShardURLs order; RouterEpoch is
 	// the route-table epoch the router confirmed after the flip.
@@ -449,9 +446,8 @@ func (t *Trainer) rollout(ctx context.Context, cy *Cycle) error {
 			cy.RolloutDur = time.Since(rstart)
 			return fmt.Errorf("trainer: rollout: %w", err)
 		}
-		cy.ServerVersion, cy.Mapped, cy.ServedFloat32 = resp.ModelVersion, resp.Mapped, resp.Float32
-		t.cfg.Logf("rollout confirmed: server at version %d (%s, mapped=%v float32=%v)",
-			resp.ModelVersion, resp.Model, resp.Mapped, resp.Float32)
+		cy.ServerVersion = resp.ModelVersion
+		t.cfg.Logf("rollout confirmed: server at version %d (%s)", resp.ModelVersion, resp.Model)
 	}
 	cy.RolloutDur = time.Since(rstart)
 	if len(t.hotUsers) > 0 {

@@ -293,13 +293,9 @@ func TestPipelineEndToEnd(t *testing.T) {
 	if !cy.WarmStarted || !cy.Grown {
 		t.Fatalf("cycle warm=%v grown=%v, want both", cy.WarmStarted, cy.Grown)
 	}
-	// The versioned handshake confirmed a strictly newer model, served
-	// from the mmapped float32 section.
+	// The versioned handshake confirmed a strictly newer model.
 	if cy.ServerVersion != 2 || srv.Version() != 2 {
 		t.Fatalf("server version %d (handshake %d), want 2", srv.Version(), cy.ServerVersion)
-	}
-	if !cy.Mapped || !cy.ServedFloat32 {
-		t.Errorf("serving mode mapped=%v float32=%v, want both after rollout", cy.Mapped, cy.ServedFloat32)
 	}
 	if got := srv.Model().NumUsers(); got != base.Rows()+1 {
 		t.Fatalf("served model has %d users, want %d (grown)", got, base.Rows()+1)

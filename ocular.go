@@ -148,13 +148,8 @@ func Train(r *Matrix, cfg Config) (*Result, error) { return core.Train(r, cfg) }
 // OpenMappedModel and MappedModel.Verify check a file.
 func ReadModel(r io.Reader) (*Model, error) { return core.ReadModel(r) }
 
-// SaveOptions configures the v2 model writer (Model.SaveModelFileOpts):
-// set Float32 to append a quantized factor copy that serving scores at
-// half the memory traffic.
-type SaveOptions = core.SaveOptions
-
 // MappedModel is a model served directly out of an mmapped v2 file —
-// O(1) open and reload, zero-copy factors, optional float32 scoring.
+// O(1) open and reload, zero-copy factors, the trained model's scores.
 type MappedModel = core.MappedModel
 
 // OpenMappedModel maps the v2 model file at path in O(1). The retired v1
