@@ -4,11 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/parallel"
+	"repro/internal/rng"
 	"repro/internal/sparse"
 )
 
@@ -113,15 +117,28 @@ func TestCertificatesChangeNoBit(t *testing.T) {
 	}
 }
 
-// auditCounts is the soundness hook: how many candidates the certificates
-// rejected, and how many of those the full evaluation would have accepted.
-type auditCounts struct{ certified, wrong atomic.Int64 }
+// auditCounts is the soundness hook and the line search's work counter:
+// how often each auditEvent happened, how many of the candidates the
+// certificates rejected the full evaluation would have accepted, and the
+// exponentials pass 2 spent.
+type auditCounts struct {
+	events      [auditAbandoned + 1]atomic.Int64
+	wrong, exps atomic.Int64
+}
 
-func (a *auditCounts) hook(acceptable bool) {
-	a.certified.Add(1)
+func (a *auditCounts) hook(ev auditEvent, positives int, acceptable bool) {
+	a.events[ev].Add(1)
+	if ev == auditEvaluated {
+		a.exps.Add(int64(positives))
+	}
 	if acceptable {
 		a.wrong.Add(1)
 	}
+}
+
+// certified is how many candidates a certificate rejected.
+func (a *auditCounts) certified() int64 {
+	return a.events[auditSkipped].Load() + a.events[auditClosed].Load() + a.events[auditAbandoned].Load()
 }
 
 // TestCertificatesAreSound evaluates in full every candidate a certificate
@@ -129,20 +146,36 @@ func (a *auditCounts) hook(acceptable bool) {
 // where line searches overshoot most — and requires that none of them
 // passes the Armijo test. It also requires that certificates fired at all,
 // so the bit-identity test above is not comparing a path with itself.
+//
+// The planted catalogue, a small one of the benchmark's kind, leaves rows at
+// zero that hold positives, so its line searches also take halvings in
+// closed form; there both the closed form and pass 1's Padé abandonment
+// must have fired, each audited like the rest.
 func TestCertificatesAreSound(t *testing.T) {
 	small := smallMatrix(116, 50, 40, 320)
 	preset := dataset.SyntheticSmall(1).R
+	planted, err := dataset.GeneratePlanted(dataset.PlantedConfig{
+		Name: "planted", Users: 400, Items: 600, Clusters: 8,
+		MinClusterUsers: 30, MaxClusterUsers: 60, MinClusterItems: 10, MaxClusterItems: 20,
+		WithinProb: 0.4, NoisePositives: 800, PopularitySkew: 1.0,
+	}, rng.New(47))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		name string
-		m    *sparse.Matrix
-		cfg  Config
+		name  string
+		m     *sparse.Matrix
+		cfg   Config
+		fired []auditEvent
 	}{
-		{"small", small, Config{K: 16, Lambda: 1.5, MaxIter: 12, Tol: 1e-12, Seed: 7}},
-		{"small/lambda=0", small, Config{K: 4, MaxIter: 12, Tol: 1e-12, Seed: 7, Workers: 4}},
+		{"small", small, Config{K: 16, Lambda: 1.5, MaxIter: 12, Tol: 1e-12, Seed: 7}, nil},
+		{"small/lambda=0", small, Config{K: 4, MaxIter: 12, Tol: 1e-12, Seed: 7, Workers: 4}, nil},
 		{"small/relative+bias+steps", small, Config{K: 4, Lambda: 1.5, MaxIter: 12, Tol: 1e-12, Seed: 7,
-			Relative: true, Bias: true, GradSteps: 3}},
-		{"preset", preset, Config{K: 10, Lambda: 5, MaxIter: 15, Seed: 1}},
-		{"preset/relative", preset, Config{K: 10, Lambda: 5, MaxIter: 15, Seed: 1, Relative: true, Workers: 4}},
+			Relative: true, Bias: true, GradSteps: 3}, nil},
+		{"preset", preset, Config{K: 10, Lambda: 5, MaxIter: 15, Seed: 1}, nil},
+		{"preset/relative", preset, Config{K: 10, Lambda: 5, MaxIter: 15, Seed: 1, Relative: true, Workers: 4}, nil},
+		{"planted", planted.R, Config{K: 8, Lambda: 5, MaxIter: 15, Seed: 47},
+			[]auditEvent{auditClosed, auditAbandoned}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var a auditCounts
@@ -154,11 +187,16 @@ func TestCertificatesAreSound(t *testing.T) {
 			if _, _, err := res.Model.FoldInUser([]int{1, 2, 3, 5, 8, 13}, tc.cfg); err != nil {
 				t.Fatal(err)
 			}
-			if a.certified.Load() == 0 {
+			if a.certified() == 0 {
 				t.Fatal("no candidate was certified: the test exercised nothing")
 			}
 			if w := a.wrong.Load(); w != 0 {
-				t.Fatalf("%d of %d certified candidates pass the Armijo test", w, a.certified.Load())
+				t.Fatalf("%d of %d certified candidates pass the Armijo test", w, a.certified())
+			}
+			for _, ev := range tc.fired {
+				if a.events[ev].Load() == 0 {
+					t.Errorf("no candidate was decided as event %d", ev)
+				}
 			}
 		})
 	}
@@ -219,7 +257,7 @@ func decodeArmijoCase(data []byte) (c armijoCase, ok bool) {
 }
 
 // update runs one updateFactorFused on a copy of the case's factor.
-func (c armijoCase) update(exhaustive bool, audit func(bool)) []float64 {
+func (c armijoCase) update(exhaustive bool, audit func(auditEvent, int, bool)) []float64 {
 	k := len(c.f)
 	rows := len(c.g) / k
 	sum := append([]float64(nil), c.extra...)
@@ -278,6 +316,22 @@ func FuzzArmijoCertificate(f *testing.F) {
 			f.Add(c.encode())
 		}
 	}
+	// A zero factor against non-zero counterpart rows: every positive is
+	// floored at minDot, and the halvings are certified in closed form.
+	f.Add(armijoCase{lambda: 5, weight: 1, f: make([]float64, 4), extra: []float64{3, 1, 0, 2},
+		g: []float64{0.2, 0.1, 0, 0.3, 0.4, 0, 0.1, 0.2, 0, 0.3, 0.2, 0.1}}.encode())
+	// Ten positives every candidate saturates (z > 4.65, bound 1) before
+	// two that the step clamps to minDot: pass 1 runs past ten factors of 1
+	// and abandons the candidates at the last positive.
+	late := armijoCase{weight: 1, f: []float64{3, 3, 0.05, 0.05}, extra: []float64{1, 1, 200, 200}}
+	for j := 0; j < 12; j++ {
+		row := []float64{4, 4, 0, 0}
+		if j >= 10 {
+			row = []float64{0, 0, 0.02, 0.01}
+		}
+		late.g = append(late.g, row...)
+	}
+	f.Add(late.encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ok := decodeArmijoCase(data)
 		if !ok {
@@ -286,7 +340,106 @@ func FuzzArmijoCertificate(f *testing.F) {
 		var a auditCounts
 		sameBits(t, "factor", c.update(false, a.hook), c.update(true, nil))
 		if w := a.wrong.Load(); w != 0 {
-			t.Fatalf("%d of %d certified candidates pass the Armijo test", w, a.certified.Load())
+			t.Fatalf("%d of %d certified candidates pass the Armijo test", w, a.certified())
 		}
 	})
+}
+
+// TestPadeBoundHolds holds pass 1's per-positive bound, as padeBound
+// computes it with its slack, to what pass 2 computes, 1 − math.Exp(−z):
+// on a dense log grid over [minDot, 40] and ulp by ulp across the point
+// where it saturates at 1, n ≥ u·d exactly (math.FMA rounds n − u·d once,
+// so its sign is the exact one). It also holds the bound to its [3/3]
+// tightness: within 1e-2 of u wherever it is below 1, and below 1 up to
+// z = 4.64 and no further than 4.65, so a bound that is sound but says 1
+// too early fails too.
+func TestPadeBoundHolds(t *testing.T) {
+	check := func(z float64) {
+		t.Helper()
+		n, d := padeBound(z)
+		u := 1 - math.Exp(-clampDot(z))
+		switch {
+		case !(n < d) && z < 4.64:
+			t.Fatalf("z=%v: the bound says 1 already", z)
+		case !(n < d):
+		case z > 4.65:
+			t.Fatalf("z=%v: the bound %v is still below 1", z, n/d)
+		case math.FMA(-u, d, n) < 0:
+			t.Fatalf("z=%v: bound %v/%v below pass 2's 1 − Exp(−z) = %v", z, n, d, u)
+		case n/d-u > 1e-2:
+			t.Fatalf("z=%v: bound %v is loose against %v", z, n/d, u)
+		}
+	}
+	for i := 0; ; i++ {
+		z := minDot * math.Pow(10, float64(i)/20000)
+		if z > 40 {
+			break
+		}
+		check(z)
+	}
+	lo, hi := 4.6, 4.7 // the bound is 1 at hi and below it at lo
+	for range 100 {
+		if mid := (lo + hi) / 2; func() bool { n, d := padeBound(mid); return n < d }() {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	for z, i := lo, 0; i < 20000; i++ {
+		check(z)
+		check(2*lo - z)
+		z = math.Nextafter(z, 5)
+	}
+}
+
+// TestLineSearchWorkBudget holds the certificates to the work they save,
+// since they change no bit a test can see: training the benchmark's
+// catalogue serially, cold and then warm from that model, the line search
+// may spend no more pass-2 exponentials and build no more candidates
+// coordinate by coordinate than it did when these budgets were recorded —
+// a certificate that silently stops firing fails here. The numbers are of
+// the amd64 build, which fuses no multiply-add; another architecture may
+// fuse, train an equally valid but different trajectory and count
+// differently, so the test runs on amd64 alone. The counts do not depend
+// on the race detector, which makes the two trainings take ten times as
+// long; CI's allocation budgets step runs the test by name without it.
+func TestLineSearchWorkBudget(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("budgets recorded on amd64")
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("run without -race, in CI's allocation budgets step")
+	}
+	base, seen, cfg := benchCatalogue(t)
+	cfg.Workers = 1
+	var cold, warm auditCounts
+	cfg.audit = cold.hook
+	res, err := Train(base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.audit, cfg.WarmStart = warm.hook, res.Model
+	if _, err := Train(seen, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name         string
+		a            *auditCounts
+		exps, builds int64
+	}{
+		// Before the Padé bound and the closed form: 2,548,216 and 760,665.
+		{"cold", &cold, 878_020, 420_698},
+		// Before: 2,580,584 and 366,188 (no zero row reaches a halving).
+		{"warm", &warm, 681_376, 366_188},
+	} {
+		exps, builds := b.a.exps.Load(), b.a.events[auditBuilt].Load()
+		t.Logf("%s: %d pass-2 exponentials, %d candidates built", b.name, exps, builds)
+		if exps > b.exps || builds > b.builds {
+			t.Errorf("%s: %d pass-2 exponentials and %d candidates built, budgets %d and %d",
+				b.name, exps, builds, b.exps, b.builds)
+		}
+		if w := b.a.wrong.Load(); w != 0 {
+			t.Errorf("%s: %d certified candidates pass the Armijo test", b.name, w)
+		}
+	}
 }

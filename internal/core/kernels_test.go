@@ -184,16 +184,13 @@ func BenchmarkTrainSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainBenchCatalogue trains what every workload of the repository
-// benchmark trains — bench/layers.go's planted catalogue at bench/
-// workloads.go's trainSize (2,000 × 3,000, K=16, λ=5, catalogSeed, the
-// default all-core solver, serial under -cpu 1, 70% of the positives as
-// the base matrix) — so a training profile can be taken where the
-// benchmark's cold_train_s and cycle_s are spent:
-// `cold` is the first cycle's training from random factors, `warm` a
-// retrain from that model once the 10% ingest stream has been added. The
-// README's training attribution is measured from it.
-func BenchmarkTrainBenchCatalogue(b *testing.B) {
+// benchCatalogue is what every workload of the repository benchmark
+// trains: bench/layers.go's planted catalogue at bench/workloads.go's
+// trainSize (2,000 × 3,000, K=16, λ=5, catalogSeed, the default all-core
+// solver), with 70% of the positives as the base matrix and the 10% ingest
+// stream added to them as seen.
+func benchCatalogue(tb testing.TB) (base, seen *sparse.Matrix, cfg Config) {
+	tb.Helper()
 	const users, items, k, catalogSeed = 2000, 3000, 16, 20170419
 	p, err := dataset.GeneratePlanted(dataset.PlantedConfig{
 		Name:  "bench",
@@ -205,12 +202,22 @@ func BenchmarkTrainBenchCatalogue(b *testing.B) {
 		PopularitySkew: 1.0,
 	}, rng.New(catalogSeed))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	n := p.R.NNZ()
 	perm := rng.New(catalogSeed + 1).Perm(n)
-	base, seen := p.R.SelectEntries(perm[:n*7/10]), p.R.SelectEntries(perm[:n*7/10+n/10])
-	cfg := Config{K: k, Lambda: 5, MaxIter: 150, Seed: catalogSeed}
+	base, seen = p.R.SelectEntries(perm[:n*7/10]), p.R.SelectEntries(perm[:n*7/10+n/10])
+	return base, seen, Config{K: k, Lambda: 5, MaxIter: 150, Seed: catalogSeed}
+}
+
+// BenchmarkTrainBenchCatalogue trains the benchmark's catalogue
+// (benchCatalogue; serial under -cpu 1), so a training profile can be
+// taken where the benchmark's cold_train_s and cycle_s are spent: `cold`
+// is the first cycle's training from random factors, `warm` a retrain
+// from that model once the ingest stream has been added. The README's
+// training attribution is measured from it.
+func BenchmarkTrainBenchCatalogue(b *testing.B) {
+	base, seen, cfg := benchCatalogue(b)
 	cold, err := Train(base, cfg)
 	if err != nil {
 		b.Fatal(err)

@@ -380,16 +380,17 @@ func (m *Model) SaveModelFileOpts(path string, opts SaveOptions) error {
 		tmp.Close()
 		return fmt.Errorf("core: saving model: %w", err)
 	}
+	fsutil.Wrote(tmpPath)
 	// Flush to stable storage before the rename so a crash cannot leave a
 	// durably-renamed but truncated model at path.
-	if err := tmp.Sync(); err != nil {
+	if err := fsutil.Sync(tmp); err != nil {
 		tmp.Close()
 		return fmt.Errorf("core: saving model: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
-	if err := os.Rename(tmpPath, path); err != nil {
+	if err := fsutil.Rename(tmpPath, path); err != nil {
 		return fmt.Errorf("core: saving model: %w", err)
 	}
 	// The rename only becomes durable once the directory entry reaches

@@ -68,11 +68,13 @@ type Config struct {
 	reference bool
 	// exhaustive switches the fused line search's certificates (kernels.go)
 	// off, so every candidate is evaluated in full; audit, when set, is
-	// told of every candidate a certificate rejected whether that full
-	// evaluation would have passed the Armijo test (never, if they are
-	// sound). Only tests in this package can set them.
+	// told of the line search's work (auditEvent) with the row's count of
+	// positives, which is what pass 2 costs in exponentials, and of every
+	// candidate a certificate rejected whether that full evaluation would
+	// have passed the Armijo test (never, if they are sound). Setting it
+	// changes no decision. Only tests in this package can set them.
 	exhaustive bool
-	audit      func(acceptable bool)
+	audit      func(ev auditEvent, positives int, acceptable bool)
 	// OnIteration, when non-nil, is called after every outer iteration with
 	// the iteration index (from 0) and the objective value — progress
 	// reporting for long trainings and the hook behind cmd/ocular -v.

@@ -214,6 +214,7 @@ func (l *Log) createSegment(seq int) (*os.File, *bufio.Writer, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("feed: %w", err)
 	}
+	fsutil.Wrote(path)
 	if err := fsutil.SyncDir(l.dir); err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("feed: %w", err)
@@ -296,7 +297,8 @@ func (l *Log) Sync() error {
 		l.broken = true
 		return fmt.Errorf("feed: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
+	fsutil.Wrote(l.f.Name())
+	if err := fsutil.Sync(l.f); err != nil {
 		return fmt.Errorf("feed: %w", err)
 	}
 	return nil
@@ -309,7 +311,8 @@ func (l *Log) rotateLocked() error {
 		l.broken = true
 		return fmt.Errorf("feed: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
+	fsutil.Wrote(l.f.Name())
+	if err := fsutil.Sync(l.f); err != nil {
 		return fmt.Errorf("feed: %w", err)
 	}
 	// Create the next segment before retiring this one: if creation fails
@@ -350,7 +353,8 @@ func (l *Log) Close() error {
 		l.f.Close()
 		return fmt.Errorf("feed: %w", err)
 	}
-	if err := l.f.Sync(); err != nil {
+	fsutil.Wrote(l.f.Name())
+	if err := fsutil.Sync(l.f); err != nil {
 		l.f.Close()
 		return fmt.Errorf("feed: %w", err)
 	}

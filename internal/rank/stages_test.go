@@ -120,6 +120,12 @@ func TestBoostStage(t *testing.T) {
 	if items[0] != 9 || scores[0] != 15 {
 		t.Errorf("boosted head %v %v, want item 9 at 15 first", items, scores)
 	}
+	// Two boosted items that end on equal scores arrive against id order:
+	// the re-sort puts the lower id first, selection's tie rule.
+	items, scores = st.Apply(4, []int{9, 4, 1, 2}, []float64{5, 8, 5, 3})
+	if got := fmt.Sprint(items, scores); got != "[1 9 4 2] [15 15 8 3]" {
+		t.Errorf("boosted tie resorted to %s, want [1 9 4 2] [15 15 8 3]", got)
+	}
 	// Untagged heads pass through untouched (no re-sort).
 	items, _ = st.Apply(2, []int{4, 2}, []float64{8, 7})
 	if items[0] != 4 || items[1] != 2 {
