@@ -58,7 +58,7 @@ func TestSumTrickMatchesNaiveGradient(t *testing.T) {
 		}
 		fast := make([]float64, cfg.K)
 		slow := make([]float64, cfg.K)
-		tr.gradient(fast, fi, sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, wScalar: 1})
+		tr.gradient(fast, fi, &sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, wScalar: 1})
 		naiveGradient(tr, slow, fi, item)
 		for c := range fast {
 			if math.Abs(fast[c]-slow[c]) > 1e-9*(1+math.Abs(slow[c])) {
@@ -87,7 +87,7 @@ func TestSingleUpdateNeverIncreasesPartialObjective(t *testing.T) {
 
 		item := r.Intn(m.Cols())
 		fi := tr.m.fi[item*cfg.K : (item+1)*cfg.K]
-		side := sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, wTable: tr.weights, wScalar: 1}
+		side := &sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, masks: tr.uMasks, wTable: tr.weights, wScalar: 1}
 		before := tr.partialObjective(fi, side)
 		tr.updateFactor(fi, side, &parallel.Scratch{})
 		after := tr.partialObjective(fi, side)
@@ -112,7 +112,7 @@ func BenchmarkAblationSumTrick(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			item := i % d.Items()
 			fi := tr.m.fi[item*cfg.K : (item+1)*cfg.K]
-			tr.gradient(grad, fi, sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, wScalar: 1})
+			tr.gradient(grad, fi, &sideCtx{pos: tr.rt.Row(item), others: tr.m.fu, wScalar: 1})
 		}
 	})
 	b.Run("naive", func(b *testing.B) {

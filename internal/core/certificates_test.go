@@ -119,17 +119,22 @@ func TestCertificatesChangeNoBit(t *testing.T) {
 
 // auditCounts is the soundness hook and the line search's work counter:
 // how often each auditEvent happened, how many of the candidates the
-// certificates rejected the full evaluation would have accepted, and the
-// exponentials pass 2 spent.
+// certificates rejected the full evaluation would have accepted, the
+// exponentials pass 2 spent and the coordinate products the fused kernels
+// took.
 type auditCounts struct {
-	events      [auditAbandoned + 1]atomic.Int64
-	wrong, exps atomic.Int64
+	events                [auditProducts]atomic.Int64
+	wrong, exps, products atomic.Int64
 }
 
-func (a *auditCounts) hook(ev auditEvent, positives int, acceptable bool) {
+func (a *auditCounts) hook(ev auditEvent, n int, acceptable bool) {
+	if ev == auditProducts {
+		a.products.Add(int64(n))
+		return
+	}
 	a.events[ev].Add(1)
 	if ev == auditEvaluated {
-		a.exps.Add(int64(positives))
+		a.exps.Add(int64(n))
 	}
 	if acceptable {
 		a.wrong.Add(1)
@@ -274,7 +279,7 @@ func (c armijoCase) update(exhaustive bool, audit func(auditEvent, int, bool)) [
 		cfg: Config{K: k, Lambda: c.lambda, exhaustive: exhaustive, audit: audit}.withDefaults(),
 		sum: sum,
 	}
-	side := sideCtx{pos: pos, others: c.g, wScalar: c.weight}
+	side := &sideCtx{pos: pos, others: c.g, masks: rowMasks(c.g, k), wScalar: c.weight}
 	if c.perRowWeights {
 		side.wTable = weights
 	}
@@ -392,12 +397,53 @@ func TestPadeBoundHolds(t *testing.T) {
 	}
 }
 
+// TestExpBelowHolds holds pass 1's threshold, expBelow, under what it
+// stands in for, math.Exp(−x): on a dense grid of [0, 745], on every point
+// where the exponent split changes its n (x = (n + ½)·ln 2) and an ulp to
+// each side, and past the range it serves, where it must say 0. It also
+// holds the slack to a few ulps — within 24ε of math.Exp up to x = 700,
+// relative — so a bound that is sound but loose fails too, and the
+// certificates it feeds keep their work (TestLineSearchWorkBudget).
+func TestExpBelowHolds(t *testing.T) {
+	const eps = 0x1p-53
+	check := func(x float64) {
+		t.Helper()
+		got, want := expBelow(x), math.Exp(-x)
+		switch {
+		case got > want:
+			t.Fatalf("x=%v: expBelow %v above math.Exp(−x) = %v", x, got, want)
+		case x <= 700 && got < want*(1-24*eps):
+			t.Fatalf("x=%v: expBelow %v is %.1fε below math.Exp(−x) = %v", x, got, (want-got)/want/eps, want)
+		}
+	}
+	for i := 0; i <= 3_000_000; i++ {
+		check(745 * float64(i) / 3_000_000)
+	}
+	for n := 0; n <= 1021; n++ {
+		x := (float64(n) + 0.5) * math.Ln2
+		check(math.Nextafter(x, 0))
+		check(x)
+		check(math.Nextafter(x, 800))
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 0x1p-1074, 1e-300, 708} {
+		check(x)
+	}
+	for _, x := range []float64{math.Nextafter(708, 800), 745, 1e10, math.Inf(1), math.NaN(), -1, math.Inf(-1)} {
+		if got := expBelow(x); got != 0 {
+			t.Errorf("x=%v: expBelow %v, want 0", x, got)
+		}
+	}
+}
+
 // TestLineSearchWorkBudget holds the certificates to the work they save,
 // since they change no bit a test can see: training the benchmark's
 // catalogue serially, cold and then warm from that model, the line search
 // may spend no more pass-2 exponentials and build no more candidates
 // coordinate by coordinate than it did when these budgets were recorded —
-// a certificate that silently stops firing fails here. The numbers are of
+// a certificate that silently stops firing fails here. The same holds for
+// the coordinate products the fused kernels take (kernels.go point 6, the
+// audit's own evaluations not counted), so a loop that slips back from a
+// factor's support to all K coordinates fails too. The numbers are of
 // the amd64 build, which fuses no multiply-add; another architecture may
 // fuse, train an equally valid but different trajectory and count
 // differently, so the test runs on amd64 alone. The counts do not depend
@@ -423,20 +469,22 @@ func TestLineSearchWorkBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range []struct {
-		name         string
-		a            *auditCounts
-		exps, builds int64
+		name                   string
+		a                      *auditCounts
+		exps, builds, products int64
 	}{
-		// Before the Padé bound and the closed form: 2,548,216 and 760,665.
-		{"cold", &cold, 878_020, 420_698},
-		// Before: 2,580,584 and 366,188 (no zero row reaches a halving).
-		{"warm", &warm, 681_376, 366_188},
+		// Before the Padé bound and the closed form: 2,548,216 and 760,665;
+		// 66,030,162 products before the loops ran over the support.
+		{"cold", &cold, 878_020, 420_698, 22_879_981},
+		// Before: 2,580,584 and 366,188 (no zero row reaches a halving),
+		// and 46,124,434 products.
+		{"warm", &warm, 681_376, 366_188, 13_989_732},
 	} {
-		exps, builds := b.a.exps.Load(), b.a.events[auditBuilt].Load()
-		t.Logf("%s: %d pass-2 exponentials, %d candidates built", b.name, exps, builds)
-		if exps > b.exps || builds > b.builds {
-			t.Errorf("%s: %d pass-2 exponentials and %d candidates built, budgets %d and %d",
-				b.name, exps, builds, b.exps, b.builds)
+		exps, builds, products := b.a.exps.Load(), b.a.events[auditBuilt].Load(), b.a.products.Load()
+		t.Logf("%s: %d pass-2 exponentials, %d candidates built, %d coordinate products", b.name, exps, builds, products)
+		if exps > b.exps || builds > b.builds || products > b.products {
+			t.Errorf("%s: %d pass-2 exponentials, %d candidates built and %d coordinate products, budgets %d, %d and %d",
+				b.name, exps, builds, products, b.exps, b.builds, b.products)
 		}
 		if w := b.a.wrong.Load(); w != 0 {
 			t.Errorf("%s: %d certified candidates pass the Armijo test", b.name, w)

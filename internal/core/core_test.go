@@ -92,15 +92,15 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 		}
 		pos := tr.rt.Row(item)
 		grad := make([]float64, cfg.K)
-		tr.gradient(grad, f, sideCtx{pos: pos, others: tr.m.fu, wScalar: 1})
+		tr.gradient(grad, f, &sideCtx{pos: pos, others: tr.m.fu, wScalar: 1})
 		const h = 1e-6
 		for c := 0; c < cfg.K; c++ {
 			fp := append([]float64(nil), f...)
 			fm := append([]float64(nil), f...)
 			fp[c] += h
 			fm[c] -= h
-			num := (tr.partialObjective(fp, sideCtx{pos: pos, others: tr.m.fu, wScalar: 1}) -
-				tr.partialObjective(fm, sideCtx{pos: pos, others: tr.m.fu, wScalar: 1})) / (2 * h)
+			num := (tr.partialObjective(fp, &sideCtx{pos: pos, others: tr.m.fu, wScalar: 1}) -
+				tr.partialObjective(fm, &sideCtx{pos: pos, others: tr.m.fu, wScalar: 1})) / (2 * h)
 			if math.Abs(num-grad[c]) > 1e-4*(1+math.Abs(num)) {
 				t.Fatalf("item %d coord %d: analytic %v, numeric %v", item, c, grad[c], num)
 			}
@@ -121,15 +121,15 @@ func TestGradientWithWeightsMatchesFiniteDifference(t *testing.T) {
 	}
 	pos := tr.rt.Row(item)
 	grad := make([]float64, cfg.K)
-	tr.gradient(grad, f, sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1})
+	tr.gradient(grad, f, &sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1})
 	const h = 1e-6
 	for c := 0; c < cfg.K; c++ {
 		fp := append([]float64(nil), f...)
 		fm := append([]float64(nil), f...)
 		fp[c] += h
 		fm[c] -= h
-		num := (tr.partialObjective(fp, sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1}) -
-			tr.partialObjective(fm, sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1})) / (2 * h)
+		num := (tr.partialObjective(fp, &sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1}) -
+			tr.partialObjective(fm, &sideCtx{pos: pos, others: tr.m.fu, wTable: tr.weights, wScalar: 1})) / (2 * h)
 		if math.Abs(num-grad[c]) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("coord %d: analytic %v, numeric %v", c, grad[c], num)
 		}

@@ -56,10 +56,18 @@ func (m *Model) FoldInUser(items []int, cfg Config) (factor []float64, bias floa
 	if cfg.Relative && len(pos) > 0 {
 		w = float64(m.items-len(pos)) / float64(len(pos))
 	}
-	side := sideCtx{pos: pos, others: m.fi, wScalar: w}
-	if m.bu != nil {
-		side.otherBias = m.bi
+	// The subproblem reads only its positives' item rows: copied in order,
+	// they are the fixed block whose masks the kernels walk, so a request
+	// pays no mask pass over the catalogue.
+	side := &sideCtx{pos: make([]int32, len(pos)), others: make([]float64, 0, len(pos)*m.k), wScalar: w}
+	for j, i := range pos {
+		side.pos[j] = int32(j)
+		side.others = append(side.others, m.fi[int(i)*m.k:(int(i)+1)*m.k]...)
+		if m.bu != nil {
+			side.otherBias = append(side.otherBias, m.bi[i])
+		}
 	}
+	side.masks = rowMasks(side.others, m.k)
 	nZeros := float64(m.items - len(pos))
 	scratch := &parallel.Scratch{}
 

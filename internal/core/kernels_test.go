@@ -1,12 +1,16 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/linalg"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/sparse"
@@ -257,4 +261,151 @@ func BenchmarkTrainObjective(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pinnedBits are the first 64 bits of the SHA-256 of the cold training,
+// then of the warm retrain, that TestTrainedBitsPinned runs, in its case
+// order: plain, R-OCuLaR and bias, each at K = 1, 5, 16, 64, 65 and 100.
+var pinnedBits = []string{
+	"42e2e31e7c9f5fd8cb705ed6862df7c3", "b943705b8e020798ab88fbc953987aba", "c11cc2c599b7c8a2c16f57dcec76fdf2",
+	"e56456380a7f3672359174fbfae4fd83", "fb50f40e2c4f6549e13e3f5a850aed6a", "edab44648a0b1a7c40a8dcda7699b987",
+	"9e18b52260466413e5957b5afef9eb1a", "01427d67a38294dbcbf26c712de305e6", "2f29e9e29923131764cf25e16628cb8f",
+	"2d683894e8d6a74b3f2ed755d129dc1e", "d427b9833874e90be2f3d739734329a1", "5ca2b383f6588810f77422ed7f326d4b",
+	"f6fda4c555784e5d40e6ae8bb18fa16c", "55eaa4fd53a4d847d5b6c9a5e0af97a5", "9d0359079f7eb51f95f93e723febe926",
+	"71fbc6f37653798095bf2745f03e437b", "ffcf4182a71661a0800f298c30b27b5b", "9de7a971ff81342a628fc13ecba1a94d",
+}
+
+// trainingHash returns the first 64 bits, in hex, of the SHA-256 of a
+// training's factors, biases and objective trace in math.Float64bits.
+func trainingHash(res *Result) string {
+	h := sha256.New()
+	for _, vs := range [][]float64{res.Model.fu, res.Model.fi, res.Model.bu, res.Model.bi, res.Objective} {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)[:8])
+}
+
+// TestTrainedBitsPinned holds what the fused kernels train to the bits they
+// trained before the kernels learned to skip a factor's zero coordinates: a
+// cold training and a warm retrain from it, on a planted catalogue whose
+// factors turn sparse, at one and two workers. The K grid covers a single
+// coordinate, the lanes and tail of linalg.Dot, and masks of one and two
+// words. The hashes are of the amd64 build, which fuses no multiply-add.
+func TestTrainedBitsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64")
+	}
+	p, err := dataset.GeneratePlanted(dataset.PlantedConfig{
+		Name: "pinned", Users: 300, Items: 400, Clusters: 6,
+		MinClusterUsers: 20, MaxClusterUsers: 50, MinClusterItems: 10, MaxClusterItems: 20,
+		WithinProb: 0.4, NoisePositives: 600, PopularitySkew: 1.0,
+	}, rng.New(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range []struct {
+		name           string
+		relative, bias bool
+	}{{"plain", false, false}, {"relative", true, false}, {"bias", false, true}} {
+		for _, k := range []int{1, 5, 16, 64, 65, 100} {
+			var hashes [2]string
+			for w, workers := range []int{1, 2} {
+				cfg := Config{K: k, Lambda: 3, MaxIter: 12, Seed: 48, Relative: v.relative, Bias: v.bias, Workers: workers}
+				cold, err := Train(p.R, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.WarmStart, cfg.Seed = cold.Model, 49
+				warm, err := Train(p.R, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hashes[w] = trainingHash(cold) + trainingHash(warm)
+			}
+			if hashes[0] != hashes[1] {
+				t.Errorf("%s/K=%d: %s at one worker, %s at two", v.name, k, hashes[0], hashes[1])
+			}
+			if i := len(got); i < len(pinnedBits) && hashes[0] != pinnedBits[i] {
+				t.Errorf("%s/K=%d: trained %s, pinned %s", v.name, k, hashes[0], pinnedBits[i])
+			}
+			got = append(got, hashes[0])
+		}
+	}
+	if len(got) != len(pinnedBits) {
+		t.Errorf("%d cases, %d pinned: %q", len(got), len(pinnedBits), got)
+	}
+}
+
+// FuzzDotMask holds the support loops' lane dot product to linalg.Dot bit
+// for bit, for K from 1 to 130, on rows with zeros where the bytes say:
+// dotList over supp(f) must return Dot(f, g) for non-negative factor rows
+// f and g, over the bits of g's mask Dot(∇, g) for a signed ∇ (dG's case),
+// and over the bits of a's mask Dot(a, g) for a signed a with NaN, ±Inf and
+// −0 entries — the non-finite rule's case.
+func FuzzDotMask(f *testing.F) {
+	for _, k := range []int{1, 3, 4, 5, 16, 63, 64, 65, 67, 100, 128, 130} {
+		seed := make([]byte, 1+3*k)
+		seed[0] = byte(k - 1)
+		for i := range seed[1:] {
+			seed[1+i] = byte(i * 37)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		k, vals := 1+int(data[0])%130, data[1:]
+		// Coordinate c's three bytes pick f_c, g_c and ∇_c: 0 for a third
+		// of the bytes, else a value spread over sixty binades, and for ∇
+		// negative on odd bytes.
+		value := func(i int, signed bool) float64 {
+			b := vals[i%len(vals)]
+			if b%3 == 0 {
+				return 0
+			}
+			v := math.Ldexp(1+float64(b)/251, int(b%61)-30)
+			if signed && b&1 == 1 {
+				v = -v
+			}
+			return v
+		}
+		fr, g, grad, a := make([]float64, k), make([]float64, k), make([]float64, k), make([]float64, k)
+		var list []int
+		for c := 0; c < k; c++ {
+			fr[c], g[c], grad[c] = value(3*c, false), value(3*c+1, false), value(3*c+2, true)
+			if fr[c] != 0 {
+				list = append(list, c)
+			}
+			a[c] = grad[c]
+			switch vals[(3*c+2)%len(vals)] % 17 {
+			case 1:
+				a[c] = math.NaN()
+			case 2:
+				a[c] = math.Inf(1)
+			case 3:
+				a[c] = math.Inf(-1)
+			case 4:
+				a[c] = math.Copysign(0, -1)
+			}
+		}
+		mg, ma := make([]uint64, (k+63)/64), make([]uint64, (k+63)/64)
+		setMask(mg, g)
+		setMask(ma, a)
+		for _, tc := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"dotList(f, g, supp f)", dotList(fr, g, list), linalg.Dot(fr, g)},
+			{"dotList(∇, g, mask g)", dotList(grad, g, appendBits(nil, mg)), linalg.Dot(grad, g)},
+			{"dotList(a, g, mask a)", dotList(a, g, appendBits(nil, ma)), linalg.Dot(a, g)},
+		} {
+			if math.Float64bits(tc.got) != math.Float64bits(tc.want) && !(math.IsNaN(tc.got) && math.IsNaN(tc.want)) {
+				t.Fatalf("K=%d: %s = %v, linalg.Dot %v", k, tc.name, tc.got, tc.want)
+			}
+		}
+	})
 }

@@ -181,6 +181,11 @@ type trainer struct {
 	m       *Model
 	weights []float64 // R-OCuLaR w_u indexed by user, nil for plain OCuLaR
 	sum     []float64 // Σ of the fixed block's factors (sum trick)
+	// uMasks and iMasks hold each factor row's nonzero-coordinate mask,
+	// ⌈K/64⌉ words a row (kernels.go point 6): set here, and rewritten by
+	// the sweeps after each row's update, so the other half-sweep finds its
+	// fixed block's masks current without a pass over the block.
+	uMasks, iMasks []uint64
 	// qRow collects the per-user partial objectives emitted by the user
 	// sweep's line search; non-nil only when the fused path assembles the
 	// convergence objective from them (see traceObjective).
@@ -240,6 +245,8 @@ func newTrainer(r *sparse.Matrix, cfg Config) *trainer {
 		m:       m,
 		weights: userWeights(r, cfg.Relative),
 		sum:     make([]float64, cfg.K),
+		uMasks:  rowMasks(m.fu, cfg.K),
+		iMasks:  rowMasks(m.fi, cfg.K),
 	}
 }
 
@@ -316,16 +323,17 @@ func (t *trainer) objective() float64 {
 // user it involves, so the per-user weight table is passed through.
 func (t *trainer) sweepItems() {
 	parallel.SumVectors(t.sum, t.m.fu, t.cfg.K, t.cfg.Workers)
-	k := t.cfg.K
+	k, nw := t.cfg.K, (t.cfg.K+63)>>6
 	parallel.For(t.m.items, t.cfg.Workers, func(i int, scratch *parallel.Scratch) {
-		side := sideCtx{
-			pos: t.rt.Row(i), others: t.m.fu,
+		side := &sideCtx{
+			pos: t.rt.Row(i), others: t.m.fu, masks: t.uMasks,
 			wTable: t.weights, wScalar: 1,
 		}
 		if t.cfg.Bias {
 			side.selfBias, side.otherBias = t.m.bi[i], t.m.bu
 		}
 		t.updateFactor(t.m.fi[i*k:(i+1)*k], side, scratch)
+		setMask(t.iMasks[i*nw:(i+1)*nw], t.m.fi[i*k:(i+1)*k])
 		if t.cfg.Bias {
 			// Then the 1-D bias step against the just-updated factor. The
 			// count of unknowns in this column is n_u − deg(i).
@@ -339,17 +347,18 @@ func (t *trainer) sweepItems() {
 // every positive pair shares the same weight w_u, passed as the scalar.
 func (t *trainer) sweepUsers() {
 	parallel.SumVectors(t.sum, t.m.fi, t.cfg.K, t.cfg.Workers)
-	k := t.cfg.K
+	k, nw := t.cfg.K, (t.cfg.K+63)>>6
 	parallel.For(t.m.users, t.cfg.Workers, func(u int, scratch *parallel.Scratch) {
 		w := 1.0
 		if t.weights != nil {
 			w = t.weights[u]
 		}
-		side := sideCtx{pos: t.r.Row(u), others: t.m.fi, wScalar: w}
+		side := &sideCtx{pos: t.r.Row(u), others: t.m.fi, masks: t.iMasks, wScalar: w}
 		if t.cfg.Bias {
 			side.selfBias, side.otherBias = t.m.bu[u], t.m.bi
 		}
 		qu := t.updateFactor(t.m.fu[u*k:(u+1)*k], side, scratch)
+		setMask(t.uMasks[u*nw:(u+1)*nw], t.m.fu[u*k:(u+1)*k])
 		if t.qRow != nil {
 			t.qRow[u] = qu
 		}
@@ -360,13 +369,26 @@ func (t *trainer) sweepUsers() {
 	})
 }
 
+// rowMasks returns the nonzero-coordinate masks of rows, ⌈k/64⌉ words for
+// each k-wide row.
+func rowMasks(rows []float64, k int) []uint64 {
+	nw := (k + 63) >> 6
+	masks := make([]uint64, len(rows)/k*nw)
+	for r := range len(rows) / k {
+		setMask(masks[r*nw:(r+1)*nw], rows[r*k:(r+1)*k])
+	}
+	return masks
+}
+
 // sideCtx carries the fixed-side context of one factor update: the indices
-// of the positive counterparts, the fixed block's factor array, the
-// R-OCuLaR weights (a per-counterpart table for item sweeps, a scalar for
-// user sweeps), and the bias terms when the Section IV-A extension is on.
+// of the positive counterparts, the fixed block's factor array and masks,
+// the R-OCuLaR weights (a per-counterpart table for item sweeps, a scalar
+// for user sweeps), and the bias terms when the Section IV-A extension is
+// on. The kernels take it by pointer.
 type sideCtx struct {
 	pos       []int32
 	others    []float64
+	masks     []uint64  // ⌈K/64⌉ words per row of others
 	wTable    []float64 // indexed by counterpart id; nil -> use wScalar
 	wScalar   float64
 	selfBias  float64   // this row's own bias (constant during factor step)
@@ -393,7 +415,7 @@ func (s *sideCtx) bias(idx int32) float64 {
 // one-pass kernels (kernels.go) unless a test asked for the unfused
 // reference implementation below. Both return the partial objective
 // (eq. 5) at the factor left in f.
-func (t *trainer) updateFactor(f []float64, side sideCtx, scratch *parallel.Scratch) float64 {
+func (t *trainer) updateFactor(f []float64, side *sideCtx, scratch *parallel.Scratch) float64 {
 	if t.cfg.reference {
 		return t.updateFactorRef(f, side, scratch)
 	}
@@ -403,7 +425,7 @@ func (t *trainer) updateFactor(f []float64, side sideCtx, scratch *parallel.Scra
 // updateFactorRef is the reference implementation: partialObjective and
 // gradient each walk the positives list, and every backtracking candidate
 // is re-evaluated in full O(|pos|·K).
-func (t *trainer) updateFactorRef(f []float64, side sideCtx, scratch *parallel.Scratch) float64 {
+func (t *trainer) updateFactorRef(f []float64, side *sideCtx, scratch *parallel.Scratch) float64 {
 	k := t.cfg.K
 	buf := scratch.Float64sRaw(2 * k) // gradient() and the candidate loop fully overwrite it
 	grad := buf[0:k]
@@ -455,7 +477,7 @@ func (t *trainer) updateFactorRef(f []float64, side sideCtx, scratch *parallel.S
 // precomputed block sum (sum trick). Bias contributions to the Σ_0 part
 // are constant during a factor step and omitted. Reference kernel; the hot
 // path uses fusedObjGrad, which computes this and the gradient in one pass.
-func (t *trainer) partialObjective(f []float64, side sideCtx) float64 {
+func (t *trainer) partialObjective(f []float64, side *sideCtx) float64 {
 	k := t.cfg.K
 	q := linalg.Dot(f, t.sum) + t.cfg.Lambda*linalg.Norm2Sq(f)
 	for _, idx := range side.pos {
@@ -471,7 +493,7 @@ func (t *trainer) partialObjective(f []float64, side sideCtx) float64 {
 // gradient computes ∇Q(f) per eq. (6):
 // −Σ_+ w·g·e^{−z}/(1−e^{−z}) + Σ_0 g + 2λf, using the sum trick.
 // Reference kernel; see fusedObjGrad for the fused hot path.
-func (t *trainer) gradient(grad, f []float64, side sideCtx) {
+func (t *trainer) gradient(grad, f []float64, side *sideCtx) {
 	k := t.cfg.K
 	for c := 0; c < k; c++ {
 		grad[c] = t.sum[c] + 2*t.cfg.Lambda*f[c]
@@ -497,7 +519,7 @@ func (t *trainer) gradient(grad, f []float64, side sideCtx) {
 // The inner products d_j = ⟨f, g_j⟩ do not depend on b, so they are hoisted
 // into a scratch table once; every objective and gradient evaluation of the
 // 1-D line search is then O(|pos|) exp/log work instead of O(|pos|·K).
-func (t *trainer) updateBias(b float64, f []float64, side sideCtx, nZeros float64, scratch *parallel.Scratch) float64 {
+func (t *trainer) updateBias(b float64, f []float64, side *sideCtx, nZeros float64, scratch *parallel.Scratch) float64 {
 	k := t.cfg.K
 	dots := scratch.Float64sRaw(len(side.pos)) // fully written below
 	for j, idx := range side.pos {

@@ -14,7 +14,9 @@
 //
 // For runs an index space over a worker pool with contiguous chunking
 // (coalesced access, the CPU analogue of warp-contiguous reads). Each
-// worker carries a Scratch arena so per-index updates allocate nothing.
+// worker carries a Scratch arena so per-index updates allocate nothing,
+// and the arenas outlive the call in a package pool, so the next call's
+// workers start from arenas already grown.
 //
 // SumVectors and ReduceSum are the package's deterministic reductions: the
 // input is split into fixed-width blocks whose boundaries depend only on
@@ -74,6 +76,11 @@ func (s *Scratch) IntsRaw(n int) []int {
 	return s.ints[:n]
 }
 
+// scratchPool keeps For's arenas between calls: a training runs For twice
+// per iteration, and each call would otherwise regrow every worker's arena
+// from nothing.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
 // DefaultWorkers returns the worker count used when a caller passes 0:
 // the number of usable CPUs.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
@@ -83,7 +90,8 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // dealt in contiguous chunks via an atomic cursor, which balances load when
 // per-index cost is skewed (items have wildly varying degree). fn must not
 // touch state owned by other indices; under that contract results are
-// identical for every worker count.
+// identical for every worker count. A slice fn borrows from scratch is
+// valid only until fn returns: the arenas go on to later calls.
 func For(n, workers int, fn func(i int, scratch *Scratch)) {
 	if n <= 0 {
 		return
@@ -92,7 +100,8 @@ func For(n, workers int, fn func(i int, scratch *Scratch)) {
 		workers = DefaultWorkers()
 	}
 	if workers == 1 || n == 1 {
-		s := &Scratch{}
+		s := scratchPool.Get().(*Scratch)
+		defer scratchPool.Put(s)
 		for i := 0; i < n; i++ {
 			fn(i, s)
 		}
@@ -113,7 +122,8 @@ func For(n, workers int, fn func(i int, scratch *Scratch)) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			s := &Scratch{}
+			s := scratchPool.Get().(*Scratch)
+			defer scratchPool.Put(s)
 			for {
 				start := int(cursor.Add(int64(chunk))) - chunk
 				if start >= n {

@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"math"
+	"runtime/debug"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -215,5 +217,31 @@ func BenchmarkForParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		For(10000, DefaultWorkers(), work)
+	}
+}
+
+// TestForReusesScratchZeroAlloc: For's arenas outlive the call, so once one
+// call has grown them, the next call's per-index borrows allocate nothing,
+// serial and parallel. Under -race sync.Pool drops a quarter of what is
+// Put, so the test skips itself there; CI's allocation budgets step runs it
+// by name without the detector.
+func TestForReusesScratchZeroAlloc(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	fn := func(i int, s *Scratch) {
+		s.Float64sRaw(1 << 12)[i%7] = 1
+		s.IntsRaw(1 << 10)[i%5] = i
+	}
+	// The parallel call's goroutines, WaitGroup and cursor are its own 5
+	// allocations; arenas regrown from nothing would add 2 per worker.
+	for _, b := range []struct {
+		workers int
+		allocs  float64
+	}{{1, 0}, {2, 5}} {
+		For(64, b.workers, fn) // grow the pooled arenas
+		if allocs := testing.AllocsPerRun(20, func() { For(64, b.workers, fn) }); allocs > b.allocs {
+			t.Errorf("workers=%d: %v allocations per call, budget %v", b.workers, allocs, b.allocs)
+		}
 	}
 }
