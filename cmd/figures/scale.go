@@ -143,7 +143,7 @@ func runFig9(rc runConfig) {
 	if err != nil {
 		panic(err)
 	}
-	rc.printf("%s\n", res.Heatmap(nil))
+	rc.printf("%s\n", res.Heatmap())
 	rc.printf("best cell: K=%d lambda=%.4g with recall@50=%.4f (%d cells searched)\n",
 		res.Best.K, res.Best.Lambda, res.Best.Metrics.RecallAtM, len(res.Cells))
 }

@@ -70,6 +70,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nrecall@%d heatmap (rows lambda, cols K):\n%s\n", *m, res.Heatmap(nil))
+	fmt.Printf("\nrecall@%d heatmap (rows lambda, cols K):\n%s\n", *m, res.Heatmap())
 	fmt.Printf("best: K=%d lambda=%g -> %v\n", res.Best.K, res.Best.Lambda, res.Best.Metrics)
 }

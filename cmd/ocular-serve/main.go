@@ -101,7 +101,6 @@ func main() {
 
 		itemsMeta = flag.String("items-meta", "", "item tag table (item,name,tag,... lines; the name column is ignored) enabling \"filter\" requests")
 		feedDir   = flag.String("feed", "", "interaction feed directory enabling POST /v1/ingest (ocular-trainer retrains from it)")
-		maxGrowth = flag.Int("max-ingest-growth", 0, "cap on how far beyond the served catalogue ingested ids may reach (0 = 1<<20)")
 
 		stages    = flag.String("stages", "", "staged re-rank pipeline for the default path, e.g. \"floor=0.1,boost=0.5:promoted,diversify=0.7:4\"")
 		registry  = flag.String("registry", "", "multi-model registry config (JSON: named models, tenants, experiments, shadows)")
@@ -129,13 +128,12 @@ func main() {
 	// Both shard flags always reach the config: NewFromFile refuses a
 	// -shard-lo given without -shard-hi rather than serve everything.
 	cfg := serve.Config{
-		ModelPath:       *modelPath,
-		FoldIn:          ocular.Config{Lambda: *lambda, Relative: *relative},
-		Workers:         *workers,
-		MaxIngestGrowth: *maxGrowth,
-		EdgeConfig:      d.Edge,
-		ShardLo:         *shardLo,
-		ShardHi:         *shardHi,
+		ModelPath:  *modelPath,
+		FoldIn:     ocular.Config{Lambda: *lambda, Relative: *relative},
+		Workers:    *workers,
+		EdgeConfig: d.Edge,
+		ShardLo:    *shardLo,
+		ShardHi:    *shardHi,
 	}
 	if *dataPath != "" || *preset != "" {
 		d, err := cliutil.LoadData(*dataPath, *sep, *threshold, *preset, *seed)

@@ -73,7 +73,6 @@ func main() {
 		iters    = flag.Int("iters", 150, "max training iterations per cycle")
 		workers  = flag.Int("workers", 0, "parallel training workers (0 = all cores, 1 = serial)")
 
-		maxGrowth = flag.Int("max-growth", 0, "cap on catalogue growth per cycle; feed events beyond it are skipped (0 = 1<<20)")
 		server    = flag.String("server", "", "ocular-serve base URL to roll models out to (e.g. http://localhost:8080)")
 		modelName = flag.String("model-name", "", "named model of a -registry server to reload (the handshake tracks that model's own version counter)")
 		shards    = flag.String("shards", "", "comma-separated shard base URLs for the quorum rollout (with -router; mutually exclusive with -server)")
@@ -103,7 +102,6 @@ func main() {
 			K: *k, Lambda: *lambda, Relative: *relative,
 			MaxIter: *iters, Seed: *seed, Workers: *workers,
 		},
-		MaxGrowth:       *maxGrowth,
 		ServerURL:       *server,
 		ModelName:       *modelName,
 		ShardURLs:       cliutil.SplitURLs(*shards),

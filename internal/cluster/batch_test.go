@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -270,8 +271,9 @@ func skipUnderRace(t *testing.T) {
 // fakeShard answers like a shard owning the whole of a 100,000-item
 // catalogue at model version 1, every user's partial being the first
 // m+extra items in rank order — a stand-in for lists longer than the
-// synthetic catalogue can produce — over frame streams.
-func fakeShard(t testing.TB, extra int) *httptest.Server {
+// synthetic catalogue can produce — over frame streams. Given scores, the
+// partial is instead items 0, 1, ... with those scores, whatever m is.
+func fakeShard(t testing.TB, extra int, scores ...float64) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -287,10 +289,17 @@ func fakeShard(t testing.TB, extra int) *httptest.Server {
 		resp := wire.BatchResponse{Flags: wire.FlagShardPartial, M: req.M, ShardHi: 100000, ModelVersion: req.ExpectVersion}
 		for range req.Users {
 			resp.Status = append(resp.Status, 0)
+			if scores != nil {
+				n = len(scores)
+			}
 			resp.Counts = append(resp.Counts, uint32(n))
 			for i := 0; i < n; i++ {
 				resp.Items = append(resp.Items, uint32(i))
-				resp.Scores = append(resp.Scores, 1/float64(i+1))
+				if scores != nil {
+					resp.Scores = append(resp.Scores, scores[i])
+				} else {
+					resp.Scores = append(resp.Scores, 1/float64(i+1))
+				}
 			}
 		}
 		w.Header().Set("Content-Type", serve.FrameContentType)
@@ -343,6 +352,32 @@ func TestShardAnswerReadBound(t *testing.T) {
 	}
 	if !strings.Contains(errResp.Error, "exceeds") {
 		t.Errorf("error %q does not name the overrun", errResp.Error)
+	}
+}
+
+// TestShardScoreDomain: a shard's score is a probability. A partial
+// holding a score outside [0, 1] — NaN, which passes every comparison of
+// the tie rule and could rank ahead of 0.9 in the merge, or an infinity —
+// is a failed shard, as a corrupt factor file on it would produce.
+func TestShardScoreDomain(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		scores []float64
+		want   int
+	}{
+		{"probabilities", []float64{1, 0.5, 0.5, 0}, http.StatusOK},
+		{"nan", []float64{math.NaN()}, http.StatusBadGateway},
+		{"nan_after_score", []float64{0.5, math.NaN()}, http.StatusBadGateway},
+		{"above_one", []float64{2}, http.StatusBadGateway},
+		{"negative", []float64{-1}, http.StatusBadGateway},
+		{"infinite", []float64{math.Inf(1), 0.5}, http.StatusBadGateway},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts := startRouter(t, Config{Shards: []string{fakeShard(t, 0, c.scores...).URL}})
+			if st := ranktest.PostJSON(t, ts.URL+"/v1/recommend", serve.RecommendRequest{User: 1, M: 5}, nil); st != c.want {
+				t.Fatalf("status %d, want %d", st, c.want)
+			}
+		})
 	}
 }
 

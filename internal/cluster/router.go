@@ -689,18 +689,19 @@ func (rp *shardReply) decode(sh shardRoute, nUsers int) error {
 }
 
 // validatePartial checks one user's list: every item inside the shard's
-// range, and the order the tie rule demands (descending score, ties by
-// ascending item).
+// range, every score a probability (NaN is not one: it compares false
+// with every score, so the merge could rank it first), and the order
+// rank.Ahead demands.
 func validatePartial(sh shardRoute, p rank.Partial) error {
 	for n, it := range p.Items {
-		if it < sh.lo || it >= sh.hi {
+		s := p.Scores[n]
+		switch {
+		case it < sh.lo || it >= sh.hi:
 			return fmt.Errorf("shard returned item %d outside its range [%d,%d)", it, sh.lo, sh.hi)
-		}
-		if n > 0 {
-			prevS, prevI := p.Scores[n-1], p.Items[n-1]
-			if p.Scores[n] > prevS || (p.Scores[n] == prevS && it <= prevI) {
-				return fmt.Errorf("shard partial violates the tie rule at rank %d", n)
-			}
+		case !(s >= 0 && s <= 1):
+			return fmt.Errorf("shard returned score %v outside [0,1] at rank %d", s, n)
+		case n > 0 && !rank.Ahead(p.Scores[n-1], p.Items[n-1], s, it):
+			return fmt.Errorf("shard partial violates the tie rule at rank %d", n)
 		}
 	}
 	return nil

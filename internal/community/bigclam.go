@@ -16,24 +16,16 @@ import (
 type BigClamConfig struct {
 	// K is the number of communities. Required, >= 1.
 	K int
-	// MaxIter bounds the outer iterations. Default 100.
-	MaxIter int
-	// Tol declares convergence when the log-likelihood improves by less
-	// than Tol·|L|. Default 1e-4.
-	Tol float64
 	// Seed seeds factor initialization.
 	Seed uint64
 }
 
-func (c BigClamConfig) withDefaults() BigClamConfig {
-	if c.MaxIter == 0 {
-		c.MaxIter = 100
-	}
-	if c.Tol == 0 {
-		c.Tol = 1e-4
-	}
-	return c
-}
+// A fit runs at most bigClamMaxIter outer iterations and stops once the
+// log-likelihood improves by less than bigClamTol·|L|.
+const (
+	bigClamMaxIter = 100
+	bigClamTol     = 1e-4
+)
 
 // BigClam holds fitted node-community affiliations.
 type BigClam struct {
@@ -83,7 +75,6 @@ func DefaultDelta(g *graph.Graph) float64 {
 // ascent on the log-likelihood, one node at a time, with the same sum trick
 // as OCuLaR (which the OCuLaR paper credits to BIGCLAM).
 func FitBigClam(g *graph.Graph, cfg BigClamConfig) (*BigClam, error) {
-	cfg = cfg.withDefaults()
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("community: K must be >= 1, got %d", cfg.K)
 	}
@@ -98,7 +89,7 @@ func FitBigClam(g *graph.Graph, cfg BigClamConfig) (*BigClam, error) {
 	grad := make([]float64, cfg.K)
 	cand := make([]float64, cfg.K)
 	ll := b.logLikelihood(sum)
-	for iter := 0; iter < cfg.MaxIter; iter++ {
+	for iter := 0; iter < bigClamMaxIter; iter++ {
 		// Precompute ΣF once per sweep; maintain it incrementally as nodes
 		// update so later nodes see fresh sums (Gauss-Seidel style, as in
 		// the reference implementation).
@@ -132,7 +123,7 @@ func FitBigClam(g *graph.Graph, cfg BigClamConfig) (*BigClam, error) {
 			}
 		}
 		llNew := b.logLikelihood(sum)
-		if llNew-ll <= cfg.Tol*math.Abs(ll) {
+		if llNew-ll <= bigClamTol*math.Abs(ll) {
 			break
 		}
 		ll = llNew

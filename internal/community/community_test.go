@@ -121,8 +121,8 @@ func TestBigClamConfigValidation(t *testing.T) {
 
 func TestBigClamDeterminism(t *testing.T) {
 	g := twoCliques()
-	a, _ := FitBigClam(g, BigClamConfig{K: 2, Seed: 7, MaxIter: 20})
-	b, _ := FitBigClam(g, BigClamConfig{K: 2, Seed: 7, MaxIter: 20})
+	a, _ := FitBigClam(g, BigClamConfig{K: 2, Seed: 7})
+	b, _ := FitBigClam(g, BigClamConfig{K: 2, Seed: 7})
 	for i := range a.f {
 		if a.f[i] != b.f[i] {
 			t.Fatal("same seed produced different factors")

@@ -26,9 +26,6 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{K: 0},
 		{K: 3, Lambda: -1},
-		{K: 3, Sigma: 1.5},
-		{K: 3, Beta: -0.1},
-		{K: 3, InitScale: -2},
 	}
 	for i, cfg := range bad {
 		if _, err := Train(m, cfg); err == nil {

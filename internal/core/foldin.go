@@ -49,8 +49,9 @@ func (m *Model) FoldInUser(items []int, cfg Config) (factor []float64, bias floa
 
 	f := make([]float64, m.k)
 	rnd := rng.New(cfg.Seed)
+	scale := initScale(cfg.K)
 	for c := range f {
-		f[c] = rnd.Float64() * cfg.InitScale
+		f[c] = rnd.Float64() * scale
 	}
 	w := 1.0
 	if cfg.Relative && len(pos) > 0 {

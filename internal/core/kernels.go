@@ -75,20 +75,20 @@ import (
 //     coordinate moves none at a smaller α either and returns qOld at once.
 //
 //  5. A zero row's halvings cost O(1) until one survives. With f = 0 the
-//     candidate at α is exactly α times the one at α = 1 when β is a power
-//     of two, so dir, ⟨f⁺,Σ⟩, ⟨f⁺,Σ₊g⟩ (×α) and ‖f⁺‖² (×α²) are the first
+//     candidate at α is exactly α times the one at α = 1, since β = ½, so
+//     dir, ⟨f⁺,Σ⟩, ⟨f⁺,Σ₊g⟩ (×α) and ‖f⁺‖² (×α²) are the first
 //     candidate's sums scaled, in bits: every term of them has one sign, so
 //     no partial sum is smaller than a term, and a power-of-two scaling of
 //     a normal number is exact. The candidate is built, as before, only when
 //     the certificate above does not reject it. scales keeps today's
 //     per-α build where a term at α = 1, scaled to the last α, would leave
-//     the normal range or a sum is not finite, when β is not a power of two,
-//     and under exhaustive; the audit hook builds what the closed form
-//     rejected, to evaluate it. These rows are the ones left alone: a
-//     positive pair floored at minDot gives a 1e10 gradient coefficient no
-//     2⁻²⁹ step tames, so the row exhausts MaxBacktrack every sweep (11,723
-//     of the 100,000 cold updates on the benchmark catalogue are such zero
-//     rows) and never moves; moving it changes models (ROADMAP item 18).
+//     the normal range or a sum is not finite, and under exhaustive; the
+//     audit hook builds what the closed form rejected, to evaluate it.
+//     These rows are the ones left alone: a positive pair floored at minDot
+//     gives a 1e10 gradient coefficient no 2⁻²⁹ step tames, so the row
+//     exhausts maxBacktrack every sweep (11,723 of the 100,000 cold updates
+//     on the benchmark catalogue are such zero rows) and never moves;
+//     moving it changes models (ROADMAP item 18).
 //
 //  6. The loops run over a factor's support, not over K. Every factor row
 //     keeps a nonzero-coordinate mask of ⌈K/64⌉ words, rewritten after its
@@ -155,7 +155,7 @@ func (t *trainer) updateFactorFused(f []float64, side *sideCtx, scratch *paralle
 		// closed: f = 0, and the first candidate's sums, s1, scale exactly (point 5).
 		closed := false
 		var s1 lsSums
-		for bt := 0; bt < t.cfg.MaxBacktrack; bt++ {
+		for bt := 0; bt < maxBacktrack; bt++ {
 			var s lsSums
 			built := !closed // cand holds (f − α·grad)₊
 			if built {
@@ -181,7 +181,7 @@ func (t *trainer) updateFactorFused(f []float64, side *sideCtx, scratch *paralle
 			if t.cfg.exhaustive {
 				margin = math.Inf(1)
 			}
-			slack := t.cfg.Sigma*s.dir + qOld + margin - (base - s.pos)
+			slack := sigma*s.dir + qOld + margin - (base - s.pos)
 			if !built && !(slack < 0) {
 				t.project(cand, f, grad, gPos, alpha, &st)
 				built = true
@@ -218,17 +218,17 @@ func (t *trainer) updateFactorFused(f []float64, side *sideCtx, scratch *paralle
 						quiet.project(cand, f, grad, gPos, alpha, &st)
 					}
 					full := quiet.candObjective(cand, side, alpha, f, grad, dF, dG, dC, &st, incremental, 0)
-					acceptable = full-qOld <= t.cfg.Sigma*s.dir
+					acceptable = full-qOld <= sigma*s.dir
 				}
 				t.cfg.audit(ev, p, acceptable)
 			}
-			if qNew-qOld <= t.cfg.Sigma*s.dir {
+			if qNew-qOld <= sigma*s.dir {
 				copy(f, cand)
 				qFinal = qNew
 				accepted = true
 				break
 			}
-			alpha *= t.cfg.Beta
+			alpha *= beta
 		}
 		if !accepted {
 			// No step satisfied the Armijo condition within the budget;
@@ -418,15 +418,15 @@ func (t *trainer) project(cand, f, grad, gPos []float64, alpha float64, st *supp
 
 // scales reports whether the halvings of a line search from f, whose
 // candidate at α = 1 is cand with the sums s, may be certified in closed
-// form (point 5): f = 0, β a power of two, the sums and λ‖cand‖² finite,
-// and every non-zero term of them at least lo, so that it is still normal
-// at the last α's scaling.
+// form (point 5): f = 0, the sums and λ‖cand‖² finite, and every non-zero
+// term of them at least lo, so that it is still normal at the last α's
+// scaling, β^(maxBacktrack−1) = 2⁻²⁹.
 func (t *trainer) scales(cand, gPos []float64, s lsSums, st *support) bool {
-	if frac, _ := math.Frexp(t.cfg.Beta); t.cfg.exhaustive || frac != 0.5 || len(st.f) != 0 {
+	if t.cfg.exhaustive || len(st.f) != 0 {
 		return false
 	}
-	last := math.Pow(t.cfg.Beta, float64(t.cfg.MaxBacktrack-1))
-	lo := 0x1p-1022 / (last * last)
+	const last = 1.0 / (1 << (maxBacktrack - 1))
+	const lo = 0x1p-1022 / (last * last)
 	ln := t.cfg.Lambda * s.nrm
 	if all := s.dir + s.dot + s.nrm + s.pos + ln; math.IsInf(all, 0) || math.IsNaN(all) || ln != 0 && !(ln >= lo) {
 		return false

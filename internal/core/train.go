@@ -11,6 +11,19 @@ import (
 	"repro/internal/sparse"
 )
 
+// The Armijo line search of Section IV-D: a step of length α is accepted
+// once it decreases Q by at least σ times the directional derivative, and
+// α halves (β = ½) at most maxBacktrack times from 1, down to 2⁻²⁹.
+const (
+	sigma        = 0.1
+	beta         = 0.5
+	maxBacktrack = 30
+)
+
+// initScale is the upper bound of the uniform factor initialization,
+// √(1/K), which makes initial affinities O(1).
+func initScale(k int) float64 { return math.Sqrt(1 / float64(k)) }
+
 // Config holds OCuLaR hyper-parameters and solver settings. The two model
 // hyper-parameters of the paper are K and Lambda; everything else is solver
 // machinery with defaults matching Section IV-D.
@@ -44,14 +57,6 @@ type Config struct {
 	// Tol·|Q| between outer iterations ("convergence is declared if Q stops
 	// decreasing"). Default 1e-4.
 	Tol float64
-	// Sigma and Beta are the Armijo backtracking constants σ, β ∈ (0,1).
-	// Defaults 0.1 and 0.5.
-	Sigma, Beta float64
-	// MaxBacktrack bounds the halvings per line search. Default 30.
-	MaxBacktrack int
-	// InitScale is the upper bound of the uniform factor initialization.
-	// Default sqrt(1/K), which makes initial affinities O(1).
-	InitScale float64
 	// Seed seeds factor initialization.
 	Seed uint64
 	// Workers sets the number of parallel workers for the factor-update
@@ -83,7 +88,7 @@ type Config struct {
 	// existing model instead of random values — the deployment path for
 	// periodic retraining as new purchases arrive. The model's K and shape
 	// must match the configuration and matrix; Train errors otherwise.
-	// InitScale and Seed are ignored for the copied parameters.
+	// Seed is ignored for the copied parameters.
 	WarmStart *Model
 }
 
@@ -94,20 +99,8 @@ func (c Config) withDefaults() Config {
 	if c.Tol == 0 {
 		c.Tol = 1e-4
 	}
-	if c.Sigma == 0 {
-		c.Sigma = 0.1
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.5
-	}
-	if c.MaxBacktrack == 0 {
-		c.MaxBacktrack = 30
-	}
 	if c.GradSteps == 0 {
 		c.GradSteps = 1
-	}
-	if c.InitScale == 0 && c.K > 0 {
-		c.InitScale = math.Sqrt(1 / float64(c.K))
 	}
 	return c
 }
@@ -118,14 +111,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: K must be >= 1, got %d", c.K)
 	case c.Lambda < 0:
 		return fmt.Errorf("core: Lambda must be >= 0, got %v", c.Lambda)
-	case c.Sigma <= 0 || c.Sigma >= 1:
-		return fmt.Errorf("core: Sigma must be in (0,1), got %v", c.Sigma)
-	case c.Beta <= 0 || c.Beta >= 1:
-		return fmt.Errorf("core: Beta must be in (0,1), got %v", c.Beta)
 	case c.MaxIter < 1:
 		return fmt.Errorf("core: MaxIter must be >= 1, got %d", c.MaxIter)
-	case c.InitScale <= 0:
-		return fmt.Errorf("core: InitScale must be > 0, got %v", c.InitScale)
 	case c.GradSteps < 1:
 		return fmt.Errorf("core: GradSteps must be >= 1, got %d", c.GradSteps)
 	}
@@ -210,7 +197,7 @@ func newTrainer(r *sparse.Matrix, cfg Config) *trainer {
 		// pruned. The jitter is two orders below the cold-start scale, so
 		// convergence speed is preserved.
 		rnd := rng.New(cfg.Seed ^ 0xd1f7)
-		jitter := 0.01 * cfg.InitScale
+		jitter := 0.01 * initScale(cfg.K)
 		for _, arr := range [][]float64{m.fu, m.fi} {
 			for i, v := range arr {
 				if v == 0 {
@@ -219,12 +206,12 @@ func newTrainer(r *sparse.Matrix, cfg Config) *trainer {
 			}
 		}
 	} else {
-		rnd := rng.New(cfg.Seed)
+		rnd, scale := rng.New(cfg.Seed), initScale(cfg.K)
 		for i := range m.fu {
-			m.fu[i] = rnd.Float64() * cfg.InitScale
+			m.fu[i] = rnd.Float64() * scale
 		}
 		for i := range m.fi {
-			m.fi[i] = rnd.Float64() * cfg.InitScale
+			m.fi[i] = rnd.Float64() * scale
 		}
 	}
 	if cfg.Bias {
@@ -439,7 +426,7 @@ func (t *trainer) updateFactorRef(f []float64, side *sideCtx, scratch *parallel.
 
 		alpha := 1.0
 		accepted := false
-		for bt := 0; bt < t.cfg.MaxBacktrack; bt++ {
+		for bt := 0; bt < maxBacktrack; bt++ {
 			for c := 0; c < k; c++ {
 				v := f[c] - alpha*grad[c]
 				if v < 0 {
@@ -453,13 +440,13 @@ func (t *trainer) updateFactorRef(f []float64, side *sideCtx, scratch *parallel.
 			for c := 0; c < k; c++ {
 				dir += grad[c] * (cand[c] - f[c])
 			}
-			if qNew-qOld <= t.cfg.Sigma*dir {
+			if qNew-qOld <= sigma*dir {
 				copy(f, cand)
 				qFinal = qNew
 				accepted = true
 				break
 			}
-			alpha *= t.cfg.Beta
+			alpha *= beta
 		}
 		if !accepted {
 			// No step satisfied the Armijo condition within the budget;
@@ -542,15 +529,15 @@ func (t *trainer) updateBias(b float64, f []float64, side *sideCtx, nZeros float
 	}
 	qOld := obj(b)
 	alpha := 1.0
-	for bt := 0; bt < t.cfg.MaxBacktrack; bt++ {
+	for bt := 0; bt < maxBacktrack; bt++ {
 		cand := b - alpha*grad
 		if cand < 0 {
 			cand = 0
 		}
-		if obj(cand)-qOld <= t.cfg.Sigma*grad*(cand-b) {
+		if obj(cand)-qOld <= sigma*grad*(cand-b) {
 			return cand
 		}
-		alpha *= t.cfg.Beta
+		alpha *= beta
 	}
 	return b
 }

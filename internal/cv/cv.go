@@ -41,8 +41,9 @@ type Result struct {
 	// Cells holds every grid point, ordered K-major then λ (row-major over
 	// Grid.Ks × Grid.Lambdas).
 	Cells []Cell
-	// Best is the cell maximizing the selection criterion; ties break
-	// toward smaller K then smaller λ (cheaper, more regularized models).
+	// Best is the cell maximizing recall@M, the paper's selection metric;
+	// ties break toward smaller K then smaller λ (cheaper, more regularized
+	// models).
 	Best Cell
 }
 
@@ -54,9 +55,6 @@ type Options struct {
 	// Base supplies every core.Config field except K and Lambda, which the
 	// grid overrides (solver budget, seed, Relative, Workers).
 	Base core.Config
-	// Criterion maps metrics to the scalar being maximized. Default
-	// recall@M, the paper's choice.
-	Criterion func(eval.Metrics) float64
 	// Workers is the number of concurrent grid cells. Default 1. Parallelism
 	// stays at one level: with Workers > 1 the grid is the fan-out, and a
 	// cell whose Base.Workers is 0 (every core) trains serially; an explicit
@@ -67,9 +65,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.M == 0 {
 		o.M = 50
-	}
-	if o.Criterion == nil {
-		o.Criterion = func(m eval.Metrics) float64 { return m.RecallAtM }
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -130,11 +125,11 @@ func Search(train, test *sparse.Matrix, grid Grid, opts Options) (*Result, error
 	wg.Wait()
 
 	r := &Result{Cells: cells}
-	r.Best = pickBest(cells, opts.Criterion)
+	r.Best = pickBest(cells)
 	return r, nil
 }
 
-func pickBest(cells []Cell, criterion func(eval.Metrics) float64) Cell {
+func pickBest(cells []Cell) Cell {
 	order := make([]int, len(cells))
 	for i := range order {
 		order[i] = i
@@ -144,8 +139,7 @@ func pickBest(cells []Cell, criterion func(eval.Metrics) float64) Cell {
 		if (ca.Err == nil) != (cb.Err == nil) {
 			return ca.Err == nil
 		}
-		sa, sb := criterion(ca.Metrics), criterion(cb.Metrics)
-		if sa != sb {
+		if sa, sb := ca.Metrics.RecallAtM, cb.Metrics.RecallAtM; sa != sb {
 			return sa > sb
 		}
 		if ca.K != cb.K {
@@ -156,13 +150,10 @@ func pickBest(cells []Cell, criterion func(eval.Metrics) float64) Cell {
 	return cells[order[0]]
 }
 
-// Heatmap formats the grid as rows of λ by columns of K with the criterion
-// value per cell — the textual analogue of the Fig 9 heatmap. Cells with
-// errors print as "err".
-func (r *Result) Heatmap(criterion func(eval.Metrics) float64) string {
-	if criterion == nil {
-		criterion = func(m eval.Metrics) float64 { return m.RecallAtM }
-	}
+// Heatmap formats the grid as rows of λ by columns of K with recall@M per
+// cell — the textual analogue of the Fig 9 heatmap. Cells with errors print
+// as "err".
+func (r *Result) Heatmap() string {
 	// Recover the axes from the cells.
 	kSet, lSet := map[int]bool{}, map[float64]bool{}
 	for _, c := range r.Cells {
@@ -200,7 +191,7 @@ func (r *Result) Heatmap(criterion func(eval.Metrics) float64) string {
 			case c.Err != nil:
 				b = append(b, fmt.Sprintf("%8s", "err")...)
 			default:
-				b = append(b, fmt.Sprintf("%8.4f", criterion(c.Metrics))...)
+				b = append(b, fmt.Sprintf("%8.4f", c.Metrics.RecallAtM)...)
 			}
 		}
 		b = append(b, '\n')

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/eval"
 	"repro/internal/rng"
 )
 
@@ -98,25 +97,6 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestSearchCustomCriterion(t *testing.T) {
-	d := dataset.SyntheticSmall(5)
-	sp := dataset.SplitEntries(d.R, 0.75, rng.New(5))
-	grid := Grid{Ks: []int{2, 4}, Lambdas: []float64{1}}
-	res, err := Search(sp.Train, sp.Test, grid, Options{
-		M:         10,
-		Base:      core.Config{MaxIter: 5, Seed: 1},
-		Criterion: func(m eval.Metrics) float64 { return m.MAPAtM },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Cells {
-		if c.Metrics.MAPAtM > res.Best.Metrics.MAPAtM {
-			t.Fatal("best does not maximize the custom criterion")
-		}
-	}
-}
-
 func TestHeatmapFormat(t *testing.T) {
 	d := dataset.SyntheticSmall(6)
 	sp := dataset.SplitEntries(d.R, 0.75, rng.New(6))
@@ -125,7 +105,7 @@ func TestHeatmapFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm := res.Heatmap(nil)
+	hm := res.Heatmap()
 	lines := strings.Split(strings.TrimRight(hm, "\n"), "\n")
 	if len(lines) != 3 { // header + 2 lambda rows
 		t.Fatalf("heatmap has %d lines:\n%s", len(lines), hm)

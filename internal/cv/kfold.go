@@ -81,6 +81,6 @@ func SearchKFold(m *sparse.Matrix, grid Grid, folds int, seed uint64, opts Optio
 		c.Metrics.MAPAtM *= inv
 		c.Metrics.PrecisionAtM *= inv
 	}
-	agg.Best = pickBest(agg.Cells, opts.Criterion)
+	agg.Best = pickBest(agg.Cells)
 	return agg, nil
 }

@@ -73,7 +73,7 @@ func TestSearchKFold(t *testing.T) {
 			t.Fatalf("cell (%d,%v) recall %v out of range", c.K, c.Lambda, c.Metrics.RecallAtM)
 		}
 	}
-	// Best maximizes the averaged criterion.
+	// Best maximizes the averaged recall@M.
 	for _, c := range res.Cells {
 		if c.Metrics.RecallAtM > res.Best.Metrics.RecallAtM {
 			t.Fatal("best is not the max")

@@ -323,17 +323,6 @@ func TestLoadRatingsOneClass(t *testing.T) {
 	}
 }
 
-func TestLoadRatingsHeaderAndComments(t *testing.T) {
-	src := strings.NewReader("# comment\nuser,item,rating\na,b,4\n# another\nc,d,5\n")
-	d, err := LoadRatings(src, "csv", LoadOptions{Sep: ",", Threshold: 3, Comment: "#", SkipHeader: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.R.NNZ() != 2 {
-		t.Fatalf("nnz = %d, want 2", d.R.NNZ())
-	}
-}
-
 func TestLoadRatingsErrors(t *testing.T) {
 	if _, err := LoadRatings(strings.NewReader("a,b"), "x", LoadOptions{Sep: ""}); err == nil {
 		t.Error("empty separator accepted")

@@ -19,10 +19,6 @@ type LoadOptions struct {
 	// and discards the rest (Section VII-A). For datasets that are already
 	// one-class (CiteULike), use Threshold 0 with two-column lines.
 	Threshold float64
-	// Comment, when non-empty, causes lines starting with it to be skipped.
-	Comment string
-	// SkipHeader skips the first non-comment line (CSV headers).
-	SkipHeader bool
 }
 
 // MovieLensOptions are the options for the MovieLens 1M ratings.dat format
@@ -51,18 +47,10 @@ func LoadRatings(src io.Reader, name string, opts LoadOptions) (*Dataset, error)
 	sc := bufio.NewScanner(src)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
-	headerSkipped := false
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
-			continue
-		}
-		if opts.Comment != "" && strings.HasPrefix(line, opts.Comment) {
-			continue
-		}
-		if opts.SkipHeader && !headerSkipped {
-			headerSkipped = true
 			continue
 		}
 		fields := strings.Split(line, opts.Sep)

@@ -169,25 +169,22 @@ type Explanation struct {
 	Reasons     []Reason
 }
 
+// An explanation lists the co-clusters contributing at least
+// minContribution to the pair's affinity, and within each the users and
+// items whose membership reaches membershipThreshold (the threshold
+// ExtractCoClusters takes).
+const (
+	membershipThreshold = 0.3
+	minContribution     = 0.05
+)
+
 // Options tunes explanation construction.
 type Options struct {
-	// Threshold is the co-cluster membership threshold (see
-	// ExtractCoClusters). Default 0.3.
-	Threshold float64
-	// MinContribution drops co-clusters contributing less than this to the
-	// affinity. Default 0.05.
-	MinContribution float64
 	// MaxPeers caps the similar-user and shared-item lists. Default 5.
 	MaxPeers int
 }
 
 func (o Options) withDefaults() Options {
-	if o.Threshold == 0 {
-		o.Threshold = 0.3
-	}
-	if o.MinContribution == 0 {
-		o.MinContribution = 0.05
-	}
 	if o.MaxPeers == 0 {
 		o.MaxPeers = 5
 	}
@@ -204,7 +201,7 @@ func Explain(m *core.Model, r *sparse.Matrix, u, i int, opts Options) Explanatio
 	contrib := m.PairContributions(u, i)
 	var active []weighted
 	for c, v := range contrib {
-		if v >= opts.MinContribution {
+		if v >= minContribution {
 			active = append(active, weighted{c, v})
 		}
 	}
@@ -219,7 +216,7 @@ func Explain(m *core.Model, r *sparse.Matrix, u, i int, opts Options) Explanatio
 			if v == u {
 				continue
 			}
-			if w := m.UserFactor(v)[a.id]; w >= opts.Threshold {
+			if w := m.UserFactor(v)[a.id]; w >= membershipThreshold {
 				peers = append(peers, weighted{v, w})
 			}
 		}
@@ -235,7 +232,7 @@ func Explain(m *core.Model, r *sparse.Matrix, u, i int, opts Options) Explanatio
 			if j == i {
 				continue
 			}
-			if w := m.ItemFactor(j)[a.id]; w >= opts.Threshold {
+			if w := m.ItemFactor(j)[a.id]; w >= membershipThreshold {
 				shared = append(shared, weighted{j, w})
 			}
 		}

@@ -313,7 +313,7 @@ func TestExplainOrdersAreTotal(t *testing.T) {
 		for c := range clusters {
 			clusters[c] = int32(c)
 		}
-		wantReasons := want(clusters, -1, func(c int) float64 { return contrib[c] }, opts.MinContribution, k)
+		wantReasons := want(clusters, -1, func(c int) float64 { return contrib[c] }, minContribution, k)
 		if len(ex.Reasons) != len(wantReasons) {
 			t.Fatalf("user %d item %d: %d reasons, want co-clusters %v", u, i, len(ex.Reasons), wantReasons)
 		}
@@ -322,11 +322,11 @@ func TestExplainOrdersAreTotal(t *testing.T) {
 			if reason.ClusterID != c || reason.Contribution != contrib[c] {
 				t.Fatalf("user %d item %d: reason %d is co-cluster %d (%v), want %d (%v)", u, i, n, reason.ClusterID, reason.Contribution, c, contrib[c])
 			}
-			peers := want(train.Col(i), u, func(v int) float64 { return m.UserFactor(v)[c] }, opts.Threshold, opts.MaxPeers)
+			peers := want(train.Col(i), u, func(v int) float64 { return m.UserFactor(v)[c] }, membershipThreshold, opts.MaxPeers)
 			if !slices.Equal(reason.SimilarUsers, peers) {
 				t.Fatalf("user %d item %d co-cluster %d: similar users %v, want %v", u, i, c, reason.SimilarUsers, peers)
 			}
-			shared := want(train.Row(u), i, func(j int) float64 { return m.ItemFactor(j)[c] }, opts.Threshold, opts.MaxPeers)
+			shared := want(train.Row(u), i, func(j int) float64 { return m.ItemFactor(j)[c] }, membershipThreshold, opts.MaxPeers)
 			if !slices.Equal(reason.SharedItems, shared) {
 				t.Fatalf("user %d item %d co-cluster %d: shared items %v, want %v", u, i, c, reason.SharedItems, shared)
 			}

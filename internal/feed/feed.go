@@ -64,6 +64,15 @@ const (
 // is rejected at the door rather than poisoning the training matrix.
 const MaxID = 1 << 28
 
+// MaxGrowth bounds how far beyond the known catalogue a user or item id
+// may reach. New ids are legitimate — the next retrained model covers
+// them — but an absurd one would make the trainer allocate factor rows up
+// to it. The server refuses to ingest an id at or beyond the served
+// model's catalogue plus MaxGrowth, and the trainer skips a feed event
+// beyond its known extent plus MaxGrowth, which covers feeds written by
+// anything else.
+const MaxGrowth = 1 << 20
+
 // DefaultSegmentBytes is the rotation threshold when Options.SegmentBytes
 // is zero: ~5.6M records per segment.
 const DefaultSegmentBytes = 64 << 20

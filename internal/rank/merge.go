@@ -75,9 +75,8 @@ func (g *Merger) merge(items []int, scores []float64, m int, parts []Partial) ([
 				best = pi
 				continue
 			}
-			bs, bi := parts[best].Scores[heads[best]], parts[best].Items[heads[best]]
-			ps, piItem := parts[pi].Scores[h], parts[pi].Items[h]
-			if ps > bs || (ps == bs && piItem < bi) {
+			hb := heads[best]
+			if Ahead(parts[pi].Scores[h], parts[pi].Items[h], parts[best].Scores[hb], parts[best].Items[hb]) {
 				best = pi
 			}
 		}

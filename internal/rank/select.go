@@ -138,10 +138,20 @@ func (s *exclusionScan) excluded(item int) bool {
 	return false
 }
 
-// The selection heap is a min-heap of kept items keyed (score asc, id
-// desc), so the weakest kept item sits at the root; the inverted id order
-// makes the heap's notion of "worst" agree with the ranking's tie rule
-// (among equal scores, the larger id is worse).
+// Ahead is the tie rule every ranking in the module follows: item a with
+// score sa ranks ahead of item b with score sb if its score is higher, or
+// if the scores are equal and its id is smaller. Select, MergeTopM, the
+// stages' re-sort and the router's check of a shard's partial all order by
+// it.
+func Ahead(sa float64, a int, sb float64, b int) bool {
+	if sa != sb {
+		return sa > sb
+	}
+	return a < b
+}
+
+// The selection heap is a min-heap of kept items under Ahead reversed, so
+// the weakest kept item sits at the root.
 
 // kept is an item in the selection heap, with its score.
 type kept struct {
@@ -150,12 +160,7 @@ type kept struct {
 }
 
 // below reports whether a ranks below b.
-func below(a, b kept) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.id > b.id
-}
+func below(a, b kept) bool { return Ahead(b.score, b.id, a.score, a.id) }
 
 func siftUp(h []kept, j int) {
 	for j > 0 {

@@ -268,10 +268,7 @@ type headOrder struct {
 func (h headOrder) Len() int { return len(h.items) }
 
 func (h headOrder) Less(a, b int) bool {
-	if h.scores[a] != h.scores[b] {
-		return h.scores[a] > h.scores[b]
-	}
-	return h.items[a] < h.items[b]
+	return Ahead(h.scores[a], h.items[a], h.scores[b], h.items[b])
 }
 
 func (h headOrder) Swap(a, b int) {

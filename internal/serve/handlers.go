@@ -341,11 +341,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 	}
 	// New ids may exceed the served catalogue — they name users and items
 	// the next retrained model will cover — but only within the growth
-	// headroom: an absurd id would make the trainer size its matrix (and
-	// factor arrays) up to it.
+	// headroom feed.MaxGrowth: an absurd id would make the trainer size
+	// its matrix (and factor arrays) up to it.
 	sn := s.snap.Load()
-	maxUser := sn.model.NumUsers() + s.cfg.MaxIngestGrowth
-	maxItem := sn.model.NumItems() + s.cfg.MaxIngestGrowth
+	maxUser := sn.model.NumUsers() + feed.MaxGrowth
+	maxItem := sn.model.NumItems() + feed.MaxGrowth
 	events := make([]feed.Event, 0, len(req.Items)+len(req.Events))
 	add := func(user, item int) error {
 		switch {
@@ -353,7 +353,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) int {
 			return fmt.Errorf("pair (%d,%d) has a negative id", user, item)
 		case user >= maxUser || item >= maxItem:
 			return fmt.Errorf("pair (%d,%d) exceeds the served catalogue (%dx%d) plus the growth headroom of %d",
-				user, item, sn.model.NumUsers(), sn.model.NumItems(), s.cfg.MaxIngestGrowth)
+				user, item, sn.model.NumUsers(), sn.model.NumItems(), feed.MaxGrowth)
 		case user >= feed.MaxID || item >= feed.MaxID:
 			return fmt.Errorf("pair (%d,%d) outside [0,%d)", user, item, feed.MaxID)
 		}

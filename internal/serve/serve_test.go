@@ -1035,7 +1035,7 @@ func trainGrown(t testing.TB, train *sparse.Matrix, extra int) *core.Model {
 }
 
 // TestIngestGrowthHeadroom: ids beyond the served catalogue are accepted
-// only within MaxIngestGrowth — an absurd id would make the trainer size
+// only within feed.MaxGrowth — an absurd id would make the trainer size
 // its matrix (and factor rows) up to it.
 func TestIngestGrowthHeadroom(t *testing.T) {
 	log, err := feed.Open(t.TempDir(), feed.Options{})
@@ -1043,18 +1043,18 @@ func TestIngestGrowthHeadroom(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	_, ts, model, _ := newTestServer(t, Config{Feed: log, MaxIngestGrowth: 8})
+	_, ts, model, _ := newTestServer(t, Config{Feed: log})
 	nu, ni := model.NumUsers(), model.NumItems()
-	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 7, "items": []int{ni + 7}}, nil); st != 200 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + feed.MaxGrowth - 1, "items": []int{ni + feed.MaxGrowth - 1}}, nil); st != 200 {
 		t.Errorf("within headroom: status %d, want 200", st)
 	}
 	var errResp map[string]string
-	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + 8, "items": []int{0}}, &errResp); st != 400 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": nu + feed.MaxGrowth, "items": []int{0}}, &errResp); st != 400 {
 		t.Errorf("user beyond headroom: status %d, want 400", st)
 	} else if !strings.Contains(errResp["error"], "headroom") {
 		t.Errorf("error %q does not mention the growth headroom", errResp["error"])
 	}
-	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 0, "items": []int{ni + 8}}, nil); st != 400 {
+	if st := ranktest.PostJSON(t, ts.URL+"/v1/ingest", map[string]any{"user": 0, "items": []int{ni + feed.MaxGrowth}}, nil); st != 400 {
 		t.Errorf("item beyond headroom: status %d, want 400", st)
 	}
 	if got := log.Count(); got != 1 {

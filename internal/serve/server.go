@@ -35,7 +35,6 @@
 package serve
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"net/http"
@@ -68,11 +67,6 @@ type Config struct {
 	// the next retraining cycle. Without it, ingest requests are rejected.
 	// The server does not close the log.
 	Feed *feed.Log
-	// MaxIngestGrowth bounds how far beyond the served model's catalogue
-	// an ingested user or item id may reach (new ids are legitimate — the
-	// next retrained model covers them — but an absurd id would make the
-	// trainer allocate factor rows up to it). 0 means 1<<20.
-	MaxIngestGrowth int
 	// FoldIn supplies the solver settings for /v1/foldin (Lambda,
 	// Relative, MaxIter, ...). K is taken from the model.
 	FoldIn core.Config
@@ -219,10 +213,7 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: Config.ModelPath is required (servers serve from an mmapped v2 file)")
 	case cfg.Workers < 0:
 		return nil, fmt.Errorf("serve: Workers must be >= 0, got %d", cfg.Workers)
-	case cfg.MaxIngestGrowth < 0:
-		return nil, fmt.Errorf("serve: MaxIngestGrowth must be >= 0, got %d", cfg.MaxIngestGrowth)
 	}
-	cfg.MaxIngestGrowth = cmp.Or(cfg.MaxIngestGrowth, 1<<20)
 	edge, ecfg, err := NewEdge("server", cfg.EdgeConfig, endpointNames)
 	if err != nil {
 		return nil, err

@@ -91,14 +91,6 @@ type Config struct {
 	// RouterURL is the scatter-gather router owning the route table (and
 	// the cache warmed after a sharded rollout). Required with ShardURLs.
 	RouterURL string
-	// MaxGrowth bounds how far beyond the known catalogue (base matrix,
-	// previous model) one cycle may grow the training matrix; feed events
-	// naming larger ids are skipped (and logged), not trained. Without the
-	// bound a single absurd-id event in the append-only feed would make
-	// every retry allocate factor rows up to it — a permanent crash loop.
-	// The serving layer enforces the same headroom at ingest; this guard
-	// covers feeds written by anything else. 0 means 1<<20.
-	MaxGrowth int
 	// MinNewPositives triggers a retrain once the feed backlog since the
 	// last cycle reaches this count. 0 means 1 (retrain on any news).
 	MinNewPositives int
@@ -126,9 +118,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxGrowth == 0 {
-		c.MaxGrowth = 1 << 20
-	}
 	if c.MinNewPositives == 0 {
 		c.MinNewPositives = 1
 	}
@@ -164,7 +153,7 @@ type Cycle struct {
 	// Iterations and Converged come from the training result.
 	Iterations int
 	Converged  bool
-	// SkippedEvents counts feed events dropped by the MaxGrowth guard.
+	// SkippedEvents counts feed events dropped by the feed.MaxGrowth guard.
 	SkippedEvents int64
 	// RetrainSkipped reports that the cycle reused the already-saved
 	// artifact (the feed had not changed since it was trained) and only
@@ -236,8 +225,6 @@ func New(cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("trainer: MaxInterval must be >= 0, got %v", cfg.MaxInterval)
 	case cfg.WarmCacheUsers < 0:
 		return nil, fmt.Errorf("trainer: WarmCacheUsers must be >= 0, got %d", cfg.WarmCacheUsers)
-	case cfg.MaxGrowth < 0:
-		return nil, fmt.Errorf("trainer: MaxGrowth must be >= 0, got %d", cfg.MaxGrowth)
 	case cfg.ServerURL != "" && (len(cfg.ShardURLs) > 0 || cfg.RouterURL != ""):
 		return nil, fmt.Errorf("trainer: ServerURL and the sharded rollout (ShardURLs/RouterURL) are mutually exclusive")
 	case len(cfg.ShardURLs) > 0 && cfg.RouterURL == "":
@@ -324,7 +311,7 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 		}
 		cy.Users, cy.Items, cy.NNZ, cy.SkippedEvents = m.Rows(), m.Cols(), m.NNZ(), skipped
 		if skipped > 0 {
-			t.cfg.Logf("skipped %d feed events beyond the MaxGrowth headroom of %d", skipped, t.cfg.MaxGrowth)
+			t.cfg.Logf("skipped %d feed events beyond the growth headroom of %d", skipped, feed.MaxGrowth)
 		}
 
 		trainCfg := t.cfg.Train
@@ -389,9 +376,10 @@ func (t *Trainer) RunOnce(ctx context.Context) (cy *Cycle, err error) {
 // covers the base, every admitted event and the previous model — the
 // catalogue never shrinks across cycles — and the builder's
 // deduplication makes replays idempotent. Events growing the catalogue
-// beyond MaxGrowth over its known extent are skipped and counted, never
-// trained: the feed is append-only, so an absurd id admitted once would
-// poison every future replay.
+// beyond feed.MaxGrowth over its known extent (base matrix, previous
+// model) are skipped and counted, never trained: the feed is append-only,
+// so an absurd id admitted once would make every retry allocate factor
+// rows up to it — a permanent crash loop.
 func (t *Trainer) buildMatrix(events []feed.Event) (*sparse.Matrix, int64) {
 	rows, cols := 0, 0
 	if t.cfg.Base != nil {
@@ -401,7 +389,7 @@ func (t *Trainer) buildMatrix(events []feed.Event) (*sparse.Matrix, int64) {
 		rows = max(rows, t.last.NumUsers())
 		cols = max(cols, t.last.NumItems())
 	}
-	maxUser, maxItem := rows+t.cfg.MaxGrowth, cols+t.cfg.MaxGrowth
+	maxUser, maxItem := rows+feed.MaxGrowth, cols+feed.MaxGrowth
 	var skipped int64
 	admitted := events[:0:0]
 	for _, e := range events {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/feed"
@@ -620,10 +621,11 @@ func TestRunTriggers(t *testing.T) {
 	}
 }
 
-// TestFailedRolloutRetries: when the reload push fails (server down or
-// restarting), the backlog markers must not advance — the next trigger
-// evaluation still sees the backlog and retries the cycle, so the saved
-// model is not stranded unserved until unrelated positives arrive.
+// TestFailedRolloutRetries: when the reload push fails (lost to a network
+// partition, or the server restarting), the backlog markers must not
+// advance — the next trigger evaluation still sees the backlog and retries
+// the cycle, so the saved model is not stranded unserved until unrelated
+// positives arrive.
 func TestFailedRolloutRetries(t *testing.T) {
 	base := dataset.SyntheticSmall(21).Dataset.R
 	dir := t.TempDir()
@@ -657,18 +659,24 @@ func TestFailedRolloutRetries(t *testing.T) {
 	}))
 	defer ts.Close()
 
+	ct := chaos.NewTransport(nil, 1)
+	ct.Set(&chaos.Fault{Path: "/v1/reload", Err: chaos.ErrPartitioned})
 	quick := testTrainCfg
 	quick.MaxIter = 3
-	tr, err := New(Config{FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath, ServerURL: ts.URL})
+	tr, err := New(Config{FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath, ServerURL: ts.URL,
+		HTTPClient: &http.Client{Transport: ct}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tr.RunOnce(context.Background()); err == nil {
-		t.Fatal("failed rollout reported as success")
-	}
-	// The backlog is still pending: the trigger must fire again.
-	if n := int64(2); !tr.due(n - tr.lastCount) {
-		t.Fatal("backlog markers advanced past a failed rollout; retry would never fire")
+	for _, cause := range []string{"partition", "server error"} {
+		if _, err := tr.RunOnce(context.Background()); err == nil {
+			t.Fatalf("rollout lost to a %s reported as success", cause)
+		}
+		// The backlog is still pending: the trigger must fire again.
+		if n := int64(2); !tr.due(n - tr.lastCount) {
+			t.Fatalf("backlog markers advanced past a rollout lost to a %s; retry would never fire", cause)
+		}
+		ct.Set()
 	}
 	failing = false
 	cy, err := tr.RunOnce(context.Background())
@@ -716,7 +724,7 @@ func TestMaxGrowthSkipsAbsurdIDs(t *testing.T) {
 	)
 	quick := testTrainCfg
 	quick.MaxIter = 2
-	tr, err := New(Config{FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath, MaxGrowth: 100})
+	tr, err := New(Config{FeedDir: feedDir, Base: base, Train: quick, ModelPath: modelPath})
 	if err != nil {
 		t.Fatal(err)
 	}

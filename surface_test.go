@@ -21,17 +21,29 @@ import (
 
 // surfaceAllow is the surface gate's allow list: a package path declares
 // test support (rule 1 then requires that no production package links
-// it), and a name key ("path.Name" or "path.Type.Method") exempts one
-// declaration from rules 2 and 3. Every line carries its reason.
+// it), a name key ("path.Name" or "path.Type.Method") exempts one
+// declaration from rules 2 and 3, and a field key ("path.Type.Field")
+// exempts one option from rule 4. Every line carries its reason.
 var surfaceAllow = map[string]string{
 	"repro/internal/ranktest": "test support: the conformance suite that rank, serve and cluster run from their tests",
 	"repro/internal/chaos":    "test support: the fault-injecting transport and proxy of the cluster chaos tests",
 	"repro/internal/cluster.ShardTransport.CloseIdleConnections": "http.Client.CloseIdleConnections calls it through an interface declared inside that method",
+
+	"repro/internal/cluster.Config.HTTPClient":      "the chaos suite substitutes a faulty transport for the router's shard calls",
+	"repro/internal/trainer.Config.HTTPClient":      "tests substitute a faulty chaos transport for the rollout calls",
+	"repro/internal/feed.Options.SegmentBytes":      "tests force segment rotation with a small threshold",
+	"repro/internal/serve.RegistryConfig.Models":    "decoded from the -registry JSON file",
+	"repro/internal/serve.RegistryConfig.Tenants":   "decoded from the -registry JSON file",
+	"repro/internal/baselines/knn.Config.Workers":   "tests hold serial == parallel",
+	"repro/internal/baselines/wals.Config.Workers":  "tests hold serial == parallel",
+	"repro/internal/core.Config.GradSteps":          "the paper's one-gradient-step ablation (Section IV-D)",
+	"repro/internal/baselines/bpr.Config.Lambda":    "a hyper-parameter of the Rendle et al. BPR baseline the facade exposes",
+	"repro/internal/baselines/bpr.Config.LearnRate": "a hyper-parameter of the Rendle et al. BPR baseline the facade exposes",
 }
 
 // TestSurface holds internal/ to the declarations production code uses.
 // It type-checks the module and the bench/ module, tests included, and
-// reports a violation of any of three rules:
+// reports a violation of any of four rules:
 //
 //  1. every package under internal/ is linked by the library, a cmd/, an
 //     examples/ or bench/, and a test-support package by none of them;
@@ -39,7 +51,13 @@ var surfaceAllow = map[string]string{
 //     is referenced by a non-test file, or by a test file of another
 //     package;
 //  3. every unexported package-level name and method in internal/ is
-//     referenced by a non-test file of its own package.
+//     referenced by a non-test file of its own package;
+//  4. every exported field of an exported internal/ struct whose name ends
+//     in Config or Options is written by a non-test file of another
+//     package (the library, a cmd/, an examples/, bench/ or another
+//     internal/ package): as a composite-literal key, as the selector an
+//     assignment writes, or as &x.F. Its own package's defaults do not
+//     count: an option nobody sets is a constant.
 //
 // A method also counts as used when its type implements an interface
 // whose method of that name non-test code calls, or an interface declared
@@ -117,18 +135,32 @@ func TestSurfaceFixture(t *testing.T) {
 		{"method_through_called_interface", "fixture/internal/lib.Box.Size", ""},
 		{"unexported_called", "fixture/internal/lib.helper", ""},
 		{"orphan_declaration", "fixture/internal/orphan.Orphan", ""},
+		{"option_set_by_literal", "fixture/internal/lib.Config.Literal", ""},
+		{"option_set_by_assignment", "fixture/internal/lib.Config.Assigned", ""},
+		{"option_set_by_address", "fixture/internal/lib.Config.Addressed", ""},
+		{"option_set_by_own_defaults", "fixture/internal/lib.Config.DefaultsOnly",
+			"internal/lib/lib.go:44: fixture/internal/lib.Config.DefaultsOnly: an option, but no code outside its package sets it"},
+		{"option_set_by_tests", "fixture/internal/lib.Config.TestsOnly",
+			"internal/lib/lib.go:45: fixture/internal/lib.Config.TestsOnly: an option, but no code outside its package sets it"},
+		{"option_set_by_nothing", "fixture/internal/lib.Config.Exempt",
+			"internal/lib/lib.go:46: fixture/internal/lib.Config.Exempt: an option, but no code outside its package sets it"},
+		{"unexported_field", "fixture/internal/lib.Config.private", ""},
+		{"field_of_other_struct", "fixture/internal/lib.Settings.Unset", ""},
 	})
 }
 
-// TestSurfaceAllowList: an allow-list line exempts the declaration it
-// names, a package it declares test support must not be linked, and a
-// line that matches nothing is itself reported.
+// TestSurfaceAllowList: an allow-list line exempts the declaration or
+// option it names, a package it declares test support must not be linked,
+// and a line that matches nothing is itself reported.
 func TestSurfaceAllowList(t *testing.T) {
 	allow := map[string]string{
 		"fixture/internal/lib.Unused": "exempted",
 		"fixture/internal/other":      "declared test support, yet cmd/app links it",
 		"fixture/internal/orphan":     "declared test support, and linked by nothing",
 		"fixture/internal/lib.Gone":   "names nothing",
+
+		"fixture/internal/lib.Config.Exempt":  "exempted option",
+		"fixture/internal/lib.Config.Literal": "names an option cmd/app sets",
 	}
 	violations, err := checkSurface("go", allow, filepath.Join("testdata", "surface"))
 	if err != nil {
@@ -142,7 +174,14 @@ func TestSurfaceAllowList(t *testing.T) {
 		{"test_support_unused_name", "fixture/internal/orphan.Orphan",
 			"internal/orphan/orphan.go:5: fixture/internal/orphan.Orphan: exported, but nothing refers to it"},
 		{"stale_line", `"fixture/internal/lib.Gone"`,
-			`surface_test.go: allow-list line "fixture/internal/lib.Gone" matches no package and no unused declaration`},
+			`surface_test.go: allow-list line "fixture/internal/lib.Gone" matches no package, no unused declaration and no unset option`},
+		{"exempt_option", "fixture/internal/lib.Config.Exempt", ""},
+		{"stale_option_line", `"fixture/internal/lib.Config.Literal"`,
+			`surface_test.go: allow-list line "fixture/internal/lib.Config.Literal" matches no package, no unused declaration and no unset option`},
+		{"option_set_by_own_defaults", "fixture/internal/lib.Config.DefaultsOnly",
+			"internal/lib/lib.go:44: fixture/internal/lib.Config.DefaultsOnly: an option, but no code outside its package sets it"},
+		{"option_set_by_tests", "fixture/internal/lib.Config.TestsOnly",
+			"internal/lib/lib.go:45: fixture/internal/lib.Config.TestsOnly: an option, but no code outside its package sets it"},
 		{"exported_own_tests_only", "fixture/internal/lib.OwnTestsOnly",
 			"internal/lib/lib.go:11: fixture/internal/lib.OwnTestsOnly: exported, but only its own package's tests refer to it"},
 		{"unexported_own_tests_only", "fixture/internal/lib.testOnly",
@@ -212,13 +251,14 @@ type reference struct {
 
 // declaration is one audited name of a non-test file under internal/.
 type declaration struct {
-	key      string // "path.Name" or "path.Type.Method"
+	key      string // "path.Name", "path.Type.Method" or "path.Type.Field"
 	pkg      string
 	exported bool
+	setting  bool // an option field, audited by rule 4
 	pos      token.Pos
 }
 
-// checkSurface runs the three rules over the modules in dirs (the first
+// checkSurface runs the four rules over the modules in dirs (the first
 // names the module whose internal/ is audited and against whose root the
 // violations' paths are written) and returns one sorted line per
 // violation.
@@ -281,6 +321,8 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 	var decls []declaration
 	var named []*types.Named
 	calledIfaces := map[*types.Interface]bool{}
+	settings := map[*types.Var]string{} // the option fields rule 4 audits, by key
+	written := map[string]bool{}        // option fields written outside their package
 	imports := map[string][]string{}
 	pkgPos := map[string]token.Pos{}
 
@@ -337,6 +379,10 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, errors.Join(typeErrs...))
 		}
 		checked[p.ImportPath] = pkg
+		var options []*types.Var
+		if strings.HasPrefix(path, internal) {
+			options = recordSettings(pkg, settings)
+		}
 
 		canonical := p.ForTest == "" && !strings.Contains(p.ImportPath, " ")
 		if canonical {
@@ -365,6 +411,14 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 				for _, d := range f.Decls {
 					recordExtent(info, d, within)
 				}
+			}
+			for _, f := range options {
+				decls = append(decls, declaration{key: settings[f], pkg: path, exported: true, setting: true, pos: f.Pos()})
+			}
+		}
+		if canonical {
+			for _, f := range files {
+				recordWrites(f, info, settings, path, written)
 			}
 		}
 
@@ -489,7 +543,10 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 			report(pos, "package %s: linked by no library, cmd/, examples/ or bench/ package (delete it, or add an allow-list line declaring it test support)", path)
 		}
 	}
-	const ways = "delete it, move it into a _test.go file, or add an allow-list line with a reason"
+	const (
+		ways        = "delete it, move it into a _test.go file, or add an allow-list line with a reason"
+		settingWays = "make it a constant, set it from a caller, or add an allow-list line with a reason"
+	)
 	for _, d := range decls {
 		if !linked[d.pkg] && !allowed[d.pkg] {
 			continue // the package itself is reported
@@ -500,6 +557,10 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 		}
 		var what string
 		switch {
+		case d.setting:
+			if !written[d.key] {
+				what = "an option, but no code outside its package sets it"
+			}
 		case implements[d.key]:
 		case d.exported && !r.prod && !r.otherTest && r.ownTest:
 			what = "exported, but only its own package's tests refer to it"
@@ -512,13 +573,15 @@ func checkSurface(goCmd string, allow map[string]string, dirs ...string) ([]stri
 		}
 		if _, ok := allow[d.key]; ok && what != "" {
 			allowed[d.key] = true
+		} else if what != "" && d.setting {
+			report(d.pos, "%s: %s (%s)", d.key, what, settingWays)
 		} else if what != "" {
 			report(d.pos, "%s: %s (%s)", d.key, what, ways)
 		}
 	}
 	for key := range allow {
 		if !allowed[key] {
-			violations = append(violations, fmt.Sprintf("surface_test.go: allow-list line %q matches no package and no unused declaration: remove it", key))
+			violations = append(violations, fmt.Sprintf("surface_test.go: allow-list line %q matches no package, no unused declaration and no unset option: remove it", key))
 		}
 	}
 	sort.Strings(violations)
@@ -585,4 +648,67 @@ func recordExtent(info *types.Info, d ast.Decl, within map[string][2]token.Pos) 
 			}
 		}
 	}
+}
+
+// recordSettings keys each exported field of pkg's exported structs whose
+// name ends in Config or Options, the option fields rule 4 audits, and
+// returns them.
+func recordSettings(pkg *types.Package, settings map[*types.Var]string) []*types.Var {
+	var options []*types.Var
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				settings[f] = pkg.Path() + "." + name + "." + f.Name()
+				options = append(options, f)
+			}
+		}
+	}
+	return options
+}
+
+// recordWrites marks each option field that f, a non-test file of package
+// path, writes from outside the field's own package: as a composite-literal
+// key, as the selector an assignment or increment writes, or as &x.F.
+func recordWrites(f *ast.File, info *types.Info, settings map[*types.Var]string, path string, written map[string]bool) {
+	write := func(id *ast.Ident) {
+		if field, ok := info.Uses[id].(*types.Var); ok && settings[field] != "" && field.Pkg().Path() != path {
+			written[settings[field]] = true
+		}
+	}
+	selector := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			write(sel.Sel)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, e := range n.Elts {
+				if kv, ok := e.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						write(id)
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				selector(lhs)
+			}
+		case *ast.IncDecStmt:
+			selector(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				selector(n.X)
+			}
+		}
+		return true
+	})
 }

@@ -1,5 +1,6 @@
-// Command app links lib and other, prints a lib.T through fmt, and calls
-// a lib.Box through the lib.Sizer interface.
+// Command app links lib and other, prints a lib.T through fmt, calls a
+// lib.Box through the lib.Sizer interface, and sets three lib.Config
+// options.
 package main
 
 import (
@@ -11,5 +12,9 @@ import (
 
 func main() {
 	var s lib.Sizer = lib.Box{}
-	fmt.Println(lib.Used(), other.Other(), lib.T{}, s.Size())
+	c := lib.Config{Literal: 1}
+	c.Assigned = 2
+	p := &c.Addressed
+	*p = 3
+	fmt.Println(lib.Used(), other.Other(), lib.T{}, s.Size(), lib.Run(c), lib.Read(lib.Settings{}))
 }

@@ -35,3 +35,34 @@ func testOnly() int { return 7 }
 
 // unused is referred to by nothing.
 func unused() int { return 8 }
+
+// Config is audited by rule 4: cmd/app sets three of its options.
+type Config struct {
+	Literal      int // set by cmd/app in a composite literal
+	Assigned     int // assigned by cmd/app
+	Addressed    int // set by cmd/app through &c.Addressed
+	DefaultsOnly int // set only by withDefaults
+	TestsOnly    int // set only by tests, this package's and another's
+	Exempt       int // set by nothing; TestSurfaceAllowList exempts it
+	private      int // unexported: not an option
+}
+
+func (c Config) withDefaults() Config {
+	if c.DefaultsOnly == 0 {
+		c.DefaultsOnly = 9
+	}
+	c.private = 1
+	return c
+}
+
+// Run reads every option.
+func Run(c Config) int {
+	c = c.withDefaults()
+	return c.Literal + c.Assigned + c.Addressed + c.DefaultsOnly + c.TestsOnly + c.Exempt + c.private
+}
+
+// Settings is not audited: its name ends in neither Config nor Options.
+type Settings struct{ Unset int }
+
+// Read reads Settings.
+func Read(s Settings) int { return s.Unset }

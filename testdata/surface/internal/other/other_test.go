@@ -7,7 +7,9 @@ import (
 )
 
 func TestOtherTestsOnly(t *testing.T) {
-	if lib.OtherTestsOnly() != 3 {
+	c := lib.Config{}
+	c.TestsOnly = 2
+	if lib.OtherTestsOnly() != 3 || lib.Run(c) == 0 {
 		t.Fail()
 	}
 }
