@@ -10,14 +10,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -112,16 +113,24 @@ func SplitURLs(s string) []string {
 }
 
 // StartPprof serves net/http/pprof on the -pprof-addr side listener, off
-// the serving port, until the returned stop is called; an empty addr
-// starts nothing.
+// the serving port and its admission gate, until the returned stop is
+// called; an empty addr starts nothing.
 func StartPprof(addr string) (stop func(), err error) {
 	if addr == "" {
 		return func() {}, nil
 	}
-	ln, err := obs.StartPprof(addr)
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	// Serve returns once stop closes the listener.
+	go (&http.Server{Handler: mux}).Serve(ln)
 	log.Printf("pprof on %s", ln.Addr())
 	return func() { ln.Close() }, nil
 }

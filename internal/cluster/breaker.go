@@ -21,7 +21,8 @@ var breakerStateNames = [...]string{"closed", "open", "half-open"}
 // breaker is one shard's circuit breaker. Only failures that indicate a
 // sick shard should be reported to it — deterministic 4xx rejections and
 // rollout-window version conflicts are the caller's to exclude (see
-// countsAgainstBreaker). All methods are safe for concurrent use.
+// countsAgainstBreaker). All methods are safe for concurrent use, and a
+// nil breaker — breakers disabled — admits every call and records nothing.
 type breaker struct {
 	threshold int // consecutive failures that trip closed → open
 	cooldown  time.Duration
@@ -44,6 +45,9 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // the call as the half-open probe: its outcome alone decides whether the
 // breaker closes, and while it is in flight every other call fails fast.
 func (b *breaker) tryAcquire() (proceed, trial bool) {
+	if b == nil {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -73,6 +77,9 @@ func (b *breaker) tryAcquire() (proceed, trial bool) {
 // before the trip), and a non-trial failure never re-trips one (the trip
 // already happened; only the trial's outcome decides what comes next).
 func (b *breaker) onResult(ok, trial bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if trial {
@@ -112,7 +119,7 @@ func (b *breaker) onResult(ok, trial bool) {
 // — a trial is released so the next call can run a fresh one, and no
 // state changes.
 func (b *breaker) abandon(trial bool) {
-	if !trial {
+	if b == nil || !trial {
 		return
 	}
 	b.mu.Lock()

@@ -33,6 +33,16 @@ func hostOf(t testing.TB, rawURL string) string {
 	return u.Host
 }
 
+// shardAt returns the router's record of the shard at url.
+func (rt *Router) shardAt(url string) *shard {
+	for _, sh := range rt.shards {
+		if sh.url == url {
+			return sh
+		}
+	}
+	return nil
+}
+
 // waitFor polls cond until it holds or the deadline passes — the
 // rendezvous every wait in this package goes through instead of sleeping
 // for a guessed duration.
@@ -77,7 +87,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 			t.Fatalf("request %d during hang: not marked degraded", i)
 		}
 	}
-	if got := tr.router.breakers[hung].stateName(); got != "open" {
+	if got := tr.router.shardAt(hung).breaker.stateName(); got != "open" {
 		t.Fatalf("after %d failures breaker is %q, want open", 3, got)
 	}
 
@@ -104,7 +114,7 @@ func TestBreakerFailFastUnderHungShard(t *testing.T) {
 		ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", req, &resp)
 		return !resp.Degraded
 	})
-	if got := tr.router.breakers[hung].stateName(); got != "closed" {
+	if got := tr.router.shardAt(hung).breaker.stateName(); got != "closed" {
 		t.Fatalf("breaker after recovery is %q, want closed", got)
 	}
 	tr.conforms(t, "healed")
@@ -129,11 +139,11 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 	tr.router.StartProber(ctx)
 
 	lost := tr.shardTS[0].URL
-	hs := tr.router.healthFor(lost)
+	hs := tr.router.shardAt(lost)
 	ct.Set(&chaos.Fault{Host: hostOf(t, lost), Err: chaos.ErrPartitioned})
 	waitFor(t, 5*time.Second, "prober to mark the partitioned shard down", hs.down.Load)
 
-	// Down in the overlay: requests skip the shard outright — degraded,
+	// Marked down: requests skip the shard outright — degraded,
 	// and fast even though nothing is cached.
 	start := time.Now()
 	var resp serve.RecommendResponse
@@ -144,7 +154,7 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 		t.Fatal("merge over a downed shard not marked degraded")
 	}
 	if el := time.Since(start); el > 250*time.Millisecond {
-		t.Fatalf("downed-shard request took %v — overlay is not short-circuiting", el)
+		t.Fatalf("downed-shard request took %v — the down verdict is not short-circuiting", el)
 	}
 
 	ct.Set()
@@ -154,6 +164,125 @@ func TestProbeDrivenRouteRepair(t *testing.T) {
 		t.Errorf("prober counters: marks_down=%d repairs=%d, want >= 1 each",
 			tr.router.m.marksDown.Value(), tr.router.m.repairs.Value())
 	}
+}
+
+// TestBreakerOutlivesRouteFlip: what the router knows about a shard — its
+// breaker, the prober's verdict, its call latency — belongs to the shard,
+// not to the route table, so a flip to a new epoch keeps all of it. Each
+// case trips one shard with the faults scoped away from /healthz (the
+// flip's poll must still succeed), clears the fault, flips, and requires
+// the next call to skip the shard without touching it.
+func TestBreakerOutlivesRouteFlip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		trip func(t *testing.T, tr *tier, ct *chaos.Transport, sick string)
+		want shardView // the tripped shard's row, calls aside
+	}{{
+		name: "breaker",
+		// The cooldown outlasts the test: only a reset could close it.
+		cfg: Config{BreakerThreshold: 2, BreakerCooldown: time.Hour},
+		trip: func(t *testing.T, tr *tier, ct *chaos.Transport, sick string) {
+			ct.Set(&chaos.Fault{Host: hostOf(t, sick), Path: shardPath, Status: http.StatusInternalServerError})
+			for i := 0; i < 2; i++ {
+				tr.recommend(t, true)
+			}
+		},
+		want: shardView{state: "open", opens: 1},
+	}, {
+		name: "prober",
+		cfg:  Config{BreakerThreshold: -1},
+		trip: func(t *testing.T, tr *tier, ct *chaos.Transport, sick string) {
+			ct.Set(&chaos.Fault{Host: hostOf(t, sick), Path: "/readyz", Err: chaos.ErrPartitioned})
+			tr.router.probeAll(context.Background())
+			tr.recommend(t, true)
+		},
+		want: shardView{down: true},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ct := chaos.NewTransport(NewShardTransport(256), 1)
+			cfg := tc.cfg
+			cfg.AllowDegraded, cfg.EdgeConfig.CacheSize = true, -1
+			cfg.HTTPClient = &http.Client{Transport: ct}
+			tr := newTier(t, 2, cfg)
+			sick := tr.shardTS[0].URL
+			tc.trip(t, tr, ct, sick)
+			before := tr.shardRow(t, sick)
+			if tc.want.calls = before.calls; before != tc.want {
+				t.Fatalf("tripped shard reads %+v, want %+v", before, tc.want)
+			}
+			ct.Set()
+			if epoch, err := tr.router.Refresh(context.Background()); err != nil || epoch != 2 {
+				t.Fatalf("flip: epoch %d, %v; want epoch 2", epoch, err)
+			}
+			calls := tr.router.m.shardCalls.Value()
+			tr.recommend(t, true)
+			if n := tr.router.m.shardCalls.Value() - calls; n != 1 {
+				t.Errorf("the call after the flip reached %d shards, want 1: the sick one must fail fast", n)
+			}
+			// The fast-failed call is one more shard_latency observation.
+			tc.want.calls++
+			if after := tr.shardRow(t, sick); after != tc.want {
+				t.Errorf("after the flip and one call the shard reads %+v, want %+v", after, tc.want)
+			}
+		})
+	}
+}
+
+// recommend asks the router for one uncached list and requires it to be
+// served, degraded as wantDegraded says.
+func (tr *tier) recommend(t *testing.T, wantDegraded bool) {
+	t.Helper()
+	var resp serve.RecommendResponse
+	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/recommend", serve.RecommendRequest{User: 9, M: 10}, &resp); st != 200 || resp.Degraded != wantDegraded {
+		t.Fatalf("recommend: status %d degraded=%v, want 200 degraded=%v", st, resp.Degraded, wantDegraded)
+	}
+}
+
+// shardView is one shard as the router's operator sees it: its
+// shards_health row in /healthz and its shard_latency count in /metrics.
+type shardView struct {
+	down  bool
+	state string
+	opens int64
+	calls uint64
+}
+
+func (tr *tier) shardRow(t *testing.T, url string) shardView {
+	t.Helper()
+	var h struct {
+		ShardsHealth []struct {
+			URL     string `json:"url"`
+			Down    bool   `json:"down"`
+			Breaker struct {
+				State string `json:"state"`
+				Opens int64  `json:"opens"`
+			} `json:"breaker"`
+		} `json:"shards_health"`
+	}
+	var m struct {
+		ShardLatency map[string]struct {
+			Requests uint64 `json:"requests"`
+		} `json:"shard_latency"`
+	}
+	for path, out := range map[string]any{"/healthz": &h, "/metrics": &m} {
+		resp, err := http.Get(tr.routerTS.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(out)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	for _, row := range h.ShardsHealth {
+		if row.URL == url {
+			return shardView{down: row.Down, state: row.Breaker.State, opens: row.Breaker.Opens, calls: m.ShardLatency[url].Requests}
+		}
+	}
+	t.Fatalf("no shards_health row for %s", url)
+	return shardView{}
 }
 
 // TestProbeMarksVersionSkewDown: a shard that is alive and ready but can
@@ -177,11 +306,11 @@ func TestProbeMarksVersionSkewDown(t *testing.T) {
 			t.Fatalf("reload %d: status %d", i, st)
 		}
 	}
-	hs := tr.router.healthFor(tr.shardTS[0].URL)
+	hs := tr.router.shardAt(tr.shardTS[0].URL)
 	waitFor(t, 5*time.Second, "prober to mark the version-skewed shard down", hs.down.Load)
 
 	// A flip re-pins each shard to its current version; the prober puts
-	// the shard back without anyone touching the overlay by hand.
+	// the shard back without anyone touching its verdict by hand.
 	if st := ranktest.PostJSON(t, tr.routerTS.URL+"/v1/admin/flip", nil, nil); st != 200 {
 		t.Fatalf("flip: status %d", st)
 	}
@@ -456,7 +585,7 @@ func TestDeterministic4xxDoesNotTripBreaker(t *testing.T) {
 		}
 	}
 	for _, ts := range tr.shardTS {
-		b := tr.router.breakers[ts.URL]
+		b := tr.router.shardAt(ts.URL).breaker
 		if got := b.stateName(); got != "closed" {
 			t.Fatalf("breaker for %s is %q after repeated 4xx, want closed", ts.URL, got)
 		}

@@ -180,9 +180,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) int {
-	shardLat := make(map[string]map[string]any, len(rt.shardLat))
-	for url, h := range rt.shardLat {
-		shardLat[url] = obs.EndpointSnapshot(h)
+	shardLat := make(map[string]map[string]any, len(rt.shards))
+	for _, sh := range rt.shards {
+		shardLat[sh.url] = obs.EndpointSnapshot(&sh.lat)
 	}
 	out := map[string]any{
 		"degraded":      rt.m.degraded.Value(),

@@ -8,32 +8,32 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
-// shardHealthState is one shard's slot in the mutable health overlay the
-// prober maintains over the immutable route table: route tables flip
-// wholesale on rollout, but a shard's up/down state changes on its own
-// clock. A down shard is skipped by the scatter (degraded merge or
-// fail-closed, per policy) without burning a timeout or a breaker trial.
-type shardHealthState struct {
-	down atomic.Bool
-	// downSince/lastErr are best-effort operator context for /healthz,
-	// written only by the prober goroutine.
+// shard is what the router knows about one configured shard URL beyond
+// any route table: its circuit breaker, the latency of the calls made to
+// it, and the prober's up/down verdict. New builds one per URL and every
+// table's routes point at them, so a table flip keeps a tripped breaker
+// tripped, a down shard down and its latency history whole.
+type shard struct {
+	url     string
+	breaker *breaker // nil when Config.BreakerThreshold < 0
+	// lat observes whole callShard calls, hedges and retries included.
+	lat obs.Histogram
+	// down is the prober's verdict: a down shard is skipped by the scatter
+	// (degraded merge or fail-closed, per policy) without burning a
+	// timeout or a breaker trial. downSince and lastErr are operator
+	// context for /healthz, written only by the prober goroutine.
+	down      atomic.Bool
 	downSince atomic.Int64 // unix nanos; 0 when up
 	lastErr   atomic.Pointer[string]
 }
 
-// healthFor returns the overlay slot of a shard URL; the map is built at
-// construction — one slot per configured shard — and never mutated, so
-// lookups are lock-free.
-func (rt *Router) healthFor(url string) *shardHealthState {
-	return rt.health[url]
-}
-
 // StartProber launches the background health prober: every
-// Config.ProbeInterval it hits each shard's /readyz and flips the health
-// overlay — an unready (or unreachable, or version-skewed) shard is
+// Config.ProbeInterval it hits each shard's /readyz and flips its up/down
+// verdict — an unready (or unreachable, or version-skewed) shard is
 // marked down, and a recovered shard whose version history still covers
 // the route table's pin is returned to rotation automatically. The
 // prober stops when ctx is cancelled. It never touches the circuit
@@ -56,28 +56,29 @@ func (rt *Router) StartProber(ctx context.Context) {
 	}()
 }
 
+// probeAll probes the current table's routes under their version pins,
+// or every shard unpinned before the first table.
 func (rt *Router) probeAll(ctx context.Context) {
-	pins := map[string]uint64{} // stays empty without a table: plain readiness decides
 	if tbl := rt.table.Load(); tbl != nil {
-		for _, s := range tbl.shards {
-			pins[s.url] = s.version
+		for _, r := range tbl.shards {
+			rt.probeOne(ctx, r.shard, r.version)
 		}
+		return
 	}
-	for _, u := range rt.cfg.Shards {
-		rt.probeOne(ctx, u, pins[u])
+	for _, sh := range rt.shards {
+		rt.probeOne(ctx, sh, 0)
 	}
 }
 
-// probeOne probes one shard and updates its overlay slot. pin is the
+// probeOne probes one shard and updates its up/down verdict. pin is the
 // model version the current route table expects from it (0 when no
 // table yet — then plain readiness decides).
-func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
-	hs := rt.healthFor(url)
+func (rt *Router) probeOne(ctx context.Context, sh *shard, pin uint64) {
 	rt.m.probes.Add(1)
 	// A 503 with a parseable body is a successful probe of an unready
 	// shard, not a probe error.
 	var st serve.Ready
-	err := rt.readShard(ctx, url, "/readyz", &st, http.StatusServiceUnavailable)
+	err := rt.readShard(ctx, sh.url, "/readyz", &st, http.StatusServiceUnavailable)
 	healthy := err == nil && st.Ready
 	if healthy && pin != 0 && st.ModelVersion != pin && st.PrevVersion != pin {
 		// Ready but unable to serve the pinned version: every data call
@@ -88,10 +89,10 @@ func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
 			st.ModelVersion, st.PrevVersion, pin)
 	}
 	if healthy {
-		if hs.down.CompareAndSwap(true, false) {
-			hs.downSince.Store(0)
+		if sh.down.CompareAndSwap(true, false) {
+			sh.downSince.Store(0)
 			rt.m.repairs.Add(1)
-			rt.cfg.Logf("prober: shard %s recovered, back in rotation", url)
+			rt.cfg.Logf("prober: shard %s recovered, back in rotation", sh.url)
 		}
 		return
 	}
@@ -100,32 +101,31 @@ func (rt *Router) probeOne(ctx context.Context, url string, pin uint64) {
 	if err != nil {
 		reason = err.Error()
 	}
-	hs.lastErr.Store(&reason)
-	if hs.down.CompareAndSwap(false, true) {
-		hs.downSince.Store(time.Now().UnixNano())
+	sh.lastErr.Store(&reason)
+	if sh.down.CompareAndSwap(false, true) {
+		sh.downSince.Store(time.Now().UnixNano())
 		rt.m.marksDown.Add(1)
-		rt.cfg.Logf("prober: shard %s marked down: %s", url, reason)
+		rt.cfg.Logf("prober: shard %s marked down: %s", sh.url, reason)
 	}
 }
 
-// healthRows renders the overlay (and breakers) per shard for /healthz
-// and /metrics.
+// healthRows renders each shard's verdict and breaker, in configured
+// order, for /healthz and /metrics.
 func (rt *Router) healthRows() []map[string]any {
-	rows := make([]map[string]any, 0, len(rt.cfg.Shards))
-	for _, u := range rt.cfg.Shards {
-		hs := rt.healthFor(u)
-		down := hs.down.Load()
-		row := map[string]any{"url": u, "down": down}
+	rows := make([]map[string]any, 0, len(rt.shards))
+	for _, sh := range rt.shards {
+		down := sh.down.Load()
+		row := map[string]any{"url": sh.url, "down": down}
 		if down {
-			if ns := hs.downSince.Load(); ns != 0 {
+			if ns := sh.downSince.Load(); ns != 0 {
 				row["down_since"] = time.Unix(0, ns).UTC().Format(time.RFC3339)
 			}
-			if msg := hs.lastErr.Load(); msg != nil {
+			if msg := sh.lastErr.Load(); msg != nil {
 				row["last_error"] = *msg
 			}
 		}
-		if b := rt.breakers[u]; b != nil {
-			row["breaker"] = b.snapshot()
+		if sh.breaker != nil {
+			row["breaker"] = sh.breaker.snapshot()
 		}
 		rows = append(rows, row)
 	}

@@ -98,7 +98,7 @@ type Config struct {
 	BreakerCooldown time.Duration
 	// ProbeInterval is the cadence of the background health prober
 	// (StartProber): each shard's /readyz is probed and the shard is
-	// taken out of — or returned to — rotation in the health overlay.
+	// taken out of — or returned to — rotation.
 	// 0 means 2s. The prober only runs when StartProber is called.
 	ProbeInterval time.Duration
 	// RetryBudget bounds hedged retries to this fraction of primary
@@ -161,11 +161,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shardRoute is one shard's slot in a route table: where it lives, the
-// item range it owns, and the model version every scatter under this
+// shardRoute is one shard's slot in a route table: the shard's record,
+// the item range it owns, and the model version every scatter under this
 // table pins it to.
 type shardRoute struct {
-	url     string
+	*shard
 	version uint64
 	lo, hi  int
 }
@@ -195,22 +195,15 @@ type Router struct {
 	stats  *rank.Stats
 	m      *metrics
 	mux    *http.ServeMux
-	// breakers holds one circuit breaker per shard URL (nil map when
-	// Config.BreakerThreshold < 0). Built at construction, never mutated.
-	breakers map[string]*breaker
-	// health is the mutable per-shard up/down overlay the prober writes
-	// and the scatter reads; the map itself is immutable.
-	health map[string]*shardHealthState
+	// shards holds one record per configured URL, in Config.Shards order.
+	// Built at construction; every route table points into it.
+	shards []*shard
 	// budget is the hedged-retry budget; nil means unlimited.
 	budget *retryBudget
 	// edge is the HTTP plumbing shared with the serve tier: body decoding,
 	// clamping, response writers, instrumentation, the request tracer, the
 	// admission gate over the data path and the drain flag.
 	edge *serve.Edge
-	// shardLat holds one latency histogram per shard URL, observing whole
-	// callShard calls (hedges and retries included). Built at
-	// construction, never mutated.
-	shardLat map[string]*obs.Histogram
 }
 
 // New builds a Router over cfg.Shards. The router starts with no route
@@ -260,22 +253,17 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	stats := &rank.Stats{}
 	rt := &Router{
-		cfg:      cfg,
-		cache:    rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
-		stats:    stats,
-		m:        &metrics{},
-		health:   make(map[string]*shardHealthState, len(cfg.Shards)),
-		shardLat: make(map[string]*obs.Histogram, len(cfg.Shards)),
-		edge:     edge,
+		cfg:    cfg,
+		cache:  rank.NewListCache(cfg.CacheSize, rank.CacheShards, stats),
+		stats:  stats,
+		m:      &metrics{},
+		shards: make([]*shard, len(cfg.Shards)),
+		edge:   edge,
 	}
-	if cfg.BreakerThreshold > 0 {
-		rt.breakers = make(map[string]*breaker, len(cfg.Shards))
-	}
-	for _, u := range cfg.Shards {
-		rt.health[u] = &shardHealthState{}
-		rt.shardLat[u] = &obs.Histogram{}
-		if rt.breakers != nil {
-			rt.breakers[u] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	for i, u := range cfg.Shards {
+		rt.shards[i] = &shard{url: u}
+		if cfg.BreakerThreshold > 0 {
+			rt.shards[i].breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
 		}
 	}
 	if cfg.RetryBudget > 0 {
@@ -321,22 +309,22 @@ func (rt *Router) flip(ctx context.Context) (*routeTable, error) {
 // describe, refusing one that is not an exact partition of one catalogue.
 // The table carries epoch 1, a first table's; flip advances it.
 func (rt *Router) poll(ctx context.Context) (*routeTable, error) {
-	tbl := &routeTable{epoch: 1, shards: make([]shardRoute, len(rt.cfg.Shards))}
-	for i, u := range rt.cfg.Shards {
+	tbl := &routeTable{epoch: 1, shards: make([]shardRoute, len(rt.shards))}
+	for i, sh := range rt.shards {
 		var h serve.Health
-		if err := rt.readShard(ctx, u, "/healthz", &h); err != nil {
-			return nil, fmt.Errorf("cluster: refresh: shard %s: %w", u, err)
+		if err := rt.readShard(ctx, sh.url, "/healthz", &h); err != nil {
+			return nil, fmt.Errorf("cluster: refresh: shard %s: %w", sh.url, err)
 		}
 		if h.ShardHealth == nil {
-			return nil, fmt.Errorf("cluster: refresh: %s is not a shard server (no shard_hi in /healthz)", u)
+			return nil, fmt.Errorf("cluster: refresh: %s is not a shard server (no shard_hi in /healthz)", sh.url)
 		}
 		if i == 0 {
 			tbl.users, tbl.items = h.Users, h.Items
 		} else if h.Users != tbl.users || h.Items != tbl.items {
 			return nil, fmt.Errorf("cluster: refresh: shard %s serves a %dx%d catalogue, shard %s a %dx%d one",
-				u, h.Users, h.Items, rt.cfg.Shards[0], tbl.users, tbl.items)
+				sh.url, h.Users, h.Items, rt.shards[0].url, tbl.users, tbl.items)
 		}
-		tbl.shards[i] = shardRoute{url: u, version: h.ModelVersion, lo: h.ShardLo, hi: h.ShardHi}
+		tbl.shards[i] = shardRoute{shard: sh, version: h.ModelVersion, lo: h.ShardLo, hi: h.ShardHi}
 	}
 	sort.Slice(tbl.shards, func(i, j int) bool { return tbl.shards[i].lo < tbl.shards[j].lo })
 	at := 0
@@ -379,8 +367,8 @@ var (
 // the shard is sick. Deterministic request rejections (4xx), rollout
 // version conflicts (409 — tripping breakers on those would open the
 // whole tier during every rollout), caller cancellations, and fast-fails
-// from the breaker or overlay themselves never count; timeouts,
-// transport errors and shard 5xx do.
+// from the breaker or the prober's verdict themselves never count;
+// timeouts, transport errors and shard 5xx do.
 func countsAgainstBreaker(err error) bool {
 	var refusal *serve.Error
 	switch {
@@ -448,9 +436,7 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 			start := time.Now()
 			replies[i], errs[i] = rt.callShard(ctx, tbl.shards[i], body, nUsers, m)
 			d := time.Since(start)
-			if h := rt.shardLat[tbl.shards[i].url]; h != nil {
-				h.Observe(d, errs[i] != nil)
-			}
+			tbl.shards[i].lat.Observe(d, errs[i] != nil)
 			if act != nil {
 				note := tbl.shards[i].url
 				if errs[i] != nil {
@@ -481,39 +467,32 @@ func (rt *Router) scatter(ctx context.Context, tbl *routeTable, frame []byte, nU
 	return replies, firstErr
 }
 
-// callShard runs one shard call behind the shard's health overlay and
-// circuit breaker, with per-attempt timeout and budgeted hedged retry: a
-// second identical attempt launches after HedgeDelay (or immediately
-// after a fast failure) when the retry budget allows, and the first
-// success wins. At most two attempts — a shard that fails both is
+// callShard runs one shard call behind the prober's verdict and the
+// shard's circuit breaker, with per-attempt timeout and budgeted hedged
+// retry: a second identical attempt launches after HedgeDelay (or
+// immediately after a fast failure) when the retry budget allows, and the
+// first success wins. At most two attempts — a shard that fails both is
 // reported failed, and the aggregate outcome feeds the breaker.
 func (rt *Router) callShard(ctx context.Context, sh shardRoute, body []byte, nUsers, m int) (*shardReply, error) {
-	if hs := rt.healthFor(sh.url); hs != nil && hs.down.Load() {
+	if sh.down.Load() {
 		return nil, errShardDown
 	}
-	br := rt.breakers[sh.url]
-	trial := false
-	if br != nil {
-		proceed, tr := br.tryAcquire()
-		if !proceed {
-			return nil, errBreakerOpen
-		}
-		trial = tr
+	proceed, trial := sh.breaker.tryAcquire()
+	if !proceed {
+		return nil, errBreakerOpen
 	}
 	// finish settles the breaker exactly once per admitted call: the
 	// call's aggregate outcome is the shard-sickness verdict. Failures
 	// that carry no verdict (cancellation, version skew) release a trial
 	// without re-tripping.
 	finish := func(rp *shardReply, err error) (*shardReply, error) {
-		if br != nil {
-			switch {
-			case err == nil:
-				br.onResult(true, trial)
-			case countsAgainstBreaker(err):
-				br.onResult(false, trial)
-			default:
-				br.abandon(trial)
-			}
+		switch {
+		case err == nil:
+			sh.breaker.onResult(true, trial)
+		case countsAgainstBreaker(err):
+			sh.breaker.onResult(false, trial)
+		default:
+			sh.breaker.abandon(trial)
 		}
 		return rp, err
 	}

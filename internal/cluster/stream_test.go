@@ -191,10 +191,10 @@ func TestShardStreamRetriesClosedStream(t *testing.T) {
 	if got := rt.cfg.HTTPClient.Transport.(*ShardTransport).Dials(); got != 2 {
 		t.Errorf("%d streams opened, want 2: the first, and the retry's", got)
 	}
-	if calls, errs, hedges := rt.m.shardCalls.Value(), rt.shardLat[ts.URL].Snapshot().Errors, rt.m.hedges.Value(); calls != 2 || errs != 0 || hedges != 0 {
+	if calls, errs, hedges := rt.m.shardCalls.Value(), rt.shardAt(ts.URL).lat.Snapshot().Errors, rt.m.hedges.Value(); calls != 2 || errs != 0 || hedges != 0 {
 		t.Errorf("shard calls %d, errors %d, hedges %d; want 2, 0, 0", calls, errs, hedges)
 	}
-	if opens := rt.breakers[ts.URL].snapshot()["opens"].(int64); opens != 0 {
+	if opens := rt.shardAt(ts.URL).breaker.snapshot()["opens"].(int64); opens != 0 {
 		t.Errorf("the breaker opened %d times over a retried stream", opens)
 	}
 }

@@ -4,14 +4,12 @@
 // (hist.go), per-request trace records with a lock-free recent-traces
 // ring (trace.go), Prometheus text exposition rendered from the same
 // snapshot trees the JSON /metrics serves (prom.go) plus an in-repo
-// format checker (promcheck.go), and a net/http/pprof side listener
-// (pprof.go). Everything here is stdlib-only.
+// format checker (promcheck.go). Everything here is stdlib-only; the
+// -pprof-addr side listener is cliutil's.
 package obs
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -46,33 +44,18 @@ func bucketIdx(d time.Duration) int {
 	return NumBuckets - 1
 }
 
-// histCell is one of the histogram's two accumulation cells. done
-// trails the shared started counter so a snapshot can wait out the
-// observations still in flight against the cell it is draining.
-type histCell struct {
-	done      atomic.Uint64
-	sumMicros atomic.Int64
-	errors    atomic.Uint64
-	buckets   [NumBuckets]atomic.Uint64
-}
-
 // Histogram is a concurrency-safe log-scale latency histogram whose
 // snapshots are coherent: count, error count, sum and buckets all come
 // from the same set of completed observations, so a derived mean can
-// never mix a fresh count with a stale sum (the skew the old
-// endpointMetrics had). The design is the hot/cold cell pair: bit 63
-// of countAndHot selects the hot cell, the low 63 bits count started
-// observations. Observe costs four uncontended atomic adds and never
-// blocks; Snapshot flips the hot bit, waits for the (short) tail of
-// in-flight observations against the now-cold cell, reads it at rest,
-// and merges it back into the hot cell so history is never lost.
+// never mix a fresh count with a stale sum. One mutex guards one
+// HistSnapshot: Observe increments it, Snapshot copies it. The zero
+// value is ready to use. Its contention is measured on 2 cores only
+// (BenchmarkHistogramObserve at -cpu 4 and 8 oversubscribes them); with
+// more cores observing one histogram, the mutex may park goroutines.
 type Histogram struct {
-	countAndHot atomic.Uint64
-	cells       [2]histCell
-	mu          sync.Mutex // serializes Snapshot's flip/drain/merge
+	mu sync.Mutex
+	s  HistSnapshot
 }
-
-const hotBit = uint64(1) << 63
 
 // Observe records one observation. isErr marks it as a failed request
 // (counted separately; still part of count/sum/buckets). Nil-safe.
@@ -83,58 +66,26 @@ func (h *Histogram) Observe(d time.Duration, isErr bool) {
 	if d < 0 {
 		d = 0
 	}
-	n := h.countAndHot.Add(1)
-	c := &h.cells[n>>63]
-	c.sumMicros.Add(int64(d / time.Microsecond))
+	i := bucketIdx(d)
+	h.mu.Lock()
+	h.s.Count++
+	h.s.SumMicros += int64(d / time.Microsecond)
 	if isErr {
-		c.errors.Add(1)
+		h.s.Errors++
 	}
-	c.buckets[bucketIdx(d)].Add(1)
-	c.done.Add(1)
+	h.s.Buckets[i]++
+	h.mu.Unlock()
 }
 
 // Snapshot returns a coherent copy of everything observed so far.
 // Nil-safe: a nil histogram snapshots as empty.
 func (h *Histogram) Snapshot() HistSnapshot {
-	var s HistSnapshot
 	if h == nil {
-		return s
+		return HistSnapshot{}
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Flip the hot bit; observers that loaded the old value are still
-	// finishing against the cold cell, so spin until its done count
-	// reaches the started count. The invariant that makes this total:
-	// every previous snapshot merged its cold cell into the then-hot
-	// cell, so the cold cell always holds the complete history.
-	n := h.countAndHot.Add(hotBit)
-	started := n &^ hotBit
-	cold := &h.cells[(n>>63)^1]
-	for cold.done.Load() != started {
-		runtime.Gosched()
-	}
-	s.Count = started
-	s.Errors = cold.errors.Load()
-	s.SumMicros = cold.sumMicros.Load()
-	for i := range s.Buckets {
-		s.Buckets[i] = cold.buckets[i].Load()
-	}
-	// Merge the cold cell into the hot one and zero it, restoring the
-	// invariant for the next flip.
-	hot := &h.cells[n>>63]
-	hot.sumMicros.Add(s.SumMicros)
-	hot.errors.Add(s.Errors)
-	for i := range s.Buckets {
-		hot.buckets[i].Add(s.Buckets[i])
-	}
-	hot.done.Add(started)
-	cold.sumMicros.Add(-s.SumMicros)
-	cold.errors.Add(-s.Errors)
-	for i := range s.Buckets {
-		cold.buckets[i].Add(-s.Buckets[i])
-	}
-	cold.done.Add(-started)
-	return s
+	return h.s
 }
 
 // HistSnapshot is one coherent read of a Histogram.
@@ -146,8 +97,8 @@ type HistSnapshot struct {
 }
 
 // Mean returns the mean latency in microseconds, 0 when empty. Because
-// Count and SumMicros come from the same drained cell, the mean cannot
-// be skewed by a mid-burst read.
+// Count and SumMicros are copied under one lock, the mean cannot be
+// skewed by a mid-burst read.
 func (s HistSnapshot) Mean() float64 {
 	if s.Count == 0 {
 		return 0

@@ -170,3 +170,26 @@ func TestEndpointSnapshotPercentiles(t *testing.T) {
 		t.Fatalf("mean = %v, want 1000", m)
 	}
 }
+
+// BenchmarkHistogramObserve is the histogram's cost on the serving path:
+// every instrumented request and every shard call pays one Observe.
+// "serial" is one goroutine; "parallel" is GOMAXPROCS goroutines on one
+// histogram, the contention of a busy endpoint.
+func BenchmarkHistogramObserve(b *testing.B) {
+	b.Run("serial", func(b *testing.B) {
+		var h Histogram
+		for i := 0; i < b.N; i++ {
+			h.Observe(time.Duration(i&1023)*time.Microsecond, false)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		var h Histogram
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				h.Observe(time.Duration(i&1023)*time.Microsecond, false)
+				i++
+			}
+		})
+	})
+}

@@ -62,6 +62,9 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		parallel.For(len(slots), max(workers, 1), func(i int, _ *parallel.Scratch) {
 			s.rankArm(req, i, m, &slots[i], &a.armCols[i], cols.Timings)
 		})
+		if sh := rt.tenant.shadow; sh != nil {
+			sh.observe(req.Users, m, slots, a.armCols)
+		}
 		for i := range a.armCols {
 			cols.AppendCols(&a.armCols[i])
 		}
@@ -83,9 +86,9 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 
 // rankArm ranks user i of a tenant's request through the arm the user
 // resolves to: a one-user batch into cols, or an empty list there and, in
-// its slot, why. It feeds the arm's counters and, when the user is in the
-// tenant's shadow sample, launches the off-path shadow comparison — here,
-// so every codec feeds the same observability.
+// its slot, why, or the filters it ranked under (the shadow re-ranks
+// under them). It feeds the arm's counters — here, so every codec feeds
+// the same observability.
 func (s *Server) rankArm(req *BatchRequest, i, m int, sl *Slot, cols *rank.BatchCols, tm *rank.Timings) {
 	user := req.Users[i]
 	rt, _ := s.resolve(req.Tenant, user)
@@ -107,12 +110,35 @@ func (s *Server) rankArm(req *BatchRequest, i, m int, sl *Slot, cols *rank.Batch
 	}
 	sn.engine.TopMBatch(req.Users[i:i+1], m, 1, sn.stages, func(int) ([]rank.Filter, bool) { return extra, true }, cols)
 	a.requests.Add(1)
-	if sh := rt.tenant.shadow; sh != nil {
-		sh.observe(a.name, a.model.name, sn.version, user, m, extra, cols)
-	}
+	sl.extra = extra
 }
 
 // userOutOfRange refuses a user beyond sn's catalogue.
 func userOutOfRange(user int, sn *snapshot) error {
 	return &Error{Status: http.StatusBadRequest, Msg: fmt.Sprintf("user %d out of range (%d users)", user, sn.rng.NumUsers())}
+}
+
+// recordRankSpans translates one rank call's Timings into trace spans:
+// a hit is a single "rank" span noted cache_hit or coalesced; a miss
+// becomes sequential "score", "filter_select" and (if staged) "rerank"
+// spans laid out from start by the stage durations. Nil-safe via the
+// recorder: callers only pay for the clock reads when tracing.
+func recordRankSpans(act *obs.Active, start time.Time, tm *rank.Timings) {
+	if act == nil {
+		return
+	}
+	if tm.Cached {
+		note := "cache_hit"
+		if tm.Coalesced {
+			note = "coalesced"
+		}
+		act.Record("rank", start, time.Since(start), note)
+		return
+	}
+	act.Record("score", start, tm.Score, "")
+	t := start.Add(tm.Score)
+	act.Record("filter_select", t, tm.Select, "")
+	if tm.Stages > 0 {
+		act.Record("rerank", t.Add(tm.Select), tm.Stages, "")
+	}
 }

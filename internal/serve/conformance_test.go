@@ -245,7 +245,7 @@ func TestShardPartialCodecSeam(t *testing.T) {
 					want++
 				}
 			}
-			if got := srv.metrics.deadlineAborts.Value(); got != want {
+			if got := srv.deadlineAborts.Value(); got != want {
 				t.Errorf("deadline_aborts = %d, want %d (the expired rows)", got, want)
 			}
 		})

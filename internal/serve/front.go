@@ -135,10 +135,11 @@ type Answer struct {
 type Slot struct {
 	Err      error // why the user has no list; nil = served
 	Degraded bool  // merged from the surviving shards only
-	// A server's tenant path: the arm that served the user and its model
-	// version.
+	// A server's tenant path: the arm that served the user, its model
+	// version and the request's filters as validated against it.
 	arm        *arm
 	armVersion uint64
+	extra      []rank.Filter
 }
 
 var answerPool = sync.Pool{New: func() any { return new(Answer) }}

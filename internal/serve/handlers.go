@@ -14,7 +14,7 @@ import (
 	"repro/internal/rank"
 )
 
-// endpointNames registers every instrumented endpoint with Metrics.
+// endpointNames registers every instrumented endpoint with the edge.
 var endpointNames = []string{
 	"recommend", "foldin", "explain", "batch", "batch_binary", "ingest", "reload", "healthz", "readyz", "metrics",
 	"shard_topm", "shard_topm_binary", "debug_traces",
@@ -466,9 +466,39 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) int {
 	return WriteJSON(w, http.StatusOK, Ready{Ready: true, ModelVersion: sn.version, PrevVersion: prev, ShardRange: rng})
 }
 
+// handleMetrics renders the server's metrics tree, which feeds both the
+// JSON and the Prometheus views. Cache and coalescing counters come from
+// the shared rank.Stats; per-endpoint latency, failed writes and the
+// frame transport counters from the edge.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) int {
 	sn := s.snap.Load()
-	out := s.metrics.snapshot(sn.version, sn.engine.CacheLen())
+	st := s.rankStats
+	hits, misses := st.Hits(), st.Misses()
+	// Coalesced waiters count as neither hit nor miss in the hit rate:
+	// they are misses that borrowed another request's computation.
+	hitRate := 0.0
+	if hits+misses > 0 {
+		hitRate = float64(hits) / float64(hits+misses)
+	}
+	out := map[string]any{
+		"model_version":   sn.version,
+		"deadline_aborts": s.deadlineAborts.Value(),
+		"cache": map[string]any{
+			"hits": hits,
+			// misses counts requests not answered from the cache;
+			// coalesced is the subset of concurrent duplicates that shared
+			// another miss's computation, ranked the score→filter→select
+			// computations actually performed, and swept those of them
+			// that scored the whole range instead of the user's support.
+			"misses":    misses,
+			"coalesced": st.Coalesced(),
+			"ranked":    st.Ranked(),
+			"swept":     st.Swept(),
+			"hit_rate":  hitRate,
+			"entries":   sn.engine.CacheLen(),
+		},
+	}
+	s.edge.Snapshot(out)
 	if s.registry != nil {
 		out["tenants"] = s.registry.metricsTree()
 	}

@@ -9,9 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -571,6 +573,78 @@ func TestShadowSampleZeroNeverLogs(t *testing.T) {
 	shadow := metrics["tenants"].(map[string]any)["acme"].(map[string]any)["shadow"].(map[string]any)
 	if shadow["sampled"] != float64(0) {
 		t.Errorf("sampled = %v at sample 0, want 0", shadow["sampled"])
+	}
+}
+
+// blockingWriter is a shadow log whose every Write waits for release.
+type blockingWriter struct {
+	syncWriter
+	release chan struct{}
+}
+
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	<-w.release
+	return w.syncWriter.Write(p)
+}
+
+// TestShadowShedsOverItsBound: a slow shadow log cannot park one
+// comparison per sampled user. Each request's sampled users are compared
+// in turn by one goroutine holding a slot; behind a log that blocks, the
+// first requests take every slot and the rest shed their users (sampled +
+// shed == users), and ShadowFlush returns once the log is released.
+func TestShadowShedsOverItsBound(t *testing.T) {
+	logW := &blockingWriter{release: make(chan struct{})}
+	released := false
+	release := func() {
+		if !released {
+			released = true
+			close(logW.release)
+		}
+	}
+	defer release() // before the fixture's cleanup flushes
+	f := newRegistryServer(t, Config{ShadowLog: logW}, func(rc *RegistryConfig) {
+		acme := rc.Tenants["acme"]
+		acme.Shadow = &ShadowSpec{Model: "candidate", Sample: 1}
+		rc.Tenants["acme"] = acme
+	})
+	bound := cap(f.srv.registry.tenants["acme"].shadow.slots)
+	const size, over = 3, 8
+	before := runtime.NumGoroutine()
+	for r := range bound + over {
+		req := BatchRequest{M: 5, Tenant: "acme"}
+		for i := range size {
+			req.Users = append(req.Users, (r*size+i)%f.train.Rows())
+		}
+		if st := ranktest.PostJSON(t, f.ts.URL+"/v1/batch", req, nil); st != 200 {
+			t.Fatalf("batch %d: status %d", r, st)
+		}
+	}
+	// Every request that took a slot is parked on the log now; the slack
+	// covers the connection's own goroutines.
+	if grew := runtime.NumGoroutine() - before; grew > bound+16 {
+		t.Errorf("%d goroutines more after %d requests, want at most the bound %d (+16)", grew, bound+over, bound)
+	}
+	var metrics map[string]any
+	getJSON(t, f.ts.URL+"/metrics", &metrics)
+	shadow := metrics["tenants"].(map[string]any)["acme"].(map[string]any)["shadow"].(map[string]any)
+	sampled, _ := shadow["sampled"].(float64)
+	shed, ok := shadow["shed"].(float64)
+	if !ok || sampled != float64(bound*size) || shed != float64(over*size) {
+		t.Errorf("shadow metrics %v: want sampled %d and shed %d", shadow, bound*size, over*size)
+	}
+	release()
+	flushed := make(chan struct{})
+	go func() {
+		f.srv.ShadowFlush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ShadowFlush did not return after the log was released")
+	}
+	if lines := bytes.Count(logW.bytes(), []byte("\n")); lines != bound*size {
+		t.Errorf("%d shadow records, want one per sampled user compared (%d)", lines, bound*size)
 	}
 }
 

@@ -35,11 +35,17 @@ func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server, *core.M
 
 // TestRecommendCacheHit: a repeat feeds the hit rate operators watch.
 func TestRecommendCacheHit(t *testing.T) {
-	srv, ts, _, _ := newTestServer(t, Config{})
+	_, ts, _, _ := newTestServer(t, Config{})
 	for range 2 {
 		ranktest.PostJSON(t, ts.URL+"/v1/recommend", RecommendRequest{User: 5, M: 10}, nil)
 	}
-	if hr := srv.Metrics().CacheHitRate(); hr != 0.5 {
+	var metrics struct {
+		Cache struct {
+			HitRate float64 `json:"hit_rate"`
+		} `json:"cache"`
+	}
+	getJSON(t, ts.URL+"/metrics", &metrics)
+	if hr := metrics.Cache.HitRate; hr != 0.5 {
 		t.Errorf("cache hit rate %v after a miss and its repeat, want 0.5", hr)
 	}
 }
@@ -1096,6 +1102,3 @@ func TestMaxBodyEnforcedEverywhere(t *testing.T) {
 		t.Errorf("small-body ingest: status %d, want 200", st)
 	}
 }
-
-// Metrics exposes the server's counters, mainly for tests and benchmarks.
-func (s *Server) Metrics() *Metrics { return s.metrics }

@@ -35,6 +35,7 @@
 package serve
 
 import (
+	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -171,12 +172,15 @@ type Server struct {
 	// instead of failing them, which is what makes the rollout
 	// zero-downtime. Requests naming any other version are refused (409),
 	// so a merge of mixed versions is impossible by construction.
-	prev    atomic.Pointer[snapshot]
-	metrics *Metrics
+	prev atomic.Pointer[snapshot]
 	// rankStats is shared across the snapshots' engines so cache and
 	// coalescing counters stay cumulative over reloads.
 	rankStats *rank.Stats
-	mux       *http.ServeMux
+	// deadlineAborts counts shard requests aborted because their
+	// propagated deadline budget (see DeadlineHeader) had already expired
+	// before scoring started — wasted work the deadline check saved.
+	deadlineAborts expvar.Int
+	mux            *http.ServeMux
 	// reloadMu serializes reloads: without it, two concurrent reloads (the
 	// /v1/reload handler and the SIGHUP path) could each read the model
 	// file and then install their snapshots in the opposite order, leaving
@@ -205,7 +209,7 @@ type Server struct {
 
 // newServer is the one construction path under NewFromFile and
 // NewShardFromFile: the server's own limits, the edge (limits, gate,
-// tracer) and metrics, the first snapshot over the configured item range,
+// tracer), the first snapshot over the configured item range,
 // then registry and routes.
 func newServer(cfg Config) (*Server, error) {
 	switch {
@@ -220,7 +224,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	cfg.EdgeConfig = ecfg
 	s := &Server{cfg: cfg, rankStats: &rank.Stats{}, edge: edge}
-	s.metrics = &Metrics{edge: edge, rank: s.rankStats}
 	if _, err := s.install(); err != nil {
 		return nil, err
 	}
@@ -359,12 +362,12 @@ func (s *Server) trainFor(users, items int) (*sparse.Matrix, error) {
 	} else {
 		train = sparse.NewBuilder(users, items).Build()
 	}
-	// Materialize the transpose before the snapshot is published:
-	// sparse.Matrix builds it lazily and unsynchronized, and
-	// /v1/explain walks columns — two concurrent explains over a
-	// freshly padded matrix would race on the cache. The shape-keyed
-	// cache above makes this (and the padding) a one-off per
-	// catalogue growth, not an O(nnz) tax on every reload.
+	// Build the transpose /v1/explain walks before the snapshot is
+	// published: a warm-up, so the first explain after a reload does not
+	// pay the O(nnz) build (Transpose caches it, publishing safely under
+	// concurrent callers). The shape-keyed cache above makes this (and
+	// the padding) a one-off per catalogue growth, not a tax on every
+	// reload.
 	train.Transpose()
 	s.paddedTrain = train
 	return train, nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -17,7 +18,11 @@ import (
 // response path pays one hash and one branch for a sampled user, and
 // exactly one comparison against an integer threshold (no hash, no
 // branch into the slow path) when sampling is off. Rank/score diffs are
-// emitted as JSON lines to the configured shadow log.
+// emitted as JSON lines to the configured shadow log. One goroutine
+// compares a request's sampled users in turn, and it holds one of the
+// process's shadow slots (shared by every tenant) while it runs; a
+// request finding them all taken sheds its sampled users, so a slow log
+// parks at most one goroutine per slot, never one per user.
 type shadower struct {
 	tenant string
 	model  *namedModel
@@ -36,30 +41,25 @@ type shadower struct {
 	// re-ranks the way the candidate would actually serve.
 	armStages atomic.Pointer[map[string][]rank.Stage]
 
+	// slots holds one token per request whose comparisons are in flight.
+	slots   chan struct{}
 	wg      sync.WaitGroup
 	logMu   sync.Mutex
 	log     io.Writer
 	sampled atomic.Int64
+	shed    atomic.Int64
 	diffs   atomic.Int64
 	errs    atomic.Int64
 }
 
-func newShadower(tenantName string, nm *namedModel, sample float64, logW io.Writer) *shadower {
-	seed := uint64(fnvOffset64)
-	for i := 0; i < len("shadow:"); i++ {
-		seed ^= uint64("shadow:"[i])
-		seed *= fnvPrime64
-	}
-	for i := 0; i < len(tenantName); i++ {
-		seed ^= uint64(tenantName[i])
-		seed *= fnvPrime64
-	}
+func newShadower(tenantName string, nm *namedModel, sample float64, slots chan struct{}, logW io.Writer) *shadower {
 	return &shadower{
 		tenant:    tenantName,
 		model:     nm,
 		sample:    sample,
 		threshold: uint64(sample * float64(uint64(1)<<32)),
-		seed:      seed,
+		seed:      fnvString(fnvOffset64, "shadow:"+tenantName),
+		slots:     slots,
 		log:       logW,
 	}
 }
@@ -68,29 +68,50 @@ func newShadower(tenantName string, nm *namedModel, sample float64, logW io.Writ
 // deterministic, so a user is either always or never shadowed for a given
 // sample rate, and allocation-free.
 func (sh *shadower) sampledUser(user int) bool {
-	if sh.threshold == 0 {
-		return false
-	}
-	h := sh.seed
-	u := uint64(user)
-	for i := 0; i < 8; i++ {
-		h ^= u & 0xff
-		h *= fnvPrime64
-		u >>= 8
-	}
-	return h>>32 < sh.threshold
+	return sh.threshold != 0 && fnvUser(sh.seed, user)>>32 < sh.threshold
 }
 
-// observe launches the shadow comparison for one served request when the
-// user is sampled, over a copy of the primary list: pri is the request's
-// pooled columns, reused as soon as the response is written.
-func (sh *shadower) observe(armName, armModel string, armVersion uint64, user, m int,
-	extra []rank.Filter, pri *rank.BatchCols) {
-	if !sh.sampledUser(user) {
+// shadowJob is one sampled user's comparison: the slot it was served
+// from (arm, version, request filters) and a copy of the list served.
+type shadowJob struct {
+	Slot
+	user   int
+	items  []uint32
+	scores []float64
+}
+
+// observe hands a tenant request's sampled, served users to one goroutine
+// that compares them in turn while it holds a slot, over copies of the
+// lists served: cols are the request's pooled columns, reused as soon as
+// the response is written. With every slot taken, the users are shed.
+func (sh *shadower) observe(users []int, m int, slots []Slot, cols []rank.BatchCols) {
+	var jobs []shadowJob
+	for i, sl := range slots {
+		if sl.Err == nil && sh.sampledUser(users[i]) {
+			jobs = append(jobs, shadowJob{sl, users[i], cols[i].Items, cols[i].Scores})
+		}
+	}
+	if len(jobs) == 0 {
 		return
 	}
+	select {
+	case sh.slots <- struct{}{}:
+	default:
+		sh.shed.Add(int64(len(jobs)))
+		return
+	}
+	for n := range jobs {
+		jobs[n].items, jobs[n].scores = slices.Clone(jobs[n].items), slices.Clone(jobs[n].scores)
+	}
+	sh.sampled.Add(int64(len(jobs)))
 	sh.wg.Add(1)
-	go sh.compare(armName, armModel, armVersion, user, m, extra, slices.Clone(pri.Items), slices.Clone(pri.Scores))
+	go func() {
+		defer sh.wg.Done()
+		defer func() { <-sh.slots }()
+		for _, j := range jobs {
+			sh.compare(j, m)
+		}
+	}()
 }
 
 // shadowRecord is one JSON line of the shadow-diff log.
@@ -110,9 +131,7 @@ type shadowRecord struct {
 	Error          string   `json:"error,omitempty"`
 }
 
-func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m int,
-	extra []rank.Filter, priItems []uint32, priScores []float64) {
-	defer sh.wg.Done()
+func (sh *shadower) compare(j shadowJob, m int) {
 	// Shadow work must never take the serving process down: a panic out
 	// of the candidate engine (a corrupt candidate file would not have
 	// loaded, but belt and suspenders) is downgraded to an error counter.
@@ -121,33 +140,32 @@ func (sh *shadower) compare(armName, armModel string, armVersion uint64, user, m
 			sh.errs.Add(1)
 		}
 	}()
-	sh.sampled.Add(1)
 	sn := sh.model.base.Load()
 	rec := shadowRecord{
 		Tenant:         sh.tenant,
-		Arm:            armName,
-		User:           user,
+		Arm:            j.arm.name,
+		User:           j.user,
 		M:              m,
-		PrimaryModel:   armModel,
-		PrimaryVersion: armVersion,
+		PrimaryModel:   j.arm.model.name,
+		PrimaryVersion: j.armVersion,
 		ShadowModel:    sh.model.name,
 		ShadowVersion:  sn.version,
-		PrimaryItems:   priItems,
+		PrimaryItems:   j.items,
 	}
-	if user < 0 || user >= sn.model.NumUsers() {
-		rec.Error = fmt.Sprintf("user %d beyond the shadow model's %d users", user, sn.model.NumUsers())
+	if j.user < 0 || j.user >= sn.model.NumUsers() {
+		rec.Error = fmt.Sprintf("user %d beyond the shadow model's %d users", j.user, sn.model.NumUsers())
 		sh.errs.Add(1)
 		sh.emit(rec)
 		return
 	}
 	var stages []rank.Stage
-	if m := sh.armStages.Load(); m != nil {
-		stages = (*m)[armName]
+	if st := sh.armStages.Load(); st != nil {
+		stages = (*st)[j.arm.name]
 	}
 	var cols rank.BatchCols
-	sn.engine.TopMBatch([]int{user}, m, 1, stages, func(int) ([]rank.Filter, bool) { return extra, true }, &cols)
+	sn.engine.TopMBatch([]int{j.user}, m, 1, stages, func(int) ([]rank.Filter, bool) { return j.extra, true }, &cols)
 	rec.ShadowItems = cols.Items
-	rec.RankDiffs, rec.MaxScoreDiff = diffLists(priItems, priScores, cols.Items, cols.Scores)
+	rec.RankDiffs, rec.MaxScoreDiff = diffLists(j.items, j.scores, cols.Items, cols.Scores)
 	if rec.RankDiffs > 0 {
 		sh.diffs.Add(1)
 	}
@@ -163,17 +181,11 @@ func diffLists(aItems []uint32, aScores []float64, bItems []uint32, bScores []fl
 		if aItems[i] != bItems[i] {
 			rankDiffs++
 		}
-		d := aScores[i] - bScores[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxScoreDiff {
+		if d := math.Abs(aScores[i] - bScores[i]); d > maxScoreDiff {
 			maxScoreDiff = d
 		}
 	}
-	rankDiffs += len(aItems) - n
-	rankDiffs += len(bItems) - n
-	return rankDiffs, maxScoreDiff
+	return rankDiffs + len(aItems) + len(bItems) - 2*n, maxScoreDiff
 }
 
 func (sh *shadower) emit(rec shadowRecord) {
@@ -198,6 +210,7 @@ func (sh *shadower) metricsTree() map[string]any {
 		"model":   sh.model.name,
 		"sample":  sh.sample,
 		"sampled": sh.sampled.Load(),
+		"shed":    sh.shed.Load(),
 		"diffs":   sh.diffs.Load(),
 		"errors":  sh.errs.Load(),
 	}

@@ -100,7 +100,7 @@ func (s *Server) expired(deadline time.Time) error {
 	if deadline.IsZero() || time.Now().Before(deadline) {
 		return nil
 	}
-	s.metrics.deadlineAborts.Add(1)
+	s.deadlineAborts.Add(1)
 	return &Error{Status: http.StatusGatewayTimeout, Msg: "deadline budget expired before scoring"}
 }
 

@@ -121,7 +121,7 @@ func TestShardStreamDeadlineAndTrace(t *testing.T) {
 		s.Send(t, budget, "stream-served", frame)
 		served(t, s, 2)
 	}
-	if got := srv.metrics.deadlineAborts.Value(); got != 1 {
+	if got := srv.deadlineAborts.Value(); got != 1 {
 		t.Errorf("deadline_aborts = %d, want 1", got)
 	}
 	status := map[string][]int{}
