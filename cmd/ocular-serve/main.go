@@ -10,7 +10,7 @@
 //	POST /v1/recommend  {"user": 3, "m": 10}      top-M for a known user
 //	POST /v1/foldin     {"items": [1,2,3]}        cold-start fold-in + top-M
 //	POST /v1/explain    {"user": 3, "item": 7}    co-cluster rationale
-//	POST /v1/batch      {"users": [1,2,3]}        many users, worker-pool fan-out
+//	POST /v1/batch      {"users": [1,2,3]}        many users in one round trip
 //	POST /v1/ingest     {"user": 3, "items": [7]} append new positives to -feed
 //	POST /v1/reload                                hot-swap the model from -model
 //	GET  /healthz                                  liveness + model version
@@ -106,7 +106,6 @@ func main() {
 		registry  = flag.String("registry", "", "multi-model registry config (JSON: named models, tenants, experiments, shadows)")
 		shadowLog = flag.String("shadow-log", "", "append shadow-comparison diff records (JSON lines) to this file")
 
-		workers  = flag.Int("workers", 0, "batch fan-out workers (0 = all cores)")
 		lambda   = flag.Float64("lambda", 5, "fold-in l2 regularization weight")
 		relative = flag.Bool("relative", false, "fold-in uses the R-OCuLaR objective")
 
@@ -130,7 +129,6 @@ func main() {
 	cfg := serve.Config{
 		ModelPath:  *modelPath,
 		FoldIn:     ocular.Config{Lambda: *lambda, Relative: *relative},
-		Workers:    *workers,
 		EdgeConfig: d.Edge,
 		ShardLo:    *shardLo,
 		ShardHi:    *shardHi,

@@ -36,7 +36,7 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // list per requested user, in request order, into a. Hits are served even
 // when the scatter fails; a failed shard fails, or with AllowDegraded
 // degrades, every user that needed it.
-func (rt *Router) batch(r *http.Request, req *serve.BatchRequest, m, _ int, a *serve.Answer) error {
+func (rt *Router) batch(r *http.Request, req *serve.BatchRequest, m int, a *serve.Answer) error {
 	if req.Tenant != "" {
 		return serve.BadRequest(errors.New("the router serves the default path only: tenant must be empty"))
 	}

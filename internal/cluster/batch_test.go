@@ -227,7 +227,7 @@ func TestRouterBatchAllocsPerUser(t *testing.T) {
 			users[i], next = next, (next+1)%tr.fx.Train.Rows()
 		}
 		req := &serve.BatchRequest{Users: users[:n], M: m, ExcludeItems: exclude}
-		if err := tr.router.batch(r, req, m, 0, a); err != nil {
+		if err := tr.router.batch(r, req, m, a); err != nil {
 			t.Fatal(err)
 		}
 		for i := range n {

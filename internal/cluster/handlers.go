@@ -49,7 +49,7 @@ func (rt *Router) buildMux() *http.ServeMux {
 	// The data path sits behind the admission gate (nil gate = no-op);
 	// flip, health, readiness and metrics are never shed.
 	mux := http.NewServeMux()
-	serve.NewFront(rt.edge, rt.batch, 0).Mount(mux)
+	serve.NewFront(rt.edge, rt.batch).Mount(mux)
 	mux.HandleFunc("POST /v1/admin/flip", rt.edge.Instrument("flip", rt.handleFlip))
 	rt.edge.MountOps(mux, rt.handleHealthz, rt.handleReadyz, rt.handleMetrics)
 	return mux

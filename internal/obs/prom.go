@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -30,7 +31,7 @@ type Labeled struct {
 // MarshalJSON emits the raw rows, keeping the JSON view identical to
 // the unwrapped map.
 func (l Labeled) MarshalJSON() ([]byte, error) {
-	return json.Marshal(l.Rows)
+	return marshalRows(l.Rows)
 }
 
 // LabeledList is Labeled for row slices: each row's Key field supplies
@@ -44,7 +45,21 @@ type LabeledList struct {
 
 // MarshalJSON emits the raw rows.
 func (l LabeledList) MarshalJSON() ([]byte, error) {
-	return json.Marshal(l.Rows)
+	return marshalRows(l.Rows)
+}
+
+// marshalRows encodes rows without escaping HTML characters: the encoder
+// around a Marshaler escapes them again if it is set to, and WriteMetrics'
+// is not, so a row key such as a tenant named "a&b" reads as it would in
+// an unwrapped map.
+func marshalRows(rows any) ([]byte, error) {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(rows); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(b.Bytes(), []byte("\n")), nil
 }
 
 // ContentType is the exposition's Content-Type header value.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -32,6 +33,27 @@ func buildTree() map[string]any {
 			{"url": "http://s2", "down": false, "breaker": map[string]any{"state": "closed"}},
 		}},
 		"skipped": nil,
+	}
+}
+
+// TestLabeledJSONIsTheUnwrappedMap: under WriteMetrics' encoder, which
+// escapes no HTML, a Labeled or LabeledList subtree writes the bytes its
+// rows write unwrapped, row keys and values with <, > and & included.
+func TestLabeledJSONIsTheUnwrappedMap(t *testing.T) {
+	rows := map[string]map[string]any{"a&b": {"model": "<m>", "requests": int64(2)}}
+	list := []map[string]any{{"url": "http://s1?a&b", "last_error": "x->y"}}
+	encode := func(v any) string {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetEscapeHTML(false)
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	wrapped := encode(map[string]any{"t": Labeled{Label: "tenant", Rows: rows}, "s": LabeledList{Label: "shard", Key: "url", Rows: list}})
+	if want := encode(map[string]any{"t": rows, "s": list}); wrapped != want {
+		t.Errorf("wrapped rows encode as %s, unwrapped as %s", wrapped, want)
 	}
 }
 
@@ -100,6 +122,8 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		"hist count skew":  "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 5\nh_count 2\n",
 		"hist decreasing":  "# TYPE h histogram\nh_bucket{le=\"10\"} 5\nh_bucket{le=\"20\"} 3\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n",
 		"hist bad bounds":  "# TYPE h histogram\nh_bucket{le=\"20\"} 1\nh_bucket{le=\"10\"} 1\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
+		"repeated series":  "# TYPE m untyped\nm 2\nm 0\n",
+		"reordered repeat": "# TYPE m untyped\nm{tenant=\"acme_eu\",arm=\"control\"} 2\nm{arm=\"control\",tenant=\"acme_eu\"} 0\n",
 	}
 	for name, in := range cases {
 		if err := CheckExposition(strings.NewReader(in)); err == nil {
@@ -113,6 +137,7 @@ func TestCheckerAcceptsValidForms(t *testing.T) {
 		"# HELP m a help line",
 		"# TYPE m counter",
 		`m{a="x,y", b="z"} 4 1700000000`,
+		`m{b="z", a="x"} 5`,
 		"",
 		"# TYPE g gauge",
 		"g +Inf",

@@ -12,7 +12,8 @@ import (
 
 // CheckExposition validates a Prometheus text exposition: metric-name
 // and label-name syntax, known TYPE lines, one contiguous block per
-// family, histograms with increasing le bounds, non-decreasing
+// family, no series sampled twice (one name, one label set in any
+// order), histograms with increasing le bounds, non-decreasing
 // cumulative counts, a closing +Inf bucket that matches _count, and a
 // _sum sample. It is the in-repo stand-in for a real scraper in CI —
 // strict enough to catch a malformed exposition, zero dependencies.
@@ -20,6 +21,7 @@ func CheckExposition(r io.Reader) error {
 	c := &expoChecker{
 		types:  map[string]string{},
 		closed: map[string]bool{},
+		series: map[string]bool{},
 		hists:  map[string]map[string]*histSeries{},
 	}
 	sc := bufio.NewScanner(r)
@@ -51,6 +53,7 @@ type histSeries struct {
 type expoChecker struct {
 	types   map[string]string
 	closed  map[string]bool
+	series  map[string]bool // name{labelKey}: every sample seen
 	current string
 	hists   map[string]map[string]*histSeries
 }
@@ -132,6 +135,11 @@ func (c *expoChecker) checkLine(s string) error {
 	if !validMetricName(name) {
 		return fmt.Errorf("invalid metric name %q", name)
 	}
+	id := name + "{" + labelKey(labels) + "}"
+	if c.series[id] {
+		return fmt.Errorf("series %s sampled twice", id)
+	}
+	c.series[id] = true
 	fam := c.familyOf(name)
 	if _, ok := c.types[fam]; !ok {
 		return fmt.Errorf("sample %q has no TYPE line", name)
@@ -182,22 +190,11 @@ func (c *expoChecker) histSample(fam, name string, labels map[string]string, val
 	}
 	le, hasLE := labels["le"]
 	delete(labels, "le")
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sk strings.Builder
-	for _, k := range keys {
-		sk.WriteString(k)
-		sk.WriteByte('=')
-		sk.WriteString(labels[k])
-		sk.WriteByte(';')
-	}
-	h := series[sk.String()]
+	key := labelKey(labels)
+	h := series[key]
 	if h == nil {
 		h = &histSeries{}
-		series[sk.String()] = h
+		series[key] = h
 	}
 	switch {
 	case strings.HasSuffix(name, "_bucket"):
@@ -230,6 +227,24 @@ func (c *expoChecker) histSample(fam, name string, labels map[string]string, val
 		return fmt.Errorf("sample %q inside histogram family %q", name, fam)
 	}
 	return nil
+}
+
+// labelKey writes a label set in one canonical order, whatever order the
+// sample wrote it in: k=v; pairs sorted by name.
+func labelKey(labels map[string]string) string {
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var sk strings.Builder
+	for _, k := range keys {
+		sk.WriteString(k)
+		sk.WriteByte('=')
+		sk.WriteString(labels[k])
+		sk.WriteByte(';')
+	}
+	return sk.String()
 }
 
 func parseLE(s string) (float64, error) {

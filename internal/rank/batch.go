@@ -44,14 +44,6 @@ func (c *BatchCols) Append(items []int, scores []float64, cached bool) {
 	c.Cached = append(c.Cached, cached)
 }
 
-// AppendCols adds every list of src to the columns, in order.
-func (c *BatchCols) AppendCols(src *BatchCols) {
-	c.Counts = append(c.Counts, src.Counts...)
-	c.Items = append(c.Items, src.Items...)
-	c.Scores = append(c.Scores, src.Scores...)
-	c.Cached = append(c.Cached, src.Cached...)
-}
-
 // AppendEmpty adds one user's slot with no items — the shape a serving
 // layer gives a user it rejected before ranking.
 func (c *BatchCols) AppendEmpty() {

@@ -299,7 +299,7 @@ func FuzzFrontJSON(f *testing.F) {
 // in one write with its Content-Length.
 func TestFrontRefusesNonFiniteScore(t *testing.T) {
 	bad := 0.5
-	pipe := func(r *http.Request, req *BatchRequest, m, workers int, a *Answer) error {
+	pipe := func(r *http.Request, req *BatchRequest, m int, a *Answer) error {
 		a.Reset(len(req.Users))
 		for range req.Users {
 			a.Cols.Append([]int{1, 2}, []float64{0.25, bad}, false)
@@ -310,7 +310,7 @@ func TestFrontRefusesNonFiniteScore(t *testing.T) {
 	endpoints := []string{"recommend", "batch", "batch_binary"}
 	mux := http.NewServeMux()
 	edge, _, _ := NewEdge("server", EdgeConfig{MaxM: 100, MaxBatch: 100, TraceRing: -1}, endpoints)
-	NewFront(edge, pipe, 1).Mount(mux)
+	NewFront(edge, pipe).Mount(mux)
 	post := func(path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
@@ -357,11 +357,10 @@ func TestWriteJSONRefusesBeforeWriting(t *testing.T) {
 }
 
 // batchJSONServer serves the conformance fixture's model with a cache of
-// cacheSize lists, ranking a batch on the request's goroutine, and posts
-// /v1/batch bodies to it through a recorder.
+// cacheSize lists and posts /v1/batch bodies to it through a recorder.
 func batchJSONServer(tb testing.TB, cacheSize int) (post func(body []byte) *httptest.ResponseRecorder, users int) {
 	fx := ranktest.New(tb, ranktest.Variant{F32: true})
-	srv, err := NewFromFile(Config{ModelPath: fx.Path, Train: fx.Train, Workers: 1, EdgeConfig: EdgeConfig{CacheSize: cacheSize}})
+	srv, err := NewFromFile(Config{ModelPath: fx.Path, Train: fx.Train, EdgeConfig: EdgeConfig{CacheSize: cacheSize}})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -6,30 +6,29 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rank"
 )
 
 // batch is the full server's Pipeline, under every codec of the front:
 // resolve the tenant → filters → rank into a's columns, with each user's
 // error and arm in a's slots.
-func (s *Server) batch(r *http.Request, req *BatchRequest, m, workers int, a *Answer) error {
+func (s *Server) batch(r *http.Request, req *BatchRequest, m int, a *Answer) error {
 	// Tenant validity is user-independent; reject an unknown tenant once,
-	// before fanning out (per-user resolve in rankBatch then cannot fail).
+	// before ranking (per-user resolve in rankBatch then cannot fail).
 	rt, err := s.resolve(req.Tenant, 0)
 	if err != nil {
 		return &Error{Status: http.StatusNotFound, Code: "unknown_tenant", Msg: err.Error()}
 	}
-	return s.rankBatch(obs.ActiveFrom(r.Context()), rt, req, m, workers, a)
+	return s.rankBatch(obs.ActiveFrom(r.Context()), rt, req, m, a)
 }
 
 // rankBatch is batch's ranking half, against an already resolved route
-// and a clamped m, ranking on workers goroutines (<= 1: the caller's). The
-// default path ranks every user against rt.sn — loaded once, so a reload
-// landing mid-batch changes neither the lists nor the version they are
-// labelled with. A traced request records one aggregate span, or, when
+// and a clamped m, ranking on the caller's goroutine. The default path
+// ranks every user against rt.sn — loaded once, so a reload landing
+// mid-batch changes neither the lists nor the version they are labelled
+// with. A traced request records one aggregate span, or, when
 // a.Cols.Timings asks for them, its one user's rank stages.
-func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, workers int, a *Answer) error {
+func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m int, a *Answer) error {
 	a.Reset(len(req.Users))
 	slots, cols := a.Slots, &a.Cols
 	var start time.Time
@@ -37,16 +36,16 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		start = time.Now()
 	}
 	if req.Tenant == "" {
-		// Default path: the request's filters are validated once (they are
-		// immutable and safe for concurrent use) and shared by every user —
-		// the engine excludes each user's training row itself — then the
-		// columnar engine entry point ranks the whole batch.
+		// Default path: the request's filters are validated once and shared
+		// by every user — the engine excludes each user's training row
+		// itself — then the columnar engine entry point ranks the whole
+		// batch.
 		sn := rt.sn
 		extra, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
 		if err != nil {
 			return BadRequest(err)
 		}
-		sn.engine.TopMBatch(req.Users, m, workers, sn.stages, func(i int) ([]rank.Filter, bool) {
+		sn.engine.TopMBatch(req.Users, m, 1, sn.stages, func(i int) ([]rank.Filter, bool) {
 			if u := req.Users[i]; u < 0 || u >= sn.rng.NumUsers() {
 				slots[i].Err = userOutOfRange(u, sn)
 				return nil, false
@@ -58,15 +57,11 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 		// Tenant path: each user resolves to its own arm. Arms may serve
 		// different catalogues, so the filter set is validated against
 		// each user's own arm snapshot.
-		a.armCols = grown(a.armCols, len(slots))
-		parallel.For(len(slots), max(workers, 1), func(i int, _ *parallel.Scratch) {
-			s.rankArm(req, i, m, &slots[i], &a.armCols[i], cols.Timings)
-		})
-		if sh := rt.tenant.shadow; sh != nil {
-			sh.observe(req.Users, m, slots, a.armCols)
+		for i := range slots {
+			s.rankArm(req, i, m, &slots[i], cols)
 		}
-		for i := range a.armCols {
-			cols.AppendCols(&a.armCols[i])
+		if sh := rt.tenant.shadow; sh != nil {
+			sh.observe(req.Users, m, slots, cols)
 		}
 		// Arms carry their own versions per slot; the answer's top-level
 		// version stays the default model's.
@@ -76,7 +71,7 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 	case act == nil:
 	case tm == nil:
 		// Per-user spans would drown a trace (and the ring's span cap) at
-		// batch sizes; the whole fan-out is one aggregate span instead.
+		// batch sizes; the whole batch is one aggregate span instead.
 		act.Record("batch_rank", start, time.Since(start), fmt.Sprintf("users=%d", len(req.Users)))
 	case slots[0].Err == nil:
 		recordRankSpans(act, start, tm)
@@ -85,17 +80,15 @@ func (s *Server) rankBatch(act *obs.Active, rt route, req *BatchRequest, m, work
 }
 
 // rankArm ranks user i of a tenant's request through the arm the user
-// resolves to: a one-user batch into cols, or an empty list there and, in
-// its slot, why, or the filters it ranked under (the shadow re-ranks
-// under them). It feeds the arm's counters — here, so every codec feeds
-// the same observability.
-func (s *Server) rankArm(req *BatchRequest, i, m int, sl *Slot, cols *rank.BatchCols, tm *rank.Timings) {
+// resolves to: a one-user batch appended to cols, or an empty list there
+// and, in its slot, why, or the filters it ranked under (the shadow
+// re-ranks under them). It feeds the arm's counters — here, so every
+// codec feeds the same observability.
+func (s *Server) rankArm(req *BatchRequest, i, m int, sl *Slot, cols *rank.BatchCols) {
 	user := req.Users[i]
 	rt, _ := s.resolve(req.Tenant, user)
 	sn, a := rt.sn, rt.arm
 	sl.arm, sl.armVersion = a, sn.version
-	cols.Reset()
-	cols.Timings = tm
 	extra, err := s.requestFilters(sn, req.ExcludeItems, req.Filter)
 	if err != nil {
 		sl.Err = BadRequest(err)

@@ -63,14 +63,13 @@ var unknownTenant = ranktest.Refusal{Case: ranktest.Case{Name: "unknown tenant",
 var serverRows = []ranktest.Refusal{unknownTenant, ranktest.ExcludeOutOfRange, ranktest.UnknownTag}
 
 // conformFull registers a full server behind one public codec, over every
-// file format, unstaged and staged, ranking batches on workers goroutines.
-func conformFull(t *testing.T, codec ranktest.Codec, workers int) {
+// file format, unstaged and staged.
+func conformFull(t *testing.T, codec ranktest.Codec) {
 	for _, v := range ranktest.Variants {
 		for _, staged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s_%v_staged=%v_workers=%d", codec.Name, v, staged, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s_%v_staged=%v", codec.Name, v, staged), func(t *testing.T) {
 				fx := ranktest.New(t, v)
 				cfg := conformConfig(fx)
-				cfg.Workers = workers
 				r := ranktest.Ranker{Single: codec.Single, Cache: true, Who: "server", Refusals: serverRows}
 				if staged {
 					cfg.Stages, r.Stages = stagedSpecs, fx.Stages
@@ -83,27 +82,19 @@ func conformFull(t *testing.T, codec ranktest.Codec, workers int) {
 	}
 }
 
-func TestRecommendMatchesInProcess(t *testing.T) { conformFull(t, ranktest.Recommend, 0) }
-func TestBatchMatchesSingle(t *testing.T)        { conformFull(t, ranktest.BatchJSON, 1) }
-func TestBatchBinaryMatchesJSON(t *testing.T)    { conformFull(t, ranktest.BatchFrame, 0) }
-
-// TestBatchFanOutMatchesSerial: Config.Workers only schedules a batch, on
-// either codec.
-func TestBatchFanOutMatchesSerial(t *testing.T) {
-	conformFull(t, ranktest.BatchJSON, 3)
-	conformFull(t, ranktest.BatchFrame, 3)
-}
+func TestRecommendMatchesInProcess(t *testing.T) { conformFull(t, ranktest.Recommend) }
+func TestBatchMatchesSingle(t *testing.T)        { conformFull(t, ranktest.BatchJSON) }
+func TestBatchBinaryMatchesJSON(t *testing.T)    { conformFull(t, ranktest.BatchFrame) }
 
 // conformRegistry registers a server with a registry mounted — one model
 // file, once as the default model and once as registry model "main" behind
 // the one-arm tenant "solo" — through its default path (tenant "") or
 // through the tenant, over every public codec.
-func conformRegistry(t *testing.T, tenant string, workers int, after func(t *testing.T, codec ranktest.Codec, url string)) {
+func conformRegistry(t *testing.T, tenant string, after func(t *testing.T, codec ranktest.Codec, url string)) {
 	for _, codec := range ranktest.Codecs {
-		t.Run(fmt.Sprintf("%s_workers=%d", codec.Name, workers), func(t *testing.T) {
+		t.Run(codec.Name, func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{})
 			cfg := conformConfig(fx)
-			cfg.Workers = workers
 			cfg.Registry = &RegistryConfig{
 				Models: map[string]ModelSpec{"main": {Path: fx.Path}},
 				Tenants: map[string]TenantSpec{"solo": {Experiment: &ExperimentSpec{
@@ -131,7 +122,7 @@ func conformRegistry(t *testing.T, tenant string, workers int, after func(t *tes
 // naming no tenant is ranked as a registry-less server ranks it, and
 // nothing of the platform shows in the answer.
 func TestDefaultPathWireFormatUnchanged(t *testing.T) {
-	conformRegistry(t, "", 0, func(t *testing.T, codec ranktest.Codec, url string) {
+	conformRegistry(t, "", func(t *testing.T, codec ranktest.Codec, url string) {
 		if codec.Frame {
 			return
 		}
@@ -149,20 +140,18 @@ func TestDefaultPathWireFormatUnchanged(t *testing.T) {
 }
 
 // TestBatchBinaryTenantMatchesJSON: a tenant's arm ranks like the model it
-// serves on every codec, serial and fanned out, and the arm's
-// binary-transport counter counts the users its frames served.
+// serves on every codec, and the arm's binary-transport counter counts the
+// users its frames served.
 func TestBatchBinaryTenantMatchesJSON(t *testing.T) {
-	for _, workers := range []int{0, 3} {
-		conformRegistry(t, "solo", workers, func(t *testing.T, codec ranktest.Codec, url string) {
-			var metrics map[string]any
-			getJSON(t, url+"/metrics", &metrics)
-			arm := metrics["tenants"].(map[string]any)["solo"].(map[string]any)["arms"].(map[string]any)["a"].(map[string]any)
-			binary, requests := arm["binary_requests"].(float64), arm["requests"].(float64)
-			if (binary > 0) != codec.Frame || binary > requests {
-				t.Errorf("%s: binary_requests %v of %v requests, want them counted on frames only", codec.Name, binary, requests)
-			}
-		})
-	}
+	conformRegistry(t, "solo", func(t *testing.T, codec ranktest.Codec, url string) {
+		var metrics map[string]any
+		getJSON(t, url+"/metrics", &metrics)
+		arm := metrics["tenants"].(map[string]any)["solo"].(map[string]any)["arms"].(map[string]any)["a"].(map[string]any)
+		binary, requests := arm["binary_requests"].(float64), arm["requests"].(float64)
+		if (binary > 0) != codec.Frame || binary > requests {
+			t.Errorf("%s: binary_requests %v of %v requests, want them counted on frames only", codec.Name, binary, requests)
+		}
+	})
 }
 
 // newShards serves the fixture as n item-range shards, each under cfg.
@@ -206,12 +195,11 @@ func shardRows(codec ranktest.Codec) []ranktest.Refusal {
 // conformShards registers sets of n shards, their partials merged by
 // ranktest.ShardSet over one shard codec, across a rollout the set's
 // version pin rides through on the shards' two-deep history.
-func conformShards(t *testing.T, codec ranktest.Codec, workers int, sizes ...int) {
+func conformShards(t *testing.T, codec ranktest.Codec, sizes ...int) {
 	for _, n := range sizes {
-		t.Run(fmt.Sprintf("%s_shards=%d_workers=%d", codec.Name, n, workers), func(t *testing.T) {
+		t.Run(fmt.Sprintf("%s_shards=%d", codec.Name, n), func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{F32: n%2 == 1})
 			cfg := conformConfig(fx)
-			cfg.Workers = workers
 			set := &ranktest.ShardSet{Codec: codec, Bases: ranktest.URLs(newShards(t, fx, n, cfg)), Pin: 1}
 			ranktest.Conformance(t, fx, &ranktest.Ranker{Rank: set.Rank, Roll: set.Roll,
 				Single: codec.Single, RefusesBadUser: true, Who: "server", Refusals: shardRows(codec)})
@@ -219,12 +207,8 @@ func conformShards(t *testing.T, codec ranktest.Codec, workers int, sizes ...int
 	}
 }
 
-func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 0, 2, 3) }
-func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 0, 2, 3) }
-
-// TestShardFrameManyUsersMidRollout: a shard that fans its frames out
-// ranks every user of one against the ONE snapshot the frame pins.
-func TestShardFrameManyUsersMidRollout(t *testing.T) { conformShards(t, ranktest.ShardStream, 3, 2) }
+func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 2, 3) }
+func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 2, 3) }
 
 // TestShardPartialCodecSeam: the whole catalogue behind the shard routes —
 // the range [0, -1) — refuses over every codec alike, and counts each

@@ -96,7 +96,7 @@ type Edge struct {
 	deadline504s expvar.Int
 	// frames tracks the binary columnar transport separately from the
 	// per-endpoint histograms, so the JSON/binary split is observable:
-	// users is the summed batch fan-out, bytesOut the frame bytes written,
+	// users is the summed batch size, bytesOut the frame bytes written,
 	// and decodeRejects the frames refused (bad magic, version, flags,
 	// layout, or fields the endpoint does not take) — the counter to watch
 	// when a client upgrade goes wrong.

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/rank"
 	"repro/internal/wire"
 )
@@ -96,13 +95,13 @@ type BatchResult struct {
 }
 
 // A Pipeline is a binary's data path behind the front: it ranks the users
-// of req — held to the binary's limits already, m clamped — into a, on up
-// to workers goroutines where the binary fans out. It starts with a.Reset,
+// of req — held to the binary's limits already, m clamped — into a, on the
+// goroutine that decoded the request. It starts with a.Reset,
 // appends one list per user to a.Cols in request order (an empty one for a
 // user that failed, its Slot saying why) and labels the answer with
 // ModelVersion or RouteEpoch. An error refuses the whole request; the
 // edge answers it by its kind (see Error).
-type Pipeline func(r *http.Request, req *BatchRequest, m, workers int, a *Answer) error
+type Pipeline func(r *http.Request, req *BatchRequest, m int, a *Answer) error
 
 // Answer is the pooled workspace of one data request: what the pipeline
 // ranked and, beside it, the codecs' buffers, so the steady-state path
@@ -115,9 +114,6 @@ type Answer struct {
 	ModelVersion uint64         // a server's answer: the version that ranked it
 	RouteEpoch   uint64         // a router's answer: the epoch it was merged under
 
-	// A server's tenant path ranks user i into armCols[i], before the
-	// ordered append into Cols.
-	armCols []rank.BatchCols
 	req     BatchRequest      // the request the pipeline ranks
 	rec     RecommendRequest  // a recommend's body, decoded
 	one     [1]int            // a recommend's one user
@@ -193,17 +189,13 @@ func (a *Answer) frameRequest() *BatchRequest {
 // Front is the public data path of one binary: the three codecs over its
 // Pipeline, behind its edge.
 type Front struct {
-	edge    *Edge
-	rank    Pipeline
-	workers int
+	edge *Edge
+	rank Pipeline
 }
 
-// NewFront builds the front of a binary ranking through rank. workers is a
-// server's Config.Workers: /v1/batch ranks on that many goroutines (0:
-// every core), /v2/batch — small batches, mostly cache hits, which
-// goroutines only slow down — only when it is above 1. A router passes 0.
-func NewFront(edge *Edge, rank Pipeline, workers int) *Front {
-	return &Front{edge: edge, rank: rank, workers: workers}
+// NewFront builds the front of a binary ranking through rank.
+func NewFront(edge *Edge, rank Pipeline) *Front {
+	return &Front{edge: edge, rank: rank}
 }
 
 // Mount registers the three routes on mux, instrumented and behind the
@@ -216,11 +208,11 @@ func (f *Front) Mount(mux *http.ServeMux) {
 }
 
 // run holds req to the limits and ranks it into a.
-func (f *Front) run(r *http.Request, req *BatchRequest, workers int, a *Answer) (m int, err error) {
+func (f *Front) run(r *http.Request, req *BatchRequest, a *Answer) (m int, err error) {
 	if m, err = f.edge.check(req); err != nil {
 		return 0, err
 	}
-	return m, f.rank(r, req, m, workers, a)
+	return m, f.rank(r, req, m, a)
 }
 
 func (f *Front) recommend(w http.ResponseWriter, r *http.Request) int {
@@ -237,7 +229,7 @@ func (f *Front) recommend(w http.ResponseWriter, r *http.Request) int {
 		// A traced recommend is timed stage by stage, a batch as one span.
 		a.timings, a.Cols.Timings = rank.Timings{}, &a.timings
 	}
-	_, err := f.run(r, &a.req, 1, a)
+	_, err := f.run(r, &a.req, a)
 	if err == nil {
 		err = a.Slots[0].Err
 	}
@@ -257,11 +249,7 @@ func (f *Front) batch(w http.ResponseWriter, r *http.Request) int {
 		return WriteError(w, http.StatusBadRequest, err.Error())
 	}
 	a.users, a.exclude = req.Users, req.ExcludeItems
-	workers := f.workers
-	if workers == 0 {
-		workers = parallel.DefaultWorkers()
-	}
-	if _, err := f.run(r, req, workers, a); err != nil {
+	if _, err := f.run(r, req, a); err != nil {
 		return f.edge.fail(w, err)
 	}
 	out, err := a.appendBatch(a.out[:0], req.Users)
@@ -277,7 +265,7 @@ func (f *Front) batchFrame(w http.ResponseWriter, r *http.Request) int {
 	if a.frame.ExpectVersion != 0 {
 		return f.edge.badFrame(w, "expect_version is a shard-path field; it must be 0 on /v2/batch")
 	}
-	m, err := f.run(r, a.frameRequest(), f.workers, a)
+	m, err := f.run(r, a.frameRequest(), a)
 	if err != nil {
 		return f.edge.fail(w, err)
 	}

@@ -34,7 +34,7 @@ func (s *Server) buildMux() *http.ServeMux {
 		s.streams = NewStreamServer(frame, s.cfg.MaxBodyBytes)
 		mux.Handle("GET /v2/shard/topm", s.streams)
 	} else {
-		NewFront(s.edge, s.batch, s.cfg.Workers).Mount(mux)
+		NewFront(s.edge, s.batch).Mount(mux)
 		mux.HandleFunc("POST /v1/foldin", s.edge.Instrument("foldin", s.edge.gate.Wrap(s.handleFoldIn)))
 		mux.HandleFunc("POST /v1/explain", s.edge.Instrument("explain", s.edge.gate.Wrap(s.handleExplain)))
 		mux.HandleFunc("POST /v1/ingest", s.edge.Instrument("ingest", s.handleIngest))

@@ -170,6 +170,41 @@ func TestShardPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestRegistryPrometheusExposition: tenants and arms are labels, not name
+// segments, so two tenants whose names one charset would fold together
+// (acme-eu, acme_eu) are two series of each arm family, each with its own
+// count, and the exposition passes the checker.
+func TestRegistryPrometheusExposition(t *testing.T) {
+	f := newRegistryServer(t, Config{}, func(rc *RegistryConfig) {
+		for _, name := range []string{"acme-eu", "acme_eu"} {
+			rc.Tenants[name] = TenantSpec{Experiment: &ExperimentSpec{
+				Name: name, Arms: []ArmSpec{{Name: "control", Model: "champion"}}}}
+		}
+	})
+	ranktest.PostJSON(t, f.ts.URL+"/v1/batch", BatchRequest{Users: []int{1, 2}, M: 5, Tenant: "acme-eu"}, nil)
+	resp, err := http.Get(f.ts.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckExposition(strings.NewReader(string(body))); err != nil {
+		t.Fatalf("registry exposition fails the checker: %v", err)
+	}
+	for _, want := range []string{
+		`ocular_tenants_arms_requests{tenant="acme-eu",arm="control"} 2`,
+		`ocular_tenants_arms_requests{tenant="acme_eu",arm="control"} 0`,
+		`ocular_tenants_experiment{tenant="acme",value="ranker-v2"} 1`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 type debugTraces struct {
 	Traces []struct {
 		ID       string `json:"trace_id"`

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/feed"
+	"repro/internal/obs"
 	"repro/internal/rank"
 )
 
@@ -663,14 +664,16 @@ func (r *registry) health() (models map[string]ModelHealth, tenants map[string]T
 
 // metricsTree reports per-arm serving counters for /metrics: requests,
 // errors and the arm's own cache stats — the per-arm labels an A/B
-// readout is cut by.
-func (r *registry) metricsTree() map[string]any {
-	tenants := make(map[string]any, len(r.tenants))
+// readout is cut by. Tenants and arms are rows under the labels tenant
+// and arm, so two names the exposition's charset would fold together
+// (acme-eu, acme_eu) stay two series.
+func (r *registry) metricsTree() obs.Labeled {
+	tenants := make(map[string]map[string]any, len(r.tenants))
 	for _, name := range r.tenantNames {
 		t := r.tenants[name]
 		tt := map[string]any{}
 		if t.exp != nil {
-			arms := make(map[string]any, len(t.exp.arms))
+			arms := make(map[string]map[string]any, len(t.exp.arms))
 			for _, a := range t.exp.arms {
 				sn := a.snap.Load()
 				arms[a.name] = map[string]any{
@@ -691,12 +694,12 @@ func (r *registry) metricsTree() map[string]any {
 				}
 			}
 			tt["experiment"] = t.exp.name
-			tt["arms"] = arms
+			tt["arms"] = obs.Labeled{Label: "arm", Rows: arms}
 		}
 		if t.shadow != nil {
 			tt["shadow"] = t.shadow.metricsTree()
 		}
 		tenants[name] = tt
 	}
-	return tenants
+	return obs.Labeled{Label: "tenant", Rows: tenants}
 }

@@ -652,8 +652,10 @@ func TestShadowShedsOverItsBound(t *testing.T) {
 // of the list a request served. With every user sampled and a one-entry
 // arm cache, concurrent batches of distinct users keep recycling the
 // cache's nodes and the answers' pooled columns while the comparisons run.
-// Run under -race: every record's primary list is the one its user was
-// served.
+// Each batch fails one out-of-range user in its middle, so the shadow
+// finds the lists after it past an empty slot. Run under -race: every
+// served list has one record, its primary list the one its user was
+// served, and the failed users have none.
 func TestShadowRecordsTheServedList(t *testing.T) {
 	logW := &syncWriter{}
 	f := newRegistryServer(t, Config{ShadowLog: logW, EdgeConfig: EdgeConfig{CacheSize: 1}}, func(rc *RegistryConfig) {
@@ -662,8 +664,9 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 		rc.Tenants["acme"] = acme
 	})
 	const clients, rounds, size = 4, 12, 8
+	bad := f.train.Rows() + 1
 	var mu sync.Mutex
-	served := map[int]string{}
+	served, times := map[int]string{}, map[int]int{}
 	var wg sync.WaitGroup
 	for c := range clients {
 		wg.Add(1)
@@ -672,6 +675,9 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 			for r := range rounds {
 				req := BatchRequest{M: 5, Tenant: "acme"}
 				for k := range size {
+					if k == size/2 {
+						req.Users = append(req.Users, bad)
+					}
 					req.Users = append(req.Users, ((c*rounds+r)*size+k)%f.train.Rows())
 				}
 				var resp BatchResponse
@@ -681,6 +687,12 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 				}
 				mu.Lock()
 				for _, res := range resp.Results {
+					if res.User == bad {
+						if res.Error == "" || len(res.Items) != 0 {
+							t.Errorf("out-of-range user %d: error %q, %d items", bad, res.Error, len(res.Items))
+						}
+						continue
+					}
 					ids := make([]int, len(res.Items))
 					for n, it := range res.Items {
 						ids[n] = it.Item
@@ -690,6 +702,7 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 						t.Errorf("user %d was served %s and %s", res.User, prev, got)
 					}
 					served[res.User] = got
+					times[res.User]++
 				}
 				mu.Unlock()
 			}
@@ -706,9 +719,15 @@ func TestShadowRecordsTheServedList(t *testing.T) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("bad shadow record %s: %v", line, err)
 		}
+		times[rec.User]--
 		if rec.Error != "" || fmt.Sprint(rec.PrimaryItems) != served[rec.User] {
 			t.Errorf("user %d: the shadow recorded %v as the primary list, the request served %s (error %q)",
 				rec.User, rec.PrimaryItems, served[rec.User], rec.Error)
+		}
+	}
+	for user, n := range times {
+		if n != 0 {
+			t.Errorf("user %d: %d more lists served than shadow records (the out-of-range user is %d)", user, n, bad)
 		}
 	}
 }
@@ -733,7 +752,7 @@ func TestTenantBatchAllocsPerUser(t *testing.T) {
 				}
 			}
 			req := &BatchRequest{Users: users[:n], M: 10, Tenant: "acme"}
-			if err := f.srv.rankBatch(nil, rt, req, req.M, 1, a); err != nil {
+			if err := f.srv.rankBatch(nil, rt, req, req.M, a); err != nil {
 				t.Fatal(err)
 			}
 		})

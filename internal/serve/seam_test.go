@@ -25,7 +25,7 @@ func TestBatchReportsRankingSnapshotVersion(t *testing.T) {
 	}
 	req := &BatchRequest{Users: []int{3, 7, 11}}
 	a := new(Answer)
-	if err := srv.rankBatch(nil, route{sn: retired}, req, 5, 1, a); err != nil {
+	if err := srv.rankBatch(nil, route{sn: retired}, req, 5, a); err != nil {
 		t.Fatal(err)
 	}
 	if version := a.ModelVersion; version != retired.version {

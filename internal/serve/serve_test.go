@@ -628,7 +628,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		"negative QueueWait":    {QueueWait: -time.Millisecond},
 	}
 	cases := map[string]Config{
-		"negative Workers":        {Workers: -2},
 		"ShardLo without ShardHi": {ShardLo: 40},
 	}
 	for name, ec := range edge {

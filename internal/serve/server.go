@@ -50,7 +50,8 @@ import (
 )
 
 // Config tunes a Server. The zero value serves with defaults (cache of
-// 4096 lists, no per-batch fan-out, no exclusion matrix).
+// 4096 lists, no exclusion matrix). Every request is ranked on the
+// goroutine that decoded it; concurrency comes from concurrent requests.
 type Config struct {
 	// ModelPath is the serialized v2 model file the server maps at
 	// construction and again at every reload (POST /v1/reload, SIGHUP).
@@ -71,12 +72,6 @@ type Config struct {
 	// FoldIn supplies the solver settings for /v1/foldin (Lambda,
 	// Relative, MaxIter, ...). K is taken from the model.
 	FoldIn core.Config
-	// Workers bounds the per-request fan-out of /v1/batch. 0 means all
-	// cores. /v2/batch, the small-batch hot transport, fans out only when
-	// Workers > 1 (at 0 it ranks on the request's goroutine: a fan-out per
-	// frame measured +11 B/user against a 5% allocation bound); a shard
-	// ranks the users of a /v2/shard/topm frame by the same rule.
-	Workers int
 	// EdgeConfig holds the limits, cache size, admission control and
 	// tracing shared with the router (see EdgeConfig). On a shard, MaxBatch
 	// bounds the users of one /v2/shard/topm frame, so it must cover the
@@ -212,11 +207,8 @@ type Server struct {
 // tracer), the first snapshot over the configured item range,
 // then registry and routes.
 func newServer(cfg Config) (*Server, error) {
-	switch {
-	case cfg.ModelPath == "":
+	if cfg.ModelPath == "" {
 		return nil, fmt.Errorf("serve: Config.ModelPath is required (servers serve from an mmapped v2 file)")
-	case cfg.Workers < 0:
-		return nil, fmt.Errorf("serve: Workers must be >= 0, got %d", cfg.Workers)
 	}
 	edge, ecfg, err := NewEdge("server", cfg.EdgeConfig, endpointNames)
 	if err != nil {

@@ -82,14 +82,18 @@ type shadowJob struct {
 
 // observe hands a tenant request's sampled, served users to one goroutine
 // that compares them in turn while it holds a slot, over copies of the
-// lists served: cols are the request's pooled columns, reused as soon as
-// the response is written. With every slot taken, the users are shed.
-func (sh *shadower) observe(users []int, m int, slots []Slot, cols []rank.BatchCols) {
+// lists served: cols are the request's pooled columns, user i's list at
+// the offset the counts before it sum to, reused as soon as the response
+// is written. With every slot taken, the users are shed.
+func (sh *shadower) observe(users []int, m int, slots []Slot, cols *rank.BatchCols) {
 	var jobs []shadowJob
+	at := 0
 	for i, sl := range slots {
+		end := at + int(cols.Counts[i])
 		if sl.Err == nil && sh.sampledUser(users[i]) {
-			jobs = append(jobs, shadowJob{sl, users[i], cols[i].Items, cols[i].Scores})
+			jobs = append(jobs, shadowJob{sl, users[i], cols.Items[at:end], cols.Scores[at:end]})
 		}
+		at = end
 	}
 	if len(jobs) == 0 {
 		return

@@ -136,7 +136,7 @@ type ShardTopMResponse struct {
 // resolved at arrival, before the body read. A user out of range refuses
 // the whole request: the router validates users against its route table
 // before it scatters, so a bad one here is a caller bug, not a slot to fail.
-func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchRequest, pin uint64, workers int, a *Answer) (sn *snapshot, m int, err error) {
+func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchRequest, pin uint64, a *Answer) (sn *snapshot, m int, err error) {
 	// The budget check sits after the body read, on the brink of the
 	// scoring passes: a slow client (or a router whose attempt budget was
 	// nearly gone when it sent) should not get work it can no longer use.
@@ -160,7 +160,7 @@ func (s *Server) shardPartial(act *obs.Active, deadline time.Time, req *BatchReq
 		}
 		sn = prev
 	}
-	if err := s.rankBatch(act, route{sn: sn}, req, m, workers, a); err != nil {
+	if err := s.rankBatch(act, route{sn: sn}, req, m, a); err != nil {
 		return nil, 0, err
 	}
 	for i := range a.Slots {
@@ -187,7 +187,7 @@ func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 	a := answerPool.Get().(*Answer)
 	defer a.release()
 	breq := BatchRequest{Users: []int{req.User}, M: req.M, ExcludeItems: req.ExcludeItems, Filter: req.Filter}
-	sn, _, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &breq, req.ExpectVersion, 1, a)
+	sn, _, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, &breq, req.ExpectVersion, a)
 	if err != nil {
 		return s.edge.fail(w, err)
 	}
@@ -205,8 +205,8 @@ func (s *Server) handleShardTopM(w http.ResponseWriter, r *http.Request) int {
 }
 
 // handleShardTopMFrame is the frame codec, the one the router speaks: the
-// users of a whole router batch in one request, ranked with
-// Config.Workers exactly as /v2/batch ranks (serial at 0). expect_version
+// users of a whole router batch in one request, ranked on the goroutine
+// that decoded it, exactly as /v2/batch ranks. expect_version
 // rides the request header; the answer is marked FlagShardPartial and
 // carries the range and the model version every list was ranked under.
 func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) int {
@@ -219,7 +219,7 @@ func (s *Server) handleShardTopMFrame(w http.ResponseWriter, r *http.Request) in
 	if a.frame.Tenant != "" {
 		return s.edge.badFrame(w, "shard frames carry no tenant")
 	}
-	sn, m, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, a.frameRequest(), a.frame.ExpectVersion, s.cfg.Workers, a)
+	sn, m, err := s.shardPartial(obs.ActiveFrom(r.Context()), deadline, a.frameRequest(), a.frame.ExpectVersion, a)
 	if err != nil {
 		return s.edge.fail(w, err)
 	}

@@ -117,7 +117,7 @@ func TestShardBatchAllocsPerUser(t *testing.T) {
 	allocs := func(n int) float64 {
 		req.Users = users[:n]
 		return testing.AllocsPerRun(50, func() {
-			if err := srv.rankBatch(nil, rt, req, req.M, 1, a); err != nil {
+			if err := srv.rankBatch(nil, rt, req, req.M, a); err != nil {
 				t.Fatal(err)
 			}
 		})

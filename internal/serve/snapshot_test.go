@@ -29,7 +29,7 @@ func snapshotRanker(srv *Server, sn *snapshot) ranktest.RankFunc {
 			req.Filter = &FilterSpec{AllowTags: c.Allow, DenyTags: c.Deny}
 		}
 		var a Answer
-		if err := srv.rankBatch(nil, route{sn: sn}, req, c.M, 1, &a); err != nil {
+		if err := srv.rankBatch(nil, route{sn: sn}, req, c.M, &a); err != nil {
 			t.Fatal(err)
 		}
 		ans, off := ranktest.Answer{Status: 200}, 0
