@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -315,6 +317,36 @@ func WithTenant(rank RankFunc, tenant string) RankFunc {
 			cc.Tenant = tenant
 		}
 		return rank(t, &cc)
+	}
+}
+
+// Overlapped sends every case n times at once and answers the first copy's
+// answer, after checking that every copy answered alike: requests in flight
+// together on one implementation answer as one alone does. Its Ranker must
+// not cache, since which copy fills a cache entry is the scheduler's choice.
+// Below 2, it is rank.
+func Overlapped(rank RankFunc, n int) RankFunc {
+	if n < 2 {
+		return rank
+	}
+	return func(t testing.TB, c *Case) Answer {
+		t.Helper()
+		ans := make([]Answer, n)
+		var wg sync.WaitGroup
+		for i := range ans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ans[i] = rank(t, c)
+			}()
+		}
+		wg.Wait()
+		for i := 1; i < n; i++ {
+			if !reflect.DeepEqual(ans[i], ans[0]) {
+				t.Errorf("%s: copy %d of %d in flight answered %+v, copy 0 %+v", c.Name, i, n, ans[i], ans[0])
+			}
+		}
+		return ans[0]
 	}
 }
 

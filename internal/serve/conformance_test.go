@@ -62,37 +62,65 @@ var unknownTenant = ranktest.Refusal{Case: ranktest.Case{Name: "unknown tenant",
 	Status: 404, Code: "unknown_tenant", Message: "nobody"}
 var serverRows = []ranktest.Refusal{unknownTenant, ranktest.ExcludeOutOfRange, ranktest.UnknownTag}
 
+// overlapName names a registration whose every request is sent overlap
+// times at once; 0 sends each alone.
+func overlapName(name string, overlap int) string {
+	if overlap > 0 {
+		name += fmt.Sprintf("_overlap=%d", overlap)
+	}
+	return name
+}
+
+// overlapConfig turns the cache off where requests overlap: every copy
+// ranks.
+func overlapConfig(cfg *Config, r *ranktest.Ranker, overlap int) {
+	if overlap > 0 {
+		cfg.CacheSize, r.Cache = -1, false
+	}
+}
+
 // conformFull registers a full server behind one public codec, over every
-// file format, unstaged and staged.
-func conformFull(t *testing.T, codec ranktest.Codec) {
+// file format, unstaged and staged, each request sent alone or overlap
+// times at once.
+func conformFull(t *testing.T, codec ranktest.Codec, overlap int) {
 	for _, v := range ranktest.Variants {
 		for _, staged := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s_%v_staged=%v", codec.Name, v, staged), func(t *testing.T) {
+			t.Run(overlapName(fmt.Sprintf("%s_%v_staged=%v", codec.Name, v, staged), overlap), func(t *testing.T) {
 				fx := ranktest.New(t, v)
 				cfg := conformConfig(fx)
 				r := ranktest.Ranker{Single: codec.Single, Cache: true, Who: "server", Refusals: serverRows}
 				if staged {
 					cfg.Stages, r.Stages = stagedSpecs, fx.Stages
 				}
+				overlapConfig(&cfg, &r, overlap)
 				_, ts := start(t, NewFromFile, cfg)
-				r.Rank, r.Roll = codec.Client(ts.URL), reloadOn(ts.URL, nil)
+				r.Rank, r.Roll = ranktest.Overlapped(codec.Client(ts.URL), overlap), reloadOn(ts.URL, nil)
 				ranktest.Conformance(t, fx, &r)
 			})
 		}
 	}
 }
 
-func TestRecommendMatchesInProcess(t *testing.T) { conformFull(t, ranktest.Recommend) }
-func TestBatchMatchesSingle(t *testing.T)        { conformFull(t, ranktest.BatchJSON) }
-func TestBatchBinaryMatchesJSON(t *testing.T)    { conformFull(t, ranktest.BatchFrame) }
+func TestRecommendMatchesInProcess(t *testing.T) { conformFull(t, ranktest.Recommend, 0) }
+func TestBatchMatchesSingle(t *testing.T)        { conformFull(t, ranktest.BatchJSON, 0) }
+func TestBatchBinaryMatchesJSON(t *testing.T)    { conformFull(t, ranktest.BatchFrame, 0) }
+
+// TestOverlappingBatchesMatchSerial: a request ranks its users on the
+// goroutine that decoded it, beside every other request in flight, and
+// answers as it does alone, on either codec.
+func TestOverlappingBatchesMatchSerial(t *testing.T) {
+	conformFull(t, ranktest.BatchJSON, 3)
+	conformFull(t, ranktest.BatchFrame, 3)
+}
 
 // conformRegistry registers a server with a registry mounted — one model
 // file, once as the default model and once as registry model "main" behind
 // the one-arm tenant "solo" — through its default path (tenant "") or
-// through the tenant, over every public codec.
-func conformRegistry(t *testing.T, tenant string, after func(t *testing.T, codec ranktest.Codec, url string)) {
+// through the tenant, over every public codec, each request sent alone or
+// overlap times at once.
+func conformRegistry(t *testing.T, tenant string, overlap int, after func(t *testing.T, codec ranktest.Codec, url string)) {
 	for _, codec := range ranktest.Codecs {
-		t.Run(codec.Name, func(t *testing.T) {
+		t.Run(overlapName(codec.Name, overlap), func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{})
 			cfg := conformConfig(fx)
 			cfg.Registry = &RegistryConfig{
@@ -100,10 +128,11 @@ func conformRegistry(t *testing.T, tenant string, after func(t *testing.T, codec
 				Tenants: map[string]TenantSpec{"solo": {Experiment: &ExperimentSpec{
 					Name: "only", Arms: []ArmSpec{{Name: "a", Model: "main"}}}}},
 			}
+			r := ranktest.Ranker{Single: codec.Single, Cache: true, Who: "server", Refusals: serverRows}
+			overlapConfig(&cfg, &r, overlap)
 			_, ts := start(t, NewFromFile, cfg)
 			url := ts.URL
-			r := ranktest.Ranker{Rank: codec.Client(url), Roll: reloadOn(url, nil),
-				Single: codec.Single, Cache: true, Who: "server", Refusals: serverRows}
+			r.Rank, r.Roll = ranktest.Overlapped(codec.Client(url), overlap), reloadOn(url, nil)
 			if tenant != "" {
 				r.Rank, r.Roll = ranktest.WithTenant(r.Rank, tenant), reloadOn(url, ReloadRequest{Model: "main"})
 				if !codec.Single {
@@ -122,7 +151,7 @@ func conformRegistry(t *testing.T, tenant string, after func(t *testing.T, codec
 // naming no tenant is ranked as a registry-less server ranks it, and
 // nothing of the platform shows in the answer.
 func TestDefaultPathWireFormatUnchanged(t *testing.T) {
-	conformRegistry(t, "", func(t *testing.T, codec ranktest.Codec, url string) {
+	conformRegistry(t, "", 0, func(t *testing.T, codec ranktest.Codec, url string) {
 		if codec.Frame {
 			return
 		}
@@ -140,18 +169,20 @@ func TestDefaultPathWireFormatUnchanged(t *testing.T) {
 }
 
 // TestBatchBinaryTenantMatchesJSON: a tenant's arm ranks like the model it
-// serves on every codec, and the arm's binary-transport counter counts the
-// users its frames served.
+// serves on every codec, alone and beside overlapping requests, and the
+// arm's binary-transport counter counts the users its frames served.
 func TestBatchBinaryTenantMatchesJSON(t *testing.T) {
-	conformRegistry(t, "solo", func(t *testing.T, codec ranktest.Codec, url string) {
-		var metrics map[string]any
-		getJSON(t, url+"/metrics", &metrics)
-		arm := metrics["tenants"].(map[string]any)["solo"].(map[string]any)["arms"].(map[string]any)["a"].(map[string]any)
-		binary, requests := arm["binary_requests"].(float64), arm["requests"].(float64)
-		if (binary > 0) != codec.Frame || binary > requests {
-			t.Errorf("%s: binary_requests %v of %v requests, want them counted on frames only", codec.Name, binary, requests)
-		}
-	})
+	for _, overlap := range []int{0, 3} {
+		conformRegistry(t, "solo", overlap, func(t *testing.T, codec ranktest.Codec, url string) {
+			var metrics map[string]any
+			getJSON(t, url+"/metrics", &metrics)
+			arm := metrics["tenants"].(map[string]any)["solo"].(map[string]any)["arms"].(map[string]any)["a"].(map[string]any)
+			binary, requests := arm["binary_requests"].(float64), arm["requests"].(float64)
+			if (binary > 0) != codec.Frame || binary > requests {
+				t.Errorf("%s: binary_requests %v of %v requests, want them counted on frames only", codec.Name, binary, requests)
+			}
+		})
+	}
 }
 
 // newShards serves the fixture as n item-range shards, each under cfg.
@@ -194,21 +225,27 @@ func shardRows(codec ranktest.Codec) []ranktest.Refusal {
 
 // conformShards registers sets of n shards, their partials merged by
 // ranktest.ShardSet over one shard codec, across a rollout the set's
-// version pin rides through on the shards' two-deep history.
-func conformShards(t *testing.T, codec ranktest.Codec, sizes ...int) {
+// version pin rides through on the shards' two-deep history, each request
+// sent alone or overlap times at once.
+func conformShards(t *testing.T, codec ranktest.Codec, overlap int, sizes ...int) {
 	for _, n := range sizes {
-		t.Run(fmt.Sprintf("%s_shards=%d", codec.Name, n), func(t *testing.T) {
+		t.Run(overlapName(fmt.Sprintf("%s_shards=%d", codec.Name, n), overlap), func(t *testing.T) {
 			fx := ranktest.New(t, ranktest.Variant{F32: n%2 == 1})
 			cfg := conformConfig(fx)
 			set := &ranktest.ShardSet{Codec: codec, Bases: ranktest.URLs(newShards(t, fx, n, cfg)), Pin: 1}
-			ranktest.Conformance(t, fx, &ranktest.Ranker{Rank: set.Rank, Roll: set.Roll,
+			ranktest.Conformance(t, fx, &ranktest.Ranker{Rank: ranktest.Overlapped(set.Rank, overlap), Roll: set.Roll,
 				Single: codec.Single, RefusesBadUser: true, Who: "server", Refusals: shardRows(codec)})
 		})
 	}
 }
 
-func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 2, 3) }
-func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 2, 3) }
+func TestShardScatterGatherBitIdentical(t *testing.T) { conformShards(t, ranktest.ShardJSON, 0, 2, 3) }
+func TestShardStreamMatchesPost(t *testing.T)         { conformShards(t, ranktest.ShardStream, 0, 2, 3) }
+
+// TestShardFramesOverlapMidRollout: frames in flight together on a shard,
+// before and after a reload, each rank every user against the ONE snapshot
+// its version pin names.
+func TestShardFramesOverlapMidRollout(t *testing.T) { conformShards(t, ranktest.ShardStream, 3, 2) }
 
 // TestShardPartialCodecSeam: the whole catalogue behind the shard routes —
 // the range [0, -1) — refuses over every codec alike, and counts each
